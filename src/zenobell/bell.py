@@ -15,7 +15,9 @@ Three-qubit states are scored with the Mermin combination
 |<XXX> - <YYX> - <YXY> - <XYY>| (classical bound 2, GHZ value 4); for
 N > 3 qubits the recursive Mermin-Klyshko extension is used, normalized
 so the classical bound stays 2 for every N and the N = 3 operator
-coincides with the three-qubit combination.
+coincides with the three-qubit combination.  That operator is nonzero
+only on |0...0><1...1| and its conjugate, so the value is read off two
+amplitudes in closed form; no scoring call builds a full-space matrix.
 
 Finite-statistics estimates model the readout as a projective
 measurement in the sigma_theta eigenbasis (rotate, then read the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, StateVector, embed
+from .hilbert import SIGMA_X, SIGMA_Y, StateVector
 from .states import entangled_pair_state
 
 __all__ = [
@@ -109,14 +111,25 @@ def _qubit_label(state: StateVector, index: int) -> str:
     return label
 
 
+def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
+    """The amplitudes as a stack of 2x2 matrices, rows for qubit i, columns for qubit j.
+
+    A local operator pair then acts as ``op_i @ m @ op_j.T``, without any
+    full-space matrix.
+    """
+    _qubit_label(state, i)
+    _qubit_label(state, j)
+    psi = state.amplitudes.reshape(state.layout.dims)
+    return np.moveaxis(psi, (i, j), (-2, -1)).reshape(-1, 2, 2)
+
+
 def correlation(state: StateVector, i: int, j: int, theta_i: float, theta_j: float) -> float:
-    """E(theta_i, theta_j) = <sigma_theta_i^(i) sigma_theta_j^(j)>."""
+    """E(theta_i, theta_j) = <sigma_theta_i^(i) sigma_theta_j^(j)>, matrix-free."""
     _check_normalized(state)
     if i == j:
         raise ValueError("correlation needs two distinct qubits")
-    op_i = embed(sigma_theta(theta_i), _qubit_label(state, i), state.layout).entries
-    op_j = embed(sigma_theta(theta_j), _qubit_label(state, j), state.layout).entries
-    val = complex(np.vdot(state.amplitudes, op_i @ (op_j @ state.amplitudes)))
+    m = _pair_matrices(state, i, j)
+    val = complex(np.vdot(m, sigma_theta(theta_i) @ m @ sigma_theta(theta_j).T))
     if abs(val.imag) > 1e-12:
         raise AssertionError(f"correlation came out non-real: {val}")
     return float(val.real)
@@ -182,28 +195,11 @@ def bs_landscape(omega_t_grid, vartheta_grid) -> list[tuple[float, float, float,
     return rows
 
 
-def _pauli_string(letters: str) -> np.ndarray:
-    ops = {"X": SIGMA_X, "Y": SIGMA_Y}
-    m = np.ones((1, 1), dtype=complex)
-    for ch in letters:
-        m = np.kron(m, ops[ch])
-    return m
-
-
-def _expectation(state: StateVector, matrix: np.ndarray) -> float:
-    val = complex(np.vdot(state.amplitudes, matrix @ state.amplitudes))
-    if abs(val.imag) > 1e-10:
-        raise AssertionError(f"expectation came out non-real: {val}")
-    return float(val.real)
-
-
 def mermin_value(state: StateVector) -> float:
     """|<XXX> - <YYX> - <YXY> - <XYY>| on exactly three qubits."""
-    _check_normalized(state)
     if state.layout.dims != (2, 2, 2):
         raise ValueError("mermin_value needs a state on exactly 3 qubits")
-    moments = {s: _expectation(state, _pauli_string(s)) for s in ("XXX", "YYX", "YXY", "XYY")}
-    return abs(moments["XXX"] - moments["YYX"] - moments["YXY"] - moments["XYY"])
+    return mermin_n(state).value
 
 
 def mermin_operator(n: int) -> np.ndarray:
@@ -214,6 +210,10 @@ def mermin_operator(n: int) -> np.ndarray:
     X and Y everywhere, then rescaled to -2 M'_N so that the classical
     bound is 2 for every N and N = 3 reproduces
     XXX - YYX - YXY - XYY exactly.  The quantum bound is 2^{(N+1)/2}.
+
+    The result is m |0...0><1...1| + conj(m) |1...1><0...0| with
+    m = 4 (1 - i)^(N-3); ``mermin_n`` uses that closed form, and this
+    dense construction stays as its definition and reference.
     """
     if n < 3:
         raise ValueError("mermin_operator needs at least 3 qubits")
@@ -227,19 +227,43 @@ def mermin_operator(n: int) -> np.ndarray:
 
 
 def mermin_n(state: StateVector) -> MerminResult:
-    """Generalized Mermin value for N >= 3 qubits, with its two bounds."""
+    """Generalized Mermin value for N >= 3 qubits, with its two bounds.
+
+    Closed form, O(1) per state: <M_N> = 2 Re(m conj(psi[0...0]) psi[1...1])
+    with m = 4 (1 - i)^(N-3), the only nonzero entry of the upper triangle
+    of ``mermin_operator(N)``.
+    """
     _check_normalized(state)
     dims = state.layout.dims
     n = len(dims)
     if n < 3 or any(d != 2 for d in dims):
         raise ValueError("mermin_n needs a state on N >= 3 qubits")
-    value = abs(_expectation(state, mermin_operator(n)))
+    corner = 4 + 0j
+    for _ in range(n - 3):
+        corner *= 1 - 1j  # Gaussian integers: every product is exact
+    psi = state.amplitudes
+    # corner has parts 0 or +-2^k, so corner * psi[-1] rounds at most once
+    # per part and the value stays accurate to an ulp even near cancellation
+    value = abs(2.0 * (psi[0].conjugate() * (corner * psi[-1])).real)
     return MerminResult(
         value=value,
         classical_bound=CLASSICAL_BOUND,
         quantum_bound=2.0 ** ((n + 1) / 2.0),
         n_qubits=n,
     )
+
+
+def _measurement_bras(theta: float) -> np.ndarray:
+    """Rows <+theta| and <-theta| of the sigma_theta eigenbasis."""
+    phase = np.exp(-1j * theta)
+    return np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / math.sqrt(2.0)
+
+
+def _outcome_probabilities(state: StateVector, i: int, j: int, theta_i: float, theta_j: float) -> np.ndarray:
+    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on qubits i, j."""
+    m = _pair_matrices(state, i, j)
+    amps = _measurement_bras(theta_i) @ m @ _measurement_bras(theta_j).T
+    return np.sum(amps.real**2 + amps.imag**2, axis=0).reshape(4)
 
 
 def sample_correlation(
@@ -262,6 +286,12 @@ def sample_correlation(
     single shot).  Deterministic for a fixed seed; parallel callers
     should partition work by deriving one seed per shot block
     (seed + block index).
+
+    Matrix-free: the outcome probabilities come from the two 2x2
+    measurement bases applied to the state tensor.  The shots consume
+    the random stream of ``Generator.choice(4, size=shots, p=probs)``
+    followed by one readout-flip draw per qubit, and only the parity of
+    each shot is formed, so the cost per shot is a few comparisons.
     """
     _check_normalized(state)
     if shots < 1:
@@ -271,33 +301,23 @@ def sample_correlation(
     if i == j:
         raise ValueError("sample_correlation needs two distinct qubits")
 
-    projs = []
-    for index, theta in ((i, theta_i), (j, theta_j)):
-        label = _qubit_label(state, index)
-        plus = np.array([1.0, np.exp(1j * theta)], dtype=complex) / math.sqrt(2.0)
-        p_plus = np.outer(plus, plus.conj())
-        projs.append(
-            (
-                embed(p_plus, label, state.layout).entries,
-                embed(np.eye(2, dtype=complex) - p_plus, label, state.layout).entries,
-            )
-        )
-
-    psi = state.amplitudes
-    probs = np.empty(4)
-    outcome_products = np.array([1.0, -1.0, -1.0, 1.0])
-    for k, (si, sj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        probs[k] = np.linalg.norm(projs[0][si] @ (projs[1][sj] @ psi)) ** 2
-    probs = np.clip(probs, 0.0, None)
+    probs = _outcome_probabilities(state, i, j, theta_i, theta_j)
     probs /= probs.sum()
+    # the cdf exactly as Generator.choice forms it
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
 
     rng = np.random.default_rng(seed)
-    idx = rng.choice(4, size=shots, p=probs)
-    flips_i = rng.random(shots) < readout_error
-    flips_j = rng.random(shots) < readout_error
-    values = outcome_products[idx] * np.where(flips_i, -1.0, 1.0) * np.where(flips_j, -1.0, 1.0)
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
+    u = rng.random(shots)
+    # outcomes 1 = (+,-) and 2 = (-,+) are the ones with product -1
+    odd = (u >= cdf[0]) & (u < cdf[2])
+    odd ^= rng.random(shots) < readout_error
+    odd ^= rng.random(shots) < readout_error
+    n_odd = int(np.count_nonzero(odd))
+    estimate = (shots - 2 * n_odd) / shots
+    if shots == 1:
+        return estimate, 0.0
+    stderr = math.sqrt((1.0 - estimate**2) * shots / (shots - 1)) / math.sqrt(shots)
     return estimate, stderr
 
 

@@ -195,7 +195,7 @@ def _run_mermin(cfg: ScenarioConfig, threads: int):
         res = bell.mermin_n(psi)
         return (n, res.value, res.classical_bound, res.quantum_bound)
 
-    rows = _pmap(one, p["n_values"], threads)
+    rows = [one(n) for n in p["n_values"]]
     header = ("n_qubits", "f_value", "classical_bound", "quantum_bound")
     summary = [f"state = {p['state']}"]
     for n, value, classical, _quantum in rows:

@@ -1,12 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zenobell.bell import (
     AnalyzerSettings,
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
+    _outcome_probabilities,
     bs_landscape,
     bs_reduced,
     bs_value,
@@ -18,7 +22,8 @@ from zenobell.bell import (
     sample_correlation,
     sigma_theta,
 )
-from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state
+from zenobell.dynamics import SystemSpec
+from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
 from oracles import lhv_spin_bell_max, pauli_string_expectation
@@ -325,3 +330,147 @@ def test_sample_correlation_convergence_over_many_seeds():
         if abs(est - exact) > 5 * err:
             failures += 1
     assert failures <= 2  # 99% of runs inside five standard errors
+
+
+# ------------------------------------------------------------------- goldens
+# Recorded with the dense-operator implementation.  The sampled estimates
+# are compared exactly: the same seed must give the same random stream and
+# the same outcome counts.  The Mermin values may move in the last ulp, but
+# not in the 9 significant digits the CLI writes to its CSV.
+
+
+def test_sample_correlation_golden_estimates():
+    cases = (
+        ((entangled_pair_state(0.8), 0, 1, 0.3, 1.1, 5000, 99, 0.0), -0.4384, 0.012711939532633729),
+        ((landscape_state(2.0), 1, 0, math.pi / 3, 0.25, 20000, 17, 0.02), -0.4582, 0.006285269543198727),
+        ((ghz_state(3, 0.7), 2, 0, 0.9, -0.4, 3001, 5, 0.1), -0.032989003665444855, 0.0182474813388694),
+    )
+    for args, estimate, stderr in cases:
+        est, err = sample_correlation(*args)
+        assert est == estimate
+        assert err == pytest.approx(stderr, rel=1e-14)
+
+
+def test_mermin_n_golden_ghz_values():
+    golden = {
+        3: 3.999999999999999,
+        4: 3.999999999999999,
+        5: 0.0,
+        6: 7.999999999999998,
+        7: 15.999999999999996,
+        8: 15.999999999999996,
+        9: 0.0,
+        10: 31.999999999999993,
+        11: 63.999999999999986,
+        12: 63.999999999999986,
+    }
+    for n, value in golden.items():
+        got = mermin_n(ghz_state(n)).value
+        assert got == pytest.approx(value, abs=1e-12)
+        assert f"{got:.9g}" == f"{value:.9g}"
+
+
+# ------------------------------------------------- dense oracles and properties
+
+
+def _random_state(layout, rng):
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def test_mermin_n_matches_dense_operator():
+    rng = np.random.default_rng(31)
+    for n in range(3, 9):
+        op = mermin_operator(n)
+        corner = 4 * (1 - 1j) ** (n - 3)
+        assert op[0, -1] == corner
+        assert op[-1, 0] == np.conj(corner)
+        rest = op.copy()
+        rest[0, -1] = rest[-1, 0] = 0.0
+        assert not rest.any()
+        for _ in range(5):
+            psi = _random_state(qubit_layout(n), rng)
+            dense = abs(np.vdot(psi.amplitudes, op @ psi.amplitudes))
+            assert abs(mermin_n(psi).value - dense) <= 1e-12
+
+
+def _dense_probabilities(psi, i, j, theta_i, theta_j):
+    layout = psi.layout
+    projectors = []
+    for index, theta in ((i, theta_i), (j, theta_j)):
+        plus = np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2.0)
+        p_plus = np.outer(plus, plus.conj())
+        label = layout.labels[index]
+        projectors.append([embed(p, label, layout).entries for p in (p_plus, np.eye(2) - p_plus)])
+    return np.array(
+        [
+            np.linalg.norm(projectors[0][si] @ (projectors[1][sj] @ psi.amplitudes)) ** 2
+            for si in (0, 1)
+            for sj in (0, 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "layout, i, j",
+    [
+        (SystemSpec(atom_levels=2, n_max=2).layout(), 0, 1),  # qubits next to a cavity factor
+        (SystemSpec(atom_levels=2, n_max=2).layout(), 1, 0),
+        (qubit_layout(2), 1, 0),
+        (qubit_layout(3), 0, 2),
+        (qubit_layout(3), 2, 0),
+    ],
+)
+def test_local_operators_match_dense_embed(layout, i, j):
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        psi = _random_state(layout, rng)
+        t_i, t_j = rng.uniform(0, 2 * math.pi, size=2)
+        op_i = embed(sigma_theta(t_i), layout.labels[i], layout).entries
+        op_j = embed(sigma_theta(t_j), layout.labels[j], layout).entries
+        dense = np.vdot(psi.amplitudes, op_i @ (op_j @ psi.amplitudes)).real
+        assert abs(correlation(psi, i, j, t_i, t_j) - dense) <= 1e-12
+        probs = _outcome_probabilities(psi, i, j, t_i, t_j)
+        assert np.max(np.abs(probs - _dense_probabilities(psi, i, j, t_i, t_j))) <= 1e-12
+
+
+def test_local_operators_reject_non_qubit_factor():
+    layout = SystemSpec(atom_levels=2, n_max=2).layout()
+    psi = _random_state(layout, np.random.default_rng(33))
+    with pytest.raises(ValueError):
+        correlation(psi, 0, 2, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        sample_correlation(psi, 2, 1, 0.0, 0.0, shots=10, seed=1)
+
+
+def _complex_amplitudes(dim):
+    parts = arrays(np.float64, 2 * dim, elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda x: x[:dim] + 1j * x[dim:]).filter(lambda a: np.linalg.norm(a) > 1e-3)
+
+
+_angle = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_amplitudes(4), _angle, _angle, _angle, _angle)
+def test_bs_value_within_tsirelson_bound(amps, t1, t1p, t2, t2p):
+    psi = StateVector(qubit_layout(2), amps / np.linalg.norm(amps))
+    assert abs(bs_value(psi, AnalyzerSettings(t1, t1p, t2, t2p)).b_s) <= TSIRELSON_BOUND + 1e-9
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
+@given(st.integers(3, 8).flatmap(lambda n: _complex_amplitudes(2**n)))
+def test_mermin_n_within_quantum_bound(amps):
+    n = int(math.log2(amps.size))
+    psi = StateVector(qubit_layout(n), amps / np.linalg.norm(amps))
+    assert mermin_n(psi).value <= 2.0 ** ((n + 1) / 2.0) + 1e-9
+
+
+def test_mermin_n_accurate_near_cancellation():
+    # a GHZ phase just short of pi/4 makes <M_6> nearly cancel; the closed
+    # form must still match the exact value for the stored amplitudes
+    psi = ghz_state(6, 0.785398163)
+    a, b = psi.amplitudes[0], psi.amplitudes[-1]
+    ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
+    exact = abs(2 * (-8 * (ar * br + ai * bi) + 8 * (ar * bi - ai * br)))  # m = 4 (1 - i)^3 = -8 - 8i
+    assert mermin_n(psi).value == pytest.approx(float(exact), rel=1e-15)
