@@ -70,6 +70,14 @@ def _rate(table: dict, key: str, positive: bool = False) -> float:
     return value
 
 
+def _coupling(table: dict) -> float:
+    """Atom-cavity coupling ``g``; its square enters the regime ratio g^2/kappa."""
+    g = _rate(table, "g", positive=True)
+    if not 0.0 < g * g < math.inf:
+        raise ConfigError(f"key 'g' = {g} is out of range: g**2 underflows or overflows")
+    return g
+
+
 def _values(table: dict, key: str, *, required: bool = True, default=None) -> list[float] | None:
     """Accept either a scalar ``key`` or a comma list ``key_values``."""
     list_key = key + "_values"
@@ -112,7 +120,7 @@ def _nonzero(values: list[float], key: str) -> list[float]:
 
 def _parse_prepare_pair(table: dict) -> dict:
     physics = {
-        "g": _rate(table, "g", positive=True),
+        "g": _coupling(table),
         "kappa": _rate(table, "kappa"),
         "gamma": _rate(table, "gamma"),
         "n_max": _n_max(table),
@@ -137,7 +145,7 @@ def _parse_prepare_pair(table: dict) -> dict:
 
 def _parse_cnot(table: dict) -> dict:
     physics = {
-        "g": _rate(table, "g", positive=True),
+        "g": _coupling(table),
         "kappa": _rate(table, "kappa"),
         "gamma": _rate(table, "gamma"),
         "n_max": _n_max(table),
@@ -154,7 +162,7 @@ def _parse_cnot(table: dict) -> dict:
 
 
 def _parse_pbg(table: dict) -> dict:
-    physics = {"g": _rate(table, "g", positive=True) if "g" in table else 1.0}
+    physics = {"g": _coupling(table) if "g" in table else 1.0}
     physics["gt1_values"] = _values(table, "gt1", required=False) or _grid(table, "gt1", 0.0, math.pi, 51)
     physics["gt2_values"] = _values(table, "gt2", required=False) or _grid(table, "gt2", 0.0, math.pi, 51)
     loss = _float("loss", table.pop("loss", "0"))
@@ -196,7 +204,7 @@ def _parse_trajectories(table: dict) -> dict:
         raise ConfigError(f"key 'system' must be pair or cavity_decay, got {system!r}")
     physics = {"system": system, "kappa": _rate(table, "kappa"), "n_max": _n_max(table)}
     if system == "pair":
-        physics["g"] = _rate(table, "g", positive=True)
+        physics["g"] = _coupling(table)
         physics["gamma"] = _rate(table, "gamma")
         physics["omega_minus"] = _nonzero(_values(table, "omega_minus"), "omega_minus")[0]
     n_traj = _int("n_traj", table.pop("n_traj", "2000"))

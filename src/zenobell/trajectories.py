@@ -11,9 +11,12 @@ conditional Hamiltonian: -i kappa b^dag b and -i Gamma P_exc damp the
 squared norm at 2 kappa <b^dag b> + 2 Gamma <P_exc>, so the operators
 carry sqrt(2 kappa) and sqrt(2 Gamma).
 
-Randomness is partitioned per trajectory (stream seed XOR trajectory
-index), so batches are bit-for-bit reproducible for a fixed
-(seed, n_traj, dt) and independent of execution order or chunking.
+Randomness is one stream per batch: trajectory i takes draw i of
+``np.random.default_rng(seed)``, so a batch is bit-for-bit reproducible
+for a fixed (seed, n_traj, dt), and a chunk of trajectories can
+regenerate its own draws with ``bit_generator.advance``.  Seeds go
+through NumPy's ``SeedSequence`` hashing, so distinct seeds (s and s + 1,
+s and s ^ 1) give independent streams.
 Because every trajectory starts from the same state and the pre-jump
 conditional state is deterministic, the shared no-jump trajectory is
 propagated once and the per-step Bernoulli chain is sampled by
@@ -23,6 +26,10 @@ This is the same first-jump distribution as drawing one uniform per
 step, couples runs with different dt through common random numbers, and
 retires a trajectory at its first jump, which leaves every reported
 statistic (no-jump fraction, first-jump histogram) unchanged.
+
+The no-jump state after k renormalized Euler steps is A^k psi0 / norm
+with A = 1 - i dt H, so the chain is computed a block of steps at a time
+from one stack of powers A^0 ... A^B, renormalizing at block boundaries.
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ class TrajectoryBatch:
     p0_estimate: float
     p0_stderr: float
     jump_time_histogram: tuple[tuple[float, int], ...]
+
+
+_BLOCK = 256  # Euler steps per block of the survival chain
+_POWERS_BYTES = 2**23  # shortens blocks on large spaces: 16 n^2 bytes per power
+_MAX_STEPS = 10**7  # bounds the survival array (80 MB) and the chain's run time
+_MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
 
 
 def decay_operators(spec: SystemSpec) -> list[OperatorMatrix]:
@@ -89,6 +102,48 @@ def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:
     return 0.01 / scale
 
 
+def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """No-jump survival prod_{k<m} (1 - dp_k) for m = 0 ... n_steps.
+
+    dp_k = dt sum_j ||L_j psi_k||^2 on the renormalized first-order Euler
+    state psi_k, and psi_{k+1} = A psi_k / ||A psi_k|| with A = 1 - i dt H.
+    Each block of up to ``_BLOCK`` steps (fewer where the stack of powers
+    would exceed ``_POWERS_BYTES``) is one product of the stacked powers
+    A^0 ... A^m with the state at the block start.  Raises if a
+    step's jump probability exceeds 0.1 or its norm grows by more than 1.1.
+    """
+    n = psi0.size
+    decay = sum((l_op.conj().T @ l_op for l_op in ls), np.zeros((n, n), dtype=complex))
+    block_len = max(1, min(_BLOCK, _POWERS_BYTES // (16 * n * n) - 1))
+    step = np.eye(n) - 1j * dt * h
+    powers = np.empty((min(n_steps, block_len) + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    for j in range(1, len(powers)):
+        powers[j] = step @ powers[j - 1]
+
+    survival = np.empty(n_steps + 1)
+    survival[0] = 1.0
+    psi = np.asarray(psi0, dtype=complex)
+    for start in range(0, n_steps, block_len):
+        m = min(block_len, n_steps - start)
+        states = powers[: m + 1] @ psi
+        norm2 = np.einsum("kn,kn->k", states.conj(), states).real
+        load = np.einsum("kn,kn->k", states.conj(), states @ decay.T).real
+        dp = dt * load[:m] / norm2[:m]
+        growth = np.sqrt(norm2[1:] / norm2[:-1])
+        # the first failing step decides, with the jump check first as in
+        # a step-by-step loop
+        bad = (dp > 0.1) | (growth > 1.1)
+        if bad.any():
+            if dp[np.argmax(bad)] > 0.1:
+                raise ValueError("unstable dt: per-step jump probability exceeded 0.1")
+            raise ValueError("unstable dt: norm increase detected")
+        # continues the running product in the order of one global cumprod
+        np.cumprod(np.concatenate(([survival[start]], 1.0 - dp)), out=survival[start : start + m + 1])
+        psi = states[m] / math.sqrt(norm2[m])
+    return survival
+
+
 def run_trajectories(
     h_cond: OperatorMatrix,
     jump_ops,
@@ -116,6 +171,8 @@ def run_trajectories(
             raise ValueError("jump operator layout mismatch")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if n_traj > _MAX_TRAJ:
+        raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if t_end < 0:
@@ -133,30 +190,20 @@ def run_trajectories(
     elif dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt} too large for a stable first-order step (max {dt_max:.3g})")
 
-    n_steps = max(1, math.ceil(t_end / dt)) if t_end > 0 else 0
+    steps = t_end / dt
+    if steps > _MAX_STEPS:
+        count = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(
+            f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} Euler steps (at most {_MAX_STEPS} allowed)"
+        )
+    n_steps = max(1, math.ceil(steps)) if t_end > 0 else 0
     dt = t_end / n_steps if n_steps else dt
 
-    # Shared no-jump trajectory: per-step jump probability of the
-    # renormalized conditional state, accumulated into the survival chain.
-    dp = np.zeros(n_steps)
-    psi = psi0.amplitudes.copy()
-    for step in range(n_steps):
-        total = 0.0
-        for l_op in ls:
-            total += float(np.linalg.norm(l_op @ psi) ** 2)
-        dp[step] = dt * total
-        if dp[step] > 0.1:
-            raise ValueError("unstable dt: per-step jump probability exceeded 0.1")
-        psi = psi - 1j * dt * (h @ psi)
-        norm = float(np.linalg.norm(psi))
-        if norm > 1.0 + 0.1:
-            raise ValueError("unstable dt: norm increase detected")
-        psi /= norm
-    survival = np.concatenate(([1.0], np.cumprod(1.0 - dp)))
+    survival = _survival_chain(h, ls, psi0.amplitudes, dt, n_steps)
 
-    # one uniform per trajectory from its own stream; no jump iff the
+    # trajectory i takes draw i of the batch stream; no jump iff the
     # draw stays below the final survival probability
-    u = np.array([np.random.default_rng(seed ^ traj).random() for traj in range(n_traj)])
+    u = np.random.default_rng(seed).random(n_traj)
     jumped = u >= survival[-1]
     p0 = float(np.count_nonzero(~jumped)) / n_traj
     stderr = math.sqrt(p0 * (1.0 - p0) / n_traj)

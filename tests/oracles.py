@@ -174,3 +174,28 @@ def damped_cnot_amplitudes(omega: float, gamma: float, t: float, start: str) -> 
     c_b, c_a = damped_pair_amplitudes(math.sqrt(2.0) * omega, gamma, t)
     sign = 1.0 if start == "10" else -1.0
     return 0.5 * (1.0 + sign * c_b), sign * c_a / math.sqrt(2.0), 0.5 * (1.0 - sign * c_b)
+
+
+def euler_survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """No-jump survival of the first-order Euler unraveling, one step at a time.
+
+    The literal per-step loop: dp_k = dt sum_j ||L_j psi_k||^2 on the
+    current state, then psi <- (1 - i dt H) psi, renormalized every step,
+    with the two stability guards (dp_k > 0.1, norm growth > 1.1).
+    Returns prod_{k<m} (1 - dp_k) for m = 0 ... n_steps.
+    """
+    dp = np.zeros(n_steps)
+    psi = np.array(psi0, dtype=complex)
+    for step in range(n_steps):
+        total = 0.0
+        for l_op in ls:
+            total += float(np.linalg.norm(l_op @ psi) ** 2)
+        dp[step] = dt * total
+        if dp[step] > 0.1:
+            raise ValueError("unstable dt: per-step jump probability exceeded 0.1")
+        psi = psi - 1j * dt * (h @ psi)
+        norm = float(np.linalg.norm(psi))
+        if norm > 1.0 + 0.1:
+            raise ValueError("unstable dt: norm increase detected")
+        psi /= norm
+    return np.concatenate(([1.0], np.cumprod(1.0 - dp)))

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -259,3 +261,47 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     cfg.write_text("scenario = mermin\n")
     assert run_cli(["run", cfg]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_trajectory_rows_draw_independent_streams(tmp_path):
+    # rows are seeded seed + k; with seed XOR index, seeds 4 and 5 drew the
+    # same uniforms and two equal t_end rows printed the same p0_mc
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nseed = 4\nt_end_values = 0.5, 0.5\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
+    first, second = (line.split(",") for line in (tmp_path / "trajectories.csv").read_text().strip().split("\n")[1:])
+    assert first[:2] == second[:2]
+    assert first[2] != second[2]
+
+
+def test_cli_trajectory_step_budget_exits_1_quickly(tmp_path, capsys):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(
+        "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 1e-6\nn_traj = 10\n"
+    )
+    start = time.perf_counter()
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    count = re.search(r"needs (\d+) Euler steps", err)
+    assert count is not None and int(count.group(1)) > 10**7
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
+@pytest.mark.parametrize("g", ["1e-300", "1e200"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "scenario = trajectories\nsystem = pair\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nn_traj = 10\n",
+        "scenario = prepare_pair\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\n",
+    ],
+    ids=["trajectories", "prepare_pair"],
+)
+def test_cli_degenerate_coupling_is_a_config_error(tmp_path, capsys, body, g):
+    # g**2 underflows (or overflows) in the regime ratio omega kappa / g**2
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(body + f"g = {g}\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'g'" in err
+    assert "Traceback" not in err

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import euler_survival_chain
 
 from zenobell.dynamics import SystemSpec, h_cond_lambda, h_cond_two_level, no_photon_probability
 from zenobell.hilbert import OperatorMatrix, basis_state, compose, ladder
-from zenobell.trajectories import decay_operators, run_trajectories
+from zenobell.trajectories import (
+    _BLOCK,
+    _POWERS_BYTES,
+    _max_stable_dt,
+    _survival_chain,
+    decay_operators,
+    run_trajectories,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,3 +163,131 @@ def test_decay_operators_lambda_branching():
     for occ, count in (((2, 2, 0), 2), ((2, 0, 0), 1), ((0, 0, 0), 0)):
         i = layout.basis_index(occ)
         assert total[i, i] == pytest.approx(2 * spec.gamma * count)
+
+
+def test_seeds_differing_in_the_last_bit_give_different_batches():
+    # s and s ^ 1 once drew the same set of uniforms (seed XOR index)
+    h, jump, psi0 = cavity_decay_setup()
+    for seed in (0, 4, 1000):
+        a = run_trajectories(h, jump, psi0, 0.5, 2000, seed=seed)
+        b = run_trajectories(h, jump, psi0, 0.5, 2000, seed=seed ^ 1)
+        assert a.jump_time_histogram != b.jump_time_histogram
+
+
+def test_trajectory_i_takes_draw_i_of_the_batch_stream():
+    h, jump, psi0 = cavity_decay_setup()
+    t_end, n_traj, seed = 0.8, 3000, 77
+    batch = run_trajectories(h, jump, psi0, t_end, n_traj, seed=seed)
+    n_steps = round(t_end / batch.dt)
+    survival = euler_survival_chain(h.entries, [op.entries for op in jump], psi0.amplitudes, batch.dt, n_steps)
+    draws = np.random.default_rng(seed).random(n_traj)
+    assert batch.p0_estimate == np.count_nonzero(draws < survival[-1]) / n_traj
+    # a chunk of trajectories regenerates its draws by advancing the stream
+    chunk = np.random.default_rng(seed)
+    chunk.bit_generator.advance(1000)
+    assert np.array_equal(chunk.random(500), draws[1000:1500])
+
+
+def _chain_systems():
+    pair_spec = SystemSpec(
+        atom_levels=2, g=1.0, kappa=1.0, gamma=0.05, rabi={(1, "0-1"): 0.4 / SQRT2, (2, "0-1"): -0.4 / SQRT2}, n_max=2
+    )
+    pair_h = h_cond_two_level(pair_spec)
+    lam_spec = SystemSpec(
+        atom_levels=3, g=1.0, kappa=0.7, gamma=0.05, rabi={(1, "1-2"): 0.3 * SQRT2, (2, "0-2"): 0.3 * SQRT2}, n_max=2
+    )
+    lam_h = h_cond_lambda(lam_spec)
+    cav_h, cav_jump, cav_psi0 = cavity_decay_setup(kappa=1.0)
+    herm_layout = compose([("q", 3)])
+    herm = np.array([[0.2, 0.3 - 0.1j, 0.0], [0.3 + 0.1j, -0.4, 0.5], [0.0, 0.5, 0.1]])
+    return {
+        "pair": (pair_h, decay_operators(pair_spec), basis_state(pair_h.layout, (0, 0, 0))),
+        "lambda": (lam_h, decay_operators(lam_spec), basis_state(lam_h.layout, (1, 0, 0))),
+        "cavity": (cav_h, cav_jump, cav_psi0),
+        "hermitian": (OperatorMatrix(herm_layout, herm), [], basis_state(herm_layout, (0,))),
+    }
+
+
+@pytest.mark.parametrize("system", ["pair", "lambda", "cavity", "hermitian"])
+def test_survival_chain_matches_per_step_euler_loop(system):
+    h, jump, psi0 = _chain_systems()[system]
+    ls = [op.entries for op in jump]
+    dt = _max_stable_dt(h.entries, ls)
+    for n_steps in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37):
+        chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+        oracle = euler_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+        assert chain.shape == (n_steps + 1,)
+        np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(1.0 - chain, 1.0 - oracle, rtol=0, atol=1e-12 * max(1.0 - oracle[-1], 1e-300))
+    if system != "hermitian":
+        assert oracle[-1] < 0.999  # the chain has something to check
+
+
+def test_survival_chain_shortens_blocks_on_large_spaces():
+    h, jump, psi0 = cavity_decay_setup(kappa=0.01, n_max=199)
+    assert _POWERS_BYTES // (16 * 200**2) - 1 < 30 // 2  # several short blocks
+    psi0 = type(psi0)(psi0.layout, np.ones(200) / math.sqrt(200.0))
+    ls = [op.entries for op in jump]
+    dt = _max_stable_dt(h.entries, ls)
+    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
+    oracle = euler_survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
+    np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
+    assert oracle[-1] < 0.99
+
+
+@pytest.mark.parametrize(
+    "system, dt, message",
+    [("cavity", 0.2, "jump probability exceeded 0.1"), ("hermitian", 2.0, "norm increase")],
+)
+def test_survival_chain_guards_match_the_loop(system, dt, message):
+    h, jump, psi0 = _chain_systems()[system]
+    ls = [op.entries for op in jump]
+    for chain in (_survival_chain, euler_survival_chain):
+        with pytest.raises(ValueError, match=message):
+            chain(h.entries, ls, psi0.amplitudes, dt, 3 * _BLOCK)
+
+
+def test_step_and_trajectory_budgets_are_checked_before_allocating():
+    h, jump, psi0 = cavity_decay_setup()
+    with pytest.raises(ValueError, match=r"needs 1000000001 Euler steps"):
+        run_trajectories(h, jump, psi0, 1.0, 10, seed=1, dt=1e-9 * (1 - 1e-12))
+    with pytest.raises(ValueError, match="n_traj = 10000001"):
+        run_trajectories(h, jump, psi0, 1.0, 10**7 + 1, seed=1)
+
+
+_rabi = st.floats(-0.5, 0.5).filter(lambda x: abs(x) > 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    omega1=_rabi,
+    omega2=_rabi,
+    kappa=st.floats(0.1, 2.0),
+    gamma=st.floats(0.0, 0.1),
+    t_end=st.floats(0.1, 30.0),
+    seed=st.integers(0, 2**32),
+)
+def test_survival_and_conditional_norm_never_increase(omega1, omega2, kappa, gamma, t_end, seed):
+    spec = SystemSpec(
+        atom_levels=2, g=1.0, kappa=kappa, gamma=gamma, rabi={(1, "0-1"): omega1, (2, "0-1"): omega2}, n_max=2
+    )
+    h = h_cond_two_level(spec)
+    jump = decay_operators(spec)
+    psi0 = basis_state(h.layout, (0, 0, 0))
+    ls = [op.entries for op in jump]
+    dt = _max_stable_dt(h.entries, ls)
+    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, math.ceil(t_end / dt))
+    assert chain[0] == 1.0
+    assert np.all(np.diff(chain) <= 0.0)
+    assert chain[-1] > 0.0
+
+    norms = [no_photon_probability(h, psi0, t) for t in np.linspace(0.0, t_end, 9)]
+    assert norms[0] == pytest.approx(1.0, abs=1e-12)
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(norms, norms[1:]))
+    assert norms[-1] > 0.0
+
+    n_traj = 2000
+    batch = run_trajectories(h, jump, psi0, t_end, n_traj, seed=seed)
+    p0 = norms[-1]
+    sigma = max(math.sqrt(p0 * (1.0 - p0) / n_traj), 1.0 / n_traj)
+    assert abs(batch.p0_estimate - p0) <= 6.0 * sigma
