@@ -34,20 +34,25 @@ from .dfs import (
     zeno_timescale,
 )
 from .dynamics import (
+    NumericalError,
     RegimeReport,
     SystemSpec,
     check_regime,
+    cnot_drive,
     evolve_no_jump,
     h_cond_lambda,
     h_cond_two_level,
     no_photon_probability,
+    pair_drive,
 )
 from .gates import (
     RunRecord,
     cnot_ideal,
     cnot_pulse,
+    cnot_pulse_sweep,
     pair_target_alpha,
     prepare_pair,
+    prepare_pair_sweep,
     qubit_state,
     sqr,
 )
@@ -62,7 +67,7 @@ from .hilbert import (
     ladder,
     state_from_amplitudes,
 )
-from .pbg import TransitPlan, jc_amplitudes, pbg_final_state, pbg_optimal_times
+from .pbg import TransitPlan, jc_amplitudes, pbg_final_state, pbg_final_states, pbg_optimal_times
 from .states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 from .trajectories import TrajectoryBatch, decay_operators, run_trajectories
 
@@ -74,6 +79,7 @@ __all__ = [
     "EffectiveHamiltonian",
     "HilbertLayout",
     "MerminResult",
+    "NumericalError",
     "OperatorMatrix",
     "RegimeReport",
     "RunRecord",
@@ -90,6 +96,8 @@ __all__ = [
     "check_regime",
     "cnot_ideal",
     "cnot_pulse",
+    "cnot_pulse_sweep",
+    "cnot_drive",
     "compose",
     "correlation",
     "decay_operators",
@@ -109,10 +117,13 @@ __all__ = [
     "mermin_value",
     "no_photon_probability",
     "pair_dfs_vectors",
+    "pair_drive",
     "pair_target_alpha",
     "pbg_final_state",
+    "pbg_final_states",
     "pbg_optimal_times",
     "prepare_pair",
+    "prepare_pair_sweep",
     "qubit_layout",
     "qubit_state",
     "run_trajectories",

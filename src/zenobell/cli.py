@@ -2,39 +2,43 @@
 
 Subcommands:
 
-    zenobell run CONFIG [--out DIR] [--seed N] [--threads N] [--quiet]
-    zenobell figure {fig2,fig4,fig5,islands} [--out DIR] [--threads N] [--quiet]
+    zenobell run CONFIG [--out DIR] [--seed N] [--quiet]
+    zenobell figure {fig2,fig4,fig5,islands} [--out DIR] [--quiet]
     zenobell selftest [--quiet]
 
+Sweeps run batched on one thread: the Hamiltonian of a sweep is assembled
+once and its points are propagated by stacked matrix exponentials.
 CSV output is deterministic (bit-identical for identical config and
 seed): header row, '\\n' line endings, floats printed with 9 significant
-digits, booleans as true/false.  Exit codes: 0 ok, 1 config error,
-2 numeric failure, 3 I/O failure.  Regime warnings are printed but do
-not change the exit code.
+digits, booleans as true/false.  Exit codes: 0 ok, 1 config or usage
+error, 2 numeric failure, 3 I/O failure.  Regime warnings are printed but
+do not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import bell, gates, pbg, states, trajectories
 from .config import ConfigError, ScenarioConfig, parse_config
-from .dynamics import SystemSpec, check_regime, evolve_no_jump, h_cond_two_level, no_photon_probability
+from .dynamics import (
+    NumericalError,
+    SystemSpec,
+    check_regime,
+    check_final_states,
+    h_cond_two_level,
+    no_photon_probability,
+    pair_drive,
+)
 from .hilbert import OperatorMatrix, basis_state, compose, ladder
 
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
-
-
-class NumericalError(RuntimeError):
-    """Norm blow-up or other numeric inconsistency during a run."""
 
 
 def _fmt(value) -> str:
@@ -53,21 +57,10 @@ def render_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_probability(p: float, what: str) -> float:
+def _check_probability(p: float, what: str, point: str) -> float:
     if not math.isfinite(p) or p < -1e-9 or p > 1.0 + 1e-9:
-        raise NumericalError(f"{what} = {p} outside [0, 1]; evolution is numerically unsound")
+        raise NumericalError(f"{what} = {p} outside [0, 1] at {point}; evolution is numerically unsound")
     return p
-
-
-def _pmap(func, items, threads: int):
-    items = list(items)
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    # order-preserving map keeps the CSV deterministic
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 def _regime_lines(spec: SystemSpec, omegas) -> list[str]:
@@ -79,7 +72,7 @@ def _regime_lines(spec: SystemSpec, omegas) -> list[str]:
     return lines
 
 
-def _run_prepare_pair(cfg: ScenarioConfig, threads: int):
+def _run_prepare_pair(cfg: ScenarioConfig):
     p = cfg.physics
     spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
     points = []
@@ -87,16 +80,11 @@ def _run_prepare_pair(cfg: ScenarioConfig, threads: int):
         t_values = p["t_values"] if p["t_values"] is not None else [math.pi / abs(om)]
         points.extend((om, t) for t in t_values)
 
-    def one(point):
-        om, t = point
-        rec = gates.prepare_pair(spec, om, t)
-        _check_probability(rec.p0, "p0")
-        return (om, t, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag)
-
     # regime trouble is surfaced once in the summary, not per grid point
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = _pmap(one, points, threads)
+        records = gates.prepare_pair_sweep(spec, points)
+    rows = [(om, t, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag) for (om, t), rec in zip(points, records)]
     header = ("omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
     summary = _regime_lines(spec, p["omega_values"])
     best = max(rows, key=lambda r: r[3])
@@ -105,21 +93,16 @@ def _run_prepare_pair(cfg: ScenarioConfig, threads: int):
     return header, rows, summary
 
 
-def _run_cnot(cfg: ScenarioConfig, threads: int):
+def _run_cnot(cfg: ScenarioConfig):
     p = cfg.physics
     spec = SystemSpec(atom_levels=3, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
     labels = gates.QUBIT_LABELS if p["input"] == "all" else (p["input"],)
-    points = [(om, lab) for om in p["omega_values"] for lab in labels]
-
-    def one(point):
-        om, lab = point
-        rec = gates.cnot_pulse(spec, om, gates.qubit_state(spec, lab))
-        _check_probability(rec.p0, "p0")
-        return (om, lab, rec.p0, rec.fidelity)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = _pmap(one, points, threads)
+        records = gates.cnot_pulse_sweep(spec, p["omega_values"], labels)
+    rows = []
+    for om, per_input in zip(p["omega_values"], records):
+        rows.extend((om, lab, rec.p0, rec.fidelity) for lab, rec in zip(labels, per_input))
     header = ("omega", "input_label", "p0", "fidelity")
     summary = _regime_lines(spec, p["omega_values"])
     worst = min(rows, key=lambda r: r[3])
@@ -127,21 +110,21 @@ def _run_cnot(cfg: ScenarioConfig, threads: int):
     return header, rows, summary
 
 
-def _run_pbg(cfg: ScenarioConfig, threads: int):
+def _run_pbg(cfg: ScenarioConfig):
     p = cfg.physics
     g, loss = p["g"], p["loss"]
-    target = pbg.bell_target()
+    target = pbg.bell_target().amplitudes
     points = [(gt1, gt2) for gt1 in p["gt1_values"] for gt2 in p["gt2_values"]]
-
-    def one(point):
-        gt1, gt2 = point
-        psi = pbg.pbg_final_state(pbg.TransitPlan(g, gt1 / g, gt2 / g), loss)
-        overlap = abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2
-        norm_sq = psi.norm() ** 2
-        fid = overlap / norm_sq if norm_sq > 0 else 0.0
-        return (gt1, gt2, fid)
-
-    rows = _pmap(one, points, threads)
+    t1_values, t2_values = [gt1 / g for gt1 in p["gt1_values"]], [gt2 / g for gt2 in p["gt2_values"]]
+    try:
+        amplitudes = pbg.pbg_final_states(g, t1_values, t2_values, loss)
+    except ValueError as exc:  # a negative or overflowing transit time from the config
+        raise ConfigError(str(exc)) from exc
+    check_final_states(amplitudes, lambda j: f"g_t1={points[j][0]:.9g}, g_t2={points[j][1]:.9g}")
+    rows = []
+    for (gt1, gt2), psi in zip(points, amplitudes):
+        overlap = abs(np.vdot(target, psi)) ** 2
+        rows.append((gt1, gt2, overlap / float(np.linalg.norm(psi)) ** 2))
     header = ("g_t1", "g_t2", "bell_fidelity")
     best = max(rows, key=lambda r: r[2])
     plan = pbg.pbg_optimal_times(g)
@@ -152,29 +135,21 @@ def _run_pbg(cfg: ScenarioConfig, threads: int):
     return header, rows, summary
 
 
-def _run_bell_landscape(cfg: ScenarioConfig, threads: int):
+def _run_bell_landscape(cfg: ScenarioConfig):
     p = cfg.physics
     header = ("omega_T", "vartheta", "b_s", "violated")
     if cfg.shots is None:
         rows = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
     else:
-        points = [
-            (k, om_t, v)
-            for k, (om_t, v) in enumerate(
-                (om_t, v) for om_t in p["omega_t_values"] for v in p["vartheta_values"]
-            )
-        ]
-
-        def one(point):
-            k, om_t, v = point
+        rows = []
+        grid = ((om_t, v) for om_t in p["omega_t_values"] for v in p["vartheta_values"])
+        for k, (om_t, v) in enumerate(grid):
             state = bell.landscape_state(om_t)
             # one derived seed per row so that rows are independent streams
             e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, cfg.shots, cfg.seed + 2 * k, p["readout_error"])
             e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, cfg.shots, cfg.seed + 2 * k + 1, p["readout_error"])
             b = abs(3.0 * e1 - e3)
-            return (om_t, v, b, b > bell.CLASSICAL_BOUND)
-
-        rows = _pmap(one, points, threads)
+            rows.append((om_t, v, b, b > bell.CLASSICAL_BOUND))
     best = max(rows, key=lambda r: r[2])
     summary = [
         f"max |B_S| = {best[2]:.9g} at omega_T = {best[0]:.9g}, vartheta = {best[1]:.9g}"
@@ -184,7 +159,7 @@ def _run_bell_landscape(cfg: ScenarioConfig, threads: int):
     return header, rows, summary
 
 
-def _run_mermin(cfg: ScenarioConfig, threads: int):
+def _run_mermin(cfg: ScenarioConfig):
     p = cfg.physics
 
     def one(n):
@@ -203,13 +178,12 @@ def _run_mermin(cfg: ScenarioConfig, threads: int):
     return header, rows, summary
 
 
-def _run_trajectories(cfg: ScenarioConfig, threads: int):
+def _run_trajectories(cfg: ScenarioConfig):
     p = cfg.physics
     if p["system"] == "pair":
         spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
         om = p["omega_minus"]
-        s2 = math.sqrt(2.0)
-        run_spec = spec.with_rabi({(1, "0-1"): om / s2, (2, "0-1"): -om / s2})
+        run_spec = spec.with_rabi(pair_drive(om))
         h = h_cond_two_level(run_spec)
         psi0 = basis_state(run_spec.layout(), (0, 0, 0))
         jump_ops = trajectories.decay_operators(run_spec)
@@ -227,7 +201,7 @@ def _run_trajectories(cfg: ScenarioConfig, threads: int):
     t_values = p["t_end_values"] or [default_t]
     rows = []
     for k, t_end in enumerate(t_values):
-        p0_det = _check_probability(no_photon_probability(h, psi0, t_end), "p0")
+        p0_det = _check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}")
         try:
             batch = trajectories.run_trajectories(
                 h, jump_ops, psi0, t_end, p["n_traj"], cfg.seed + k, dt=p["dt"]
@@ -253,9 +227,9 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", threads: int = 1, quiet: bool = False) -> Path:
+def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", quiet: bool = False) -> Path:
     """Execute a scenario, write its CSV and summary, return the CSV path."""
-    header, rows, summary = _RUNNERS[cfg.scenario](cfg, threads)
+    header, rows, summary = _RUNNERS[cfg.scenario](cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / (cfg.out if cfg.out else f"{cfg.scenario}.csv")
@@ -285,43 +259,38 @@ _FIGURE_GAMMAS = (0.0, 0.01, 0.1)
 _FIGURE_OMEGAS = [float(f"{w:.9g}") for w in np.logspace(math.log10(0.005), math.log10(0.5), 25)]
 
 
-def _figure_rows(which: str, threads: int):
+def _figure_rows(which: str):
     if which == "islands":
         grid_t = [k * 2.0 * math.pi / 100 for k in range(101)]
         grid_v = [k * math.pi / 100 for k in range(101)]
         return ("omega_T", "vartheta", "b_s", "violated"), bell.bs_landscape(grid_t, grid_v)
 
-    points = [(gam, om) for gam in _FIGURE_GAMMAS for om in _FIGURE_OMEGAS]
-    if which == "fig2":
-
-        def one(point):
-            gam, om = point
-            s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            rec = gates.prepare_pair(s, om, math.pi / om)
-            return (gam, om, rec.duration, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = _pmap(one, points, threads)
-        return ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im"), rows
-
-    # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
-    def one(point):
-        gam, om = point
-        s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-        rec = gates.cnot_pulse(s, om, gates.qubit_state(s, "10"))
-        return (gam, om, rec.duration, rec.p0, rec.fidelity)
-
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = _pmap(one, points, threads)
+        for gam in _FIGURE_GAMMAS:
+            if which == "fig2":
+                s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
+                records = gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS])
+                rows.extend(
+                    (gam, om, rec.duration, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag)
+                    for om, rec in zip(_FIGURE_OMEGAS, records)
+                )
+            else:
+                # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
+                s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
+                records = gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"])
+                for om, (rec,) in zip(_FIGURE_OMEGAS, records):
+                    rows.append((gam, om, rec.duration, rec.p0, rec.fidelity))
+    if which == "fig2":
+        return ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im"), rows
     if which == "fig4":
         return ("gamma", "omega", "T", "p0"), [r[:4] for r in rows]
     return ("gamma", "omega", "T", "fidelity"), [(r[0], r[1], r[2], r[4]) for r in rows]
 
 
-def run_figure(which: str, out_dir: str = ".", threads: int = 1, quiet: bool = False) -> Path:
-    header, rows = _figure_rows(which, threads)
+def run_figure(which: str, out_dir: str = ".", quiet: bool = False) -> Path:
+    header, rows = _figure_rows(which)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{which}.csv"
@@ -331,8 +300,16 @@ def run_figure(which: str, out_dir: str = ".", threads: int = 1, quiet: bool = F
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zenobell", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="zenobell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario from a config file")
@@ -340,13 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", dest="config_flag", metavar="PATH", help="alternative to the positional path")
     p_run.add_argument("--out", default=".", metavar="DIR", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, metavar="N", help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=0, metavar="N", help="sweep worker threads (0 = auto)")
     p_run.add_argument("--quiet", action="store_true")
 
     p_fig = sub.add_parser("figure", help="reproduce a figure data table with baked-in defaults")
     p_fig.add_argument("name", choices=("fig2", "fig4", "fig5", "islands"))
     p_fig.add_argument("--out", default=".", metavar="DIR")
-    p_fig.add_argument("--threads", type=int, default=0, metavar="N")
     p_fig.add_argument("--quiet", action="store_true")
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
@@ -355,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             path = args.config_path or args.config_flag
             if not path:
@@ -371,10 +346,10 @@ def main(argv=None) -> int:
                 if args.seed < 0:
                     raise ConfigError(f"seed must be >= 0, got {args.seed}")
                 cfg.seed = args.seed
-            run_scenario(cfg, out_dir=args.out, threads=args.threads, quiet=args.quiet)
+            run_scenario(cfg, out_dir=args.out, quiet=args.quiet)
             return 0
         if args.command == "figure":
-            run_figure(args.name, out_dir=args.out, threads=args.threads, quiet=args.quiet)
+            run_figure(args.name, out_dir=args.out, quiet=args.quiet)
             return 0
         from .selftest import run_selftest
 

@@ -92,10 +92,17 @@ def _values(table: dict, key: str, *, required: bool = True, default=None) -> li
     return default
 
 
+# Largest cavity truncation a config may ask for.  Convergence in the Fock
+# cutoff shows by n_max = 3; the cap keeps every dense matrix of a run
+# (at most 9 * 33 = 297 states) small, which bounds each expm and each
+# trajectory step.
+N_MAX_CAP = 32
+
+
 def _n_max(table: dict) -> int:
     n = _int("n_max", table.pop("n_max", "2"))
-    if n < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n}")
+    if not 1 <= n <= N_MAX_CAP:
+        raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n}")
     return n
 
 

@@ -27,8 +27,9 @@ drive "0-2" and "1-2".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,6 +38,7 @@ from .hilbert import (
     HilbertLayout,
     OperatorMatrix,
     StateVector,
+    _frozen,
     compose,
     embed,
     ladder,
@@ -45,15 +47,26 @@ from .hilbert import (
 __all__ = [
     "SystemSpec",
     "RegimeReport",
+    "NumericalError",
+    "DrivenHamiltonian",
+    "pair_drive",
+    "cnot_drive",
     "h_cond_two_level",
     "h_cond_lambda",
     "evolve_no_jump",
+    "no_jump_propagators",
+    "check_final_states",
     "no_photon_probability",
     "check_regime",
     "cavity_annihilation",
 ]
 
 REGIME_THRESHOLD = 0.1
+_EXPM_BYTES = 2**23  # bounds each stacked expm: 16 d^2 bytes per matrix
+
+
+class NumericalError(RuntimeError):
+    """Norm blow-up or other numeric inconsistency during a run."""
 
 
 def _valid_transitions(levels: int) -> frozenset:
@@ -141,30 +154,99 @@ def cavity_annihilation(layout: HilbertLayout) -> OperatorMatrix:
     return embed(ladder(layout.dim_of("cav")), "cav", layout)
 
 
-def _h_cond(spec: SystemSpec, cavity_transition: str, excited: int) -> OperatorMatrix:
+def pair_drive(omega_minus: complex) -> dict:
+    """Opposite lasers Omega_1 = -Omega_2 = omega_minus / sqrt(2) on the 0-1 transitions.
+
+    The antisymmetric combination of the two Rabi frequencies equals
+    ``omega_minus``; this is the entangling pulse of the two-level scheme.
+    """
+    om = complex(omega_minus)
+    s2 = math.sqrt(2.0)
+    return {(1, "0-1"): om / s2, (2, "0-1"): -om / s2}
+
+
+def cnot_drive(omega: complex) -> dict:
+    """The dissipative-CNOT lasers: sqrt(2) omega on atom 1 "1-2" and atom 2 "0-2"."""
+    s2om = math.sqrt(2.0) * omega
+    return {(1, "1-2"): s2om, (2, "0-2"): s2om}
+
+
+@dataclass(frozen=True)
+class DrivenHamiltonian:
+    """Conditional Hamiltonians of one system for any amplitudes of a fixed set of lasers.
+
+    H is affine in the Rabi frequencies,
+    H(w) = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0 holds the
+    cavity coupling and the Gamma and kappa damping, and S_k raises the
+    driven transition ``keys[k]`` = (atom, transition label).  H0 and the
+    S_k are assembled once; :meth:`stack` then costs one scaled add per
+    laser and point.
+    """
+
+    layout: HilbertLayout
+    keys: tuple
+    h0: np.ndarray
+    raising: tuple
+
+    @classmethod
+    def of(cls, spec: SystemSpec, keys) -> "DrivenHamiltonian":
+        """H0 of the two-atom ``spec`` and the drive operators of the lasers ``keys``.
+
+        H0 is the conditional Hamiltonian with the lasers off
+        (:func:`h_cond_two_level` or :func:`h_cond_lambda` of ``spec``
+        without its ``rabi``).
+        """
+        keys = tuple(keys)
+        spec.with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
+        h_cond = h_cond_two_level if spec.atom_levels == 2 else h_cond_lambda
+        layout = spec.layout()
+        raising = tuple(_frozen(_raising_op(spec, layout, atom, trans)) for atom, trans in keys)
+        return cls(layout, keys, h_cond(spec.with_rabi({})).entries, raising)
+
+    def stack(self, drives: Sequence[Mapping]) -> np.ndarray:
+        """(n, d, d) array of H(drive) for each mapping {key: Rabi frequency} in ``drives``."""
+        for drive in drives:
+            if set(drive) != set(self.keys):
+                raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
+        h = np.repeat(self.h0[None], len(drives), axis=0)
+        for k, s_plus in zip(self.keys, self.raising):
+            w = np.array([complex(drive[k]) for drive in drives])[:, None, None]
+            h += 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
+        return h
+
+
+def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) -> np.ndarray:
+    return embed(_transition_op(spec.atom_levels, trans), f"atom{atom}", layout).entries
+
+
+def _h_cond(spec: SystemSpec) -> OperatorMatrix:
+    """H0 plus the lasers of ``spec.rabi``: the one-point :meth:`DrivenHamiltonian.stack`."""
     layout = spec.layout()
     d = layout.total_dim
+    cavity_transition, excited = ("0-1", 1) if spec.atom_levels == 2 else ("1-2", 2)
     b_full = cavity_annihilation(layout).entries
-    h = np.zeros((d, d), dtype=complex)
+    h0 = np.zeros((d, d), dtype=complex)
 
     proj_exc = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
     proj_exc[excited, excited] = 1.0
-    raise_cav = _transition_op(spec.atom_levels, cavity_transition)
+    raising = {}
+
+    def raise_op(atom: int, trans: str) -> np.ndarray:
+        if (atom, trans) not in raising:
+            raising[(atom, trans)] = _raising_op(spec, layout, atom, trans)
+        return raising[(atom, trans)]
 
     for i in range(1, spec.n_atoms + 1):
-        label = f"atom{i}"
-        s_plus = embed(raise_cav, label, layout).entries
         # antisymmetric cavity coupling: i g (b s+ - b^dag s-)
-        coupling = b_full @ s_plus
-        h += 1j * spec.g * (coupling - coupling.conj().T)
-        h += -1j * spec.gamma * embed(proj_exc, label, layout).entries
-
-    for (atom, trans), omega in spec.rabi.items():
-        s_plus = embed(_transition_op(spec.atom_levels, trans), f"atom{atom}", layout).entries
-        h += 0.5 * (omega * s_plus + np.conj(omega) * s_plus.conj().T)
-
-    h += -1j * spec.kappa * (b_full.conj().T @ b_full)
-    return OperatorMatrix(layout, h)
+        coupling = b_full @ raise_op(i, cavity_transition)
+        h0 += 1j * spec.g * (coupling - coupling.conj().T)
+        h0 += -1j * spec.gamma * embed(proj_exc, f"atom{i}", layout).entries
+    # kappa and Gamma act on the diagonal and the lasers off it, so adding
+    # the lasers after kappa gives the same entries as adding them before
+    h0 += -1j * spec.kappa * (b_full.conj().T @ b_full)
+    keys = tuple(spec.rabi)
+    family = DrivenHamiltonian(layout, keys, _frozen(h0), tuple(_frozen(raise_op(*key)) for key in keys))
+    return OperatorMatrix(layout, family.stack([spec.rabi])[0])
 
 
 def h_cond_two_level(spec: SystemSpec) -> OperatorMatrix:
@@ -177,7 +259,7 @@ def h_cond_two_level(spec: SystemSpec) -> OperatorMatrix:
     """
     if spec.atom_levels != 2 or spec.n_atoms != 2:
         raise ValueError("two-level scheme needs exactly two 2-level atoms")
-    return _h_cond(spec, cavity_transition="0-1", excited=1)
+    return _h_cond(spec)
 
 
 def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
@@ -190,7 +272,7 @@ def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
     """
     if spec.atom_levels != 3 or spec.n_atoms != 2:
         raise ValueError("Lambda scheme needs exactly two 3-level atoms")
-    return _h_cond(spec, cavity_transition="1-2", excited=2)
+    return _h_cond(spec)
 
 
 def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
@@ -207,6 +289,57 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
         return psi0
     u = expm(-1j * h.entries * t)
     return StateVector(psi0.layout, u @ psi0.amplitudes)
+
+
+def no_jump_propagators(
+    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float]
+) -> Iterator[np.ndarray]:
+    """exp(-i H(drives[j]) times[j]) for each point j, in order.
+
+    One stacked ``expm`` per chunk of points; a chunk holds at most
+    ``_EXPM_BYTES`` of Hamiltonians, so memory does not grow with the grid.
+    As in :func:`evolve_no_jump`, a point with time 0 gets the identity
+    without its Hamiltonian being exponentiated, and every other matrix is
+    exponentiated exactly as there.
+    """
+    if len(drives) != len(times):
+        raise ValueError(f"{len(drives)} drives but {len(times)} times")
+    if any(t < 0 for t in times):
+        raise ValueError(f"evolution times must be >= 0, got {min(times)}")
+    d = family.layout.total_dim
+    identity = _frozen(np.eye(d, dtype=complex))
+    chunk = max(1, _EXPM_BYTES // (16 * d * d))
+    for start in range(0, len(drives), chunk):
+        part = range(start, min(start + chunk, len(drives)))
+        moving = [j for j in part if times[j] != 0]
+        propagators = iter(())
+        if moving:
+            h = family.stack([drives[j] for j in moving])
+            t = np.array([times[j] for j in moving], dtype=float)[:, None, None]
+            propagators = iter(expm(-1j * h * t))
+        for j in part:
+            yield next(propagators) if times[j] != 0 else identity
+
+
+def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
+    """Check a stack of conditional final states, one row of amplitudes each.
+
+    Raises :class:`NumericalError` naming ``point(j)`` for the first row j
+    that is not finite, has no norm left (p0 = ||psi||^2 = 0) or has p0
+    above 1, which no-jump evolution, as it only loses norm, cannot reach.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    finite = np.isfinite(rows.view(float)).all(axis=1)
+    with np.errstate(over="ignore"):
+        p0 = (rows.real**2 + rows.imag**2).sum(axis=1)
+    bad = ~(finite & (p0 > 0) & (p0 <= 1.0 + 1e-9))
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not finite[j]:
+            raise NumericalError(f"final-state amplitudes not finite at {point(j)}")
+        if p0[j] == 0:
+            raise NumericalError(f"p0 = 0 at {point(j)}: the conditional state has no norm left")
+        raise NumericalError(f"p0 = {p0[j]} > 1 at {point(j)}: the evolution is numerically unsound")
 
 
 def no_photon_probability(h: OperatorMatrix, psi0: StateVector, t: float) -> float:

@@ -20,12 +20,14 @@ import numpy as np
 
 from .dfs import zeno_timescale
 from .dynamics import (
+    DrivenHamiltonian,
     RegimeReport,
     SystemSpec,
     check_regime,
-    evolve_no_jump,
-    h_cond_lambda,
-    h_cond_two_level,
+    check_final_states,
+    cnot_drive,
+    no_jump_propagators,
+    pair_drive,
 )
 from .hilbert import (
     HilbertLayout,
@@ -40,11 +42,13 @@ from .hilbert import (
 __all__ = [
     "RunRecord",
     "prepare_pair",
+    "prepare_pair_sweep",
     "pair_target_alpha",
     "pair_target_state",
     "sqr",
     "cnot_ideal",
     "cnot_pulse",
+    "cnot_pulse_sweep",
     "cnot_duration",
     "qubit_state",
     "qubit_amplitudes",
@@ -76,7 +80,7 @@ def _warn_if_out_of_regime(regime: RegimeReport) -> None:
         named = ", ".join(f"{name} = {r:g}" for name, r in failed.items())
         warnings.warn(
             f"parameters outside the strong-coupling regime: {named} (each ratio must be < {regime.threshold:g})",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -85,7 +89,7 @@ def _warn_if_slow_measurement(spec: SystemSpec, duration: float) -> None:
         warnings.warn(
             "pulse shorter than 10x the environment-measurement timescale; "
             "Zeno suppression of leakage may be poor",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -111,34 +115,61 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     """Drive |00> toward alpha |a> + sqrt(1-|alpha|^2) |00> with one pulse.
 
     The two lasers are fixed to opposite Rabi frequencies,
-    Omega_1 = -Omega_2 = omega_minus / sqrt(2), so the antisymmetric
-    combination equals ``omega_minus``.  The pulse runs for ``duration``
-    under the full two-level conditional Hamiltonian; out-of-regime
-    parameters produce a warning, not an error.  The achieved alpha is
-    the overlap of the renormalized final state with |a> (cavity empty).
+    Omega_1 = -Omega_2 = omega_minus / sqrt(2) (:func:`pair_drive`), so the
+    antisymmetric combination equals ``omega_minus``.  The pulse runs for
+    ``duration`` under the full two-level conditional Hamiltonian;
+    out-of-regime parameters produce a warning, not an error.  The achieved
+    alpha is the overlap of the renormalized final state with |a> (cavity
+    empty).
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    om = complex(omega_minus)
-    if om == 0:
-        raise ValueError("omega_minus must be nonzero")
-    s2 = math.sqrt(2.0)
-    run_spec = spec.with_rabi({(1, "0-1"): om / s2, (2, "0-1"): -om / s2})
-    regime = check_regime(run_spec, abs(om))
-    _warn_if_out_of_regime(regime)
-    _warn_if_slow_measurement(run_spec, duration)
+    return _pair_records(spec, [(omega_minus, duration)])[0]
 
-    layout = run_spec.layout()
-    h = h_cond_two_level(run_spec)
+
+def prepare_pair_sweep(spec: SystemSpec, points) -> list[RunRecord]:
+    """:func:`prepare_pair` at every (omega_minus, duration) point, in order.
+
+    The Hamiltonian is assembled once and all pulses are propagated by
+    stacked matrix exponentials; each record equals the single-point one.
+    Raises :class:`NumericalError` naming the point where the final state
+    is not finite or has no norm left.
+    """
+    return _pair_records(spec, points)
+
+
+def _pair_records(spec: SystemSpec, points) -> list[RunRecord]:
+    # both public forms call this, so the warnings (stacklevel 4) name their caller
+    points = list(points)
+    for om, duration in points:
+        if duration < 0:
+            raise ValueError("duration must be >= 0")
+        if complex(om) == 0:
+            raise ValueError("omega_minus must be nonzero")
+    if not points:
+        return []
+    regimes = {om: check_regime(spec, abs(complex(om))) for om, _ in points}
+    for om, duration in points:
+        _warn_if_out_of_regime(regimes[om])
+        _warn_if_slow_measurement(spec, duration)
+
+    layout = spec.layout()
     psi0 = basis_state(layout, (0, 0, 0))
-    final = evolve_no_jump(h, psi0, duration)
-    p0 = final.norm() ** 2
+    drives = [pair_drive(om) for om, _ in points]
+    family = DrivenHamiltonian.of(spec, drives[0])
+    propagators = no_jump_propagators(family, drives, [duration for _, duration in points])
+    finals = np.array([u @ psi0.amplitudes for u in propagators])
+    check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
 
-    target = pair_target_state(layout, pair_target_alpha(om, duration))
-    fid = fidelity(final, target)
+    s2 = math.sqrt(2.0)
     a_vec = state_from_amplitudes(layout, {(1, 0, 0): 1 / s2, (0, 1, 0): -1 / s2})
-    achieved = complex(np.vdot(a_vec.amplitudes, final.amplitudes) / final.norm())
-    return RunRecord(final, p0, fid, achieved, duration, regime)
+    records = []
+    for (om, duration), amps in zip(points, finals):
+        final = StateVector(layout, amps)
+        p0 = final.norm() ** 2
+        target = pair_target_state(layout, pair_target_alpha(om, duration))
+        fid = fidelity(final, target)
+        achieved = complex(np.vdot(a_vec.amplitudes, final.amplitudes) / final.norm())
+        records.append(RunRecord(final, p0, fid, achieved, duration, regimes[om]))
+    return records
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -205,33 +236,69 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     """Run the dissipative CNOT pulse on a qubit-subspace input state.
 
     Lasers drive atom 1 on "1-2" and atom 2 on "0-2", both with Rabi
-    frequency sqrt(2)*omega, for a duration sqrt(2) pi / |omega|.  The
-    fidelity is scored against the ideal CNOT permutation applied to the
-    input amplitudes.
+    frequency sqrt(2)*omega (:func:`cnot_drive`), for a duration
+    sqrt(2) pi / |omega|.  The fidelity is scored against the ideal CNOT
+    permutation applied to the input amplitudes.
     """
-    if omega == 0:
+    return _cnot_records(spec, [omega], [input_state])[0][0]
+
+
+def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
+    """:func:`cnot_pulse` for every omega and input; ``records[i][m]`` is omega i, input m.
+
+    Each input is a qubit-subspace state or one of the labels "00", "01",
+    "10", "11" (:func:`qubit_state`).  One propagator per omega, from
+    stacked matrix exponentials, is applied to every input; each record
+    equals the single-point one.  Raises :class:`NumericalError` naming
+    the omega and the input (its label, else its position) where a final
+    state is not finite or has no norm left.
+    """
+    return _cnot_records(spec, omegas, inputs)
+
+
+def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
+    # both public forms call this, so the warnings (stacklevel 4) name their caller
+    omegas, inputs = list(omegas), list(inputs)
+    if any(omega == 0 for omega in omegas):
         raise ValueError("omega must be nonzero")
     if spec.atom_levels != 3:
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
-    s2om = math.sqrt(2.0) * omega
-    run_spec = spec.with_rabi({(1, "1-2"): s2om, (2, "0-2"): s2om})
-    if input_state.layout != run_spec.layout():
-        raise ValueError("input state does not live on the spec layout")
-    if abs(input_state.norm() - 1.0) > 1e-9:
-        raise ValueError("input state must be normalized")
-    in_amps = qubit_amplitudes(input_state)
-    if abs(np.linalg.norm(in_amps) - 1.0) > 1e-9:
-        raise ValueError("input must be supported on the qubit states with the cavity empty")
+    layout = spec.layout()
+    names, in_states, targets = [], [], []
+    for m, given in enumerate(inputs):
+        is_label = isinstance(given, str)
+        names.append(given if is_label else f"#{m}")
+        input_state = qubit_state(spec, given) if is_label else given
+        if input_state.layout != layout:
+            raise ValueError("input state does not live on the spec layout")
+        if abs(input_state.norm() - 1.0) > 1e-9:
+            raise ValueError("input state must be normalized")
+        in_amps = qubit_amplitudes(input_state)
+        if abs(np.linalg.norm(in_amps) - 1.0) > 1e-9:
+            raise ValueError("input must be supported on the qubit states with the cavity empty")
+        in_states.append(input_state.amplitudes)
+        targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps))
 
-    duration = cnot_duration(omega)
-    regime = check_regime(run_spec, abs(omega))
-    _warn_if_out_of_regime(regime)
-    _warn_if_slow_measurement(run_spec, duration)
+    if not omegas:
+        return []
+    durations = [cnot_duration(omega) for omega in omegas]
+    regimes = [check_regime(spec, abs(omega)) for omega in omegas]
+    for regime, duration in zip(regimes, durations):
+        _warn_if_out_of_regime(regime)
+        _warn_if_slow_measurement(spec, duration)
 
-    h = h_cond_lambda(run_spec)
-    final = evolve_no_jump(h, input_state, duration)
-    p0 = final.norm() ** 2
-
-    target = qubit_state(run_spec, cnot_ideal().entries @ in_amps)
-    fid = fidelity(final, target)
-    return RunRecord(final, p0, fid, None, duration, regime)
+    drives = [cnot_drive(omega) for omega in omegas]
+    propagators = no_jump_propagators(DrivenHamiltonian.of(spec, drives[0]), drives, durations)
+    finals = np.array([[u @ amps for amps in in_states] for u in propagators])
+    n_in = len(inputs)
+    check_final_states(
+        finals.reshape(-1, layout.total_dim), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
+    )
+    records = []
+    for duration, regime, per_input in zip(durations, regimes, finals):
+        row = []
+        for amps, target in zip(per_input, targets):
+            final = StateVector(layout, amps)
+            row.append(RunRecord(final, final.norm() ** 2, fidelity(final, target), None, duration, regime))
+        records.append(row)
+    return records

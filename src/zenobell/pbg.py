@@ -29,6 +29,7 @@ __all__ = [
     "jc_amplitudes",
     "pbg_layout",
     "pbg_final_state",
+    "pbg_final_states",
     "pbg_optimal_times",
     "bell_target",
 ]
@@ -45,9 +46,13 @@ class TransitPlan:
     def __post_init__(self):
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
-        for name, t in (("t1", self.t1), ("t2", self.t2)):
-            if not (math.isfinite(t) and t >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {t}")
+        _check_time("t1", self.t1)
+        _check_time("t2", self.t2)
+
+
+def _check_time(name: str, t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {t}")
 
 
 def jc_amplitudes(g: float, t: float, loss: float = 0.0) -> tuple[complex, complex]:
@@ -83,16 +88,38 @@ def pbg_final_state(plan: TransitPlan, loss: float = 0.0) -> StateVector:
     c_e(t1)|e g 0> + c_g(t1) c_e(t2)|g g 1> + c_g(t1) c_g(t2)|g e 0>,
     with excited = level 1.  Unit norm for loss = 0.
     """
-    ce1, cg1 = jc_amplitudes(plan.g, plan.t1, loss)
-    ce2, cg2 = jc_amplitudes(plan.g, plan.t2, loss)
-    return state_from_amplitudes(
-        pbg_layout(),
-        {
-            (1, 0, 0): ce1,
-            (0, 0, 1): cg1 * ce2,
-            (0, 1, 0): cg1 * cg2,
-        },
-    )
+    return StateVector(pbg_layout(), pbg_final_states(plan.g, [plan.t1], [plan.t2], loss)[0])
+
+
+def pbg_final_states(g: float, t1_values, t2_values, loss: float = 0.0) -> np.ndarray:
+    """Amplitudes of :func:`pbg_final_state` for every (t1, t2) of a grid.
+
+    Rows run over t1, then t2 (the last fastest), one row of
+    ``pbg_layout().total_dim`` amplitudes each.  The exchange amplitudes
+    are computed once per axis value, so a grid of n1 x n2 points costs
+    n1 + n2 :func:`jc_amplitudes` calls.  Rows are not checked for
+    finiteness; a large ``loss`` can overflow them.
+    """
+    if not g > 0:
+        raise ValueError(f"g must be positive, got {g}")
+    for name, values in (("t1", t1_values), ("t2", t2_values)):
+        for t in values:
+            _check_time(name, t)
+    first = [jc_amplitudes(g, t, loss) for t in t1_values]
+    second = [jc_amplitudes(g, t, loss) for t in t2_values]
+    layout = pbg_layout()
+    excited_first = layout.basis_index((1, 0, 0))
+    photon = layout.basis_index((0, 0, 1))
+    excited_second = layout.basis_index((0, 1, 0))
+    amps = np.zeros((len(first) * len(second), layout.total_dim), dtype=complex)
+    j = 0
+    for ce1, cg1 in first:
+        for ce2, cg2 in second:
+            amps[j, excited_first] += ce1
+            amps[j, photon] += cg1 * ce2
+            amps[j, excited_second] += cg1 * cg2
+            j += 1
+    return amps
 
 
 def bell_target() -> StateVector:

@@ -15,25 +15,24 @@ import numpy as np
 
 from . import bell
 from .cli import render_csv
-from .dynamics import SystemSpec, evolve_no_jump, h_cond_lambda, h_cond_two_level, no_photon_probability
+from .dynamics import (
+    SystemSpec,
+    cnot_drive,
+    evolve_no_jump,
+    h_cond_lambda,
+    h_cond_two_level,
+    no_photon_probability,
+    pair_drive,
+)
 from .hilbert import StateVector, basis_state
 
 __all__ = ["run_selftest"]
 
 _OMEGA = 0.02
-_SQRT2 = math.sqrt(2.0)
 
 
 def _pair_spec(gamma: float, n_max: int = 2) -> SystemSpec:
-    return SystemSpec(
-        atom_levels=2,
-        n_atoms=2,
-        g=1.0,
-        kappa=1.0,
-        gamma=gamma,
-        rabi={(1, "0-1"): _OMEGA / _SQRT2, (2, "0-1"): -_OMEGA / _SQRT2},
-        n_max=n_max,
-    )
+    return SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gamma, rabi=pair_drive(_OMEGA), n_max=n_max)
 
 
 def _check_norm_monotonic() -> tuple[bool, str]:
@@ -48,7 +47,7 @@ def _check_norm_monotonic() -> tuple[bool, str]:
                     g=1.0,
                     kappa=1.0,
                     gamma=0.01,
-                    rabi={(1, "1-2"): _SQRT2 * _OMEGA, (2, "0-2"): _SQRT2 * _OMEGA},
+                    rabi=cnot_drive(_OMEGA),
                     n_max=2,
                 )
             ),

@@ -46,6 +46,42 @@ def embed_by_index(local: np.ndarray, axis: int, dims) -> np.ndarray:
     return out
 
 
+def conditional_hamiltonian(spec) -> np.ndarray:
+    """The conditional Hamiltonian of ``spec`` summed term by term for its one drive.
+
+    Terms are added in the order cavity coupling and Gamma per atom, then
+    each laser of ``spec.rabi``, then kappa, with every operator embedded
+    by index arithmetic; the package instead adds the lasers to a
+    precomputed rest, for a whole stack of drives at once.
+    """
+    levels, dims = spec.atom_levels, spec.layout().dims
+    cav_axis = len(dims) - 1
+    b = np.zeros((dims[cav_axis],) * 2, dtype=complex)
+    for n in range(1, dims[cav_axis]):
+        b[n - 1, n] = math.sqrt(n)
+    b_full = embed_by_index(b, cav_axis, dims)
+
+    def raising(trans):
+        lo, up = (int(x) for x in trans.split("-"))
+        op = np.zeros((levels, levels), dtype=complex)
+        op[up, lo] = 1.0
+        return op
+
+    cavity_transition, excited = ("0-1", 1) if levels == 2 else ("1-2", 2)
+    proj_exc = np.zeros((levels, levels), dtype=complex)
+    proj_exc[excited, excited] = 1.0
+    h = np.zeros(b_full.shape, dtype=complex)
+    for axis in range(spec.n_atoms):
+        coupling = b_full @ embed_by_index(raising(cavity_transition), axis, dims)
+        h += 1j * spec.g * (coupling - coupling.conj().T)
+        h += -1j * spec.gamma * embed_by_index(proj_exc, axis, dims)
+    for (atom, trans), omega in spec.rabi.items():
+        s_plus = embed_by_index(raising(trans), atom - 1, dims)
+        h += 0.5 * (omega * s_plus + np.conj(omega) * s_plus.conj().T)
+    h += -1j * spec.kappa * (b_full.conj().T @ b_full)
+    return h
+
+
 def integrate_schrodinger(h: np.ndarray, psi0: np.ndarray, t: float, local_tol: float = 1e-12) -> np.ndarray:
     """Adaptive RK4 with step halving for d psi/dt = -i H psi."""
 

@@ -131,7 +131,7 @@ def test_cli_output_bit_identical(tmp_path):
         "omega_minus_values = 0.01, 0.02\nT_values = 50, 100, 150\n"
     )
     assert run_cli(["run", cfg, "--out", tmp_path / "a", "--quiet"]) == 0
-    assert run_cli(["run", cfg, "--out", tmp_path / "b", "--quiet", "--threads", "4"]) == 0
+    assert run_cli(["run", cfg, "--out", tmp_path / "b", "--quiet"]) == 0
     first = (tmp_path / "a" / "prepare_pair.csv").read_bytes()
     second = (tmp_path / "b" / "prepare_pair.csv").read_bytes()
     assert first == second
@@ -253,7 +253,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     import zenobell.cli as cli_mod
 
-    def explode(cfg, threads):
+    def explode(cfg):
         raise cli_mod.NumericalError("norm blew up")
 
     monkeypatch.setitem(cli_mod._RUNNERS, "mermin", explode)
@@ -305,3 +305,76 @@ def test_cli_degenerate_coupling_is_a_config_error(tmp_path, capsys, body, g):
     err = capsys.readouterr().err
     assert "config error" in err and "'g'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        (
+            "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nT = 1e15\n",
+            "p0 = 0 at omega_minus=0.02, T=1e+15",
+        ),
+        (
+            "scenario = cnot\ng = 1\nkappa = 1e200\ngamma = 0.001\nomega = 0.02\n",
+            "amplitudes not finite at omega=0.02, input=00",
+        ),
+        ("scenario = pbg\nloss = 1e300\ngt1_count = 3\ngt2_count = 3\n", "not finite at g_t1=0, g_t2="),
+    ],
+    ids=["prepare_pair_T", "cnot_kappa", "pbg_loss"],
+)
+def test_cli_sweep_numeric_failure_exits_2_and_names_the_point(tmp_path, capsys, body, named):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "x.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["figure", "fig9"], "invalid choice: 'fig9'"),
+        (["run", "x.cfg", "--threads", "4"], "unrecognized arguments: --threads 4"),
+    ],
+    ids=["unknown_flag", "unknown_figure", "threads"],
+)
+def test_cli_usage_errors_exit_1(capsys, argv, named):
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "Traceback" not in err
+
+
+def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "pbg.cfg"
+    cfg.write_text("scenario = pbg\ngt1_values = 0.5, -1\ngt2 = 1\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert "t1 must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_cli_n_max_cap_exits_1_quickly(tmp_path, capsys):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1000\nt_end = 1\nn_traj = 10\n")
+    start = time.perf_counter()
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "n_max" in err and "32" in err
+    parse_config(EXAMPLE + "n_max = 32\n")
+
+
+def test_cli_sweeps_identical_with_one_point_per_expm(tmp_path, monkeypatch):
+    from zenobell import dynamics
+
+    cfg = tmp_path / "cnot.cfg"
+    cfg.write_text("scenario = cnot\ng = 1\nkappa = 1\ngamma = 0.001\nomega_values = 0.01, 0.02, 0.05\n")
+    outputs = []
+    for budget in (dynamics._EXPM_BYTES, 1):
+        monkeypatch.setattr(dynamics, "_EXPM_BYTES", budget)
+        out = tmp_path / str(budget)
+        assert run_cli(["run", cfg, "--out", out, "--quiet"]) == 0
+        assert run_cli(["figure", "fig2", "--out", out, "--quiet"]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("cnot.csv", "fig2.csv")])
+    assert outputs[0] == outputs[1]

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from zenobell import dynamics
 from zenobell.dynamics import (
+    DrivenHamiltonian,
     SystemSpec,
     check_regime,
+    cnot_drive,
     evolve_no_jump,
     h_cond_lambda,
     h_cond_two_level,
+    no_jump_propagators,
     no_photon_probability,
+    pair_drive,
 )
 from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
 
-from oracles import integrate_schrodinger
+from oracles import conditional_hamiltonian, integrate_schrodinger
 
 SQRT2 = math.sqrt(2.0)
 
@@ -292,3 +297,91 @@ def test_check_regime_margins():
     report = check_regime(spec, 0.02)
     for key, ratio in report.ratios.items():
         assert report.margins[key] == pytest.approx(report.threshold - ratio)
+
+
+# ------------------------------------------------- batched assembly (stacks)
+
+DRIVES = [0.02, -0.05 + 0.03j, 1e-3j, 0.7]
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_stacked_hamiltonians_equal_single_point_assembly(levels, n_max):
+    spec = SystemSpec(atom_levels=levels, n_atoms=2, g=0.8, kappa=0.6, gamma=0.01, n_max=n_max)
+    drive_of, h_cond = (pair_drive, h_cond_two_level) if levels == 2 else (cnot_drive, h_cond_lambda)
+    drives = [drive_of(om) for om in DRIVES]
+    stack = DrivenHamiltonian.of(spec, drives[0]).stack(drives)
+    assert stack.shape == (len(drives), spec.layout().total_dim, spec.layout().total_dim)
+    for h, drive in zip(stack, drives):
+        run_spec = spec.with_rabi(drive)
+        assert np.array_equal(h, h_cond(run_spec).entries)
+        assert np.array_equal(h, conditional_hamiltonian(run_spec))
+
+
+def test_drive_constructors():
+    pair = pair_drive(0.02 + 0.01j)
+    assert list(pair) == [(1, "0-1"), (2, "0-1")]
+    assert pair[(1, "0-1")] == -pair[(2, "0-1")]
+    assert pair[(1, "0-1")] - pair[(2, "0-1")] == pytest.approx((0.02 + 0.01j) * SQRT2, abs=1e-15)
+    assert cnot_drive(0.02) == {(1, "1-2"): SQRT2 * 0.02, (2, "0-2"): SQRT2 * 0.02}
+
+
+def test_stack_rejects_a_drive_on_other_lasers():
+    family = DrivenHamiltonian.of(SystemSpec(atom_levels=2, n_atoms=2), pair_drive(0.1))
+    with pytest.raises(ValueError, match="drive keys"):
+        family.stack([{(1, "0-1"): 0.1}])
+    with pytest.raises(ValueError, match="transition"):
+        DrivenHamiltonian.of(SystemSpec(atom_levels=2, n_atoms=2), cnot_drive(0.1))
+
+
+def test_stacked_propagators_equal_evolve_no_jump(monkeypatch):
+    spec = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=0.001, n_max=2)
+    drives = [cnot_drive(om) for om in DRIVES]
+    times = [100.0, 0.0, 0.25, 2000.0]
+    psi0 = basis_state(spec.layout(), (1, 0, 0))
+    family = DrivenHamiltonian.of(spec, drives[0])
+    expected = [evolve_no_jump(h_cond_lambda(spec.with_rabi(d)), psi0, t).amplitudes for d, t in zip(drives, times)]
+    exponentiated, expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: exponentiated.append(a.shape[0]) or expm(a))
+    for budget in (2**23, 1, 2 * 16 * spec.layout().total_dim ** 2):
+        monkeypatch.setattr(dynamics, "_EXPM_BYTES", budget)
+        exponentiated.clear()
+        got = [u @ psi0.amplitudes for u in no_jump_propagators(family, drives, times)]
+        assert len(got) == len(drives)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert sum(exponentiated) == 3  # the zero-length point is not exponentiated
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        next(no_jump_propagators(family, drives[:1], [-1.0]))
+
+
+def test_driven_family_takes_h0_from_the_undriven_conditional_hamiltonian(monkeypatch):
+    spec = SystemSpec(atom_levels=3, n_atoms=2, g=0.8, kappa=0.6, gamma=0.01, n_max=2, rabi=cnot_drive(0.3))
+    calls = []
+    original = dynamics.h_cond_lambda
+    monkeypatch.setattr(dynamics, "h_cond_lambda", lambda s: calls.append(s) or original(s))
+    family = DrivenHamiltonian.of(spec, cnot_drive(0.1))
+    assert [s.rabi for s in calls] == [{}]
+    assert np.array_equal(family.h0, original(spec.with_rabi({})).entries)
+    assert family.keys == tuple(cnot_drive(0.1))
+
+
+def test_check_final_states_names_the_first_unsound_point():
+    good = basis_state(SystemSpec(atom_levels=2, n_atoms=2).layout(), (0, 0, 0)).amplitudes
+    names = []
+
+    def point(j):
+        names.append(j)
+        return f"point {j}"
+
+    dynamics.check_final_states(np.array([good, 0.5 * good]), point)
+    assert names == []  # points are named only on failure
+    cases = [
+        (np.array([good, np.full_like(good, np.nan), 0 * good]), "amplitudes not finite at point 1"),
+        (np.array([good, 0 * good, np.full_like(good, np.inf)]), "p0 = 0 at point 1"),
+        (np.array([good, good, 1.001 * good]), "p0 = 1.00[0-9]* > 1 at point 2"),
+        (np.array([good, 1e200 * good]), "p0 = inf > 1 at point 1"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(dynamics.NumericalError, match=message):
+            dynamics.check_final_states(rows, point)

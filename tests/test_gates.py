@@ -6,20 +6,26 @@ import pytest
 from scipy.linalg import expm
 
 from zenobell.dfs import effective_hamiltonian, lambda_dfs_vectors, pair_dfs_vectors, subspace_from_vectors
+from zenobell import dynamics
 from zenobell.dynamics import (
+    NumericalError,
     SystemSpec,
+    cnot_drive,
     evolve_no_jump,
     h_cond_lambda,
     h_cond_two_level,
     no_photon_probability,
+    pair_drive,
 )
 from zenobell.gates import (
     QUBIT_LABELS,
     cnot_duration,
     cnot_ideal,
     cnot_pulse,
+    cnot_pulse_sweep,
     pair_target_alpha,
     prepare_pair,
+    prepare_pair_sweep,
     qubit_amplitudes,
     qubit_state,
     sqr,
@@ -301,3 +307,118 @@ def test_cnot_input_validation():
         cnot_pulse(spec, OMEGA, bad)
     with pytest.raises(ValueError):
         qubit_state(spec, "22")
+
+
+# ------------------------------------------------------------ batched sweeps
+
+
+def _same_record(a, b):
+    assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
+    assert (a.p0, a.fidelity, a.alpha, a.duration) == (b.p0, b.fidelity, b.alpha, b.duration)
+    assert a.regime == b.regime
+
+
+PAIR_POINTS = [(0.02, 0.0), (0.02, math.pi / 0.02), (-0.05 + 0.01j, 80.0), (0.3, 0.0), (0.3, 11.0), (0.01, 400.0)]
+
+
+@pytest.mark.parametrize("gamma", [0.0, STATED_GAMMA])
+def test_prepare_pair_sweep_equals_single_point_records(gamma):
+    spec = pair_spec(gamma, n_max=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = prepare_pair_sweep(spec, PAIR_POINTS)
+        singles = [prepare_pair(spec, om, t) for om, t in PAIR_POINTS]
+    assert len(batch) == len(PAIR_POINTS)
+    for (om, t), a, b in zip(PAIR_POINTS, batch, singles):
+        _same_record(a, b)
+        # the per-point route: assemble H for this drive, one expm
+        psi0 = basis_state(spec.layout(), (0, 0, 0))
+        direct = evolve_no_jump(h_cond_two_level(spec.with_rabi(pair_drive(om))), psi0, t)
+        assert a.final_state.amplitudes.tobytes() == direct.amplitudes.tobytes()
+    assert prepare_pair_sweep(spec, []) == []
+
+
+def test_cnot_pulse_sweep_equals_single_point_records():
+    spec = lambda_spec(STATED_GAMMA, n_max=3)
+    omegas = [0.005, 0.02, -0.04, 0.3]
+    inputs = [qubit_state(spec, lab) for lab in QUBIT_LABELS] + [qubit_state(spec, np.array([0.6, 0, 0.8j, 0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = cnot_pulse_sweep(spec, omegas, inputs)
+        assert [len(row) for row in batch] == [len(inputs)] * len(omegas)
+        for omega, row in zip(omegas, batch):
+            for psi, rec in zip(inputs, row):
+                _same_record(rec, cnot_pulse(spec, omega, psi))
+                direct = evolve_no_jump(h_cond_lambda(spec.with_rabi(cnot_drive(omega))), psi, cnot_duration(omega))
+                assert rec.final_state.amplitudes.tobytes() == direct.amplitudes.tobytes()
+
+
+def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
+    exponentiated = []
+
+    def counting_expm(a):
+        exponentiated.append(a.shape[:-2])
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    spec = lambda_spec(IN_REGIME_GAMMA)
+    omegas = [0.01, 0.02, 0.03]
+    records = cnot_pulse_sweep(spec, omegas, [qubit_state(spec, lab) for lab in QUBIT_LABELS])
+    assert exponentiated == [(3,)]  # one stacked call, one matrix per omega
+    assert len(records) == 3 and all(len(row) == 4 for row in records)
+
+
+def test_tiny_expm_budget_gives_identical_records(monkeypatch):
+    spec = pair_spec(IN_REGIME_GAMMA)
+    lspec = lambda_spec(IN_REGIME_GAMMA)
+    omegas = [0.01, 0.02, 0.03, 0.05, 0.08]
+    inputs = [qubit_state(lspec, lab) for lab in QUBIT_LABELS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pairs = prepare_pair_sweep(spec, PAIR_POINTS)
+        cnots = cnot_pulse_sweep(lspec, omegas, inputs)
+        for chunk in (1, 2):
+            monkeypatch.setattr(dynamics, "_EXPM_BYTES", chunk * 16 * lspec.layout().total_dim ** 2)
+            for a, b in zip(pairs, prepare_pair_sweep(spec, PAIR_POINTS)):
+                _same_record(a, b)
+            for row_a, row_b in zip(cnots, cnot_pulse_sweep(lspec, omegas, inputs)):
+                for a, b in zip(row_a, row_b):
+                    _same_record(a, b)
+
+
+def test_sweep_warnings_point_at_the_caller():
+    spec, lspec = pair_spec(STATED_GAMMA), lambda_spec(STATED_GAMMA)
+    calls = [
+        lambda: prepare_pair(spec, OMEGA, 10.0),
+        lambda: prepare_pair_sweep(spec, [(OMEGA, 10.0)]),
+        lambda: cnot_pulse(lspec, OMEGA, qubit_state(lspec, "10")),
+        lambda: cnot_pulse_sweep(lspec, [OMEGA], [qubit_state(lspec, "10")]),
+    ]
+    for call in calls:
+        with pytest.warns(UserWarning) as record:
+            call()
+        assert {w.filename for w in record} == {__file__}
+
+
+def test_sweep_numeric_failures_name_the_point():
+    with pytest.raises(NumericalError, match=r"p0 = 0 at omega_minus=0.02, T=1e\+15"):
+        prepare_pair_sweep(pair_spec(IN_REGIME_GAMMA), [(OMEGA, 100.0), (OMEGA, 1e15)])
+    spec = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1e200, gamma=0.001, n_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError, match="not finite at omega=0.02, input=10"):
+            cnot_pulse_sweep(spec, [OMEGA], ["10"])
+        # an input given as a state is named by its position
+        with pytest.raises(NumericalError, match="not finite at omega=0.02, input=#0"):
+            cnot_pulse_sweep(spec, [OMEGA], [qubit_state(spec, "10"), "00"])
+
+
+def test_zero_duration_point_is_the_input_even_when_h_overflows():
+    # kappa = 1e308 overflows the two-photon diagonal of H; as in
+    # evolve_no_jump, a zero-length pulse must not be exponentiated
+    spec = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1e308, gamma=0.0, n_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (rec,) = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
+    assert rec.final_state.amplitudes.tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
+    assert (rec.p0, rec.fidelity, rec.alpha) == (1.0, 1.0, 0.0)

@@ -5,7 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 from zenobell.hilbert import fidelity
-from zenobell.pbg import TransitPlan, bell_target, jc_amplitudes, pbg_final_state, pbg_layout, pbg_optimal_times
+from zenobell import pbg
+from zenobell.pbg import (
+    TransitPlan,
+    bell_target,
+    jc_amplitudes,
+    pbg_final_state,
+    pbg_final_states,
+    pbg_layout,
+    pbg_optimal_times,
+)
 
 
 def single_excitation_oracle(g, t):
@@ -121,3 +130,30 @@ def test_transit_plan_validation():
         TransitPlan(g=1.0, t1=-1.0, t2=1.0)
     with pytest.raises(ValueError):
         TransitPlan(g=1.0, t1=math.inf, t2=1.0)
+
+
+def test_per_axis_rows_equal_per_point_states(monkeypatch):
+    calls = []
+
+    def counting_jc(g, t, loss=0.0):
+        calls.append(t)
+        return jc_amplitudes(g, t, loss)
+
+    g, loss = 1.7, 0.05
+    t1_values = [0.0, 0.3, math.pi / (4 * g), 2.0]
+    t2_values = [0.0, math.pi / (2 * g), 1.1]
+    monkeypatch.setattr(pbg, "jc_amplitudes", counting_jc)
+    rows = pbg_final_states(g, t1_values, t2_values, loss)
+    assert len(calls) == len(t1_values) + len(t2_values)
+    monkeypatch.undo()
+    assert rows.shape == (len(t1_values) * len(t2_values), pbg_layout().total_dim)
+    points = [(t1, t2) for t1 in t1_values for t2 in t2_values]
+    for (t1, t2), row in zip(points, rows):
+        assert np.array_equal(row, pbg_final_state(TransitPlan(g, t1, t2), loss).amplitudes)
+
+
+def test_per_axis_rows_reject_bad_times():
+    with pytest.raises(ValueError, match="t2 must be finite"):
+        pbg_final_states(1.0, [0.5], [-1.0])
+    with pytest.raises(ValueError, match="t1 must be finite"):
+        pbg_final_states(1.0, [math.inf], [0.5])
