@@ -20,7 +20,6 @@ from zenobell import (
     entangled_pair_state,
     ghz_state,
     mermin_n,
-    mermin_value,
     qubit_layout,
     sample_correlation,
 )
@@ -57,8 +56,8 @@ for eps in (0.0, 0.02, 0.1):
 
 print()
 print("three atoms, Mermin combination:")
-print(f"  GHZ state:   F = {mermin_value(ghz_state(3)):.6f}   (classical bound 2)")
-print(f"  |000>:       F = {mermin_value(basis_state(qubit_layout(3), (0, 0, 0))):.6f}")
+print(f"  GHZ state:   F = {mermin_n(ghz_state(3)).value:.6f}   (classical bound 2)")
+print(f"  |000>:       F = {mermin_n(basis_state(qubit_layout(3), (0, 0, 0))).value:.6f}")
 
 print()
 print("larger registers with the recursive combination:")

@@ -44,9 +44,7 @@ __all__ = [
     "bs_value",
     "bs_reduced",
     "bs_landscape",
-    "mermin_value",
     "mermin_n",
-    "mermin_operator",
     "sample_correlation",
     "TSIRELSON_BOUND",
     "CLASSICAL_BOUND",
@@ -195,43 +193,15 @@ def bs_landscape(omega_t_grid, vartheta_grid) -> list[tuple[float, float, float,
     return rows
 
 
-def mermin_value(state: StateVector) -> float:
-    """|<XXX> - <YYX> - <YXY> - <XYY>| on exactly three qubits."""
-    if state.layout.dims != (2, 2, 2):
-        raise ValueError("mermin_value needs a state on exactly 3 qubits")
-    return mermin_n(state).value
-
-
-def mermin_operator(n: int) -> np.ndarray:
-    """The N-qubit Mermin combination as a dense 2^N x 2^N matrix.
-
-    Built from the Mermin-Klyshko recursion
-    M_k = (M_{k-1} (X + Y) + M'_{k-1} (X - Y)) / 2, where the prime swaps
-    X and Y everywhere, then rescaled to -2 M'_N so that the classical
-    bound is 2 for every N and N = 3 reproduces
-    XXX - YYX - YXY - XYY exactly.  The quantum bound is 2^{(N+1)/2}.
-
-    The result is m |0...0><1...1| + conj(m) |1...1><0...0| with
-    m = 4 (1 - i)^(N-3); ``mermin_n`` uses that closed form, and this
-    dense construction stays as its definition and reference.
-    """
-    if n < 3:
-        raise ValueError("mermin_operator needs at least 3 qubits")
-    m, ms = SIGMA_X.copy(), SIGMA_Y.copy()
-    plus, minus = SIGMA_X + SIGMA_Y, SIGMA_X - SIGMA_Y
-    for _ in range(n - 1):
-        m_new = 0.5 * (np.kron(m, plus) + np.kron(ms, minus))
-        ms_new = 0.5 * (np.kron(ms, plus) - np.kron(m, minus))
-        m, ms = m_new, ms_new
-    return -2.0 * ms
-
-
 def mermin_n(state: StateVector) -> MerminResult:
     """Generalized Mermin value for N >= 3 qubits, with its two bounds.
 
     Closed form, O(1) per state: <M_N> = 2 Re(m conj(psi[0...0]) psi[1...1])
     with m = 4 (1 - i)^(N-3), the only nonzero entry of the upper triangle
-    of ``mermin_operator(N)``.
+    of the Mermin-Klyshko operator.  The dense 2^N x 2^N construction of
+    that operator, from its recursion, is the test reference
+    ``tests/oracles.py::mermin_operator``.  For N = 3 the value is
+    |<XXX> - <YYX> - <YXY> - <XYY>|.
     """
     _check_normalized(state)
     dims = state.layout.dims
@@ -283,9 +253,7 @@ def sample_correlation(
     independently with probability ``readout_error``, so the estimator
     converges to (1 - 2 eps)^2 E.  Returns (estimate, stderr) with
     stderr the sample standard deviation over sqrt(shots) (zero for a
-    single shot).  Deterministic for a fixed seed; parallel callers
-    should partition work by deriving one seed per shot block
-    (seed + block index).
+    single shot).  Deterministic for a fixed seed.
 
     Matrix-free: the outcome probabilities come from the two 2x2
     measurement bases applied to the state tensor.  The shots consume

@@ -63,10 +63,10 @@ def _check_probability(p: float, what: str, point: str) -> float:
     return p
 
 
-def _regime_lines(spec: SystemSpec, omegas) -> list[str]:
+def _regime_lines(regimes) -> list[str]:
+    """One summary line per (omega, RegimeReport) pair."""
     lines = []
-    for om in omegas:
-        rep = check_regime(spec, abs(om))
+    for om, rep in regimes:
         ratios = ", ".join(f"{k}={v:.4g}" for k, v in rep.ratios.items())
         lines.append(f"regime omega={om:.9g}: in_regime={rep.in_regime} ({ratios})")
     return lines
@@ -86,7 +86,8 @@ def _run_prepare_pair(cfg: ScenarioConfig):
         records = gates.prepare_pair_sweep(spec, points)
     rows = [(om, t, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag) for (om, t), rec in zip(points, records)]
     header = ("omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
-    summary = _regime_lines(spec, p["omega_values"])
+    regime_of = {om: rec.regime for (om, _), rec in zip(points, records)}
+    summary = _regime_lines((om, regime_of[om]) for om in p["omega_values"])
     best = max(rows, key=lambda r: r[3])
     summary.append(f"best fidelity = {best[3]:.6f} at omega_minus={best[0]:.9g}, T={best[1]:.9g} (p0={best[2]:.6f})")
     summary.append(f"last row: p0 = {rows[-1][2]:.6f}, fidelity = {rows[-1][3]:.6f}")
@@ -104,7 +105,7 @@ def _run_cnot(cfg: ScenarioConfig):
     for om, per_input in zip(p["omega_values"], records):
         rows.extend((om, lab, rec.p0, rec.fidelity) for lab, rec in zip(labels, per_input))
     header = ("omega", "input_label", "p0", "fidelity")
-    summary = _regime_lines(spec, p["omega_values"])
+    summary = _regime_lines((om, per_input[0].regime) for om, per_input in zip(p["omega_values"], records))
     worst = min(rows, key=lambda r: r[3])
     summary.append(f"worst fidelity = {worst[3]:.6f} (omega={worst[0]:.9g}, input={worst[1]})")
     return header, rows, summary
@@ -188,7 +189,7 @@ def _run_trajectories(cfg: ScenarioConfig):
         psi0 = basis_state(run_spec.layout(), (0, 0, 0))
         jump_ops = trajectories.decay_operators(run_spec)
         default_t = math.pi / abs(om)
-        summary = _regime_lines(run_spec, [om])
+        summary = _regime_lines([(om, check_regime(run_spec, abs(om)))])
     else:
         layout = compose([("cav", p["n_max"] + 1)])
         b = ladder(p["n_max"] + 1)

@@ -97,6 +97,11 @@ def _values(table: dict, key: str, *, required: bool = True, default=None) -> li
 # (at most 9 * 33 = 297 states) small, which bounds each expm and each
 # trajectory step.
 N_MAX_CAP = 32
+# Most CSV rows one run may write: 100x the 101 x 101 default Bell landscape.
+ROWS_CAP = 10**6
+# Most shots per sampled correlation, the same budget as the trajectory
+# count of a trajectories row; the shot draws are arrays of this length.
+SHOTS_CAP = 10**7
 
 
 def _n_max(table: dict) -> int:
@@ -106,16 +111,47 @@ def _n_max(table: dict) -> int:
     return n
 
 
-def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> list[float]:
+@dataclass(frozen=True)
+class _Grid:
+    """``count`` evenly spaced values from ``lo`` to ``hi``, listed only when iterated.
+
+    Its length is known before any value exists, so the row count of a
+    run is checked before a grid is built.
+    """
+
+    lo: float
+    hi: float
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        if self.count == 1:
+            return iter([self.lo])
+        step = (self.hi - self.lo) / (self.count - 1)
+        return (self.lo + k * step for k in range(self.count))
+
+
+def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> _Grid:
     lo = _float(name + "_min", table.pop(name + "_min", repr(lo)))
     hi = _float(name + "_max", table.pop(name + "_max", repr(hi)))
     count = _int(name + "_count", table.pop(name + "_count", str(count)))
-    if count < 1:
-        raise ConfigError(f"{name}_count must be >= 1, got {count}")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+    if not 1 <= count <= ROWS_CAP:
+        raise ConfigError(f"{name}_count must lie in [1, {ROWS_CAP}], got {count}")
+    if count > 1:
+        # the values run monotonically from lo to the last one, so both ends bound them
+        step = (hi - lo) / (count - 1)
+        if not (math.isfinite(step) and math.isfinite(lo + (count - 1) * step)):
+            raise ConfigError(
+                f"{name}_min = {lo!r} to {name}_max = {hi!r} in {count} points overflows to non-finite values"
+            )
+    return _Grid(lo, hi, count)
+
+
+def _check_rows(what: str, rows: int) -> None:
+    if rows > ROWS_CAP:
+        raise ConfigError(f"{what} asks for {rows} rows; a run may write at most {ROWS_CAP}")
 
 
 def _nonzero(values: list[float], key: str) -> list[float]:
@@ -147,6 +183,8 @@ def _parse_prepare_pair(table: dict) -> dict:
         if t < 0:
             raise ConfigError(f"key 'T' must be >= 0, got {t}")
         physics["t_values"] = [t]
+    t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
+    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count)
     return physics
 
 
@@ -165,13 +203,16 @@ def _parse_cnot(table: dict) -> dict:
     # the pulse length is part of the gate protocol, sqrt(2) pi / |omega|
     if table.pop("T", "auto") != "auto":
         raise ConfigError("the cnot scenario only supports 'T = auto'")
+    _check_rows("omega x input", len(physics["omega_values"]) * (4 if label == "all" else 1))
     return physics
 
 
 def _parse_pbg(table: dict) -> dict:
     physics = {"g": _coupling(table) if "g" in table else 1.0}
-    physics["gt1_values"] = _values(table, "gt1", required=False) or _grid(table, "gt1", 0.0, math.pi, 51)
-    physics["gt2_values"] = _values(table, "gt2", required=False) or _grid(table, "gt2", 0.0, math.pi, 51)
+    gt1 = _values(table, "gt1", required=False) or _grid(table, "gt1", 0.0, math.pi, 51)
+    gt2 = _values(table, "gt2", required=False) or _grid(table, "gt2", 0.0, math.pi, 51)
+    _check_rows("gt1 x gt2", len(gt1) * len(gt2))
+    physics["gt1_values"], physics["gt2_values"] = list(gt1), list(gt2)
     loss = _float("loss", table.pop("loss", "0"))
     if loss < 0:
         raise ConfigError(f"key 'loss' must be >= 0, got {loss}")
@@ -180,10 +221,10 @@ def _parse_pbg(table: dict) -> dict:
 
 
 def _parse_bell_landscape(table: dict) -> dict:
-    physics = {
-        "omega_t_values": _grid(table, "omega_t", 0.0, 2.0 * math.pi, 101),
-        "vartheta_values": _grid(table, "vartheta", 0.0, math.pi, 101),
-    }
+    omega_t = _grid(table, "omega_t", 0.0, 2.0 * math.pi, 101)
+    vartheta = _grid(table, "vartheta", 0.0, math.pi, 101)
+    _check_rows("omega_t_count x vartheta_count", len(omega_t) * len(vartheta))
+    physics = {"omega_t_values": list(omega_t), "vartheta_values": list(vartheta)}
     eps = _float("readout_error", table.pop("readout_error", "0"))
     if not 0.0 <= eps < 0.5:
         raise ConfigError(f"key 'readout_error' must lie in [0, 0.5), got {eps}")
@@ -199,6 +240,7 @@ def _parse_mermin(table: dict) -> dict:
         if n != v or not 3 <= n <= 12:
             raise ConfigError(f"key 'n_qubits' entries must be integers in [3, 12], got {v}")
         ns.append(n)
+    _check_rows("n_qubits", len(ns))
     state = table.pop("state", "ghz")
     if state not in ("ghz", "zeros"):
         raise ConfigError(f"key 'state' must be ghz or zeros, got {state!r}")
@@ -219,6 +261,7 @@ def _parse_trajectories(table: dict) -> dict:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj}")
     physics["n_traj"] = n_traj
     physics["t_end_values"] = _values(table, "t_end", required=False)
+    _check_rows("t_end", len(physics["t_end_values"] or ()))
     if "dt" in table:
         dt = _float("dt", table.pop("dt"))
         if dt <= 0:
@@ -279,6 +322,8 @@ def parse_config(text: str) -> ScenarioConfig:
         shots = _int("shots", table.pop("shots"))
         if shots < 1:
             raise ConfigError(f"shots must be >= 1, got {shots}")
+        if shots > SHOTS_CAP:
+            raise ConfigError(f"shots = {shots} exceeds the limit of {SHOTS_CAP} per correlation")
 
     physics = _PARSERS[scenario](table)
     if table:

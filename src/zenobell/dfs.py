@@ -23,6 +23,7 @@ from scipy.linalg import null_space
 
 from .dynamics import SystemSpec
 from .hilbert import HilbertLayout, OperatorMatrix, StateVector, state_from_amplitudes
+from .states import entangled_pair_state
 
 __all__ = [
     "SubspaceBasis",
@@ -186,13 +187,10 @@ def zeno_timescale(spec: SystemSpec) -> float:
 def pair_dfs_vectors(layout: HilbertLayout) -> tuple[StateVector, StateVector]:
     """Analytic decay-free basis of the two-level scheme.
 
-    Span of |00> and the antisymmetric state (|10> - |01>)/sqrt(2), with
-    the cavity empty.
+    Span of |00> and the antisymmetric state |a> = (|10> - |01>)/sqrt(2),
+    with the cavity empty: the pulse family at alpha = 0 and alpha = 1.
     """
-    s = 1.0 / math.sqrt(2.0)
-    v0 = state_from_amplitudes(layout, {(0, 0, 0): 1.0})
-    va = state_from_amplitudes(layout, {(1, 0, 0): s, (0, 1, 0): -s})
-    return v0, va
+    return entangled_pair_state(0.0, layout), entangled_pair_state(1.0, layout)
 
 
 def lambda_dfs_vectors(layout: HilbertLayout) -> tuple[StateVector, ...]:

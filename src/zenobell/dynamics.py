@@ -136,7 +136,6 @@ class RegimeReport:
     """Strong-coupling-regime check: every ratio must be small."""
 
     ratios: dict
-    margins: dict
     in_regime: bool
     threshold: float
 
@@ -360,10 +359,4 @@ def check_regime(spec: SystemSpec, omega_eff: float, threshold: float = REGIME_T
         "omega_kappa_over_g2": om * spec.kappa / spec.g**2,
         "omega_over_kappa": om / spec.kappa if spec.kappa > 0 else float("inf"),
     }
-    margins = {k: threshold - v for k, v in ratios.items()}
-    return RegimeReport(
-        ratios=ratios,
-        margins=margins,
-        in_regime=all(v < threshold for v in ratios.values()),
-        threshold=threshold,
-    )
+    return RegimeReport(ratios=ratios, in_regime=all(v < threshold for v in ratios.values()), threshold=threshold)

@@ -29,22 +29,14 @@ from .dynamics import (
     no_jump_propagators,
     pair_drive,
 )
-from .hilbert import (
-    HilbertLayout,
-    OperatorMatrix,
-    StateVector,
-    basis_state,
-    compose,
-    fidelity,
-    state_from_amplitudes,
-)
+from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
+from .states import entangled_pair_state
 
 __all__ = [
     "RunRecord",
     "prepare_pair",
     "prepare_pair_sweep",
     "pair_target_alpha",
-    "pair_target_state",
     "sqr",
     "cnot_ideal",
     "cnot_pulse",
@@ -101,16 +93,6 @@ def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
     return -1j * (om / abs(om)) * math.sin(abs(om) * duration / 2.0)
 
 
-def pair_target_state(layout: HilbertLayout, alpha: complex) -> StateVector:
-    """alpha |a> + sqrt(1-|alpha|^2) |00>, cavity empty, in the full layout."""
-    s = 1.0 / math.sqrt(2.0)
-    rest = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
-    return state_from_amplitudes(
-        layout,
-        {(1, 0, 0): alpha * s, (0, 1, 0): -alpha * s, (0, 0, 0): rest},
-    )
-
-
 def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> RunRecord:
     """Drive |00> toward alpha |a> + sqrt(1-|alpha|^2) |00> with one pulse.
 
@@ -118,9 +100,10 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     Omega_1 = -Omega_2 = omega_minus / sqrt(2) (:func:`pair_drive`), so the
     antisymmetric combination equals ``omega_minus``.  The pulse runs for
     ``duration`` under the full two-level conditional Hamiltonian;
-    out-of-regime parameters produce a warning, not an error.  The achieved
-    alpha is the overlap of the renormalized final state with |a> (cavity
-    empty).
+    out-of-regime parameters produce a warning, not an error.  The fidelity
+    target is :func:`~zenobell.states.entangled_pair_state` at the ideal
+    alpha (:func:`pair_target_alpha`); the achieved alpha is the overlap of
+    the renormalized final state with |a> (cavity empty).
     """
     return _pair_records(spec, [(omega_minus, duration)])[0]
 
@@ -159,13 +142,12 @@ def _pair_records(spec: SystemSpec, points) -> list[RunRecord]:
     finals = np.array([u @ psi0.amplitudes for u in propagators])
     check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
 
-    s2 = math.sqrt(2.0)
-    a_vec = state_from_amplitudes(layout, {(1, 0, 0): 1 / s2, (0, 1, 0): -1 / s2})
+    a_vec = entangled_pair_state(1.0, layout)
     records = []
     for (om, duration), amps in zip(points, finals):
         final = StateVector(layout, amps)
         p0 = final.norm() ** 2
-        target = pair_target_state(layout, pair_target_alpha(om, duration))
+        target = entangled_pair_state(pair_target_alpha(om, duration), layout)
         fid = fidelity(final, target)
         achieved = complex(np.vdot(a_vec.amplitudes, final.amplitudes) / final.norm())
         records.append(RunRecord(final, p0, fid, achieved, duration, regimes[om]))

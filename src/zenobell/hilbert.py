@@ -27,10 +27,8 @@ __all__ = [
     "embed",
     "ladder",
     "fidelity",
-    "inner",
     "basis_state",
     "state_from_amplitudes",
-    "operator",
     "identity",
     "apply",
     "SIGMA_X",
@@ -158,13 +156,6 @@ class OperatorMatrix:
                 raise ValueError(f"hermitian_hint set but max |A - A^dag| = {dev:.3g}")
         object.__setattr__(self, "entries", _frozen(m))
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.layout, self.entries.conj().T, self.hermitian_hint)
-
-
-def operator(layout: HilbertLayout, entries, hermitian_hint: bool = False) -> OperatorMatrix:
-    return OperatorMatrix(layout, entries, hermitian_hint)
-
 
 def identity(layout: HilbertLayout) -> OperatorMatrix:
     return OperatorMatrix(layout, np.eye(layout.total_dim, dtype=complex), True)
@@ -204,12 +195,6 @@ def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
     if op.layout is not psi.layout and op.layout != psi.layout:
         raise ValueError("operator and state live on different layouts")
     return StateVector(psi.layout, op.entries @ psi.amplitudes)
-
-
-def inner(bra: StateVector, ket: StateVector) -> complex:
-    if bra.layout != ket.layout:
-        raise ValueError("states live on different layouts")
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
 def fidelity(psi: StateVector, target: StateVector) -> float:

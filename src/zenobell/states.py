@@ -1,4 +1,10 @@
-"""Standard qubit-register states used by the verification routines."""
+"""Standard qubit-register states used by the verification routines.
+
+:func:`entangled_pair_state` is the one builder of the pulse family
+alpha |a> + sqrt(1 - |alpha|^2) |00>, on two qubits or on a full
+atoms-and-mode layout; the gates, the analytic decoherence-free basis and
+the Bell scoring all take their pair states from it.
+"""
 
 from __future__ import annotations
 
@@ -23,23 +29,32 @@ def qubit_layout(n: int) -> HilbertLayout:
 
 
 def antisymmetric_pair() -> StateVector:
-    """The maximally entangled two-qubit state (|10> - |01>)/sqrt(2)."""
-    s = 1.0 / math.sqrt(2.0)
-    return state_from_amplitudes(qubit_layout(2), {(1, 0): s, (0, 1): -s})
+    """The maximally entangled two-qubit state |a> = (|10> - |01>)/sqrt(2)."""
+    return entangled_pair_state(1.0)
 
 
-def entangled_pair_state(alpha: complex) -> StateVector:
-    """alpha * (|10> - |01>)/sqrt(2) + sqrt(1 - |alpha|^2) * |00>.
+def entangled_pair_state(alpha: complex, layout: HilbertLayout | None = None) -> StateVector:
+    """alpha |a> + sqrt(1 - |alpha|^2) |00> with |a> = (|10> - |01>)/sqrt(2).
 
     The one-parameter family produced by the entangling pulse; |alpha|
-    must not exceed 1.
+    must not exceed 1, and alpha = 1 gives |a>.  The first two factors of
+    ``layout`` (default: two qubits) carry the pair; every other factor,
+    such as the cavity, is in level 0.
     """
     alpha = complex(alpha)
     if abs(alpha) > 1 + 1e-12:
         raise ValueError(f"|alpha| must be <= 1, got {abs(alpha)}")
-    rest = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
-    s = alpha / math.sqrt(2.0)
-    return state_from_amplitudes(qubit_layout(2), {(1, 0): s, (0, 1): -s, (0, 0): rest})
+    layout = qubit_layout(2) if layout is None else layout
+    others = (0,) * (len(layout.factors) - 2)
+    s = 1.0 / math.sqrt(2.0)
+    return state_from_amplitudes(
+        layout,
+        {
+            (1, 0, *others): alpha * s,
+            (0, 1, *others): -alpha * s,
+            (0, 0, *others): math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2)),
+        },
+    )
 
 
 def ghz_state(n: int = 3, phase: float = 0.0) -> StateVector:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths of the package under
 test: embedding is done by index arithmetic instead of Kronecker
 products, time evolution by an adaptive step-halving Runge-Kutta
-integrator instead of a matrix exponential, Pauli-string
-expectations by explicit bit manipulation, and the projected
+integrator instead of a matrix exponential, Pauli-string expectations
+by explicit bit manipulation, the Mermin operator by its dense
+recursion instead of the package's closed form, and the projected
 decoherence-free-subspace dynamics by closed forms.
 """
 
@@ -137,6 +138,32 @@ def pauli_string_expectation(amplitudes: np.ndarray, letters: str) -> float:
         total += np.conj(amplitudes[row]) * phase * amplitudes[col]
     assert abs(total.imag) < 1e-10
     return float(total.real)
+
+
+def mermin_operator(n: int) -> np.ndarray:
+    """The N-qubit Mermin combination as a dense 2^N x 2^N matrix.
+
+    Built from the Mermin-Klyshko recursion
+    M_k = (M_{k-1} (X + Y) + M'_{k-1} (X - Y)) / 2, where the prime swaps
+    X and Y everywhere, then rescaled to -2 M'_N so that the classical
+    bound is 2 for every N and N = 3 reproduces
+    XXX - YYX - YXY - XYY exactly.  The quantum bound is 2^{(N+1)/2}.
+
+    The result is m |0...0><1...1| + conj(m) |1...1><0...0| with
+    m = 4 (1 - i)^(N-3); ``zenobell.bell.mermin_n`` uses that closed form,
+    and this dense construction stays as its definition and reference.
+    """
+    if n < 3:
+        raise ValueError("mermin_operator needs at least 3 qubits")
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    m, ms = x, y
+    plus, minus = x + y, x - y
+    for _ in range(n - 1):
+        m_new = 0.5 * (np.kron(m, plus) + np.kron(ms, minus))
+        ms_new = 0.5 * (np.kron(ms, plus) - np.kron(m, minus))
+        m, ms = m_new, ms_new
+    return -2.0 * ms
 
 
 def lhv_spin_bell_max() -> float:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from zenobell.bell import bs_landscape, bs_reduced, bs_value, correlation, mermin_value, AnalyzerSettings
+from zenobell.bell import bs_landscape, bs_reduced, bs_value, correlation, mermin_n, AnalyzerSettings
 from zenobell.dfs import (
     effective_hamiltonian,
     find_dfs,
@@ -116,8 +116,8 @@ def test_criterion_1_bell_maximum():
 
 
 def test_criterion_2_mermin():
-    f_ghz = mermin_value(ghz_state(3))
-    f_zeros = mermin_value(basis_state(qubit_layout(3), (0, 0, 0)))
+    f_ghz = mermin_n(ghz_state(3)).value
+    f_zeros = mermin_n(basis_state(qubit_layout(3), (0, 0, 0))).value
     ok = abs(f_ghz - 4.0) <= 1e-12 and abs(f_zeros) <= 1e-12
     report("criterion 2: Mermin values", ok, f"F(GHZ) = {f_ghz:.14f}, F(|000>) = {f_zeros:.2e}")
 

@@ -17,8 +17,6 @@ from zenobell.bell import (
     correlation,
     landscape_state,
     mermin_n,
-    mermin_operator,
-    mermin_value,
     sample_correlation,
     sigma_theta,
 )
@@ -26,7 +24,7 @@ from zenobell.dynamics import SystemSpec
 from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
-from oracles import lhv_spin_bell_max, pauli_string_expectation
+from oracles import lhv_spin_bell_max, mermin_operator, pauli_string_expectation
 
 
 # ---------------------------------------------------------------- sigma_theta
@@ -216,8 +214,8 @@ def test_landscape_rejects_empty_grid():
 
 
 def test_mermin_ghz_and_zeros():
-    assert mermin_value(ghz_state(3)) == pytest.approx(4.0, abs=1e-12)
-    assert mermin_value(basis_state(qubit_layout(3), (0, 0, 0))) == pytest.approx(0.0, abs=1e-14)
+    assert mermin_n(ghz_state(3)).value == pytest.approx(4.0, abs=1e-12)
+    assert mermin_n(basis_state(qubit_layout(3), (0, 0, 0))).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mermin_moments_against_bit_oracle():
@@ -228,7 +226,7 @@ def test_mermin_moments_against_bit_oracle():
         - pauli_string_expectation(psi.amplitudes, "YXY")
         - pauli_string_expectation(psi.amplitudes, "XYY")
     )
-    assert mermin_value(psi) == pytest.approx(abs(total), abs=1e-12)
+    assert mermin_n(psi).value == pytest.approx(abs(total), abs=1e-12)
     # generic state too
     rng = np.random.default_rng(13)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -239,12 +237,12 @@ def test_mermin_moments_against_bit_oracle():
         - pauli_string_expectation(psi.amplitudes, "YXY")
         - pauli_string_expectation(psi.amplitudes, "XYY")
     )
-    assert mermin_value(psi) == pytest.approx(abs(total), abs=1e-12)
+    assert mermin_n(psi).value == pytest.approx(abs(total), abs=1e-12)
 
 
 def test_mermin_value_needs_three_qubits():
     with pytest.raises(ValueError):
-        mermin_value(antisymmetric_pair())
+        mermin_n(antisymmetric_pair()).value
 
 
 def test_mermin_operator_n3_equals_three_qubit_combination():
@@ -259,7 +257,7 @@ def test_mermin_operator_n3_equals_three_qubit_combination():
 
 def test_mermin_n_consistency_and_bounds():
     res3 = mermin_n(ghz_state(3))
-    assert res3.value == pytest.approx(mermin_value(ghz_state(3)), abs=1e-12)
+    assert res3.value == pytest.approx(mermin_n(ghz_state(3)).value, abs=1e-12)
     assert res3.classical_bound == 2.0
     assert res3.quantum_bound == pytest.approx(4.0)
     assert mermin_n(basis_state(qubit_layout(3), (0, 0, 0))).value == pytest.approx(0.0, abs=1e-14)

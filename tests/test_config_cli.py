@@ -4,9 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zenobell.cli import main, render_csv
-from zenobell.config import ConfigError, parse_config
+from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
 
 EXAMPLE = """\
 scenario = prepare_pair
@@ -87,6 +88,64 @@ def test_parse_shots_only_for_landscape():
 
 
 # ------------------------------------------------------------------ rendering
+
+
+def test_parse_grid_and_shot_bounds_are_inclusive():
+    side = math.isqrt(ROWS_CAP)
+    cfg = parse_config(f"scenario = bell_landscape\nomega_t_count = {side}\nvartheta_count = {side}\n")
+    assert len(cfg.physics["omega_t_values"]) * len(cfg.physics["vartheta_values"]) == ROWS_CAP
+    with pytest.raises(ConfigError, match=f"omega_t_count x vartheta_count asks for {ROWS_CAP + side} rows"):
+        parse_config(f"scenario = bell_landscape\nomega_t_count = {side + 1}\nvartheta_count = {side}\n")
+    assert parse_config(f"scenario = bell_landscape\nshots = {SHOTS_CAP}\nseed = 1\n").shots == SHOTS_CAP
+    with pytest.raises(ConfigError, match="gt1 x gt2"):
+        parse_config(f"scenario = pbg\ngt1_count = {ROWS_CAP}\ngt2_values = 0.1, 0.2\n")
+
+
+# The keys each scenario parser reads (besides scenario, seed, shots and
+# out), and values at the edges of what they accept.
+_PAIR_KEYS = ("g", "kappa", "gamma", "n_max")
+_GRID_KEYS = ("_values", "_min", "_max", "_count")
+SCENARIO_KEYS = {
+    "prepare_pair": _PAIR_KEYS + ("omega_minus", "omega_minus_values", "T", "T_values"),
+    "cnot": _PAIR_KEYS + ("omega", "omega_values", "input", "T"),
+    "pbg": ("g", "loss", "gt1", "gt2") + tuple(f"gt{k}{s}" for k in (1, 2) for s in _GRID_KEYS),
+    "bell_landscape": ("readout_error",) + tuple(f"{a}{s}" for a in ("omega_t", "vartheta") for s in _GRID_KEYS[1:]),
+    "mermin": ("n_qubits", "n_qubits_values", "state", "ghz_phase"),
+    "trajectories": _PAIR_KEYS + ("system", "omega_minus", "n_traj", "t_end", "t_end_values", "dt"),
+}
+EDGE_VALUES = (
+    "nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "1", "3", "1_000", "1000000", "1" + "0" * 400,
+    ",", "-1e308, 1e308", "auto", "all", "ghz", "pair", "cavity_decay",
+)
+
+
+def _numbers(value):
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@st.composite
+def _config_texts(draw):
+    scenario = draw(st.sampled_from(SCENARIOS))
+    keys = SCENARIO_KEYS[scenario] + ("seed", "shots", "out")
+    lines = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(EDGE_VALUES), max_size=6))
+    return f"scenario = {scenario}\n" + "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_config_texts())
+@example("scenario = bell_landscape\nomega_t_min = -1e308\nomega_t_max = 1e308\nomega_t_count = 3\n")
+def test_parse_config_raises_only_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    # what it accepts is finite, so no run starts from a nan or inf it was handed
+    for value in cfg.physics.values():
+        assert all(math.isfinite(x) for x in _numbers(value)), (text, cfg.physics)
 
 
 def test_render_csv_formats():
@@ -378,3 +437,36 @@ def test_cli_sweeps_identical_with_one_point_per_expm(tmp_path, monkeypatch):
         assert run_cli(["figure", "fig2", "--out", out, "--quiet"]) == 0
         outputs.append([(out / name).read_bytes() for name in ("cnot.csv", "fig2.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        (
+            "omega_t_min = -1e308\nomega_t_max = 1e308\nomega_t_count = 3\n",
+            "omega_t_min = -1e+308 to omega_t_max = 1e+308 in 3 points overflows",
+        ),
+        ("omega_t_count = 1000000\nvartheta_count = 1000000\n", "asks for 1000000000000 rows"),
+        ("shots = 1000000000000000\nseed = 1\n", "shots = 1000000000000000 exceeds the limit of 10000000"),
+    ],
+    ids=["grid_overflow", "grid_rows", "shots"],
+)
+def test_cli_unbounded_landscape_exits_1_quickly(tmp_path, capsys, body, named):
+    cfg = tmp_path / "bell.cfg"
+    cfg.write_text("scenario = bell_landscape\n" + body)
+    start = time.perf_counter()
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bell_landscape.csv").exists()
+
+
+def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
+    # exp(-2 kappa t_end) underflows to 0: no photon-free history survives, and the
+    # run reports that as a row rather than a numeric failure
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1\nt_end = 400\nn_traj = 10\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
+    assert (tmp_path / "trajectories.csv").read_text() == "t_end,p0_det,p0_mc,stderr\n400,0,0,0\n"

@@ -1,16 +1,35 @@
+"""The demos, which are the callers of ``zenobell.__all__``, and the export lists themselves."""
+
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import zenobell
+
 ROOT = Path(__file__).resolve().parent.parent
 
+# demo script -> a line fragment its output must contain
+DEMOS = {
+    "01_entangling_pulse": "pulse sweep at |Omega|",
+    "02_zeno_subspace": "environment-measurement timescale",
+    "03_dissipative_cnot": "fidelity vs swapped superposition",
+    "04_band_gap_pair": "conditional fidelity",
+    "05_bell_verification": "Mermin combination",
+    "06_jump_unraveling": "deterministic P0",
+}
 
-def test_jump_unraveling_demo_runs():
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "06_jump_unraveling.py")],
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -18,4 +37,19 @@ def test_jump_unraveling_demo_runs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "deterministic P0" in result.stdout
+    assert DEMOS[demo] in result.stdout
+
+
+def test_demo_list_is_complete():
+    assert sorted(DEMOS) == sorted(path.stem for path in (ROOT / "demos").glob("*.py"))
+
+
+def test_every_exported_name_resolves():
+    modules = [zenobell] + [
+        importlib.import_module(f"zenobell.{info.name}") for info in pkgutil.iter_modules(zenobell.__path__)
+    ]
+    for module in modules:
+        names = module.__all__
+        assert len(set(names)) == len(names), f"{module.__name__}.__all__ repeats a name"
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names what it does not define: {missing}"

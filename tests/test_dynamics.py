@@ -292,13 +292,6 @@ def test_check_regime_examples():
         check_regime(spec, 0.0)
 
 
-def test_check_regime_margins():
-    spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=0.001)
-    report = check_regime(spec, 0.02)
-    for key, ratio in report.ratios.items():
-        assert report.margins[key] == pytest.approx(report.threshold - ratio)
-
-
 # ------------------------------------------------- batched assembly (stacks)
 
 DRIVES = [0.02, -0.05 + 0.03j, 1e-3j, 0.7]
