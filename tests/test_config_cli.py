@@ -87,9 +87,6 @@ def test_parse_shots_only_for_landscape():
         parse_config("scenario = bell_landscape\nshots = 100\n")
 
 
-# ------------------------------------------------------------------ rendering
-
-
 def test_parse_grid_and_shot_bounds_are_inclusive():
     side = math.isqrt(ROWS_CAP)
     cfg = parse_config(f"scenario = bell_landscape\nomega_t_count = {side}\nvartheta_count = {side}\n")
@@ -146,6 +143,9 @@ def test_parse_config_raises_only_config_error(text):
     # what it accepts is finite, so no run starts from a nan or inf it was handed
     for value in cfg.physics.values():
         assert all(math.isfinite(x) for x in _numbers(value)), (text, cfg.physics)
+
+
+# ------------------------------------------------------------------ rendering
 
 
 def test_render_csv_formats():
