@@ -161,6 +161,20 @@ def _nonzero(values: list[float], key: str) -> list[float]:
     return values
 
 
+def _nonnegative(values: list[float], key: str) -> list[float]:
+    for v in values:
+        if v < 0:
+            raise ConfigError(f"key {key!r} must be >= 0, got {v}")
+    return values
+
+
+def _finite_default_duration(values: list[float], key: str, factor: float) -> None:
+    """A duration left to its default is ``factor`` / |value|; it must be finite."""
+    for v in values:
+        if not math.isfinite(factor / abs(v)):
+            raise ConfigError(f"key {key!r} = {v!r} is too small: the default duration {factor:.9g}/|{key}| is not finite")
+
+
 def _parse_prepare_pair(table: dict) -> dict:
     physics = {
         "g": _coupling(table),
@@ -173,16 +187,14 @@ def _parse_prepare_pair(table: dict) -> dict:
     if "T_values" in table:
         if raw_t != "auto":
             raise ConfigError("give either 'T' or 'T_values', not both")
-        physics["t_values"] = _float_list("T_values", table.pop("T_values"))
+        physics["t_values"] = _nonnegative(_float_list("T_values", table.pop("T_values")), "T_values")
     elif raw_t == "auto":
         # maximal-entanglement pulse length pi/|omega|, one per omega value
         omegas = physics["omega_values"]
+        _finite_default_duration(omegas, "omega_minus", math.pi)
         physics["t_values"] = [math.pi / abs(omegas[0])] if len(omegas) == 1 else None
     else:
-        t = _float("T", raw_t)
-        if t < 0:
-            raise ConfigError(f"key 'T' must be >= 0, got {t}")
-        physics["t_values"] = [t]
+        physics["t_values"] = _nonnegative([_float("T", raw_t)], "T")
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
     _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count)
     return physics
@@ -203,6 +215,7 @@ def _parse_cnot(table: dict) -> dict:
     # the pulse length is part of the gate protocol, sqrt(2) pi / |omega|
     if table.pop("T", "auto") != "auto":
         raise ConfigError("the cnot scenario only supports 'T = auto'")
+    _finite_default_duration(physics["omega_values"], "omega", math.sqrt(2.0) * math.pi)
     _check_rows("omega x input", len(physics["omega_values"]) * (4 if label == "all" else 1))
     return physics
 
@@ -260,7 +273,14 @@ def _parse_trajectories(table: dict) -> dict:
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj}")
     physics["n_traj"] = n_traj
+    t_end_key = "t_end_values" if "t_end_values" in table else "t_end"
     physics["t_end_values"] = _values(table, "t_end", required=False)
+    if physics["t_end_values"] is not None:
+        _nonnegative(physics["t_end_values"], t_end_key)
+    elif system == "pair":
+        _finite_default_duration([physics["omega_minus"]], "omega_minus", math.pi)
+    elif physics["kappa"] > 0:
+        _finite_default_duration([physics["kappa"]], "kappa", 1.0)
     _check_rows("t_end", len(physics["t_end_values"] or ()))
     if "dt" in table:
         dt = _float("dt", table.pop("dt"))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .dynamics import SystemSpec
 from .hilbert import HilbertLayout, OperatorMatrix, StateVector, state_from_amplitudes
@@ -96,6 +95,17 @@ def _canonical_basis(projector: np.ndarray, rank: int, layout: HilbertLayout) ->
     return [StateVector(layout, v) for v in accepted]
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of ``a``.
+
+    The right singular vectors whose singular values are at most 1e-10
+    times the largest one.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.count_nonzero(s > 1e-10 * s.max(initial=0.0)))
+    return vh[rank:].conj().T
+
+
 def subspace_from_vectors(layout: HilbertLayout, vectors) -> SubspaceBasis:
     """Wrap an orthonormal list of states (checked) into a SubspaceBasis."""
     vecs = tuple(vectors)
@@ -136,7 +146,7 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
     if not rows:  # all decay operators vanish
         basis = np.eye(d, dtype=complex)
     else:
-        basis = null_space(np.vstack(rows), rcond=1e-10)
+        basis = _null_space(np.vstack(rows))
     h = h_interaction.entries
     hscale = np.linalg.norm(h)
     if hscale > 0:
@@ -146,7 +156,7 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
             residual = image - basis @ (basis.conj().T @ image)
             if np.max(np.abs(residual)) <= 1e-12:
                 break
-            keep = null_space(residual, rcond=1e-10)
+            keep = _null_space(residual)
             if keep.shape[1] == basis.shape[1]:
                 break
             basis = basis @ keep

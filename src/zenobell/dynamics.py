@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm
 from .hilbert import (
     HilbertLayout,
     OperatorMatrix,
@@ -62,7 +62,11 @@ __all__ = [
 ]
 
 REGIME_THRESHOLD = 0.1
-_EXPM_BYTES = 2**23  # bounds each stacked expm: 16 d^2 bytes per matrix
+# Largest chunk of Hamiltonians (16 d^2 bytes each) one stacked expm takes.
+# The kernel's working set is about 8x its input: per slice the sorted copy
+# of the input, A^2, A^4, A^6, U, V, V - U, V + U and the result, so a full
+# chunk peaks near 70 MB.
+_EXPM_BYTES = 2**23
 
 
 class NumericalError(RuntimeError):
@@ -278,7 +282,8 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
     """exp(-i H t) |psi0>: the unnormalized no-emission conditional state.
 
     Uses the dense scaling-and-squaring Pade matrix exponential; the test
-    suite checks it against an adaptive step-halving integrator.
+    suite checks it against an adaptive step-halving integrator.  Raises
+    :class:`NumericalError` if the exponential overflows (a huge H t).
     """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
@@ -286,8 +291,10 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
         raise ValueError("Hamiltonian and state live on different layouts")
     if t == 0.0:
         return psi0
-    u = expm(-1j * h.entries * t)
-    return StateVector(psi0.layout, u @ psi0.amplitudes)
+    amplitudes = expm(-1j * h.entries * t) @ psi0.amplitudes
+    if not np.isfinite(amplitudes.view(float)).all():
+        raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {t:.9g}")
+    return StateVector(psi0.layout, amplitudes)
 
 
 def no_jump_propagators(

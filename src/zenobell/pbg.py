@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm
 from .hilbert import HilbertLayout, StateVector, compose, fidelity, state_from_amplitudes
 
 __all__ = [
@@ -70,11 +70,21 @@ def jc_amplitudes(g: float, t: float, loss: float = 0.0) -> tuple[complex, compl
         raise ValueError("t must be >= 0")
     if loss < 0:
         raise ValueError("loss must be >= 0")
+    ce, cg = _exchange_amplitudes(g, [t], loss)[0]
+    return complex(ce), complex(cg)
+
+
+def _exchange_amplitudes(g: float, times: list, loss: float) -> np.ndarray:
+    """(n, 2) array of the :func:`jc_amplitudes` (c_e, c_g) at each of ``times``.
+
+    With loss, one stacked ``expm`` of the 2 x 2 exchange block serves
+    every time.
+    """
     if loss == 0.0:
-        return complex(math.cos(g * t)), complex(-math.sin(g * t))
+        return np.array([(math.cos(g * t), -math.sin(g * t)) for t in times], dtype=complex).reshape(-1, 2)
     h = np.array([[0.0, 1j * g], [-1j * g, -1j * loss]], dtype=complex)
-    c = expm(-1j * h * t) @ np.array([1.0, 0.0], dtype=complex)
-    return complex(c[0]), complex(c[1])
+    t = np.array(times, dtype=float)[:, None, None]
+    return expm(-1j * h * t)[:, :, 0]
 
 
 def pbg_layout() -> HilbertLayout:
@@ -96,30 +106,24 @@ def pbg_final_states(g: float, t1_values, t2_values, loss: float = 0.0) -> np.nd
 
     Rows run over t1, then t2 (the last fastest), one row of
     ``pbg_layout().total_dim`` amplitudes each.  The exchange amplitudes
-    are computed once per axis value, so a grid of n1 x n2 points costs
-    n1 + n2 :func:`jc_amplitudes` calls.  Rows are not checked for
-    finiteness; a large ``loss`` can overflow them.
+    of all t1 and t2 axis values come from one stacked ``expm`` of
+    n1 + n2 matrices.  Rows are not checked for finiteness; a large
+    ``loss`` can overflow them.
     """
     if not g > 0:
         raise ValueError(f"g must be positive, got {g}")
+    t1_values, t2_values = list(t1_values), list(t2_values)
     for name, values in (("t1", t1_values), ("t2", t2_values)):
         for t in values:
             _check_time(name, t)
-    first = [jc_amplitudes(g, t, loss) for t in t1_values]
-    second = [jc_amplitudes(g, t, loss) for t in t2_values]
+    exchange = _exchange_amplitudes(g, t1_values + t2_values, loss)
+    (ce1, cg1), (ce2, cg2) = exchange[: len(t1_values)].T, exchange[len(t1_values) :].T
     layout = pbg_layout()
-    excited_first = layout.basis_index((1, 0, 0))
-    photon = layout.basis_index((0, 0, 1))
-    excited_second = layout.basis_index((0, 1, 0))
-    amps = np.zeros((len(first) * len(second), layout.total_dim), dtype=complex)
-    j = 0
-    for ce1, cg1 in first:
-        for ce2, cg2 in second:
-            amps[j, excited_first] += ce1
-            amps[j, photon] += cg1 * ce2
-            amps[j, excited_second] += cg1 * cg2
-            j += 1
-    return amps
+    amps = np.zeros((len(t1_values), len(t2_values), layout.total_dim), dtype=complex)
+    amps[:, :, layout.basis_index((1, 0, 0))] = ce1[:, None]
+    amps[:, :, layout.basis_index((0, 0, 1))] = np.outer(cg1, ce2)
+    amps[:, :, layout.basis_index((0, 1, 0))] = np.outer(cg1, cg2)
+    return amps.reshape(-1, layout.total_dim)
 
 
 def bell_target() -> StateVector:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import math
 import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from zenobell.cli import main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
@@ -366,6 +370,38 @@ def test_cli_degenerate_coupling_is_a_config_error(tmp_path, capsys, body, g):
     assert "Traceback" not in err
 
 
+_PAIR = "g = 1\nkappa = 1\ngamma = 0.001\n"
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        (f"scenario = prepare_pair\n{_PAIR}omega_minus = 0.02\nT_values = 10, -2\n", "key 'T_values' must be >= 0"),
+        ("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nt_end = -1\n", "key 't_end' must be >= 0"),
+        (
+            "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nt_end_values = 1, -1\n",
+            "key 't_end_values' must be >= 0",
+        ),
+        (f"scenario = prepare_pair\n{_PAIR}omega_minus = 5e-324\nT = auto\n", "key 'omega_minus' = 5e-324 is too small"),
+        (f"scenario = cnot\n{_PAIR}omega = 5e-324\n", "key 'omega' = 5e-324 is too small"),
+        (
+            f"scenario = trajectories\nsystem = pair\n{_PAIR}omega_minus = 5e-324\n",
+            "key 'omega_minus' = 5e-324 is too small",
+        ),
+    ],
+    ids=["negative_T_values", "negative_t_end", "negative_t_end_values", "subnormal_omega_minus", "subnormal_omega",
+         "subnormal_trajectory_omega_minus"],
+)
+def test_cli_unusable_durations_are_config_errors(tmp_path, capsys, body, named):
+    # a negative duration, or a default one (pi/|omega_minus|, ...) that is not finite
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "body, named",
     [
@@ -387,6 +423,15 @@ def test_cli_sweep_numeric_failure_exits_2_and_names_the_point(tmp_path, capsys,
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "numeric failure" in err and named in err
+    assert "Traceback" not in err
+
+
+def test_cli_trajectory_overflow_exits_2_and_names_the_time(tmp_path, capsys):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(f"scenario = trajectories\nsystem = pair\n{_PAIR.replace('0.001', '1e200')}omega_minus = 0.02\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: exp(-i H t) |psi0> not finite at t = 157.079633" in err
     assert "Traceback" not in err
 
 
@@ -470,3 +515,92 @@ def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
     cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1\nt_end = 400\nn_traj = 10\n")
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
     assert (tmp_path / "trajectories.csv").read_text() == "t_end,p0_det,p0_mc,stderr\n400,0,0,0\n"
+
+
+# ---------------------------------------------------------- exit-code contract
+
+# Keys of well-formed runs of each scenario: (ordinary values, edge values)
+# for the keys every run sets, then for keys a run may set.  Edge values are
+# zeros, negatives, subnormals and huge ones; grids have at most a few points.
+_RATE = (("1", "0.5", "0.001"), ("0", "-1", "5e-324", "1e200"))
+_OMEGA = (("0.02", "-0.05", "0.3", "0.02, -0.05"), ("0", "5e-324", "1e-9", "1e6", "0.01, 0"))
+_DURATION = (("0", "1", "100", "0, 50"), ("-1", "5e-324", "1e15", "10, -2"))
+_N_MAX = (("1", "2"), ("0", "33"))
+_SEED = (("0", "7"), ("-1",))
+_TRAJECTORY_KEYS = {
+    "n_max": _N_MAX,
+    "n_traj": (("1", "10"), ("0",)),
+    "t_end_values": _DURATION,
+    "dt": (("0.01",), ("0", "-1", "10", "1e-9")),
+    "seed": _SEED,
+}
+# (scenario, keys every run sets, keys a run may set)
+_RUNS = (
+    (
+        "prepare_pair",
+        {"g": _RATE, "kappa": _RATE, "gamma": _RATE, "omega_minus_values": _OMEGA},
+        {"n_max": _N_MAX, "T": (("auto", "100"), ("-1", "1e15")), "T_values": _DURATION},
+    ),
+    (
+        "cnot",
+        {"g": _RATE, "kappa": _RATE, "gamma": _RATE, "omega_values": _OMEGA},
+        {"n_max": _N_MAX, "input": (("all", "10"), ("2",)), "T": (("auto",), ("5",))},
+    ),
+    (
+        "pbg",
+        {"gt1_count": (("1", "3"), ("0",)), "gt2_count": (("1", "3"), ("-1",))},
+        {"g": _RATE, "loss": (("0", "0.01"), ("1e300", "-1")), "gt1_min": (("0", "0.5"), ("-1", "1e308"))},
+    ),
+    (
+        "bell_landscape",
+        {"omega_t_count": (("1", "3"), ("0",)), "vartheta_count": (("1", "2"), ("-2",))},
+        {"readout_error": (("0", "0.02"), ("0.5", "-0.1")), "shots": (("1", "100"), ("0",)), "seed": _SEED},
+    ),
+    (
+        "mermin",
+        {},
+        {
+            "n_qubits_values": (("3", "3, 12"), ("2", "13", "3.5")),
+            "state": (("ghz", "zeros"), ("w",)),
+            "ghz_phase": (("0", "1.5"), ("1e308",)),
+        },
+    ),
+    (
+        "trajectories",
+        {"system": (("pair",), ("qubit",)), "g": _RATE, "kappa": _RATE, "gamma": _RATE, "omega_minus": _OMEGA},
+        _TRAJECTORY_KEYS,
+    ),
+    ("trajectories", {"system": (("cavity_decay",), ("pair",)), "kappa": _RATE}, _TRAJECTORY_KEYS),
+)
+# No run of these configs may take longer; the budgets in the code end any
+# that would do unbounded work well before it.
+_RUN_BUDGET_S = 5.0
+
+
+@st.composite
+def _run_configs(draw):
+    """A config with ordinary values, except for at most two keys set to edge values."""
+    scenario, required, optional = draw(st.sampled_from(_RUNS))
+    keys = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    values = {**required, **optional}
+    edged = set(draw(st.lists(st.sampled_from(keys), max_size=2))) if keys else set()
+    lines = "".join(f"{key} = {draw(st.sampled_from(values[key][key in edged]))}\n" for key in keys)
+    return f"scenario = {scenario}\n" + lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(_run_configs())
+@example(f"scenario = prepare_pair\n{_PAIR}omega_minus_values = 0.02\nT_values = 10, -2\n")
+def test_cli_run_keeps_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "run.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", out, "--quiet"])
+        elapsed = time.perf_counter() - start
+    event(f"{text.splitlines()[0]}: exit {code}")
+    assert code in (0, 1, 2, 3), (text, code)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < _RUN_BUDGET_S, (text, elapsed)

@@ -133,18 +133,19 @@ def test_transit_plan_validation():
 
 
 def test_per_axis_rows_equal_per_point_states(monkeypatch):
-    calls = []
+    calls, kernel = [], pbg.expm
 
-    def counting_jc(g, t, loss=0.0):
-        calls.append(t)
-        return jc_amplitudes(g, t, loss)
+    def counting_expm(a):
+        calls.append(a.shape)
+        return kernel(a)
 
     g, loss = 1.7, 0.05
     t1_values = [0.0, 0.3, math.pi / (4 * g), 2.0]
     t2_values = [0.0, math.pi / (2 * g), 1.1]
-    monkeypatch.setattr(pbg, "jc_amplitudes", counting_jc)
+    monkeypatch.setattr(pbg, "expm", counting_expm)
     rows = pbg_final_states(g, t1_values, t2_values, loss)
-    assert len(calls) == len(t1_values) + len(t2_values)
+    # one stacked exponential serves every axis value of both transits
+    assert calls == [(len(t1_values) + len(t2_values), 2, 2)]
     monkeypatch.undo()
     assert rows.shape == (len(t1_values) * len(t2_values), pbg_layout().total_dim)
     points = [(t1, t2) for t1 in t1_values for t2 in t2_values]
