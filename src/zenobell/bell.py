@@ -22,7 +22,8 @@ amplitudes in closed form; no scoring call builds a full-space matrix.
 Finite-statistics estimates model the readout as a projective
 measurement in the sigma_theta eigenbasis (rotate, then read the
 computational basis) with an independent symmetric bit-flip error per
-qubit.
+qubit; the shots are independent, so the count of odd-parity shots is
+drawn once from its binomial law.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def sample_correlation(
     theta_i: float,
     theta_j: float,
     shots: int,
-    seed: int,
+    seed,
     readout_error: float = 0.0,
 ) -> tuple[float, float]:
     """Finite-shot estimate of E(theta_i, theta_j) with noisy readout.
@@ -255,11 +256,15 @@ def sample_correlation(
     stderr the sample standard deviation over sqrt(shots) (zero for a
     single shot).  Deterministic for a fixed seed.
 
-    Matrix-free: the outcome probabilities come from the two 2x2
-    measurement bases applied to the state tensor.  The shots consume
-    the random stream of ``Generator.choice(4, size=shots, p=probs)``
-    followed by one readout-flip draw per qubit, and only the parity of
-    each shot is formed, so the cost per shot is a few comparisons.
+    A shot has odd recorded parity with probability
+    p' = p (1 - q) + (1 - p) q, where p = P(+,-) + P(-,+) comes from the
+    two 2x2 measurement bases applied to the state tensor and
+    q = 2 eps (1 - eps) is the chance that the two flips change the
+    parity.  The shots are independent, so the odd count is one draw
+    ``binomial(shots, p')`` and the cost does not depend on ``shots``.
+    ``seed`` is anything ``np.random.default_rng`` accepts: an integer, a
+    ``SeedSequence``, or a ``Generator``, which is used and advanced in
+    place, so several calls can take their draws in turn from one stream.
     """
     _check_normalized(state)
     if shots < 1:
@@ -270,18 +275,11 @@ def sample_correlation(
         raise ValueError("sample_correlation needs two distinct qubits")
 
     probs = _outcome_probabilities(state, i, j, theta_i, theta_j)
-    probs /= probs.sum()
-    # the cdf exactly as Generator.choice forms it
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-
-    rng = np.random.default_rng(seed)
-    u = rng.random(shots)
     # outcomes 1 = (+,-) and 2 = (-,+) are the ones with product -1
-    odd = (u >= cdf[0]) & (u < cdf[2])
-    odd ^= rng.random(shots) < readout_error
-    odd ^= rng.random(shots) < readout_error
-    n_odd = int(np.count_nonzero(odd))
+    p = (probs[1] + probs[2]) / probs.sum()
+    q = 2.0 * readout_error * (1.0 - readout_error)
+    p_odd = min(max(p * (1.0 - q) + (1.0 - p) * q, 0.0), 1.0)
+    n_odd = int(np.random.default_rng(seed).binomial(shots, p_odd))
     estimate = (shots - 2 * n_odd) / shots
     if shots == 1:
         return estimate, 0.0

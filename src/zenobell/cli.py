@@ -10,9 +10,11 @@ Sweeps run batched on one thread: the Hamiltonian of a sweep is assembled
 once and its points are propagated by stacked matrix exponentials.
 CSV output is deterministic (bit-identical for identical config and
 seed): header row, '\\n' line endings, floats printed with 9 significant
-digits, booleans as true/false.  Exit codes: 0 ok, 1 config or usage
-error, 2 numeric failure, 3 I/O failure.  Regime warnings are printed but
-do not change the exit code.
+digits, booleans as true/false.  Row k of a sampled run draws from
+``np.random.SeedSequence(seed, spawn_key=(k,))``, so no two runs share
+a row's stream.  Exit codes: 0 ok, 1 config or usage error, 2 numeric
+failure, 3 I/O failure.  Regime warnings are printed but do not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -143,14 +145,15 @@ def _run_bell_landscape(cfg: ScenarioConfig):
         rows = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
     else:
         rows = []
-        grid = ((om_t, v) for om_t in p["omega_t_values"] for v in p["vartheta_values"])
-        for k, (om_t, v) in enumerate(grid):
+        for om_t in p["omega_t_values"]:
             state = bell.landscape_state(om_t)
-            # one derived seed per row so that rows are independent streams
-            e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, cfg.shots, cfg.seed + 2 * k, p["readout_error"])
-            e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, cfg.shots, cfg.seed + 2 * k + 1, p["readout_error"])
-            b = abs(3.0 * e1 - e3)
-            rows.append((om_t, v, b, b > bell.CLASSICAL_BOUND))
+            for v in p["vartheta_values"]:
+                # the row's two correlations take their draws in turn from its stream
+                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(len(rows),)))
+                e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, cfg.shots, rng, p["readout_error"])
+                e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, cfg.shots, rng, p["readout_error"])
+                b = abs(3.0 * e1 - e3)
+                rows.append((om_t, v, b, b > bell.CLASSICAL_BOUND))
     best = max(rows, key=lambda r: r[2])
     summary = [
         f"max |B_S| = {best[2]:.9g} at omega_T = {best[0]:.9g}, vartheta = {best[1]:.9g}"
@@ -205,7 +208,7 @@ def _run_trajectories(cfg: ScenarioConfig):
         p0_det = _check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}")
         try:
             batch = trajectories.run_trajectories(
-                h, jump_ops, psi0, t_end, p["n_traj"], cfg.seed + k, dt=p["dt"]
+                h, jump_ops, psi0, t_end, p["n_traj"], np.random.SeedSequence(cfg.seed, spawn_key=(k,)), dt=p["dt"]
             )
         except ValueError as exc:  # bad dt / seed from the config
             raise ConfigError(str(exc)) from exc

@@ -100,7 +100,8 @@ N_MAX_CAP = 32
 # Most CSV rows one run may write: 100x the 101 x 101 default Bell landscape.
 ROWS_CAP = 10**6
 # Most shots per sampled correlation, the same budget as the trajectory
-# count of a trajectories row; the shot draws are arrays of this length.
+# count of a trajectories row.  A correlation is one binomial draw at any
+# shot count, so the cap bounds no work or memory; it only bounds the input.
 SHOTS_CAP = 10**7
 
 

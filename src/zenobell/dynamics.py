@@ -28,7 +28,7 @@ drive "0-2" and "1-2".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -124,15 +124,7 @@ class SystemSpec:
         return compose(factors)
 
     def with_rabi(self, rabi: Mapping) -> "SystemSpec":
-        return SystemSpec(
-            atom_levels=self.atom_levels,
-            n_atoms=self.n_atoms,
-            g=self.g,
-            kappa=self.kappa,
-            gamma=self.gamma,
-            rabi=rabi,
-            n_max=self.n_max,
-        )
+        return replace(self, rabi=rabi)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ carry sqrt(2 kappa) and sqrt(2 Gamma).
 Randomness is one stream per batch: trajectory i takes draw i of
 ``np.random.default_rng(seed)``, so a batch is bit-for-bit reproducible
 for a fixed (seed, n_traj, dt), and a chunk of trajectories can
-regenerate its own draws with ``bit_generator.advance``.  Seeds go
-through NumPy's ``SeedSequence`` hashing, so distinct seeds (s and s + 1,
-s and s ^ 1) give independent streams.
+regenerate its own draws with ``bit_generator.advance``.  ``seed`` is
+anything ``default_rng`` accepts; the ``trajectories`` scenario gives
+row k of a run at seed s the stream ``SeedSequence(s, spawn_key=(k,))``,
+so no row of one run shares a stream with a row of another.
 Because every trajectory starts from the same state and the pre-jump
 conditional state is deterministic, the shared no-jump trajectory is
 propagated once and the per-step Bernoulli chain is sampled by
@@ -54,7 +55,7 @@ class TrajectoryBatch:
     """Result of one Monte-Carlo batch."""
 
     n_traj: int
-    seed: int
+    seed: object  # as passed to run_trajectories
     dt: float
     p0_estimate: float
     p0_stderr: float
@@ -150,7 +151,7 @@ def run_trajectories(
     psi0: StateVector,
     t_end: float,
     n_traj: int,
-    seed: int,
+    seed,
     dt: float | None = None,
     histogram_bins: int = 50,
 ) -> TrajectoryBatch:
@@ -173,8 +174,7 @@ def run_trajectories(
         raise ValueError("n_traj must be >= 1")
     if n_traj > _MAX_TRAJ:
         raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    rng = np.random.default_rng(seed)  # rejects a negative seed before any work
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if abs(psi0.norm() - 1.0) > 1e-9:
@@ -203,7 +203,7 @@ def run_trajectories(
 
     # trajectory i takes draw i of the batch stream; no jump iff the
     # draw stays below the final survival probability
-    u = np.random.default_rng(seed).random(n_traj)
+    u = rng.random(n_traj)
     jumped = u >= survival[-1]
     p0 = float(np.count_nonzero(~jumped)) / n_traj
     stderr = math.sqrt(p0 * (1.0 - p0) / n_traj)

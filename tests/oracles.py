@@ -5,8 +5,10 @@ test: embedding is done by index arithmetic instead of Kronecker
 products, time evolution by an adaptive step-halving Runge-Kutta
 integrator instead of a matrix exponential, Pauli-string expectations
 by explicit bit manipulation, the Mermin operator by its dense
-recursion instead of the package's closed form, and the projected
-decoherence-free-subspace dynamics by closed forms.
+recursion instead of the package's closed form, the projected
+decoherence-free-subspace dynamics by closed forms, and finite-shot
+readout by simulating every shot instead of drawing the odd-parity
+count from its binomial law.
 """
 
 from __future__ import annotations
@@ -262,3 +264,23 @@ def euler_survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps
             raise ValueError("unstable dt: norm increase detected")
         psi /= norm
     return np.concatenate(([1.0], np.cumprod(1.0 - dp)))
+
+
+def per_shot_odd_count(probs, shots: int, seed, readout_error: float = 0.0) -> int:
+    """Odd-parity shots of a two-qubit readout, simulated one shot at a time.
+
+    ``probs`` are the probabilities of the outcomes (+,+), (+,-), (-,+),
+    (-,-).  Each shot draws its outcome from the cdf of
+    ``Generator.choice(4, size=shots, p=probs)``; then each qubit's
+    recorded outcome flips with probability ``readout_error``.
+    """
+    probs = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    u = rng.random(shots)
+    # outcomes 1 = (+,-) and 2 = (-,+) are the ones with product -1
+    odd = (u >= cdf[0]) & (u < cdf[2])
+    odd ^= rng.random(shots) < readout_error
+    odd ^= rng.random(shots) < readout_error
+    return int(np.count_nonzero(odd))

@@ -21,13 +21,16 @@ where the strong-driving condition is met.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenobell
 from zenobell.bell import bs_landscape, bs_reduced, bs_value, correlation, mermin_n, AnalyzerSettings
 from zenobell.dfs import (
     effective_hamiltonian,
@@ -410,10 +413,14 @@ def test_criterion_8_trajectory_oracle():
 def test_criterion_9_invariant_suite():
     start = time.perf_counter()
     ok_inline = run_selftest(quiet=True)
+    # the package may run from its source tree without being installed
+    src = str(Path(zenobell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "zenobell.cli", "selftest", "--quiet"],
         capture_output=True,
         timeout=120,
+        env=env,
     )
     elapsed = time.perf_counter() - start
     ok = ok_inline and proc.returncode == 0 and elapsed < 120.0

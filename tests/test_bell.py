@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,12 @@ from zenobell.bell import (
     sample_correlation,
     sigma_theta,
 )
+from zenobell.config import SHOTS_CAP
 from zenobell.dynamics import SystemSpec
 from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
-from oracles import lhv_spin_bell_max, mermin_operator, pauli_string_expectation
+from oracles import lhv_spin_bell_max, mermin_operator, pauli_string_expectation, per_shot_odd_count
 
 
 # ---------------------------------------------------------------- sigma_theta
@@ -330,23 +332,97 @@ def test_sample_correlation_convergence_over_many_seeds():
     assert failures <= 2  # 99% of runs inside five standard errors
 
 
+def test_binomial_odd_count_has_the_per_shot_mean_and_variance():
+    # the one binomial draw against the shot-by-shot reference it replaces
+    psi, angles, shots, eps = entangled_pair_state(0.8), (0.3, 1.1), 400, 0.1
+    probs = _outcome_probabilities(psi, 0, 1, *angles)
+    p = probs[1] + probs[2]
+    q = 2 * eps * (1 - eps)
+    p_odd = p * (1 - q) + (1 - p) * q
+    mean, var = shots * p_odd, shots * p_odd * (1 - p_odd)
+    seeds = range(2000)
+    binomial = np.array(
+        [round(shots * (1 - sample_correlation(psi, 0, 1, *angles, shots, s, eps)[0]) / 2) for s in seeds]
+    )
+    per_shot = np.array([per_shot_odd_count(probs, shots, s, eps) for s in seeds])
+    se_mean = math.sqrt(var / len(seeds))
+    se_var = var * math.sqrt(2.0 / (len(seeds) - 1))
+    for counts in (binomial, per_shot):
+        assert abs(counts.mean() - mean) <= 5 * se_mean
+        assert abs(counts.var(ddof=1) - var) <= 5 * se_var
+    assert abs(binomial.mean() - per_shot.mean()) <= 5 * math.sqrt(2) * se_mean
+
+
+@pytest.mark.parametrize("shots", [1, 7, 10_000, SHOTS_CAP])
+def test_sample_correlation_exact_when_the_parity_is_certain(shots):
+    s2 = math.sqrt(2.0)
+    layout = qubit_layout(2)
+    cases = (
+        (StateVector(layout, np.array([0, 1, -1, 0]) / s2), 0.7, 0.7, -1.0),  # p = 1
+        (StateVector(layout, np.array([0, 1, 1, 0]) / s2), 0.7, 0.7, 1.0),  # p = 0
+        (StateVector(layout, np.array([1, 0, 0, 1]) / s2), 0.0, math.pi, -1.0),
+        (StateVector(layout, np.array([1, 0, 0, 1]) / s2), 0.4, -0.4, 1.0),
+    )
+    for psi, t_i, t_j, exact in cases:
+        for seed in range(5):
+            assert sample_correlation(psi, 0, 1, t_i, t_j, shots, seed) == (exact, 0.0)
+
+
+def test_sample_correlation_allocates_nothing_per_shot():
+    psi = landscape_state(2.0)
+    sample_correlation(psi, 0, 1, 0.4, 0.0, SHOTS_CAP, 1, 0.02)  # first-call setup outside the trace
+    tracemalloc.start()
+    try:
+        sample_correlation(psi, 0, 1, 0.4, 0.0, SHOTS_CAP, 2, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_sample_correlation_takes_draws_in_turn_from_one_generator():
+    psi = landscape_state(2.0)
+    stream = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(3,)))
+    first = sample_correlation(psi, 0, 1, 0.4, 0.0, 1000, stream)
+    second = sample_correlation(psi, 0, 1, 0.4, 0.0, 1000, stream)
+    again = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(3,)))
+    assert sample_correlation(psi, 0, 1, 0.4, 0.0, 1000, again) == first
+    assert sample_correlation(psi, 0, 1, 0.4, 0.0, 1000, again) == second
+    assert first != second
+
+
 # ------------------------------------------------------------------- goldens
-# Recorded with the dense-operator implementation.  The sampled estimates
-# are compared exactly: the same seed must give the same random stream and
-# the same outcome counts.  The Mermin values may move in the last ulp, but
-# not in the 9 significant digits the CLI writes to its CSV.
+# The sampled estimates are compared exactly: the same seed must give the
+# same random stream and the same odd-parity count.  The Mermin values may
+# move in the last ulp, but not in the 9 significant digits the CLI writes
+# to its CSV.
+
+_SAMPLED_CASES = (
+    (entangled_pair_state(0.8), 0, 1, 0.3, 1.1, 5000, 99, 0.0),
+    (landscape_state(2.0), 1, 0, math.pi / 3, 0.25, 20000, 17, 0.02),
+    (ghz_state(3, 0.7), 2, 0, 0.9, -0.4, 3001, 5, 0.1),
+)
 
 
 def test_sample_correlation_golden_estimates():
-    cases = (
-        ((entangled_pair_state(0.8), 0, 1, 0.3, 1.1, 5000, 99, 0.0), -0.4384, 0.012711939532633729),
-        ((landscape_state(2.0), 1, 0, math.pi / 3, 0.25, 20000, 17, 0.02), -0.4582, 0.006285269543198727),
-        ((ghz_state(3, 0.7), 2, 0, 0.9, -0.4, 3001, 5, 0.1), -0.032989003665444855, 0.0182474813388694),
+    # recorded with the binomial draw of the odd-parity count
+    goldens = (
+        (-0.4428, 0.012681395647132528),
+        (-0.4569, 0.006289999817558443),
+        (0.01299566811062979, 0.018255876794522532),
     )
-    for args, estimate, stderr in cases:
+    for args, (estimate, stderr) in zip(_SAMPLED_CASES, goldens):
         est, err = sample_correlation(*args)
         assert est == estimate
         assert err == pytest.approx(stderr, rel=1e-14)
+
+
+def test_per_shot_reference_reproduces_the_per_shot_goldens():
+    # the estimates the package's per-shot sampler gave on these cases
+    goldens = (-0.4384, -0.4582, -0.032989003665444855)
+    for (psi, i, j, t_i, t_j, shots, seed, eps), estimate in zip(_SAMPLED_CASES, goldens):
+        n_odd = per_shot_odd_count(_outcome_probabilities(psi, i, j, t_i, t_j), shots, seed, eps)
+        assert (shots - 2 * n_odd) / shots == estimate
 
 
 def test_mermin_n_golden_ghz_values():
@@ -462,6 +538,31 @@ def test_mermin_n_within_quantum_bound(amps):
     n = int(math.log2(amps.size))
     psi = StateVector(qubit_layout(n), amps / np.linalg.norm(amps))
     assert mermin_n(psi).value <= 2.0 ** ((n + 1) / 2.0) + 1e-9
+
+
+_EDGE_STATES = tuple(
+    np.array(a, dtype=complex) / np.linalg.norm(a)
+    for a in ([0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1j, 0, 0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_complex_amplitudes(4).map(lambda a: a / np.linalg.norm(a)), st.sampled_from(_EDGE_STATES)),
+    st.floats(-5e-10, 5e-10),
+    _angle,
+    st.one_of(_angle, st.just(None)),
+    st.floats(0.0, 0.5, exclude_max=True),
+    st.integers(1, SHOTS_CAP),
+    st.integers(0, 2**64),
+)
+def test_sample_correlation_never_raises_on_valid_input(amps, norm_error, t_i, t_j, eps, shots, seed):
+    # p = 1 and p = 0 states at equal angles put p' at the ends of [0, 1],
+    # and a norm off by up to 1e-9 is still accepted as normalized
+    psi = StateVector(qubit_layout(2), amps * (1.0 + norm_error))
+    est, err = sample_correlation(psi, 0, 1, t_i, t_i if t_j is None else t_j, shots, seed, eps)
+    assert -1.0 <= est <= 1.0
+    assert 0.0 <= err <= 1.0
 
 
 def test_mermin_n_accurate_near_cancellation():

@@ -327,14 +327,45 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_trajectory_rows_draw_independent_streams(tmp_path):
-    # rows are seeded seed + k; with seed XOR index, seeds 4 and 5 drew the
-    # same uniforms and two equal t_end rows printed the same p0_mc
+    # row k draws from SeedSequence(seed, spawn_key=(k,)); when rows were
+    # seeded seed XOR index, two equal t_end rows printed the same p0_mc
     cfg = tmp_path / "traj.cfg"
     cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nseed = 4\nt_end_values = 0.5, 0.5\n")
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
     first, second = (line.split(",") for line in (tmp_path / "trajectories.csv").read_text().strip().split("\n")[1:])
     assert first[:2] == second[:2]
     assert first[2] != second[2]
+
+
+def _sampled_column(tmp_path, config, seed, column):
+    out = tmp_path / str(seed)
+    cfg = tmp_path / "sampled.cfg"
+    cfg.write_text(config)
+    assert run_cli(["run", cfg, "--out", out, "--seed", seed, "--quiet"]) == 0
+    (csv_path,) = out.glob("*.csv")
+    return [line.split(",")[column] for line in csv_path.read_text().strip().split("\n")[1:]]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "scenario = bell_landscape\nshots = 1000000\nseed = 0\nreadout_error = 0.02\n"
+        "omega_t_min = 2\nomega_t_max = 2\nomega_t_count = 1\n"
+        "vartheta_min = 0.6\nvartheta_max = 0.6\nvartheta_count = 3\n",
+        "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_traj = 1000000\nt_end_values = 0.5, 0.5, 0.5\n",
+    ],
+    ids=["bell_landscape", "trajectories"],
+)
+def test_cli_runs_at_nearby_seeds_share_no_row_stream(tmp_path, config):
+    # every row samples the same point, so two rows that share a stream
+    # print the same value; rows seeded seed + k (seed + 2k for Bell) repeat
+    # row 1 of seed s as row 0 of seed s + 1 (s + 2), and rows seeded
+    # SeedSequence([seed, k]) repeat row 1 of seed s as row 0 of seed s + 2**32
+    s = 5
+    rows = {seed: _sampled_column(tmp_path, config, seed, 2) for seed in (s, s + 1, s + 2, s + 2**32)}
+    assert len(set(rows[s])) == 3
+    assert not set(rows[s]) & set(rows[s + 1] + rows[s + 2])
+    assert rows[s + 2**32][0] != rows[s][1]
 
 
 def test_cli_trajectory_step_budget_exits_1_quickly(tmp_path, capsys):
