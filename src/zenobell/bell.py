@@ -19,17 +19,26 @@ coincides with the three-qubit combination.  That operator is nonzero
 only on |0...0><1...1| and its conjugate, so the value is read off two
 amplitudes in closed form; no scoring call builds a full-space matrix.
 
+Every score goes through one stacked kernel, ``_correlations``: it takes
+the pair matrices of n states (the amplitudes reshaped so that the two
+scored qubits are the last two axes) and n x k analyzer-angle pairs, and
+returns the n x k correlations with one batched matrix product.
+``correlation`` and ``bs_value`` are its one-state case, ``bs_reduced``
+scores its 42 angle pairs in one call, and the selftest scores 1000
+states at once.
+
 Finite-statistics estimates model the readout as a projective
 measurement in the sigma_theta eigenbasis (rotate, then read the
 computational basis) with an independent symmetric bit-flip error per
 qubit; the shots are independent, so the count of odd-parity shots is
-drawn once from its binomial law.
+drawn once from its binomial law.  The outcome probabilities stack the
+same way, so a sampled landscape computes those of all its rows at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -90,9 +99,13 @@ class MerminResult:
     n_qubits: int
 
 
-def sigma_theta(theta: float) -> np.ndarray:
-    """cos(theta) sigma_x + sin(theta) sigma_y; Hermitian, eigenvalues +-1."""
-    return math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Y
+def sigma_theta(theta) -> np.ndarray:
+    """cos(theta) sigma_x + sin(theta) sigma_y; Hermitian, eigenvalues +-1.
+
+    An array of angles gives the stack of these matrices, one per angle.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
 def _check_normalized(state: StateVector) -> None:
@@ -114,43 +127,64 @@ def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
     """The amplitudes as a stack of 2x2 matrices, rows for qubit i, columns for qubit j.
 
     A local operator pair then acts as ``op_i @ m @ op_j.T``, without any
-    full-space matrix.
+    full-space matrix.  The state must be normalized and i, j two
+    distinct qubits.
     """
+    _check_normalized(state)
+    if i == j:
+        raise ValueError(f"a pair needs two distinct qubits, got i = j = {i}")
     _qubit_label(state, i)
     _qubit_label(state, j)
     psi = state.amplitudes.reshape(state.layout.dims)
     return np.moveaxis(psi, (i, j), (-2, -1)).reshape(-1, 2, 2)
 
 
+def _correlations(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
+    """E(theta_i, theta_j) of a stack of states, all settings in one batched product.
+
+    ``m`` is (n, r, 2, 2): n states, each given by its r pair matrices
+    from ``_pair_matrices``.  ``theta_i`` and ``theta_j`` broadcast to
+    (n, k); a (k,) array gives every state the same k settings.  Entry
+    (s, c) is vdot(m[s], sigma_theta(theta_i) @ m[s] @ sigma_theta(theta_j).T)
+    for the settings c of state s; it must come out real.
+    """
+    s_i = sigma_theta(theta_i)[..., None, :, :]
+    s_j = sigma_theta(theta_j)[..., None, :, :]
+    m = m[:, None]
+    values = np.sum(m.conj() * (s_i @ m @ np.swapaxes(s_j, -1, -2)), axis=(-3, -2, -1))
+    imag = np.abs(values.imag)
+    if imag.max() > 1e-12:
+        raise AssertionError(f"correlation came out non-real: {complex(values.flat[imag.argmax()])}")
+    return values.real
+
+
+_BS_TERMS = (("theta1", "theta2"), ("theta1", "theta2p"), ("theta1p", "theta2"), ("theta1p", "theta2p"))
+
+
+def _bs_scores(m: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """The four B_S correlations (n, 4) and B_S (n,) of a stack of states, in one kernel call.
+
+    ``angles`` is (4,) or (n, 4) in the field order of ``AnalyzerSettings``
+    (theta1, theta1p, theta2, theta2p); the correlations come in the order
+    of ``_BS_TERMS``.
+    """
+    t1, t1p, t2, t2p = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    e = _correlations(m, np.stack([t1, t1, t1p, t1p], axis=-1), np.stack([t2, t2p, t2, t2p], axis=-1))
+    return e, e[:, 0] - e[:, 1] + e[:, 2] + e[:, 3]
+
+
 def correlation(state: StateVector, i: int, j: int, theta_i: float, theta_j: float) -> float:
     """E(theta_i, theta_j) = <sigma_theta_i^(i) sigma_theta_j^(j)>, matrix-free."""
-    _check_normalized(state)
-    if i == j:
-        raise ValueError("correlation needs two distinct qubits")
-    m = _pair_matrices(state, i, j)
-    val = complex(np.vdot(m, sigma_theta(theta_i) @ m @ sigma_theta(theta_j).T))
-    if abs(val.imag) > 1e-12:
-        raise AssertionError(f"correlation came out non-real: {val}")
-    return float(val.real)
+    return float(_correlations(_pair_matrices(state, i, j)[None], [theta_i], [theta_j])[0, 0])
 
 
 def bs_value(state: StateVector, settings: AnalyzerSettings, i: int = 0, j: int = 1) -> BellResult:
     """The four-correlation spin Bell combination; violated iff |B_S| > 2."""
-    pairs = {
-        ("theta1", "theta2"): (settings.theta1, settings.theta2),
-        ("theta1", "theta2p"): (settings.theta1, settings.theta2p),
-        ("theta1p", "theta2"): (settings.theta1p, settings.theta2),
-        ("theta1p", "theta2p"): (settings.theta1p, settings.theta2p),
-    }
-    corr = {k: correlation(state, i, j, a, b) for k, (a, b) in pairs.items()}
-    b_s = (
-        corr[("theta1", "theta2")]
-        - corr[("theta1", "theta2p")]
-        + corr[("theta1p", "theta2")]
-        + corr[("theta1p", "theta2p")]
-    )
+    e, b_s = _bs_scores(_pair_matrices(state, i, j)[None], astuple(settings))
+    b_s = float(b_s[0])
     if abs(b_s) > TSIRELSON_BOUND + 1e-9:
         raise AssertionError(f"|B_S| = {abs(b_s)} exceeds the quantum bound; numerics are off")
+    corr = dict(zip(_BS_TERMS, e[0].tolist()))
     return BellResult(correlations=corr, b_s=b_s, violated=abs(b_s) > CLASSICAL_BOUND)
 
 
@@ -159,14 +193,16 @@ def bs_reduced(state: StateVector, vartheta: float, i: int = 0, j: int = 1) -> f
 
     Difference dependence E(a, b) = E(a-b, 0) is asserted numerically on
     20 deterministic pseudo-random angle pairs before the reduction is
-    trusted.
+    trusted; those 40 correlations and the two of the result are one
+    kernel call.
     """
-    rng = np.random.default_rng(20211123)
-    for _ in range(20):
-        a, b = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        if abs(correlation(state, i, j, a, b) - correlation(state, i, j, a - b, 0.0)) > 1e-10:
-            raise ValueError("correlation of this state does not depend only on the angle difference")
-    return abs(3.0 * correlation(state, i, j, vartheta, 0.0) - correlation(state, i, j, 3.0 * vartheta, 0.0))
+    a, b = np.random.default_rng(20211123).uniform(0.0, 2.0 * math.pi, size=(20, 2)).T
+    theta_i = np.concatenate([a, a - b, [vartheta, 3.0 * vartheta]])
+    theta_j = np.concatenate([b, np.zeros(22)])
+    e = _correlations(_pair_matrices(state, i, j)[None], theta_i, theta_j)[0]
+    if np.any(np.abs(e[:20] - e[20:40]) > 1e-10):
+        raise ValueError("correlation of this state does not depend only on the angle difference")
+    return abs(3.0 * float(e[40]) - float(e[41]))
 
 
 def pair_correlation(alpha_sq: float, vartheta: float) -> float:
@@ -224,17 +260,38 @@ def mermin_n(state: StateVector) -> MerminResult:
     )
 
 
-def _measurement_bras(theta: float) -> np.ndarray:
-    """Rows <+theta| and <-theta| of the sigma_theta eigenbasis."""
-    phase = np.exp(-1j * theta)
-    return np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / math.sqrt(2.0)
+def _measurement_bras(theta) -> np.ndarray:
+    """Rows <+theta| and <-theta| of the sigma_theta eigenbasis; a stack for an array of angles."""
+    phase = np.exp(-1j * np.asarray(theta, dtype=float))
+    one = np.ones_like(phase)
+    return np.stack([np.stack([one, phase], axis=-1), np.stack([one, -phase], axis=-1)], axis=-2) / math.sqrt(2.0)
 
 
-def _outcome_probabilities(state: StateVector, i: int, j: int, theta_i: float, theta_j: float) -> np.ndarray:
-    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on qubits i, j."""
-    m = _pair_matrices(state, i, j)
-    amps = _measurement_bras(theta_i) @ m @ _measurement_bras(theta_j).T
-    return np.sum(amps.real**2 + amps.imag**2, axis=0).reshape(4)
+def _outcome_probabilities(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
+    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on a pair.
+
+    ``m`` is (..., r, 2, 2): the pair matrices of one state, or a stack
+    of states.  The angles broadcast against ``m.shape[:-3]``, and the
+    result has shape (..., 4).
+    """
+    bras_i = _measurement_bras(theta_i)[..., None, :, :]
+    bras_j = _measurement_bras(theta_j)[..., None, :, :]
+    amps = bras_i @ m @ np.swapaxes(bras_j, -1, -2)
+    probs = np.sum(amps.real**2 + amps.imag**2, axis=-3)
+    return probs.reshape(*probs.shape[:-2], 4)
+
+
+def _odd_parity_probability(probs: np.ndarray, readout_error: float) -> np.ndarray:
+    """p' = p (1 - q) + (1 - p) q, the chance that a shot records an odd parity.
+
+    p = P(+,-) + P(-,+) from the outcome probabilities (last axis) and
+    q = 2 eps (1 - eps), the chance that the two readout flips change
+    the parity; p' is kept inside [0, 1].
+    """
+    # outcomes 1 = (+,-) and 2 = (-,+) are the ones with product -1
+    p = (probs[..., 1] + probs[..., 2]) / probs.sum(axis=-1)
+    q = 2.0 * readout_error * (1.0 - readout_error)
+    return np.clip(p * (1.0 - q) + (1.0 - p) * q, 0.0, 1.0)
 
 
 def sample_correlation(
@@ -266,20 +323,13 @@ def sample_correlation(
     ``SeedSequence``, or a ``Generator``, which is used and advanced in
     place, so several calls can take their draws in turn from one stream.
     """
-    _check_normalized(state)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0.0 <= readout_error < 0.5:
         raise ValueError("readout_error must lie in [0, 0.5)")
-    if i == j:
-        raise ValueError("sample_correlation needs two distinct qubits")
 
-    probs = _outcome_probabilities(state, i, j, theta_i, theta_j)
-    # outcomes 1 = (+,-) and 2 = (-,+) are the ones with product -1
-    p = (probs[1] + probs[2]) / probs.sum()
-    q = 2.0 * readout_error * (1.0 - readout_error)
-    p_odd = min(max(p * (1.0 - q) + (1.0 - p) * q, 0.0), 1.0)
-    n_odd = int(np.random.default_rng(seed).binomial(shots, p_odd))
+    probs = _outcome_probabilities(_pair_matrices(state, i, j), theta_i, theta_j)
+    n_odd = int(np.random.default_rng(seed).binomial(shots, _odd_parity_probability(probs, readout_error)))
     estimate = (shots - 2 * n_odd) / shots
     if shots == 1:
         return estimate, 0.0
@@ -290,3 +340,38 @@ def sample_correlation(
 def landscape_state(omega_t: float) -> StateVector:
     """The pulse-family state at a given pulse area (phase convention -i)."""
     return entangled_pair_state(-1j * math.sin(omega_t / 2.0))
+
+
+# Rows whose outcome probabilities are stacked in one call.  The stack
+# holds about 0.5 kB of temporaries per row, so a block stays near 8 MB
+# however large the grid; the default 101 x 101 grid is one block.
+_LANDSCAPE_BLOCK = 2**14
+
+
+def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_error: float):
+    """``bs_landscape`` rows with B_S = |3 e(v) - e(3v)| estimated from ``shots`` shots each.
+
+    The outcome probabilities of a block of up to ``_LANDSCAPE_BLOCK``
+    rows come from one stacked ``_outcome_probabilities`` call.  Row k
+    (vartheta varying fastest) then draws both odd-parity counts at once,
+    binomial(shots, [p'(v), p'(3v)]), from
+    ``np.random.SeedSequence(seed, spawn_key=(k,))``: the same counts as
+    two ``sample_correlation`` calls taking their draws in turn from that
+    stream, so no two rows or runs share a stream.
+    """
+    omega_t_grid, vartheta_grid = list(omega_t_grid), list(vartheta_grid)
+    m = np.stack([_pair_matrices(landscape_state(om_t), 0, 1) for om_t in omega_t_grid])
+    v = np.asarray(vartheta_grid, dtype=float)
+    n_v, n_rows = len(v), len(m) * len(v)
+    rows = []
+    for start in range(0, n_rows, _LANDSCAPE_BLOCK):
+        k = np.arange(start, min(start + _LANDSCAPE_BLOCK, n_rows))
+        angles = np.stack([v[k % n_v], 3.0 * v[k % n_v]], axis=-1)
+        probs = _outcome_probabilities(m[k // n_v, None], angles, 0.0)
+        for p_odd in _odd_parity_probability(probs, readout_error):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(rows),)))
+            e1, e3 = ((shots - 2 * rng.binomial(shots, p_odd)) / shots).tolist()
+            b = abs(3.0 * e1 - e3)
+            om_t, vartheta = omega_t_grid[len(rows) // n_v], vartheta_grid[len(rows) % n_v]
+            rows.append((om_t, vartheta, b, b > CLASSICAL_BOUND))
+    return rows

@@ -20,6 +20,7 @@ the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import warnings
@@ -53,9 +54,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# One converter per exact type, each giving the text ``_fmt`` gives.
+_COLUMN_FORMATS = {bool: {True: "true", False: "false"}.__getitem__, int: str, float: "{:.9g}".format}
+# Rows formatted column by column at a time, so the cells held at once stay few.
+_CSV_BLOCK = 4096
+
+
+def _format_column(values) -> list[str]:
+    kinds = set(map(type, values))
+    convert = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(convert or _fmt, values))
+
+
 def render_csv(header, rows) -> str:
+    """Header line, then one line per row, every value formatted by ``_fmt``.
+
+    Rows go in blocks; within a block, a column whose values share one
+    exact type (bool, int or float) is formatted by one converter.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_BLOCK)):
+        if len(set(map(len, block))) == 1 and block[0]:
+            cells = zip(*map(_format_column, zip(*block)))
+        else:  # ragged or empty rows have no columns to share a converter
+            cells = (map(_fmt, row) for row in block)
+        lines.extend(map(",".join, cells))
     return "\n".join(lines) + "\n"
 
 
@@ -144,16 +168,9 @@ def _run_bell_landscape(cfg: ScenarioConfig):
     if cfg.shots is None:
         rows = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
     else:
-        rows = []
-        for om_t in p["omega_t_values"]:
-            state = bell.landscape_state(om_t)
-            for v in p["vartheta_values"]:
-                # the row's two correlations take their draws in turn from its stream
-                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(len(rows),)))
-                e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, cfg.shots, rng, p["readout_error"])
-                e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, cfg.shots, rng, p["readout_error"])
-                b = abs(3.0 * e1 - e3)
-                rows.append((om_t, v, b, b > bell.CLASSICAL_BOUND))
+        rows = bell._sampled_landscape(
+            p["omega_t_values"], p["vartheta_values"], cfg.shots, cfg.seed, p["readout_error"]
+        )
     best = max(rows, key=lambda r: r[2])
     summary = [
         f"max |B_S| = {best[2]:.9g} at omega_T = {best[0]:.9g}, vartheta = {best[1]:.9g}"

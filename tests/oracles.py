@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths of the package under
 test: embedding is done by index arithmetic instead of Kronecker
 products, time evolution by an adaptive step-halving Runge-Kutta
 integrator instead of a matrix exponential, Pauli-string expectations
-by explicit bit manipulation, the Mermin operator by its dense
+by explicit bit manipulation, a two-qubit correlation by the one-state
+matrix product the package used before it scored stacks of states, the Mermin operator by its dense
 recursion instead of the package's closed form, the projected
 decoherence-free-subspace dynamics by closed forms, and finite-shot
 readout by simulating every shot instead of drawing the odd-parity
@@ -140,6 +141,28 @@ def pauli_string_expectation(amplitudes: np.ndarray, letters: str) -> float:
         total += np.conj(amplitudes[row]) * phase * amplitudes[col]
     assert abs(total.imag) < 1e-10
     return float(total.real)
+
+
+def pair_correlation_vdot(amplitudes: np.ndarray, dims, i: int, j: int, theta_i: float, theta_j: float) -> float:
+    """E(theta_i, theta_j) of one state by the one-state formula, one angle pair at a time.
+
+    The amplitudes are reshaped into the pair matrices m (rows for qubit
+    i, columns for qubit j, one matrix per state of the other factors) and
+    E = vdot(m, s_i @ m @ s_j.T), with s = cos(theta) X + sin(theta) Y
+    built from ``math`` trigonometry; ``zenobell.bell`` scores stacks of
+    states and angle pairs in one batched product instead.
+    """
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+    def sigma(theta):
+        return math.cos(theta) * x + math.sin(theta) * y
+
+    psi = np.asarray(amplitudes).reshape(tuple(dims))
+    m = np.moveaxis(psi, (i, j), (-2, -1)).reshape(-1, 2, 2)
+    value = complex(np.vdot(m, sigma(theta_i) @ m @ sigma(theta_j).T))
+    assert abs(value.imag) <= 1e-12
+    return value.real
 
 
 def mermin_operator(n: int) -> np.ndarray:

@@ -11,7 +11,9 @@ from zenobell.bell import (
     AnalyzerSettings,
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
+    _correlations,
     _outcome_probabilities,
+    _pair_matrices,
     bs_landscape,
     bs_reduced,
     bs_value,
@@ -26,7 +28,13 @@ from zenobell.dynamics import SystemSpec
 from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
-from oracles import lhv_spin_bell_max, mermin_operator, pauli_string_expectation, per_shot_odd_count
+from oracles import (
+    lhv_spin_bell_max,
+    mermin_operator,
+    pair_correlation_vdot,
+    pauli_string_expectation,
+    per_shot_odd_count,
+)
 
 
 # ---------------------------------------------------------------- sigma_theta
@@ -335,7 +343,7 @@ def test_sample_correlation_convergence_over_many_seeds():
 def test_binomial_odd_count_has_the_per_shot_mean_and_variance():
     # the one binomial draw against the shot-by-shot reference it replaces
     psi, angles, shots, eps = entangled_pair_state(0.8), (0.3, 1.1), 400, 0.1
-    probs = _outcome_probabilities(psi, 0, 1, *angles)
+    probs = _outcome_probabilities(_pair_matrices(psi, 0, 1), *angles)
     p = probs[1] + probs[2]
     q = 2 * eps * (1 - eps)
     p_odd = p * (1 - q) + (1 - p) * q
@@ -421,7 +429,7 @@ def test_per_shot_reference_reproduces_the_per_shot_goldens():
     # the estimates the package's per-shot sampler gave on these cases
     goldens = (-0.4384, -0.4582, -0.032989003665444855)
     for (psi, i, j, t_i, t_j, shots, seed, eps), estimate in zip(_SAMPLED_CASES, goldens):
-        n_odd = per_shot_odd_count(_outcome_probabilities(psi, i, j, t_i, t_j), shots, seed, eps)
+        n_odd = per_shot_odd_count(_outcome_probabilities(_pair_matrices(psi, i, j), t_i, t_j), shots, seed, eps)
         assert (shots - 2 * n_odd) / shots == estimate
 
 
@@ -504,8 +512,67 @@ def test_local_operators_match_dense_embed(layout, i, j):
         op_j = embed(sigma_theta(t_j), layout.labels[j], layout).entries
         dense = np.vdot(psi.amplitudes, op_i @ (op_j @ psi.amplitudes)).real
         assert abs(correlation(psi, i, j, t_i, t_j) - dense) <= 1e-12
-        probs = _outcome_probabilities(psi, i, j, t_i, t_j)
+        probs = _outcome_probabilities(_pair_matrices(psi, i, j), t_i, t_j)
         assert np.max(np.abs(probs - _dense_probabilities(psi, i, j, t_i, t_j))) <= 1e-12
+
+
+def test_stacked_kernel_matches_pauli_string_oracle():
+    # sigma_a (x) sigma_b with sigma = cos X + sin Y expands into the four
+    # Pauli strings XX, XY, YX, YY
+    rng = np.random.default_rng(41)
+    n, k = 25, 6
+    amps = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    t_i, t_j = rng.uniform(-7.0, 7.0, size=(2, n, k))
+    got = _correlations(amps.reshape(n, 1, 2, 2), t_i, t_j)
+    shared = _correlations(amps.reshape(n, 1, 2, 2), t_i[0], t_j[0])  # one set of settings for every state
+    assert got.shape == shared.shape == (n, k)
+    for s in range(n):
+        xx, xy, yx, yy = (pauli_string_expectation(amps[s], p) for p in ("XX", "XY", "YX", "YY"))
+        for settings_of, values in ((s, got[s]), (0, shared[s])):
+            for c in range(k):
+                ci, si = math.cos(t_i[settings_of, c]), math.sin(t_i[settings_of, c])
+                cj, sj = math.cos(t_j[settings_of, c]), math.sin(t_j[settings_of, c])
+                expected = ci * cj * xx + ci * sj * xy + si * cj * yx + si * sj * yy
+                assert abs(values[c] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout, i, j",
+    [
+        (qubit_layout(2), 0, 1),
+        (qubit_layout(2), 1, 0),
+        (qubit_layout(3), 2, 0),
+        (SystemSpec(atom_levels=2, n_max=2).layout(), 0, 1),
+    ],
+)
+def test_correlation_and_bs_value_match_the_one_state_formula(layout, i, j):
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        psi = _random_state(layout, rng)
+        t1, t1p, t2, t2p = rng.uniform(0.0, 2.0 * math.pi, size=4)
+
+        def reference(a, b):
+            return pair_correlation_vdot(psi.amplitudes, layout.dims, i, j, a, b)
+
+        assert abs(correlation(psi, i, j, t1, t2) - reference(t1, t2)) <= 1e-15
+        terms = {
+            ("theta1", "theta2"): reference(t1, t2),
+            ("theta1", "theta2p"): reference(t1, t2p),
+            ("theta1p", "theta2"): reference(t1p, t2),
+            ("theta1p", "theta2p"): reference(t1p, t2p),
+        }
+        result = bs_value(psi, AnalyzerSettings(t1, t1p, t2, t2p), i, j)
+        assert list(result.correlations) == list(terms)
+        for key, value in terms.items():
+            assert abs(result.correlations[key] - value) <= 1e-15
+        expected = (
+            terms[("theta1", "theta2")]
+            - terms[("theta1", "theta2p")]
+            + terms[("theta1p", "theta2")]
+            + terms[("theta1p", "theta2p")]
+        )
+        assert abs(result.b_s - expected) <= 1e-15
 
 
 def test_local_operators_reject_non_qubit_factor():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from zenobell.cli import main, render_csv
+from zenobell import bell, cli, selftest
+from zenobell.cli import _fmt, _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
 
 EXAMPLE = """\
@@ -161,6 +162,30 @@ def test_render_csv_formats():
     assert text.endswith("\n")
 
 
+def _render_per_value(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [4096, 2])
+def test_render_csv_columns_match_per_value_formatting(monkeypatch, block):
+    # a column gets one converter only when all its values in a block share
+    # one exact type; numpy scalars, strings and mixed columns go value by
+    # value, and a block of 2 rows splits a mixed column into uniform parts
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    header = ("f64", "i64", "flag", "name", "edge", "int_float", "float", "bool_int", "np_bool")
+    rows = [
+        (np.float64(math.pi), np.int64(-3), True, "ghz", math.nan, 1, 0.1, True, np.True_),
+        (np.float64(1e-300), np.int64(2**62), False, "zeros", math.inf, 2.5, 1 / 3, 1, np.False_),
+        (np.float64(-0.0), np.int64(0), True, "w", -math.inf, 7, -0.0, False, np.True_),
+    ]
+    assert render_csv(header, rows) == _render_per_value(header, rows)
+    assert render_csv(header, iter(rows)) == _render_per_value(header, rows)
+    for ragged in ([(1, 2.5), (3,)], [(), ()], [], [(1, 2), (3, 4), (5,), (6, 7.5)]):
+        assert render_csv(("a", "b"), ragged) == _render_per_value(("a", "b"), ragged)
+
+
 # ------------------------------------------------------------------- CLI runs
 
 
@@ -238,6 +263,29 @@ def test_cli_bell_landscape_sampled(tmp_path):
     row = (tmp_path / "bell_landscape.csv").read_text().strip().split("\n")[1].split(",")
     assert abs(float(row[2]) - 2 * math.sqrt(2)) < 0.15
     assert row[3] == "true"
+
+
+@pytest.mark.parametrize(
+    "readout_error, shots, seed, block", [(0.0, 1, 0, 2**14), (0.02, 4000, 5, 2**14), (0.3, 10**7, 2**40, 5)]
+)
+def test_sampled_landscape_row_is_two_sample_correlation_calls(monkeypatch, readout_error, shots, seed, block):
+    # row k draws both counts at once from SeedSequence(seed, spawn_key=(k,));
+    # two sample_correlation calls taking their draws in turn from that
+    # stream give the same numbers, whatever blocks the rows are stacked in
+    monkeypatch.setattr(bell, "_LANDSCAPE_BLOCK", block)
+    cfg = parse_config(
+        f"scenario = bell_landscape\nshots = {shots}\nseed = {seed}\nreadout_error = {readout_error}\n"
+        "omega_t_count = 4\nvartheta_count = 3\n"
+    )
+    _, rows, _ = _run_bell_landscape(cfg)
+    assert len(rows) == 12
+    for k, (om_t, v, b, violated) in enumerate(rows):
+        state = bell.landscape_state(om_t)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, shots, rng, readout_error)
+        e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, shots, rng, readout_error)
+        assert b == abs(3.0 * e1 - e3)
+        assert violated == (b > bell.CLASSICAL_BOUND)
 
 
 def test_cli_mermin_summary(tmp_path):
@@ -546,6 +594,45 @@ def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
     cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1\nt_end = 400\nn_traj = 10\n")
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
     assert (tmp_path / "trajectories.csv").read_text() == "t_end,p0_det,p0_mc,stderr\n400,0,0,0\n"
+
+
+# ------------------------------------------------------------------- selftest
+
+
+def test_selftest_tsirelson_detail_is_pinned():
+    assert selftest._check_tsirelson() == (True, "max |B_S| = 2.496165214")
+
+
+def test_selftest_tsirelson_violation_fails_the_check_and_exits_2(monkeypatch, capsys):
+    # with the bound lowered below the largest score, the check reports the
+    # violation through its own comparison instead of raising
+    monkeypatch.setattr(bell, "TSIRELSON_BOUND", 2.0)
+    assert selftest._check_tsirelson() == (False, "max |B_S| = 2.496165214")
+    assert main(["selftest", "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+
+
+def test_selftest_check_that_raises_exits_2_without_traceback(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("kernel came out non-real")
+
+    monkeypatch.setattr(selftest, "_CHECKS", (("broken", broken), ("fine", lambda: (True, "ok"))))
+    assert main(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  broken: RuntimeError: kernel came out non-real")
+    assert lines[1].startswith("PASS  fine: ok")
+    assert lines[2] == "selftest FAILED"
+    assert "Traceback" not in err
+
+
+def test_selftest_lines_end_with_wall_time_unless_quiet(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "_CHECKS", (("fast", lambda: (True, "detail")),))
+    assert selftest.run_selftest() is True
+    assert re.fullmatch(r"PASS  fast: detail  \[\d+\.\d ms\]\nselftest passed\n", capsys.readouterr().out)
+    assert selftest.run_selftest(quiet=True) is True
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------- exit-code contract
