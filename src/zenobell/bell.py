@@ -251,7 +251,7 @@ def mermin_n(state: StateVector) -> MerminResult:
     psi = state.amplitudes
     # corner has parts 0 or +-2^k, so corner * psi[-1] rounds at most once
     # per part and the value stays accurate to an ulp even near cancellation
-    value = abs(2.0 * (psi[0].conjugate() * (corner * psi[-1])).real)
+    value = float(abs(2.0 * (psi[0].conjugate() * (corner * psi[-1])).real))
     return MerminResult(
         value=value,
         classical_bound=CLASSICAL_BOUND,

@@ -7,7 +7,8 @@ Subcommands:
     zenobell selftest [--quiet]
 
 Sweeps run batched on one thread: the Hamiltonian of a sweep is assembled
-once and its points are propagated by stacked matrix exponentials.
+once, its points are propagated by stacked matrix exponentials and their
+final states are scored as one stack.
 CSV output is deterministic (bit-identical for identical config and
 seed): header row, '\\n' line endings, floats printed with 9 significant
 digits, booleans as true/false.  Row k of a sampled run draws from
@@ -39,7 +40,7 @@ from .dynamics import (
     no_photon_probability,
     pair_drive,
 )
-from .hilbert import OperatorMatrix, basis_state, compose, ladder
+from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder
 
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 
@@ -148,10 +149,7 @@ def _run_pbg(cfg: ScenarioConfig):
     except ValueError as exc:  # a negative or overflowing transit time from the config
         raise ConfigError(str(exc)) from exc
     check_final_states(amplitudes, lambda j: f"g_t1={points[j][0]:.9g}, g_t2={points[j][1]:.9g}")
-    rows = []
-    for (gt1, gt2), psi in zip(points, amplitudes):
-        overlap = abs(np.vdot(target, psi)) ** 2
-        rows.append((gt1, gt2, overlap / float(np.linalg.norm(psi)) ** 2))
+    rows = [(gt1, gt2, f) for (gt1, gt2), f in zip(points, fidelities(amplitudes, target).tolist())]
     header = ("g_t1", "g_t2", "bell_fidelity")
     best = max(rows, key=lambda r: r[2])
     plan = pbg.pbg_optimal_times(g)

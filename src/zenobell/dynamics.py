@@ -174,14 +174,29 @@ class DrivenHamiltonian:
     H(w) = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0 holds the
     cavity coupling and the Gamma and kappa damping, and S_k raises the
     driven transition ``keys[k]`` = (atom, transition label).  H0 and the
-    S_k are assembled once; :meth:`stack` then costs one scaled add per
-    laser and point.
+    S_k are assembled once; :meth:`stack` then touches only the entries
+    where some S_k or S_k^dag is nonzero (36 of 729 for the CNOT lasers).
     """
 
     layout: HilbertLayout
     keys: tuple
     h0: np.ndarray
     raising: tuple
+    # flat indices of the entries some S_k or S_k^dag reaches, and each
+    # laser's (S_k, S_k^dag) at those entries
+    _reached: np.ndarray = field(init=False, repr=False, compare=False)
+    _drive_terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        reached = np.zeros(self.h0.size, dtype=bool)
+        for s_plus in self.raising:
+            reached |= (s_plus != 0).ravel() | (s_plus.T != 0).ravel()
+        reached = _frozen(np.flatnonzero(reached))
+        terms = tuple(
+            (_frozen(s_plus.ravel()[reached]), _frozen(s_plus.conj().T.ravel()[reached])) for s_plus in self.raising
+        )
+        object.__setattr__(self, "_reached", reached)
+        object.__setattr__(self, "_drive_terms", terms)
 
     @classmethod
     def of(cls, spec: SystemSpec, keys) -> "DrivenHamiltonian":
@@ -203,11 +218,19 @@ class DrivenHamiltonian:
         for drive in drives:
             if set(drive) != set(self.keys):
                 raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
-        h = np.repeat(self.h0[None], len(drives), axis=0)
-        for k, s_plus in zip(self.keys, self.raising):
-            w = np.array([complex(drive[k]) for drive in drives])[:, None, None]
-            h += 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
-        return h
+        # The dense sum H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 entry by
+        # entry: on the reached entries it is evaluated as written; elsewhere
+        # each laser adds a zero of either sign for finite w, and x + -0.0 =
+        # x + 0.0 = x for every x but -0.0, which H0 (a sum into +0.0) lacks.
+        d = self.layout.total_dim
+        flat_h0 = self.h0.ravel()
+        h = np.repeat(flat_h0[None], len(drives), axis=0)
+        reached = np.repeat(flat_h0[self._reached][None], len(drives), axis=0)
+        for k, (s_plus, s_minus) in zip(self.keys, self._drive_terms):
+            w = np.array([complex(drive[k]) for drive in drives])[:, None]
+            reached += 0.5 * (w * s_plus + np.conj(w) * s_minus)
+        h[:, self._reached] = reached
+        return h.reshape(len(drives), d, d)
 
 
 def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) -> np.ndarray:

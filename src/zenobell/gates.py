@@ -29,8 +29,8 @@ from .dynamics import (
     no_jump_propagators,
     pair_drive,
 )
-from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
-from .states import entangled_pair_state
+from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
+from .states import entangled_pair_amplitudes, entangled_pair_state
 
 __all__ = [
     "RunRecord",
@@ -142,16 +142,14 @@ def _pair_records(spec: SystemSpec, points) -> list[RunRecord]:
     finals = np.array([u @ psi0.amplitudes for u in propagators])
     check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
 
-    a_vec = entangled_pair_state(1.0, layout)
-    records = []
-    for (om, duration), amps in zip(points, finals):
-        final = StateVector(layout, amps)
-        p0 = final.norm() ** 2
-        target = entangled_pair_state(pair_target_alpha(om, duration), layout)
-        fid = fidelity(final, target)
-        achieved = complex(np.vdot(a_vec.amplitudes, final.amplitudes) / final.norm())
-        records.append(RunRecord(final, p0, fid, achieved, duration, regimes[om]))
-    return records
+    targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in points], layout)
+    norm = norms(finals)
+    p0, fid = _p0(norm), fidelities(finals, targets).tolist()
+    achieved = (np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm).tolist()
+    return [
+        RunRecord(StateVector(layout, amps), p, f, a, duration, regimes[om])
+        for (om, duration), amps, p, f, a in zip(points, finals, p0, fid, achieved)
+    ]
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -259,7 +257,7 @@ def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
         if abs(np.linalg.norm(in_amps) - 1.0) > 1e-9:
             raise ValueError("input must be supported on the qubit states with the cavity empty")
         in_states.append(input_state.amplitudes)
-        targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps))
+        targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps).amplitudes)
 
     if not omegas:
         return []
@@ -271,16 +269,19 @@ def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
 
     drives = [cnot_drive(omega) for omega in omegas]
     propagators = no_jump_propagators(DrivenHamiltonian.of(spec, drives[0]), drives, durations)
-    finals = np.array([[u @ amps for amps in in_states] for u in propagators])
-    n_in = len(inputs)
+    n_in, d = len(inputs), layout.total_dim
+    finals = np.array([[u @ amps for amps in in_states] for u in propagators]).reshape(len(omegas), n_in, d)
     check_final_states(
-        finals.reshape(-1, layout.total_dim), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
+        finals.reshape(-1, d), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
     )
-    records = []
-    for duration, regime, per_input in zip(durations, regimes, finals):
-        row = []
-        for amps, target in zip(per_input, targets):
-            final = StateVector(layout, amps)
-            row.append(RunRecord(final, final.norm() ** 2, fidelity(final, target), None, duration, regime))
-        records.append(row)
-    return records
+    # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
+    p0, fid = _p0(norms(finals)), fidelities(finals, np.array(targets).reshape(n_in, d)).tolist()
+    return [
+        [RunRecord(StateVector(layout, amps), p, f, None, duration, regime) for amps, p, f in zip(row, p0_row, fid_row)]
+        for duration, regime, row, p0_row, fid_row in zip(durations, regimes, finals, p0, fid)
+    ]
+
+
+def _p0(norm: np.ndarray) -> list:
+    """No-photon probabilities ||psi||^2 from the norms, as ``StateVector.norm() ** 2`` gives them."""
+    return np.float_power(norm, 2.0).tolist()

@@ -14,6 +14,7 @@ construction; operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,9 @@ __all__ = [
     "compose",
     "embed",
     "ladder",
+    "norms",
     "fidelity",
+    "fidelities",
     "basis_state",
     "state_from_amplitudes",
     "identity",
@@ -123,7 +126,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {amps.size} != layout dimension {self.layout.total_dim}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -166,6 +169,9 @@ def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
 
     The placement follows the fixed row-major basis order, so for a
     two-qubit layout ``embed(op, "atom2", L)`` equals ``kron(I, op)``.
+    Results are memoized by value (the operator's bytes, the label and the
+    layout), so a sweep that assembles one system several times builds
+    each embedded operator once; the returned entries are read-only.
     """
     local = np.asarray(local_op, dtype=complex)
     axis = layout.axis_of(target_label)
@@ -174,6 +180,21 @@ def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
         raise ValueError(
             f"operator shape {local.shape} does not match factor {target_label!r} (dim {dim})"
         )
+    return _embedded(local.tobytes(), target_label, layout)
+
+
+# One system needs at most seven distinct embeds (a two-level pair with
+# its jump operators).  The bound keeps a process that visits many layouts
+# from holding them all: 32 entries of the largest layout a config allows
+# (Lambda atoms, n_max = 32: 297 x 297) take 45 MB.
+@functools.lru_cache(maxsize=32)
+def _embedded(local_bytes: bytes, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
+    dim = layout.dim_of(target_label)
+    return _build_embed(np.frombuffer(local_bytes, dtype=complex).reshape(dim, dim), target_label, layout)
+
+
+def _build_embed(local: np.ndarray, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
+    axis = layout.axis_of(target_label)
     full = np.ones((1, 1), dtype=complex)
     for k, (_, d) in enumerate(layout.factors):
         full = np.kron(full, local if k == axis else np.eye(d, dtype=complex))
@@ -197,22 +218,50 @@ def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
     return StateVector(psi.layout, op.entries @ psi.amplitudes)
 
 
+def norms(rows) -> np.ndarray:
+    """||psi|| of every row of a stack of amplitude vectors (any leading shape).
+
+    Each squared norm is the sum of two real dot products, the way
+    ``np.linalg.norm`` takes it for one vector, so a row's value equals
+    :meth:`StateVector.norm` of that row bit for bit.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def fidelities(rows, targets) -> np.ndarray:
+    """|<target|psi>|^2 / <psi|psi> for every row psi of a stack of amplitude vectors.
+
+    ``targets`` broadcasts against ``rows`` over the leading axes: one
+    shared target, one per row, or one per input of a (points, inputs, d)
+    stack.  Rows may be unnormalized; every target must be normalized and
+    every row must have norm left.  Each value is clipped to [0, 1] and
+    equals, bit for bit, the one-vector ``np.vdot`` formula (the inner
+    products are stacked dot products with the same summation; the
+    modulus and square are ``hypot`` and ``pow`` as for a scalar).
+    """
+    rows, targets = np.asarray(rows, dtype=complex), np.asarray(targets, dtype=complex)
+    target_norms = norms(targets)
+    off = np.abs(target_norms - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"target must be normalized, got norm {float(target_norms[off].flat[0])}")
+    n2 = np.vecdot(rows, rows).real
+    if (n2 <= 0.0).any():
+        raise ValueError("zero-norm state has no fidelity")
+    overlap = np.vecdot(targets, rows)
+    return np.clip(np.float_power(np.hypot(overlap.real, overlap.imag), 2.0) / n2, 0.0, 1.0)
+
+
 def fidelity(psi: StateVector, target: StateVector) -> float:
     """|<target|psi>|^2 / <psi|psi>: fidelity of the renormalized state.
 
     ``psi`` may be unnormalized (a conditional state); ``target`` must be
-    normalized.  The result lies in [0, 1] up to roundoff.
+    normalized.  The result lies in [0, 1].  This is the one-row case of
+    :func:`fidelities`.
     """
     if psi.layout != target.layout:
         raise ValueError("states live on different layouts")
-    tn = target.norm()
-    if abs(tn - 1.0) > 1e-9:
-        raise ValueError(f"target must be normalized, got norm {tn}")
-    n2 = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    if n2 <= 0.0:
-        raise ValueError("zero-norm state has no fidelity")
-    f = abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2 / n2
-    return float(min(max(f, 0.0), 1.0))
+    return float(fidelities(psi.amplitudes, target.amplitudes))
 
 
 def basis_state(layout: HilbertLayout, occupations) -> StateVector:

@@ -11,12 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .hilbert import HilbertLayout, StateVector, compose, state_from_amplitudes
 
 __all__ = [
     "qubit_layout",
     "antisymmetric_pair",
     "entangled_pair_state",
+    "entangled_pair_amplitudes",
     "ghz_state",
 ]
 
@@ -39,22 +42,30 @@ def entangled_pair_state(alpha: complex, layout: HilbertLayout | None = None) ->
     The one-parameter family produced by the entangling pulse; |alpha|
     must not exceed 1, and alpha = 1 gives |a>.  The first two factors of
     ``layout`` (default: two qubits) carry the pair; every other factor,
-    such as the cavity, is in level 0.
+    such as the cavity, is in level 0.  The one-row case of
+    :func:`entangled_pair_amplitudes`.
     """
-    alpha = complex(alpha)
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError(f"|alpha| must be <= 1, got {abs(alpha)}")
+    layout = qubit_layout(2) if layout is None else layout
+    return StateVector(layout, entangled_pair_amplitudes([complex(alpha)], layout)[0])
+
+
+def entangled_pair_amplitudes(alphas, layout: HilbertLayout | None = None) -> np.ndarray:
+    """(n, d) amplitudes of :func:`entangled_pair_state` for each of ``alphas``."""
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    # hypot and pow are what abs() and ** take for one Python complex, so
+    # each row has the bits of the one-alpha formula
+    moduli = np.hypot(alphas.real, alphas.imag)
+    if (moduli > 1 + 1e-12).any():
+        raise ValueError(f"|alpha| must be <= 1, got {float(moduli[moduli > 1 + 1e-12][0])}")
     layout = qubit_layout(2) if layout is None else layout
     others = (0,) * (len(layout.factors) - 2)
     s = 1.0 / math.sqrt(2.0)
-    return state_from_amplitudes(
-        layout,
-        {
-            (1, 0, *others): alpha * s,
-            (0, 1, *others): -alpha * s,
-            (0, 0, *others): math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2)),
-        },
-    )
+    ground = 1.0 - np.float_power(moduli, 2.0)
+    amps = np.zeros((len(alphas), layout.total_dim), dtype=complex)
+    amps[:, layout.basis_index((1, 0, *others))] += alphas * s
+    amps[:, layout.basis_index((0, 1, *others))] += -alphas * s
+    amps[:, layout.basis_index((0, 0, *others))] += np.sqrt(np.maximum(ground, 0.0))
+    return amps
 
 
 def ghz_state(n: int = 3, phase: float = 0.0) -> StateVector:

@@ -7,9 +7,12 @@ integrator instead of a matrix exponential, Pauli-string expectations
 by explicit bit manipulation, a two-qubit correlation by the one-state
 matrix product the package used before it scored stacks of states, the Mermin operator by its dense
 recursion instead of the package's closed form, the projected
-decoherence-free-subspace dynamics by closed forms, and finite-shot
+decoherence-free-subspace dynamics by closed forms, finite-shot
 readout by simulating every shot instead of drawing the odd-parity
-count from its binomial law.
+count from its binomial law, the drive terms of a Hamiltonian stack as
+dense matrices instead of a scatter onto their nonzeros, and the
+scores of a run record one state at a time with ``np.vdot`` instead of
+stacked dot products.
 """
 
 from __future__ import annotations
@@ -84,6 +87,40 @@ def conditional_hamiltonian(spec) -> np.ndarray:
         h += 0.5 * (omega * s_plus + np.conj(omega) * s_plus.conj().T)
     h += -1j * spec.kappa * (b_full.conj().T @ b_full)
     return h
+
+
+def dense_drive_stack(family, drives) -> np.ndarray:
+    """H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 for each drive, every term a dense (n, d, d) array."""
+    h = np.repeat(family.h0[None], len(drives), axis=0)
+    for key, s_plus in zip(family.keys, family.raising):
+        w = np.array([complex(drive[key]) for drive in drives])[:, None, None]
+        h += 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
+    return h
+
+
+def run_record_scores(amplitudes: np.ndarray, target: np.ndarray, a_vec=None):
+    """(p0, fidelity, alpha) of one final state, one ``np.vdot`` at a time.
+
+    p0 = ||psi||^2, the fidelity |<target|psi>|^2 / <psi|psi> clipped to
+    [0, 1], and the achieved alpha <a|psi> / ||psi|| (None without ``a_vec``).
+    """
+    norm = float(np.linalg.norm(amplitudes))
+    n2 = float(np.vdot(amplitudes, amplitudes).real)
+    fid = float(min(max(abs(np.vdot(target, amplitudes)) ** 2 / n2, 0.0), 1.0))
+    alpha = None if a_vec is None else complex(np.vdot(a_vec, amplitudes) / norm)
+    return norm**2, fid, alpha
+
+
+def entangled_pair_by_levels(alpha: complex, layout) -> np.ndarray:
+    """alpha |a> + sqrt(1 - |alpha|^2) |00> written level by level into a zero vector."""
+    alpha = complex(alpha)
+    others = (0,) * (len(layout.factors) - 2)
+    s = 1.0 / math.sqrt(2.0)
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[layout.basis_index((1, 0, *others))] += alpha * s
+    amps[layout.basis_index((0, 1, *others))] += -alpha * s
+    amps[layout.basis_index((0, 0, *others))] += math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
+    return amps
 
 
 def integrate_schrodinger(h: np.ndarray, psi0: np.ndarray, t: float, local_tol: float = 1e-12) -> np.ndarray:

@@ -186,6 +186,38 @@ def test_render_csv_columns_match_per_value_formatting(monkeypatch, block):
         assert render_csv(("a", "b"), ragged) == _render_per_value(("a", "b"), ragged)
 
 
+# Every scenario, with its sampled forms: each value a runner hands
+# render_csv must be a Python bool, int, float or str, so that a column
+# of one exact type is formatted by one converter.
+ONE_CONFIG_PER_RUNNER = {
+    "prepare_pair": "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.0002\nomega_minus_values = 0.02, 0.03\nT_values = 0, 50\n",
+    "cnot": "scenario = cnot\ng = 1\nkappa = 1\ngamma = 0.001\nomega = 0.05\ninput = all\n",
+    "pbg": "scenario = pbg\ngt1_count = 3\ngt2_count = 4\nloss = 0.01\n",
+    "bell_landscape": "scenario = bell_landscape\nomega_t_count = 3\nvartheta_count = 3\n",
+    "bell_landscape_sampled": "scenario = bell_landscape\nomega_t_count = 3\nvartheta_count = 3\nshots = 100\nseed = 1\n",
+    "mermin_ghz": "scenario = mermin\n",
+    "mermin_zeros": "scenario = mermin\nstate = zeros\n",
+    "trajectories_cavity": "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_traj = 100\n",
+    "trajectories_pair": (
+        "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nn_traj = 10\n"
+    ),
+}
+PYTHON_SCALARS = {bool, int, float, str}
+
+
+@pytest.mark.parametrize("name", ONE_CONFIG_PER_RUNNER)
+def test_scenario_rows_hold_python_scalars(name):
+    cfg = parse_config(ONE_CONFIG_PER_RUNNER[name])
+    _header, rows, _summary = cli._RUNNERS[cfg.scenario](cfg)
+    assert rows and {type(value) for row in rows for value in row} <= PYTHON_SCALARS
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig4", "fig5", "islands"])
+def test_figure_rows_hold_python_scalars(which):
+    _header, rows = cli._figure_rows(which)
+    assert rows and {type(value) for row in rows for value in row} <= PYTHON_SCALARS
+
+
 # ------------------------------------------------------------------- CLI runs
 
 
@@ -488,13 +520,17 @@ def test_cli_unusable_durations_are_config_errors(tmp_path, capsys, body, named)
             "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nT = 1e15\n",
             "p0 = 0 at omega_minus=0.02, T=1e+15",
         ),
+        (  # the zero-norm row is caught before the stacked scoring sees it
+            "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nT_values = 50, 1e15, 100\n",
+            "p0 = 0 at omega_minus=0.02, T=1e+15",
+        ),
         (
             "scenario = cnot\ng = 1\nkappa = 1e200\ngamma = 0.001\nomega = 0.02\n",
             "amplitudes not finite at omega=0.02, input=00",
         ),
         ("scenario = pbg\nloss = 1e300\ngt1_count = 3\ngt2_count = 3\n", "not finite at g_t1=0, g_t2="),
     ],
-    ids=["prepare_pair_T", "cnot_kappa", "pbg_loss"],
+    ids=["prepare_pair_T", "prepare_pair_one_row", "cnot_kappa", "pbg_loss"],
 )
 def test_cli_sweep_numeric_failure_exits_2_and_names_the_point(tmp_path, capsys, body, named):
     cfg = tmp_path / "x.cfg"

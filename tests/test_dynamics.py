@@ -18,7 +18,7 @@ from zenobell.dynamics import (
 )
 from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
 
-from oracles import conditional_hamiltonian, integrate_schrodinger
+from oracles import conditional_hamiltonian, dense_drive_stack, integrate_schrodinger
 
 SQRT2 = math.sqrt(2.0)
 
@@ -309,6 +309,28 @@ def test_stacked_hamiltonians_equal_single_point_assembly(levels, n_max):
         run_spec = spec.with_rabi(drive)
         assert np.array_equal(h, h_cond(run_spec).entries)
         assert np.array_equal(h, conditional_hamiltonian(run_spec))
+
+
+# Real and imaginary parts of drive amplitudes: signed zeros, both signs,
+# so the products with the zero entries of S_k take every sign of zero.
+AMPLITUDE_PARTS = (0.0, -0.0, 0.37, -1.25, 3e-3)
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.0])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_stack_equals_the_dense_drive_sum_byte_for_byte(levels, n_max, kappa):
+    spec = SystemSpec(atom_levels=levels, n_atoms=2, g=0.8, kappa=kappa, gamma=0.01, n_max=n_max)
+    lasers = [(1, "0-1"), (2, "0-1")] if levels == 2 else [(1, "0-2"), (1, "1-2"), (2, "0-2"), (2, "1-2")]
+    rng = np.random.default_rng(10 * levels + n_max)
+    for keys in (lasers, lasers[-1:], []):
+        family = DrivenHamiltonian.of(spec, keys)
+        drives = [{k: complex(*rng.choice(AMPLITUDE_PARTS, 2).tolist()) for k in keys} for _ in range(60)]
+        drives += [{k: complex(*rng.normal(size=2).tolist()) for k in keys} for _ in range(20)]
+        assert family.stack(drives).tobytes() == dense_drive_stack(family, drives).tobytes()
+    # the entries no laser reaches are H0's own, which holds no -0.0 part
+    parts = family.h0.view(float)
+    assert not np.signbit(parts[parts == 0]).any()
 
 
 def test_drive_constructors():

@@ -31,8 +31,15 @@ from zenobell.gates import (
     sqr,
 )
 from zenobell.hilbert import basis_state, fidelity, state_from_amplitudes
+from zenobell.states import entangled_pair_amplitudes, entangled_pair_state, qubit_layout
 
-from oracles import damped_cnot_amplitudes, damped_pair_amplitudes, three_level_rabi_amplitudes
+from oracles import (
+    damped_cnot_amplitudes,
+    damped_pair_amplitudes,
+    entangled_pair_by_levels,
+    run_record_scores,
+    three_level_rabi_amplitudes,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -336,6 +343,55 @@ def test_prepare_pair_sweep_equals_single_point_records(gamma):
         direct = evolve_no_jump(h_cond_two_level(spec.with_rabi(pair_drive(om))), psi0, t)
         assert a.final_state.amplitudes.tobytes() == direct.amplitudes.tobytes()
     assert prepare_pair_sweep(spec, []) == []
+
+
+def _bits(*values):
+    return np.array([complex(v) for v in values if v is not None]).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_sweep_records_score_as_the_one_state_formulas(n_max):
+    # p0, fidelity and alpha of every record equal, bit for bit, the
+    # one-state np.vdot / np.linalg.norm formulas on its final state
+    rng = np.random.default_rng(n_max)
+    for gamma in (0.0, 1e-3, 0.01, 0.1):
+        kappa = float(rng.uniform(0.2, 2.0))
+        pair = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=kappa, gamma=gamma, n_max=n_max)
+        points = [(complex(*rng.uniform(-0.5, 0.5, 2).tolist()), float(rng.uniform(0, 400))) for _ in range(20)]
+        cnot = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=kappa, gamma=gamma, n_max=n_max)
+        omegas = rng.uniform(0.005, 0.5, 5).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pair_records = prepare_pair_sweep(pair, points)
+            cnot_records = cnot_pulse_sweep(cnot, omegas, QUBIT_LABELS)
+        a_vec = entangled_pair_state(1.0, pair.layout()).amplitudes
+        for (om, t), rec in zip(points, pair_records):
+            target = entangled_pair_by_levels(pair_target_alpha(om, t), pair.layout())
+            expected = run_record_scores(rec.final_state.amplitudes, target, a_vec)
+            assert (type(rec.p0), type(rec.fidelity), type(rec.alpha)) == (float, float, complex)
+            assert _bits(rec.p0, rec.fidelity, rec.alpha) == _bits(*expected)
+        for per_input in cnot_records:
+            for label, rec in zip(QUBIT_LABELS, per_input):
+                target = qubit_state(cnot, cnot_ideal().entries @ qubit_amplitudes(qubit_state(cnot, label)))
+                expected = run_record_scores(rec.final_state.amplitudes, target.amplitudes)
+                assert (type(rec.p0), type(rec.fidelity), rec.alpha) == (float, float, None)
+                assert _bits(rec.p0, rec.fidelity) == _bits(*expected)
+
+
+def test_pair_state_rows_equal_the_level_by_level_builder():
+    rng = np.random.default_rng(4)
+    alphas = (rng.normal(size=(400, 2)) * 0.5).tolist()
+    alphas = [complex(*a) / max(1.0, abs(complex(*a))) for a in alphas]
+    alphas += [complex(re, im) for re in (0.0, -0.0, 1.0, -1.0) for im in (0.0, -0.0)] + [1j, -1j, 1 + 1e-13]
+    alphas += [pair_target_alpha(om, t) for om in (0.02, -0.05 + 0.01j) for t in (0.0, 80.0, math.pi / 0.02)]
+    for layout in (None, pair_spec(0.0).layout()):
+        rows = entangled_pair_amplitudes(alphas, layout)
+        for alpha, row in zip(alphas, rows):
+            expected = entangled_pair_by_levels(alpha, layout or qubit_layout(2))
+            assert row.tobytes() == expected.tobytes()
+            assert entangled_pair_state(alpha, layout).amplitudes.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="must be <= 1"):
+        entangled_pair_amplitudes([0.5, 1.1j])
 
 
 def test_cnot_pulse_sweep_equals_single_point_records():

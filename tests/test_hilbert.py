@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
+from zenobell import cli, hilbert
 from zenobell.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -11,12 +14,14 @@ from zenobell.hilbert import (
     basis_state,
     compose,
     embed,
+    fidelities,
     fidelity,
     ladder,
+    norms,
     state_from_amplitudes,
 )
 
-from oracles import embed_by_index
+from oracles import embed_by_index, run_record_scores
 
 
 def test_compose_two_qubits_basis_order():
@@ -101,6 +106,46 @@ def test_pauli_algebra_on_embedded_qubit():
     assert np.max(np.abs(sx @ sy - 1j * sz)) <= 1e-14
 
 
+def test_embed_results_are_read_only_and_memoized_by_value():
+    layout = compose([("a", 2), ("b", 3)])
+    local = np.array([[0, 1], [2, 0]], dtype=complex)
+    first = embed(local, "a", layout)
+    assert not first.entries.flags.writeable
+    with pytest.raises(ValueError):
+        first.entries[0, 0] = 1.0
+    assert embed(local.copy(), "a", layout) is first
+    local[1, 0] = 5.0  # the caller's array changes after the call
+    assert np.array_equal(embed(local, "a", layout).entries, embed_by_index(local, 0, layout.dims))
+    assert np.array_equal(first.entries, embed_by_index(np.array([[0, 1], [2, 0]]), 0, layout.dims))
+    assert embed(np.array([[0, 1], [2, 0]]), "a", layout) is first
+
+
+def test_embed_memo_is_bounded():
+    maxsize = hilbert._embedded.cache_info().maxsize
+    assert maxsize is not None
+    layout = compose([("a", 2)])
+    for k in range(maxsize + 5):
+        embed(np.diag([float(k), 0.0]), "a", layout)
+    assert hilbert._embedded.cache_info().currsize == maxsize
+
+
+def test_figure_builds_each_embedded_operator_once(monkeypatch, tmp_path):
+    built = collections.Counter()
+    build = hilbert._build_embed
+
+    def spy(local, label, layout):
+        built[local.tobytes(), label, layout] += 1
+        return build(local, label, layout)
+
+    monkeypatch.setattr(hilbert, "_build_embed", spy)
+    hilbert._embedded.cache_clear()
+    assert cli.main(["figure", "fig4", "--out", str(tmp_path), "--quiet"]) == 0
+    # three Lambda systems (one per Gamma) share b, and per atom the cavity
+    # transition and the excited-level projector; atom 1's laser drives the
+    # cavity transition, atom 2's laser the 0-2 one
+    assert sorted(built.values()) == [1] * 6
+
+
 def test_ladder_matrix_elements():
     assert np.allclose(ladder(2), [[0, 1], [0, 0]])
     b = ladder(3)
@@ -141,6 +186,39 @@ def test_fidelity_and_norm_ranges_random():
         target = StateVector(layout, b / np.linalg.norm(b))
         assert psi.norm() >= 0
         assert 0.0 <= fidelity(psi, target) <= 1.0
+
+
+def _random_stack(rng, shape):
+    rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rows * rng.uniform(0.0, 1.0, size=(*shape[:-1], 1)) ** 3  # norms spread over decades
+
+
+@pytest.mark.parametrize("d", [8, 12, 27])
+def test_stacked_scores_equal_the_one_vector_formulas_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    rows = _random_stack(rng, (2000, d))
+    targets = rng.normal(size=(2000, d)) + 1j * rng.normal(size=(2000, d))
+    targets = np.array([t / np.linalg.norm(t) for t in targets])
+    assert norms(rows).tobytes() == np.array([np.linalg.norm(r) for r in rows]).tobytes()
+    per_row = [run_record_scores(r, t)[1] for r, t in zip(rows, targets)]
+    assert fidelities(rows, targets).tobytes() == np.array(per_row).tobytes()
+    shared = [run_record_scores(r, targets[0])[1] for r in rows]
+    assert fidelities(rows, targets[0]).tobytes() == np.array(shared).tobytes()
+    # one target per input of a (points, inputs, d) stack
+    grid = rows.reshape(500, 4, d)
+    per_input = [[run_record_scores(r, t)[1] for r, t in zip(point, targets[:4])] for point in grid]
+    assert fidelities(grid, targets[:4]).tobytes() == np.array(per_input).tobytes()
+    layout = compose([("a", d)])
+    assert fidelity(StateVector(layout, rows[7]), StateVector(layout, targets[7])) == per_row[7]
+
+
+def test_stacked_fidelity_guards():
+    target = np.array([0.6, 0.8j, 0.0, 0.0])
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="target must be normalized, got norm 0.5"):
+        fidelities(rows, [target, 0.5 * target])
+    with pytest.raises(ValueError, match="zero-norm state has no fidelity"):
+        fidelities(np.vstack([rows, np.zeros(4)]), target)
 
 
 def test_hermitian_hint_enforced():
