@@ -27,9 +27,10 @@ drive "0-2" and "1-2".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ __all__ = [
     "h_cond_two_level",
     "h_cond_lambda",
     "evolve_no_jump",
-    "no_jump_propagators",
+    "no_jump_states",
     "check_final_states",
     "no_photon_probability",
     "check_regime",
@@ -62,11 +63,14 @@ __all__ = [
 ]
 
 REGIME_THRESHOLD = 0.1
-# Largest chunk of Hamiltonians (16 d^2 bytes each) one stacked expm takes.
-# The kernel's working set is about 8x its input: per slice the sorted copy
-# of the input, A^2, A^4, A^6, U, V, V - U, V + U and the result, so a full
-# chunk peaks near 70 MB.
+# Largest input one stacked expm call takes: a chunk of blocks, 8 m^2 bytes
+# for a real m-state block and 16 m^2 for a complex one.  The kernel's
+# working set is about 8x its input: per slice the sorted copy of the
+# input, A^2, A^4, A^6, U, V, V - U, V + U and the result, so a full chunk
+# peaks near 70 MB.  The complex blocks a chunk is gauged from take twice
+# the real input.
 _EXPM_BYTES = 2**23
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 class NumericalError(RuntimeError):
@@ -176,6 +180,19 @@ class DrivenHamiltonian:
     driven transition ``keys[k]`` = (atom, transition label).  H0 and the
     S_k are assembled once; :meth:`stack` then touches only the entries
     where some S_k or S_k^dag is nonzero (36 of 729 for the CNOT lasers).
+
+    No H(w) couples basis states in different connected components of the
+    joint sparsity pattern of H0, the S_k and the S_k^dag, so exp(-i H t)
+    is block-diagonal over them (:attr:`components`, each with a spanning
+    tree; memoized by pattern).  :func:`no_jump_states` exponentiates
+    only the components its inputs touch.  On each it gives every state
+    a phase i^k, k read off the tree entries of the slice, so that the
+    tree entries of D (-i H t) D^-1 are real, D = diag(i^k).  With real
+    Rabi frequencies the cavity entries of -i H t are real and the laser
+    entries imaginary, every cycle crosses an even number of laser
+    entries, and the whole gauged block is real: it is exponentiated in
+    float64.  Otherwise (say, complex Rabi frequencies of unequal
+    phases) the block is exponentiated as it is, in complex arithmetic.
     """
 
     layout: HilbertLayout
@@ -213,8 +230,19 @@ class DrivenHamiltonian:
         raising = tuple(_frozen(_raising_op(spec, layout, atom, trans)) for atom, trans in keys)
         return cls(layout, keys, h_cond(spec.with_rabi({})).entries, raising)
 
-    def stack(self, drives: Sequence[Mapping]) -> np.ndarray:
-        """(n, d, d) array of H(drive) for each mapping {key: Rabi frequency} in ``drives``."""
+    @property
+    def components(self) -> tuple["Component", ...]:
+        """The connected components of the joint sparsity pattern, by lowest basis index."""
+        pattern = (self.h0 != 0).ravel()
+        pattern[self._reached] = True
+        return _components(pattern.tobytes(), self.layout.total_dim)
+
+    def stack(self, drives: Sequence[Mapping], states=None) -> np.ndarray:
+        """(n, m, m) array of H(drive) for each mapping {key: Rabi frequency} in ``drives``.
+
+        The rows and columns are the ascending basis indices ``states``
+        (default: all d); each entry equals that of the full matrix.
+        """
         for drive in drives:
             if set(drive) != set(self.keys):
                 raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
@@ -223,14 +251,66 @@ class DrivenHamiltonian:
         # each laser adds a zero of either sign for finite w, and x + -0.0 =
         # x + 0.0 = x for every x but -0.0, which H0 (a sum into +0.0) lacks.
         d = self.layout.total_dim
+        states = np.arange(d) if states is None else np.asarray(states)
+        flat = (states[:, None] * d + states).ravel()
+        at = np.minimum(np.searchsorted(flat, self._reached), len(flat) - 1)
+        inside = flat[at] == self._reached
         flat_h0 = self.h0.ravel()
-        h = np.repeat(flat_h0[None], len(drives), axis=0)
-        reached = np.repeat(flat_h0[self._reached][None], len(drives), axis=0)
+        h = np.repeat(flat_h0[flat][None], len(drives), axis=0)
+        reached = np.repeat(flat_h0[self._reached[inside]][None], len(drives), axis=0)
         for k, (s_plus, s_minus) in zip(self.keys, self._drive_terms):
             w = np.array([complex(drive[k]) for drive in drives])[:, None]
-            reached += 0.5 * (w * s_plus + np.conj(w) * s_minus)
-        h[:, self._reached] = reached
-        return h.reshape(len(drives), d, d)
+            reached += 0.5 * (w * s_plus[inside] + np.conj(w) * s_minus[inside])
+        h[:, at[inside]] = reached
+        return h.reshape(len(drives), len(states), len(states))
+
+
+class Component(NamedTuple):
+    """One connected component of a sparsity pattern, with a spanning tree.
+
+    ``states`` are its basis indices, ascending.  Tree edge e joins the
+    local states ``edges[e] = (child, parent)``, in breadth-first order
+    from the lowest state; ``paths[i, e]`` is 1 when edge e lies on the
+    tree path from the root to local state i.
+    """
+
+    states: np.ndarray
+    edges: np.ndarray
+    paths: np.ndarray
+
+
+# Memoized by pattern: a sweep family and every evolve_no_jump of one
+# system share it.  Each entry holds O(d^2) integers.
+@functools.lru_cache(maxsize=32)
+def _components(pattern: bytes, d: int) -> tuple[Component, ...]:
+    """Connected components of the graph on d states with edges where the (d, d) bool ``pattern`` or its transpose is set."""
+    adjacent = np.frombuffer(pattern, dtype=bool).reshape(d, d)
+    adjacent = adjacent | adjacent.T
+    seen = np.zeros(len(adjacent), dtype=bool)
+    found = []
+    for root in range(len(adjacent)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        # breadth first, one level at a time; a state's parent is the first
+        # state of the previous level adjacent to it
+        order, parents, level = [root], [], np.array([root])
+        while level.size:
+            links = adjacent[level] & ~seen
+            new = np.flatnonzero(links.any(axis=0))
+            seen[new] = True
+            order += new.tolist()
+            parents += level[links[:, new].argmax(axis=0)].tolist()
+            level = new
+        states = np.array(sorted(order))
+        local = {s: n for n, s in enumerate(states.tolist())}
+        paths = np.zeros((len(states), len(states) - 1), dtype=int)
+        for e, (j, i) in enumerate(zip(order[1:], parents)):
+            paths[local[j]] = paths[local[i]]
+            paths[local[j], e] = 1
+        edges = np.array([(local[j], local[i]) for j, i in zip(order[1:], parents)], dtype=int).reshape(-1, 2)
+        found.append(Component(_frozen(states), _frozen(edges), _frozen(paths)))
+    return tuple(found)
 
 
 def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) -> np.ndarray:
@@ -296,9 +376,14 @@ def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
 def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi0>: the unnormalized no-emission conditional state.
 
-    Uses the dense scaling-and-squaring Pade matrix exponential; the test
-    suite checks it against an adaptive step-halving integrator.  Raises
-    :class:`NumericalError` if the exponential overflows (a huge H t).
+    Goes through :func:`no_jump_states` with ``h`` as a family without
+    lasers: only the connected components of the sparsity pattern of ``h``
+    that ``psi0`` touches are exponentiated, each as a real block under a
+    quarter-turn gauge when that makes it exactly real and as a complex
+    block otherwise.  The exponential is the dense scaling-and-squaring
+    Pade one; the test suite checks it against an adaptive step-halving
+    integrator.  Raises :class:`NumericalError` if the exponential
+    overflows (a huge H t).
     """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
@@ -306,40 +391,95 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
         raise ValueError("Hamiltonian and state live on different layouts")
     if t == 0.0:
         return psi0
-    amplitudes = expm(-1j * h.entries * t) @ psi0.amplitudes
+    family = DrivenHamiltonian(h.layout, (), h.entries, ())
+    amplitudes = no_jump_states(family, [{}], [t], [psi0.amplitudes])[0, 0]
     if not np.isfinite(amplitudes.view(float)).all():
         raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {t:.9g}")
     return StateVector(psi0.layout, amplitudes)
 
 
-def no_jump_propagators(
-    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float]
-) -> Iterator[np.ndarray]:
-    """exp(-i H(drives[j]) times[j]) for each point j, in order.
+def no_jump_states(
+    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float], inputs
+) -> np.ndarray:
+    """exp(-i H(drives[j]) times[j]) |inputs[m]> for each point j and input m: an (n, M, d) array.
 
-    One stacked ``expm`` per chunk of points; a chunk holds at most
-    ``_EXPM_BYTES`` of Hamiltonians, so memory does not grow with the grid.
-    As in :func:`evolve_no_jump`, a point with time 0 gets the identity
-    without its Hamiltonian being exponentiated, and every other matrix is
-    exponentiated exactly as there.
+    ``inputs`` holds M amplitude rows of length d.  exp(-i H t) is block-diagonal over ``family.components``; only the
+    components some input touches are exponentiated, each in stacked
+    ``expm`` calls of at most ``_EXPM_BYTES`` of blocks, so memory does
+    not grow with the grid.  Each slice of a block is exponentiated as a
+    float64 block when the quarter-turn gauge of its spanning tree makes
+    it exactly real, and as the complex block otherwise (for example
+    under complex Rabi frequencies of unequal phases).  A component an
+    input does not touch stays exactly 0 in its final state, and a point
+    with time 0 gives the inputs themselves without its Hamiltonian being
+    exponentiated.  Each block is applied to each input as its own
+    mat-vec, so every final state depends only on its own point and input.
     """
     if len(drives) != len(times):
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
     if any(t < 0 for t in times):
         raise ValueError(f"evolution times must be >= 0, got {min(times)}")
     d = family.layout.total_dim
-    identity = _frozen(np.eye(d, dtype=complex))
-    chunk = max(1, _EXPM_BYTES // (16 * d * d))
-    for start in range(0, len(drives), chunk):
-        part = range(start, min(start + chunk, len(drives)))
-        moving = [j for j in part if times[j] != 0]
-        propagators = iter(())
-        if moving:
-            h = family.stack([drives[j] for j in moving])
-            t = np.array([times[j] for j in moving], dtype=float)[:, None, None]
-            propagators = iter(expm(-1j * h * t))
-        for j in part:
-            yield next(propagators) if times[j] != 0 else identity
+    inputs = np.asarray(inputs, dtype=complex).reshape(-1, d)
+    finals = np.zeros((len(drives), len(inputs), d), dtype=complex)
+    finals[[j for j, t in enumerate(times) if t == 0]] = inputs
+    moving = [j for j, t in enumerate(times) if t != 0]
+    support = inputs.any(axis=0)
+    for component in family.components:
+        states = component.states
+        if not (moving and support[states].any()):
+            continue
+        touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
+        chunk = max(1, _EXPM_BYTES // (8 * len(states) ** 2))
+        for start in range(0, len(moving), chunk):
+            part = moving[start : start + chunk]
+            h = family.stack([drives[j] for j in part], states)
+            t = np.array([times[j] for j in part], dtype=float)[:, None, None]
+            rows = np.array(part)[:, None, None]
+            finals[rows, touched, states] = _block_states(component, -1j * h * t, inputs[touched, states])
+    return finals
+
+
+def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """exp(a[i]) inputs[m] for each slice i of ``a`` on ``component`` and each input m: (n, M, m) array.
+
+    A slice is exponentiated in float64 when its quarter-turn gauge makes
+    it exactly real, else as it is.
+    """
+    # turns from each slice's own tree entries: a real entry gives 0, an
+    # imaginary one 1.  D = diag(i^k) then makes every tree entry of
+    # D a D^-1 real; multiplying by 1, i, -1 or -i moves and negates the
+    # parts of a number without rounding them.
+    child, parent = component.edges.T
+    tree = a[:, child, parent]
+    turns = ((tree.real == 0) & (tree.imag != 0)).astype(int) @ component.paths.T
+    phases = _QUARTER_TURNS[turns & 3]
+    # an infinite entry (an overflowing H t) turns into NaN parts here, so
+    # its slice takes the complex path and comes back non-finite
+    with np.errstate(invalid="ignore"):
+        gauged = phases[:, :, None] * a * phases.conj()[:, None, :]
+    real = ~gauged.imag.any(axis=(1, 2))
+    out = np.empty((len(a), len(inputs), a.shape[-1]), dtype=complex)
+    if real.any():
+        # exp(a) psi = D^-1 exp(D a D^-1) D psi, one real mat-vec per part
+        u, phases = _exponentiated(gauged.real[real]), phases[real]
+        for m, psi in enumerate(inputs):
+            v = phases * psi
+            w = np.empty(v.shape, dtype=complex)
+            w.real = (u @ np.ascontiguousarray(v.real)[..., None])[..., 0]
+            w.imag = (u @ np.ascontiguousarray(v.imag)[..., None])[..., 0]
+            out[real, m] = phases.conj() * w
+    if not real.all():
+        u = _exponentiated(a[~real])
+        for m, psi in enumerate(inputs):
+            out[~real, m] = u @ psi
+    return out
+
+
+def _exponentiated(a: np.ndarray) -> np.ndarray:
+    """expm of each slice of ``a``, in stacked calls of at most ``_EXPM_BYTES`` of input."""
+    step = max(1, _EXPM_BYTES // (a.itemsize * a.shape[-1] ** 2))
+    return np.concatenate([expm(a[start : start + step]) for start in range(0, len(a), step)])
 
 
 def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:

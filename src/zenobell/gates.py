@@ -26,7 +26,7 @@ from .dynamics import (
     check_regime,
     check_final_states,
     cnot_drive,
-    no_jump_propagators,
+    no_jump_states,
     pair_drive,
 )
 from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
@@ -138,8 +138,7 @@ def _pair_records(spec: SystemSpec, points) -> list[RunRecord]:
     psi0 = basis_state(layout, (0, 0, 0))
     drives = [pair_drive(om) for om, _ in points]
     family = DrivenHamiltonian.of(spec, drives[0])
-    propagators = no_jump_propagators(family, drives, [duration for _, duration in points])
-    finals = np.array([u @ psi0.amplitudes for u in propagators])
+    finals = no_jump_states(family, drives, [duration for _, duration in points], [psi0.amplitudes])[:, 0]
     check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
 
     targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in points], layout)
@@ -227,11 +226,13 @@ def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
     """:func:`cnot_pulse` for every omega and input; ``records[i][m]`` is omega i, input m.
 
     Each input is a qubit-subspace state or one of the labels "00", "01",
-    "10", "11" (:func:`qubit_state`).  One propagator per omega, from
-    stacked matrix exponentials, is applied to every input; each record
-    equals the single-point one.  Raises :class:`NumericalError` naming
-    the omega and the input (its label, else its position) where a final
-    state is not finite or has no norm left.
+    "10", "11" (:func:`qubit_state`).  Each omega's propagator, from
+    stacked matrix exponentials of the blocks the inputs reach
+    (:func:`~zenobell.dynamics.no_jump_states`), is applied to every
+    input; each record equals the single-point one.  Raises
+    :class:`NumericalError` naming the omega and the input (its label,
+    else its position) where a final state is not finite or has no norm
+    left.
     """
     return _cnot_records(spec, omegas, inputs)
 
@@ -268,9 +269,8 @@ def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
         _warn_if_slow_measurement(spec, duration)
 
     drives = [cnot_drive(omega) for omega in omegas]
-    propagators = no_jump_propagators(DrivenHamiltonian.of(spec, drives[0]), drives, durations)
+    finals = no_jump_states(DrivenHamiltonian.of(spec, drives[0]), drives, durations, in_states)
     n_in, d = len(inputs), layout.total_dim
-    finals = np.array([[u @ amps for amps in in_states] for u in propagators]).reshape(len(omegas), n_in, d)
     check_final_states(
         finals.reshape(-1, d), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
     )

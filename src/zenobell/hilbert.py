@@ -33,7 +33,6 @@ __all__ = [
     "basis_state",
     "state_from_amplitudes",
     "identity",
-    "apply",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -210,12 +209,6 @@ def ladder(dim: int) -> np.ndarray:
     for n in range(1, dim):
         b[n - 1, n] = math.sqrt(n)
     return b
-
-
-def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
-    if op.layout is not psi.layout and op.layout != psi.layout:
-        raise ValueError("operator and state live on different layouts")
-    return StateVector(psi.layout, op.entries @ psi.amplitudes)
 
 
 def norms(rows) -> np.ndarray:

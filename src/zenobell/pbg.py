@@ -78,13 +78,14 @@ def _exchange_amplitudes(g: float, times: list, loss: float) -> np.ndarray:
     """(n, 2) array of the :func:`jc_amplitudes` (c_e, c_g) at each of ``times``.
 
     With loss, one stacked ``expm`` of the 2 x 2 exchange block serves
-    every time.
+    every time: -i H t = [[0, g t], [-g t, -loss t]] is exactly real, so
+    it is exponentiated in float64.
     """
     if loss == 0.0:
         return np.array([(math.cos(g * t), -math.sin(g * t)) for t in times], dtype=complex).reshape(-1, 2)
-    h = np.array([[0.0, 1j * g], [-1j * g, -1j * loss]], dtype=complex)
+    exponent = np.array([[0.0, g], [-g, -loss]])
     t = np.array(times, dtype=float)[:, None, None]
-    return expm(-1j * h * t)[:, :, 0]
+    return expm(exponent * t)[:, :, 0].astype(complex)
 
 
 def pbg_layout() -> HilbertLayout:

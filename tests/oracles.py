@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from zenobell.hilbert import OperatorMatrix, StateVector
+
 
 def embed_by_index(local: np.ndarray, axis: int, dims) -> np.ndarray:
     """Identity-padded embedding built entry by entry from multi-indices."""
@@ -344,3 +346,10 @@ def per_shot_odd_count(probs, shots: int, seed, readout_error: float = 0.0) -> i
     odd ^= rng.random(shots) < readout_error
     odd ^= rng.random(shots) < readout_error
     return int(np.count_nonzero(odd))
+
+
+def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
+    """op |psi> as a state on the same layout."""
+    if op.layout != psi.layout:
+        raise ValueError("operator and state live on different layouts")
+    return StateVector(psi.layout, op.entries @ psi.amplitudes)

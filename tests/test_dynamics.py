@@ -1,7 +1,10 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from zenobell import dynamics
 from zenobell.dynamics import (
@@ -12,10 +15,11 @@ from zenobell.dynamics import (
     evolve_no_jump,
     h_cond_lambda,
     h_cond_two_level,
-    no_jump_propagators,
+    no_jump_states,
     no_photon_probability,
     pair_drive,
 )
+from zenobell.gates import cnot_pulse_sweep
 from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
 
 from oracles import conditional_hamiltonian, dense_drive_stack, integrate_schrodinger
@@ -361,13 +365,113 @@ def test_stacked_propagators_equal_evolve_no_jump(monkeypatch):
     for budget in (2**23, 1, 2 * 16 * spec.layout().total_dim ** 2):
         monkeypatch.setattr(dynamics, "_EXPM_BYTES", budget)
         exponentiated.clear()
-        got = [u @ psi0.amplitudes for u in no_jump_propagators(family, drives, times)]
+        got = no_jump_states(family, drives, times, [psi0.amplitudes])[:, 0]
         assert len(got) == len(drives)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
         assert sum(exponentiated) == 3  # the zero-length point is not exponentiated
     with pytest.raises(ValueError, match="times must be >= 0"):
-        next(no_jump_propagators(family, drives[:1], [-1.0]))
+        no_jump_states(family, drives[:1], [-1.0], [psi0.amplitudes])
+
+
+# ------------------------------------------- structure-aware propagation
+
+
+def _family(levels, n_max, gamma, drive=None):
+    spec = SystemSpec(atom_levels=levels, n_atoms=2, g=1.0, kappa=0.7, gamma=gamma, n_max=n_max)
+    return DrivenHamiltonian.of(spec, drive or (pair_drive(0.1) if levels == 2 else cnot_drive(0.1)))
+
+
+def _spy_expm(monkeypatch):
+    """Record the dtype and shape of every stack ``dynamics`` exponentiates."""
+    calls, expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: calls.append((a.dtype, a.shape)) or expm(a))
+    return calls
+
+
+def test_components_partition_the_basis_and_decouple_exactly():
+    for levels in (2, 3):
+        for n_max in (1, 2, 3):
+            family = _family(levels, n_max, 0.1)
+            d = family.layout.total_dim
+            states = np.concatenate([c.states for c in family.components])
+            assert sorted(states.tolist()) == list(range(d))
+            label = np.empty(d, dtype=int)
+            for n, c in enumerate(family.components):
+                label[c.states] = n
+                assert len(c.edges) == len(c.states) - 1
+            drives = [pair_drive(om) if levels == 2 else cnot_drive(om) for om in (0.02, 0.3)]
+            # every column of the propagator: one input per basis state
+            finals = no_jump_states(family, drives, [150.0, 7.5], np.eye(d))
+            between = label[:, None] != label[None, :]
+            for propagator in finals:
+                assert np.all(propagator[between] == 0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_real_drives_propagate_as_real_blocks(monkeypatch, levels, n_max, gamma):
+    # with real Rabi frequencies every gauged block has imaginary part
+    # exactly 0, so every block goes to expm as float64
+    family = _family(levels, n_max, gamma)
+    d = family.layout.total_dim
+    drive_of = pair_drive if levels == 2 else cnot_drive
+    calls = _spy_expm(monkeypatch)
+    no_jump_states(family, [drive_of(om) for om in (0.005, -0.04, 0.3)], [600.0, 80.0, 3.0], np.eye(d))
+    assert len(calls) == len(family.components)
+    assert {dtype for dtype, _ in calls} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize(
+    "levels, drive, path",
+    [
+        (2, pair_drive(0.05), "float64"),
+        (3, cnot_drive(0.05), "float64"),
+        (2, pair_drive(1e-3j), "float64"),  # imaginary lasers: real entries, no turns
+        (3, cnot_drive(1e-3j), "float64"),
+        (2, pair_drive(-0.05 + 0.03j), "complex128"),  # no quarter turns gauge this phase away
+        (3, {(1, "1-2"): 0.04, (2, "0-2"): 0.04 * cmath.exp(1j * math.pi / 3)}, "complex128"),
+    ],
+)
+def test_no_jump_states_equal_the_full_complex_exponential(monkeypatch, levels, drive, path):
+    family = _family(levels, 2, 0.01, drive)
+    d = family.layout.total_dim
+    calls = _spy_expm(monkeypatch)
+    times = [40.0, 0.3, 900.0]
+    finals = no_jump_states(family, [drive] * len(times), times, np.eye(d))
+    for h, t, propagator in zip(family.stack([drive] * len(times)), times, finals):
+        want = scipy_expm(-1j * h * t).T  # row m: the final state of input m
+        assert np.linalg.norm(propagator - want) <= 1e-12 * np.linalg.norm(want)
+    dtypes = {dtype for dtype, _ in calls}
+    # a component no unequal phase reaches may still gauge to real
+    assert dtypes == {np.dtype(path)} if path == "float64" else np.dtype(path) in dtypes
+
+
+def test_zero_time_rows_are_the_inputs():
+    family = _family(3, 2, 0.01)
+    d = family.layout.total_dim
+    rng = np.random.default_rng(5)
+    inputs = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    finals = no_jump_states(family, [cnot_drive(0.02)] * 3, [0.0, 50.0, 0.0], inputs)
+    assert finals[0].tobytes() == finals[2].tobytes() == inputs.tobytes()
+
+
+def test_cnot_record_does_not_depend_on_the_other_inputs():
+    spec = lambda_spec(0.01, 0.0, n_max=3)
+    labels = ["00", "01", "10", "11"]
+    superposition = state_from_amplitudes(spec.layout(), {(0, 0, 0): 0.6, (1, 0, 0): 0.8j})
+    omegas = [0.005, 0.02, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        together = cnot_pulse_sweep(spec, omegas, labels + [superposition])
+        for m, given in enumerate(labels + [superposition]):
+            for others in ([], labels[::-1]):
+                alone = cnot_pulse_sweep(spec, omegas, others + [given])
+                for row, row_alone in zip(together, alone):
+                    a, b = row[m], row_alone[-1]
+                    assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
+                    assert (a.p0, a.fidelity) == (b.p0, b.fidelity)
 
 
 def test_driven_family_takes_h0_from_the_undriven_conditional_hamiltonian(monkeypatch):

@@ -48,6 +48,53 @@ def test_stack_agrees_with_scipy_over_the_scaling_range(d):
         assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def real_non_normal_stack(d, norms, rng):
+    """Random real S B S^-1 with a non-orthogonal S, one slice per entry of ``norms``, shuffled.
+
+    B is block-diagonal with 2 x 2 blocks [[-gamma, w], [-w, -gamma]]
+    (w in (-1, 1), gamma in (0, 0.01)), the real form of the spectrum of
+    :func:`non_normal_stack` and the shape of a gauged conditional
+    Hamiltonian block; each slice is rescaled to its 1-norm.
+    """
+    slices = []
+    for norm in norms:
+        s = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / np.sqrt(d)
+        b = -np.diag(rng.uniform(0.0, 0.01, d))
+        for i in range(0, d - 1, 2):
+            w = rng.uniform(-1.0, 1.0)
+            b[i, i + 1], b[i + 1, i] = w, -w
+        a = s @ b @ np.linalg.inv(s)
+        slices.append(a * (norm / np.abs(a).sum(axis=0).max()))
+    return np.array(slices)[rng.permutation(len(norms))]
+
+
+@pytest.mark.parametrize("d", [2, 12, 27])
+def test_real_stack_agrees_with_scipy_over_the_scaling_range(d):
+    rng = np.random.default_rng(200 + d)
+    a = real_non_normal_stack(d, NORMS, rng)
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    assert set(np.searchsorted(_expm._THETA, norms)) == set(range(len(_expm._DEGREES) + 1))
+    assert np.ceil(np.log2(norms.max() / _expm._THETA[-1])) == 11
+    got = expm(a)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    for m, u in zip(a, got):
+        # scipy's complex path, the one the complex stack is checked against:
+        # on these slices its float64 path strays further (up to ~1e-10 at d = 2)
+        want = scipy_expm(m.astype(complex))
+        assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_real_matrix_equals_its_slice_of_a_stack_bit_for_bit():
+    rng = np.random.default_rng(8)
+    diagonal = [np.diag(rng.normal(size=12)) * norm for norm in (0.0, 1e-3, 40.0)]
+    a = np.concatenate([real_non_normal_stack(12, NORMS, rng), diagonal])[rng.permutation(len(NORMS) + 3)]
+    stacked = expm(a)
+    for m, u in zip(a, stacked):
+        assert expm(m).tobytes() == u.tobytes()
+    for m in diagonal:
+        assert expm(m).tobytes() == scipy_expm(m).tobytes()
+
+
 def test_matrix_equals_its_slice_of_a_stack_bit_for_bit():
     rng = np.random.default_rng(7)
     diagonal = [np.diag(rng.normal(size=12) + 1j * rng.normal(size=12)) * norm for norm in (0.0, 1e-3, 40.0)]

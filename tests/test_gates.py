@@ -413,14 +413,17 @@ def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
     exponentiated = []
 
     def counting_expm(a):
-        exponentiated.append(a.shape[:-2])
+        exponentiated.append(a.shape)
         return expm(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     spec = lambda_spec(IN_REGIME_GAMMA)
     omegas = [0.01, 0.02, 0.03]
     records = cnot_pulse_sweep(spec, omegas, [qubit_state(spec, lab) for lab in QUBIT_LABELS])
-    assert exponentiated == [(3,)]  # one stacked call, one matrix per omega
+    # one stacked call per component the four inputs reach, one block per
+    # omega: |10> and |11> share the 18-state component, |00> and |01> each
+    # reach their own
+    assert sorted(exponentiated) == [(3, 1, 1), (3, 3, 3), (3, 18, 18)]
     assert len(records) == 3 and all(len(row) == 4 for row in records)
 
 

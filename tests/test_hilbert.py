@@ -10,7 +10,6 @@ from zenobell.hilbert import (
     SIGMA_Z,
     OperatorMatrix,
     StateVector,
-    apply,
     basis_state,
     compose,
     embed,
@@ -21,7 +20,7 @@ from zenobell.hilbert import (
     state_from_amplitudes,
 )
 
-from oracles import embed_by_index, run_record_scores
+from oracles import apply, embed_by_index, run_record_scores
 
 
 def test_compose_two_qubits_basis_order():
