@@ -13,7 +13,8 @@ CSV output is deterministic (bit-identical for identical config and
 seed): header row, '\\n' line endings, floats printed with 9 significant
 digits, booleans as true/false.  Row k of a sampled run draws from
 ``np.random.SeedSequence(seed, spawn_key=(k,))``, so no two runs share
-a row's stream.  Exit codes: 0 ok, 1 config or usage error, 2 numeric
+a row's stream.  An output file that already holds the new bytes is
+not rewritten.  Exit codes: 0 ok, 1 config or usage error, 2 numeric
 failure, 3 I/O failure.  Regime warnings are printed but do not change
 the exit code.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -82,6 +84,42 @@ def render_csv(header, rows) -> str:
             cells = (map(_fmt, row) for row in block)
         lines.extend(map(",".join, cells))
     return "\n".join(lines) + "\n"
+
+
+def _holds(path: Path, text: str) -> bool:
+    """Whether ``path`` can be read and holds exactly ``text``."""
+    try:
+        with open(path, newline="") as f:
+            return f.read(len(text) + 1) == text
+    except (OSError, ValueError):  # missing, a directory, unreadable or not text
+        return False
+
+
+def _write_outputs(out_dir, texts) -> list[Path]:
+    """Write each text to ``out_dir / name`` with ``newline=""``; return the paths.
+
+    ``out_dir`` is created if missing.  A file that already holds exactly
+    the text is left as it is and only gets a new modification time;
+    anything else is opened for writing and truncated, through a symlink
+    or hard link, as ``Path.write_text`` does.  Re-running a config into
+    its own directory therefore does not truncate its unchanged outputs:
+    on ext4, truncating a file whose data has been written out (by the
+    ~30 s writeback, or by the flush that closing a truncated file starts)
+    waits 20-45 ms, and unlinking it waits as long.  Every failure is an
+    ``OSError``.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in texts.items():
+        path = out_dir / name
+        if _holds(path, text):
+            os.utime(path)
+        else:
+            with open(path, "w", newline="") as f:
+                f.write(text)
+        paths.append(path)
+    return paths
 
 
 def _check_probability(p: float, what: str, point: str) -> float:
@@ -249,10 +287,8 @@ _RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", quiet: bool = False) -> Path:
     """Execute a scenario, write its CSV and summary, return the CSV path."""
     header, rows, summary = _RUNNERS[cfg.scenario](cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / (cfg.out if cfg.out else f"{cfg.scenario}.csv")
-    csv_path.write_text(render_csv(header, rows), newline="")
+    csv_name = Path(cfg.out if cfg.out else f"{cfg.scenario}.csv")
+    summary_name = csv_name.parent / (csv_name.stem + "_summary.txt")
 
     lines = [f"scenario = {cfg.scenario}"]
     for key, value in sorted(cfg.physics.items()):
@@ -264,8 +300,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", quiet: bool = False) -
     lines.append(f"rows = {len(rows)}")
     lines.extend(summary)
     text = "\n".join(lines) + "\n"
-    summary_path = csv_path.with_name(csv_path.stem + "_summary.txt")
-    summary_path.write_text(text)
+    csv_path, _ = _write_outputs(out_dir, {csv_name: render_csv(header, rows), summary_name: text})
     if not quiet:
         sys.stdout.write(text)
         sys.stdout.write(f"wrote {csv_path}\n")
@@ -310,10 +345,7 @@ def _figure_rows(which: str):
 
 def run_figure(which: str, out_dir: str = ".", quiet: bool = False) -> Path:
     header, rows = _figure_rows(which)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{which}.csv"
-    path.write_text(render_csv(header, rows), newline="")
+    (path,) = _write_outputs(out_dir, {f"{which}.csv": render_csv(header, rows)})
     if not quiet:
         sys.stdout.write(f"wrote {path} ({len(rows)} rows)\n")
     return path

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import re
 import tempfile
 import time
@@ -371,6 +372,105 @@ def test_cli_figures(tmp_path):
     assert run_cli(["figure", "fig2", "--out", tmp_path, "--quiet"]) == 0
     header = (tmp_path / "fig2.csv").read_text().split("\n", 1)[0]
     assert header == "gamma,omega_minus,T,p0,fidelity,alpha_re,alpha_im"
+
+
+# ------------------------------------------------------ replacing output files
+
+
+def _outputs(out_dir):
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def _mermin_config(tmp_path):
+    cfg = tmp_path / "mermin.cfg"
+    cfg.write_text("scenario = mermin\n")
+    return cfg
+
+
+def test_cli_rerun_into_one_directory_gives_the_first_bytes(tmp_path):
+    pair, sampled = tmp_path / "pair.cfg", tmp_path / "bell.cfg"
+    pair.write_text(
+        "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0\n"
+        "omega_minus_values = 0.01, 0.02\nT_values = 50, 100\n"
+    )
+    sampled.write_text("scenario = bell_landscape\nshots = 400\nseed = 3\nomega_t_count = 3\nvartheta_count = 2\n")
+    out = tmp_path / "out"
+    runs = [["run", pair], ["run", sampled], ["figure", "fig4"]]
+    for argv in runs:
+        assert run_cli(argv + ["--out", out, "--quiet"]) == 0
+    first = _outputs(out)
+    assert set(first) == {
+        "prepare_pair.csv", "prepare_pair_summary.txt",
+        "bell_landscape.csv", "bell_landscape_summary.txt",
+        "fig4.csv",
+    }
+    for argv in runs:
+        assert run_cli(argv + ["--out", out, "--quiet"]) == 0
+    assert _outputs(out) == first
+
+
+def test_cli_longer_stale_outputs_are_replaced_whole(tmp_path):
+    cfg = _mermin_config(tmp_path)
+    assert run_cli(["run", cfg, "--out", tmp_path / "fresh", "--quiet"]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("mermin.csv", "mermin_summary.txt"):
+        (out / name).write_bytes(b"junk\n" * 200_000)  # ~1 MB, longer than any output
+    assert run_cli(["run", cfg, "--out", out, "--quiet"]) == 0
+    assert _outputs(out) == _outputs(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("name", ["mermin.csv", "mermin_summary.txt", "fig4.csv"])
+def test_cli_output_path_that_is_a_directory_exits_3(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = ["figure", "fig4"] if name == "fig4.csv" else ["run", _mermin_config(tmp_path)]
+    assert run_cli(argv + ["--out", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure:") and "Traceback" not in err
+    assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("link", ["symlink", "hard link"])
+def test_cli_link_at_output_path_is_written_through(tmp_path, link):
+    cfg = _mermin_config(tmp_path)
+    assert run_cli(["run", cfg, "--out", tmp_path / "fresh", "--quiet"]) == 0
+    fresh = _outputs(tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("mermin.csv", "mermin_summary.txt"):
+        target = tmp_path / f"target_{name}"
+        target.write_text("old\n")
+        if link == "symlink":
+            (out / name).symlink_to(target)
+        else:
+            (out / name).hardlink_to(target)
+    assert run_cli(["run", cfg, "--out", out, "--quiet"]) == 0
+    for name in ("mermin.csv", "mermin_summary.txt"):
+        assert (out / name).is_symlink() == (link == "symlink")
+        assert (tmp_path / f"target_{name}").read_bytes() == fresh[name]
+    assert _outputs(out) == fresh
+
+
+def test_cli_unchanged_output_is_not_rewritten_but_gets_a_new_mtime(tmp_path, monkeypatch):
+    cfg = _mermin_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["run", cfg, "--out", out, "--quiet"]) == 0
+    first = _outputs(out)
+    (out / "mermin_summary.txt").write_text(first["mermin_summary.txt"].decode() + "stale\n")
+    for name in first:
+        os.utime(out / name, (0, 0))
+    modes = []
+
+    def spy(path, mode="r", *args, **kwargs):
+        modes.append((Path(path).name, mode))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    assert run_cli(["run", cfg, "--out", out, "--quiet"]) == 0
+    assert [m for m in modes if "w" in m[1]] == [("mermin_summary.txt", "w")]
+    assert _outputs(out) == first
+    assert all((out / name).stat().st_mtime > 0 for name in first)
 
 
 def test_cli_regime_warning_does_not_change_exit_code(tmp_path):
