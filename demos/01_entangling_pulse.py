@@ -13,28 +13,29 @@ prints how the success probability and conditional fidelity respond.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from zenobell import SystemSpec, pair_target_alpha, prepare_pair
+from zenobell.gates import prepare_pair_sweep
 
 OMEGA = 0.02  # antisymmetric Rabi frequency, units of g
 
 print(f"pulse sweep at |Omega| = {OMEGA} g, kappa = g")
 print(f"{'|Om|T/pi':>9} {'p0':>8} {'fidelity':>9} {'|alpha|':>8} {'predicted':>10}")
 spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=0.0002, n_max=2)
-for frac in np.linspace(0.0, 2.0, 9):
-    duration = frac * math.pi / OMEGA
-    rec = prepare_pair(spec, OMEGA, duration)
+fracs = np.linspace(0.0, 2.0, 9)
+durations = (fracs * math.pi / OMEGA).tolist()
+run = prepare_pair_sweep(spec, [(OMEGA, duration) for duration in durations])
+for frac, duration, p0, fid, alpha in zip(fracs, durations, run.p0, run.fidelity, run.alpha.tolist()):
     predicted = abs(pair_target_alpha(OMEGA, duration))
-    print(f"{frac:9.2f} {rec.p0:8.4f} {rec.fidelity:9.5f} {abs(rec.alpha):8.4f} {predicted:10.4f}")
+    print(f"{frac:9.2f} {p0:8.4f} {fid:9.5f} {abs(alpha):8.4f} {predicted:10.4f}")
 
 print()
 print("spontaneous emission is the limiting factor (full pulse, T = pi/|Omega|):")
 print(f"{'gamma/g':>9} {'p0':>8} {'fidelity':>9} {'attempts':>9} {'in regime':>10}")
 for gamma in (0.0, 0.0002, 0.001, 0.01):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = prepare_pair(

@@ -15,8 +15,8 @@ digits, booleans as true/false.  Row k of a sampled run draws from
 ``np.random.SeedSequence(seed, spawn_key=(k,))``, so no two runs share
 a row's stream.  An output file that already holds the new bytes is
 not rewritten.  Exit codes: 0 ok, 1 config or usage error, 2 numeric
-failure, 3 I/O failure.  Regime warnings are printed but do not change
-the exit code.
+failure, 3 I/O failure.  Runs do not warn: the regime of each omega
+goes to the summary, and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import itertools
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,19 +139,15 @@ def _regime_lines(regimes) -> list[str]:
 def _run_prepare_pair(cfg: ScenarioConfig):
     p = cfg.physics
     spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
-    points = []
+    oms, ts = [], []
     for om in p["omega_values"]:
         t_values = p["t_values"] if p["t_values"] is not None else [math.pi / abs(om)]
-        points.extend((om, t) for t in t_values)
-
-    # regime trouble is surfaced once in the summary, not per grid point
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        records = gates.prepare_pair_sweep(spec, points)
-    rows = [(om, t, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag) for (om, t), rec in zip(points, records)]
+        oms.extend([om] * len(t_values))
+        ts.extend(t_values)
+    run = gates.prepare_pair_sweep(spec, zip(oms, ts))
+    rows = list(zip(oms, ts, run.p0.tolist(), run.fidelity.tolist(), run.alpha.real.tolist(), run.alpha.imag.tolist()))
     header = ("omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
-    regime_of = {om: rec.regime for (om, _), rec in zip(points, records)}
-    summary = _regime_lines((om, regime_of[om]) for om in p["omega_values"])
+    summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
     best = max(rows, key=lambda r: r[3])
     summary.append(f"best fidelity = {best[3]:.6f} at omega_minus={best[0]:.9g}, T={best[1]:.9g} (p0={best[2]:.6f})")
     summary.append(f"last row: p0 = {rows[-1][2]:.6f}, fidelity = {rows[-1][3]:.6f}")
@@ -163,14 +158,11 @@ def _run_cnot(cfg: ScenarioConfig):
     p = cfg.physics
     spec = SystemSpec(atom_levels=3, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
     labels = gates.QUBIT_LABELS if p["input"] == "all" else (p["input"],)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        records = gates.cnot_pulse_sweep(spec, p["omega_values"], labels)
-    rows = []
-    for om, per_input in zip(p["omega_values"], records):
-        rows.extend((om, lab, rec.p0, rec.fidelity) for lab, rec in zip(labels, per_input))
+    run = gates.cnot_pulse_sweep(spec, p["omega_values"], labels)
+    cells = zip(itertools.product(p["omega_values"], labels), run.p0.ravel().tolist(), run.fidelity.ravel().tolist())
+    rows = [(om, lab, p0, f) for (om, lab), p0, f in cells]
     header = ("omega", "input_label", "p0", "fidelity")
-    summary = _regime_lines((om, per_input[0].regime) for om, per_input in zip(p["omega_values"], records))
+    summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
     worst = min(rows, key=lambda r: r[3])
     summary.append(f"worst fidelity = {worst[3]:.6f} (omega={worst[0]:.9g}, input={worst[1]})")
     return header, rows, summary
@@ -320,22 +312,18 @@ def _figure_rows(which: str):
         return ("omega_T", "vartheta", "b_s", "violated"), bell.bs_landscape(grid_t, grid_v)
 
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for gam in _FIGURE_GAMMAS:
-            if which == "fig2":
-                s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-                records = gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS])
-                rows.extend(
-                    (gam, om, rec.duration, rec.p0, rec.fidelity, rec.alpha.real, rec.alpha.imag)
-                    for om, rec in zip(_FIGURE_OMEGAS, records)
-                )
-            else:
-                # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
-                s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-                records = gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"])
-                for om, (rec,) in zip(_FIGURE_OMEGAS, records):
-                    rows.append((gam, om, rec.duration, rec.p0, rec.fidelity))
+    for gam in _FIGURE_GAMMAS:
+        if which == "fig2":
+            s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
+            run = gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS])
+            alpha = (run.alpha.real.tolist(), run.alpha.imag.tolist())
+        else:
+            # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
+            s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
+            run = gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"])
+            alpha = ()
+        columns = (run.duration.tolist(), run.p0.ravel().tolist(), run.fidelity.ravel().tolist(), *alpha)
+        rows.extend(zip(itertools.repeat(gam), _FIGURE_OMEGAS, *columns))
     if which == "fig2":
         return ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im"), rows
     if which == "fig4":

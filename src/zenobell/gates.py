@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .states import entangled_pair_amplitudes, entangled_pair_state
 
 __all__ = [
     "RunRecord",
+    "SweepResult",
     "prepare_pair",
     "prepare_pair_sweep",
     "pair_target_alpha",
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 QUBIT_LABELS = ("00", "01", "10", "11")
+_QUBIT_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the atom levels of each label
 
 
 @dataclass(frozen=True)
@@ -66,23 +70,54 @@ class RunRecord:
         return math.inf if self.p0 == 0 else 1.0 / self.p0
 
 
-def _warn_if_out_of_regime(regime: RegimeReport) -> None:
-    failed = {name: r for name, r in regime.ratios.items() if not r < regime.threshold}
-    if failed:
-        named = ", ".join(f"{name} = {r:g}" for name, r in failed.items())
-        warnings.warn(
-            f"parameters outside the strong-coupling regime: {named} (each ratio must be < {regime.threshold:g})",
-            stacklevel=4,
-        )
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Outcome of a pulse sweep as read-only columns, one entry per run.
+
+    The runs are indexed by point for :func:`prepare_pair_sweep` and by
+    (omega, input) for :func:`cnot_pulse_sweep`: ``final_states`` has
+    shape (points, d) or (omegas, inputs, d), and ``p0`` and ``fidelity``
+    share its leading shape.  ``alpha`` is the achieved entangled-pair
+    amplitude per point, and ``None`` for the CNOT.  ``duration`` is
+    per point for the pair and per omega for the CNOT.  ``regimes``
+    maps each distinct omega, in first-seen order, to its
+    :class:`RegimeReport`.  Sweeps do not warn; a run's pulse is short
+    for Zeno suppression when ``duration < 10 * zeno_timescale(spec)``.
+    """
+
+    final_states: np.ndarray
+    p0: np.ndarray
+    fidelity: np.ndarray
+    alpha: np.ndarray | None
+    duration: np.ndarray
+    regimes: Mapping
+
+    def __post_init__(self):
+        for column in (self.final_states, self.p0, self.fidelity, self.alpha, self.duration):
+            if column is not None:
+                column.setflags(write=False)
+        object.__setattr__(self, "regimes", MappingProxyType(dict(self.regimes)))
 
 
-def _warn_if_slow_measurement(spec: SystemSpec, duration: float) -> None:
+def _regime_warnings(spec: SystemSpec, regime: RegimeReport, duration: float) -> list[str]:
+    """The warnings of one run outside the strong-coupling regime or with a pulse too short for Zeno suppression."""
+    messages, limit = [], regime.threshold
+    if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < limit):
+        messages.append(f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {limit:g})")
     if spec.kappa > 0 and duration < 10.0 * zeno_timescale(spec):
-        warnings.warn(
-            "pulse shorter than 10x the environment-measurement timescale; "
-            "Zeno suppression of leakage may be poor",
-            stacklevel=4,
+        messages.append(
+            "pulse shorter than 10x the environment-measurement timescale; Zeno suppression of leakage may be poor"
         )
+    return messages
+
+
+def _first_record(spec: SystemSpec, run: SweepResult) -> RunRecord:
+    """The one run of a one-point sweep as a :class:`RunRecord`."""
+    first = (0,) * run.p0.ndim
+    alpha = None if run.alpha is None else complex(run.alpha[first])
+    (regime,) = run.regimes.values()
+    state = StateVector(spec.layout(), run.final_states[first])
+    return RunRecord(state, float(run.p0[first]), float(run.fidelity[first]), alpha, float(run.duration[0]), regime)
 
 
 def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
@@ -100,55 +135,48 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     Omega_1 = -Omega_2 = omega_minus / sqrt(2) (:func:`pair_drive`), so the
     antisymmetric combination equals ``omega_minus``.  The pulse runs for
     ``duration`` under the full two-level conditional Hamiltonian;
-    out-of-regime parameters produce a warning, not an error.  The fidelity
-    target is :func:`~zenobell.states.entangled_pair_state` at the ideal
-    alpha (:func:`pair_target_alpha`); the achieved alpha is the overlap of
-    the renormalized final state with |a> (cavity empty).
+    out-of-regime parameters and a pulse shorter than 10x
+    :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
+    The fidelity target is :func:`~zenobell.states.entangled_pair_state`
+    at the ideal alpha (:func:`pair_target_alpha`); the achieved alpha is
+    the overlap of the renormalized final state with |a> (cavity empty).
     """
-    return _pair_records(spec, [(omega_minus, duration)])[0]
+    record = _first_record(spec, prepare_pair_sweep(spec, [(omega_minus, duration)]))
+    for message in _regime_warnings(spec, record.regime, record.duration):
+        warnings.warn(message, stacklevel=2)
+    return record
 
 
-def prepare_pair_sweep(spec: SystemSpec, points) -> list[RunRecord]:
-    """:func:`prepare_pair` at every (omega_minus, duration) point, in order.
+def prepare_pair_sweep(spec: SystemSpec, points) -> SweepResult:
+    """:func:`prepare_pair` at every (omega_minus, duration) point, in order, as one :class:`SweepResult`.
 
     The Hamiltonian is assembled once and all pulses are propagated by
-    stacked matrix exponentials; each record equals the single-point one.
-    Raises :class:`NumericalError` naming the point where the final state
-    is not finite or has no norm left.
+    stacked matrix exponentials; row j equals the single-point record of
+    point j.  Raises :class:`NumericalError` naming the point where the
+    final state is not finite or has no norm left.
     """
-    return _pair_records(spec, points)
-
-
-def _pair_records(spec: SystemSpec, points) -> list[RunRecord]:
-    # both public forms call this, so the warnings (stacklevel 4) name their caller
     points = list(points)
     for om, duration in points:
         if duration < 0:
             raise ValueError("duration must be >= 0")
         if complex(om) == 0:
             raise ValueError("omega_minus must be nonzero")
-    if not points:
-        return []
-    regimes = {om: check_regime(spec, abs(complex(om))) for om, _ in points}
-    for om, duration in points:
-        _warn_if_out_of_regime(regimes[om])
-        _warn_if_slow_measurement(spec, duration)
+    regimes = {om: check_regime(spec, abs(complex(om))) for om in dict.fromkeys(om for om, _ in points)}
 
     layout = spec.layout()
     psi0 = basis_state(layout, (0, 0, 0))
     drives = [pair_drive(om) for om, _ in points]
-    family = DrivenHamiltonian.of(spec, drives[0])
-    finals = no_jump_states(family, drives, [duration for _, duration in points], [psi0.amplitudes])[:, 0]
+    durations = np.array([duration for _, duration in points], dtype=float)
+    # the lasers of pair_drive do not depend on omega_minus
+    family = DrivenHamiltonian.of(spec, pair_drive(1.0))
+    finals = no_jump_states(family, drives, durations, [psi0.amplitudes])[:, 0]
     check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
 
     targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in points], layout)
     norm = norms(finals)
-    p0, fid = _p0(norm), fidelities(finals, targets).tolist()
-    achieved = (np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm).tolist()
-    return [
-        RunRecord(StateVector(layout, amps), p, f, a, duration, regimes[om])
-        for (om, duration), amps, p, f, a in zip(points, finals, p0, fid, achieved)
-    ]
+    p0 = np.float_power(norm, 2.0)  # ||psi||^2 as StateVector.norm() ** 2 gives it
+    achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
+    return SweepResult(finals, p0, fidelities(finals, targets), achieved, durations, regimes)
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -195,20 +223,13 @@ def qubit_state(spec: SystemSpec, amplitudes) -> StateVector:
         vec[QUBIT_LABELS.index(amplitudes)] = 1.0
     else:
         vec = np.asarray(amplitudes, dtype=complex).reshape(4)
-    layout = spec.layout()
-    mapping = {}
-    for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        mapping[(a, b, 0)] = vec[k]
-    return state_from_amplitudes(layout, mapping)
+    return state_from_amplitudes(spec.layout(), {(a, b, 0): v for (a, b), v in zip(_QUBIT_LEVELS, vec)})
 
 
 def qubit_amplitudes(state: StateVector) -> np.ndarray:
     """Project a full-layout state onto the 4 qubit basis states (cavity empty)."""
     layout = state.layout
-    return np.array(
-        [state.amplitudes[layout.basis_index((a, b, 0))] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))],
-        dtype=complex,
-    )
+    return np.array([state.amplitudes[layout.basis_index((a, b, 0))] for a, b in _QUBIT_LEVELS], dtype=complex)
 
 
 def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunRecord:
@@ -217,28 +238,28 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     Lasers drive atom 1 on "1-2" and atom 2 on "0-2", both with Rabi
     frequency sqrt(2)*omega (:func:`cnot_drive`), for a duration
     sqrt(2) pi / |omega|.  The fidelity is scored against the ideal CNOT
-    permutation applied to the input amplitudes.
+    permutation applied to the input amplitudes.  Out-of-regime
+    parameters and a pulse shorter than 10x
+    :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
     """
-    return _cnot_records(spec, [omega], [input_state])[0][0]
+    record = _first_record(spec, cnot_pulse_sweep(spec, [omega], [input_state]))
+    for message in _regime_warnings(spec, record.regime, record.duration):
+        warnings.warn(message, stacklevel=2)
+    return record
 
 
-def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
-    """:func:`cnot_pulse` for every omega and input; ``records[i][m]`` is omega i, input m.
+def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
+    """:func:`cnot_pulse` for every omega and input as one :class:`SweepResult`; run (i, m) is omega i, input m.
 
     Each input is a qubit-subspace state or one of the labels "00", "01",
     "10", "11" (:func:`qubit_state`).  Each omega's propagator, from
     stacked matrix exponentials of the blocks the inputs reach
     (:func:`~zenobell.dynamics.no_jump_states`), is applied to every
-    input; each record equals the single-point one.  Raises
+    input; run (i, m) equals the single-point record.  Raises
     :class:`NumericalError` naming the omega and the input (its label,
     else its position) where a final state is not finite or has no norm
     left.
     """
-    return _cnot_records(spec, omegas, inputs)
-
-
-def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
-    # both public forms call this, so the warnings (stacklevel 4) name their caller
     omegas, inputs = list(omegas), list(inputs)
     if any(omega == 0 for omega in omegas):
         raise ValueError("omega must be nonzero")
@@ -260,28 +281,15 @@ def _cnot_records(spec: SystemSpec, omegas, inputs) -> list[list[RunRecord]]:
         in_states.append(input_state.amplitudes)
         targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps).amplitudes)
 
-    if not omegas:
-        return []
-    durations = [cnot_duration(omega) for omega in omegas]
-    regimes = [check_regime(spec, abs(omega)) for omega in omegas]
-    for regime, duration in zip(regimes, durations):
-        _warn_if_out_of_regime(regime)
-        _warn_if_slow_measurement(spec, duration)
+    regimes = {omega: check_regime(spec, abs(omega)) for omega in dict.fromkeys(omegas)}
 
+    durations = np.array([cnot_duration(omega) for omega in omegas], dtype=float)
     drives = [cnot_drive(omega) for omega in omegas]
-    finals = no_jump_states(DrivenHamiltonian.of(spec, drives[0]), drives, durations, in_states)
+    finals = no_jump_states(DrivenHamiltonian.of(spec, cnot_drive(1.0)), drives, durations, in_states)
     n_in, d = len(inputs), layout.total_dim
     check_final_states(
         finals.reshape(-1, d), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
     )
     # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
-    p0, fid = _p0(norms(finals)), fidelities(finals, np.array(targets).reshape(n_in, d)).tolist()
-    return [
-        [RunRecord(StateVector(layout, amps), p, f, None, duration, regime) for amps, p, f in zip(row, p0_row, fid_row)]
-        for duration, regime, row, p0_row, fid_row in zip(durations, regimes, finals, p0, fid)
-    ]
-
-
-def _p0(norm: np.ndarray) -> list:
-    """No-photon probabilities ||psi||^2 from the norms, as ``StateVector.norm() ** 2`` gives them."""
-    return np.float_power(norm, 2.0).tolist()
+    fid = fidelities(finals, np.array(targets).reshape(n_in, d))
+    return SweepResult(finals, np.float_power(norms(finals), 2.0), fid, None, durations, regimes)

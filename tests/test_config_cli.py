@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,15 +474,23 @@ def test_cli_unchanged_output_is_not_rewritten_but_gets_a_new_mtime(tmp_path, mo
     assert all((out / name).stat().st_mtime > 0 for name in first)
 
 
-def test_cli_regime_warning_does_not_change_exit_code(tmp_path):
-    cfg = tmp_path / "pair.cfg"
-    cfg.write_text(
+def test_cli_regime_warning_does_not_change_exit_code(tmp_path, capsys):
+    # out-of-regime runs raise no warning, even as an error: the regime goes to the summary
+    pair = tmp_path / "pair.cfg"
+    pair.write_text(
         "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.01\n"
         "omega_minus = 0.02\nT = auto\n"
     )
-    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
-    summary = (tmp_path / "prepare_pair_summary.txt").read_text()
-    assert "in_regime=False" in summary
+    cnot = tmp_path / "cnot.cfg"
+    cnot.write_text("scenario = cnot\ng = 1\nkappa = 1\ngamma = 0.01\nomega = 0.02\ninput = all\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", pair, "--out", tmp_path, "--quiet"]) == 0
+        assert run_cli(["run", cnot, "--out", tmp_path, "--quiet"]) == 0
+        assert run_cli(["figure", "fig2", "--out", tmp_path, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("prepare_pair", "cnot"):
+        assert "in_regime=False" in (tmp_path / f"{name}_summary.txt").read_text()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

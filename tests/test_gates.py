@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from zenobell.dfs import effective_hamiltonian, lambda_dfs_vectors, pair_dfs_vectors, subspace_from_vectors
+from zenobell.dfs import (
+    effective_hamiltonian,
+    lambda_dfs_vectors,
+    pair_dfs_vectors,
+    subspace_from_vectors,
+    zeno_timescale,
+)
 from zenobell import dynamics
 from zenobell.dynamics import (
     NumericalError,
@@ -319,10 +325,33 @@ def test_cnot_input_validation():
 # ------------------------------------------------------------ batched sweeps
 
 
-def _same_record(a, b):
-    assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
-    assert (a.p0, a.fidelity, a.alpha, a.duration) == (b.p0, b.fidelity, b.alpha, b.duration)
-    assert a.regime == b.regime
+def _bits(*values):
+    return np.array([complex(v) for v in values if v is not None]).tobytes()
+
+
+def _same_row(run, index, omega, record):
+    """Run ``index`` of a sweep's columns equals the single-point record, bit for bit."""
+    alpha = None if run.alpha is None else run.alpha[index]
+    assert (alpha is None) == (record.alpha is None)
+    assert run.final_states[index].tobytes() == record.final_state.amplitudes.tobytes()
+    row = (run.p0[index], run.fidelity[index], alpha, run.duration[index[0]])
+    assert _bits(*row) == _bits(record.p0, record.fidelity, record.alpha, record.duration)
+    assert run.regimes[omega] == record.regime
+
+
+def _quietly(call):
+    """A single-point run, which warns outside the regime where the sweep it is compared with does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return call()
+
+
+def _columns(run):
+    return [run.final_states, run.p0, run.fidelity, run.duration] + ([] if run.alpha is None else [run.alpha])
+
+
+def _read_only(run):
+    return not any(column.flags.writeable for column in _columns(run))
 
 
 PAIR_POINTS = [(0.02, 0.0), (0.02, math.pi / 0.02), (-0.05 + 0.01j, 80.0), (0.3, 0.0), (0.3, 11.0), (0.01, 400.0)]
@@ -331,27 +360,29 @@ PAIR_POINTS = [(0.02, 0.0), (0.02, math.pi / 0.02), (-0.05 + 0.01j, 80.0), (0.3,
 @pytest.mark.parametrize("gamma", [0.0, STATED_GAMMA])
 def test_prepare_pair_sweep_equals_single_point_records(gamma):
     spec = pair_spec(gamma, n_max=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        batch = prepare_pair_sweep(spec, PAIR_POINTS)
-        singles = [prepare_pair(spec, om, t) for om, t in PAIR_POINTS]
-    assert len(batch) == len(PAIR_POINTS)
-    for (om, t), a, b in zip(PAIR_POINTS, batch, singles):
-        _same_record(a, b)
+    d = spec.layout().total_dim
+    run = prepare_pair_sweep(spec, PAIR_POINTS)
+    assert run.final_states.shape == (len(PAIR_POINTS), d)
+    assert run.p0.shape == run.fidelity.shape == run.alpha.shape == run.duration.shape == (len(PAIR_POINTS),)
+    assert _read_only(run)
+    # one regime per distinct omega, in first-seen order
+    assert list(run.regimes) == [0.02, -0.05 + 0.01j, 0.3, 0.01]
+    for i, (om, t) in enumerate(PAIR_POINTS):
+        _same_row(run, (i,), om, _quietly(lambda: prepare_pair(spec, om, t)))
         # the per-point route: assemble H for this drive, one expm
         psi0 = basis_state(spec.layout(), (0, 0, 0))
         direct = evolve_no_jump(h_cond_two_level(spec.with_rabi(pair_drive(om))), psi0, t)
-        assert a.final_state.amplitudes.tobytes() == direct.amplitudes.tobytes()
-    assert prepare_pair_sweep(spec, []) == []
+        assert run.final_states[i].tobytes() == direct.amplitudes.tobytes()
 
-
-def _bits(*values):
-    return np.array([complex(v) for v in values if v is not None]).tobytes()
+    empty = prepare_pair_sweep(spec, [])
+    assert empty.final_states.shape == (0, d)
+    assert empty.p0.shape == empty.fidelity.shape == empty.alpha.shape == empty.duration.shape == (0,)
+    assert dict(empty.regimes) == {} and _read_only(empty)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_sweep_records_score_as_the_one_state_formulas(n_max):
-    # p0, fidelity and alpha of every record equal, bit for bit, the
+    # p0, fidelity and alpha of every run equal, bit for bit, the
     # one-state np.vdot / np.linalg.norm formulas on its final state
     rng = np.random.default_rng(n_max)
     for gamma in (0.0, 1e-3, 0.01, 0.1):
@@ -360,22 +391,19 @@ def test_sweep_records_score_as_the_one_state_formulas(n_max):
         points = [(complex(*rng.uniform(-0.5, 0.5, 2).tolist()), float(rng.uniform(0, 400))) for _ in range(20)]
         cnot = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=kappa, gamma=gamma, n_max=n_max)
         omegas = rng.uniform(0.005, 0.5, 5).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pair_records = prepare_pair_sweep(pair, points)
-            cnot_records = cnot_pulse_sweep(cnot, omegas, QUBIT_LABELS)
+        pair_run = prepare_pair_sweep(pair, points)
+        cnot_run = cnot_pulse_sweep(cnot, omegas, QUBIT_LABELS)
+        assert (pair_run.p0.dtype, pair_run.fidelity.dtype, pair_run.alpha.dtype) == (float, float, complex)
+        assert (cnot_run.p0.dtype, cnot_run.fidelity.dtype, cnot_run.alpha) == (float, float, None)
         a_vec = entangled_pair_state(1.0, pair.layout()).amplitudes
-        for (om, t), rec in zip(points, pair_records):
+        for i, (om, t) in enumerate(points):
             target = entangled_pair_by_levels(pair_target_alpha(om, t), pair.layout())
-            expected = run_record_scores(rec.final_state.amplitudes, target, a_vec)
-            assert (type(rec.p0), type(rec.fidelity), type(rec.alpha)) == (float, float, complex)
-            assert _bits(rec.p0, rec.fidelity, rec.alpha) == _bits(*expected)
-        for per_input in cnot_records:
-            for label, rec in zip(QUBIT_LABELS, per_input):
-                target = qubit_state(cnot, cnot_ideal().entries @ qubit_amplitudes(qubit_state(cnot, label)))
-                expected = run_record_scores(rec.final_state.amplitudes, target.amplitudes)
-                assert (type(rec.p0), type(rec.fidelity), rec.alpha) == (float, float, None)
-                assert _bits(rec.p0, rec.fidelity) == _bits(*expected)
+            expected = run_record_scores(pair_run.final_states[i], target, a_vec)
+            assert _bits(pair_run.p0[i], pair_run.fidelity[i], pair_run.alpha[i]) == _bits(*expected)
+        for i, m in np.ndindex(cnot_run.p0.shape):
+            target = qubit_state(cnot, cnot_ideal().entries @ qubit_amplitudes(qubit_state(cnot, QUBIT_LABELS[m])))
+            expected = run_record_scores(cnot_run.final_states[i, m], target.amplitudes)
+            assert _bits(cnot_run.p0[i, m], cnot_run.fidelity[i, m]) == _bits(*expected)
 
 
 def test_pair_state_rows_equal_the_level_by_level_builder():
@@ -396,17 +424,26 @@ def test_pair_state_rows_equal_the_level_by_level_builder():
 
 def test_cnot_pulse_sweep_equals_single_point_records():
     spec = lambda_spec(STATED_GAMMA, n_max=3)
-    omegas = [0.005, 0.02, -0.04, 0.3]
+    d = spec.layout().total_dim
+    omegas = [0.005, 0.02, -0.04, 0.3, 0.02]
     inputs = [qubit_state(spec, lab) for lab in QUBIT_LABELS] + [qubit_state(spec, np.array([0.6, 0, 0.8j, 0]))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        batch = cnot_pulse_sweep(spec, omegas, inputs)
-        assert [len(row) for row in batch] == [len(inputs)] * len(omegas)
-        for omega, row in zip(omegas, batch):
-            for psi, rec in zip(inputs, row):
-                _same_record(rec, cnot_pulse(spec, omega, psi))
-                direct = evolve_no_jump(h_cond_lambda(spec.with_rabi(cnot_drive(omega))), psi, cnot_duration(omega))
-                assert rec.final_state.amplitudes.tobytes() == direct.amplitudes.tobytes()
+    run = cnot_pulse_sweep(spec, omegas, inputs)
+    assert run.final_states.shape == (len(omegas), len(inputs), d)
+    assert run.p0.shape == run.fidelity.shape == (len(omegas), len(inputs))
+    assert run.alpha is None and run.duration.shape == (len(omegas),)
+    assert _read_only(run)
+    assert list(run.regimes) == [0.005, 0.02, -0.04, 0.3]
+    for i, omega in enumerate(omegas):
+        for m, psi in enumerate(inputs):
+            _same_row(run, (i, m), omega, _quietly(lambda: cnot_pulse(spec, omega, psi)))
+            direct = evolve_no_jump(h_cond_lambda(spec.with_rabi(cnot_drive(omega))), psi, cnot_duration(omega))
+            assert run.final_states[i, m].tobytes() == direct.amplitudes.tobytes()
+
+    empty = cnot_pulse_sweep(spec, [], inputs)
+    assert empty.final_states.shape == (0, len(inputs), d)
+    assert empty.p0.shape == empty.fidelity.shape == (0, len(inputs))
+    assert empty.alpha is None and empty.duration.shape == (0,)
+    assert dict(empty.regimes) == {} and _read_only(empty)
 
 
 def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
@@ -419,12 +456,12 @@ def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     spec = lambda_spec(IN_REGIME_GAMMA)
     omegas = [0.01, 0.02, 0.03]
-    records = cnot_pulse_sweep(spec, omegas, [qubit_state(spec, lab) for lab in QUBIT_LABELS])
+    run = cnot_pulse_sweep(spec, omegas, [qubit_state(spec, lab) for lab in QUBIT_LABELS])
     # one stacked call per component the four inputs reach, one block per
     # omega: |10> and |11> share the 18-state component, |00> and |01> each
     # reach their own
     assert sorted(exponentiated) == [(3, 1, 1), (3, 3, 3), (3, 18, 18)]
-    assert len(records) == 3 and all(len(row) == 4 for row in records)
+    assert run.p0.shape == (3, 4)
 
 
 def test_tiny_expm_budget_gives_identical_records(monkeypatch):
@@ -432,52 +469,81 @@ def test_tiny_expm_budget_gives_identical_records(monkeypatch):
     lspec = lambda_spec(IN_REGIME_GAMMA)
     omegas = [0.01, 0.02, 0.03, 0.05, 0.08]
     inputs = [qubit_state(lspec, lab) for lab in QUBIT_LABELS]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pairs = prepare_pair_sweep(spec, PAIR_POINTS)
-        cnots = cnot_pulse_sweep(lspec, omegas, inputs)
-        for chunk in (1, 2):
-            monkeypatch.setattr(dynamics, "_EXPM_BYTES", chunk * 16 * lspec.layout().total_dim ** 2)
-            for a, b in zip(pairs, prepare_pair_sweep(spec, PAIR_POINTS)):
-                _same_record(a, b)
-            for row_a, row_b in zip(cnots, cnot_pulse_sweep(lspec, omegas, inputs)):
-                for a, b in zip(row_a, row_b):
-                    _same_record(a, b)
+
+    def sweeps():
+        return prepare_pair_sweep(spec, PAIR_POINTS), cnot_pulse_sweep(lspec, omegas, inputs)
+
+    def contents(run):
+        return [column.tobytes() for column in _columns(run)], dict(run.regimes)
+
+    default = sweeps()
+    for chunk in (1, 2):
+        monkeypatch.setattr(dynamics, "_EXPM_BYTES", chunk * 16 * lspec.layout().total_dim ** 2)
+        for a, b in zip(default, sweeps()):
+            assert contents(a) == contents(b)
 
 
-def test_sweep_warnings_point_at_the_caller():
+def test_single_point_warnings_point_at_the_caller():
     spec, lspec = pair_spec(STATED_GAMMA), lambda_spec(STATED_GAMMA)
-    calls = [
-        lambda: prepare_pair(spec, OMEGA, 10.0),
-        lambda: prepare_pair_sweep(spec, [(OMEGA, 10.0)]),
-        lambda: cnot_pulse(lspec, OMEGA, qubit_state(lspec, "10")),
-        lambda: cnot_pulse_sweep(lspec, [OMEGA], [qubit_state(lspec, "10")]),
-    ]
-    for call in calls:
+    for call in (lambda: prepare_pair(spec, OMEGA, 5.0), lambda: cnot_pulse(lspec, OMEGA, qubit_state(lspec, "10"))):
         with pytest.warns(UserWarning) as record:
             call()
         assert {w.filename for w in record} == {__file__}
+
+
+def test_sweeps_do_not_warn_and_carry_the_regime():
+    spec, lspec = pair_spec(STATED_GAMMA), lambda_spec(STATED_GAMMA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = prepare_pair_sweep(spec, [(OMEGA, 5.0), (OMEGA, math.pi / OMEGA)])
+        cnot = cnot_pulse_sweep(lspec, [OMEGA, 1.0], ["10"])
+    # what the single-point forms warn about is in the result
+    assert not pair.regimes[OMEGA].in_regime and not cnot.regimes[OMEGA].in_regime
+    assert pair.regimes[OMEGA].ratios["gamma_over_omega"] == 0.5
+    assert (pair.duration < 10 * zeno_timescale(spec)).tolist() == [True, False]
+    assert (cnot.duration < 10 * zeno_timescale(lspec)).tolist() == [False, True]
+
+
+def _zeno_messages(record):
+    return [str(w.message) for w in record if "environment-measurement timescale" in str(w.message)]
+
+
+def test_slow_measurement_warning_compares_the_pulse_with_the_zeno_timescale():
+    spec = pair_spec(IN_REGIME_GAMMA)
+    assert zeno_timescale(spec) == 1.0  # kappa = g = 1
+    with pytest.warns(UserWarning) as record:
+        prepare_pair(spec, OMEGA, 5.0)
+    assert len(_zeno_messages(record)) == len(record) == 1
+    assert record[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = prepare_pair(spec, OMEGA, 100.0)
+    assert rec.regime.in_regime
+    # without cavity loss there is no environment measurement to compare with
+    lossless = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=0.0, gamma=IN_REGIME_GAMMA, n_max=2)
+    for duration in (0.0, 5.0, 100.0):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            prepare_pair(lossless, OMEGA, duration)
+        assert _zeno_messages(record) == []
 
 
 def test_sweep_numeric_failures_name_the_point():
     with pytest.raises(NumericalError, match=r"p0 = 0 at omega_minus=0.02, T=1e\+15"):
         prepare_pair_sweep(pair_spec(IN_REGIME_GAMMA), [(OMEGA, 100.0), (OMEGA, 1e15)])
     spec = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1e200, gamma=0.001, n_max=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(NumericalError, match="not finite at omega=0.02, input=10"):
-            cnot_pulse_sweep(spec, [OMEGA], ["10"])
-        # an input given as a state is named by its position
-        with pytest.raises(NumericalError, match="not finite at omega=0.02, input=#0"):
-            cnot_pulse_sweep(spec, [OMEGA], [qubit_state(spec, "10"), "00"])
+    with pytest.raises(NumericalError, match="not finite at omega=0.02, input=10"):
+        cnot_pulse_sweep(spec, [OMEGA], ["10"])
+    # an input given as a state is named by its position
+    with pytest.raises(NumericalError, match="not finite at omega=0.02, input=#0"):
+        cnot_pulse_sweep(spec, [OMEGA], [qubit_state(spec, "10"), "00"])
 
 
 def test_zero_duration_point_is_the_input_even_when_h_overflows():
     # kappa = 1e308 overflows the two-photon diagonal of H; as in
     # evolve_no_jump, a zero-length pulse must not be exponentiated
     spec = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1e308, gamma=0.0, n_max=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        (rec,) = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
-    assert rec.final_state.amplitudes.tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
-    assert (rec.p0, rec.fidelity, rec.alpha) == (1.0, 1.0, 0.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from assembling H
+        run = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
+    assert run.final_states[0].tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
+    assert (run.p0[0], run.fidelity[0], run.alpha[0]) == (1.0, 1.0, 0.0)
