@@ -19,20 +19,22 @@ coincides with the three-qubit combination.  That operator is nonzero
 only on |0...0><1...1| and its conjugate, so the value is read off two
 amplitudes in closed form; no scoring call builds a full-space matrix.
 
-Every score goes through one stacked kernel, ``_correlations``: it takes
-the pair matrices of n states (the amplitudes reshaped so that the two
-scored qubits are the last two axes) and n x k analyzer-angle pairs, and
-returns the n x k correlations with one batched matrix product.
-``correlation`` and ``bs_value`` are its one-state case, ``bs_reduced``
-scores its 42 angle pairs in one call, and the selftest scores 1000
-states at once.
+One measurement model serves exact and sampled scores.  The readout is
+a projective measurement in the sigma_theta eigenbasis (rotate, then
+read the computational basis), and ``_outcome_probabilities`` gives the
+probabilities of its four outcomes for the pair matrices of a stack of
+states (the amplitudes reshaped so that the two scored qubits are the
+last two axes) and any stack of analyzer-angle pairs.  An exact
+correlation is the signed sum P(+,+) - P(+,-) - P(-,+) + P(-,-)
+(``_correlations``): by construction the zero-error, infinite-shot limit
+of ``sample_correlation``.  ``correlation`` and ``bs_value`` are its
+one-state case, ``bs_reduced`` scores its 42 angle pairs in one call,
+and the selftest scores 1000 states at once.
 
-Finite-statistics estimates model the readout as a projective
-measurement in the sigma_theta eigenbasis (rotate, then read the
-computational basis) with an independent symmetric bit-flip error per
-qubit; the shots are independent, so the count of odd-parity shots is
-drawn once from its binomial law.  The outcome probabilities stack the
-same way, so a sampled landscape computes those of all its rows at once.
+Finite-statistics estimates add an independent symmetric bit-flip error
+per qubit to that readout; the shots are independent, so the count of
+odd-parity shots is drawn once from its binomial law.  A sampled
+landscape computes the outcome probabilities of all its rows at once.
 """
 
 from __future__ import annotations
@@ -140,22 +142,17 @@ def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
 
 
 def _correlations(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
-    """E(theta_i, theta_j) of a stack of states, all settings in one batched product.
+    """E(theta_i, theta_j) of a stack of states, from the outcome probabilities of all settings at once.
 
     ``m`` is (n, r, 2, 2): n states, each given by its r pair matrices
     from ``_pair_matrices``.  ``theta_i`` and ``theta_j`` broadcast to
     (n, k); a (k,) array gives every state the same k settings.  Entry
-    (s, c) is vdot(m[s], sigma_theta(theta_i) @ m[s] @ sigma_theta(theta_j).T)
-    for the settings c of state s; it must come out real.
+    (s, c) is P(+,+) - P(+,-) - P(-,+) + P(-,-) for the settings c of
+    state s, the mean of the outcome product that ``sample_correlation``
+    estimates from these same probabilities.
     """
-    s_i = sigma_theta(theta_i)[..., None, :, :]
-    s_j = sigma_theta(theta_j)[..., None, :, :]
-    m = m[:, None]
-    values = np.sum(m.conj() * (s_i @ m @ np.swapaxes(s_j, -1, -2)), axis=(-3, -2, -1))
-    imag = np.abs(values.imag)
-    if imag.max() > 1e-12:
-        raise AssertionError(f"correlation came out non-real: {complex(values.flat[imag.argmax()])}")
-    return values.real
+    # the products of the two +-1 outcomes of (+,+), (+,-), (-,+), (-,-)
+    return _outcome_probabilities(m[:, None], theta_i, theta_j) @ np.array([1.0, -1.0, -1.0, 1.0])
 
 
 _BS_TERMS = (("theta1", "theta2"), ("theta1", "theta2p"), ("theta1p", "theta2"), ("theta1p", "theta2p"))

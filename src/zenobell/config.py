@@ -78,6 +78,18 @@ def _coupling(table: dict) -> float:
     return g
 
 
+def _check_damping(physics: dict) -> None:
+    """Reject a ``kappa`` or ``gamma`` whose conditional Hamiltonian or jump operators would not be finite.
+
+    H0 holds -i kappa n for n <= n_max photons and -i Gamma per excited
+    atom (two atoms at most), and each jump operator squares to 2 rate
+    times such a term, so every entry is finite when 2 rate max(n_max, 2) is.
+    """
+    for key in ("kappa", "gamma"):
+        if key in physics and not math.isfinite(2.0 * physics[key] * max(physics["n_max"], 2)):
+            raise ConfigError(f"key {key!r} = {physics[key]!r} is too large: 2 * {key} * max(n_max, 2) overflows")
+
+
 def _values(table: dict, key: str, *, required: bool = True, default=None) -> list[float] | None:
     """Accept either a scalar ``key`` or a comma list ``key_values``."""
     list_key = key + "_values"
@@ -184,6 +196,7 @@ def _parse_prepare_pair(table: dict) -> dict:
         "n_max": _n_max(table),
         "omega_values": _nonzero(_values(table, "omega_minus"), "omega_minus"),
     }
+    _check_damping(physics)
     raw_t = table.pop("T", "auto")
     if "T_values" in table:
         if raw_t != "auto":
@@ -209,6 +222,7 @@ def _parse_cnot(table: dict) -> dict:
         "n_max": _n_max(table),
         "omega_values": _nonzero(_values(table, "omega"), "omega"),
     }
+    _check_damping(physics)
     label = table.pop("input", "all")
     if label not in ("00", "01", "10", "11", "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
@@ -270,6 +284,7 @@ def _parse_trajectories(table: dict) -> dict:
         physics["g"] = _coupling(table)
         physics["gamma"] = _rate(table, "gamma")
         physics["omega_minus"] = _nonzero(_values(table, "omega_minus"), "omega_minus")[0]
+    _check_damping(physics)
     n_traj = _int("n_traj", table.pop("n_traj", "2000"))
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj}")

@@ -118,7 +118,7 @@ def subspace_from_vectors(layout: HilbertLayout, vectors) -> SubspaceBasis:
     else:
         proj = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     proj = 0.5 * (proj + proj.conj().T)
-    return SubspaceBasis(layout, vecs, OperatorMatrix(layout, proj, True))
+    return SubspaceBasis(layout, vecs, OperatorMatrix(layout, proj))
 
 
 def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
@@ -164,7 +164,7 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
     proj = basis @ basis.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     vectors = _canonical_basis(proj, rank, layout)
-    return SubspaceBasis(layout, tuple(vectors), OperatorMatrix(layout, proj, True))
+    return SubspaceBasis(layout, tuple(vectors), OperatorMatrix(layout, proj))
 
 
 def effective_hamiltonian(h_cond: OperatorMatrix, dfs: SubspaceBasis) -> EffectiveHamiltonian:

@@ -63,12 +63,11 @@ __all__ = [
 ]
 
 REGIME_THRESHOLD = 0.1
-# Largest input one stacked expm call takes: a chunk of blocks, 8 m^2 bytes
-# for a real m-state block and 16 m^2 for a complex one.  The kernel's
-# working set is about 8x its input: per slice the sorted copy of the
-# input, A^2, A^4, A^6, U, V, V - U, V + U and the result, so a full chunk
-# peaks near 70 MB.  The complex blocks a chunk is gauged from take twice
-# the real input.
+# Largest input one stacked expm call takes.  A chunk holds as many points
+# as fit as complex m-state blocks (16 m^2 bytes each); a chunk gauged to
+# real passes expm half that.  The kernel's working set is about 8x its
+# input: per slice the sorted copy of the input, A^2, A^4, A^6, U, V,
+# V - U, V + U and the result, so a full complex chunk peaks near 70 MB.
 _EXPM_BYTES = 2**23
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
@@ -137,7 +136,6 @@ class RegimeReport:
 
     ratios: dict
     in_regime: bool
-    threshold: float
 
 
 def _transition_op(levels: int, trans: str) -> np.ndarray:
@@ -430,7 +428,7 @@ def no_jump_states(
         if not (moving and support[states].any()):
             continue
         touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
-        chunk = max(1, _EXPM_BYTES // (8 * len(states) ** 2))
+        chunk = max(1, _EXPM_BYTES // (16 * len(states) ** 2))
         for start in range(0, len(moving), chunk):
             part = moving[start : start + chunk]
             h = family.stack([drives[j] for j in part], states)
@@ -462,7 +460,7 @@ def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np
     out = np.empty((len(a), len(inputs), a.shape[-1]), dtype=complex)
     if real.any():
         # exp(a) psi = D^-1 exp(D a D^-1) D psi, one real mat-vec per part
-        u, phases = _exponentiated(gauged.real[real]), phases[real]
+        u, phases = expm(gauged.real[real]), phases[real]
         for m, psi in enumerate(inputs):
             v = phases * psi
             w = np.empty(v.shape, dtype=complex)
@@ -470,16 +468,10 @@ def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np
             w.imag = (u @ np.ascontiguousarray(v.imag)[..., None])[..., 0]
             out[real, m] = phases.conj() * w
     if not real.all():
-        u = _exponentiated(a[~real])
+        u = expm(a[~real])
         for m, psi in enumerate(inputs):
             out[~real, m] = u @ psi
     return out
-
-
-def _exponentiated(a: np.ndarray) -> np.ndarray:
-    """expm of each slice of ``a``, in stacked calls of at most ``_EXPM_BYTES`` of input."""
-    step = max(1, _EXPM_BYTES // (a.itemsize * a.shape[-1] ** 2))
-    return np.concatenate([expm(a[start : start + step]) for start in range(0, len(a), step)])
 
 
 def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
@@ -508,10 +500,10 @@ def no_photon_probability(h: OperatorMatrix, psi0: StateVector, t: float) -> flo
     return evolve_no_jump(h, psi0, t).norm() ** 2
 
 
-def check_regime(spec: SystemSpec, omega_eff: float, threshold: float = REGIME_THRESHOLD) -> RegimeReport:
+def check_regime(spec: SystemSpec, omega_eff: float) -> RegimeReport:
     """Check Gamma << |Omega| << g^2/kappa and |Omega| << kappa.
 
-    "Much smaller" is quantified as ratio < ``threshold`` (default 0.1).
+    "Much smaller" is quantified as ratio < ``REGIME_THRESHOLD`` (0.1).
     """
     if not omega_eff > 0:
         raise ValueError("omega_eff must be positive")
@@ -521,4 +513,4 @@ def check_regime(spec: SystemSpec, omega_eff: float, threshold: float = REGIME_T
         "omega_kappa_over_g2": om * spec.kappa / spec.g**2,
         "omega_over_kappa": om / spec.kappa if spec.kappa > 0 else float("inf"),
     }
-    return RegimeReport(ratios=ratios, in_regime=all(v < threshold for v in ratios.values()), threshold=threshold)
+    return RegimeReport(ratios=ratios, in_regime=all(v < REGIME_THRESHOLD for v in ratios.values()))

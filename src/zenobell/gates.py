@@ -22,6 +22,7 @@ import numpy as np
 
 from .dfs import zeno_timescale
 from .dynamics import (
+    REGIME_THRESHOLD,
     DrivenHamiltonian,
     RegimeReport,
     SystemSpec,
@@ -101,9 +102,11 @@ class SweepResult:
 
 def _regime_warnings(spec: SystemSpec, regime: RegimeReport, duration: float) -> list[str]:
     """The warnings of one run outside the strong-coupling regime or with a pulse too short for Zeno suppression."""
-    messages, limit = [], regime.threshold
-    if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < limit):
-        messages.append(f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {limit:g})")
+    messages = []
+    if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < REGIME_THRESHOLD):
+        messages.append(
+            f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {REGIME_THRESHOLD:g})"
+        )
     if spec.kappa > 0 and duration < 10.0 * zeno_timescale(spec):
         messages.append(
             "pulse shorter than 10x the environment-measurement timescale; Zeno suppression of leakage may be poor"

@@ -38,8 +38,6 @@ __all__ = [
     "SIGMA_Z",
 ]
 
-HERMITIAN_TOL = 1e-12
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -130,7 +128,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(norms(self.amplitudes))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
@@ -145,22 +143,17 @@ class OperatorMatrix:
 
     layout: HilbertLayout
     entries: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
         d = self.layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        if self.hermitian_hint:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"hermitian_hint set but max |A - A^dag| = {dev:.3g}")
         object.__setattr__(self, "entries", _frozen(m))
 
 
 def identity(layout: HilbertLayout) -> OperatorMatrix:
-    return OperatorMatrix(layout, np.eye(layout.total_dim, dtype=complex), True)
+    return OperatorMatrix(layout, np.eye(layout.total_dim, dtype=complex))
 
 
 def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
@@ -197,8 +190,7 @@ def _build_embed(local: np.ndarray, target_label: str, layout: HilbertLayout) ->
     full = np.ones((1, 1), dtype=complex)
     for k, (_, d) in enumerate(layout.factors):
         full = np.kron(full, local if k == axis else np.eye(d, dtype=complex))
-    herm = bool(np.max(np.abs(local - local.conj().T)) <= HERMITIAN_TOL)
-    return OperatorMatrix(layout, full, herm)
+    return OperatorMatrix(layout, full)
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -216,7 +208,8 @@ def norms(rows) -> np.ndarray:
 
     Each squared norm is the sum of two real dot products, the way
     ``np.linalg.norm`` takes it for one vector, so a row's value equals
-    :meth:`StateVector.norm` of that row bit for bit.
+    ``np.linalg.norm`` of that row bit for bit.  :meth:`StateVector.norm`
+    is the one-row case.
     """
     rows = np.asarray(rows, dtype=complex)
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))

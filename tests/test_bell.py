@@ -12,6 +12,7 @@ from zenobell.bell import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     _correlations,
+    _odd_parity_probability,
     _outcome_probabilities,
     _pair_matrices,
     bs_landscape,
@@ -514,6 +515,8 @@ def test_local_operators_match_dense_embed(layout, i, j):
         assert abs(correlation(psi, i, j, t_i, t_j) - dense) <= 1e-12
         probs = _outcome_probabilities(_pair_matrices(psi, i, j), t_i, t_j)
         assert np.max(np.abs(probs - _dense_probabilities(psi, i, j, t_i, t_j))) <= 1e-12
+        # the exact correlation is the error-free, infinite-shot sampled estimate
+        assert abs(correlation(psi, i, j, t_i, t_j) - (1.0 - 2.0 * _odd_parity_probability(probs, 0.0))) <= 1e-12
 
 
 def test_stacked_kernel_matches_pauli_string_oracle():

@@ -590,6 +590,25 @@ def test_cli_degenerate_coupling_is_a_config_error(tmp_path, capsys, body, g):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "scenario = prepare_pair\ng = 1\ngamma = 0.001\nomega_minus = 0.02\n",
+        "scenario = cnot\ng = 1\ngamma = 0.001\nomega = 0.02\n",
+        "scenario = trajectories\nsystem = cavity_decay\nn_traj = 10\n",
+    ],
+    ids=["prepare_pair", "cnot", "cavity_decay"],
+)
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_cli_overflowing_kappa_is_a_config_error(tmp_path, capsys, body):
+    # -i kappa b^dag b and the jump operator sqrt(2 kappa) b would overflow to inf
+    cfg = tmp_path / "kappa.cfg"
+    cfg.write_text(body + "kappa = 1e308\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: key 'kappa'")
+
+
 _PAIR = "g = 1\nkappa = 1\ngamma = 0.001\n"
 
 
@@ -756,6 +775,20 @@ def test_selftest_tsirelson_violation_fails_the_check_and_exits_2(monkeypatch, c
     assert main(["selftest", "--quiet"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
+
+
+def test_selftest_norm_check_fails_when_the_kernel_grows_a_norm(monkeypatch):
+    # the check propagates with the production kernel, so a kernel that
+    # gains norm over time fails it
+    assert selftest._check_norm_monotonic() == (True, "max norm increase 0.00e+00")
+    kernel = selftest.no_jump_states
+
+    def growing(family, drives, times, inputs):
+        return kernel(family, drives, times, inputs) * (1.0 + np.asarray(times))[:, None, None]
+
+    monkeypatch.setattr(selftest, "no_jump_states", growing)
+    ok, detail = selftest._check_norm_monotonic()
+    assert not ok and detail.startswith("max norm increase ")
 
 
 def test_selftest_check_that_raises_exits_2_without_traceback(monkeypatch, capsys):

@@ -220,13 +220,6 @@ def test_stacked_fidelity_guards():
         fidelities(np.vstack([rows, np.zeros(4)]), target)
 
 
-def test_hermitian_hint_enforced():
-    layout = compose([("q1", 2)])
-    with pytest.raises(ValueError):
-        OperatorMatrix(layout, [[0, 1], [0, 0]], hermitian_hint=True)
-    OperatorMatrix(layout, SIGMA_Y, hermitian_hint=True)
-
-
 def test_containers_immutable():
     layout = compose([("q1", 2)])
     psi = basis_state(layout, (0,))
