@@ -34,11 +34,16 @@ and the selftest scores 1000 states at once.
 Finite-statistics estimates add an independent symmetric bit-flip error
 per qubit to that readout; the shots are independent, so the count of
 odd-parity shots is drawn once from its binomial law.  A sampled
-landscape computes the outcome probabilities of all its rows at once.
+landscape computes the outcome probabilities of all its rows at once and
+draws every row's counts, in row order, from one stream per run,
+``default_rng(SeedSequence(seed))``: runs at different seeds share no
+draws, but a row's draws depend on the rows before it.  The exact
+landscape is one outer product of a per-omega and a per-vartheta factor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass
 
@@ -202,29 +207,31 @@ def bs_reduced(state: StateVector, vartheta: float, i: int = 0, j: int = 1) -> f
     return abs(3.0 * float(e[40]) - float(e[41]))
 
 
-def pair_correlation(alpha_sq: float, vartheta: float) -> float:
-    """Closed-form E(vartheta, 0) = -|alpha|^2 cos(vartheta) for the pulse family."""
-    return -alpha_sq * math.cos(vartheta)
-
-
 def bs_landscape(omega_t_grid, vartheta_grid) -> list[tuple[float, float, float, bool]]:
     """Bell-violation landscape over pulse area |Omega| T and analyzer angle.
 
-    For each grid point the pulse family gives |alpha| = |sin(|Omega|T/2)|
-    and the reduced combination B_S = |alpha|^2 |3 cos(v) - cos(3v)|.
-    Rows are (omega_t, vartheta, b_s, violated), vartheta varying fastest.
+    For each grid point the pulse family gives |alpha| = |sin(|Omega|T/2)|,
+    the closed-form correlation E(v, 0) = -|alpha|^2 cos(v) and the reduced
+    combination B_S = |3 E(v, 0) - E(3v, 0)| = |alpha|^2 |3 cos(v) - cos(3v)|.
+    The sines and cosines are taken once per grid value and B_S of every
+    point is one outer product.  Rows are (omega_t, vartheta, b_s,
+    violated), vartheta varying fastest.
     """
-    omega_t_grid = list(omega_t_grid)
-    vartheta_grid = list(vartheta_grid)
+    omega_t_grid = [float(om_t) for om_t in omega_t_grid]
+    vartheta_grid = [float(v) for v in vartheta_grid]
     if not omega_t_grid or not vartheta_grid:
         raise ValueError("grids must be nonempty")
-    rows = []
-    for om_t in omega_t_grid:
-        alpha_sq = math.sin(float(om_t) / 2.0) ** 2
-        for v in vartheta_grid:
-            b = abs(3.0 * pair_correlation(alpha_sq, v) - pair_correlation(alpha_sq, 3.0 * v))
-            rows.append((float(om_t), float(v), b, b > CLASSICAL_BOUND))
-    return rows
+    alpha_sq = np.array([math.sin(om_t / 2.0) ** 2 for om_t in omega_t_grid])[:, None]
+    cos_v = np.array([math.cos(v) for v in vartheta_grid])
+    cos_3v = np.array([math.cos(3.0 * v) for v in vartheta_grid])
+    return _landscape_rows(omega_t_grid, vartheta_grid, np.abs(3.0 * (-alpha_sq * cos_v) - (-alpha_sq * cos_3v)))
+
+
+def _landscape_rows(omega_t_grid, vartheta_grid, b_s: np.ndarray) -> list[tuple[float, float, float, bool]]:
+    """Rows (omega_t, vartheta, b_s, violated) of a grid, vartheta varying fastest; ``b_s`` in that order."""
+    b_s = b_s.ravel()
+    points = itertools.product(omega_t_grid, vartheta_grid)
+    return [(om_t, v, b, bad) for (om_t, v), b, bad in zip(points, b_s.tolist(), (b_s > CLASSICAL_BOUND).tolist())]
 
 
 def mermin_n(state: StateVector) -> MerminResult:
@@ -348,27 +355,28 @@ _LANDSCAPE_BLOCK = 2**14
 def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_error: float):
     """``bs_landscape`` rows with B_S = |3 e(v) - e(3v)| estimated from ``shots`` shots each.
 
-    The outcome probabilities of a block of up to ``_LANDSCAPE_BLOCK``
-    rows come from one stacked ``_outcome_probabilities`` call.  Row k
-    (vartheta varying fastest) then draws both odd-parity counts at once,
-    binomial(shots, [p'(v), p'(3v)]), from
-    ``np.random.SeedSequence(seed, spawn_key=(k,))``: the same counts as
-    two ``sample_correlation`` calls taking their draws in turn from that
-    stream, so no two rows or runs share a stream.
+    A run draws from one stream, ``default_rng(seed)``: ``seed`` is
+    anything ``default_rng`` accepts, and the scenario runner passes the
+    run's ``default_rng(SeedSequence(seed))``.  The outcome probabilities
+    of a block of up to ``_LANDSCAPE_BLOCK`` rows come from one stacked
+    ``_outcome_probabilities`` call, and the block's odd-parity counts,
+    binomial(shots, [p'(v), p'(3v)]) per row, from one ``binomial`` call
+    in row order (vartheta varying fastest).  An array draw takes the
+    same numbers from the stream as scalar draws in turn, so row k equals
+    two ``sample_correlation`` calls that continue the stream where row
+    k - 1 left it, whatever the block size.  Runs at different seeds
+    share no draws; row k's draws depend on the rows before it.
     """
     omega_t_grid, vartheta_grid = list(omega_t_grid), list(vartheta_grid)
     m = np.stack([_pair_matrices(landscape_state(om_t), 0, 1) for om_t in omega_t_grid])
     v = np.asarray(vartheta_grid, dtype=float)
     n_v, n_rows = len(v), len(m) * len(v)
-    rows = []
+    rng = np.random.default_rng(seed)
+    b_s = np.empty(n_rows)
     for start in range(0, n_rows, _LANDSCAPE_BLOCK):
         k = np.arange(start, min(start + _LANDSCAPE_BLOCK, n_rows))
         angles = np.stack([v[k % n_v], 3.0 * v[k % n_v]], axis=-1)
         probs = _outcome_probabilities(m[k // n_v, None], angles, 0.0)
-        for p_odd in _odd_parity_probability(probs, readout_error):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(rows),)))
-            e1, e3 = ((shots - 2 * rng.binomial(shots, p_odd)) / shots).tolist()
-            b = abs(3.0 * e1 - e3)
-            om_t, vartheta = omega_t_grid[len(rows) // n_v], vartheta_grid[len(rows) % n_v]
-            rows.append((om_t, vartheta, b, b > CLASSICAL_BOUND))
-    return rows
+        e = (shots - 2 * rng.binomial(shots, _odd_parity_probability(probs, readout_error))) / shots
+        b_s[k] = np.abs(3.0 * e[:, 0] - e[:, 1])
+    return _landscape_rows(omega_t_grid, vartheta_grid, b_s)

@@ -11,12 +11,14 @@ once, its points are propagated by stacked matrix exponentials and their
 final states are scored as one stack.
 CSV output is deterministic (bit-identical for identical config and
 seed): header row, '\\n' line endings, floats printed with 9 significant
-digits, booleans as true/false.  Row k of a sampled run draws from
-``np.random.SeedSequence(seed, spawn_key=(k,))``, so no two runs share
-a row's stream.  An output file that already holds the new bytes is
-not rewritten.  Exit codes: 0 ok, 1 config or usage error, 2 numeric
-failure, 3 I/O failure.  Runs do not warn: the regime of each omega
-goes to the summary, and leaves the exit code as it is.
+digits, booleans as true/false.  A sampled run draws from one stream,
+``np.random.default_rng(np.random.SeedSequence(seed))``, its rows taking
+their draws in row order: runs at different seeds share no draws, and a
+row's draws depend on the rows before it.  An output file that already
+holds the new bytes is not rewritten.  Exit codes: 0 ok, 1 config or
+usage error, 2 numeric failure, 3 I/O failure.  Runs do not warn: the
+regime of each omega goes to the summary, and leaves the exit code as
+it is.
 """
 
 from __future__ import annotations
@@ -64,15 +66,23 @@ _CSV_BLOCK = 4096
 
 def _format_column(values) -> list[str]:
     kinds = set(map(type, values))
-    convert = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(convert or _fmt, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        # keyed on the bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart
+        distinct, inverse = np.unique(np.array(values).view(np.int64), return_inverse=True)
+        if 2 * len(distinct) <= len(values):
+            texts = list(map(_COLUMN_FORMATS[float], distinct.view(np.float64).tolist()))
+            return list(map(texts.__getitem__, inverse.tolist()))
+    return list(map(_COLUMN_FORMATS.get(kind) or _fmt, values))
 
 
 def render_csv(header, rows) -> str:
     """Header line, then one line per row, every value formatted by ``_fmt``.
 
     Rows go in blocks; within a block, a column whose values share one
-    exact type (bool, int or float) is formatted by one converter.
+    exact type (bool, int or float) is formatted by one converter.  A
+    float column that repeats its values (at most half of them distinct,
+    as on the axes of a grid) formats each distinct value once.
     """
     lines = [",".join(header)]
     rows = iter(rows)
@@ -190,6 +200,14 @@ def _run_pbg(cfg: ScenarioConfig):
     return header, rows, summary
 
 
+def _run_stream(seed) -> np.random.Generator:
+    """The one random stream of a sampled run at ``seed``; its rows take their draws from it in row order."""
+    try:
+        return np.random.default_rng(np.random.SeedSequence(seed))
+    except (TypeError, ValueError) as exc:  # a negative or non-integer seed
+        raise ConfigError(f"bad seed {seed!r}: {exc}") from exc
+
+
 def _run_bell_landscape(cfg: ScenarioConfig):
     p = cfg.physics
     header = ("omega_T", "vartheta", "b_s", "violated")
@@ -197,7 +215,7 @@ def _run_bell_landscape(cfg: ScenarioConfig):
         rows = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
     else:
         rows = bell._sampled_landscape(
-            p["omega_t_values"], p["vartheta_values"], cfg.shots, cfg.seed, p["readout_error"]
+            p["omega_t_values"], p["vartheta_values"], cfg.shots, _run_stream(cfg.seed), p["readout_error"]
         )
     best = max(rows, key=lambda r: r[2])
     summary = [
@@ -248,14 +266,13 @@ def _run_trajectories(cfg: ScenarioConfig):
         summary = []
 
     t_values = p["t_end_values"] or [default_t]
+    rng = _run_stream(cfg.seed)
     rows = []
-    for k, t_end in enumerate(t_values):
+    for t_end in t_values:
         p0_det = _check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}")
         try:
-            batch = trajectories.run_trajectories(
-                h, jump_ops, psi0, t_end, p["n_traj"], np.random.SeedSequence(cfg.seed, spawn_key=(k,)), dt=p["dt"]
-            )
-        except ValueError as exc:  # bad dt / seed from the config
+            batch = trajectories.run_trajectories(h, jump_ops, psi0, t_end, p["n_traj"], rng, dt=p["dt"])
+        except ValueError as exc:  # bad dt from the config
             raise ConfigError(str(exc)) from exc
         rows.append((t_end, p0_det, batch.p0_estimate, batch.p0_stderr))
         summary.append(

@@ -434,7 +434,11 @@ def no_jump_states(
             h = family.stack([drives[j] for j in part], states)
             t = np.array([times[j] for j in part], dtype=float)[:, None, None]
             rows = np.array(part)[:, None, None]
-            finals[rows, touched, states] = _block_states(component, -1j * h * t, inputs[touched, states])
+            # an overflowing H t comes back non-finite, which the callers'
+            # finiteness checks report as a numeric failure
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = -1j * h * t
+            finals[rows, touched, states] = _block_states(component, a, inputs[touched, states])
     return finals
 
 

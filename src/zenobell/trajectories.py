@@ -15,9 +15,11 @@ Randomness is one stream per batch: trajectory i takes draw i of
 ``np.random.default_rng(seed)``, so a batch is bit-for-bit reproducible
 for a fixed (seed, n_traj, dt), and a chunk of trajectories can
 regenerate its own draws with ``bit_generator.advance``.  ``seed`` is
-anything ``default_rng`` accepts; the ``trajectories`` scenario gives
-row k of a run at seed s the stream ``SeedSequence(s, spawn_key=(k,))``,
-so no row of one run shares a stream with a row of another.
+anything ``default_rng`` accepts, a ``Generator`` included, which is used
+and advanced in place: the ``trajectories`` scenario passes one
+``default_rng(SeedSequence(s))`` per run at seed s to its rows in turn,
+so runs at different seeds share no draws and a row's draws depend on
+the rows before it.
 Because every trajectory starts from the same state and the pre-jump
 conditional state is deterministic, the shared no-jump trajectory is
 propagated once and the per-step Bernoulli chain is sampled by

@@ -216,6 +216,23 @@ def test_landscape_cross_checked_against_state_route():
         assert row[2] == pytest.approx(bs_reduced(landscape_state(om_t), v), abs=1e-10)
 
 
+def test_landscape_matches_scalar_formula_bitwise():
+    # the outer product takes the same IEEE operations as the scalar
+    # formula, for grids of Python floats, ints and numpy scalars alike
+    rng = np.random.default_rng(15)
+    grid_t = [*rng.uniform(-10.0, 10.0, 7).tolist(), 0, 3, np.float64(2.5), -1]
+    grid_v = [*rng.uniform(-4.0, 4.0, 9).tolist(), 0, 1, np.float64(0.75), -2]
+    rows = bs_landscape(grid_t, grid_v)
+    expected = []
+    for om_t in grid_t:
+        alpha_sq = math.sin(float(om_t) / 2.0) ** 2
+        for v in grid_v:
+            b = abs(3.0 * (-alpha_sq * math.cos(v)) - (-alpha_sq * math.cos(3.0 * v)))
+            expected.append((float(om_t), float(v), b, b > 2.0))
+    assert rows == expected
+    assert {type(value) for row in rows for value in row} == {float, bool}
+
+
 def test_landscape_rejects_empty_grid():
     with pytest.raises(ValueError):
         bs_landscape([], [0.1])

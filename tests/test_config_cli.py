@@ -186,6 +186,11 @@ def test_render_csv_columns_match_per_value_formatting(monkeypatch, block):
     assert render_csv(header, iter(rows)) == _render_per_value(header, rows)
     for ragged in ([(1, 2.5), (3,)], [(), ()], [], [(1, 2), (3, 4), (5,), (6, 7.5)]):
         assert render_csv(("a", "b"), ragged) == _render_per_value(("a", "b"), ragged)
+    # a float column of few distinct values formats each once: -0.0 must
+    # still print -0, and NaN of either sign and +-inf as per value
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300, 1 / 3, math.pi]
+    repeated = [(edges[k % len(edges)], edges[(k * 7) % len(edges)] if k % 3 else k / 5) for k in range(5000)]
+    assert render_csv(("axis", "mixed"), repeated) == _render_per_value(("axis", "mixed"), repeated)
 
 
 # Every scenario, with its sampled forms: each value a runner hands
@@ -303,9 +308,10 @@ def test_cli_bell_landscape_sampled(tmp_path):
     "readout_error, shots, seed, block", [(0.0, 1, 0, 2**14), (0.02, 4000, 5, 2**14), (0.3, 10**7, 2**40, 5)]
 )
 def test_sampled_landscape_row_is_two_sample_correlation_calls(monkeypatch, readout_error, shots, seed, block):
-    # row k draws both counts at once from SeedSequence(seed, spawn_key=(k,));
-    # two sample_correlation calls taking their draws in turn from that
-    # stream give the same numbers, whatever blocks the rows are stacked in
+    # a run draws every row's counts, in row order, from one stream
+    # default_rng(SeedSequence(seed)); two sample_correlation calls per row
+    # taking their draws in turn from that stream give the same numbers,
+    # whatever blocks the rows are stacked and drawn in
     monkeypatch.setattr(bell, "_LANDSCAPE_BLOCK", block)
     cfg = parse_config(
         f"scenario = bell_landscape\nshots = {shots}\nseed = {seed}\nreadout_error = {readout_error}\n"
@@ -313,13 +319,52 @@ def test_sampled_landscape_row_is_two_sample_correlation_calls(monkeypatch, read
     )
     _, rows, _ = _run_bell_landscape(cfg)
     assert len(rows) == 12
-    for k, (om_t, v, b, violated) in enumerate(rows):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for om_t, v, b, violated in rows:
         state = bell.landscape_state(om_t)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, shots, rng, readout_error)
         e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, shots, rng, readout_error)
         assert b == abs(3.0 * e1 - e3)
         assert violated == (b > bell.CLASSICAL_BOUND)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "scenario = bell_landscape\nshots = 100\nseed = 3\nomega_t_count = 4\nvartheta_count = 5\n",
+        "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_traj = 50\nseed = 3\nt_end_values = 0.1, 0.2, 0.3\n",
+    ],
+    ids=["bell_landscape", "trajectories"],
+)
+def test_sampled_run_seeds_one_stream(monkeypatch, config):
+    # building a stream per row cost ~24 us a row; a run builds one
+    made = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    cfg = parse_config(config)
+    _header, rows, _summary = cli._RUNNERS[cfg.scenario](cfg)
+    assert len(rows) > 1
+    assert made == [(3,)]
+
+
+@pytest.mark.parametrize("name", ["bell_landscape_sampled", "trajectories_cavity"])
+def test_sampled_run_with_a_bad_seed_is_a_config_error(tmp_path, capsys, name):
+    cfg = tmp_path / "sampled.cfg"
+    cfg.write_text(ONE_CONFIG_PER_RUNNER[name])
+    assert run_cli(["run", cfg, "--out", tmp_path, "--seed", -1, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    # the parser and the CLI reject these seeds first; the run's stream
+    # itself reports them as config errors too
+    parsed = parse_config(ONE_CONFIG_PER_RUNNER[name])
+    for seed in (-1, 1.5):
+        parsed.seed = seed
+        with pytest.raises(ConfigError, match="bad seed"):
+            cli._RUNNERS[parsed.scenario](parsed)
 
 
 def test_cli_mermin_summary(tmp_path):
@@ -516,8 +561,8 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_trajectory_rows_draw_independent_streams(tmp_path):
-    # row k draws from SeedSequence(seed, spawn_key=(k,)); when rows were
-    # seeded seed XOR index, two equal t_end rows printed the same p0_mc
+    # the rows take their draws in turn from one stream per run; when rows
+    # were seeded seed XOR index, two equal t_end rows printed the same p0_mc
     cfg = tmp_path / "traj.cfg"
     cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nseed = 4\nt_end_values = 0.5, 0.5\n")
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
@@ -607,6 +652,24 @@ def test_cli_overflowing_kappa_is_a_config_error(tmp_path, capsys, body):
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: key 'kappa'")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 4e307\ngamma = 0.001\nomega_minus = 0.02\nn_traj = 10\n",
+        "scenario = cnot\ng = 1\nkappa = 1\ngamma = 4e307\nomega = 0.02\n",
+    ],
+    ids=["trajectories_kappa", "cnot_gamma"],
+)
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_cli_overflowing_h_t_is_one_numeric_failure_line(tmp_path, capsys, body):
+    # the rate passes the config bound, but -i H t overflows when propagated
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
 
 
 _PAIR = "g = 1\nkappa = 1\ngamma = 0.001\n"
