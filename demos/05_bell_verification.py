@@ -37,15 +37,17 @@ print("('#' marks |B_S| > 2, '.' marks no violation):")
 cols, rows_n = 64, 17
 grid_t = [k * 2 * math.pi / (cols - 1) for k in range(cols)]
 grid_v = [k * math.pi / (rows_n - 1) for k in range(rows_n)]
-rows = bs_landscape(grid_t, grid_v)
-by_point = {(round(t, 12), round(v, 12)): violated for t, v, _, violated in rows}
-for v in reversed(grid_v):
-    line = "".join("#" if by_point[(round(t, 12), round(v, 12))] else "." for t in grid_t)
-    print("  " + line)
+landscape = bs_landscape(grid_t, grid_v)
+violated = landscape.violated.reshape(cols, rows_n)  # [pulse area, angle], the angle varying fastest
+for angle in reversed(range(rows_n)):
+    print("  " + "".join("#" if bad else "." for bad in violated[:, angle]))
 print("  pulse area 0 .. 2 pi ->  (angle 0 at bottom, pi at top)")
 
-best = max(rows, key=lambda r: r[2])
-print(f"maximum |B_S| = {best[2]:.6f} at pulse area {best[0] / math.pi:.2f} pi, angle {best[1] / math.pi:.2f} pi")
+best = landscape.b_s.argmax()
+print(
+    f"maximum |B_S| = {landscape.b_s[best]:.6f} at pulse area {landscape.omega_T[best] / math.pi:.2f} pi,"
+    f" angle {landscape.vartheta[best] / math.pi:.2f} pi"
+)
 
 print()
 print("finite statistics with noisy readout (full-pulse state, 10^4 shots):")

@@ -39,13 +39,16 @@ draws every row's counts, in row order, from one stream per run,
 ``default_rng(SeedSequence(seed))``: runs at different seeds share no
 draws, but a row's draws depend on the rows before it.  The exact
 landscape is one outer product of a per-omega and a per-vartheta factor.
+Both landscapes come back as ``Landscape`` columns (omega_T, vartheta,
+b_s, violated) in row order, vartheta varying fastest, which
+``cli.render_csv`` writes as they are.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +64,7 @@ __all__ = [
     "bs_value",
     "bs_reduced",
     "bs_landscape",
+    "Landscape",
     "mermin_n",
     "sample_correlation",
     "TSIRELSON_BOUND",
@@ -207,31 +211,37 @@ def bs_reduced(state: StateVector, vartheta: float, i: int = 0, j: int = 1) -> f
     return abs(3.0 * float(e[40]) - float(e[41]))
 
 
-def bs_landscape(omega_t_grid, vartheta_grid) -> list[tuple[float, float, float, bool]]:
+class Landscape(NamedTuple):
+    """Bell landscape columns in row order, vartheta varying fastest; the field names are the CSV header."""
+
+    omega_T: np.ndarray
+    vartheta: np.ndarray
+    b_s: np.ndarray
+    violated: np.ndarray
+
+    @classmethod
+    def of_grid(cls, omega_t_grid: np.ndarray, vartheta_grid: np.ndarray, b_s: np.ndarray) -> "Landscape":
+        """The columns of a grid, given B_S in row order; violated iff B_S > 2."""
+        b_s, n_om, n_v = b_s.ravel(), len(omega_t_grid), len(vartheta_grid)
+        return cls(np.repeat(omega_t_grid, n_v), np.tile(vartheta_grid, n_om), b_s, b_s > CLASSICAL_BOUND)
+
+
+def bs_landscape(omega_t_grid, vartheta_grid) -> Landscape:
     """Bell-violation landscape over pulse area |Omega| T and analyzer angle.
 
     For each grid point the pulse family gives |alpha| = |sin(|Omega|T/2)|,
     the closed-form correlation E(v, 0) = -|alpha|^2 cos(v) and the reduced
     combination B_S = |3 E(v, 0) - E(3v, 0)| = |alpha|^2 |3 cos(v) - cos(3v)|.
     The sines and cosines are taken once per grid value and B_S of every
-    point is one outer product.  Rows are (omega_t, vartheta, b_s,
-    violated), vartheta varying fastest.
+    point is one outer product.
     """
-    omega_t_grid = [float(om_t) for om_t in omega_t_grid]
-    vartheta_grid = [float(v) for v in vartheta_grid]
-    if not omega_t_grid or not vartheta_grid:
+    omega_t_grid, vartheta_grid = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
+    if not omega_t_grid.size or not vartheta_grid.size:
         raise ValueError("grids must be nonempty")
-    alpha_sq = np.array([math.sin(om_t / 2.0) ** 2 for om_t in omega_t_grid])[:, None]
-    cos_v = np.array([math.cos(v) for v in vartheta_grid])
-    cos_3v = np.array([math.cos(3.0 * v) for v in vartheta_grid])
-    return _landscape_rows(omega_t_grid, vartheta_grid, np.abs(3.0 * (-alpha_sq * cos_v) - (-alpha_sq * cos_3v)))
-
-
-def _landscape_rows(omega_t_grid, vartheta_grid, b_s: np.ndarray) -> list[tuple[float, float, float, bool]]:
-    """Rows (omega_t, vartheta, b_s, violated) of a grid, vartheta varying fastest; ``b_s`` in that order."""
-    b_s = b_s.ravel()
-    points = itertools.product(omega_t_grid, vartheta_grid)
-    return [(om_t, v, b, bad) for (om_t, v), b, bad in zip(points, b_s.tolist(), (b_s > CLASSICAL_BOUND).tolist())]
+    alpha_sq = np.array([math.sin(om_t / 2.0) ** 2 for om_t in omega_t_grid.tolist()])[:, None]
+    cos_v = np.array([math.cos(v) for v in vartheta_grid.tolist()])
+    cos_3v = np.array([math.cos(3.0 * v) for v in vartheta_grid.tolist()])
+    return Landscape.of_grid(omega_t_grid, vartheta_grid, np.abs(3.0 * (-alpha_sq * cos_v) - (-alpha_sq * cos_3v)))
 
 
 def mermin_n(state: StateVector) -> MerminResult:
@@ -352,8 +362,8 @@ def landscape_state(omega_t: float) -> StateVector:
 _LANDSCAPE_BLOCK = 2**14
 
 
-def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_error: float):
-    """``bs_landscape`` rows with B_S = |3 e(v) - e(3v)| estimated from ``shots`` shots each.
+def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_error: float) -> Landscape:
+    """``bs_landscape`` with B_S = |3 e(v) - e(3v)| estimated from ``shots`` shots each.
 
     A run draws from one stream, ``default_rng(seed)``: ``seed`` is
     anything ``default_rng`` accepts, and the scenario runner passes the
@@ -364,12 +374,10 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     in row order (vartheta varying fastest).  An array draw takes the
     same numbers from the stream as scalar draws in turn, so row k equals
     two ``sample_correlation`` calls that continue the stream where row
-    k - 1 left it, whatever the block size.  Runs at different seeds
-    share no draws; row k's draws depend on the rows before it.
+    k - 1 left it, whatever the block size.
     """
-    omega_t_grid, vartheta_grid = list(omega_t_grid), list(vartheta_grid)
-    m = np.stack([_pair_matrices(landscape_state(om_t), 0, 1) for om_t in omega_t_grid])
-    v = np.asarray(vartheta_grid, dtype=float)
+    omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
+    m = np.stack([_pair_matrices(landscape_state(om_t), 0, 1) for om_t in omega_t_grid.tolist()])
     n_v, n_rows = len(v), len(m) * len(v)
     rng = np.random.default_rng(seed)
     b_s = np.empty(n_rows)
@@ -379,4 +387,4 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
         probs = _outcome_probabilities(m[k // n_v, None], angles, 0.0)
         e = (shots - 2 * rng.binomial(shots, _odd_parity_probability(probs, readout_error))) / shots
         b_s[k] = np.abs(3.0 * e[:, 0] - e[:, 1])
-    return _landscape_rows(omega_t_grid, vartheta_grid, b_s)
+    return Landscape.of_grid(omega_t_grid, v, b_s)

@@ -9,9 +9,11 @@ Subcommands:
 Sweeps run batched on one thread: the Hamiltonian of a sweep is assembled
 once, its points are propagated by stacked matrix exponentials and their
 final states are scored as one stack.
-CSV output is deterministic (bit-identical for identical config and
-seed): header row, '\\n' line endings, floats printed with 9 significant
-digits, booleans as true/false.  A sampled run draws from one stream,
+A runner returns its table as one array per CSV column, and
+``render_csv(header, columns)`` writes it deterministically (bit-identical
+for identical config and seed): header row, '\\n' line endings, each
+column formatted by its dtype, floats with 9 significant digits and
+booleans as true/false.  A sampled run draws from one stream,
 ``np.random.default_rng(np.random.SeedSequence(seed))``, its rows taking
 their draws in row order: runs at different seeds share no draws, and a
 row's draws depend on the rows before it.  An output file that already
@@ -24,7 +26,6 @@ it is.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -48,50 +49,34 @@ from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.9g}"
-    return str(value)
+# Rows formatted a block at a time, so the cells held at once stay few
+# (a 2048-row block of the islands table holds ~0.4 MB of fixed-width text).
+_CSV_BLOCK = 2048
 
 
-# One converter per exact type, each giving the text ``_fmt`` gives.
-_COLUMN_FORMATS = {bool: {True: "true", False: "false"}.__getitem__, int: str, float: "{:.9g}".format}
-# Rows formatted column by column at a time, so the cells held at once stay few.
-_CSV_BLOCK = 4096
+def _column_text(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a 1-D column, by its dtype: bools as true/false, ints and strs as ``str`` gives them."""
+    if column.dtype == bool:
+        return np.where(column, "true", "false")
+    if column.dtype.kind == "f":
+        # 9 significant digits, once per bit pattern: -0.0 stays -0 and a repeated grid value is one format
+        distinct, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
+        return np.array(list(map("{:.9g}".format, distinct.view(np.float64).tolist())))[inverse]
+    return column.astype(str)
 
 
-def _format_column(values) -> list[str]:
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        # keyed on the bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart
-        distinct, inverse = np.unique(np.array(values).view(np.int64), return_inverse=True)
-        if 2 * len(distinct) <= len(values):
-            texts = list(map(_COLUMN_FORMATS[float], distinct.view(np.float64).tolist()))
-            return list(map(texts.__getitem__, inverse.tolist()))
-    return list(map(_COLUMN_FORMATS.get(kind) or _fmt, values))
+def render_csv(header, columns) -> str:
+    """Header line, then one line per row of ``columns``, one 1-D array or sequence per header name.
 
-
-def render_csv(header, rows) -> str:
-    """Header line, then one line per row, every value formatted by ``_fmt``.
-
-    Rows go in blocks; within a block, a column whose values share one
-    exact type (bool, int or float) is formatted by one converter.  A
-    float column that repeats its values (at most half of them distinct,
-    as on the axes of a grid) formats each distinct value once.
+    Each column is formatted by its dtype (``_column_text``), a block of ``_CSV_BLOCK`` rows at a time.
     """
+    columns = [np.asarray(column) for column in columns]
     lines = [",".join(header)]
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _CSV_BLOCK)):
-        if len(set(map(len, block))) == 1 and block[0]:
-            cells = zip(*map(_format_column, zip(*block)))
-        else:  # ragged or empty rows have no columns to share a converter
-            cells = (map(_fmt, row) for row in block)
-        lines.extend(map(",".join, cells))
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = _column_text(columns[0][start : start + _CSV_BLOCK])
+        for column in columns[1:]:
+            block = np.strings.add(np.strings.add(block, ","), _column_text(column[start : start + _CSV_BLOCK]))
+        lines.extend(block.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -155,13 +140,16 @@ def _run_prepare_pair(cfg: ScenarioConfig):
         oms.extend([om] * len(t_values))
         ts.extend(t_values)
     run = gates.prepare_pair_sweep(spec, zip(oms, ts))
-    rows = list(zip(oms, ts, run.p0.tolist(), run.fidelity.tolist(), run.alpha.real.tolist(), run.alpha.imag.tolist()))
     header = ("omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
+    columns = (oms, ts, run.p0, run.fidelity, run.alpha.real, run.alpha.imag)
     summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
-    best = max(rows, key=lambda r: r[3])
-    summary.append(f"best fidelity = {best[3]:.6f} at omega_minus={best[0]:.9g}, T={best[1]:.9g} (p0={best[2]:.6f})")
-    summary.append(f"last row: p0 = {rows[-1][2]:.6f}, fidelity = {rows[-1][3]:.6f}")
-    return header, rows, summary
+    best = int(np.argmax(run.fidelity))
+    summary.append(
+        f"best fidelity = {run.fidelity[best]:.6f} at omega_minus={oms[best]:.9g}, T={ts[best]:.9g}"
+        f" (p0={run.p0[best]:.6f})"
+    )
+    summary.append(f"last row: p0 = {run.p0[-1]:.6f}, fidelity = {run.fidelity[-1]:.6f}")
+    return header, columns, summary
 
 
 def _run_cnot(cfg: ScenarioConfig):
@@ -169,35 +157,36 @@ def _run_cnot(cfg: ScenarioConfig):
     spec = SystemSpec(atom_levels=3, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
     labels = gates.QUBIT_LABELS if p["input"] == "all" else (p["input"],)
     run = gates.cnot_pulse_sweep(spec, p["omega_values"], labels)
-    cells = zip(itertools.product(p["omega_values"], labels), run.p0.ravel().tolist(), run.fidelity.ravel().tolist())
-    rows = [(om, lab, p0, f) for (om, lab), p0, f in cells]
     header = ("omega", "input_label", "p0", "fidelity")
+    omega, label = np.repeat(p["omega_values"], len(labels)), np.tile(labels, len(p["omega_values"]))
+    fidelity = run.fidelity.ravel()
     summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
-    worst = min(rows, key=lambda r: r[3])
-    summary.append(f"worst fidelity = {worst[3]:.6f} (omega={worst[0]:.9g}, input={worst[1]})")
-    return header, rows, summary
+    worst = int(np.argmin(fidelity))
+    summary.append(f"worst fidelity = {fidelity[worst]:.6f} (omega={omega[worst]:.9g}, input={label[worst]})")
+    return header, (omega, label, run.p0.ravel(), fidelity), summary
 
 
 def _run_pbg(cfg: ScenarioConfig):
     p = cfg.physics
     g, loss = p["g"], p["loss"]
     target = pbg.bell_target().amplitudes
-    points = [(gt1, gt2) for gt1 in p["gt1_values"] for gt2 in p["gt2_values"]]
+    gt1 = np.repeat(p["gt1_values"], len(p["gt2_values"]))
+    gt2 = np.tile(p["gt2_values"], len(p["gt1_values"]))
     t1_values, t2_values = [gt1 / g for gt1 in p["gt1_values"]], [gt2 / g for gt2 in p["gt2_values"]]
     try:
         amplitudes = pbg.pbg_final_states(g, t1_values, t2_values, loss)
     except ValueError as exc:  # a negative or overflowing transit time from the config
         raise ConfigError(str(exc)) from exc
-    check_final_states(amplitudes, lambda j: f"g_t1={points[j][0]:.9g}, g_t2={points[j][1]:.9g}")
-    rows = [(gt1, gt2, f) for (gt1, gt2), f in zip(points, fidelities(amplitudes, target).tolist())]
+    check_final_states(amplitudes, lambda j: f"g_t1={gt1[j]:.9g}, g_t2={gt2[j]:.9g}")
+    fidelity = fidelities(amplitudes, target)
     header = ("g_t1", "g_t2", "bell_fidelity")
-    best = max(rows, key=lambda r: r[2])
+    best = int(np.argmax(fidelity))
     plan = pbg.pbg_optimal_times(g)
     summary = [
-        f"best grid fidelity = {best[2]:.9f} at (g_t1, g_t2) = ({best[0]:.9g}, {best[1]:.9g})",
+        f"best grid fidelity = {fidelity[best]:.9f} at (g_t1, g_t2) = ({gt1[best]:.9g}, {gt2[best]:.9g})",
         f"optimal plan: g_t1 = {plan.g * plan.t1:.9g}, g_t2 = {plan.g * plan.t2:.9g}",
     ]
-    return header, rows, summary
+    return header, (gt1, gt2, fidelity), summary
 
 
 def _run_stream(seed) -> np.random.Generator:
@@ -210,39 +199,37 @@ def _run_stream(seed) -> np.random.Generator:
 
 def _run_bell_landscape(cfg: ScenarioConfig):
     p = cfg.physics
-    header = ("omega_T", "vartheta", "b_s", "violated")
     if cfg.shots is None:
-        rows = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
+        landscape = bell.bs_landscape(p["omega_t_values"], p["vartheta_values"])
     else:
-        rows = bell._sampled_landscape(
+        landscape = bell._sampled_landscape(
             p["omega_t_values"], p["vartheta_values"], cfg.shots, _run_stream(cfg.seed), p["readout_error"]
         )
-    best = max(rows, key=lambda r: r[2])
+    best = int(np.argmax(landscape.b_s))
     summary = [
-        f"max |B_S| = {best[2]:.9g} at omega_T = {best[0]:.9g}, vartheta = {best[1]:.9g}"
-        f" (violated = {_fmt(best[3])})",
-        f"violation rows: {sum(1 for r in rows if r[3])} of {len(rows)}",
+        f"max |B_S| = {landscape.b_s[best]:.9g} at omega_T = {landscape.omega_T[best]:.9g},"
+        f" vartheta = {landscape.vartheta[best]:.9g} (violated = {_column_text(landscape.violated[[best]])[0]})",
+        f"violation rows: {np.count_nonzero(landscape.violated)} of {len(landscape.violated)}",
     ]
-    return header, rows, summary
+    return bell.Landscape._fields, landscape, summary
 
 
 def _run_mermin(cfg: ScenarioConfig):
     p = cfg.physics
 
-    def one(n):
+    def state(n):
         if p["state"] == "ghz":
-            psi = states.ghz_state(n, p["ghz_phase"])
-        else:
-            psi = basis_state(states.qubit_layout(n), (0,) * n)
-        res = bell.mermin_n(psi)
-        return (n, res.value, res.classical_bound, res.quantum_bound)
+            return states.ghz_state(n, p["ghz_phase"])
+        return basis_state(states.qubit_layout(n), (0,) * n)
 
-    rows = [one(n) for n in p["n_values"]]
+    results = [bell.mermin_n(state(n)) for n in p["n_values"]]
     header = ("n_qubits", "f_value", "classical_bound", "quantum_bound")
+    fields = ("value", "classical_bound", "quantum_bound")
+    columns = (p["n_values"], *([getattr(res, name) for res in results] for name in fields))
     summary = [f"state = {p['state']}"]
-    for n, value, classical, _quantum in rows:
-        summary.append(f"n = {n}: F = {value:.6f} (classical bound {classical:g})")
-    return header, rows, summary
+    for res in results:
+        summary.append(f"n = {res.n_qubits}: F = {res.value:.6f} (classical bound {res.classical_bound:g})")
+    return header, columns, summary
 
 
 def _run_trajectories(cfg: ScenarioConfig):
@@ -267,20 +254,20 @@ def _run_trajectories(cfg: ScenarioConfig):
 
     t_values = p["t_end_values"] or [default_t]
     rng = _run_stream(cfg.seed)
-    rows = []
+    p0_det, p0_mc, stderr = [], [], []
     for t_end in t_values:
-        p0_det = _check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}")
+        p0_det.append(_check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}"))
         try:
             batch = trajectories.run_trajectories(h, jump_ops, psi0, t_end, p["n_traj"], rng, dt=p["dt"])
-        except ValueError as exc:  # bad dt from the config
+        except ValueError as exc:  # bad dt, or no default dt, from the config
             raise ConfigError(str(exc)) from exc
-        rows.append((t_end, p0_det, batch.p0_estimate, batch.p0_stderr))
+        p0_mc.append(batch.p0_estimate)
+        stderr.append(batch.p0_stderr)
         summary.append(
-            f"t_end = {t_end:.9g}: p0_det = {p0_det:.6f}, p0_mc = {batch.p0_estimate:.6f}"
+            f"t_end = {t_end:.9g}: p0_det = {p0_det[-1]:.6f}, p0_mc = {batch.p0_estimate:.6f}"
             f" +- {batch.p0_stderr:.6f} (n_traj = {batch.n_traj}, dt = {batch.dt:.3g})"
         )
-    header = ("t_end", "p0_det", "p0_mc", "stderr")
-    return header, rows, summary
+    return ("t_end", "p0_det", "p0_mc", "stderr"), (t_values, p0_det, p0_mc, stderr), summary
 
 
 _RUNNERS = {
@@ -295,7 +282,7 @@ _RUNNERS = {
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", quiet: bool = False) -> Path:
     """Execute a scenario, write its CSV and summary, return the CSV path."""
-    header, rows, summary = _RUNNERS[cfg.scenario](cfg)
+    header, columns, summary = _RUNNERS[cfg.scenario](cfg)
     csv_name = Path(cfg.out if cfg.out else f"{cfg.scenario}.csv")
     summary_name = csv_name.parent / (csv_name.stem + "_summary.txt")
 
@@ -306,10 +293,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", quiet: bool = False) -
         lines.append(f"seed = {cfg.seed}")
     if cfg.shots is not None:
         lines.append(f"shots = {cfg.shots}")
-    lines.append(f"rows = {len(rows)}")
+    lines.append(f"rows = {len(columns[0])}")
     lines.extend(summary)
     text = "\n".join(lines) + "\n"
-    csv_path, _ = _write_outputs(out_dir, {csv_name: render_csv(header, rows), summary_name: text})
+    csv_path, _ = _write_outputs(out_dir, {csv_name: render_csv(header, columns), summary_name: text})
     if not quiet:
         sys.stdout.write(text)
         sys.stdout.write(f"wrote {csv_path}\n")
@@ -322,37 +309,40 @@ _FIGURE_GAMMAS = (0.0, 0.01, 0.1)
 _FIGURE_OMEGAS = [float(f"{w:.9g}") for w in np.logspace(math.log10(0.005), math.log10(0.5), 25)]
 
 
-def _figure_rows(which: str):
+def _figure_columns(which: str):
     if which == "islands":
         grid_t = [k * 2.0 * math.pi / 100 for k in range(101)]
         grid_v = [k * math.pi / 100 for k in range(101)]
-        return ("omega_T", "vartheta", "b_s", "violated"), bell.bs_landscape(grid_t, grid_v)
+        return bell.Landscape._fields, bell.bs_landscape(grid_t, grid_v)
 
-    rows = []
+    runs = []
     for gam in _FIGURE_GAMMAS:
         if which == "fig2":
             s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            run = gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS])
-            alpha = (run.alpha.real.tolist(), run.alpha.imag.tolist())
+            runs.append(gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS]))
         else:
             # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
             s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            run = gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"])
-            alpha = ()
-        columns = (run.duration.tolist(), run.p0.ravel().tolist(), run.fidelity.ravel().tolist(), *alpha)
-        rows.extend(zip(itertools.repeat(gam), _FIGURE_OMEGAS, *columns))
+            runs.append(gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"]))
+    # one block of rows per gamma, omega varying fastest
+    axes = (np.repeat(_FIGURE_GAMMAS, len(_FIGURE_OMEGAS)), np.tile(_FIGURE_OMEGAS, len(_FIGURE_GAMMAS)))
+    duration, p0, fidelity = (
+        np.concatenate([getattr(run, name).ravel() for run in runs]) for name in ("duration", "p0", "fidelity")
+    )
     if which == "fig2":
-        return ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im"), rows
+        alpha = np.concatenate([run.alpha for run in runs])
+        header = ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
+        return header, (*axes, duration, p0, fidelity, alpha.real, alpha.imag)
     if which == "fig4":
-        return ("gamma", "omega", "T", "p0"), [r[:4] for r in rows]
-    return ("gamma", "omega", "T", "fidelity"), [(r[0], r[1], r[2], r[4]) for r in rows]
+        return ("gamma", "omega", "T", "p0"), (*axes, duration, p0)
+    return ("gamma", "omega", "T", "fidelity"), (*axes, duration, fidelity)
 
 
 def run_figure(which: str, out_dir: str = ".", quiet: bool = False) -> Path:
-    header, rows = _figure_rows(which)
-    (path,) = _write_outputs(out_dir, {f"{which}.csv": render_csv(header, rows)})
+    header, columns = _figure_columns(which)
+    (path,) = _write_outputs(out_dir, {f"{which}.csv": render_csv(header, columns)})
     if not quiet:
-        sys.stdout.write(f"wrote {path} ({len(rows)} rows)\n")
+        sys.stdout.write(f"wrote {path} ({len(columns[0])} rows)\n")
     return path
 
 

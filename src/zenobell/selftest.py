@@ -113,8 +113,7 @@ def _check_fock_convergence() -> tuple[bool, str]:
 def _check_csv_reproducible() -> tuple[bool, str]:
     grid_t = [k * 2 * math.pi / 40 for k in range(41)]
     grid_v = [k * math.pi / 40 for k in range(41)]
-    first = render_csv(("omega_T", "vartheta", "b_s", "violated"), bell.bs_landscape(grid_t, grid_v))
-    second = render_csv(("omega_T", "vartheta", "b_s", "violated"), bell.bs_landscape(grid_t, grid_v))
+    first, second = (render_csv(bell.Landscape._fields, bell.bs_landscape(grid_t, grid_v)) for _ in range(2))
     state = bell.landscape_state(math.pi)
     sampled = [bell.sample_correlation(state, 0, 1, 0.4, 0.0, 2000, seed=11) for _ in range(2)]
     ok = first == second and sampled[0] == sampled[1]

@@ -186,6 +186,8 @@ def run_trajectories(
     ls = [op.entries for op in jump_ops]
     dt_max = _max_stable_dt(h, ls)
     if dt is None:
+        if not math.isfinite(dt_max):  # 0.01 / scale overflows on a subnormal rate scale
+            raise ValueError("rate scale too small: the default dt = 0.01 / scale overflows; set dt")
         dt = dt_max
     elif dt <= 0:
         raise ValueError("dt must be positive")

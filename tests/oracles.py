@@ -353,3 +353,21 @@ def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
     if op.layout != psi.layout:
         raise ValueError("operator and state live on different layouts")
     return StateVector(psi.layout, op.entries @ psi.amplitudes)
+
+
+def csv_cell(value) -> str:
+    """The CSV text of one Python value: true/false, ``str`` of an int, 9 significant digits of a float."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def render_csv_by_value(header, rows) -> str:
+    """A CSV table formatted one Python value at a time, row by row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

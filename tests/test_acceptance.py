@@ -93,9 +93,10 @@ def test_criterion_1_bell_maximum():
     start = time.perf_counter()
     grid_t = [k * 2.0 * math.pi / 100 for k in range(101)]
     grid_v = [k * math.pi / 100 for k in range(101)]
-    rows = bs_landscape(grid_t, grid_v)
-    best = max(rows, key=lambda r: r[2])
-    at_peak = next(r for r in rows if abs(r[0] - math.pi) < 1e-12 and abs(r[1] - math.pi / 4) < 1e-12)
+    landscape = bs_landscape(grid_t, grid_v)
+    best = [column[int(np.argmax(landscape.b_s))] for column in landscape]
+    peak = (np.abs(landscape.omega_T - math.pi) < 1e-12) & (np.abs(landscape.vartheta - math.pi / 4) < 1e-12)
+    at_peak = [column[int(np.flatnonzero(peak)[0])] for column in landscape]
     boundary = bs_value(
         entangled_pair_state(math.sqrt(1.0 / SQRT2)), AnalyzerSettings.from_single_angle(math.pi / 4)
     )

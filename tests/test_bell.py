@@ -183,28 +183,25 @@ def test_bs_reduced_rejects_asymmetric_states():
 
 
 def test_landscape_known_points():
-    rows = bs_landscape([math.pi], [math.pi / 4])
-    om_t, v, b, violated = rows[0]
-    assert b == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
-    assert violated
-    rows = bs_landscape([0.0], [0.3, 1.0])
-    for _, _, b, violated in rows:
-        assert b == pytest.approx(0.0, abs=1e-14)
-        assert not violated
+    landscape = bs_landscape([math.pi], [math.pi / 4])
+    assert landscape.b_s[0] == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+    assert landscape.violated[0]
+    landscape = bs_landscape([0.0], [0.3, 1.0])
+    assert landscape.b_s == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert not landscape.violated.any()
 
 
 def test_landscape_grid_maximum():
     grid_t = [k * 2 * math.pi / 100 for k in range(101)]
     grid_v = [k * math.pi / 100 for k in range(101)]
-    rows = bs_landscape(grid_t, grid_v)
-    assert len(rows) == 101 * 101
-    best = max(rows, key=lambda r: r[2])
-    k_best = max(range(len(rows)), key=lambda k: rows[k][2])
-    first_max = next(r for r in rows if r[2] >= best[2] - 1e-12)
-    assert best[2] == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
-    assert first_max[0] == pytest.approx(math.pi, abs=1e-12)
-    assert first_max[1] == pytest.approx(math.pi / 4, abs=1e-12)
-    assert rows[k_best][3] is True or rows[k_best][3]
+    landscape = bs_landscape(grid_t, grid_v)
+    assert all(column.shape == (101 * 101,) for column in landscape)
+    best = int(np.argmax(landscape.b_s))
+    first_max = int(np.flatnonzero(landscape.b_s >= landscape.b_s[best] - 1e-12)[0])
+    assert landscape.b_s[best] == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
+    assert landscape.omega_T[first_max] == pytest.approx(math.pi, abs=1e-12)
+    assert landscape.vartheta[first_max] == pytest.approx(math.pi / 4, abs=1e-12)
+    assert landscape.violated[best]
 
 
 def test_landscape_cross_checked_against_state_route():
@@ -212,25 +209,26 @@ def test_landscape_cross_checked_against_state_route():
     for _ in range(10):
         om_t = rng.uniform(0, 2 * math.pi)
         v = rng.uniform(0, math.pi)
-        (row,) = bs_landscape([om_t], [v])
-        assert row[2] == pytest.approx(bs_reduced(landscape_state(om_t), v), abs=1e-10)
+        (b,) = bs_landscape([om_t], [v]).b_s
+        assert b == pytest.approx(bs_reduced(landscape_state(om_t), v), abs=1e-10)
 
 
 def test_landscape_matches_scalar_formula_bitwise():
     # the outer product takes the same IEEE operations as the scalar
-    # formula, for grids of Python floats, ints and numpy scalars alike
+    # formula, for grids of Python floats, ints and numpy scalars alike;
+    # the columns run in row order, vartheta varying fastest
     rng = np.random.default_rng(15)
     grid_t = [*rng.uniform(-10.0, 10.0, 7).tolist(), 0, 3, np.float64(2.5), -1]
     grid_v = [*rng.uniform(-4.0, 4.0, 9).tolist(), 0, 1, np.float64(0.75), -2]
-    rows = bs_landscape(grid_t, grid_v)
+    landscape = bs_landscape(grid_t, grid_v)
     expected = []
     for om_t in grid_t:
         alpha_sq = math.sin(float(om_t) / 2.0) ** 2
         for v in grid_v:
             b = abs(3.0 * (-alpha_sq * math.cos(v)) - (-alpha_sq * math.cos(3.0 * v)))
             expected.append((float(om_t), float(v), b, b > 2.0))
-    assert rows == expected
-    assert {type(value) for row in rows for value in row} == {float, bool}
+    assert list(zip(*(column.tolist() for column in landscape))) == expected
+    assert [column.dtype for column in landscape] == [np.float64, np.float64, np.float64, np.bool_]
 
 
 def test_landscape_rejects_empty_grid():

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from zenobell import bell, cli, selftest
-from zenobell.cli import _fmt, _run_bell_landscape, main, render_csv
+from zenobell.cli import _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
+
+from oracles import render_csv_by_value
 
 EXAMPLE = """\
 scenario = prepare_pair
@@ -156,7 +158,7 @@ def test_parse_config_raises_only_config_error(text):
 
 
 def test_render_csv_formats():
-    text = render_csv(("a", "b", "c"), [(math.pi, True, 3), (0.5, False, -1)])
+    text = render_csv(("a", "b", "c"), [[math.pi, 0.5], np.array([True, False]), (3, -1)])
     lines = text.split("\n")
     assert lines[0] == "a,b,c"
     assert lines[1] == "3.14159265,true,3"
@@ -164,38 +166,36 @@ def test_render_csv_formats():
     assert text.endswith("\n")
 
 
-def _render_per_value(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("block", [4096, 2])
 def test_render_csv_columns_match_per_value_formatting(monkeypatch, block):
-    # a column gets one converter only when all its values in a block share
-    # one exact type; numpy scalars, strings and mixed columns go value by
-    # value, and a block of 2 rows splits a mixed column into uniform parts
+    # each column is formatted by its dtype; the text must be what
+    # formatting its Python values one at a time gives, across blocks of
+    # 2 rows as in one block
     monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-    header = ("f64", "i64", "flag", "name", "edge", "int_float", "float", "bool_int", "np_bool")
-    rows = [
-        (np.float64(math.pi), np.int64(-3), True, "ghz", math.nan, 1, 0.1, True, np.True_),
-        (np.float64(1e-300), np.int64(2**62), False, "zeros", math.inf, 2.5, 1 / 3, 1, np.False_),
-        (np.float64(-0.0), np.int64(0), True, "w", -math.inf, 7, -0.0, False, np.True_),
-    ]
-    assert render_csv(header, rows) == _render_per_value(header, rows)
-    assert render_csv(header, iter(rows)) == _render_per_value(header, rows)
-    for ragged in ([(1, 2.5), (3,)], [(), ()], [], [(1, 2), (3, 4), (5,), (6, 7.5)]):
-        assert render_csv(("a", "b"), ragged) == _render_per_value(("a", "b"), ragged)
-    # a float column of few distinct values formats each once: -0.0 must
+    i64 = np.iinfo(np.int64)
+    columns = {
+        "f64": np.array([math.pi, 1e-300, -0.0, 0.0, 1 / 3]),
+        "i64": np.array([-3, 2**62, 0, i64.min, i64.max]),
+        "flag": np.array([True, False, True, True, False]),
+        "name": np.array(["ghz", "zeros", "w", "00", "a b"]),
+        "edge": [math.nan, math.inf, -math.inf, -math.nan, 5e-324],
+        "py_int": [1, -2, 3, 10**15, 0],
+        "py_bool": [True, False, False, True, True],
+    }
+    rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
+    assert render_csv(tuple(columns), columns.values()) == render_csv_by_value(tuple(columns), rows)
+    # a float column that repeats few values formats each once: -0.0 must
     # still print -0, and NaN of either sign and +-inf as per value
     edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300, 1 / 3, math.pi]
-    repeated = [(edges[k % len(edges)], edges[(k * 7) % len(edges)] if k % 3 else k / 5) for k in range(5000)]
-    assert render_csv(("axis", "mixed"), repeated) == _render_per_value(("axis", "mixed"), repeated)
+    axis = [edges[k % len(edges)] for k in range(5000)]
+    mixed = [edges[(k * 7) % len(edges)] if k % 3 else k / 5 for k in range(5000)]
+    expected = render_csv_by_value(("axis", "mixed"), zip(axis, mixed))
+    assert render_csv(("axis", "mixed"), (np.array(axis), mixed)) == expected
+    # no rows: the header alone
+    assert render_csv(("a", "b"), ([], np.array([], dtype=bool))) == "a,b\n"
 
 
-# Every scenario, with its sampled forms: each value a runner hands
-# render_csv must be a Python bool, int, float or str, so that a column
-# of one exact type is formatted by one converter.
+# Every scenario, with its sampled forms.
 ONE_CONFIG_PER_RUNNER = {
     "prepare_pair": "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.0002\nomega_minus_values = 0.02, 0.03\nT_values = 0, 50\n",
     "cnot": "scenario = cnot\ng = 1\nkappa = 1\ngamma = 0.001\nomega = 0.05\ninput = all\n",
@@ -209,20 +209,27 @@ ONE_CONFIG_PER_RUNNER = {
         "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\nn_traj = 10\n"
     ),
 }
-PYTHON_SCALARS = {bool, int, float, str}
+
+
+def _assert_header_length_columns(header, columns):
+    # render_csv formats a column by its dtype, so each must be 1-D of a
+    # bool, int, float or str dtype, and all of one nonzero length
+    columns = [np.asarray(column) for column in columns]
+    assert len(columns) == len(header)
+    assert {column.shape for column in columns} == {(len(columns[0]),)} and len(columns[0]) > 0
+    assert {column.dtype.kind for column in columns} <= set("bifU")
 
 
 @pytest.mark.parametrize("name", ONE_CONFIG_PER_RUNNER)
 def test_scenario_rows_hold_python_scalars(name):
     cfg = parse_config(ONE_CONFIG_PER_RUNNER[name])
-    _header, rows, _summary = cli._RUNNERS[cfg.scenario](cfg)
-    assert rows and {type(value) for row in rows for value in row} <= PYTHON_SCALARS
+    header, columns, _summary = cli._RUNNERS[cfg.scenario](cfg)
+    _assert_header_length_columns(header, columns)
 
 
 @pytest.mark.parametrize("which", ["fig2", "fig4", "fig5", "islands"])
 def test_figure_rows_hold_python_scalars(which):
-    _header, rows = cli._figure_rows(which)
-    assert rows and {type(value) for row in rows for value in row} <= PYTHON_SCALARS
+    _assert_header_length_columns(*cli._figure_columns(which))
 
 
 # ------------------------------------------------------------------- CLI runs
@@ -317,10 +324,10 @@ def test_sampled_landscape_row_is_two_sample_correlation_calls(monkeypatch, read
         f"scenario = bell_landscape\nshots = {shots}\nseed = {seed}\nreadout_error = {readout_error}\n"
         "omega_t_count = 4\nvartheta_count = 3\n"
     )
-    _, rows, _ = _run_bell_landscape(cfg)
-    assert len(rows) == 12
+    _, landscape, _ = _run_bell_landscape(cfg)
+    assert len(landscape.b_s) == 12
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for om_t, v, b, violated in rows:
+    for om_t, v, b, violated in zip(*landscape):
         state = bell.landscape_state(om_t)
         e1, _ = bell.sample_correlation(state, 0, 1, v, 0.0, shots, rng, readout_error)
         e3, _ = bell.sample_correlation(state, 0, 1, 3 * v, 0.0, shots, rng, readout_error)
@@ -347,8 +354,8 @@ def test_sampled_run_seeds_one_stream(monkeypatch, config):
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     cfg = parse_config(config)
-    _header, rows, _summary = cli._RUNNERS[cfg.scenario](cfg)
-    assert len(rows) > 1
+    _header, columns, _summary = cli._RUNNERS[cfg.scenario](cfg)
+    assert len(columns[0]) > 1
     assert made == [(3,)]
 
 
@@ -670,6 +677,21 @@ def test_cli_overflowing_h_t_is_one_numeric_failure_line(tmp_path, capsys, body)
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning from the Euler step either
+def test_cli_subnormal_rate_scale_is_one_config_error_line(tmp_path, capsys):
+    # 0.01 / kappa overflows, so there is no default dt to step with
+    body = "scenario = trajectories\nsystem = cavity_decay\nkappa = 5e-324\nt_end_values = 0\n"
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: rate scale too small")
+    # a dt from the config needs no default
+    cfg.write_text(body + "dt = 0.01\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 _PAIR = "g = 1\nkappa = 1\ngamma = 0.001\n"
