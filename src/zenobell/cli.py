@@ -36,15 +36,16 @@ import numpy as np
 from . import bell, gates, pbg, states, trajectories
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import (
+    DrivenHamiltonian,
     NumericalError,
     SystemSpec,
     check_regime,
     check_final_states,
     h_cond_two_level,
-    no_photon_probability,
+    no_jump_states,
     pair_drive,
 )
-from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder
+from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder, norms
 
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 
@@ -254,9 +255,17 @@ def _run_trajectories(cfg: ScenarioConfig):
 
     t_values = p["t_end_values"] or [default_t]
     rng = _run_stream(cfg.seed)
-    p0_det, p0_mc, stderr = [], [], []
-    for t_end in t_values:
-        p0_det.append(_check_probability(no_photon_probability(h, psi0, t_end), "p0", f"t_end={t_end:.9g}"))
+    family = DrivenHamiltonian(h.layout, (), h.entries, ())
+    finals = no_jump_states(family, [{}] * len(t_values), t_values, [psi0.amplitudes])[:, 0]
+    finite = np.isfinite(finals.view(float)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {t_values[int(np.argmin(finite))]:.9g}")
+    p0_det = [
+        _check_probability(p0, "p0", f"t_end={t_end:.9g}")
+        for p0, t_end in zip(np.float_power(norms(finals), 2.0).tolist(), t_values)
+    ]
+    p0_mc, stderr = [], []
+    for t_end, det in zip(t_values, p0_det):
         try:
             batch = trajectories.run_trajectories(h, jump_ops, psi0, t_end, p["n_traj"], rng, dt=p["dt"])
         except ValueError as exc:  # bad dt, or no default dt, from the config
@@ -264,7 +273,7 @@ def _run_trajectories(cfg: ScenarioConfig):
         p0_mc.append(batch.p0_estimate)
         stderr.append(batch.p0_stderr)
         summary.append(
-            f"t_end = {t_end:.9g}: p0_det = {p0_det[-1]:.6f}, p0_mc = {batch.p0_estimate:.6f}"
+            f"t_end = {t_end:.9g}: p0_det = {det:.6f}, p0_mc = {batch.p0_estimate:.6f}"
             f" +- {batch.p0_stderr:.6f} (n_traj = {batch.n_traj}, dt = {batch.dt:.3g})"
         )
     return ("t_end", "p0_det", "p0_mc", "stderr"), (t_values, p0_det, p0_mc, stderr), summary

@@ -176,8 +176,7 @@ class DrivenHamiltonian:
     H(w) = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0 holds the
     cavity coupling and the Gamma and kappa damping, and S_k raises the
     driven transition ``keys[k]`` = (atom, transition label).  H0 and the
-    S_k are assembled once; :meth:`stack` then touches only the entries
-    where some S_k or S_k^dag is nonzero (36 of 729 for the CNOT lasers).
+    S_k are assembled once.
 
     No H(w) couples basis states in different connected components of the
     joint sparsity pattern of H0, the S_k and the S_k^dag, so exp(-i H t)
@@ -197,21 +196,6 @@ class DrivenHamiltonian:
     keys: tuple
     h0: np.ndarray
     raising: tuple
-    # flat indices of the entries some S_k or S_k^dag reaches, and each
-    # laser's (S_k, S_k^dag) at those entries
-    _reached: np.ndarray = field(init=False, repr=False, compare=False)
-    _drive_terms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        reached = np.zeros(self.h0.size, dtype=bool)
-        for s_plus in self.raising:
-            reached |= (s_plus != 0).ravel() | (s_plus.T != 0).ravel()
-        reached = _frozen(np.flatnonzero(reached))
-        terms = tuple(
-            (_frozen(s_plus.ravel()[reached]), _frozen(s_plus.conj().T.ravel()[reached])) for s_plus in self.raising
-        )
-        object.__setattr__(self, "_reached", reached)
-        object.__setattr__(self, "_drive_terms", terms)
 
     @classmethod
     def of(cls, spec: SystemSpec, keys) -> "DrivenHamiltonian":
@@ -231,8 +215,9 @@ class DrivenHamiltonian:
     @property
     def components(self) -> tuple["Component", ...]:
         """The connected components of the joint sparsity pattern, by lowest basis index."""
-        pattern = (self.h0 != 0).ravel()
-        pattern[self._reached] = True
+        pattern = self.h0 != 0
+        for s_plus in self.raising:
+            pattern |= (s_plus != 0) | (s_plus.T != 0)
         return _components(pattern.tobytes(), self.layout.total_dim)
 
     def stack(self, drives: Sequence[Mapping], states=None) -> np.ndarray:
@@ -244,23 +229,13 @@ class DrivenHamiltonian:
         for drive in drives:
             if set(drive) != set(self.keys):
                 raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
-        # The dense sum H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 entry by
-        # entry: on the reached entries it is evaluated as written; elsewhere
-        # each laser adds a zero of either sign for finite w, and x + -0.0 =
-        # x + 0.0 = x for every x but -0.0, which H0 (a sum into +0.0) lacks.
-        d = self.layout.total_dim
-        states = np.arange(d) if states is None else np.asarray(states)
-        flat = (states[:, None] * d + states).ravel()
-        at = np.minimum(np.searchsorted(flat, self._reached), len(flat) - 1)
-        inside = flat[at] == self._reached
-        flat_h0 = self.h0.ravel()
-        h = np.repeat(flat_h0[flat][None], len(drives), axis=0)
-        reached = np.repeat(flat_h0[self._reached[inside]][None], len(drives), axis=0)
-        for k, (s_plus, s_minus) in zip(self.keys, self._drive_terms):
-            w = np.array([complex(drive[k]) for drive in drives])[:, None]
-            reached += 0.5 * (w * s_plus[inside] + np.conj(w) * s_minus[inside])
-        h[:, at[inside]] = reached
-        return h.reshape(len(drives), len(states), len(states))
+        block = slice(None) if states is None else np.ix_(states, states)
+        h = np.repeat(self.h0[block][None], len(drives), axis=0)
+        for key, s_plus in zip(self.keys, self.raising):
+            w = np.array([complex(drive[key]) for drive in drives])[:, None, None]
+            s = s_plus[block]
+            h += 0.5 * (w * s + np.conj(w) * s.conj().T)
+        return h
 
 
 class Component(NamedTuple):

@@ -1,10 +1,14 @@
 """Monte-Carlo quantum-jump unraveling of the conditional dynamics.
 
 Independent stochastic cross-check of the deterministic no-photon
-probability: each trajectory evolves under the conditional Hamiltonian
-with a first-order Euler step (renormalized every step) and draws a jump
-with probability dt * sum_k ||L_k psi||^2 per step.  The fraction of
+probability: each trajectory follows the renormalized conditional state
+and jumps at the rate r(t) = sum_k ||L_k psi||^2 / ||psi||^2, so it has
+not jumped by t with the waiting-time probability
+S(t) = exp(-int_0^t r dt) (Dalibard, Castin and Molmer, PRL 68, 580
+(1992); Plenio and Knight, RMP 70, 101 (1998)).  The fraction of
 trajectories with zero jumps up to t estimates ||exp(-i H t) psi0||^2.
+The survival is taken from the jump operators, not from the norm, so the
+check also tests the damping of H against the L_k.
 
 The jump-operator rates follow the amplitude-damping convention of the
 conditional Hamiltonian: -i kappa b^dag b and -i Gamma P_exc damp the
@@ -22,17 +26,27 @@ so runs at different seeds share no draws and a row's draws depend on
 the rows before it.
 Because every trajectory starts from the same state and the pre-jump
 conditional state is deterministic, the shared no-jump trajectory is
-propagated once and the per-step Bernoulli chain is sampled by
-inversion: trajectory i jumps at the first step where the running
-no-jump survival prod_k (1 - dp_k) drops below its uniform draw u_i.
-This is the same first-jump distribution as drawing one uniform per
-step, couples runs with different dt through common random numbers, and
-retires a trajectory at its first jump, which leaves every reported
-statistic (no-jump fraction, first-jump histogram) unchanged.
+propagated once and the first jump is sampled by inversion: trajectory i
+jumps at the first step m where the survival S_m drops below its uniform
+draw u_i.  This is the same first-jump distribution as drawing one
+uniform per step against dp_k = 1 - S_{k+1} / S_k, couples runs with
+different dt through common random numbers, and retires a trajectory at
+its first jump, which leaves every reported statistic (no-jump fraction,
+first-jump histogram) unchanged.
 
-The no-jump state after k renormalized Euler steps is A^k psi0 / norm
-with A = 1 - i dt H, so the chain is computed a block of steps at a time
-from one stack of powers A^0 ... A^B, renormalizing at block boundaries.
+The no-jump state advances a step by two half steps of
+A = sum_{k<=4} (-i dt H / 2)^k / k!, the fourth-order Taylor polynomial
+of exp(-i dt H / 2) (on this linear equation, the classical RK4 step),
+and the integral of r over each step is Simpson's rule over its start,
+midpoint and end rates, so S never increases.  dt defaults to 1 / scale,
+where scale is the largest of ||H||_2 and ||L_k||_2^2 / 2, and is
+rejected above it: every eigenvalue of -i dt H / 2 then has modulus at
+most 1/2 and a nonpositive real part, where the polynomial is
+contractive.  The chain uses no matrix exponential, so it does not share
+the propagation of :func:`zenobell.dynamics.no_photon_probability`.  The
+state after j half steps is A^j psi0 / norm, so the chain is computed a
+block of steps at a time from one stack of powers A^0 ... A^(2B),
+renormalizing at block boundaries.
 """
 
 from __future__ import annotations
@@ -64,8 +78,8 @@ class TrajectoryBatch:
     jump_time_histogram: tuple[tuple[float, int], ...]
 
 
-_BLOCK = 256  # Euler steps per block of the survival chain
-_POWERS_BYTES = 2**23  # shortens blocks on large spaces: 16 n^2 bytes per power
+_BLOCK = 256  # steps per block of the survival chain
+_POWERS_BYTES = 2**23  # shortens blocks on large spaces: 16 n^2 bytes per power, two powers a step
 _MAX_STEPS = 10**7  # bounds the survival array (80 MB) and the chain's run time
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
 
@@ -101,49 +115,46 @@ def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:
         max((float(np.linalg.norm(op, 2)) ** 2 / 2.0 for op in jump_ops), default=0.0),
     )
     if scale <= 0:
-        return 0.01
-    return 0.01 / scale
+        return 1.0
+    return 1.0 / scale
 
 
 def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """No-jump survival prod_{k<m} (1 - dp_k) for m = 0 ... n_steps.
+    """No-jump survival exp(-int_0^{m dt} r(t) dt) for m = 0 ... n_steps.
 
-    dp_k = dt sum_j ||L_j psi_k||^2 on the renormalized first-order Euler
-    state psi_k, and psi_{k+1} = A psi_k / ||A psi_k|| with A = 1 - i dt H.
-    Each block of up to ``_BLOCK`` steps (fewer where the stack of powers
-    would exceed ``_POWERS_BYTES``) is one product of the stacked powers
-    A^0 ... A^m with the state at the block start.  Raises if a
-    step's jump probability exceeds 0.1 or its norm grows by more than 1.1.
+    The chain of the module docstring: two half steps of A per step and
+    Simpson's rule over each step's three rates.  Each block of up to
+    ``_BLOCK`` steps (fewer where the stack of powers would exceed
+    ``_POWERS_BYTES``) is one product of the stacked powers A^0 ... A^(2m)
+    with the state at the block start, renormalized there.
     """
     n = psi0.size
     decay = sum((l_op.conj().T @ l_op for l_op in ls), np.zeros((n, n), dtype=complex))
-    block_len = max(1, min(_BLOCK, _POWERS_BYTES // (16 * n * n) - 1))
-    step = np.eye(n) - 1j * dt * h
-    powers = np.empty((min(n_steps, block_len) + 1, n, n), dtype=complex)
-    powers[0] = np.eye(n)
+    block_len = max(1, min(_BLOCK, (_POWERS_BYTES // (16 * n * n) - 1) // 2))
+    eye = np.eye(n)
+    z = -0.5j * dt * h
+    half = eye + z @ (eye + z / 2 @ (eye + z / 3 @ (eye + z / 4)))
+    powers = np.empty((2 * min(n_steps, block_len) + 1, n, n), dtype=complex)
+    powers[0] = eye
     for j in range(1, len(powers)):
-        powers[j] = step @ powers[j - 1]
+        powers[j] = half @ powers[j - 1]
 
     survival = np.empty(n_steps + 1)
     survival[0] = 1.0
+    exponent = 0.0
     psi = np.asarray(psi0, dtype=complex)
     for start in range(0, n_steps, block_len):
         m = min(block_len, n_steps - start)
-        states = powers[: m + 1] @ psi
+        # one mat-vec over the stacked rows of the powers: ~3x faster than
+        # a batched matmul of the (2m + 1, n, n) stack on a small space
+        states = (powers[: 2 * m + 1].reshape(-1, n) @ psi).reshape(-1, n)
         norm2 = np.einsum("kn,kn->k", states.conj(), states).real
-        load = np.einsum("kn,kn->k", states.conj(), states @ decay.T).real
-        dp = dt * load[:m] / norm2[:m]
-        growth = np.sqrt(norm2[1:] / norm2[:-1])
-        # the first failing step decides, with the jump check first as in
-        # a step-by-step loop
-        bad = (dp > 0.1) | (growth > 1.1)
-        if bad.any():
-            if dp[np.argmax(bad)] > 0.1:
-                raise ValueError("unstable dt: per-step jump probability exceeded 0.1")
-            raise ValueError("unstable dt: norm increase detected")
-        # continues the running product in the order of one global cumprod
-        np.cumprod(np.concatenate(([survival[start]], 1.0 - dp)), out=survival[start : start + m + 1])
-        psi = states[m] / math.sqrt(norm2[m])
+        rate = np.einsum("kn,kn->k", states.conj(), states @ decay.T).real / norm2
+        # continues the running sum in the order of one global cumsum
+        exponents = np.cumsum(np.concatenate(([exponent], dt / 6.0 * (rate[:-2:2] + 4.0 * rate[1::2] + rate[2::2]))))
+        survival[start + 1 : start + m + 1] = np.exp(-exponents[1:])
+        exponent = exponents[-1]
+        psi = states[-1] / math.sqrt(norm2[-1])
     return survival
 
 
@@ -159,8 +170,9 @@ def run_trajectories(
 ) -> TrajectoryBatch:
     """Estimate the no-jump probability at ``t_end`` from ``n_traj`` runs.
 
-    ``dt`` defaults to 0.01 divided by the largest rate in the problem
-    and is rejected if larger (the first-order step would be unstable).
+    ``dt`` defaults to 1 divided by the largest rate in the problem and is
+    rejected if larger; the chain takes at least ``2 * histogram_bins``
+    steps, so that every bin spans two or more of them.
     The standard error is the binomial one.  The histogram covers
     first-jump times on ``histogram_bins`` uniform bins over (0, t_end];
     its entries are (left bin edge, count) and the counts sum to the
@@ -186,24 +198,24 @@ def run_trajectories(
     ls = [op.entries for op in jump_ops]
     dt_max = _max_stable_dt(h, ls)
     if dt is None:
-        if not math.isfinite(dt_max):  # 0.01 / scale overflows on a subnormal rate scale
-            raise ValueError("rate scale too small: the default dt = 0.01 / scale overflows; set dt")
+        if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
+            raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
         dt = dt_max
     elif dt <= 0:
         raise ValueError("dt must be positive")
     elif dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt} too large for a stable first-order step (max {dt_max:.3g})")
+        raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
 
-    steps = t_end / dt
+    steps = max(t_end / dt, 2.0 * histogram_bins) if t_end > 0 else 0
     if steps > _MAX_STEPS:
         count = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValueError(
-            f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} Euler steps (at most {_MAX_STEPS} allowed)"
-        )
-    n_steps = max(1, math.ceil(steps)) if t_end > 0 else 0
-    dt = t_end / n_steps if n_steps else dt
-
-    survival = _survival_chain(h, ls, psi0.amplitudes, dt, n_steps)
+        raise ValueError(f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} steps (at most {_MAX_STEPS} allowed)")
+    n_steps = math.ceil(steps)
+    if n_steps:
+        dt = t_end / n_steps
+        survival = _survival_chain(h, ls, psi0.amplitudes, dt, n_steps)
+    else:
+        survival = np.ones(1)
 
     # trajectory i takes draw i of the batch stream; no jump iff the
     # draw stays below the final survival probability

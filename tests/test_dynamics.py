@@ -330,7 +330,11 @@ def test_stack_equals_the_dense_drive_sum_byte_for_byte(levels, n_max, kappa):
         family = DrivenHamiltonian.of(spec, keys)
         drives = [{k: complex(*rng.choice(AMPLITUDE_PARTS, 2).tolist()) for k in keys} for _ in range(60)]
         drives += [{k: complex(*rng.normal(size=2).tolist()) for k in keys} for _ in range(20)]
-        assert family.stack(drives).tobytes() == dense_drive_stack(family, drives).tobytes()
+        dense = dense_drive_stack(family, drives)
+        assert family.stack(drives).tobytes() == dense.tobytes()
+        for component in family.components:
+            rows, cols = np.ix_(component.states, component.states)
+            assert family.stack(drives, component.states).tobytes() == dense[:, rows, cols].tobytes()
     # the entries no laser reaches are H0's own, which holds no -0.0 part
     parts = family.h0.view(float)
     assert not np.signbit(parts[parts == 0]).any()

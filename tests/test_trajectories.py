@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import euler_survival_chain
+from oracles import fourth_order_survival_chain
 
-from zenobell.dynamics import SystemSpec, h_cond_lambda, h_cond_two_level, no_photon_probability
+from zenobell.dynamics import (
+    SystemSpec,
+    cnot_drive,
+    h_cond_lambda,
+    h_cond_two_level,
+    no_photon_probability,
+    pair_drive,
+)
+from zenobell.gates import cnot_duration
 from zenobell.hilbert import OperatorMatrix, basis_state, compose, ladder
 from zenobell.trajectories import (
     _BLOCK,
@@ -130,12 +138,8 @@ def test_sampler_matches_explicit_bernoulli_chain():
 
     dt = batch.dt
     n_steps = round(t_end / dt)
-    psi = psi0.amplitudes.copy()
-    dp = np.empty(n_steps)
-    for step in range(n_steps):
-        dp[step] = dt * sum(np.linalg.norm(op.entries @ psi) ** 2 for op in jump)
-        psi = psi - 1j * dt * (h.entries @ psi)
-        psi /= np.linalg.norm(psi)
+    survival = fourth_order_survival_chain(h.entries, [op.entries for op in jump], psi0.amplitudes, dt, n_steps)
+    dp = 1.0 - survival[1:] / survival[:-1]
     rng = np.random.default_rng(123456)
     first = np.full(n_traj, -1)
     for traj in range(n_traj):
@@ -179,7 +183,7 @@ def test_trajectory_i_takes_draw_i_of_the_batch_stream():
     t_end, n_traj, seed = 0.8, 3000, 77
     batch = run_trajectories(h, jump, psi0, t_end, n_traj, seed=seed)
     n_steps = round(t_end / batch.dt)
-    survival = euler_survival_chain(h.entries, [op.entries for op in jump], psi0.amplitudes, batch.dt, n_steps)
+    survival = fourth_order_survival_chain(h.entries, [op.entries for op in jump], psi0.amplitudes, batch.dt, n_steps)
     draws = np.random.default_rng(seed).random(n_traj)
     assert batch.p0_estimate == np.count_nonzero(draws < survival[-1]) / n_traj
     # a chunk of trajectories regenerates its draws by advancing the stream
@@ -215,7 +219,7 @@ def test_survival_chain_matches_per_step_euler_loop(system):
     dt = _max_stable_dt(h.entries, ls)
     for n_steps in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37):
         chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
-        oracle = euler_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+        oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
         assert chain.shape == (n_steps + 1,)
         np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
         np.testing.assert_allclose(1.0 - chain, 1.0 - oracle, rtol=0, atol=1e-12 * max(1.0 - oracle[-1], 1e-300))
@@ -225,31 +229,36 @@ def test_survival_chain_matches_per_step_euler_loop(system):
 
 def test_survival_chain_shortens_blocks_on_large_spaces():
     h, jump, psi0 = cavity_decay_setup(kappa=0.01, n_max=199)
-    assert _POWERS_BYTES // (16 * 200**2) - 1 < 30 // 2  # several short blocks
+    assert (_POWERS_BYTES // (16 * 200**2) - 1) // 2 < 30 // 2  # several short blocks
     psi0 = type(psi0)(psi0.layout, np.ones(200) / math.sqrt(200.0))
     ls = [op.entries for op in jump]
     dt = _max_stable_dt(h.entries, ls)
     chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
-    oracle = euler_survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
+    oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
     np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
     assert oracle[-1] < 0.99
 
 
-@pytest.mark.parametrize(
-    "system, dt, message",
-    [("cavity", 0.2, "jump probability exceeded 0.1"), ("hermitian", 2.0, "norm increase")],
-)
-def test_survival_chain_guards_match_the_loop(system, dt, message):
-    h, jump, psi0 = _chain_systems()[system]
-    ls = [op.entries for op in jump]
-    for chain in (_survival_chain, euler_survival_chain):
-        with pytest.raises(ValueError, match=message):
-            chain(h.entries, ls, psi0.amplitudes, dt, 3 * _BLOCK)
+def test_survival_chain_lands_on_the_exact_no_photon_probability():
+    # the jumps benchmark's pair row, and the Lambda |10> input at the CNOT
+    # duration, at the default dt
+    pair = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=1e-3, rabi=pair_drive(0.02), n_max=2)
+    lam = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=1e-3, rabi=cnot_drive(0.02), n_max=2)
+    for spec, h_cond, occupation, t_end in (
+        (pair, h_cond_two_level, (0, 0, 0), math.pi / 0.02),
+        (lam, h_cond_lambda, (1, 0, 0), cnot_duration(0.02)),
+    ):
+        h = h_cond(spec)
+        ls = [op.entries for op in decay_operators(spec)]
+        psi0 = basis_state(h.layout, occupation)
+        n_steps = math.ceil(t_end / _max_stable_dt(h.entries, ls))
+        chain = _survival_chain(h.entries, ls, psi0.amplitudes, t_end / n_steps, n_steps)
+        assert abs(chain[-1] - no_photon_probability(h, psi0, t_end)) <= 1e-7
 
 
 def test_step_and_trajectory_budgets_are_checked_before_allocating():
     h, jump, psi0 = cavity_decay_setup()
-    with pytest.raises(ValueError, match=r"needs 1000000001 Euler steps"):
+    with pytest.raises(ValueError, match=r"needs 1000000001 steps"):
         run_trajectories(h, jump, psi0, 1.0, 10, seed=1, dt=1e-9 * (1 - 1e-12))
     with pytest.raises(ValueError, match="n_traj = 10000001"):
         run_trajectories(h, jump, psi0, 1.0, 10**7 + 1, seed=1)
