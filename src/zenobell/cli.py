@@ -12,8 +12,9 @@ final states are scored as one stack.
 A runner returns its table as one array per CSV column, and
 ``render_csv(header, columns)`` writes it deterministically (bit-identical
 for identical config and seed): header row, '\\n' line endings, each
-column formatted by its dtype, floats with 9 significant digits and
-booleans as true/false.  A sampled run draws from one stream,
+column turned into a list of cells by its dtype, floats with 9
+significant digits and booleans as true/false, and each row's cells
+joined with commas.  A sampled run draws from one stream,
 ``np.random.default_rng(np.random.SeedSequence(seed))``, its rows taking
 their draws in row order: runs at different seeds share no draws, and a
 row's draws depend on the rows before it.  An output file that already
@@ -26,6 +27,7 @@ it is.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -50,35 +52,34 @@ from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder, n
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 
 
-# Rows formatted a block at a time, so the cells held at once stay few
-# (a 2048-row block of the islands table holds ~0.4 MB of fixed-width text).
+# Rows formatted a block at a time, so the cells held at once stay few.
 _CSV_BLOCK = 2048
 
 
-def _column_text(column: np.ndarray) -> np.ndarray:
+def _column_text(column: np.ndarray) -> list[str]:
     """The CSV cells of a 1-D column, by its dtype: bools as true/false, ints and strs as ``str`` gives them."""
     if column.dtype == bool:
-        return np.where(column, "true", "false")
+        return np.where(column, "true", "false").tolist()
     if column.dtype.kind == "f":
         # 9 significant digits, once per bit pattern: -0.0 stays -0 and a repeated grid value is one format
         distinct, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        return np.array(list(map("{:.9g}".format, distinct.view(np.float64).tolist())))[inverse]
-    return column.astype(str)
+        texts = list(map("{:.9g}".format, distinct.view(np.float64).tolist()))
+        return list(map(texts.__getitem__, inverse.tolist()))
+    return column.astype(str).tolist()
 
 
 def render_csv(header, columns) -> str:
     """Header line, then one line per row of ``columns``, one 1-D array or sequence per header name.
 
-    Each column is formatted by its dtype (``_column_text``), a block of ``_CSV_BLOCK`` rows at a time.
+    Each column is formatted by its dtype (``_column_text``) and the cells of
+    a row are joined with commas, a block of ``_CSV_BLOCK`` rows at a time.
     """
     columns = [np.asarray(column) for column in columns]
-    lines = [",".join(header)]
+    parts = [",".join(header) + "\n"]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        block = _column_text(columns[0][start : start + _CSV_BLOCK])
-        for column in columns[1:]:
-            block = np.strings.add(np.strings.add(block, ","), _column_text(column[start : start + _CSV_BLOCK]))
-        lines.extend(block.tolist())
-    return "\n".join(lines) + "\n"
+        cells = [_column_text(column[start : start + _CSV_BLOCK]) for column in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)
 
 
 def _holds(path: Path, text: str) -> bool:
@@ -363,6 +364,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process: parse_args neither mutates it nor shares its Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zenobell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

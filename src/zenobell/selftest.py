@@ -63,11 +63,25 @@ def _check_norm_monotonic() -> tuple[bool, str]:
     return worst <= 1e-10, f"max norm increase {worst:.2e}"
 
 
+def _tsirelson_draws(seed: int, n: int) -> np.ndarray:
+    """(n, 3, 4) draws of ``default_rng(seed)``, state by state: four real parts, four imaginary parts, four angles.
+
+    Two calls per state: eight standard normals, then four uniforms that
+    are scaled to [0, 2 pi) at the end.  This consumes the stream as
+    ``normal(size=4)`` twice and ``uniform(0, 2 pi, size=4)`` do and
+    gives the same doubles, since ``uniform`` returns ``0 + 2 pi u``.
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n, 3, 4))
+    for row in draws.reshape(n, 12):
+        rng.standard_normal(out=row[:8])
+        rng.random(out=row[8:])
+    draws[:, 2] *= 2 * math.pi
+    return draws
+
+
 def _check_tsirelson() -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
-    draws = np.empty((1000, 3, 4))
-    for row in draws:  # real parts, imaginary parts, then the four angles, one state at a time
-        row[0], row[1], row[2] = rng.normal(size=4), rng.normal(size=4), rng.uniform(0, 2 * math.pi, size=4)
+    draws = _tsirelson_draws(7, 1000)
     amps, angles = draws[:, 0] + 1j * draws[:, 1], draws[:, 2]
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     # a two-qubit state's pair matrix is its amplitudes as a 2x2 matrix

@@ -80,7 +80,10 @@ class TrajectoryBatch:
 
 _BLOCK = 256  # steps per block of the survival chain
 _POWERS_BYTES = 2**23  # shortens blocks on large spaces: 16 n^2 bytes per power, two powers a step
-_MAX_STEPS = 10**7  # bounds the survival array (80 MB) and the chain's run time
+_MAX_STEPS = 10**7  # bounds the survival array (80 MB)
+# bounds the chain's run time: a step costs ~n^2 for n states, so a row
+# may take n_steps * n^2 up to the step limit of the 12-state pair
+_MAX_WORK = _MAX_STEPS * 12**2
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
 
 
@@ -207,9 +210,10 @@ def run_trajectories(
         raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
 
     steps = max(t_end / dt, 2.0 * histogram_bins) if t_end > 0 else 0
-    if steps > _MAX_STEPS:
+    max_steps = min(_MAX_STEPS, _MAX_WORK // psi0.amplitudes.size**2)
+    if steps > max_steps:
         count = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValueError(f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} steps (at most {_MAX_STEPS} allowed)")
+        raise ValueError(f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} steps (at most {max_steps} allowed)")
     n_steps = math.ceil(steps)
     if n_steps:
         dt = t_end / n_steps

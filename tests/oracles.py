@@ -12,8 +12,10 @@ readout by simulating every shot instead of drawing the odd-parity
 count from its binomial law, the drive terms of a Hamiltonian stack on
 the full space instead of on the block of states asked for, the
 scores of a run record one state at a time with ``np.vdot`` instead of
-stacked dot products, and the jump sampler's no-jump survival by RK4
-half steps one at a time instead of a stack of polynomial powers.
+stacked dot products, the jump sampler's no-jump survival by RK4
+half steps one at a time instead of a stack of polynomial powers, and
+the selftest's random states by three draws per state with the
+distributions' own location and scale instead of two calls into one row.
 """
 
 from __future__ import annotations
@@ -356,6 +358,15 @@ def per_shot_odd_count(probs, shots: int, seed, readout_error: float = 0.0) -> i
     odd ^= rng.random(shots) < readout_error
     odd ^= rng.random(shots) < readout_error
     return int(np.count_nonzero(odd))
+
+
+def tsirelson_draws_per_row(seed, n: int) -> np.ndarray:
+    """(n, 3, 4) draws of ``default_rng(seed)``, one state at a time: normal real parts, normal imaginary parts, uniform angles on [0, 2 pi)."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n, 3, 4))
+    for row in draws:
+        row[0], row[1], row[2] = rng.normal(size=4), rng.normal(size=4), rng.uniform(0, 2 * math.pi, size=4)
+    return draws
 
 
 def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:

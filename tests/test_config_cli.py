@@ -1,4 +1,5 @@
 import contextlib
+import gzip
 import io
 import math
 import os
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from zenobell import bell, cli, selftest
+from zenobell import bell, cli, selftest, trajectories
 from zenobell.cli import _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
 
-from oracles import render_csv_by_value
+from oracles import render_csv_by_value, tsirelson_draws_per_row
 
 EXAMPLE = """\
 scenario = prepare_pair
@@ -623,6 +624,27 @@ def test_cli_trajectory_step_budget_exits_1_quickly(tmp_path, capsys):
     assert not (tmp_path / "trajectories.csv").exists()
 
 
+def test_cli_trajectory_work_budget_bounds_a_large_space(tmp_path, capsys, monkeypatch):
+    # at n_max = 32 the pair has 132 states, and a chain step costs ~n^2:
+    # 10^6 steps there is over the 12-state pair's work at 10^7 steps
+    def no_chain(*args):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(trajectories, "_survival_chain", no_chain)
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(
+        "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.02\n"
+        "n_max = 32\nt_end = 1000\ndt = 0.001\nn_traj = 10\n"
+    )
+    start = time.perf_counter()
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "needs 1000000 steps (at most 82644 allowed)" in err
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 @pytest.mark.parametrize("g", ["1e-300", "1e200"])
 @pytest.mark.parametrize(
     "body",
@@ -779,6 +801,30 @@ def test_cli_usage_errors_exit_1(capsys, argv, named):
     assert "Traceback" not in err
 
 
+def test_cli_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser once per process; each call must still parse
+    # afresh, with no flag or error carried over from the call before
+    assert run_cli(["figure", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zenobell figure") and "invalid choice: 'nope'" in err
+    assert "Traceback" not in err
+    assert run_cli(["run"]) == 1
+    assert "no config file given" in capsys.readouterr().err
+    cfg = tmp_path / "bell.cfg"
+    cfg.write_text("scenario = bell_landscape\nshots = 500\nseed = 3\nomega_t_count = 5\nvartheta_count = 4\n")
+    assert run_cli(["run", cfg, "--out", tmp_path / "seed5", "--seed", 5, "--quiet"]) == 0
+    assert run_cli(["run", cfg, "--out", tmp_path / "own", "--quiet"]) == 0
+    assert "seed = 3\n" in (tmp_path / "own" / "bell_landscape_summary.txt").read_text()
+    fresh = parse_config(cfg.read_text())
+    header, columns, _summary = _run_bell_landscape(fresh)
+    own = (tmp_path / "own" / "bell_landscape.csv").read_text()
+    assert own == render_csv(header, columns)
+    assert own != (tmp_path / "seed5" / "bell_landscape.csv").read_text()
+    assert run_cli(["figure", "islands", "--out", tmp_path, "--quiet"]) == 0
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "islands.csv.gz"
+    assert (tmp_path / "islands.csv").read_bytes() == gzip.decompress(reference.read_bytes())
+
+
 def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "pbg.cfg"
     cfg.write_text("scenario = pbg\ngt1_values = 0.5, -1\ngt2 = 1\n")
@@ -850,6 +896,15 @@ def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
 
 def test_selftest_tsirelson_detail_is_pinned():
     assert selftest._check_tsirelson() == (True, "max |B_S| = 2.496165214")
+
+
+def test_selftest_tsirelson_draws_are_the_per_state_stream_bit_for_bit():
+    # two calls per state and one scaling of the angles give the doubles
+    # of normal, normal, uniform(0, 2 pi) per state, in the same order
+    for seed, n in ((7, 1000), (12345, 37)):
+        draws = selftest._tsirelson_draws(seed, n)
+        assert draws.shape == (n, 3, 4)
+        assert np.array_equal(draws.view(np.int64), tsirelson_draws_per_row(seed, n).view(np.int64))
 
 
 def test_selftest_tsirelson_violation_fails_the_check_and_exits_2(monkeypatch, capsys):
