@@ -124,10 +124,11 @@ def _check_probability(p: float, what: str, point: str) -> float:
     return p
 
 
-def _regime_lines(regimes) -> list[str]:
-    """One summary line per (omega, RegimeReport) pair."""
+def _regime_lines(spec: SystemSpec, omegas) -> list[str]:
+    """One summary line per omega, in order, with its :func:`check_regime` report."""
     lines = []
-    for om, rep in regimes:
+    for om in omegas:
+        rep = check_regime(spec, abs(om))
         ratios = ", ".join(f"{k}={v:.4g}" for k, v in rep.ratios.items())
         lines.append(f"regime omega={om:.9g}: in_regime={rep.in_regime} ({ratios})")
     return lines
@@ -138,13 +139,13 @@ def _run_prepare_pair(cfg: ScenarioConfig):
     spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
     oms, ts = [], []
     for om in p["omega_values"]:
-        t_values = p["t_values"] if p["t_values"] is not None else [math.pi / abs(om)]
+        t_values = p["t_values"] if p["t_values"] is not None else [gates.pair_duration(om)]
         oms.extend([om] * len(t_values))
         ts.extend(t_values)
     run = gates.prepare_pair_sweep(spec, zip(oms, ts))
     header = ("omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
     columns = (oms, ts, run.p0, run.fidelity, run.alpha.real, run.alpha.imag)
-    summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
+    summary = _regime_lines(spec, p["omega_values"])
     best = int(np.argmax(run.fidelity))
     summary.append(
         f"best fidelity = {run.fidelity[best]:.6f} at omega_minus={oms[best]:.9g}, T={ts[best]:.9g}"
@@ -162,7 +163,7 @@ def _run_cnot(cfg: ScenarioConfig):
     header = ("omega", "input_label", "p0", "fidelity")
     omega, label = np.repeat(p["omega_values"], len(labels)), np.tile(labels, len(p["omega_values"]))
     fidelity = run.fidelity.ravel()
-    summary = _regime_lines((om, run.regimes[om]) for om in p["omega_values"])
+    summary = _regime_lines(spec, p["omega_values"])
     worst = int(np.argmin(fidelity))
     summary.append(f"worst fidelity = {fidelity[worst]:.6f} (omega={omega[worst]:.9g}, input={label[worst]})")
     return header, (omega, label, run.p0.ravel(), fidelity), summary
@@ -243,8 +244,8 @@ def _run_trajectories(cfg: ScenarioConfig):
         h = h_cond_two_level(run_spec)
         psi0 = basis_state(run_spec.layout(), (0, 0, 0))
         jump_ops = trajectories.decay_operators(run_spec)
-        default_t = math.pi / abs(om)
-        summary = _regime_lines([(om, check_regime(run_spec, abs(om)))])
+        default_t = gates.pair_duration(om)
+        summary = _regime_lines(spec, [om])
     else:
         layout = compose([("cav", p["n_max"] + 1)])
         b = ladder(p["n_max"] + 1)
@@ -329,7 +330,7 @@ def _figure_columns(which: str):
     for gam in _FIGURE_GAMMAS:
         if which == "fig2":
             s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            runs.append(gates.prepare_pair_sweep(s, [(om, math.pi / om) for om in _FIGURE_OMEGAS]))
+            runs.append(gates.prepare_pair_sweep(s, [(om, gates.pair_duration(om)) for om in _FIGURE_OMEGAS]))
         else:
             # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
             s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)

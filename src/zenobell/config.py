@@ -10,7 +10,11 @@ physics parameter cannot silently fall back to a default.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+
+from .dynamics import cnot_drive
+from .gates import cnot_duration, pair_duration
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -181,11 +185,11 @@ def _nonnegative(values: list[float], key: str) -> list[float]:
     return values
 
 
-def _finite_default_duration(values: list[float], key: str, factor: float) -> None:
-    """A duration left to its default is ``factor`` / |value|; it must be finite."""
+def _finite_default_duration(values: list[float], key: str, duration: Callable[[float], float]) -> None:
+    """A duration left to its default is ``duration(value)``; it must be finite."""
     for v in values:
-        if not math.isfinite(factor / abs(v)):
-            raise ConfigError(f"key {key!r} = {v!r} is too small: the default duration {factor:.9g}/|{key}| is not finite")
+        if not math.isfinite(duration(v)):
+            raise ConfigError(f"key {key!r} = {v!r} is too small: its default duration is not finite")
 
 
 def _parse_prepare_pair(table: dict) -> dict:
@@ -205,8 +209,8 @@ def _parse_prepare_pair(table: dict) -> dict:
     elif raw_t == "auto":
         # maximal-entanglement pulse length pi/|omega|, one per omega value
         omegas = physics["omega_values"]
-        _finite_default_duration(omegas, "omega_minus", math.pi)
-        physics["t_values"] = [math.pi / abs(omegas[0])] if len(omegas) == 1 else None
+        _finite_default_duration(omegas, "omega_minus", pair_duration)
+        physics["t_values"] = [pair_duration(omegas[0])] if len(omegas) == 1 else None
     else:
         physics["t_values"] = _nonnegative([_float("T", raw_t)], "T")
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
@@ -227,10 +231,13 @@ def _parse_cnot(table: dict) -> dict:
     if label not in ("00", "01", "10", "11", "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
-    # the pulse length is part of the gate protocol, sqrt(2) pi / |omega|
+    # the pulse length is part of the gate protocol, cnot_duration(omega)
     if table.pop("T", "auto") != "auto":
         raise ConfigError("the cnot scenario only supports 'T = auto'")
-    _finite_default_duration(physics["omega_values"], "omega", math.sqrt(2.0) * math.pi)
+    _finite_default_duration(physics["omega_values"], "omega", cnot_duration)
+    for v in physics["omega_values"]:
+        if not all(math.isfinite(abs(w)) for w in cnot_drive(v).values()):
+            raise ConfigError(f"key 'omega' = {v!r} is too large: the drive sqrt(2) * omega overflows")
     _check_rows("omega x input", len(physics["omega_values"]) * (4 if label == "all" else 1))
     return physics
 
@@ -294,9 +301,9 @@ def _parse_trajectories(table: dict) -> dict:
     if physics["t_end_values"] is not None:
         _nonnegative(physics["t_end_values"], t_end_key)
     elif system == "pair":
-        _finite_default_duration([physics["omega_minus"]], "omega_minus", math.pi)
+        _finite_default_duration([physics["omega_minus"]], "omega_minus", pair_duration)
     elif physics["kappa"] > 0:
-        _finite_default_duration([physics["kappa"]], "kappa", 1.0)
+        _finite_default_duration([physics["kappa"]], "kappa", lambda kappa: 1.0 / kappa)
     _check_rows("t_end", len(physics["t_end_values"] or ()))
     if "dt" in table:
         dt = _float("dt", table.pop("dt"))
@@ -316,8 +323,6 @@ _PARSERS = {
     "mermin": _parse_mermin,
     "trajectories": _parse_trajectories,
 }
-
-_SAMPLED = {"bell_landscape", "trajectories"}
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -355,15 +355,13 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
     quarter-turn gauge when that makes it exactly real and as a complex
     block otherwise.  The exponential is the dense scaling-and-squaring
     Pade one; the test suite checks it against an adaptive step-halving
-    integrator.  Raises :class:`NumericalError` if the exponential
-    overflows (a huge H t).
+    integrator.  At t = 0 nothing is exponentiated.  Raises
+    :class:`NumericalError` if the exponential overflows (a huge H t).
     """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     if h.layout != psi0.layout:
         raise ValueError("Hamiltonian and state live on different layouts")
-    if t == 0.0:
-        return psi0
     family = DrivenHamiltonian(h.layout, (), h.entries, ())
     amplitudes = no_jump_states(family, [{}], [t], [psi0.amplitudes])[0, 0]
     if not np.isfinite(amplitudes.view(float)).all():

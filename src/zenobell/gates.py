@@ -7,6 +7,9 @@ state, the no-photon probability p0 = ||psi||^2, and the fidelity of the
 renormalized state against the ideal target.  When p0 < 1 the protocol
 is heralded (an emission means "repeat"), and 1/p0 estimates the
 expected number of attempts.
+
+The pulse lengths are :func:`pair_duration` and :func:`cnot_duration`.
+A sweep returns plain columns; a run's regime is computed where it is reported.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "cnot_pulse",
     "cnot_pulse_sweep",
     "cnot_duration",
+    "pair_duration",
     "qubit_state",
     "qubit_amplitudes",
 ]
@@ -80,10 +82,10 @@ class SweepResult:
     shape (points, d) or (omegas, inputs, d), and ``p0`` and ``fidelity``
     share its leading shape.  ``alpha`` is the achieved entangled-pair
     amplitude per point, and ``None`` for the CNOT.  ``duration`` is
-    per point for the pair and per omega for the CNOT.  ``regimes``
-    maps each distinct omega, in first-seen order, to its
-    :class:`RegimeReport`.  Sweeps do not warn; a run's pulse is short
-    for Zeno suppression when ``duration < 10 * zeno_timescale(spec)``.
+    per point for the pair and per omega for the CNOT.  Sweeps do not
+    warn: an omega's regime is :func:`~zenobell.dynamics.check_regime` of
+    ``spec`` and ``|omega|``, and a run's pulse is short for Zeno
+    suppression when ``duration < 10 * zeno_timescale(spec)``.
     """
 
     final_states: np.ndarray
@@ -91,35 +93,33 @@ class SweepResult:
     fidelity: np.ndarray
     alpha: np.ndarray | None
     duration: np.ndarray
-    regimes: Mapping
 
     def __post_init__(self):
         for column in (self.final_states, self.p0, self.fidelity, self.alpha, self.duration):
             if column is not None:
                 column.setflags(write=False)
-        object.__setattr__(self, "regimes", MappingProxyType(dict(self.regimes)))
 
 
-def _regime_warnings(spec: SystemSpec, regime: RegimeReport, duration: float) -> list[str]:
-    """The warnings of one run outside the strong-coupling regime or with a pulse too short for Zeno suppression."""
-    messages = []
-    if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < REGIME_THRESHOLD):
-        messages.append(
-            f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {REGIME_THRESHOLD:g})"
-        )
-    if spec.kappa > 0 and duration < 10.0 * zeno_timescale(spec):
-        messages.append(
-            "pulse shorter than 10x the environment-measurement timescale; Zeno suppression of leakage may be poor"
-        )
-    return messages
+def _first_record(spec: SystemSpec, omega: complex, run: SweepResult) -> RunRecord:
+    """The one run of a one-point sweep at ``omega`` as a :class:`RunRecord`.
 
-
-def _first_record(spec: SystemSpec, run: SweepResult) -> RunRecord:
-    """The one run of a one-point sweep as a :class:`RunRecord`."""
+    Warns, from the caller's caller, when the run is outside the
+    strong-coupling regime or its pulse is too short for Zeno suppression.
+    """
     first = (0,) * run.p0.ndim
     alpha = None if run.alpha is None else complex(run.alpha[first])
-    (regime,) = run.regimes.values()
     state = StateVector(spec.layout(), run.final_states[first])
+    regime = check_regime(spec, abs(complex(omega)))
+    if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < REGIME_THRESHOLD):
+        warnings.warn(
+            f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {REGIME_THRESHOLD:g})",
+            stacklevel=3,
+        )
+    if spec.kappa > 0 and run.duration[0] < 10.0 * zeno_timescale(spec):
+        warnings.warn(
+            "pulse shorter than 10x the environment-measurement timescale; Zeno suppression of leakage may be poor",
+            stacklevel=3,
+        )
     return RunRecord(state, float(run.p0[first]), float(run.fidelity[first]), alpha, float(run.duration[0]), regime)
 
 
@@ -144,10 +144,7 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     at the ideal alpha (:func:`pair_target_alpha`); the achieved alpha is
     the overlap of the renormalized final state with |a> (cavity empty).
     """
-    record = _first_record(spec, prepare_pair_sweep(spec, [(omega_minus, duration)]))
-    for message in _regime_warnings(spec, record.regime, record.duration):
-        warnings.warn(message, stacklevel=2)
-    return record
+    return _first_record(spec, omega_minus, prepare_pair_sweep(spec, [(omega_minus, duration)]))
 
 
 def prepare_pair_sweep(spec: SystemSpec, points) -> SweepResult:
@@ -164,7 +161,6 @@ def prepare_pair_sweep(spec: SystemSpec, points) -> SweepResult:
             raise ValueError("duration must be >= 0")
         if complex(om) == 0:
             raise ValueError("omega_minus must be nonzero")
-    regimes = {om: check_regime(spec, abs(complex(om))) for om in dict.fromkeys(om for om, _ in points)}
 
     layout = spec.layout()
     psi0 = basis_state(layout, (0, 0, 0))
@@ -179,7 +175,7 @@ def prepare_pair_sweep(spec: SystemSpec, points) -> SweepResult:
     norm = norms(finals)
     p0 = np.float_power(norm, 2.0)  # ||psi||^2 as StateVector.norm() ** 2 gives it
     achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
-    return SweepResult(finals, p0, fidelities(finals, targets), achieved, durations, regimes)
+    return SweepResult(finals, p0, fidelities(finals, targets), achieved, durations)
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -205,6 +201,13 @@ def cnot_ideal() -> OperatorMatrix:
     u[2, 3] = u[3, 2] = 1.0
     layout = compose([("control", 2), ("target", 2)])
     return OperatorMatrix(layout, u)
+
+
+def pair_duration(omega_minus: complex) -> float:
+    """Pulse length pi / |omega_minus| that prepares the maximally entangled pair."""
+    if omega_minus == 0:
+        raise ValueError("omega_minus must be nonzero")
+    return math.pi / abs(omega_minus)
 
 
 def cnot_duration(omega: float) -> float:
@@ -245,10 +248,7 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     parameters and a pulse shorter than 10x
     :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
     """
-    record = _first_record(spec, cnot_pulse_sweep(spec, [omega], [input_state]))
-    for message in _regime_warnings(spec, record.regime, record.duration):
-        warnings.warn(message, stacklevel=2)
-    return record
+    return _first_record(spec, omega, cnot_pulse_sweep(spec, [omega], [input_state]))
 
 
 def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
@@ -284,8 +284,6 @@ def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
         in_states.append(input_state.amplitudes)
         targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps).amplitudes)
 
-    regimes = {omega: check_regime(spec, abs(omega)) for omega in dict.fromkeys(omegas)}
-
     durations = np.array([cnot_duration(omega) for omega in omegas], dtype=float)
     drives = [cnot_drive(omega) for omega in omegas]
     finals = no_jump_states(DrivenHamiltonian.of(spec, cnot_drive(1.0)), drives, durations, in_states)
@@ -295,4 +293,4 @@ def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
     )
     # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
     fid = fidelities(finals, np.array(targets).reshape(n_in, d))
-    return SweepResult(finals, np.float_power(norms(finals), 2.0), fid, None, durations, regimes)
+    return SweepResult(finals, np.float_power(norms(finals), 2.0), fid, None, durations)

@@ -85,7 +85,11 @@ def _exchange_amplitudes(g: float, times: list, loss: float) -> np.ndarray:
         return np.array([(math.cos(g * t), -math.sin(g * t)) for t in times], dtype=complex).reshape(-1, 2)
     exponent = np.array([[0.0, g], [-g, -loss]])
     t = np.array(times, dtype=float)[:, None, None]
-    return expm(exponent * t)[:, :, 0].astype(complex)
+    # an overflowing loss t comes back non-finite, which the callers'
+    # finiteness checks report as a numeric failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = exponent * t
+    return expm(a)[:, :, 0].astype(complex)
 
 
 def pbg_layout() -> HilbertLayout:

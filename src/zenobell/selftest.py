@@ -36,6 +36,7 @@ from .dynamics import (
     no_photon_probability,
     pair_drive,
 )
+from .gates import pair_duration
 from .hilbert import StateVector, basis_state, norms
 
 __all__ = ["run_selftest"]
@@ -114,7 +115,7 @@ def _check_lhv_bound() -> tuple[bool, str]:
 
 
 def _check_fock_convergence() -> tuple[bool, str]:
-    t = math.pi / _OMEGA
+    t = pair_duration(_OMEGA)
     values = []
     for n_max in (2, 3):
         spec = _pair_spec(0.001, n_max=n_max)

@@ -284,6 +284,39 @@ def test_cli_cnot_all_inputs(tmp_path):
     assert labels == ["00", "01", "10", "11"]
 
 
+_PINNED_SUMMARIES = [
+    (  # a repeated omega gets its line again, and 0.5 is out of regime
+        "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus_values = 0.02, 0.5, 0.02\nT = auto\n",
+        "prepare_pair_summary.txt",
+        "scenario = prepare_pair\ng = 1.0\ngamma = 0.001\nkappa = 1.0\nn_max = 2\n"
+        "omega_values = [0.02, 0.5, 0.02]\nt_values = None\nrows = 3\n"
+        "regime omega=0.02: in_regime=True (gamma_over_omega=0.05, omega_kappa_over_g2=0.02, omega_over_kappa=0.02)\n"
+        "regime omega=0.5: in_regime=False (gamma_over_omega=0.002, omega_kappa_over_g2=0.5, omega_over_kappa=0.5)\n"
+        "regime omega=0.02: in_regime=True (gamma_over_omega=0.05, omega_kappa_over_g2=0.02, omega_over_kappa=0.02)\n"
+        "best fidelity = 0.996104 at omega_minus=0.02, T=157.079633 (p0=0.840985)\n"
+        "last row: p0 = 0.840985, fidelity = 0.996104\n",
+    ),
+    (
+        "scenario = cnot\ng = 1\nkappa = 1\ngamma = 0.001\nomega_values = 0.02, 0.3\ninput = all\n",
+        "cnot_summary.txt",
+        "scenario = cnot\ng = 1.0\ngamma = 0.001\ninput = all\nkappa = 1.0\nn_max = 2\n"
+        "omega_values = [0.02, 0.3]\nrows = 8\n"
+        "regime omega=0.02: in_regime=True (gamma_over_omega=0.05, omega_kappa_over_g2=0.02, omega_over_kappa=0.02)\n"
+        "regime omega=0.3: in_regime=False (gamma_over_omega=0.003333, omega_kappa_over_g2=0.3, omega_over_kappa=0.3)\n"
+        "worst fidelity = 0.842493 (omega=0.3, input=11)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, name, expected", _PINNED_SUMMARIES, ids=["prepare_pair", "cnot"])
+def test_cli_summary_is_pinned_whole(tmp_path, capsys, config, name, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 0
+    assert (tmp_path / name).read_text() == expected
+    assert capsys.readouterr().out.startswith(expected)
+
+
 def test_cli_bell_landscape_max_row(tmp_path):
     cfg = tmp_path / "bell.cfg"
     cfg.write_text("scenario = bell_landscape\n")
@@ -688,8 +721,9 @@ def test_cli_overflowing_kappa_is_a_config_error(tmp_path, capsys, body):
     [
         "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 4e307\ngamma = 0.001\nomega_minus = 0.02\nn_traj = 10\n",
         "scenario = cnot\ng = 1\nkappa = 1\ngamma = 4e307\nomega = 0.02\n",
+        "scenario = pbg\nloss = 1e300\ngt1_min = 1e308\ngt1_count = 3\ngt2_count = 1\n",
     ],
-    ids=["trajectories_kappa", "cnot_gamma"],
+    ids=["trajectories_kappa", "cnot_gamma", "pbg_loss_t"],
 )
 @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
 def test_cli_overflowing_h_t_is_one_numeric_failure_line(tmp_path, capsys, body):
@@ -717,6 +751,20 @@ def test_cli_subnormal_rate_scale_is_one_config_error_line(tmp_path, capsys):
 
 
 _PAIR = "g = 1\nkappa = 1\ngamma = 0.001\n"
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_cli_overflowing_cnot_drive_is_one_config_error_line(tmp_path, capsys):
+    # the drive sqrt(2) omega of cnot_drive overflows to inf
+    cfg = tmp_path / "cnot.cfg"
+    cfg.write_text(f"scenario = cnot\n{_PAIR}omega_values = 0.02, 1.5e308\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: key 'omega' = 1.5e+308 is too large")
+    # the largest omega whose drive is finite still runs
+    cfg.write_text(f"scenario = cnot\n{_PAIR}omega = 1.27e308\n")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -959,7 +1007,7 @@ def test_selftest_lines_end_with_wall_time_unless_quiet(monkeypatch, capsys):
 # for the keys every run sets, then for keys a run may set.  Edge values are
 # zeros, negatives, subnormals and huge ones; grids have at most a few points.
 _RATE = (("1", "0.5", "0.001"), ("0", "-1", "5e-324", "1e200"))
-_OMEGA = (("0.02", "-0.05", "0.3", "0.02, -0.05"), ("0", "5e-324", "1e-9", "1e6", "0.01, 0"))
+_OMEGA = (("0.02", "-0.05", "0.3", "0.02, -0.05"), ("0", "5e-324", "1e-9", "1e6", "1.5e308", "0.01, 0"))
 _DURATION = (("0", "1", "100", "0, 50"), ("-1", "5e-324", "1e15", "10, -2"))
 _N_MAX = (("1", "2"), ("0", "33"))
 _SEED = (("0", "7"), ("-1",))
@@ -1027,16 +1075,20 @@ def _run_configs(draw):
 @settings(max_examples=400, deadline=None)
 @given(_run_configs())
 @example(f"scenario = prepare_pair\n{_PAIR}omega_minus_values = 0.02\nT_values = 10, -2\n")
+@example("scenario = pbg\nloss = 1e300\ngt1_min = 1e308\ngt1_count = 3\ngt2_count = 1\n")
+@example(f"scenario = cnot\n{_PAIR}omega_values = 1.5e308\n")
 def test_cli_run_keeps_the_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as out:
         cfg = Path(out) / "run.cfg"
         cfg.write_text(text)
         err = io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", str(cfg), "--out", out, "--quiet"])
         elapsed = time.perf_counter() - start
     event(f"{text.splitlines()[0]}: exit {code}")
     assert code in (0, 1, 2, 3), (text, code)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == [], text
     assert elapsed < _RUN_BUDGET_S, (text, elapsed)

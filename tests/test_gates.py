@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from zenobell import dynamics
 from zenobell.dynamics import (
     NumericalError,
     SystemSpec,
+    check_regime,
     cnot_drive,
     evolve_no_jump,
     h_cond_lambda,
@@ -29,6 +31,7 @@ from zenobell.gates import (
     cnot_ideal,
     cnot_pulse,
     cnot_pulse_sweep,
+    pair_duration,
     pair_target_alpha,
     prepare_pair,
     prepare_pair_sweep,
@@ -111,6 +114,16 @@ def test_prepare_pair_errors():
         prepare_pair(pair_spec(0.0), OMEGA, -1.0)
     with pytest.raises(ValueError):
         prepare_pair(pair_spec(0.0), 0.0, 1.0)
+
+
+def test_pulse_lengths_are_pi_and_sqrt2_pi_over_the_drive():
+    for omega in (0.02, -0.05, 0.3, 5e-324, 1e308):
+        assert pair_duration(omega) == math.pi / abs(omega)
+        assert cnot_duration(omega) == SQRT2 * math.pi / abs(omega)
+    assert pair_duration(-0.05 + 0.01j) == math.pi / abs(-0.05 + 0.01j)
+    for length in (pair_duration, cnot_duration):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            length(0.0)
 
 
 def test_prepare_pair_in_regime_reaches_protocol_quality():
@@ -329,14 +342,14 @@ def _bits(*values):
     return np.array([complex(v) for v in values if v is not None]).tobytes()
 
 
-def _same_row(run, index, omega, record):
-    """Run ``index`` of a sweep's columns equals the single-point record, bit for bit."""
+def _same_row(spec, run, index, omega, record):
+    """Run ``index`` of a sweep's columns equals the single-point record, bit for bit; its regime is that of |omega|."""
     alpha = None if run.alpha is None else run.alpha[index]
     assert (alpha is None) == (record.alpha is None)
     assert run.final_states[index].tobytes() == record.final_state.amplitudes.tobytes()
     row = (run.p0[index], run.fidelity[index], alpha, run.duration[index[0]])
     assert _bits(*row) == _bits(record.p0, record.fidelity, record.alpha, record.duration)
-    assert run.regimes[omega] == record.regime
+    assert record.regime == check_regime(spec, abs(complex(omega)))
 
 
 def _quietly(call):
@@ -365,10 +378,10 @@ def test_prepare_pair_sweep_equals_single_point_records(gamma):
     assert run.final_states.shape == (len(PAIR_POINTS), d)
     assert run.p0.shape == run.fidelity.shape == run.alpha.shape == run.duration.shape == (len(PAIR_POINTS),)
     assert _read_only(run)
-    # one regime per distinct omega, in first-seen order
-    assert list(run.regimes) == [0.02, -0.05 + 0.01j, 0.3, 0.01]
+    # a sweep is its five columns and nothing else
+    assert [f.name for f in dataclasses.fields(run)] == ["final_states", "p0", "fidelity", "alpha", "duration"]
     for i, (om, t) in enumerate(PAIR_POINTS):
-        _same_row(run, (i,), om, _quietly(lambda: prepare_pair(spec, om, t)))
+        _same_row(spec, run, (i,), om, _quietly(lambda: prepare_pair(spec, om, t)))
         # the per-point route: assemble H for this drive, one expm
         psi0 = basis_state(spec.layout(), (0, 0, 0))
         direct = evolve_no_jump(h_cond_two_level(spec.with_rabi(pair_drive(om))), psi0, t)
@@ -377,7 +390,7 @@ def test_prepare_pair_sweep_equals_single_point_records(gamma):
     empty = prepare_pair_sweep(spec, [])
     assert empty.final_states.shape == (0, d)
     assert empty.p0.shape == empty.fidelity.shape == empty.alpha.shape == empty.duration.shape == (0,)
-    assert dict(empty.regimes) == {} and _read_only(empty)
+    assert _read_only(empty)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -432,10 +445,9 @@ def test_cnot_pulse_sweep_equals_single_point_records():
     assert run.p0.shape == run.fidelity.shape == (len(omegas), len(inputs))
     assert run.alpha is None and run.duration.shape == (len(omegas),)
     assert _read_only(run)
-    assert list(run.regimes) == [0.005, 0.02, -0.04, 0.3]
     for i, omega in enumerate(omegas):
         for m, psi in enumerate(inputs):
-            _same_row(run, (i, m), omega, _quietly(lambda: cnot_pulse(spec, omega, psi)))
+            _same_row(spec, run, (i, m), omega, _quietly(lambda: cnot_pulse(spec, omega, psi)))
             direct = evolve_no_jump(h_cond_lambda(spec.with_rabi(cnot_drive(omega))), psi, cnot_duration(omega))
             assert run.final_states[i, m].tobytes() == direct.amplitudes.tobytes()
 
@@ -443,7 +455,7 @@ def test_cnot_pulse_sweep_equals_single_point_records():
     assert empty.final_states.shape == (0, len(inputs), d)
     assert empty.p0.shape == empty.fidelity.shape == (0, len(inputs))
     assert empty.alpha is None and empty.duration.shape == (0,)
-    assert dict(empty.regimes) == {} and _read_only(empty)
+    assert _read_only(empty)
 
 
 def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
@@ -474,7 +486,7 @@ def test_tiny_expm_budget_gives_identical_records(monkeypatch):
         return prepare_pair_sweep(spec, PAIR_POINTS), cnot_pulse_sweep(lspec, omegas, inputs)
 
     def contents(run):
-        return [column.tobytes() for column in _columns(run)], dict(run.regimes)
+        return [column.tobytes() for column in _columns(run)]
 
     default = sweeps()
     for chunk in (1, 2):
@@ -497,9 +509,13 @@ def test_sweeps_do_not_warn_and_carry_the_regime():
         warnings.simplefilter("error")
         pair = prepare_pair_sweep(spec, [(OMEGA, 5.0), (OMEGA, math.pi / OMEGA)])
         cnot = cnot_pulse_sweep(lspec, [OMEGA, 1.0], ["10"])
-    # what the single-point forms warn about is in the result
-    assert not pair.regimes[OMEGA].in_regime and not cnot.regimes[OMEGA].in_regime
-    assert pair.regimes[OMEGA].ratios["gamma_over_omega"] == 0.5
+    # what the single-point forms warn about: the regime of |omega|, and the pulse length in the result
+    for s, record in (
+        (spec, _quietly(lambda: prepare_pair(spec, OMEGA, 5.0))),
+        (lspec, _quietly(lambda: cnot_pulse(lspec, OMEGA, qubit_state(lspec, "10")))),
+    ):
+        assert record.regime == check_regime(s, OMEGA) and not record.regime.in_regime
+    assert check_regime(spec, OMEGA).ratios["gamma_over_omega"] == 0.5
     assert (pair.duration < 10 * zeno_timescale(spec)).tolist() == [True, False]
     assert (cnot.duration < 10 * zeno_timescale(lspec)).tolist() == [False, True]
 
