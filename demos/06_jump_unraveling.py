@@ -22,6 +22,8 @@ from zenobell import (
     no_photon_probability,
     run_trajectories,
 )
+from zenobell.dynamics import pair_drive
+from zenobell.gates import pair_duration
 
 print("=== pure cavity decay from a one-photon state ===")
 layout = compose([("cav", 3)])
@@ -42,12 +44,12 @@ spec = SystemSpec(
     g=1.0,
     kappa=1.0,
     gamma=0.001,
-    rabi={(1, "0-1"): omega / math.sqrt(2), (2, "0-1"): -omega / math.sqrt(2)},
+    rabi=pair_drive(omega),
     n_max=2,
 )
 hp = h_cond_two_level(spec)
 psi0 = basis_state(hp.layout, (0, 0, 0))
-t_end = math.pi / omega
+t_end = pair_duration(omega)
 batch = run_trajectories(hp, decay_operators(spec), psi0, t_end, 10_000, seed=100)
 det = no_photon_probability(hp, psi0, t_end)
 pull = abs(batch.p0_estimate - det) / batch.p0_stderr

@@ -12,12 +12,12 @@ probability.
 
 from .bell import bs_landscape, bs_reduced, mermin_n, sample_correlation
 from .dfs import effective_hamiltonian, find_dfs, zeno_timescale
-from .dynamics import SystemSpec, h_cond_lambda, h_cond_two_level, no_photon_probability
+from .dynamics import SystemSpec, decay_operators, h_cond_lambda, h_cond_two_level, no_photon_probability
 from .gates import cnot_ideal, cnot_pulse, pair_target_alpha, prepare_pair, qubit_state
 from .hilbert import OperatorMatrix, basis_state, compose, ladder
 from .pbg import TransitPlan, jc_amplitudes, pbg_final_state, pbg_optimal_times
 from .states import entangled_pair_state, ghz_state, qubit_layout
-from .trajectories import decay_operators, run_trajectories
+from .trajectories import run_trajectories
 
 __version__ = "0.1.0"
 

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import SIGMA_X, SIGMA_Y, StateVector
-from .states import entangled_pair_state
+from .states import entangled_pair_state, pair_target_alpha
 
 __all__ = [
     "AnalyzerSettings",
@@ -352,8 +352,8 @@ def sample_correlation(
 
 
 def landscape_state(omega_t: float) -> StateVector:
-    """The pulse-family state at a given pulse area (phase convention -i)."""
-    return entangled_pair_state(-1j * math.sin(omega_t / 2.0))
+    """The pulse-family state at pulse area ``omega_t``, the pulse of a unit positive Rabi frequency."""
+    return entangled_pair_state(pair_target_alpha(1.0, omega_t))
 
 
 # Rows whose outcome probabilities are stacked in one call.  The stack

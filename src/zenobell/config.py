@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dynamics import cnot_drive
-from .gates import cnot_duration, pair_duration
+from .gates import QUBIT_LABELS, cnot_duration, pair_duration
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -228,7 +228,7 @@ def _parse_cnot(table: dict) -> dict:
     }
     _check_damping(physics)
     label = table.pop("input", "all")
-    if label not in ("00", "01", "10", "11", "all"):
+    if label not in (*QUBIT_LABELS, "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
     # the pulse length is part of the gate protocol, cnot_duration(omega)

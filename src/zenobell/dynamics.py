@@ -14,10 +14,13 @@ state under a non-Hermitian conditional Hamiltonian
 
 where b is the cavity annihilation operator and s_i^+ raises the
 cavity-coupled transition of atom i.  The squared norm of the evolved
-state is the probability that no photon has been emitted.  Amplitudes
-damp at Gamma and kappa, so intensities decay at 2*Gamma and 2*kappa;
-jump operators elsewhere in the package carry sqrt(2 Gamma), sqrt(2 kappa)
-to stay consistent with this convention.
+state is the probability that no photon has been emitted.  Its
+anti-Hermitian part is -(i/2) sum_k L_k^dag L_k for the jump operators
+of :func:`decay_operators` (Plenio and Knight, RMP 70, 101 (1998)):
+amplitudes damp at Gamma and kappa, intensities at 2 Gamma and 2 kappa,
+so the operators carry sqrt(2 Gamma) and sqrt(2 kappa).  ``_h_cond``
+assembles H0, the part without lasers; :meth:`DrivenHamiltonian.stack`
+adds every laser term.
 
 Two-level atoms use levels 0 (ground) and 1 (excited, cavity-coupled via
 the "0-1" transition).  Lambda atoms use ground levels 0 and 1 (the
@@ -60,6 +63,7 @@ __all__ = [
     "no_photon_probability",
     "check_regime",
     "cavity_annihilation",
+    "decay_operators",
 ]
 
 REGIME_THRESHOLD = 0.1
@@ -203,7 +207,8 @@ class DrivenHamiltonian:
 
         H0 is the conditional Hamiltonian with the lasers off
         (:func:`h_cond_two_level` or :func:`h_cond_lambda` of ``spec``
-        without its ``rabi``).
+        without its ``rabi``).  The conditional Hamiltonian of a spec with
+        lasers is the one-point :meth:`stack` of this family.
         """
         keys = tuple(keys)
         spec.with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
@@ -291,33 +296,52 @@ def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) 
 
 
 def _h_cond(spec: SystemSpec) -> OperatorMatrix:
-    """H0 plus the lasers of ``spec.rabi``: the one-point :meth:`DrivenHamiltonian.stack`."""
+    """H0 of ``spec``: the cavity coupling plus the Gamma and kappa damping.
+
+    A spec with lasers gets the one-point :meth:`DrivenHamiltonian.stack`
+    of :meth:`DrivenHamiltonian.of`, which takes H0 from here.
+    """
+    if spec.rabi:
+        family = DrivenHamiltonian.of(spec, spec.rabi)
+        return OperatorMatrix(family.layout, family.stack([spec.rabi])[0])
     layout = spec.layout()
-    d = layout.total_dim
     cavity_transition, excited = ("0-1", 1) if spec.atom_levels == 2 else ("1-2", 2)
     b_full = cavity_annihilation(layout).entries
-    h0 = np.zeros((d, d), dtype=complex)
+    h0 = np.zeros((layout.total_dim,) * 2, dtype=complex)
 
     proj_exc = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
     proj_exc[excited, excited] = 1.0
-    raising = {}
-
-    def raise_op(atom: int, trans: str) -> np.ndarray:
-        if (atom, trans) not in raising:
-            raising[(atom, trans)] = _raising_op(spec, layout, atom, trans)
-        return raising[(atom, trans)]
-
     for i in range(1, spec.n_atoms + 1):
         # antisymmetric cavity coupling: i g (b s+ - b^dag s-)
-        coupling = b_full @ raise_op(i, cavity_transition)
+        coupling = b_full @ _raising_op(spec, layout, i, cavity_transition)
         h0 += 1j * spec.g * (coupling - coupling.conj().T)
         h0 += -1j * spec.gamma * embed(proj_exc, f"atom{i}", layout).entries
-    # kappa and Gamma act on the diagonal and the lasers off it, so adding
-    # the lasers after kappa gives the same entries as adding them before
     h0 += -1j * spec.kappa * (b_full.conj().T @ b_full)
-    keys = tuple(spec.rabi)
-    family = DrivenHamiltonian(layout, keys, _frozen(h0), tuple(_frozen(raise_op(*key)) for key in keys))
-    return OperatorMatrix(layout, family.stack([spec.rabi])[0])
+    return OperatorMatrix(layout, h0)
+
+
+def decay_operators(spec: SystemSpec) -> list[OperatorMatrix]:
+    """Jump operators matching the conditional Hamiltonian of ``spec``.
+
+    Cavity leakage sqrt(2 kappa) b plus, when Gamma > 0, atomic emission
+    from the excited level.  Lambda atoms decay to both ground states
+    with equal branching; the no-jump statistics do not depend on the
+    branching split.
+    """
+    layout = spec.layout()
+    ops: list[OperatorMatrix] = []
+    if spec.kappa > 0:
+        ops.append(OperatorMatrix(layout, math.sqrt(2.0 * spec.kappa) * cavity_annihilation(layout).entries))
+    if spec.gamma > 0:
+        excited = spec.atom_levels - 1
+        grounds = [0] if spec.atom_levels == 2 else [0, 1]
+        rate = 2.0 * spec.gamma / len(grounds)
+        for i in range(1, spec.n_atoms + 1):
+            for low in grounds:
+                lower = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
+                lower[low, excited] = math.sqrt(rate)
+                ops.append(embed(lower, f"atom{i}", layout))
+    return ops
 
 
 def h_cond_two_level(spec: SystemSpec) -> OperatorMatrix:

@@ -34,7 +34,7 @@ from .dynamics import (
     pair_drive,
 )
 from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
-from .states import entangled_pair_amplitudes, entangled_pair_state
+from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
 
 __all__ = [
     "RunRecord",
@@ -123,14 +123,6 @@ def _first_record(spec: SystemSpec, omega: complex, run: SweepResult) -> RunReco
     return RunRecord(state, float(run.p0[first]), float(run.fidelity[first]), alpha, float(run.duration[0]), regime)
 
 
-def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
-    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2)."""
-    om = complex(omega_minus)
-    if om == 0:
-        raise ValueError("omega_minus must be nonzero")
-    return -1j * (om / abs(om)) * math.sin(abs(om) * duration / 2.0)
-
-
 def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> RunRecord:
     """Drive |00> toward alpha |a> + sqrt(1-|alpha|^2) |00> with one pulse.
 
@@ -141,7 +133,7 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     out-of-regime parameters and a pulse shorter than 10x
     :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
     The fidelity target is :func:`~zenobell.states.entangled_pair_state`
-    at the ideal alpha (:func:`pair_target_alpha`); the achieved alpha is
+    at the ideal alpha (:func:`~zenobell.states.pair_target_alpha`); the achieved alpha is
     the overlap of the renormalized final state with |a> (cavity empty).
     """
     return _first_record(spec, omega_minus, prepare_pair_sweep(spec, [(omega_minus, duration)]))

@@ -3,7 +3,8 @@
 :func:`entangled_pair_state` is the one builder of the pulse family
 alpha |a> + sqrt(1 - |alpha|^2) |00>, on two qubits or on a full
 atoms-and-mode layout; the gates, the analytic decoherence-free basis and
-the Bell scoring all take their pair states from it.
+the Bell scoring all take their pair states from it, and the alpha a
+pulse gives from :func:`pair_target_alpha`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "antisymmetric_pair",
     "entangled_pair_state",
     "entangled_pair_amplitudes",
+    "pair_target_alpha",
     "ghz_state",
 ]
 
@@ -34,6 +36,14 @@ def qubit_layout(n: int) -> HilbertLayout:
 def antisymmetric_pair() -> StateVector:
     """The maximally entangled two-qubit state |a> = (|10> - |01>)/sqrt(2)."""
     return entangled_pair_state(1.0)
+
+
+def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
+    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2)."""
+    om = complex(omega_minus)
+    if om == 0:
+        raise ValueError("omega_minus must be nonzero")
+    return -1j * (om / abs(om)) * math.sin(abs(om) * duration / 2.0)
 
 
 def entangled_pair_state(alpha: complex, layout: HilbertLayout | None = None) -> StateVector:

@@ -10,10 +10,8 @@ trajectories with zero jumps up to t estimates ||exp(-i H t) psi0||^2.
 The survival is taken from the jump operators, not from the norm, so the
 check also tests the damping of H against the L_k.
 
-The jump-operator rates follow the amplitude-damping convention of the
-conditional Hamiltonian: -i kappa b^dag b and -i Gamma P_exc damp the
-squared norm at 2 kappa <b^dag b> + 2 Gamma <P_exc>, so the operators
-carry sqrt(2 kappa) and sqrt(2 Gamma).
+The jump operators of a system are :func:`zenobell.dynamics.decay_operators`,
+defined beside the damping of the conditional Hamiltonian they match.
 
 Randomness is one stream per batch: trajectory i takes draw i of
 ``np.random.default_rng(seed)``, so a batch is bit-for-bit reproducible
@@ -56,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, cavity_annihilation
-from .hilbert import OperatorMatrix, StateVector, embed
+from .dynamics import decay_operators
+from .hilbert import OperatorMatrix, StateVector
 
 __all__ = [
     "TrajectoryBatch",
@@ -85,31 +83,6 @@ _MAX_STEPS = 10**7  # bounds the survival array (80 MB)
 # may take n_steps * n^2 up to the step limit of the 12-state pair
 _MAX_WORK = _MAX_STEPS * 12**2
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
-
-
-def decay_operators(spec: SystemSpec) -> list[OperatorMatrix]:
-    """Jump operators matching the conditional Hamiltonian of ``spec``.
-
-    Cavity leakage sqrt(2 kappa) b plus, when Gamma > 0, atomic emission
-    from the excited level.  Lambda atoms decay to both ground states
-    with equal branching; the no-jump statistics do not depend on the
-    branching split.
-    """
-    layout = spec.layout()
-    ops: list[OperatorMatrix] = []
-    if spec.kappa > 0:
-        b = cavity_annihilation(spec.layout())
-        ops.append(OperatorMatrix(layout, math.sqrt(2.0 * spec.kappa) * b.entries))
-    if spec.gamma > 0:
-        excited = spec.atom_levels - 1
-        grounds = [0] if spec.atom_levels == 2 else [0, 1]
-        rate = 2.0 * spec.gamma / len(grounds)
-        for i in range(1, spec.n_atoms + 1):
-            for low in grounds:
-                lower = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
-                lower[low, excited] = math.sqrt(rate)
-                ops.append(embed(lower, f"atom{i}", layout))
-    return ops
 
 
 def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:

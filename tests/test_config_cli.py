@@ -393,6 +393,49 @@ def test_sampled_run_seeds_one_stream(monkeypatch, config):
     assert made == [(3,)]
 
 
+_PINNED_SAMPLED = [
+    (
+        "scenario = bell_landscape\nshots = 2000\nseed = 5\nreadout_error = 0.02\nomega_t_count = 5\nvartheta_count = 4\n",
+        "bell_landscape.csv",
+        "omega_T,vartheta,b_s,violated\n"
+        "0,0,0.059,false\n0,1.04719755,0.066,false\n0,2.0943951,0.16,false\n0,3.14159265,0.053,false\n"
+        "1.57079633,0,0.832,false\n1.57079633,1.04719755,1.093,false\n"
+        "1.57079633,2.0943951,1.215,false\n1.57079633,3.14159265,1.05,false\n"
+        "3.14159265,0,1.85,false\n3.14159265,1.04719755,2.364,true\n"
+        "3.14159265,2.0943951,2.293,true\n3.14159265,3.14159265,1.798,false\n"
+        "4.71238898,0,0.992,false\n4.71238898,1.04719755,1.183,false\n"
+        "4.71238898,2.0943951,1.101,false\n4.71238898,3.14159265,1.009,false\n"
+        "6.28318531,0,0.036,false\n6.28318531,1.04719755,0.023,false\n"
+        "6.28318531,2.0943951,0.161,false\n6.28318531,3.14159265,0.018,false\n",
+    ),
+    (
+        "scenario = trajectories\nsystem = pair\ng = 1\nkappa = 1\ngamma = 0.001\nomega_minus = 0.05\n"
+        "n_traj = 500\nseed = 3\n",
+        "trajectories.csv",
+        "t_end,p0_det,p0_mc,stderr\n62.8318531,0.891154748,0.912,0.0126693331\n",
+    ),
+    (
+        "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 3\nt_end_values = 0.5, 1\n"
+        "n_traj = 500\nseed = 3\n",
+        "trajectories.csv",
+        "t_end,p0_det,p0_mc,stderr\n0.5,0.367879441,0.35,0.021330729\n1,0.135335283,0.15,0.0159687194\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, name, expected", _PINNED_SAMPLED, ids=["bell_landscape", "trajectories_pair", "trajectories_cavity"]
+)
+def test_cli_sampled_csv_is_pinned_whole(tmp_path, config, name, expected):
+    # a sampled run at a fixed seed is exact: these bytes pin the pulse
+    # state, the jump operators, the survival chain and the one stream of
+    # numpy's default generator a run draws from
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
+    assert (tmp_path / name).read_text() == expected
+
+
 @pytest.mark.parametrize("name", ["bell_landscape_sampled", "trajectories_cavity"])
 def test_sampled_run_with_a_bad_seed_is_a_config_error(tmp_path, capsys, name):
     cfg = tmp_path / "sampled.cfg"
