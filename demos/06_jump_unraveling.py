@@ -12,25 +12,21 @@ import math
 import numpy as np
 
 from zenobell import (
-    OperatorMatrix,
     SystemSpec,
     basis_state,
-    compose,
     decay_operators,
     h_cond_two_level,
-    ladder,
     no_photon_probability,
     run_trajectories,
 )
-from zenobell.dynamics import pair_drive
+from zenobell.dynamics import h_cond, pair_drive
 from zenobell.gates import pair_duration
+from zenobell.trajectories import first_jump_histogram
 
 print("=== pure cavity decay from a one-photon state ===")
-layout = compose([("cav", 3)])
-b = ladder(3)
-h = OperatorMatrix(layout, -1j * (b.conj().T @ b))
-jump = [OperatorMatrix(layout, math.sqrt(2.0) * b)]
-psi0 = basis_state(layout, (1,))
+cavity = SystemSpec(n_atoms=0, kappa=1.0, n_max=2)  # no atoms: H = -i kappa b^dag b
+h, jump = h_cond(cavity), decay_operators(cavity)
+psi0 = basis_state(cavity.layout(), (1,))
 print(f"{'t':>5} {'exact e^-2t':>12} {'Monte Carlo':>12} {'sigma':>8}")
 for t in (0.25, 0.5, 1.0, 1.5):
     batch = run_trajectories(h, jump, psi0, t, 20_000, seed=100)
@@ -59,8 +55,9 @@ print(f"(dt = {batch.dt:.4g}, {batch.n_traj} trajectories, seed {batch.seed})")
 
 print()
 print("when does the first photon leave? (histogram over jumped trajectories)")
-counts = np.array([c for _, c in batch.jump_time_histogram], dtype=float)
-edges = [e for e, _ in batch.jump_time_histogram]
+histogram = first_jump_histogram(batch)
+counts = np.array([c for _, c in histogram], dtype=float)
+edges = [e for e, _ in histogram]
 peak = counts.max() if counts.max() > 0 else 1.0
 for k in range(0, len(counts), 5):
     c = counts[k : k + 5].sum()

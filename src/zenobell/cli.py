@@ -38,16 +38,16 @@ import numpy as np
 from . import bell, gates, pbg, states, trajectories
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import (
-    DrivenHamiltonian,
     NumericalError,
     SystemSpec,
     check_regime,
     check_final_states,
-    h_cond_two_level,
-    no_jump_states,
+    decay_operators,
+    h_cond,
+    no_photon_probability,
     pair_drive,
 )
-from .hilbert import OperatorMatrix, basis_state, compose, fidelities, ladder, norms
+from .hilbert import basis_state, fidelities
 
 __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 
@@ -238,34 +238,18 @@ def _run_mermin(cfg: ScenarioConfig):
 def _run_trajectories(cfg: ScenarioConfig):
     p = cfg.physics
     if p["system"] == "pair":
-        spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
         om = p["omega_minus"]
-        run_spec = spec.with_rabi(pair_drive(om))
-        h = h_cond_two_level(run_spec)
-        psi0 = basis_state(run_spec.layout(), (0, 0, 0))
-        jump_ops = trajectories.decay_operators(run_spec)
-        default_t = gates.pair_duration(om)
-        summary = _regime_lines(spec, [om])
-    else:
-        layout = compose([("cav", p["n_max"] + 1)])
-        b = ladder(p["n_max"] + 1)
-        h = OperatorMatrix(layout, -1j * p["kappa"] * (b.conj().T @ b))
-        psi0 = basis_state(layout, (1,))
-        jump_ops = [OperatorMatrix(layout, math.sqrt(2.0 * p["kappa"]) * b)]
-        default_t = 1.0 / p["kappa"] if p["kappa"] > 0 else 1.0
-        summary = []
+        spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
+        spec = spec.with_rabi(pair_drive(om))
+        occupation, default_t, summary = (0, 0, 0), gates.pair_duration(om), _regime_lines(spec, [om])
+    else:  # cavity_decay: the bare leaky cavity from one photon
+        spec = SystemSpec(n_atoms=0, kappa=p["kappa"], n_max=p["n_max"])
+        occupation, default_t, summary = (1,), gates.cavity_decay_duration(p["kappa"]), []
+    h, jump_ops, psi0 = h_cond(spec), decay_operators(spec), basis_state(spec.layout(), occupation)
 
     t_values = p["t_end_values"] or [default_t]
     rng = _run_stream(cfg.seed)
-    family = DrivenHamiltonian(h.layout, (), h.entries, ())
-    finals = no_jump_states(family, [{}] * len(t_values), t_values, [psi0.amplitudes])[:, 0]
-    finite = np.isfinite(finals.view(float)).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {t_values[int(np.argmin(finite))]:.9g}")
-    p0_det = [
-        _check_probability(p0, "p0", f"t_end={t_end:.9g}")
-        for p0, t_end in zip(np.float_power(norms(finals), 2.0).tolist(), t_values)
-    ]
+    p0_det = [_check_probability(no_photon_probability(h, psi0, t), "p0", f"t_end={t:.9g}") for t in t_values]
     p0_mc, stderr = [], []
     for t_end, det in zip(t_values, p0_det):
         try:

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dynamics import cnot_drive
-from .gates import QUBIT_LABELS, cnot_duration, pair_duration
+from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -302,8 +302,8 @@ def _parse_trajectories(table: dict) -> dict:
         _nonnegative(physics["t_end_values"], t_end_key)
     elif system == "pair":
         _finite_default_duration([physics["omega_minus"]], "omega_minus", pair_duration)
-    elif physics["kappa"] > 0:
-        _finite_default_duration([physics["kappa"]], "kappa", lambda kappa: 1.0 / kappa)
+    else:
+        _finite_default_duration([physics["kappa"]], "kappa", cavity_decay_duration)
     _check_rows("t_end", len(physics["t_end_values"] or ()))
     if "dt" in table:
         dt = _float("dt", table.pop("dt"))

@@ -18,9 +18,10 @@ state is the probability that no photon has been emitted.  Its
 anti-Hermitian part is -(i/2) sum_k L_k^dag L_k for the jump operators
 of :func:`decay_operators` (Plenio and Knight, RMP 70, 101 (1998)):
 amplitudes damp at Gamma and kappa, intensities at 2 Gamma and 2 kappa,
-so the operators carry sqrt(2 Gamma) and sqrt(2 kappa).  ``_h_cond``
+so the operators carry sqrt(2 Gamma) and sqrt(2 kappa).  :func:`h_cond`
 assembles H0, the part without lasers; :meth:`DrivenHamiltonian.stack`
-adds every laser term.
+adds every laser term.  A spec with no atoms is the bare leaky cavity,
+H = -i kappa b^dag b with the one jump operator sqrt(2 kappa) b.
 
 Two-level atoms use levels 0 (ground) and 1 (excited, cavity-coupled via
 the "0-1" transition).  Lambda atoms use ground levels 0 and 1 (the
@@ -55,6 +56,7 @@ __all__ = [
     "DrivenHamiltonian",
     "pair_drive",
     "cnot_drive",
+    "h_cond",
     "h_cond_two_level",
     "h_cond_lambda",
     "evolve_no_jump",
@@ -89,7 +91,8 @@ class SystemSpec:
     """Declarative description of the atoms-in-cavity system.
 
     ``rabi`` maps (atom index, transition label) to a complex Rabi
-    frequency; atom indices are 1-based.  ``n_max`` is the largest Fock
+    frequency; atom indices are 1-based, so a spec with no atoms (the
+    bare leaky cavity) has no lasers.  ``n_max`` is the largest Fock
     state kept in the cavity truncation.
     """
 
@@ -104,8 +107,8 @@ class SystemSpec:
     def __post_init__(self):
         if self.atom_levels not in (2, 3):
             raise ValueError(f"atom_levels must be 2 or 3, got {self.atom_levels}")
-        if self.n_atoms < 1:
-            raise ValueError("need at least one atom")
+        if self.n_atoms < 0:
+            raise ValueError(f"n_atoms must be >= 0, got {self.n_atoms}")
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.kappa < 0 or self.gamma < 0:
@@ -212,10 +215,10 @@ class DrivenHamiltonian:
         """
         keys = tuple(keys)
         spec.with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
-        h_cond = h_cond_two_level if spec.atom_levels == 2 else h_cond_lambda
+        checked = h_cond_two_level if spec.atom_levels == 2 else h_cond_lambda
         layout = spec.layout()
         raising = tuple(_frozen(_raising_op(spec, layout, atom, trans)) for atom, trans in keys)
-        return cls(layout, keys, h_cond(spec.with_rabi({})).entries, raising)
+        return cls(layout, keys, checked(spec.with_rabi({})).entries, raising)
 
     @property
     def components(self) -> tuple["Component", ...]:
@@ -295,10 +298,12 @@ def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) 
     return embed(_transition_op(spec.atom_levels, trans), f"atom{atom}", layout).entries
 
 
-def _h_cond(spec: SystemSpec) -> OperatorMatrix:
-    """H0 of ``spec``: the cavity coupling plus the Gamma and kappa damping.
+def h_cond(spec: SystemSpec) -> OperatorMatrix:
+    """Conditional Hamiltonian of ``spec``, with any number of atoms.
 
-    A spec with lasers gets the one-point :meth:`DrivenHamiltonian.stack`
+    Without lasers it is H0: the cavity coupling plus the Gamma and kappa
+    damping, so a spec with no atoms gives -i kappa b^dag b.  A spec with
+    lasers gets the one-point :meth:`DrivenHamiltonian.stack`
     of :meth:`DrivenHamiltonian.of`, which takes H0 from here.
     """
     if spec.rabi:
@@ -354,7 +359,7 @@ def h_cond_two_level(spec: SystemSpec) -> OperatorMatrix:
     """
     if spec.atom_levels != 2 or spec.n_atoms != 2:
         raise ValueError("two-level scheme needs exactly two 2-level atoms")
-    return _h_cond(spec)
+    return h_cond(spec)
 
 
 def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
@@ -367,7 +372,7 @@ def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
     """
     if spec.atom_levels != 3 or spec.n_atoms != 2:
         raise ValueError("Lambda scheme needs exactly two 3-level atoms")
-    return _h_cond(spec)
+    return h_cond(spec)
 
 
 def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:

@@ -48,6 +48,7 @@ __all__ = [
     "cnot_pulse_sweep",
     "cnot_duration",
     "pair_duration",
+    "cavity_decay_duration",
     "qubit_state",
     "qubit_amplitudes",
 ]
@@ -200,6 +201,11 @@ def pair_duration(omega_minus: complex) -> float:
     if omega_minus == 0:
         raise ValueError("omega_minus must be nonzero")
     return math.pi / abs(omega_minus)
+
+
+def cavity_decay_duration(kappa: float) -> float:
+    """Run length 1 / kappa of a cavity-decay check, or 1 when nothing decays (kappa = 0)."""
+    return 1.0 / kappa if kappa > 0 else 1.0
 
 
 def cnot_duration(omega: float) -> float:

@@ -29,8 +29,10 @@ jumps at the first step m where the survival S_m drops below its uniform
 draw u_i.  This is the same first-jump distribution as drawing one
 uniform per step against dp_k = 1 - S_{k+1} / S_k, couples runs with
 different dt through common random numbers, and retires a trajectory at
-its first jump, which leaves every reported statistic (no-jump fraction,
-first-jump histogram) unchanged.
+its first jump, which leaves every statistic (no-jump fraction,
+first-jump times) unchanged.  A batch keeps the survival chain and the
+draws, so :func:`first_jump_histogram` bins the first-jump times only
+for a caller that reads them.
 
 The no-jump state advances a step by two half steps of
 A = sum_{k<=4} (-i dt H / 2)^k / k!, the fourth-order Taylor polynomial
@@ -50,17 +52,16 @@ renormalizing at block boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import decay_operators
 from .hilbert import OperatorMatrix, StateVector
 
 __all__ = [
     "TrajectoryBatch",
     "run_trajectories",
-    "decay_operators",
+    "first_jump_histogram",
 ]
 
 
@@ -70,10 +71,12 @@ class TrajectoryBatch:
 
     n_traj: int
     seed: object  # as passed to run_trajectories
+    t_end: float
     dt: float
     p0_estimate: float
     p0_stderr: float
-    jump_time_histogram: tuple[tuple[float, int], ...]
+    survival: np.ndarray = field(compare=False, repr=False)  # S at steps 0 ... n_steps
+    draws: np.ndarray = field(compare=False, repr=False)  # the uniform draw of each trajectory
 
 
 _BLOCK = 256  # steps per block of the survival chain
@@ -83,6 +86,8 @@ _MAX_STEPS = 10**7  # bounds the survival array (80 MB)
 # may take n_steps * n^2 up to the step limit of the 12-state pair
 _MAX_WORK = _MAX_STEPS * 12**2
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
+_HISTOGRAM_BINS = 50
+_MIN_STEPS = 2 * _HISTOGRAM_BINS  # every first-jump histogram bin spans two or more steps
 
 
 def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:
@@ -142,17 +147,12 @@ def run_trajectories(
     n_traj: int,
     seed,
     dt: float | None = None,
-    histogram_bins: int = 50,
 ) -> TrajectoryBatch:
     """Estimate the no-jump probability at ``t_end`` from ``n_traj`` runs.
 
     ``dt`` defaults to 1 divided by the largest rate in the problem and is
-    rejected if larger; the chain takes at least ``2 * histogram_bins``
-    steps, so that every bin spans two or more of them.
-    The standard error is the binomial one.  The histogram covers
-    first-jump times on ``histogram_bins`` uniform bins over (0, t_end];
-    its entries are (left bin edge, count) and the counts sum to the
-    number of trajectories that jumped.
+    rejected if larger; a chain that moves takes at least ``_MIN_STEPS``
+    (100) steps.  The standard error is the binomial one.
     """
     jump_ops = list(jump_ops)
     if psi0.layout != h_cond.layout:
@@ -182,7 +182,7 @@ def run_trajectories(
     elif dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
 
-    steps = max(t_end / dt, 2.0 * histogram_bins) if t_end > 0 else 0
+    steps = max(t_end / dt, _MIN_STEPS) if t_end > 0 else 0
     max_steps = min(_MAX_STEPS, _MAX_WORK // psi0.amplitudes.size**2)
     if steps > max_steps:
         count = math.ceil(steps) if math.isfinite(steps) else steps
@@ -197,25 +197,25 @@ def run_trajectories(
     # trajectory i takes draw i of the batch stream; no jump iff the
     # draw stays below the final survival probability
     u = rng.random(n_traj)
-    jumped = u >= survival[-1]
-    p0 = float(np.count_nonzero(~jumped)) / n_traj
+    p0 = float(np.count_nonzero(u < survival[-1])) / n_traj
     stderr = math.sqrt(p0 * (1.0 - p0) / n_traj)
+    return TrajectoryBatch(n_traj, seed, t_end, dt, p0, stderr, survival, u)
 
+
+def first_jump_histogram(batch: TrajectoryBatch) -> tuple[tuple[float, int], ...]:
+    """First-jump times of ``batch`` on ``_HISTOGRAM_BINS`` (50) uniform bins over (0, t_end].
+
+    The entries are (left bin edge, count); the counts sum to the number
+    of trajectories that jumped.
+    """
+    survival, u = batch.survival, batch.draws
+    jumped = u >= survival[-1]
     # first step m (1-based) with survival[m] <= u, via the reversed
     # (ascending) survival chain
     ascending = survival[::-1]
     pos_from_end = np.searchsorted(ascending, u[jumped], side="right")
     first_jump_steps = survival.size - pos_from_end  # 1-based step index
-    times = first_jump_steps * dt
-    span = t_end if t_end > 0 else 1.0
-    counts, edges = np.histogram(times, bins=histogram_bins, range=(0.0, span))
-    histogram = tuple((float(edges[k]), int(counts[k])) for k in range(histogram_bins))
-
-    return TrajectoryBatch(
-        n_traj=n_traj,
-        seed=seed,
-        dt=dt,
-        p0_estimate=p0,
-        p0_stderr=stderr,
-        jump_time_histogram=histogram,
-    )
+    times = first_jump_steps * batch.dt
+    span = batch.t_end if batch.t_end > 0 else 1.0
+    counts, edges = np.histogram(times, bins=_HISTOGRAM_BINS, range=(0.0, span))
+    return tuple((float(edges[k]), int(counts[k])) for k in range(_HISTOGRAM_BINS))

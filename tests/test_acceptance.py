@@ -39,13 +39,20 @@ from zenobell.dfs import (
     pair_dfs_vectors,
     subspace_from_vectors,
 )
-from zenobell.dynamics import SystemSpec, evolve_no_jump, h_cond_lambda, h_cond_two_level, no_photon_probability
+from zenobell.dynamics import (
+    SystemSpec,
+    decay_operators,
+    evolve_no_jump,
+    h_cond_lambda,
+    h_cond_two_level,
+    no_photon_probability,
+)
 from zenobell.gates import QUBIT_LABELS, cnot_duration, cnot_pulse, pair_target_alpha, prepare_pair, qubit_state
 from zenobell.hilbert import basis_state, compose, fidelity, ladder, state_from_amplitudes, OperatorMatrix
 from zenobell.pbg import TransitPlan, bell_target, jc_amplitudes, pbg_final_state
 from zenobell.selftest import run_selftest
 from zenobell.states import entangled_pair_state, ghz_state, qubit_layout
-from zenobell.trajectories import decay_operators, run_trajectories
+from zenobell.trajectories import run_trajectories
 
 from oracles import damped_cnot_amplitudes, damped_pair_amplitudes, integrate_schrodinger
 

@@ -1,9 +1,12 @@
 import contextlib
+import functools
 import gzip
+import importlib.util
 import io
 import math
 import os
 import re
+import sys
 import tempfile
 import time
 import warnings
@@ -434,6 +437,41 @@ def test_cli_sampled_csv_is_pinned_whole(tmp_path, config, name, expected):
     cfg.write_text(config)
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 0
     assert (tmp_path / name).read_text() == expected
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _reference_bytes(name: str) -> bytes:
+    return gzip.decompress((BENCH / "reference" / f"{name}.csv.gz").read_bytes())
+
+
+@functools.cache
+def _bench_workloads():
+    """``bench/workloads.py``, loaded from its file for the job configs it defines."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+# The deterministic tables of the benchmark workloads, by workload.
+_REFERENCE_TABLES = {
+    "fig2": "sweep", "fig4": "sweep", "fig5": "sweep", "prepare_pair": "sweep", "cnot": "sweep", "pbg": "sweep",
+    "mermin": "verify", "islands": "verify",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TABLES))
+def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
+    # the benchmark's own job, full size, written whole by the CLI and
+    # compared with the recorded table, bytes and not values
+    (job,) = [job for job in _bench_workloads().make_jobs(_REFERENCE_TABLES[name], 0) if job.name == name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(job.config)
+    assert main(job.argv(cfg, tmp_path)) == 0
+    assert (tmp_path / job.csv_name).read_bytes() == _reference_bytes(name)
 
 
 @pytest.mark.parametrize("name", ["bell_landscape_sampled", "trajectories_cavity"])
@@ -912,8 +950,6 @@ def test_cli_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert own == render_csv(header, columns)
     assert own != (tmp_path / "seed5" / "bell_landscape.csv").read_text()
     assert run_cli(["figure", "islands", "--out", tmp_path, "--quiet"]) == 0
-    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "islands.csv.gz"
-    assert (tmp_path / "islands.csv").read_bytes() == gzip.decompress(reference.read_bytes())
 
 
 def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):

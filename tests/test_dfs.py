@@ -11,9 +11,8 @@ from zenobell.dfs import (
     subspace_from_vectors,
     zeno_timescale,
 )
-from zenobell.dynamics import SystemSpec, evolve_no_jump, h_cond_lambda, h_cond_two_level
+from zenobell.dynamics import SystemSpec, decay_operators, evolve_no_jump, h_cond_lambda, h_cond_two_level
 from zenobell.hilbert import OperatorMatrix, basis_state, fidelity, identity, state_from_amplitudes
-from zenobell.trajectories import decay_operators
 
 SQRT2 = math.sqrt(2.0)
 

@@ -11,7 +11,9 @@ from zenobell.dynamics import (
     SystemSpec,
     check_regime,
     cnot_drive,
+    decay_operators,
     evolve_no_jump,
+    h_cond,
     h_cond_lambda,
     h_cond_two_level,
     no_jump_states,
@@ -19,7 +21,7 @@ from zenobell.dynamics import (
     pair_drive,
 )
 from zenobell.gates import cnot_pulse_sweep
-from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, state_from_amplitudes
+from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, ladder, state_from_amplitudes
 
 from oracles import conditional_hamiltonian, dense_drive_stack, integrate_schrodinger
 
@@ -78,6 +80,37 @@ def test_spec_validation():
 def test_layout_shape():
     assert pair_spec(0, 0.02).layout().dims == (2, 2, 3)
     assert lambda_spec(0, 0.02).layout().dims == (3, 3, 3)
+    assert SystemSpec(n_atoms=0, n_max=4).layout().dims == (5,)
+
+
+def test_atom_free_spec_is_the_hand_built_leaky_cavity():
+    # the leaky cavity written out by hand, bit for bit: H = -i kappa b^dag b
+    # and L = sqrt(2 kappa) b, with no jump operator at kappa = 0
+    for kappa in (0.0, 1e-300, 0.1, 0.5, 1.0, 2.5, 7.0, 1e150):
+        for n_max in range(1, 7):
+            spec = SystemSpec(n_atoms=0, kappa=kappa, n_max=n_max)
+            layout, b = compose([("cav", n_max + 1)]), ladder(n_max + 1)
+            h = h_cond(spec)
+            assert spec.layout() == h.layout == layout
+            assert h.entries.tobytes() == (-1j * kappa * (b.conj().T @ b)).tobytes()
+            jumps = decay_operators(spec)
+            assert len(jumps) == (kappa > 0)
+            for jump in jumps:
+                assert jump.layout == layout
+                assert jump.entries.tobytes() == (math.sqrt(2.0 * kappa) * b).tobytes()
+
+
+def test_atom_count_validation():
+    with pytest.raises(ValueError, match="n_atoms must be >= 0, got -1"):
+        SystemSpec(n_atoms=-1)
+    # atom indices run over 1..n_atoms: a spec without atoms takes no laser
+    with pytest.raises(ValueError, match="unknown atom 1"):
+        SystemSpec(n_atoms=0, rabi={(1, "0-1"): 0.1})
+    # the checked entry points still take exactly two atoms
+    with pytest.raises(ValueError, match="exactly two 2-level atoms"):
+        h_cond_two_level(SystemSpec(atom_levels=2, n_atoms=0))
+    with pytest.raises(ValueError, match="exactly two 3-level atoms"):
+        h_cond_lambda(SystemSpec(atom_levels=3, n_atoms=0))
 
 
 # ------------------------------------------------------- two-level Hamiltonian
@@ -183,12 +216,9 @@ def test_evolve_identity_for_zero_hamiltonian():
 
 
 def test_pure_cavity_decay_amplitude():
-    layout = compose([("cav", 3)])
-    from zenobell.hilbert import ladder
-
-    b = ladder(3)
-    h = OperatorMatrix(layout, -1j * 0.8 * (b.conj().T @ b))
-    psi = basis_state(layout, (1,))
+    spec = SystemSpec(n_atoms=0, kappa=0.8, n_max=2)
+    h = h_cond(spec)
+    psi = basis_state(spec.layout(), (1,))
     out = evolve_no_jump(h, psi, 2.5)
     assert out.amplitudes[1] == pytest.approx(math.exp(-0.8 * 2.5), rel=1e-12)
     assert no_photon_probability(h, psi, 2.5) == pytest.approx(math.exp(-2 * 0.8 * 2.5), rel=1e-12)

@@ -8,19 +8,21 @@ from oracles import fourth_order_survival_chain
 from zenobell.dynamics import (
     SystemSpec,
     cnot_drive,
+    decay_operators,
+    h_cond,
     h_cond_lambda,
     h_cond_two_level,
     no_photon_probability,
     pair_drive,
 )
 from zenobell.gates import cnot_duration
-from zenobell.hilbert import OperatorMatrix, basis_state, compose, ladder
+from zenobell.hilbert import OperatorMatrix, basis_state, compose
 from zenobell.trajectories import (
     _BLOCK,
     _POWERS_BYTES,
     _max_stable_dt,
     _survival_chain,
-    decay_operators,
+    first_jump_histogram,
     run_trajectories,
 )
 
@@ -28,11 +30,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 def cavity_decay_setup(kappa=1.0, n_max=2):
-    layout = compose([("cav", n_max + 1)])
-    b = ladder(n_max + 1)
-    h = OperatorMatrix(layout, -1j * kappa * (b.conj().T @ b))
-    jump = [OperatorMatrix(layout, math.sqrt(2 * kappa) * b)]
-    return h, jump, basis_state(layout, (1,))
+    # the atom-free spec: the bare leaky cavity, from one photon
+    spec = SystemSpec(n_atoms=0, kappa=kappa, n_max=n_max)
+    return h_cond(spec), decay_operators(spec), basis_state(spec.layout(), (1,))
 
 
 def pair_setup(gamma=0.01, omega=0.02):
@@ -66,7 +66,7 @@ def test_hermitian_hamiltonian_no_jump_ops_gives_unity():
     batch = run_trajectories(h, [], basis_state(layout, (0,)), 5.0, 200, seed=1)
     assert batch.p0_estimate == 1.0
     assert batch.p0_stderr == 0.0
-    assert sum(count for _, count in batch.jump_time_histogram) == 0
+    assert sum(count for _, count in first_jump_histogram(batch)) == 0
 
 
 def test_cavity_decay_matches_exponential():
@@ -84,7 +84,7 @@ def test_pair_pulse_matches_deterministic_no_photon_probability():
     batch = run_trajectories(h, jump, psi0, t_end, 10_000, seed=42)
     p0_det = no_photon_probability(h, psi0, t_end)
     assert abs(batch.p0_estimate - p0_det) <= 4 * batch.p0_stderr
-    assert sum(count for _, count in batch.jump_time_histogram) == round((1 - batch.p0_estimate) * 10_000)
+    assert sum(count for _, count in first_jump_histogram(batch)) == round((1 - batch.p0_estimate) * 10_000)
 
 
 def test_batches_are_bit_reproducible():
@@ -92,8 +92,10 @@ def test_batches_are_bit_reproducible():
     a = run_trajectories(h, jump, psi0, 0.7, 500, seed=7)
     b = run_trajectories(h, jump, psi0, 0.7, 500, seed=7)
     assert a == b
+    assert np.array_equal(a.draws, b.draws) and np.array_equal(a.survival, b.survival)
     c = run_trajectories(h, jump, psi0, 0.7, 500, seed=8)
-    assert c.p0_estimate != a.p0_estimate or c.jump_time_histogram != a.jump_time_histogram
+    assert not np.array_equal(c.draws, a.draws)
+    assert np.array_equal(c.survival, a.survival)  # the chain does not depend on the seed
 
 
 def test_dt_halving_is_stable():
@@ -105,11 +107,18 @@ def test_dt_halving_is_stable():
 
 def test_histogram_edges_cover_interval():
     h, jump, psi0 = cavity_decay_setup()
-    batch = run_trajectories(h, jump, psi0, 2.0, 1000, seed=3, histogram_bins=20)
-    edges = [edge for edge, _ in batch.jump_time_histogram]
-    assert len(edges) == 20
+    batch = run_trajectories(h, jump, psi0, 2.0, 1000, seed=3)
+    histogram = first_jump_histogram(batch)
+    edges = [edge for edge, _ in histogram]
+    assert len(edges) == 50
     assert edges[0] == 0.0
-    assert edges[-1] == pytest.approx(2.0 - 2.0 / 20)
+    assert edges[-1] == pytest.approx(2.0 - 2.0 / 50)
+    # every jumped trajectory lands in a bin of (0, t_end]
+    assert sum(count for _, count in histogram) == np.count_nonzero(batch.draws >= batch.survival[-1]) > 0
+    # a zero-length row has no jumps, binned over (0, 1]
+    histogram = first_jump_histogram(run_trajectories(h, jump, psi0, 0.0, 100, seed=3))
+    assert [edge for edge, _ in histogram] == pytest.approx(np.linspace(0.0, 1.0, 51)[:-1].tolist())
+    assert sum(count for _, count in histogram) == 0
 
 
 def test_validation_errors():
@@ -134,7 +143,7 @@ def test_sampler_matches_explicit_bernoulli_chain():
     # its own RNG, and compare the no-jump fraction and jump-time CDF
     h, jump, psi0 = cavity_decay_setup(kappa=1.0)
     t_end, n_traj = 1.2, 4000
-    batch = run_trajectories(h, jump, psi0, t_end, n_traj, seed=31, histogram_bins=4)
+    batch = run_trajectories(h, jump, psi0, t_end, n_traj, seed=31)
 
     dt = batch.dt
     n_steps = round(t_end / dt)
@@ -150,9 +159,11 @@ def test_sampler_matches_explicit_bernoulli_chain():
     p0_oracle = np.mean(first < 0)
     sigma = math.sqrt(max(p0_oracle * (1 - p0_oracle), batch.p0_estimate * (1 - batch.p0_estimate)) / n_traj)
     assert abs(batch.p0_estimate - p0_oracle) <= 4 * math.sqrt(2) * sigma
-    # jump-time histograms agree bin by bin at the four-sigma level
-    oracle_counts, _ = np.histogram(first[first > 0] * dt, bins=4, range=(0.0, t_end))
-    for (_, count), expected in zip(batch.jump_time_histogram, oracle_counts):
+    # jump-time histograms agree in each of the 50 bins at the four-sigma level
+    histogram = first_jump_histogram(batch)
+    oracle_counts, _ = np.histogram(first[first > 0] * dt, bins=50, range=(0.0, t_end))
+    assert len(histogram) == len(oracle_counts) == 50
+    for (_, count), expected in zip(histogram, oracle_counts):
         spread = math.sqrt(max(expected, count, 1.0))
         assert abs(count - expected) <= 4 * math.sqrt(2) * spread
 
@@ -175,7 +186,9 @@ def test_seeds_differing_in_the_last_bit_give_different_batches():
     for seed in (0, 4, 1000):
         a = run_trajectories(h, jump, psi0, 0.5, 2000, seed=seed)
         b = run_trajectories(h, jump, psi0, 0.5, 2000, seed=seed ^ 1)
-        assert a.jump_time_histogram != b.jump_time_histogram
+        assert np.array_equal(a.survival, b.survival)
+        # sorted, so that one set of uniforms in another order does not pass
+        assert not np.array_equal(np.sort(a.draws), np.sort(b.draws))
 
 
 def test_trajectory_i_takes_draw_i_of_the_batch_stream():
