@@ -62,7 +62,9 @@ peak = counts.max() if counts.max() > 0 else 1.0
 for k in range(0, len(counts), 5):
     c = counts[k : k + 5].sum()
     bar = "#" * int(40 * c / (5 * peak))
-    print(f"  t in [{edges[k]:6.1f}, {edges[min(k + 5, len(edges) - 1)]:6.1f}): {bar}")
+    # the histogram lists left edges only: the last group closes at t_end
+    right = f"{edges[k + 5]:6.1f})" if k + 5 < len(edges) else f"{batch.t_end:6.1f}]"
+    print(f"  t in [{edges[k]:6.1f}, {right}: {bar}")
 print("the emission flux tracks the excited antisymmetric-state")
 print("population sin^2(|Omega| t / 2), so it keeps growing as the pulse")
 print("rotates |00> toward |a>.")

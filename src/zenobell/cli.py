@@ -44,7 +44,7 @@ from .dynamics import (
     check_final_states,
     decay_operators,
     h_cond,
-    no_photon_probability,
+    no_photon_probabilities,
     pair_drive,
 )
 from .hilbert import basis_state, fidelities
@@ -249,7 +249,10 @@ def _run_trajectories(cfg: ScenarioConfig):
 
     t_values = p["t_end_values"] or [default_t]
     rng = _run_stream(cfg.seed)
-    p0_det = [_check_probability(no_photon_probability(h, psi0, t), "p0", f"t_end={t:.9g}") for t in t_values]
+    p0_det = [
+        _check_probability(p0, "p0", f"t_end={t:.9g}")
+        for t, p0 in zip(t_values, no_photon_probabilities(h, psi0, t_values).tolist())
+    ]
     p0_mc, stderr = [], []
     for t_end, det in zip(t_values, p0_det):
         try:

@@ -47,6 +47,7 @@ from .hilbert import (
     compose,
     embed,
     ladder,
+    norms,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "no_jump_states",
     "check_final_states",
     "no_photon_probability",
+    "no_photon_probabilities",
     "check_regime",
     "cavity_annihilation",
     "decay_operators",
@@ -387,15 +389,25 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
     integrator.  At t = 0 nothing is exponentiated.  Raises
     :class:`NumericalError` if the exponential overflows (a huge H t).
     """
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
+    return StateVector(psi0.layout, _no_jump_rows(h, psi0, [t])[0])
+
+
+def _no_jump_rows(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) -> np.ndarray:
+    """exp(-i H t) |psi0> for each t of ``times`` from one :func:`no_jump_states` call, one row each.
+
+    Raises :class:`NumericalError` naming the first t whose row is not finite.
+    """
+    for t in times:
+        if t < 0:
+            raise ValueError(f"evolution time must be >= 0, got {t}")
     if h.layout != psi0.layout:
         raise ValueError("Hamiltonian and state live on different layouts")
     family = DrivenHamiltonian(h.layout, (), h.entries, ())
-    amplitudes = no_jump_states(family, [{}], [t], [psi0.amplitudes])[0, 0]
-    if not np.isfinite(amplitudes.view(float)).all():
-        raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {t:.9g}")
-    return StateVector(psi0.layout, amplitudes)
+    rows = no_jump_states(family, [{}] * len(times), times, [psi0.amplitudes])[:, 0]
+    finite = np.isfinite(rows.view(float)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {times[int(np.argmin(finite))]:.9g}")
+    return rows
 
 
 def no_jump_states(
@@ -504,6 +516,15 @@ def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
 def no_photon_probability(h: OperatorMatrix, psi0: StateVector, t: float) -> float:
     """Probability of zero emissions in (0, t): ||exp(-i H t) psi0||^2."""
     return evolve_no_jump(h, psi0, t).norm() ** 2
+
+
+def no_photon_probabilities(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) -> np.ndarray:
+    """:func:`no_photon_probability` at each t of ``times``, bit for bit, from one kernel call.
+
+    Raises :class:`NumericalError` naming the first t whose state is not
+    finite, as :func:`evolve_no_jump` does for its one t.
+    """
+    return norms(_no_jump_rows(h, psi0, times)) ** 2
 
 
 def check_regime(spec: SystemSpec, omega_eff: float) -> RegimeReport:

@@ -45,8 +45,11 @@ most 1/2 and a nonpositive real part, where the polynomial is
 contractive.  The chain uses no matrix exponential, so it does not share
 the propagation of :func:`zenobell.dynamics.no_photon_probability`.  The
 state after j half steps is A^j psi0 / norm, so the chain is computed a
-block of steps at a time from one stack of powers A^0 ... A^(2B),
-renormalizing at block boundaries.
+block of B steps at a time, renormalizing at block boundaries.  The
+squares A, A^2, A^4, ... are formed once per chain; a block's 2B + 1
+states A^j psi then come from its start state by doubling, rows
+[k, 2k) being rows [0, k) times A^k, in ceil(log2(2B + 1)) stacked
+products.
 """
 
 from __future__ import annotations
@@ -78,9 +81,17 @@ class TrajectoryBatch:
     survival: np.ndarray = field(compare=False, repr=False)  # S at steps 0 ... n_steps
     draws: np.ndarray = field(compare=False, repr=False)  # the uniform draw of each trajectory
 
+    @property
+    def p0_chain(self) -> float:
+        """The chain's no-jump survival S(t_end), the deterministic half of the estimate.
+
+        ``p0_estimate`` is the fraction of draws below it, so only this
+        value carries what the jump operators say about the damping of H.
+        """
+        return float(self.survival[-1])
+
 
 _BLOCK = 256  # steps per block of the survival chain
-_POWERS_BYTES = 2**23  # shortens blocks on large spaces: 16 n^2 bytes per power, two powers a step
 _MAX_STEPS = 10**7  # bounds the survival array (80 MB)
 # bounds the chain's run time: a step costs ~n^2 for n states, so a row
 # may take n_steps * n^2 up to the step limit of the 12-state pair
@@ -105,20 +116,20 @@ def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int
 
     The chain of the module docstring: two half steps of A per step and
     Simpson's rule over each step's three rates.  Each block of up to
-    ``_BLOCK`` steps (fewer where the stack of powers would exceed
-    ``_POWERS_BYTES``) is one product of the stacked powers A^0 ... A^(2m)
-    with the state at the block start, renormalized there.
+    ``_BLOCK`` steps starts from the renormalized state at its start and
+    fills its (2m + 1, n) states A^j psi by doubling with the transposed
+    squares (A^(2^i))^T, which are formed once per chain.
     """
     n = psi0.size
     decay = sum((l_op.conj().T @ l_op for l_op in ls), np.zeros((n, n), dtype=complex))
-    block_len = max(1, min(_BLOCK, (_POWERS_BYTES // (16 * n * n) - 1) // 2))
+    block_len = max(1, min(_BLOCK, n_steps))
     eye = np.eye(n)
     z = -0.5j * dt * h
     half = eye + z @ (eye + z / 2 @ (eye + z / 3 @ (eye + z / 4)))
-    powers = np.empty((2 * min(n_steps, block_len) + 1, n, n), dtype=complex)
-    powers[0] = eye
-    for j in range(1, len(powers)):
-        powers[j] = half @ powers[j - 1]
+    # (A^k)^T for k = 1, 2, 4, ...: the doublings that reach A^(2 block_len)
+    squares = [half.T]
+    while 2 ** len(squares) < 2 * block_len + 1:
+        squares.append(squares[-1] @ squares[-1])
 
     survival = np.empty(n_steps + 1)
     survival[0] = 1.0
@@ -126,9 +137,15 @@ def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int
     psi = np.asarray(psi0, dtype=complex)
     for start in range(0, n_steps, block_len):
         m = min(block_len, n_steps - start)
-        # one mat-vec over the stacked rows of the powers: ~3x faster than
-        # a batched matmul of the (2m + 1, n, n) stack on a small space
-        states = (powers[: 2 * m + 1].reshape(-1, n) @ psi).reshape(-1, n)
+        # rows A^j psi, j = 0 ... 2m: rows [k, 2k) are rows [0, k) times A^k
+        size = 2 * m + 1
+        states = np.empty((size, n), dtype=complex)
+        states[0] = psi
+        for i, square in enumerate(squares):
+            k = 2**i
+            if k >= size:
+                break
+            states[k : 2 * k] = states[: min(k, size - k)] @ square
         norm2 = np.einsum("kn,kn->k", states.conj(), states).real
         rate = np.einsum("kn,kn->k", states.conj(), states @ decay.T).real / norm2
         # continues the running sum in the order of one global cumsum

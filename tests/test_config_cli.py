@@ -474,6 +474,28 @@ def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
     assert (tmp_path / job.csv_name).read_bytes() == _reference_bytes(name)
 
 
+def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):
+    # the deterministic half of the jump check: the chain's survival, taken
+    # from the jump operators, against ||exp(-i H t) psi0||^2 on every row of
+    # the jumps workload, both built as the scenario builds them.  The gap is
+    # ~1e-13; a 1 % error in the jump rates makes it ~1.5e-3, which the
+    # sampled p0_mc hides inside its 6-sigma band
+    batches, run_trajectories = [], trajectories.run_trajectories
+
+    def recording(*args, **kwargs):
+        batches.append(run_trajectories(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(trajectories, "run_trajectories", recording)
+    for job in _bench_workloads().make_jobs("jumps", 0):
+        batches.clear()
+        _, (t_values, p0_det, p0_mc, _), _ = cli._RUNNERS["trajectories"](parse_config(job.config))
+        assert [batch.t_end for batch in batches] == list(t_values)
+        for batch, det, mc in zip(batches, p0_det, p0_mc):
+            assert batch.p0_estimate == mc
+            assert abs(batch.p0_chain - det) <= 1e-9, (job.name, batch.t_end)
+
+
 @pytest.mark.parametrize("name", ["bell_landscape_sampled", "trajectories_cavity"])
 def test_sampled_run_with_a_bad_seed_is_a_config_error(tmp_path, capsys, name):
     cfg = tmp_path / "sampled.cfg"

@@ -8,6 +8,7 @@ from scipy.linalg import expm as scipy_expm
 from zenobell import dynamics
 from zenobell.dynamics import (
     DrivenHamiltonian,
+    NumericalError,
     SystemSpec,
     check_regime,
     cnot_drive,
@@ -17,6 +18,7 @@ from zenobell.dynamics import (
     h_cond_lambda,
     h_cond_two_level,
     no_jump_states,
+    no_photon_probabilities,
     no_photon_probability,
     pair_drive,
 )
@@ -233,6 +235,25 @@ def test_evolve_errors():
     other = basis_state(compose([("q", 3)]), (0,))
     with pytest.raises(ValueError):
         evolve_no_jump(h, other, 1.0)
+
+
+def test_no_photon_probabilities_are_the_one_time_values_bit_for_bit():
+    # the trajectories scenario's p0_det column: one kernel call for all rows
+    pair = pair_spec(0.001, 0.02)
+    cavity = SystemSpec(n_atoms=0, kappa=1.0, n_max=4)
+    for spec, occupation, times in (
+        (pair, (0, 0, 0), [math.pi / 0.02, 0.0, 20.0, math.pi / 0.02]),
+        (cavity, (1,), [0.25, 0.5, 1.0, 2.0, 0.0]),
+    ):
+        h, psi = h_cond(spec), basis_state(spec.layout(), occupation)
+        assert no_photon_probabilities(h, psi, times).tolist() == [no_photon_probability(h, psi, t) for t in times]
+    # the first time whose state overflows is named, as evolve_no_jump names its one time
+    h = h_cond(pair_spec(1e200, 0.02))
+    psi = basis_state(h.layout, (0, 0, 0))
+    with pytest.raises(NumericalError, match=r"not finite at t = 157\.079633$"):
+        no_photon_probabilities(h, psi, [0.0, math.pi / 0.02, 2 * math.pi / 0.02])
+    with pytest.raises(ValueError, match="evolution time must be >= 0, got -1.0"):
+        no_photon_probabilities(h, psi, [1.0, -1.0])
 
 
 def test_regime_compliant_pulse_reaches_antisymmetric_state():

@@ -19,7 +19,6 @@ from zenobell.gates import cnot_duration
 from zenobell.hilbert import OperatorMatrix, basis_state, compose
 from zenobell.trajectories import (
     _BLOCK,
-    _POWERS_BYTES,
     _max_stable_dt,
     _survival_chain,
     first_jump_histogram,
@@ -240,14 +239,15 @@ def test_survival_chain_matches_per_step_euler_loop(system):
         assert oracle[-1] < 0.999  # the chain has something to check
 
 
-def test_survival_chain_shortens_blocks_on_large_spaces():
+def test_survival_chain_spans_several_blocks_on_a_large_space():
+    # 200 states from a spread start, over two full blocks and a partial one
     h, jump, psi0 = cavity_decay_setup(kappa=0.01, n_max=199)
-    assert (_POWERS_BYTES // (16 * 200**2) - 1) // 2 < 30 // 2  # several short blocks
     psi0 = type(psi0)(psi0.layout, np.ones(200) / math.sqrt(200.0))
     ls = [op.entries for op in jump]
     dt = _max_stable_dt(h.entries, ls)
-    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
-    oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, 30)
+    n_steps = 2 * _BLOCK + 37
+    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+    oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
     np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
     assert oracle[-1] < 0.99
 
