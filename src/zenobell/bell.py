@@ -24,7 +24,10 @@ a projective measurement in the sigma_theta eigenbasis (rotate, then
 read the computational basis), and ``_outcome_probabilities`` gives the
 probabilities of its four outcomes for the pair matrices of a stack of
 states (the amplitudes reshaped so that the two scored qubits are the
-last two axes) and any stack of analyzer-angle pairs.  An exact
+last two axes) and any stack of analyzer-angle pairs.  It does so in
+closed form, with elementwise arithmetic on the four entries of each
+pair matrix: no scoring call uses a matmul, so no score depends on the
+BLAS library.  An exact
 correlation is the signed sum P(+,+) - P(+,-) - P(-,+) + P(-,-)
 (``_correlations``): by construction the zero-error, infinite-shot limit
 of ``sample_correlation``.  ``correlation`` and ``bs_value`` are its
@@ -137,7 +140,7 @@ def _qubit_label(state: StateVector, index: int) -> str:
 def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
     """The amplitudes as a stack of 2x2 matrices, rows for qubit i, columns for qubit j.
 
-    A local operator pair then acts as ``op_i @ m @ op_j.T``, without any
+    A local operator pair then acts as op_i m op_j^T, without any
     full-space matrix.  The state must be normalized and i, j two
     distinct qubits.
     """
@@ -160,8 +163,9 @@ def _correlations(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
     state s, the mean of the outcome product that ``sample_correlation``
     estimates from these same probabilities.
     """
-    # the products of the two +-1 outcomes of (+,+), (+,-), (-,+), (-,-)
-    return _outcome_probabilities(m[:, None], theta_i, theta_j) @ np.array([1.0, -1.0, -1.0, 1.0])
+    probs = _outcome_probabilities(m[:, None], theta_i, theta_j)
+    # the outcome product is +1 for (+,+) and (-,-), -1 for (+,-) and (-,+)
+    return (probs[..., 0] + probs[..., 3]) - (probs[..., 1] + probs[..., 2])
 
 
 _BS_TERMS = (("theta1", "theta2"), ("theta1", "theta2p"), ("theta1p", "theta2"), ("theta1p", "theta2p"))
@@ -274,25 +278,24 @@ def mermin_n(state: StateVector) -> MerminResult:
     )
 
 
-def _measurement_bras(theta) -> np.ndarray:
-    """Rows <+theta| and <-theta| of the sigma_theta eigenbasis; a stack for an array of angles."""
-    phase = np.exp(-1j * np.asarray(theta, dtype=float))
-    one = np.ones_like(phase)
-    return np.stack([np.stack([one, phase], axis=-1), np.stack([one, -phase], axis=-1)], axis=-2) / math.sqrt(2.0)
-
-
 def _outcome_probabilities(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
-    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on a pair.
+    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on a pair, in closed form.
 
     ``m`` is (..., r, 2, 2): the pair matrices of one state, or a stack
     of states.  The angles broadcast against ``m.shape[:-3]``, and the
-    result has shape (..., 4).
+    result has shape (..., 4).  With <+-theta| = (1, +-p) / sqrt(2) and
+    p = exp(-i theta), outcome (s, t) has amplitude
+    (m00 + s p_i m10 + t p_j (m01 + s p_i m11)) / 2 on each pair matrix,
+    and its probability sums |amplitude|^2 over the r matrices:
+    elementwise arithmetic, no matmul.
     """
-    bras_i = _measurement_bras(theta_i)[..., None, :, :]
-    bras_j = _measurement_bras(theta_j)[..., None, :, :]
-    amps = bras_i @ m @ np.swapaxes(bras_j, -1, -2)
-    probs = np.sum(amps.real**2 + amps.imag**2, axis=-3)
-    return probs.reshape(*probs.shape[:-2], 4)
+    p_i = np.exp(-1j * np.asarray(theta_i, dtype=float))[..., None]
+    p_j = np.exp(-1j * np.asarray(theta_j, dtype=float))[..., None]
+    m00, m01, p_m10, p_m11 = m[..., 0, 0], m[..., 0, 1], p_i * m[..., 1, 0], p_i * m[..., 1, 1]
+    rows = (m00 + p_m10, m00 - p_m10)
+    cols = (p_j * (m01 + p_m11), p_j * (m01 - p_m11))
+    amps = [amp for row, col in zip(rows, cols) for amp in (row + col, row - col)]
+    return np.stack([np.sum(a.real**2 + a.imag**2, axis=-1) for a in amps], axis=-1) / 4.0
 
 
 def _odd_parity_probability(probs: np.ndarray, readout_error: float) -> np.ndarray:
@@ -329,7 +332,7 @@ def sample_correlation(
 
     A shot has odd recorded parity with probability
     p' = p (1 - q) + (1 - p) q, where p = P(+,-) + P(-,+) comes from the
-    two 2x2 measurement bases applied to the state tensor and
+    closed-form outcome probabilities of the state's pair matrices and
     q = 2 eps (1 - eps) is the chance that the two flips change the
     parity.  The shots are independent, so the odd count is one draw
     ``binomial(shots, p')`` and the cost does not depend on ``shots``.

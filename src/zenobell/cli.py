@@ -55,15 +55,19 @@ __all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
 # Rows formatted a block at a time, so the cells held at once stay few.
 _CSV_BLOCK = 2048
 
+# The cells of a bool column, indexed by its bytes 0 and 1.
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
 
 def _column_text(column: np.ndarray) -> list[str]:
     """The CSV cells of a 1-D column, by its dtype: bools as true/false, ints and strs as ``str`` gives them."""
     if column.dtype == bool:
-        return np.where(column, "true", "false").tolist()
+        return _BOOL_TEXT[column.view(np.uint8)].tolist()
     if column.dtype.kind == "f":
-        # 9 significant digits, once per bit pattern: -0.0 stays -0 and a repeated grid value is one format
+        # 9 significant digits, once per bit pattern: -0.0 stays -0 and a repeated grid value is one format;
+        # one %-format of all of them gives the text of one "{:.9g}".format each
         distinct, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        texts = list(map("{:.9g}".format, distinct.view(np.float64).tolist()))
+        texts = ("\n".join(["%.9g"] * len(distinct)) % tuple(distinct.view(np.float64).tolist())).split("\n")
         return list(map(texts.__getitem__, inverse.tolist()))
     return column.astype(str).tolist()
 

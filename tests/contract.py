@@ -2,8 +2,9 @@
 
 Each check runs the CLI in a fresh interpreter, as a user does, and
 compares what it writes: exit code, stderr, and output bytes where the
-contract is about bytes.  The module needs only numpy and zenobell, so
-an install without the test extra can run it::
+contract is about bytes, as for the benchmark's deterministic tables,
+which must equal ``bench/reference``.  The module needs only numpy and
+zenobell, so an install without the test extra can run it::
 
     python tests/contract.py
 
@@ -13,8 +14,10 @@ The Tier-1 suite runs each function on its own (``test_contract.py``).
 
 from __future__ import annotations
 
+import gzip
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -24,6 +27,10 @@ import zenobell
 
 # the package's parent directory, so that a source checkout runs without an install
 _SOURCE = str(Path(zenobell.__file__).resolve().parents[1])
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# The deterministic tables of the benchmark workloads, by workload: bench/reference records each of them whole.
+REFERENCE_TABLES = {"sweep": ("fig2", "fig4", "fig5", "prepare_pair", "cnot", "pbg"), "verify": ("mermin", "islands")}
 
 
 class ContractError(AssertionError):
@@ -46,6 +53,11 @@ def zenobell_cli(*args) -> subprocess.CompletedProcess:
         text=True,
         timeout=300,
     )
+
+
+def bench_jobs(workload: str) -> list:
+    """The jobs of a benchmark workload at seed 0, as ``bench/workloads.py`` defines them; the file is only read."""
+    return runpy.run_path(str(_BENCH / "workloads.py"))["make_jobs"](workload, 0)
 
 
 def _run_config(work: Path, name: str, text: str, *flags) -> subprocess.CompletedProcess:
@@ -128,6 +140,28 @@ def check_selftest_lines(work: Path) -> None:
     _require("selftest passed" in result.stdout.splitlines(), f"no line 'selftest passed' in:\n{result.stdout}")
 
 
+def check_reference_tables(work: Path) -> None:
+    """The benchmark's own deterministic jobs, full size, write their ``bench/reference`` tables byte for byte.
+
+    The job configs come from ``bench/workloads.py``; neither it nor the
+    references are changed.
+    """
+    mismatched = []
+    for workload, names in REFERENCE_TABLES.items():
+        jobs = {job.name: job for job in bench_jobs(workload)}
+        for name in names:
+            _require(name in jobs, f"bench/workloads.py has no {workload} job {name!r}")
+            job = jobs[name]
+            cfg = work / f"{name}.cfg"
+            cfg.write_text(job.config)
+            result = zenobell_cli(*job.argv(cfg, work))
+            _require(result.returncode == 0, f"{name}: exit code {result.returncode}; stderr: {result.stderr!r}")
+            expected = gzip.decompress((_BENCH / "reference" / f"{name}.csv.gz").read_bytes())
+            if (work / job.csv_name).read_bytes() != expected:
+                mismatched.append(name)
+    _require(not mismatched, f"tables differ from bench/reference: {', '.join(mismatched)}")
+
+
 CHECKS = (
     check_rerun_into_one_directory,
     check_out_of_regime_run_is_quiet,
@@ -136,6 +170,7 @@ CHECKS = (
     check_zero_length_trajectory_row,
     check_step_budget_is_one_config_error_line,
     check_selftest_lines,
+    check_reference_tables,
 )
 
 

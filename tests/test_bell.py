@@ -558,6 +558,34 @@ def test_stacked_kernel_matches_pauli_string_oracle():
 @pytest.mark.parametrize(
     "layout, i, j",
     [
+        (qubit_layout(3), 0, 2),
+        (qubit_layout(3), 1, 0),
+        (SystemSpec(atom_levels=2, n_max=2).layout(), 0, 1),  # the pair next to a cavity factor
+        (SystemSpec(atom_levels=2, n_max=2).layout(), 1, 0),
+    ],
+)
+def test_stacked_kernel_with_other_factors_matches_dense_projectors(layout, i, j):
+    # each state is r > 1 pair matrices, one per basis state of the other
+    # factors, and its outcome probabilities sum over them
+    rng = np.random.default_rng(43)
+    n, k = 6, 5
+    states = [_random_state(layout, rng) for _ in range(n)]
+    m = np.stack([_pair_matrices(psi, i, j) for psi in states])
+    assert m.shape == (n, layout.total_dim // 4, 2, 2) and m.shape[1] > 1
+    t_i, t_j = rng.uniform(-7.0, 7.0, size=(2, n, k))
+    per_state = _outcome_probabilities(m[:, None], t_i, t_j)
+    shared = _outcome_probabilities(m[:, None], t_i[0], t_j[0])  # one set of settings for every state
+    assert per_state.shape == shared.shape == (n, k, 4)
+    for s, psi in enumerate(states):
+        for settings_of, probs in ((s, per_state[s]), (0, shared[s])):
+            for c in range(k):
+                dense = _dense_probabilities(psi, i, j, t_i[settings_of, c], t_j[settings_of, c])
+                assert np.max(np.abs(probs[c] - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout, i, j",
+    [
         (qubit_layout(2), 0, 1),
         (qubit_layout(2), 1, 0),
         (qubit_layout(3), 2, 0),
@@ -623,6 +651,16 @@ def test_mermin_n_within_quantum_bound(amps):
     n = int(math.log2(amps.size))
     psi = StateVector(qubit_layout(n), amps / np.linalg.norm(amps))
     assert mermin_n(psi).value <= 2.0 ** ((n + 1) / 2.0) + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: _complex_amplitudes(2**n)), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_outcome_probabilities_are_a_distribution(amps, t_i, t_j):
+    n = int(math.log2(amps.size))
+    psi = StateVector(qubit_layout(n), amps / np.linalg.norm(amps))
+    probs = _outcome_probabilities(_pair_matrices(psi, 0, n - 1), t_i, t_j)
+    assert np.all(probs >= 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-14
 
 
 _EDGE_STATES = tuple(

@@ -1,12 +1,8 @@
 import contextlib
-import functools
-import gzip
-import importlib.util
 import io
 import math
 import os
 import re
-import sys
 import tempfile
 import time
 import warnings
@@ -20,6 +16,7 @@ from zenobell import bell, cli, selftest, trajectories
 from zenobell.cli import _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
 
+import contract
 from oracles import render_csv_by_value, tsirelson_draws_per_row
 
 EXAMPLE = """\
@@ -179,6 +176,8 @@ def test_render_csv_columns_match_per_value_formatting(monkeypatch, block):
     i64 = np.iinfo(np.int64)
     columns = {
         "f64": np.array([math.pi, 1e-300, -0.0, 0.0, 1 / 3]),
+        # 9-digit rounding that carries into a new digit, ties, and the switches to and from exponents
+        "carry": np.array([9.9999999995, 123456789.5, 1e16, 1e-5, 0.0001]),
         "i64": np.array([-3, 2**62, 0, i64.min, i64.max]),
         "flag": np.array([True, False, True, True, False]),
         "name": np.array(["ghz", "zeros", "w", "00", "a b"]),
@@ -439,41 +438,6 @@ def test_cli_sampled_csv_is_pinned_whole(tmp_path, config, name, expected):
     assert (tmp_path / name).read_text() == expected
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _reference_bytes(name: str) -> bytes:
-    return gzip.decompress((BENCH / "reference" / f"{name}.csv.gz").read_bytes())
-
-
-@functools.cache
-def _bench_workloads():
-    """``bench/workloads.py``, loaded from its file for the job configs it defines."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
-# The deterministic tables of the benchmark workloads, by workload.
-_REFERENCE_TABLES = {
-    "fig2": "sweep", "fig4": "sweep", "fig5": "sweep", "prepare_pair": "sweep", "cnot": "sweep", "pbg": "sweep",
-    "mermin": "verify", "islands": "verify",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_REFERENCE_TABLES))
-def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
-    # the benchmark's own job, full size, written whole by the CLI and
-    # compared with the recorded table, bytes and not values
-    (job,) = [job for job in _bench_workloads().make_jobs(_REFERENCE_TABLES[name], 0) if job.name == name]
-    cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text(job.config)
-    assert main(job.argv(cfg, tmp_path)) == 0
-    assert (tmp_path / job.csv_name).read_bytes() == _reference_bytes(name)
-
-
 def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):
     # the deterministic half of the jump check: the chain's survival, taken
     # from the jump operators, against ||exp(-i H t) psi0||^2 on every row of
@@ -487,7 +451,7 @@ def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):
         return batches[-1]
 
     monkeypatch.setattr(trajectories, "run_trajectories", recording)
-    for job in _bench_workloads().make_jobs("jumps", 0):
+    for job in contract.bench_jobs("jumps"):
         batches.clear()
         _, (t_values, p0_det, p0_mc, _), _ = cli._RUNNERS["trajectories"](parse_config(job.config))
         assert [batch.t_end for batch in batches] == list(t_values)
