@@ -9,7 +9,9 @@ zenobell, so an install without the test extra can run it::
     python tests/contract.py
 
 runs every check, prints one line for each and exits 1 if any fails.
-The Tier-1 suite runs each function on its own (``test_contract.py``).
+The Tier-1 suite runs each function of ``CHECKS`` on its own
+(``test_contract.py``) and ``check_reference_table`` once per table
+(``test_config_cli.py``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ import zenobell
 _SOURCE = str(Path(zenobell.__file__).resolve().parents[1])
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# The deterministic tables of the benchmark workloads, by workload: bench/reference records each of them whole.
-REFERENCE_TABLES = {"sweep": ("fig2", "fig4", "fig5", "prepare_pair", "cnot", "pbg"), "verify": ("mermin", "islands")}
+# The deterministic tables of the benchmark workloads, with their workload: bench/reference records each of them whole.
+REFERENCE_TABLES = {
+    "fig2": "sweep", "fig4": "sweep", "fig5": "sweep", "prepare_pair": "sweep", "cnot": "sweep", "pbg": "sweep",
+    "mermin": "verify", "islands": "verify",
+}
 
 
 class ContractError(AssertionError):
@@ -140,25 +145,32 @@ def check_selftest_lines(work: Path) -> None:
     _require("selftest passed" in result.stdout.splitlines(), f"no line 'selftest passed' in:\n{result.stdout}")
 
 
-def check_reference_tables(work: Path) -> None:
-    """The benchmark's own deterministic jobs, full size, write their ``bench/reference`` tables byte for byte.
+def _reference_table_differs(work: Path, name: str) -> bool:
+    """Run the benchmark's own job for table ``name``, full size, and compare its table with ``bench/reference``.
 
-    The job configs come from ``bench/workloads.py``; neither it nor the
+    The job config comes from ``bench/workloads.py``; neither it nor the
     references are changed.
     """
-    mismatched = []
-    for workload, names in REFERENCE_TABLES.items():
-        jobs = {job.name: job for job in bench_jobs(workload)}
-        for name in names:
-            _require(name in jobs, f"bench/workloads.py has no {workload} job {name!r}")
-            job = jobs[name]
-            cfg = work / f"{name}.cfg"
-            cfg.write_text(job.config)
-            result = zenobell_cli(*job.argv(cfg, work))
-            _require(result.returncode == 0, f"{name}: exit code {result.returncode}; stderr: {result.stderr!r}")
-            expected = gzip.decompress((_BENCH / "reference" / f"{name}.csv.gz").read_bytes())
-            if (work / job.csv_name).read_bytes() != expected:
-                mismatched.append(name)
+    workload = REFERENCE_TABLES[name]
+    jobs = {job.name: job for job in bench_jobs(workload)}
+    _require(name in jobs, f"bench/workloads.py has no {workload} job {name!r}")
+    job = jobs[name]
+    cfg = work / f"{name}.cfg"
+    cfg.write_text(job.config)
+    result = zenobell_cli(*job.argv(cfg, work))
+    _require(result.returncode == 0, f"{name}: exit code {result.returncode}; stderr: {result.stderr!r}")
+    expected = gzip.decompress((_BENCH / "reference" / f"{name}.csv.gz").read_bytes())
+    return (work / job.csv_name).read_bytes() != expected
+
+
+def check_reference_table(work: Path, name: str) -> None:
+    """The benchmark's deterministic table ``name`` is its ``bench/reference`` table byte for byte."""
+    _require(not _reference_table_differs(work, name), f"table differs from bench/reference: {name}")
+
+
+def check_reference_tables(work: Path) -> None:
+    """All eight deterministic tables of the benchmark, byte for byte; the message names every one that differs."""
+    mismatched = [name for name in REFERENCE_TABLES if _reference_table_differs(work, name)]
     _require(not mismatched, f"tables differ from bench/reference: {', '.join(mismatched)}")
 
 
@@ -170,13 +182,13 @@ CHECKS = (
     check_zero_length_trajectory_row,
     check_step_budget_is_one_config_error_line,
     check_selftest_lines,
-    check_reference_tables,
 )
 
 
 def main() -> int:
     failed = 0
-    for check in CHECKS:
+    checks = (*CHECKS, check_reference_tables)
+    for check in checks:
         with tempfile.TemporaryDirectory() as work:
             try:
                 check(Path(work))
@@ -185,7 +197,7 @@ def main() -> int:
                 print(f"FAIL {check.__name__}: {exc}")
             else:
                 print(f"ok   {check.__name__}")
-    print(f"{len(CHECKS) - failed} of {len(CHECKS)} contract checks passed")
+    print(f"{len(checks) - failed} of {len(checks)} contract checks passed")
     return 1 if failed else 0
 
 

@@ -438,6 +438,13 @@ def test_cli_sampled_csv_is_pinned_whole(tmp_path, config, name, expected):
     assert (tmp_path / name).read_text() == expected
 
 
+@pytest.mark.parametrize("name", sorted(contract.REFERENCE_TABLES))
+def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
+    # the benchmark's own job, full size, written whole by the CLI in a fresh
+    # interpreter and compared with the recorded table, bytes and not values
+    contract.check_reference_table(tmp_path, name)
+
+
 def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):
     # the deterministic half of the jump check: the chain's survival, taken
     # from the jump operators, against ||exp(-i H t) psi0||^2 on every row of

@@ -1,4 +1,8 @@
-"""Every check of the command-line byte contract (``contract.py``), one test each."""
+"""Every check of the command-line byte contract (``contract.py``), one test each.
+
+The benchmark's reference tables are checked one test per table in
+``test_config_cli.py``.
+"""
 
 import pytest
 
