@@ -54,51 +54,90 @@ def expm(a) -> np.ndarray:
         s = np.zeros(len(a), dtype=int)
         s[over] = np.ceil(np.log2(norm[over] / _THETA[-1]))
         # most squarings first, so that each round of squaring works on a
-        # prefix of the stack; the slices of one group are contiguous too
+        # prefix of the stack; the slices of one group are contiguous too.
+        # Each group's slices of the sorted copy r are overwritten by their
+        # exponentials.
         order = np.argsort(-(s * (len(_DEGREES) + 1) + group), kind="stable")
-        a, group, s = a[order], group[order], s[order]
-        r = np.zeros_like(a)
+        r, group, s = a[order], group[order], s[order]
         ends = np.cumsum(np.bincount(group, minlength=len(_DEGREES) + 1)[::-1]).tolist()
         start = 0
         for k, stop in zip(range(len(_DEGREES), -1, -1), ends):
+            block = r[start:stop]
             if k == 0:
                 entries = np.arange(a.shape[-1])
-                r[start:stop, entries, entries] = np.exp(a[start:stop, entries, entries])
+                diagonals = np.exp(block[:, entries, entries])
+                block[...] = 0
+                block[:, entries, entries] = diagonals
             elif stop > start:
-                u, v = _pade_terms(a[start:stop], _DEGREES[k - 1], s[start:stop])
-                r[start:stop] = np.linalg.solve(v - u, v + u)
+                q, p = _pade_terms(block, _DEGREES[k - 1], s[start:stop])
+                block[...] = np.linalg.solve(q, p)
             start = stop
-        # round j squares the slices with s > j
-        for n in np.count_nonzero(s[:, None] > np.arange(s.max(initial=0)), axis=0).tolist():
-            r[:n] = r[:n] @ r[:n]
+        # round j squares the slices with s > j, through one product buffer
+        rounds = np.count_nonzero(s[:, None] > np.arange(s.max(initial=0)), axis=0).tolist()
+        if rounds:
+            product = np.empty_like(r[: rounds[0]])
+            for n in rounds:
+                np.matmul(r[:n], r[:n], out=product[:n])
+                r[:n] = product[:n]
     out = np.empty_like(r)
     out[order] = r
     return out
 
 
-def _pade_terms(a: np.ndarray, m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd and even parts U, V of p_m(2^-s a) for each slice; r_m = (V - U)^-1 (V + U).
+def _add_terms(acc: np.ndarray, terms, scratch: np.ndarray) -> None:
+    """acc += c * p for each (c, p) of ``terms`` in turn, each product formed in ``scratch``."""
+    for c, p in terms:
+        np.multiply(c, p, out=scratch)
+        acc += scratch
 
-    Scales ``a`` in place.
+
+def _pade_terms(a: np.ndarray, m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V - U and V + U for the odd and even parts U, V of p_m(2^-s a) of each slice; r_m = (V - U)^-1 (V + U).
+
+    Scales ``a`` in place, then uses it as a work buffer.  The sums and
+    products are those of U = a (b_1 I + b_3 A^2 + ...) and
+    V = b_0 I + b_2 A^2 + ..., and for m = 13 of
+    U = a (A^6 (b_13 A^6 + b_11 A^4 + b_9 A^2) + b_7 A^6 + ... + b_1 I)
+    and V alike, in that order, so each entry has the bits of those
+    expressions; they are evaluated into the powers of a and two more
+    buffers, and V - U and V + U into two of them.
     """
     b = _PADE[m]
     eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
+    acc, scratch = np.empty_like(a), np.empty_like(a)
     if m < 13:
-        # s = 0 up to theta_9; the even powers I, A^2, ..., A^(m-1)
-        powers = [eye, a2]
-        while len(powers) < (m + 1) // 2:
+        # s = 0 up to theta_9; the even powers A^2, ..., A^(m-1)
+        powers = [a2]
+        while len(powers) < (m - 1) // 2:
             powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-        return u, v
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    scale = s[:, None, None]
-    a *= np.ldexp(1.0, -scale)
-    a2 *= np.ldexp(1.0, -2 * scale)
-    a4 *= np.ldexp(1.0, -4 * scale)
-    a6 *= np.ldexp(1.0, -6 * scale)
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    return u, v
+        np.multiply(b[3], a2, out=acc)
+        acc += b[1] * eye
+        _add_terms(acc, zip(b[5::2], powers[1:]), scratch)
+        u = np.matmul(a, acc, out=scratch)
+        np.multiply(b[2], a2, out=acc)
+        acc += b[0] * eye
+        _add_terms(acc, zip(b[4::2], powers[1:]), a)
+        v = acc
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        scale = s[:, None, None]
+        a *= np.ldexp(1.0, -scale)
+        a2 *= np.ldexp(1.0, -2 * scale)
+        a4 *= np.ldexp(1.0, -4 * scale)
+        a6 *= np.ldexp(1.0, -6 * scale)
+        np.multiply(b[13], a6, out=acc)
+        _add_terms(acc, [(b[11], a4), (b[9], a2)], scratch)
+        np.matmul(a6, acc, out=scratch)
+        _add_terms(scratch, [(b[7], a6), (b[5], a4), (b[3], a2)], acc)
+        scratch += b[1] * eye
+        u = np.matmul(a, scratch, out=acc)
+        # a is spent: it takes the products of V, then V itself
+        np.multiply(b[12], a6, out=scratch)
+        _add_terms(scratch, [(b[10], a4), (b[8], a2)], a)
+        v = np.matmul(a6, scratch, out=a)
+        _add_terms(v, [(b[6], a6), (b[4], a4), (b[2], a2)], scratch)
+        v += b[0] * eye
+    plus = np.add(v, u, out=a2)
+    return np.subtract(v, u, out=u), plus

@@ -55,8 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, StateVector
-from .states import entangled_pair_state, pair_target_alpha
+from .hilbert import SIGMA_X, SIGMA_Y, StateVector, norms
+from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
 
 __all__ = [
     "AnalyzerSettings",
@@ -122,9 +122,12 @@ def sigma_theta(theta) -> np.ndarray:
     return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
-def _check_normalized(state: StateVector) -> None:
-    if abs(state.norm() - 1.0) > 1e-9:
-        raise ValueError(f"state must be normalized, got norm {state.norm()}")
+def _check_normalized(amplitudes) -> None:
+    """Raise ValueError unless the state, or every row of a stack of them, has norm 1 within 1e-9."""
+    norm = np.ravel(norms(amplitudes))
+    off = np.abs(norm - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"state must be normalized, got norm {float(norm[off][0])}")
 
 
 def _qubit_label(state: StateVector, index: int) -> str:
@@ -144,7 +147,7 @@ def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
     full-space matrix.  The state must be normalized and i, j two
     distinct qubits.
     """
-    _check_normalized(state)
+    _check_normalized(state.amplitudes)
     if i == j:
         raise ValueError(f"a pair needs two distinct qubits, got i = j = {i}")
     _qubit_label(state, i)
@@ -258,7 +261,7 @@ def mermin_n(state: StateVector) -> MerminResult:
     ``tests/oracles.py::mermin_operator``.  For N = 3 the value is
     |<XXX> - <YYX> - <YXY> - <XYY>|.
     """
-    _check_normalized(state)
+    _check_normalized(state.amplitudes)
     dims = state.layout.dims
     n = len(dims)
     if n < 3 or any(d != 2 for d in dims):
@@ -380,7 +383,11 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     k - 1 left it, whatever the block size.
     """
     omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
-    m = np.stack([_pair_matrices(landscape_state(om_t), 0, 1) for om_t in omega_t_grid.tolist()])
+    # the landscape states of every omega at once, each the (1, 2, 2) pair
+    # matrices that _pair_matrices gives its landscape_state
+    amps = entangled_pair_amplitudes([pair_target_alpha(1.0, om_t) for om_t in omega_t_grid.tolist()])
+    _check_normalized(amps)
+    m = amps.reshape(-1, 1, 2, 2)
     n_v, n_rows = len(v), len(m) * len(v)
     rng = np.random.default_rng(seed)
     b_s = np.empty(n_rows)

@@ -6,9 +6,11 @@ Subcommands:
     zenobell figure {fig2,fig4,fig5,islands} [--out DIR] [--quiet]
     zenobell selftest [--quiet]
 
-Sweeps run batched on one thread: the Hamiltonian of a sweep is assembled
-once, its points are propagated by stacked matrix exponentials and their
-final states are scored as one stack.
+Sweeps run batched on one thread: the Hamiltonians of a sweep are
+assembled once, one H0 per system, its points, each naming its system,
+are propagated by stacked matrix exponentials and their final states are
+scored as one stack.  A figure's three Gamma curves are one sweep over
+three systems.
 A runner returns its table as one array per CSV column, and
 ``render_csv(header, columns)`` writes it deterministically (bit-identical
 for identical config and seed): header row, '\\n' line endings, each
@@ -317,27 +319,22 @@ def _figure_columns(which: str):
         grid_v = [k * math.pi / 100 for k in range(101)]
         return bell.Landscape._fields, bell.bs_landscape(grid_t, grid_v)
 
-    runs = []
-    for gam in _FIGURE_GAMMAS:
-        if which == "fig2":
-            s = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            runs.append(gates.prepare_pair_sweep(s, [(om, gates.pair_duration(om)) for om in _FIGURE_OMEGAS]))
-        else:
-            # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
-            s = SystemSpec(atom_levels=3, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2)
-            runs.append(gates.cnot_pulse_sweep(s, _FIGURE_OMEGAS, ["10"]))
-    # one block of rows per gamma, omega varying fastest
-    axes = (np.repeat(_FIGURE_GAMMAS, len(_FIGURE_OMEGAS)), np.tile(_FIGURE_OMEGAS, len(_FIGURE_GAMMAS)))
-    duration, p0, fidelity = (
-        np.concatenate([getattr(run, name).ravel() for run in runs]) for name in ("duration", "p0", "fidelity")
-    )
+    # one sweep over the three systems, one per gamma: a block of rows per
+    # gamma, omega varying fastest
+    levels = 2 if which == "fig2" else 3
+    specs = [SystemSpec(atom_levels=levels, n_atoms=2, g=1.0, kappa=1.0, gamma=gam, n_max=2) for gam in _FIGURE_GAMMAS]
     if which == "fig2":
-        alpha = np.concatenate([run.alpha for run in runs])
+        run = gates.prepare_pair_sweep(specs, [(om, gates.pair_duration(om)) for om in _FIGURE_OMEGAS])
+    else:
+        # fig4 (no-photon probability) and fig5 (fidelity) for the CNOT on |10>
+        run = gates.cnot_pulse_sweep(specs, _FIGURE_OMEGAS, ["10"])
+    axes = (np.repeat(_FIGURE_GAMMAS, len(_FIGURE_OMEGAS)), np.tile(_FIGURE_OMEGAS, len(_FIGURE_GAMMAS)))
+    if which == "fig2":
         header = ("gamma", "omega_minus", "T", "p0", "fidelity", "alpha_re", "alpha_im")
-        return header, (*axes, duration, p0, fidelity, alpha.real, alpha.imag)
+        return header, (*axes, run.duration, run.p0, run.fidelity, run.alpha.real, run.alpha.imag)
     if which == "fig4":
-        return ("gamma", "omega", "T", "p0"), (*axes, duration, p0)
-    return ("gamma", "omega", "T", "fidelity"), (*axes, duration, fidelity)
+        return ("gamma", "omega", "T", "p0"), (*axes, run.duration, run.p0.ravel())
+    return ("gamma", "omega", "T", "fidelity"), (*axes, run.duration, run.fidelity.ravel())
 
 
 def run_figure(which: str, out_dir: str = ".", quiet: bool = False) -> Path:

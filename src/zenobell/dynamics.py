@@ -74,8 +74,9 @@ REGIME_THRESHOLD = 0.1
 # Largest input one stacked expm call takes.  A chunk holds as many points
 # as fit as complex m-state blocks (16 m^2 bytes each); a chunk gauged to
 # real passes expm half that.  The kernel's working set is about 8x its
-# input: per slice the sorted copy of the input, A^2, A^4, A^6, U, V,
-# V - U, V + U and the result, so a full complex chunk peaks near 70 MB.
+# input: per slice the input, its sorted copy, A^2, A^4, A^6, two work
+# buffers (which end as V - U and V + U with A^2) and the solve's result,
+# so a full complex chunk peaks near 64 MB.
 _EXPM_BYTES = 2**23
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
@@ -179,73 +180,107 @@ def cnot_drive(omega: complex) -> dict:
 
 @dataclass(frozen=True)
 class DrivenHamiltonian:
-    """Conditional Hamiltonians of one system for any amplitudes of a fixed set of lasers.
+    """Conditional Hamiltonians of one or more systems for any amplitudes of a fixed set of lasers.
 
-    H is affine in the Rabi frequencies,
-    H(w) = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0 holds the
-    cavity coupling and the Gamma and kappa damping, and S_k raises the
-    driven transition ``keys[k]`` = (atom, transition label).  H0 and the
-    S_k are assembled once.
+    The systems share a layout and the lasers and differ only in H0, say
+    in their Gamma and kappa damping.  H is affine in the Rabi
+    frequencies: on system s,
+    H_s(w) = H0_s + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0_s
+    (``h0[s]``) holds the cavity coupling and the damping, and S_k raises
+    the driven transition ``keys[k]`` = (atom, transition label).  The
+    H0_s and the S_k are assembled once; each point of a :meth:`stack`
+    names its system.
 
-    No H(w) couples basis states in different connected components of the
-    joint sparsity pattern of H0, the S_k and the S_k^dag, so exp(-i H t)
-    is block-diagonal over them (:attr:`components`, each with a spanning
-    tree; memoized by pattern).  :func:`no_jump_states` exponentiates
-    only the components its inputs touch.  On each it gives every state
-    a phase i^k, k read off the tree entries of the slice, so that the
-    tree entries of D (-i H t) D^-1 are real, D = diag(i^k).  With real
-    Rabi frequencies the cavity entries of -i H t are real and the laser
-    entries imaginary, every cycle crosses an even number of laser
-    entries, and the whole gauged block is real: it is exponentiated in
-    float64.  Otherwise (say, complex Rabi frequencies of unequal
-    phases) the block is exponentiated as it is, in complex arithmetic.
+    No H_s(w) couples basis states in different connected components of
+    the joint sparsity pattern of every H0_s, the S_k and the S_k^dag, so
+    exp(-i H t) is block-diagonal over them (:attr:`components`, each
+    with a spanning tree; memoized by pattern).  :func:`no_jump_states`
+    exponentiates only the components its inputs touch.  On each it
+    gives every state a phase i^k, k read off the tree entries of the
+    slice, so that the tree entries of D (-i H t) D^-1 are real,
+    D = diag(i^k).  With real Rabi frequencies the cavity entries of
+    -i H t are real and the laser entries imaginary, every cycle crosses
+    an even number of laser entries, and the whole gauged block is real:
+    it is exponentiated in float64.  Otherwise (say, complex Rabi
+    frequencies of unequal phases) the block is exponentiated as it is,
+    in complex arithmetic.
     """
 
     layout: HilbertLayout
     keys: tuple
-    h0: np.ndarray
+    h0: np.ndarray  # (systems, d, d)
     raising: tuple
 
     @classmethod
-    def of(cls, spec: SystemSpec, keys) -> "DrivenHamiltonian":
-        """H0 of the two-atom ``spec`` and the drive operators of the lasers ``keys``.
+    def of(cls, specs, keys) -> "DrivenHamiltonian":
+        """H0 of each two-atom system of ``specs`` and the drive operators of the lasers ``keys``.
 
-        H0 is the conditional Hamiltonian with the lasers off
-        (:func:`h_cond_two_level` or :func:`h_cond_lambda` of ``spec``
-        without its ``rabi``).  The conditional Hamiltonian of a spec with
-        lasers is the one-point :meth:`stack` of this family.
+        ``specs`` is one :class:`SystemSpec` or a sequence of specs on one
+        layout; system s is ``specs[s]``.  H0_s is the conditional
+        Hamiltonian with the lasers off (:func:`h_cond_two_level` or
+        :func:`h_cond_lambda` of the spec without its ``rabi``).  The
+        conditional Hamiltonian of a spec with lasers is the one-point
+        :meth:`stack` of this family.
         """
-        keys = tuple(keys)
-        spec.with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
-        checked = h_cond_two_level if spec.atom_levels == 2 else h_cond_lambda
-        layout = spec.layout()
-        raising = tuple(_frozen(_raising_op(spec, layout, atom, trans)) for atom, trans in keys)
-        return cls(layout, keys, checked(spec.with_rabi({})).entries, raising)
+        keys, specs = tuple(keys), _systems(specs)
+        if not specs:
+            raise ValueError("a family needs at least one system")
+        layout = specs[0].layout()
+        if any(spec.layout() != layout for spec in specs[1:]):
+            raise ValueError("the systems of a family must share one layout")
+        specs[0].with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
+        checked = h_cond_two_level if specs[0].atom_levels == 2 else h_cond_lambda
+        raising = tuple(_frozen(_raising_op(specs[0], layout, atom, trans)) for atom, trans in keys)
+        h0 = _frozen(np.stack([checked(spec.with_rabi({})).entries for spec in specs]))
+        return cls(layout, keys, h0, raising)
 
     @property
     def components(self) -> tuple["Component", ...]:
         """The connected components of the joint sparsity pattern, by lowest basis index."""
-        pattern = self.h0 != 0
+        pattern = (self.h0 != 0).any(axis=0)
         for s_plus in self.raising:
             pattern |= (s_plus != 0) | (s_plus.T != 0)
         return _components(pattern.tobytes(), self.layout.total_dim)
 
-    def stack(self, drives: Sequence[Mapping], states=None) -> np.ndarray:
-        """(n, m, m) array of H(drive) for each mapping {key: Rabi frequency} in ``drives``.
+    def stack(self, drives: Sequence[Mapping], states=None, systems=None) -> np.ndarray:
+        """(n, m, m) array of H_s(drive) for each mapping {key: Rabi frequency} in ``drives``.
 
-        The rows and columns are the ascending basis indices ``states``
-        (default: all d); each entry equals that of the full matrix.
+        Point j is on system ``systems[j]`` (default: every point on
+        system 0).  The rows and columns are the ascending basis indices
+        ``states`` (default: all d); each entry equals that of the full
+        matrix.  Each laser's term is evaluated in two buffers allocated
+        once per call, and added to the stack in place.
         """
         for drive in drives:
             if set(drive) != set(self.keys):
                 raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
-        block = slice(None) if states is None else np.ix_(states, states)
-        h = np.repeat(self.h0[block][None], len(drives), axis=0)
+        systems = self._point_systems(systems, len(drives))
+        states = np.arange(self.layout.total_dim) if states is None else np.asarray(states)
+        rows, cols = np.ix_(states, states)
+        # each point's H0_s, and then its drive terms, as rows of m * m entries
+        h = np.take(self.h0[:, rows, cols].reshape(len(self.h0), -1), systems, axis=0)
+        # one term and its partner, evaluated in place: H += 0.5 (w S + conj(w) S^dag)
+        term, partner = np.empty_like(h), np.empty_like(h)
         for key, s_plus in zip(self.keys, self.raising):
-            w = np.array([complex(drive[key]) for drive in drives])[:, None, None]
-            s = s_plus[block]
-            h += 0.5 * (w * s + np.conj(w) * s.conj().T)
-        return h
+            w = np.array([complex(drive[key]) for drive in drives])[:, None]
+            np.multiply(w, s_plus[rows, cols].reshape(-1), out=term)
+            np.multiply(np.conj(w), s_plus.conj().T[rows, cols].reshape(-1), out=partner)
+            term += partner
+            np.multiply(0.5, term, out=term)
+            h += term
+        return h.reshape(len(drives), len(states), len(states))
+
+    def _point_systems(self, systems, n: int) -> np.ndarray:
+        """The system index of each of n points: ``systems`` checked, or all 0 when it is None."""
+        systems = np.zeros(n, dtype=np.intp) if systems is None else np.asarray(systems, dtype=np.intp)
+        if systems.shape != (n,) or ((systems < 0) | (systems >= len(self.h0))).any():
+            raise ValueError(f"systems must give one index below {len(self.h0)} per point")
+        return systems
+
+
+def _systems(specs) -> tuple[SystemSpec, ...]:
+    """``specs`` as a tuple of systems: one :class:`SystemSpec` is the one-system case."""
+    return (specs,) if isinstance(specs, SystemSpec) else tuple(specs)
 
 
 class Component(NamedTuple):
@@ -402,7 +437,7 @@ def _no_jump_rows(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) 
             raise ValueError(f"evolution time must be >= 0, got {t}")
     if h.layout != psi0.layout:
         raise ValueError("Hamiltonian and state live on different layouts")
-    family = DrivenHamiltonian(h.layout, (), h.entries, ())
+    family = DrivenHamiltonian(h.layout, (), h.entries[None], ())
     rows = no_jump_states(family, [{}] * len(times), times, [psi0.amplitudes])[:, 0]
     finite = np.isfinite(rows.view(float)).all(axis=1)
     if not finite.all():
@@ -411,11 +446,13 @@ def _no_jump_rows(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) 
 
 
 def no_jump_states(
-    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float], inputs
+    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float], inputs, systems=None
 ) -> np.ndarray:
-    """exp(-i H(drives[j]) times[j]) |inputs[m]> for each point j and input m: an (n, M, d) array.
+    """exp(-i H_s(drives[j]) times[j]) |inputs[m]> for each point j and input m: an (n, M, d) array.
 
-    ``inputs`` holds M amplitude rows of length d.  exp(-i H t) is block-diagonal over ``family.components``; only the
+    Point j is on system s = ``systems[j]`` of the family (default: every
+    point on system 0).  ``inputs`` holds M amplitude rows of length d.
+    exp(-i H t) is block-diagonal over ``family.components``; only the
     components some input touches are exponentiated, each in stacked
     ``expm`` calls of at most ``_EXPM_BYTES`` of blocks, so memory does
     not grow with the grid.  Each slice of a block is exponentiated as a
@@ -429,6 +466,7 @@ def no_jump_states(
     """
     if len(drives) != len(times):
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
+    systems = family._point_systems(systems, len(drives))
     if any(t < 0 for t in times):
         raise ValueError(f"evolution times must be >= 0, got {min(times)}")
     d = family.layout.total_dim
@@ -445,23 +483,30 @@ def no_jump_states(
         chunk = max(1, _EXPM_BYTES // (16 * len(states) ** 2))
         for start in range(0, len(moving), chunk):
             part = moving[start : start + chunk]
-            h = family.stack([drives[j] for j in part], states)
-            t = np.array([times[j] for j in part], dtype=float)[:, None, None]
             rows = np.array(part)[:, None, None]
-            # an overflowing H t comes back non-finite, which the callers'
-            # finiteness checks report as a numeric failure
-            with np.errstate(over="ignore", invalid="ignore"):
-                a = -1j * h * t
-            finals[rows, touched, states] = _block_states(component, a, inputs[touched, states])
+            points = [drives[j] for j in part], [times[j] for j in part], systems[part]
+            finals[rows, touched, states] = _block_states(family, component, *points, inputs[touched, states])
     return finals
 
 
-def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """exp(a[i]) inputs[m] for each slice i of ``a`` on ``component`` and each input m: (n, M, m) array.
+def _block_states(
+    family: DrivenHamiltonian, component: Component, drives, times, systems, inputs: np.ndarray
+) -> np.ndarray:
+    """exp(-i H_s t) inputs[m] on ``component`` for each point (drive, t, s) and each input m: an (n, M, m) array.
 
     A slice is exponentiated in float64 when its quarter-turn gauge makes
-    it exactly real, else as it is.
+    it exactly real, else as it is.  -i H t is formed in the buffer of
+    the Hamiltonian stack, and the complex stacks are freed before the
+    exponential, which then holds the largest working set.
     """
+    a = family.stack(drives, component.states, systems)
+    t = np.array(times, dtype=float)[:, None, None]
+    # a = -i H t, as (-1j * H) * t; an overflowing H t comes back
+    # non-finite, which the callers' finiteness checks report as a
+    # numeric failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(-1j, a, out=a)
+        a *= t
     # turns from each slice's own tree entries: a real entry gives 0, an
     # imaginary one 1.  D = diag(i^k) then makes every tree entry of
     # D a D^-1 real; multiplying by 1, i, -1 or -i moves and negates the
@@ -473,12 +518,14 @@ def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np
     # an infinite entry (an overflowing H t) turns into NaN parts here, so
     # its slice takes the complex path and comes back non-finite
     with np.errstate(invalid="ignore"):
-        gauged = phases[:, :, None] * a * phases.conj()[:, None, :]
+        gauged = phases[:, :, None] * a
+        gauged *= phases.conj()[:, None, :]
     real = ~gauged.imag.any(axis=(1, 2))
-    out = np.empty((len(a), len(inputs), a.shape[-1]), dtype=complex)
+    gauged, a = gauged.real[real], a[~real]
+    out = np.empty((len(real), len(inputs), len(component.states)), dtype=complex)
     if real.any():
         # exp(a) psi = D^-1 exp(D a D^-1) D psi, one real mat-vec per part
-        u, phases = expm(gauged.real[real]), phases[real]
+        u, phases = expm(gauged), phases[real]
         for m, psi in enumerate(inputs):
             v = phases * psi
             w = np.empty(v.shape, dtype=complex)
@@ -486,7 +533,7 @@ def _block_states(component: Component, a: np.ndarray, inputs: np.ndarray) -> np
             w.imag = (u @ np.ascontiguousarray(v.imag)[..., None])[..., 0]
             out[real, m] = phases.conj() * w
     if not real.all():
-        u = expm(a[~real])
+        u = expm(a)
         for m, psi in enumerate(inputs):
             out[~real, m] = u @ psi
     return out

@@ -32,6 +32,7 @@ from .dynamics import (
     cnot_drive,
     no_jump_states,
     pair_drive,
+    _systems,
 )
 from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
 from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
@@ -81,12 +82,14 @@ class SweepResult:
     The runs are indexed by point for :func:`prepare_pair_sweep` and by
     (omega, input) for :func:`cnot_pulse_sweep`: ``final_states`` has
     shape (points, d) or (omegas, inputs, d), and ``p0`` and ``fidelity``
-    share its leading shape.  ``alpha`` is the achieved entangled-pair
-    amplitude per point, and ``None`` for the CNOT.  ``duration`` is
-    per point for the pair and per omega for the CNOT.  Sweeps do not
-    warn: an omega's regime is :func:`~zenobell.dynamics.check_regime` of
-    ``spec`` and ``|omega|``, and a run's pulse is short for Zeno
-    suppression when ``duration < 10 * zeno_timescale(spec)``.
+    share its leading shape.  A sweep over several systems lists the
+    points (or omegas) of each system in turn, system-major.  ``alpha`` is
+    the achieved entangled-pair amplitude per point, and ``None`` for the
+    CNOT.  ``duration`` is per point for the pair and per omega for the
+    CNOT.  Sweeps do not warn: an omega's regime is
+    :func:`~zenobell.dynamics.check_regime` of ``spec`` and ``|omega|``,
+    and a run's pulse is short for Zeno suppression when
+    ``duration < 10 * zeno_timescale(spec)``.
     """
 
     final_states: np.ndarray
@@ -140,35 +143,49 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     return _first_record(spec, omega_minus, prepare_pair_sweep(spec, [(omega_minus, duration)]))
 
 
-def prepare_pair_sweep(spec: SystemSpec, points) -> SweepResult:
+def prepare_pair_sweep(spec, points) -> SweepResult:
     """:func:`prepare_pair` at every (omega_minus, duration) point, in order, as one :class:`SweepResult`.
 
-    The Hamiltonian is assembled once and all pulses are propagated by
-    stacked matrix exponentials; row j equals the single-point record of
-    point j.  Raises :class:`NumericalError` naming the point where the
-    final state is not finite or has no norm left.
+    ``spec`` is one :class:`SystemSpec` or a sequence of specs on one
+    layout (say, one per Gamma); then every point runs on each spec in
+    turn, and row s * len(points) + j is point j on ``spec[s]``.  The
+    Hamiltonians are assembled once and all pulses are propagated by
+    stacked matrix exponentials in one kernel call; each row equals the
+    single-point record of its spec and point.  Raises
+    :class:`NumericalError` naming the point (and, with several specs,
+    its spec's index) where the final state is not finite or has no norm
+    left.
     """
-    points = list(points)
+    specs, points = _systems(spec), list(points)
     for om, duration in points:
         if duration < 0:
             raise ValueError("duration must be >= 0")
         if complex(om) == 0:
             raise ValueError("omega_minus must be nonzero")
 
-    layout = spec.layout()
-    psi0 = basis_state(layout, (0, 0, 0))
-    drives = [pair_drive(om) for om, _ in points]
-    durations = np.array([duration for _, duration in points], dtype=float)
     # the lasers of pair_drive do not depend on omega_minus
-    family = DrivenHamiltonian.of(spec, pair_drive(1.0))
-    finals = no_jump_states(family, drives, durations, [psi0.amplitudes])[:, 0]
-    check_final_states(finals, lambda j: f"omega_minus={points[j][0]:.9g}, T={points[j][1]:.9g}")
+    family = DrivenHamiltonian.of(specs, pair_drive(1.0))
+    layout = family.layout
+    psi0 = basis_state(layout, (0, 0, 0))
+    runs = points * len(specs)
+    drives = [pair_drive(om) for om, _ in runs]
+    durations = np.array([duration for _, duration in runs], dtype=float)
+    systems = np.repeat(np.arange(len(specs)), len(points))
+    finals = no_jump_states(family, drives, durations, [psi0.amplitudes], systems)[:, 0]
+    check_final_states(
+        finals, lambda j: f"{_system_name(specs, systems[j])}omega_minus={runs[j][0]:.9g}, T={runs[j][1]:.9g}"
+    )
 
-    targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in points], layout)
+    targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in runs], layout)
     norm = norms(finals)
     p0 = np.float_power(norm, 2.0)  # ||psi||^2 as StateVector.norm() ** 2 gives it
     achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
     return SweepResult(finals, p0, fidelities(finals, targets), achieved, durations)
+
+
+def _system_name(specs, s: int) -> str:
+    """The prefix that names system s in a failure message: none when a sweep has one system."""
+    return "" if len(specs) == 1 else f"system {s}, "
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -249,29 +266,33 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     return _first_record(spec, omega, cnot_pulse_sweep(spec, [omega], [input_state]))
 
 
-def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
+def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     """:func:`cnot_pulse` for every omega and input as one :class:`SweepResult`; run (i, m) is omega i, input m.
 
     Each input is a qubit-subspace state or one of the labels "00", "01",
-    "10", "11" (:func:`qubit_state`).  Each omega's propagator, from
-    stacked matrix exponentials of the blocks the inputs reach
-    (:func:`~zenobell.dynamics.no_jump_states`), is applied to every
-    input; run (i, m) equals the single-point record.  Raises
-    :class:`NumericalError` naming the omega and the input (its label,
-    else its position) where a final state is not finite or has no norm
-    left.
+    "10", "11" (:func:`qubit_state`).  ``spec`` is one
+    :class:`SystemSpec` or a sequence of specs on one layout; then every
+    omega runs on each spec in turn, and run (s * len(omegas) + i, m) is
+    omega i on ``spec[s]``.  Each propagator, from stacked matrix
+    exponentials of the blocks the inputs reach in one
+    :func:`~zenobell.dynamics.no_jump_states` call, is applied to every
+    input; each run equals the single-point record of its spec.  Raises
+    :class:`NumericalError` naming the omega (and, with several specs,
+    its spec's index) and the input (its label, else its position) where
+    a final state is not finite or has no norm left.
     """
-    omegas, inputs = list(omegas), list(inputs)
+    specs, omegas, inputs = _systems(spec), list(omegas), list(inputs)
     if any(omega == 0 for omega in omegas):
         raise ValueError("omega must be nonzero")
-    if spec.atom_levels != 3:
+    if any(s.atom_levels != 3 for s in specs):
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
-    layout = spec.layout()
+    family = DrivenHamiltonian.of(specs, cnot_drive(1.0))
+    layout = family.layout
     names, in_states, targets = [], [], []
     for m, given in enumerate(inputs):
         is_label = isinstance(given, str)
         names.append(given if is_label else f"#{m}")
-        input_state = qubit_state(spec, given) if is_label else given
+        input_state = qubit_state(specs[0], given) if is_label else given
         if input_state.layout != layout:
             raise ValueError("input state does not live on the spec layout")
         if abs(input_state.norm() - 1.0) > 1e-9:
@@ -280,14 +301,17 @@ def cnot_pulse_sweep(spec: SystemSpec, omegas, inputs) -> SweepResult:
         if abs(np.linalg.norm(in_amps) - 1.0) > 1e-9:
             raise ValueError("input must be supported on the qubit states with the cavity empty")
         in_states.append(input_state.amplitudes)
-        targets.append(qubit_state(spec, cnot_ideal().entries @ in_amps).amplitudes)
+        targets.append(qubit_state(specs[0], cnot_ideal().entries @ in_amps).amplitudes)
 
-    durations = np.array([cnot_duration(omega) for omega in omegas], dtype=float)
-    drives = [cnot_drive(omega) for omega in omegas]
-    finals = no_jump_states(DrivenHamiltonian.of(spec, cnot_drive(1.0)), drives, durations, in_states)
+    runs = omegas * len(specs)
+    durations = np.array([cnot_duration(omega) for omega in runs], dtype=float)
+    drives = [cnot_drive(omega) for omega in runs]
+    systems = np.repeat(np.arange(len(specs)), len(omegas))
+    finals = no_jump_states(family, drives, durations, in_states, systems)
     n_in, d = len(inputs), layout.total_dim
     check_final_states(
-        finals.reshape(-1, d), lambda j: f"omega={omegas[j // n_in]:.9g}, input={names[j % n_in]}"
+        finals.reshape(-1, d),
+        lambda j: f"{_system_name(specs, systems[j // n_in])}omega={runs[j // n_in]:.9g}, input={names[j % n_in]}",
     )
     # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
     fid = fidelities(finals, np.array(targets).reshape(n_in, d))

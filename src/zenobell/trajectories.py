@@ -54,6 +54,7 @@ products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,13 +103,28 @@ _MIN_STEPS = 2 * _HISTOGRAM_BINS  # every first-jump histogram bin spans two or 
 
 
 def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:
+    return _rate_terms(h, jump_ops)[0]
+
+
+def _rate_terms(h: np.ndarray, jump_ops) -> tuple[float, np.ndarray]:
+    """The largest stable dt and sum_k L_k^dag L_k of the complex H and jump operators."""
+    return _rate_terms_of(len(h), *(np.ascontiguousarray(op, dtype=complex).tobytes() for op in (h, *jump_ops)))
+
+
+# Memoized by the operators' entries: the rows of a trajectories run share
+# H and the L_k, so their SVD 2-norms and sum_k L_k^dag L_k are taken once
+# per run.  Each entry holds O(n^2) numbers per operator.
+@functools.lru_cache(maxsize=2)
+def _rate_terms_of(n: int, h: bytes, *jump_ops: bytes) -> tuple[float, np.ndarray]:
+    h = np.frombuffer(h, dtype=complex).reshape(n, n)
+    ls = [np.frombuffer(op, dtype=complex).reshape(n, n) for op in jump_ops]
     scale = max(
         float(np.linalg.norm(h, 2)),
-        max((float(np.linalg.norm(op, 2)) ** 2 / 2.0 for op in jump_ops), default=0.0),
+        max((float(np.linalg.norm(op, 2)) ** 2 / 2.0 for op in ls), default=0.0),
     )
-    if scale <= 0:
-        return 1.0
-    return 1.0 / scale
+    decay = sum((l_op.conj().T @ l_op for l_op in ls), np.zeros((n, n), dtype=complex))
+    decay.setflags(write=False)
+    return (1.0 if scale <= 0 else 1.0 / scale), decay
 
 
 def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
@@ -121,7 +137,7 @@ def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int
     squares (A^(2^i))^T, which are formed once per chain.
     """
     n = psi0.size
-    decay = sum((l_op.conj().T @ l_op for l_op in ls), np.zeros((n, n), dtype=complex))
+    decay = _rate_terms(h, ls)[1]
     block_len = max(1, min(_BLOCK, n_steps))
     eye = np.eye(n)
     z = -0.5j * dt * h

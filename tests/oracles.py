@@ -94,9 +94,12 @@ def conditional_hamiltonian(spec) -> np.ndarray:
     return h
 
 
-def dense_drive_stack(family, drives) -> np.ndarray:
-    """H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 for each drive, every term a dense (n, d, d) array."""
-    h = np.repeat(family.h0[None], len(drives), axis=0)
+def dense_drive_stack(family, drives, systems=None) -> np.ndarray:
+    """H0_s + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 for each drive, every term a dense (n, d, d) array.
+
+    Drive j is on system ``systems[j]`` of the family (default: system 0).
+    """
+    h = family.h0[np.zeros(len(drives), dtype=int) if systems is None else systems]
     for key, s_plus in zip(family.keys, family.raising):
         w = np.array([complex(drive[key]) for drive in drives])[:, None, None]
         h += 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from zenobell import bell, cli, selftest, trajectories
+from zenobell import bell, cli, gates, selftest, trajectories
+from zenobell.dynamics import SystemSpec
 from zenobell.cli import _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
 
@@ -443,6 +444,36 @@ def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
     # the benchmark's own job, full size, written whole by the CLI in a fresh
     # interpreter and compared with the recorded table, bytes and not values
     contract.check_reference_table(tmp_path, name)
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig4", "fig5"])
+def test_figure_is_one_kernel_call_equal_to_one_sweep_per_gamma(monkeypatch, which):
+    # the three Gamma curves of a figure come from one no_jump_states call of
+    # 75 points, and each column equals, byte for byte, that of one sweep per
+    # Gamma (alpha_re is an exact signed zero in every fig2 row)
+    calls, kernel = [], gates.no_jump_states
+    monkeypatch.setattr(gates, "no_jump_states", lambda *args: calls.append(len(args[1])) or kernel(*args))
+    header, columns = cli._figure_columns(which)
+    assert calls == [len(cli._FIGURE_GAMMAS) * len(cli._FIGURE_OMEGAS)]
+
+    monkeypatch.setattr(gates, "no_jump_states", kernel)
+    runs = []
+    for gamma in cli._FIGURE_GAMMAS:
+        spec = SystemSpec(atom_levels=2 if which == "fig2" else 3, n_atoms=2, g=1.0, kappa=1.0, gamma=gamma, n_max=2)
+        if which == "fig2":
+            runs.append(gates.prepare_pair_sweep(spec, [(om, gates.pair_duration(om)) for om in cli._FIGURE_OMEGAS]))
+        else:
+            runs.append(gates.cnot_pulse_sweep(spec, cli._FIGURE_OMEGAS, ["10"]))
+    # every column but the two axes: a field of the runs, or a part of one
+    for name, column in zip(header[2:], columns[2:]):
+        field, part = {"T": ("duration", None), "alpha_re": ("alpha", "real"), "alpha_im": ("alpha", "imag")}.get(
+            name, (name, None)
+        )
+        parts = [getattr(run, field) for run in runs]
+        parts = [np.ravel(p if part is None else getattr(p, part)) for p in parts]
+        assert np.asarray(column).tobytes() == np.concatenate(parts).tobytes(), name
+    if which == "fig2":
+        assert not np.asarray(columns[header.index("alpha_re")]).any()
 
 
 def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):

@@ -29,7 +29,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        # runs do not warn: a warning in a demo fails it
+        [sys.executable, "-W", "error", str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT,
         env=env,
         capture_output=True,

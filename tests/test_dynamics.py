@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -391,6 +392,38 @@ def test_stack_equals_the_dense_drive_sum_byte_for_byte(levels, n_max, kappa):
     assert not np.signbit(parts[parts == 0]).any()
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+def test_family_of_several_systems_stacks_each_points_own_h0(levels):
+    # systems on one layout that differ in their damping (and g): H0_s is
+    # the undriven conditional Hamiltonian of spec s, and a point on system
+    # s gets H_s(w) byte for byte, the one-system stack of spec s
+    specs = [
+        SystemSpec(atom_levels=levels, n_atoms=2, g=g, kappa=kappa, gamma=gamma, n_max=2)
+        for g, kappa, gamma in ((1.0, 1.0, 0.0), (1.0, 0.0, 0.01), (0.8, 0.6, 0.1))
+    ]
+    keys = pair_drive(1.0) if levels == 2 else cnot_drive(1.0)
+    family = DrivenHamiltonian.of(specs, keys)
+    h_cond = h_cond_two_level if levels == 2 else h_cond_lambda
+    for h0, spec in zip(family.h0, specs):
+        assert h0.tobytes() == h_cond(spec).entries.tobytes()
+    rng = np.random.default_rng(levels)
+    drives = [{k: complex(*rng.choice(AMPLITUDE_PARTS, 2).tolist()) for k in keys} for _ in range(30)]
+    systems = rng.integers(0, len(specs), len(drives))
+    dense = dense_drive_stack(family, drives, systems)
+    assert family.stack(drives, systems=systems).tobytes() == dense.tobytes()
+    for component in family.components:
+        rows, cols = np.ix_(component.states, component.states)
+        assert family.stack(drives, component.states, systems).tobytes() == dense[:, rows, cols].tobytes()
+    for s, spec in enumerate(specs):
+        alone = DrivenHamiltonian.of(spec, keys).stack([d for d, k in zip(drives, systems) if k == s])
+        assert alone.tobytes() == dense[systems == s].tobytes()
+    for bad in ([0] * (len(drives) - 1), [len(specs)] * len(drives), [-1] * len(drives)):
+        with pytest.raises(ValueError, match="one index below 3 per point"):
+            family.stack(drives, systems=bad)
+    with pytest.raises(ValueError, match="share one layout"):
+        DrivenHamiltonian.of([specs[0], dataclasses.replace(specs[0], n_max=3)], keys)
+
+
 def test_drive_constructors():
     pair = pair_drive(0.02 + 0.01j)
     assert list(pair) == [(1, "0-1"), (2, "0-1")]
@@ -531,7 +564,7 @@ def test_driven_family_takes_h0_from_the_undriven_conditional_hamiltonian(monkey
     monkeypatch.setattr(dynamics, "h_cond_lambda", lambda s: calls.append(s) or original(s))
     family = DrivenHamiltonian.of(spec, cnot_drive(0.1))
     assert [s.rabi for s in calls] == [{}]
-    assert np.array_equal(family.h0, original(spec.with_rabi({})).entries)
+    assert np.array_equal(family.h0, original(spec.with_rabi({})).entries[None])
     assert family.keys == tuple(cnot_drive(0.1))
 
 

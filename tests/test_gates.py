@@ -495,6 +495,51 @@ def test_tiny_expm_budget_gives_identical_records(monkeypatch):
             assert contents(a) == contents(b)
 
 
+# Three systems that differ in Gamma, as the figures sweep them; the pair
+# points hold two T = 0 points and a complex drive, the CNOT a complex omega.
+SYSTEM_GAMMAS = (0.0, STATED_GAMMA, 0.1)
+SYSTEM_OMEGAS = [0.005, 0.02, -0.05 + 0.03j, 0.3]
+
+
+def _system_sweeps():
+    """(sweep over the three systems, one sweep per system) for the pair and for the CNOT."""
+    pairs, lambdas = [pair_spec(gamma) for gamma in SYSTEM_GAMMAS], [lambda_spec(gamma) for gamma in SYSTEM_GAMMAS]
+    inputs = ["10", qubit_state(lambdas[0], np.array([0.6, 0, 0.8j, 0]))]
+    return [
+        (prepare_pair_sweep(pairs, PAIR_POINTS), [prepare_pair_sweep(s, PAIR_POINTS) for s in pairs]),
+        (
+            cnot_pulse_sweep(lambdas, SYSTEM_OMEGAS, inputs),
+            [cnot_pulse_sweep(s, SYSTEM_OMEGAS, inputs) for s in lambdas],
+        ),
+    ]
+
+
+def test_sweep_over_several_systems_equals_one_sweep_per_system(monkeypatch):
+    # byte for byte, signed zeros included: the rows of system s are those
+    # of a sweep of spec s alone, whatever the chunk budget
+    default = _system_sweeps()
+    for batched, alone in default:
+        assert len(batched.duration) == len(SYSTEM_GAMMAS) * len(alone[0].duration)
+        assert _read_only(batched)
+        for column, parts in zip(_columns(batched), zip(*map(_columns, alone))):
+            assert column.tobytes() == np.concatenate(parts).tobytes()
+    # chunks of one point, and of two points that may straddle two systems
+    for budget in (1, 2 * 16 * 12**2, 2 * 16 * 18**2):
+        monkeypatch.setattr(dynamics, "_EXPM_BYTES", budget)
+        for (batched, _), (rerun, _) in zip(default, _system_sweeps()):
+            assert [c.tobytes() for c in _columns(rerun)] == [c.tobytes() for c in _columns(batched)]
+
+
+def test_sweep_over_several_systems_names_the_failing_system():
+    specs = [pair_spec(gamma) for gamma in SYSTEM_GAMMAS]
+    with pytest.raises(NumericalError, match=r"at system 0, omega_minus=0.02, T=1e\+15"):
+        prepare_pair_sweep(specs, [(OMEGA, 100.0), (OMEGA, 1e15)])
+    with pytest.raises(ValueError, match="share one layout"):
+        prepare_pair_sweep([pair_spec(0.0), pair_spec(0.0, n_max=3)], [(OMEGA, 1.0)])
+    with pytest.raises(ValueError, match="Lambda"):
+        cnot_pulse_sweep([lambda_spec(0.0), pair_spec(0.0)], [OMEGA], ["10"])
+
+
 def test_single_point_warnings_point_at_the_caller():
     spec, lspec = pair_spec(STATED_GAMMA), lambda_spec(STATED_GAMMA)
     for call in (lambda: prepare_pair(spec, OMEGA, 5.0), lambda: cnot_pulse(lspec, OMEGA, qubit_state(lspec, "10"))):

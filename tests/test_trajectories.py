@@ -15,6 +15,7 @@ from zenobell.dynamics import (
     no_photon_probability,
     pair_drive,
 )
+from zenobell import trajectories
 from zenobell.gates import cnot_duration
 from zenobell.hilbert import OperatorMatrix, basis_state, compose
 from zenobell.trajectories import (
@@ -57,6 +58,26 @@ def test_jump_rates_match_anti_hermitian_part():
         h = (h_cond_two_level if spec.atom_levels == 2 else h_cond_lambda)(spec).entries
         total = sum(op.entries.conj().T @ op.entries for op in decay_operators(spec))
         assert np.max(np.abs(total - 1j * (h - h.conj().T))) <= 1e-12
+
+
+def test_rows_of_a_run_take_the_rate_terms_once(monkeypatch):
+    # the rows of a run share H and the L_k: the SVD 2-norms that bound dt
+    # and sum_k L_k^dag L_k are taken on the first row only, and every row
+    # equals its run with the terms taken afresh
+    h, jump, psi0 = cavity_decay_setup(n_max=4)
+    t_ends = (0.25, 0.5, 1.0, 2.0)
+    fresh = []
+    for t_end in t_ends:
+        trajectories._rate_terms_of.cache_clear()
+        fresh.append(run_trajectories(h, jump, psi0, t_end, 500, seed=9))
+    svds, norm = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args: svds.append(args) or norm(*args))
+    trajectories._rate_terms_of.cache_clear()
+    rows = [run_trajectories(h, jump, psi0, t_end, 500, seed=9) for t_end in t_ends]
+    assert len(svds) == 1 + len(jump)
+    for row, alone in zip(rows, fresh):
+        assert (row.dt, row.p0_estimate) == (alone.dt, alone.p0_estimate)
+        assert row.survival.tobytes() == alone.survival.tobytes()
 
 
 def test_hermitian_hamiltonian_no_jump_ops_gives_unity():
