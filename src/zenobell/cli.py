@@ -360,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario from a config file")
     p_run.add_argument("config_path", nargs="?", help="path to the config file")
-    p_run.add_argument("--config", dest="config_flag", metavar="PATH", help="alternative to the positional path")
     p_run.add_argument("--out", default=".", metavar="DIR", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, metavar="N", help="override the config seed")
     p_run.add_argument("--quiet", action="store_true")
@@ -379,11 +378,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "run":
-            path = args.config_path or args.config_flag
-            if not path:
-                raise ConfigError("no config file given (positional path or --config)")
+            if not args.config_path:
+                raise ConfigError("no config file given")
             try:
-                text = Path(path).read_text()
+                text = Path(args.config_path).read_text()
             except OSError as exc:
                 sys.stderr.write(f"error: cannot read config: {exc}\n")
                 return 3

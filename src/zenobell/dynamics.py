@@ -213,14 +213,15 @@ class DrivenHamiltonian:
 
     @classmethod
     def of(cls, specs, keys) -> "DrivenHamiltonian":
-        """H0 of each two-atom system of ``specs`` and the drive operators of the lasers ``keys``.
+        """H0 of each system of ``specs`` and the drive operators of the lasers ``keys``.
 
         ``specs`` is one :class:`SystemSpec` or a sequence of specs on one
-        layout; system s is ``specs[s]``.  H0_s is the conditional
-        Hamiltonian with the lasers off (:func:`h_cond_two_level` or
-        :func:`h_cond_lambda` of the spec without its ``rabi``).  The
-        conditional Hamiltonian of a spec with lasers is the one-point
-        :meth:`stack` of this family.
+        layout, with any number of atoms; system s is ``specs[s]``.  H0_s
+        is the conditional Hamiltonian with the lasers off: :func:`h_cond`
+        of the spec without its ``rabi``, taken through
+        :func:`h_cond_two_level` or :func:`h_cond_lambda` for the two-atom
+        schemes they check.  The conditional Hamiltonian of a spec with
+        lasers is the one-point :meth:`stack` of this family.
         """
         keys, specs = tuple(keys), _systems(specs)
         if not specs:
@@ -229,7 +230,7 @@ class DrivenHamiltonian:
         if any(spec.layout() != layout for spec in specs[1:]):
             raise ValueError("the systems of a family must share one layout")
         specs[0].with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
-        checked = h_cond_two_level if specs[0].atom_levels == 2 else h_cond_lambda
+        checked = h_cond if specs[0].n_atoms != 2 else h_cond_two_level if specs[0].atom_levels == 2 else h_cond_lambda
         raising = tuple(_frozen(_raising_op(specs[0], layout, atom, trans)) for atom, trans in keys)
         h0 = _frozen(np.stack([checked(spec.with_rabi({})).entries for spec in specs]))
         return cls(layout, keys, h0, raising)

@@ -944,8 +944,9 @@ def test_cli_trajectory_overflow_exits_2_and_names_the_time(tmp_path, capsys):
         (["run", "x.cfg", "--bogus"], "unrecognized arguments: --bogus"),
         (["figure", "fig9"], "invalid choice: 'fig9'"),
         (["run", "x.cfg", "--threads", "4"], "unrecognized arguments: --threads 4"),
+        (["run", "--config", "x.cfg"], "unrecognized arguments: --config"),
     ],
-    ids=["unknown_flag", "unknown_figure", "threads"],
+    ids=["unknown_flag", "unknown_figure", "threads", "config_flag"],
 )
 def test_cli_usage_errors_exit_1(capsys, argv, named):
     assert run_cli(argv) == 1
@@ -962,7 +963,7 @@ def test_cli_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert err.startswith("usage: zenobell figure") and "invalid choice: 'nope'" in err
     assert "Traceback" not in err
     assert run_cli(["run"]) == 1
-    assert "no config file given" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: no config file given\n"
     cfg = tmp_path / "bell.cfg"
     cfg.write_text("scenario = bell_landscape\nshots = 500\nseed = 3\nomega_t_count = 5\nvartheta_count = 4\n")
     assert run_cli(["run", cfg, "--out", tmp_path / "seed5", "--seed", 5, "--quiet"]) == 0
@@ -1080,6 +1081,40 @@ def test_selftest_norm_check_fails_when_the_kernel_grows_a_norm(monkeypatch):
     monkeypatch.setattr(selftest, "no_jump_states", growing)
     ok, detail = selftest._check_norm_monotonic()
     assert not ok and detail.startswith("max norm increase ")
+
+
+def test_selftest_norm_digest_catches_a_drift_that_keeps_norms_monotonic(monkeypatch):
+    # a kernel that loses 1e-7 of every final state still never grows a
+    # norm, but its 9-digit norm column is not the pinned one
+    kernel = selftest.no_jump_states
+    monkeypatch.setattr(selftest, "no_jump_states", lambda *args: kernel(*args) * (1.0 - 1e-7))
+    ok, detail = selftest._check_norm_monotonic()
+    worst = float(detail.split(";")[0].removeprefix("max norm increase "))
+    assert not ok and worst <= 1e-10
+    assert detail.endswith("; digest differs from the one pinned on Python 3.11.7, numpy 2.4.6: norm CSV")
+
+
+def test_selftest_fails_when_csv_floats_are_not_rendered_as_pinned(monkeypatch, capsys):
+    # floats at 8 significant digits instead of 9: the landscape and norm
+    # renderings no longer match their digests, and the selftest exits 2
+    column_text = cli._column_text
+
+    def eight_digits(column):
+        if column.dtype.kind == "f":
+            return ["%.8g" % value for value in column.tolist()]
+        return column_text(column)
+
+    monkeypatch.setattr(cli, "_column_text", eight_digits)
+    assert main(["selftest", "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert main(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert len(failed) == 2 and "Traceback" not in err
+    assert all("pinned on Python 3.11.7, numpy 2.4.6: " in line for line in failed)
+    assert "norm CSV" in failed[0] and "landscape CSV" in failed[1]
+    assert out.splitlines()[-1] == "selftest FAILED"
 
 
 def test_selftest_check_that_raises_exits_2_without_traceback(monkeypatch, capsys):

@@ -26,7 +26,7 @@ from zenobell.dynamics import (
 from zenobell.gates import cnot_pulse_sweep
 from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelity, ladder, state_from_amplitudes
 
-from oracles import conditional_hamiltonian, dense_drive_stack, integrate_schrodinger
+from oracles import conditional_hamiltonian, dense_drive_stack, embed_by_index, integrate_schrodinger
 
 SQRT2 = math.sqrt(2.0)
 
@@ -114,6 +114,32 @@ def test_atom_count_validation():
         h_cond_two_level(SystemSpec(atom_levels=2, n_atoms=0))
     with pytest.raises(ValueError, match="exactly two 3-level atoms"):
         h_cond_lambda(SystemSpec(atom_levels=3, n_atoms=0))
+
+
+@pytest.mark.parametrize(
+    "levels, rabi",
+    [
+        (2, {(1, "0-1"): 0.1}),
+        (3, {(1, "1-2"): 0.1}),
+        (2, {(1, "0-1"): 0.1, (3, "0-1"): -0.05 + 0.02j}),
+        (3, {(2, "0-2"): 0.3j, (3, "1-2"): -0.07}),
+    ],
+)
+def test_driven_h_cond_on_any_number_of_atoms_is_h0_plus_the_laser_terms(levels, rabi):
+    # one atom or three: H = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, laser by laser
+    n_atoms = max(atom for atom, _ in rabi)
+    spec = SystemSpec(atom_levels=levels, n_atoms=n_atoms, g=0.8, kappa=0.6, gamma=0.01, n_max=2, rabi=rabi)
+    dims = spec.layout().dims
+    expected = h_cond(spec.with_rabi({})).entries
+    for (atom, trans), w in rabi.items():
+        low, up = (int(x) for x in trans.split("-"))
+        local = np.zeros((levels, levels), dtype=complex)
+        local[up, low] = 1.0
+        s_plus = embed_by_index(local, atom - 1, dims)
+        expected = expected + 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
+    h = h_cond(spec)
+    assert h.layout == spec.layout()
+    assert np.array_equal(h.entries, expected)
 
 
 # ------------------------------------------------------- two-level Hamiltonian
