@@ -21,6 +21,7 @@ from zenobell import (
     h_cond_two_level,
     zeno_timescale,
 )
+from zenobell.dynamics import cnot_drive, pair_drive
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -36,7 +37,7 @@ for k, v in enumerate(dfs.vectors):
     print(f"  vector {k}: {support}")
 
 omega = 0.02
-driven = spec.with_rabi({(1, "0-1"): omega / math.sqrt(2), (2, "0-1"): -omega / math.sqrt(2)})
+driven = spec.with_rabi(pair_drive(omega))
 eff = effective_hamiltonian(h_cond_two_level(driven), dfs)
 print("projected Hamiltonian in that basis (units of g):")
 print(eff.in_basis.real)
@@ -46,7 +47,7 @@ print("=== two Lambda atoms under the CNOT drive ===")
 lspec = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
 ldfs = find_dfs(h_cond_lambda(lspec), decay_operators(lspec))
 print(f"subspace dimension: {ldfs.dim}")
-ldriven = lspec.with_rabi({(1, "1-2"): math.sqrt(2) * omega, (2, "0-2"): math.sqrt(2) * omega})
+ldriven = lspec.with_rabi(cnot_drive(omega))
 leff = effective_hamiltonian(h_cond_lambda(ldriven), ldfs)
 print("projected Hamiltonian, basis |00>, |01>, |10>, |11>, (|12>-|21>)/sqrt2:")
 print(leff.in_basis.real)

@@ -130,14 +130,14 @@ def _n_max(table: dict) -> int:
 
 @dataclass(frozen=True)
 class _Grid:
-    """``count`` evenly spaced values from ``lo`` to ``hi``, listed only when iterated.
+    """``count`` values ``lo + k step``, listed only when iterated.
 
     Its length is known before any value exists, so the row count of a
     run is checked before a grid is built.
     """
 
     lo: float
-    hi: float
+    step: float
     count: int
 
     def __len__(self) -> int:
@@ -146,8 +146,12 @@ class _Grid:
     def __iter__(self):
         if self.count == 1:
             return iter([self.lo])
-        step = (self.hi - self.lo) / (self.count - 1)
-        return (self.lo + k * step for k in range(self.count))
+        return (self.lo + k * self.step for k in range(self.count))
+
+    @property
+    def last(self) -> float:
+        """The last value iteration gives; the values run monotonically from ``lo`` to it."""
+        return self.lo + (self.count - 1) * self.step
 
 
 def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> _Grid:
@@ -156,14 +160,10 @@ def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> _Grid:
     count = _int(name + "_count", table.pop(name + "_count", str(count)))
     if not 1 <= count <= ROWS_CAP:
         raise ConfigError(f"{name}_count must lie in [1, {ROWS_CAP}], got {count}")
-    if count > 1:
-        # the values run monotonically from lo to the last one, so both ends bound them
-        step = (hi - lo) / (count - 1)
-        if not (math.isfinite(step) and math.isfinite(lo + (count - 1) * step)):
-            raise ConfigError(
-                f"{name}_min = {lo!r} to {name}_max = {hi!r} in {count} points overflows to non-finite values"
-            )
-    return _Grid(lo, hi, count)
+    grid = _Grid(lo, (hi - lo) / (count - 1) if count > 1 else 0.0, count)
+    if not math.isfinite(grid.last):  # infinite too when the step overflows; the two ends bound the values
+        raise ConfigError(f"{name}_min = {lo!r} to {name}_max = {hi!r} in {count} points overflows to non-finite ones")
+    return grid
 
 
 def _check_rows(what: str, rows: int) -> None:
@@ -231,9 +231,7 @@ def _parse_cnot(table: dict) -> dict:
     if label not in (*QUBIT_LABELS, "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
-    # the pulse length is part of the gate protocol, cnot_duration(omega)
-    if table.pop("T", "auto") != "auto":
-        raise ConfigError("the cnot scenario only supports 'T = auto'")
+    # the pulse length is part of the gate protocol, cnot_duration(omega): there is no 'T' key
     _finite_default_duration(physics["omega_values"], "omega", cnot_duration)
     for v in physics["omega_values"]:
         if not all(math.isfinite(abs(w)) for w in cnot_drive(v).values()):
@@ -242,16 +240,27 @@ def _parse_cnot(table: dict) -> dict:
     return physics
 
 
+def _transit_axis(table: dict, name: str, g: float) -> list[float] | _Grid:
+    """A ``g t`` axis whose transit times ``value / g`` are >= 0 and finite; a grid is checked at its two ends."""
+    key = name + "_values" if name + "_values" in table else name
+    axis = _values(table, name, required=False) or _grid(table, name, 0.0, math.pi, 51)
+    if isinstance(axis, _Grid):
+        ends = [(name + "_min", axis.lo), (name + "_max", axis.last)]
+    else:
+        ends = [(key, v) for v in axis]
+    for key, v in ends:
+        if not math.isfinite(_nonnegative([v], key)[0] / g):
+            raise ConfigError(f"key {key!r} = {v!r} is too large: the transit time {key} / g overflows")
+    return axis
+
+
 def _parse_pbg(table: dict) -> dict:
     physics = {"g": _coupling(table) if "g" in table else 1.0}
-    gt1 = _values(table, "gt1", required=False) or _grid(table, "gt1", 0.0, math.pi, 51)
-    gt2 = _values(table, "gt2", required=False) or _grid(table, "gt2", 0.0, math.pi, 51)
+    gt1 = _transit_axis(table, "gt1", physics["g"])
+    gt2 = _transit_axis(table, "gt2", physics["g"])
     _check_rows("gt1 x gt2", len(gt1) * len(gt2))
     physics["gt1_values"], physics["gt2_values"] = list(gt1), list(gt2)
-    loss = _float("loss", table.pop("loss", "0"))
-    if loss < 0:
-        raise ConfigError(f"key 'loss' must be >= 0, got {loss}")
-    physics["loss"] = loss
+    physics["loss"] = _nonnegative([_float("loss", table.pop("loss", "0"))], "loss")[0]
     return physics
 
 
@@ -290,7 +299,9 @@ def _parse_trajectories(table: dict) -> dict:
     if system == "pair":
         physics["g"] = _coupling(table)
         physics["gamma"] = _rate(table, "gamma")
-        physics["omega_minus"] = _nonzero(_values(table, "omega_minus"), "omega_minus")[0]
+        if "omega_minus_values" in table:
+            raise ConfigError("unknown key 'omega_minus_values': a trajectories run takes one 'omega_minus'")
+        physics["omega_minus"] = _nonzero([_float("omega_minus", _require(table, "omega_minus"))], "omega_minus")[0]
     _check_damping(physics)
     n_traj = _int("n_traj", table.pop("n_traj", "2000"))
     if n_traj < 1:
@@ -305,13 +316,7 @@ def _parse_trajectories(table: dict) -> dict:
     else:
         _finite_default_duration([physics["kappa"]], "kappa", cavity_decay_duration)
     _check_rows("t_end", len(physics["t_end_values"] or ()))
-    if "dt" in table:
-        dt = _float("dt", table.pop("dt"))
-        if dt <= 0:
-            raise ConfigError(f"dt must be > 0, got {dt}")
-        physics["dt"] = dt
-    else:
-        physics["dt"] = None
+    physics["dt"] = _rate(table, "dt", positive=True) if "dt" in table else None
     return physics
 
 
@@ -325,8 +330,11 @@ _PARSERS = {
 }
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario configuration; all errors name keys."""
+def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
+    """Parse and validate a scenario configuration; all errors name keys.
+
+    A ``seed`` given here (``zenobell run --seed``) replaces the ``seed`` key, under that key's rules.
+    """
     table: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -353,7 +361,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"unknown scenario {scenario!r} (expected one of {', '.join(SCENARIOS)})")
 
     out = table.pop("out", None)
-    seed = _int("seed", table.pop("seed")) if "seed" in table else None
+    file_seed = _int("seed", table.pop("seed")) if "seed" in table else None
+    seed = file_seed if seed is None else seed
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     shots = None

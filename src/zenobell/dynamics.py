@@ -112,10 +112,9 @@ class SystemSpec:
             raise ValueError(f"atom_levels must be 2 or 3, got {self.atom_levels}")
         if self.n_atoms < 0:
             raise ValueError(f"n_atoms must be >= 0, got {self.n_atoms}")
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.kappa < 0 or self.gamma < 0:
-            raise ValueError("decay rates must be nonnegative")
+        for name, value in (("g", self.g), ("kappa", self.kappa), ("gamma", self.gamma)):
+            if not (math.isfinite(value) and (value > 0 if name == "g" else value >= 0)):
+                raise ValueError(f"{name} must be finite and {'>' if name == 'g' else '>='} 0, got {value}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         valid = _valid_transitions(self.atom_levels)
@@ -128,7 +127,9 @@ class SystemSpec:
                     f"transition {trans!r} invalid for {self.atom_levels}-level atoms "
                     f"(expected one of {sorted(valid)})"
                 )
-            clean[(int(atom), str(trans))] = complex(omega)
+            clean[(int(atom), str(trans))] = w = complex(omega)
+            if not np.isfinite(w):
+                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
         object.__setattr__(self, "rabi", clean)
 
     def layout(self) -> HilbertLayout:

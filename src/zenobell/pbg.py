@@ -64,23 +64,22 @@ def jc_amplitudes(g: float, t: float, loss: float = 0.0) -> tuple[complex, compl
     phenomenological defect-mode amplitude loss rate may be supplied for
     sensitivity studies; the pair then decays below unit norm.
     """
-    if not g > 0:
-        raise ValueError("g must be positive")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if loss < 0:
-        raise ValueError("loss must be >= 0")
+    _check_time("t", t)
     ce, cg = _exchange_amplitudes(g, [t], loss)[0]
     return complex(ce), complex(cg)
 
 
 def _exchange_amplitudes(g: float, times: list, loss: float) -> np.ndarray:
-    """(n, 2) array of the :func:`jc_amplitudes` (c_e, c_g) at each of ``times``.
+    """(n, 2) array of the :func:`jc_amplitudes` (c_e, c_g) at each of ``times``; checks ``g`` and ``loss``.
 
     With loss, one stacked ``expm`` of the 2 x 2 exchange block serves
     every time: -i H t = [[0, g t], [-g t, -loss t]] is exactly real, so
     it is exponentiated in float64.
     """
+    if not g > 0:
+        raise ValueError(f"g must be positive, got {g}")
+    if not loss >= 0:
+        raise ValueError(f"loss must be >= 0, got {loss}")
     if loss == 0.0:
         return np.array([(math.cos(g * t), -math.sin(g * t)) for t in times], dtype=complex).reshape(-1, 2)
     exponent = np.array([[0.0, g], [-g, -loss]])
@@ -115,8 +114,6 @@ def pbg_final_states(g: float, t1_values, t2_values, loss: float = 0.0) -> np.nd
     n1 + n2 matrices.  Rows are not checked for finiteness; a large
     ``loss`` can overflow them.
     """
-    if not g > 0:
-        raise ValueError(f"g must be positive, got {g}")
     t1_values, t2_values = list(t1_values), list(t2_values)
     for name, values in (("t1", t1_values), ("t2", t2_values)):
         for t in values:

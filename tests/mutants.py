@@ -1,0 +1,158 @@
+"""Source mutants that the tests must kill, and the script that tries each one.
+
+Each mutant names a file under ``src/zenobell``, an exact text that occurs
+there once, the text that replaces it, and the Tier-1 test ids that must
+fail on the changed code: the defect it puts back, and the tests written
+for that defect.  Run from anywhere::
+
+    python tests/mutants.py
+
+For each mutant the script copies ``src`` to a temporary directory,
+applies the mutant there, runs its tests against the copy and prints one
+line.  It exits 1 if a mutant no longer applies, or
+survives: a named test passes, or the run fails without failing one.
+``test_mutants.py`` checks in the Tier-1 suite only that every old text
+occurs exactly once, which costs no test run.  The package never imports
+this module.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/zenobell
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root; a bare parametrized test is every case
+
+
+MUTANTS = (
+    Mutant(
+        "jump operator rate 2.02 kappa",
+        "dynamics.py",
+        "math.sqrt(2.0 * spec.kappa)",
+        "math.sqrt(2.02 * spec.kappa)",
+        (
+            "tests/test_trajectories.py::test_jump_rates_match_anti_hermitian_part",
+            "tests/test_dynamics.py::test_atom_free_spec_is_the_hand_built_leaky_cavity",
+        ),
+    ),
+    Mutant(
+        "CSV floats at 8 digits",
+        "cli.py",
+        '["%.9g"]',
+        '["%.8g"]',
+        (
+            "tests/test_config_cli.py::test_render_csv_formats",
+            "tests/test_config_cli.py::test_render_csv_columns_match_per_value_formatting",
+        ),
+    ),
+    Mutant(
+        "Gamma damping doubled",
+        "dynamics.py",
+        "h0 += -1j * spec.gamma",
+        "h0 += -2j * spec.gamma",
+        (
+            "tests/test_dynamics.py::test_lambda_gamma_damping_is_diagonal",
+            "tests/test_dynamics.py::test_stacked_hamiltonians_equal_single_point_assembly",
+        ),
+    ),
+    Mutant(
+        "trajectories take the first of an omega_minus list",
+        "config.py",
+        '        if "omega_minus_values" in table:\n'
+        "            raise ConfigError(\"unknown key 'omega_minus_values': "
+        "a trajectories run takes one 'omega_minus'\")\n"
+        '        physics["omega_minus"] = '
+        '_nonzero([_float("omega_minus", _require(table, "omega_minus"))], "omega_minus")[0]\n',
+        '        physics["omega_minus"] = _nonzero(_values(table, "omega_minus"), "omega_minus")[0]\n',
+        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_omega_list]",),
+    ),
+    Mutant(
+        "--seed applied after parsing",
+        "cli.py",
+        "run_scenario(parse_config(text, seed=args.seed), out_dir=args.out, quiet=args.quiet)",
+        "cfg = parse_config(text)\n"
+        "            cfg.seed = cfg.seed if args.seed is None else args.seed\n"
+        "            run_scenario(cfg, out_dir=args.out, quiet=args.quiet)",
+        ("tests/test_config_cli.py::test_cli_seed_flag_supplies_the_seed_a_sampled_landscape_needs",),
+    ),
+    Mutant(
+        "pbg loss unchecked",
+        "pbg.py",
+        '    if not loss >= 0:\n        raise ValueError(f"loss must be >= 0, got {loss}")\n',
+        "",
+        ("tests/test_pbg.py::test_loss_is_checked_on_every_path",),
+    ),
+    Mutant(
+        "SystemSpec accepts a nan kappa",
+        "dynamics.py",
+        'if not (math.isfinite(value) and (value > 0 if name == "g" else value >= 0)):',
+        'if value <= 0 if name == "g" else value < 0:',
+        (
+            "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[kappa_nan]",
+            "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[gamma_inf]",
+        ),
+    ),
+)
+
+
+def source(mutant: Mutant, src: Path = ROOT / "src") -> Path:
+    return src / "zenobell" / mutant.file
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file; it applies when this is 1."""
+    return source(mutant).read_text().count(mutant.old)
+
+
+def survivors(mutant: Mutant) -> list[str]:
+    """Why the mutant, applied to a copy of ``src``, is not killed by its tests; [] when it is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = source(mutant, src)
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        # pythonpath from pyproject.toml would put the unmutated src first
+        pytest = [sys.executable, "-m", "pytest", "-q", "-rA", "-W", "error", "-p", "no:cacheprovider"]
+        run = subprocess.run(
+            [*pytest, "-o", f"pythonpath={src}", *mutant.tests], cwd=ROOT, env=env, capture_output=True, text=True
+        )
+    passed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("PASSED ")]
+    alive = [f"{test} passed" for test in mutant.tests if any(p == test or p.startswith(test + "[") for p in passed)]
+    if not alive and run.returncode != 1:  # killed only by failing tests, not by a usage or collection error
+        alive = [f"pytest exited {run.returncode} with no failed test"]
+    return alive
+
+
+def main() -> int:
+    bad = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        if (count := occurrences(mutant)) != 1:
+            line = f"STALE     {mutant.name}: old text occurs {count} times in {mutant.file}"
+        elif alive := survivors(mutant):
+            line = f"SURVIVED  {mutant.name}: {'; '.join(alive)}"
+        else:
+            line = f"killed    {mutant.name}"
+        bad += not line.startswith("killed")
+        print(f"{line}  [{time.perf_counter() - start:.1f} s]", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

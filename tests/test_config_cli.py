@@ -115,7 +115,7 @@ _PAIR_KEYS = ("g", "kappa", "gamma", "n_max")
 _GRID_KEYS = ("_values", "_min", "_max", "_count")
 SCENARIO_KEYS = {
     "prepare_pair": _PAIR_KEYS + ("omega_minus", "omega_minus_values", "T", "T_values"),
-    "cnot": _PAIR_KEYS + ("omega", "omega_values", "input", "T"),
+    "cnot": _PAIR_KEYS + ("omega", "omega_values", "input"),
     "pbg": ("g", "loss", "gt1", "gt2") + tuple(f"gt{k}{s}" for k in (1, 2) for s in _GRID_KEYS),
     "bell_landscape": ("readout_error",) + tuple(f"{a}{s}" for a in ("omega_t", "vartheta") for s in _GRID_KEYS[1:]),
     "mermin": ("n_qubits", "n_qubits_values", "state", "ghz_phase"),
@@ -504,8 +504,8 @@ def test_sampled_run_with_a_bad_seed_is_a_config_error(tmp_path, capsys, name):
     cfg.write_text(ONE_CONFIG_PER_RUNNER[name])
     assert run_cli(["run", cfg, "--out", tmp_path, "--seed", -1, "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
-    # the parser and the CLI reject these seeds first; the run's stream
-    # itself reports them as config errors too
+    # the parser rejects these seeds first, from the file or from --seed;
+    # the run's stream itself reports them as config errors too
     parsed = parse_config(ONE_CONFIG_PER_RUNNER[name])
     for seed in (-1, 1.5):
         parsed.seed = seed
@@ -981,7 +981,65 @@ def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "pbg.cfg"
     cfg.write_text("scenario = pbg\ngt1_values = 0.5, -1\ngt2 = 1\n")
     assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
-    assert "t1 must be finite and >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: key 'gt1_values' must be >= 0, got -1.0\n"
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        (f"scenario = trajectories\nsystem = pair\n{_PAIR}omega_minus_values = 0.02, 0.05\n", "'omega_minus_values'"),
+        (f"scenario = trajectories\nsystem = pair\n{_PAIR}omega_minus = 0.02\nomega_minus_values = 0.05\n",
+         "'omega_minus_values'"),
+        (f"scenario = cnot\n{_PAIR}omega = 0.02\nT = auto\n", "unknown key(s): T"),
+        ("scenario = pbg\ngt1_values = 0.5, -1\n", "key 'gt1_values' must be >= 0, got -1.0"),
+        ("scenario = pbg\ngt2_min = -0.5\n", "key 'gt2_min' must be >= 0, got -0.5"),
+        # the last grid value, 0.1 + 11 * (-0.1 / 11), rounds below 0 although gt1_max is 0
+        ("scenario = pbg\ngt1_min = 0.1\ngt1_max = 0\ngt1_count = 12\n", "key 'gt1_max' must be >= 0, got -1.38"),
+        ("scenario = pbg\ng = 1e-150\ngt1 = 1e200\n", "key 'gt1' = 1e+200 is too large"),
+        ("scenario = pbg\ng = 1e-150\ngt2_max = 1e200\ngt2_count = 3\n", "key 'gt2_max' = 1e+200 is too large"),
+    ],
+    ids=["traj_omega_list", "traj_omega_and_list", "cnot_T", "pbg_negative_list", "pbg_negative_grid_start",
+         "pbg_grid_end_rounds_negative", "pbg_overflowing_transit", "pbg_overflowing_grid_end"],
+)
+def test_parse_config_rejects_what_a_run_would_drop_or_fail_on(tmp_path, capsys, body, named):
+    with pytest.raises(ConfigError) as raised:
+        parse_config(body)
+    assert named in str(raised.value)
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {raised.value}\n"
+
+
+_SAMPLED_NO_SEED = "scenario = bell_landscape\nshots = 100\nomega_t_count = 4\nvartheta_count = 3\n"
+
+
+def test_cli_seed_flag_supplies_the_seed_a_sampled_landscape_needs(tmp_path, capsys):
+    cfg, keyed = tmp_path / "flag.cfg", tmp_path / "keyed.cfg"
+    cfg.write_text(_SAMPLED_NO_SEED)
+    keyed.write_text(_SAMPLED_NO_SEED + "seed = 5\n")
+    assert run_cli(["run", cfg, "--out", tmp_path / "flag", "--seed", 5, "--quiet"]) == 0
+    assert run_cli(["run", keyed, "--out", tmp_path / "keyed", "--quiet"]) == 0
+    for name in ("bell_landscape.csv", "bell_landscape_summary.txt"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
+    assert capsys.readouterr().err == ""
+    assert run_cli(["run", cfg, "--out", tmp_path / "negative", "--seed", -1, "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "negative").exists()
+
+
+def test_parse_config_seed_argument_follows_the_seed_key_rules():
+    assert parse_config(_SAMPLED_NO_SEED, seed=5).seed == 5
+    assert parse_config(_SAMPLED_NO_SEED + "seed = 3\n", seed=0).seed == 0
+    assert parse_config(_SAMPLED_NO_SEED + "seed = 3\n").seed == 3
+    with pytest.raises(ConfigError, match="sampled bell_landscape needs a 'seed'"):
+        parse_config(_SAMPLED_NO_SEED)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+        parse_config(_SAMPLED_NO_SEED + "seed = 3\n", seed=-2)
+    trajectories = "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\n"
+    assert parse_config(trajectories).seed == 0
+    assert parse_config(trajectories, seed=9).seed == 9
+    assert parse_config("scenario = mermin\n").seed is None
 
 
 def test_cli_n_max_cap_exits_1_quickly(tmp_path, capsys):
@@ -1166,7 +1224,7 @@ _RUNS = (
     (
         "cnot",
         {"g": _RATE, "kappa": _RATE, "gamma": _RATE, "omega_values": _OMEGA},
-        {"n_max": _N_MAX, "input": (("all", "10"), ("2",)), "T": (("auto",), ("5",))},
+        {"n_max": _N_MAX, "input": (("all", "10"), ("2",))},
     ),
     (
         "pbg",

@@ -80,6 +80,23 @@ def test_spec_validation():
         SystemSpec(atom_levels=2, rabi={(3, "0-1"): 0.1})
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"g": math.inf}, "g must be finite"),
+        ({"kappa": math.nan}, "kappa must be finite"),
+        ({"gamma": math.inf}, "gamma must be finite"),
+        ({"rabi": {(1, "0-1"): complex(math.nan, 0.0)}}, "rabi entry for atom 1, '0-1' must be finite"),
+        ({"rabi": {(2, "0-1"): complex(0.0, math.inf)}}, "rabi entry for atom 2, '0-1' must be finite"),
+    ],
+    ids=["g_inf", "kappa_nan", "gamma_inf", "rabi_nan", "rabi_imag_inf"],
+)
+def test_spec_rejects_non_finite_rates(fields, named):
+    # a spec is where a rate enters; accepted, a nan kappa fails only late, as a run's non-finite final state
+    with pytest.raises(ValueError, match=named):
+        SystemSpec(**fields)
+
+
 def test_layout_shape():
     assert pair_spec(0, 0.02).layout().dims == (2, 2, 3)
     assert lambda_spec(0, 0.02).layout().dims == (3, 3, 3)

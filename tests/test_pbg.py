@@ -153,6 +153,17 @@ def test_per_axis_rows_equal_per_point_states(monkeypatch):
         assert np.array_equal(row, pbg_final_state(TransitPlan(g, t1, t2), loss).amplitudes)
 
 
+@pytest.mark.parametrize("loss", [-0.5, math.nan])
+def test_loss_is_checked_on_every_path(loss):
+    # a negative loss is a gain: pbg_final_state(pbg_optimal_times(1.0), loss=-0.5) would have norm 1.505
+    with pytest.raises(ValueError, match="loss must be >= 0"):
+        pbg_final_state(pbg_optimal_times(1.0), loss=loss)
+    with pytest.raises(ValueError, match="loss must be >= 0"):
+        pbg_final_states(1.0, [0.5], [0.5], loss)
+    with pytest.raises(ValueError, match="loss must be >= 0"):
+        jc_amplitudes(1.0, 0.5, loss)
+
+
 def test_per_axis_rows_reject_bad_times():
     with pytest.raises(ValueError, match="t2 must be finite"):
         pbg_final_states(1.0, [0.5], [-1.0])
