@@ -50,7 +50,6 @@ b_s, violated) in row order, vartheta varying fastest, which
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +77,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
 
-@dataclass(frozen=True)
-class AnalyzerSettings:
+class AnalyzerSettings(NamedTuple):
     """The four analyzer angles (radians) of a spin Bell test."""
 
     theta1: float
@@ -98,15 +96,13 @@ class AnalyzerSettings:
         )
 
 
-@dataclass(frozen=True)
-class BellResult:
+class BellResult(NamedTuple):
     correlations: dict
     b_s: float
     violated: bool
 
 
-@dataclass(frozen=True)
-class MerminResult:
+class MerminResult(NamedTuple):
     value: float
     classical_bound: float
     quantum_bound: float
@@ -193,7 +189,7 @@ def correlation(state: StateVector, i: int, j: int, theta_i: float, theta_j: flo
 
 def bs_value(state: StateVector, settings: AnalyzerSettings, i: int = 0, j: int = 1) -> BellResult:
     """The four-correlation spin Bell combination; violated iff |B_S| > 2."""
-    e, b_s = _bs_scores(_pair_matrices(state, i, j)[None], astuple(settings))
+    e, b_s = _bs_scores(_pair_matrices(state, i, j)[None], settings)
     b_s = float(b_s[0])
     if abs(b_s) > TSIRELSON_BOUND + 1e-9:
         raise AssertionError(f"|B_S| = {abs(b_s)} exceeds the quantum bound; numerics are off")

@@ -115,6 +115,9 @@ def _values(table: dict, key: str, *, required: bool = True, default=None) -> li
 N_MAX_CAP = 32
 # Most CSV rows one run may write: 100x the 101 x 101 default Bell landscape.
 ROWS_CAP = 10**6
+# Most rows x d^3 a prepare_pair or cnot sweep may ask for on the d states of two atoms and the
+# cavity, as a row's propagator costs ~d^3: 10^6 rows on the 12-state pair, 4,347 on the 132-state one.
+SWEEP_WORK_CAP = 10**10
 # Most shots per sampled correlation, the same budget as the trajectory
 # count of a trajectories row.  A correlation is one binomial draw at any
 # shot count, so the cap bounds no work or memory; it only bounds the input.
@@ -166,9 +169,11 @@ def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> _Grid:
     return grid
 
 
-def _check_rows(what: str, rows: int) -> None:
+def _check_rows(what: str, rows: int, states: int = 0) -> None:
     if rows > ROWS_CAP:
         raise ConfigError(f"{what} asks for {rows} rows; a run may write at most {ROWS_CAP}")
+    if rows * states**3 > SWEEP_WORK_CAP:
+        raise ConfigError(f"{what} asks for {rows} rows on {states} states, over {SWEEP_WORK_CAP:.0e} rows x states^3")
 
 
 def _nonzero(values: list[float], key: str) -> list[float]:
@@ -214,7 +219,7 @@ def _parse_prepare_pair(table: dict) -> dict:
     else:
         physics["t_values"] = _nonnegative([_float("T", raw_t)], "T")
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
-    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count)
+    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, states=4 * (physics["n_max"] + 1))
     return physics
 
 
@@ -231,12 +236,13 @@ def _parse_cnot(table: dict) -> dict:
     if label not in (*QUBIT_LABELS, "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
+    rows = len(physics["omega_values"]) * (4 if label == "all" else 1)
+    _check_rows("omega x input", rows, states=9 * (physics["n_max"] + 1))
     # the pulse length is part of the gate protocol, cnot_duration(omega): there is no 'T' key
     _finite_default_duration(physics["omega_values"], "omega", cnot_duration)
     for v in physics["omega_values"]:
         if not all(math.isfinite(abs(w)) for w in cnot_drive(v).values()):
             raise ConfigError(f"key 'omega' = {v!r} is too large: the drive sqrt(2) * omega overflows")
-    _check_rows("omega x input", len(physics["omega_values"]) * (4 if label == "all" else 1))
     return physics
 
 

@@ -16,11 +16,11 @@ bases for the two standard schemes, used to anchor the finder in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SystemSpec
+from .dynamics import zeno_timescale  # re-exported; the regime rules live in dynamics
 from .hilbert import HilbertLayout, OperatorMatrix, StateVector, state_from_amplitudes
 from .states import entangled_pair_state
 
@@ -39,8 +39,7 @@ _RANK_TOL = 1e-7
 _PHASE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """Orthonormal basis of a subspace together with its projector."""
 
     layout: HilbertLayout
@@ -58,8 +57,7 @@ class SubspaceBasis:
         return np.column_stack([v.amplitudes for v in self.vectors])
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
+class EffectiveHamiltonian(NamedTuple):
     """P H P, both as a full-space operator and in the subspace basis."""
 
     operator: OperatorMatrix
@@ -180,18 +178,6 @@ def effective_hamiltonian(h_cond: OperatorMatrix, dfs: SubspaceBasis) -> Effecti
         in_basis=in_basis,
         basis=dfs,
     )
-
-
-def zeno_timescale(spec: SystemSpec) -> float:
-    """Environment-measurement timescale: max(1/kappa, kappa/g^2).
-
-    A pulse of duration T should satisfy T >> this value for the Zeno
-    suppression of non-decay-free states to act; protocols warn when
-    T < 10x this value.
-    """
-    if spec.kappa <= 0:
-        raise ValueError("zeno_timescale needs kappa > 0")
-    return max(1.0 / spec.kappa, spec.kappa / spec.g**2)
 
 
 def pair_dfs_vectors(layout: HilbertLayout) -> tuple[StateVector, StateVector]:

@@ -66,6 +66,7 @@ __all__ = [
     "no_photon_probability",
     "no_photon_probabilities",
     "check_regime",
+    "zeno_timescale",
     "cavity_annihilation",
     "decay_operators",
 ]
@@ -141,8 +142,7 @@ class SystemSpec:
         return replace(self, rabi=rabi)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Strong-coupling-regime check: every ratio must be small."""
 
     ratios: dict
@@ -179,8 +179,7 @@ def cnot_drive(omega: complex) -> dict:
     return {(1, "1-2"): s2om, (2, "0-2"): s2om}
 
 
-@dataclass(frozen=True)
-class DrivenHamiltonian:
+class DrivenHamiltonian(NamedTuple):
     """Conditional Hamiltonians of one or more systems for any amplitudes of a fixed set of lasers.
 
     The systems share a layout and the lasers and differ only in H0, say
@@ -590,3 +589,15 @@ def check_regime(spec: SystemSpec, omega_eff: float) -> RegimeReport:
         "omega_over_kappa": om / spec.kappa if spec.kappa > 0 else float("inf"),
     }
     return RegimeReport(ratios=ratios, in_regime=all(v < REGIME_THRESHOLD for v in ratios.values()))
+
+
+def zeno_timescale(spec: SystemSpec) -> float:
+    """Environment-measurement timescale: max(1/kappa, kappa/g^2).
+
+    A pulse of duration T should satisfy T >> this value for the Zeno
+    suppression of non-decay-free states to act; protocols warn when
+    T < 10x this value.
+    """
+    if spec.kappa <= 0:
+        raise ValueError("zeno_timescale needs kappa > 0")
+    return max(1.0 / spec.kappa, spec.kappa / spec.g**2)

@@ -18,10 +18,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dfs import zeno_timescale
 from .dynamics import (
     REGIME_THRESHOLD,
     DrivenHamiltonian,
@@ -32,6 +32,7 @@ from .dynamics import (
     cnot_drive,
     no_jump_states,
     pair_drive,
+    zeno_timescale,
     _systems,
 )
 from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
@@ -58,8 +59,7 @@ QUBIT_LABELS = ("00", "01", "10", "11")
 _QUBIT_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the atom levels of each label
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Outcome of one conditional protocol run."""
 
     final_state: StateVector
@@ -135,7 +135,7 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     antisymmetric combination equals ``omega_minus``.  The pulse runs for
     ``duration`` under the full two-level conditional Hamiltonian;
     out-of-regime parameters and a pulse shorter than 10x
-    :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
+    :func:`~zenobell.dynamics.zeno_timescale` produce a warning, not an error.
     The fidelity target is :func:`~zenobell.states.entangled_pair_state`
     at the ideal alpha (:func:`~zenobell.states.pair_target_alpha`); the achieved alpha is
     the overlap of the renormalized final state with |a> (cavity empty).
@@ -261,7 +261,7 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     sqrt(2) pi / |omega|.  The fidelity is scored against the ideal CNOT
     permutation applied to the input amplitudes.  Out-of-regime
     parameters and a pulse shorter than 10x
-    :func:`~zenobell.dfs.zeno_timescale` produce a warning, not an error.
+    :func:`~zenobell.dynamics.zeno_timescale` produce a warning, not an error.
     """
     return _first_record(spec, omega, cnot_pulse_sweep(spec, [omega], [input_state]))
 

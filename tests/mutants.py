@@ -106,6 +106,65 @@ MUTANTS = (
             "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[gamma_inf]",
         ),
     ),
+    Mutant(
+        "Mermin value shifted by 1e-12",
+        "bell.py",
+        "value = float(abs(2.0 * (psi[0].conjugate() * (corner * psi[-1])).real))",
+        "value = float(abs(2.0 * (psi[0].conjugate() * (corner * psi[-1])).real)) + 1e-12",
+        (
+            "tests/test_bell.py::test_mermin_ghz_and_zeros",
+            "tests/test_bell.py::test_mermin_n_golden_ghz_values",
+            "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[mermin]",
+        ),
+    ),
+    Mutant(
+        "gauge with D^-1 for D",
+        "dynamics.py",
+        "        gauged = phases[:, :, None] * a\n        gauged *= phases.conj()[:, None, :]\n",
+        "        gauged = phases.conj()[:, :, None] * a\n        gauged *= phases[:, None, :]\n",
+        (
+            "tests/test_dynamics.py::test_no_jump_states_equal_the_full_complex_exponential[2-drive0-float64]",
+            "tests/test_gates.py::test_cnot_effective_hamiltonian_is_exact_gate",
+            "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[prepare_pair]",
+        ),
+    ),
+    Mutant(
+        "time-0 rows dropped",
+        "dynamics.py",
+        "    finals[[j for j, t in enumerate(times) if t == 0]] = inputs\n",
+        "",
+        (
+            "tests/test_dynamics.py::test_zero_time_rows_are_the_inputs",
+            "tests/test_gates.py::test_prepare_pair_zero_duration_is_identity",
+            "tests/test_gates.py::test_zero_duration_point_is_the_input_even_when_h_overflows",
+        ),
+    ),
+    Mutant(
+        "an output that starts with the new text counts as unchanged",
+        "cli.py",
+        "return f.read(len(text) + 1) == text",
+        "return f.read(len(text)) == text",
+        ("tests/test_config_cli.py::test_cli_unchanged_output_is_not_rewritten_but_gets_a_new_mtime",),
+    ),
+    Mutant(
+        "kappa damping scaled by 1 + 1e-9",
+        "dynamics.py",
+        "h0 += -1j * spec.kappa * (b_full.conj().T @ b_full)",
+        "h0 += -1j * spec.kappa * (1 + 1e-9) * (b_full.conj().T @ b_full)",
+        (
+            "tests/test_dynamics.py::test_pure_cavity_decay_amplitude",
+            "tests/test_dynamics.py::test_atom_free_spec_is_the_hand_built_leaky_cavity",
+            "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[fig4]",
+        ),
+    ),
+    Mutant(
+        "sweep work counted as rows x d^2",
+        "config.py",
+        "if rows * states**3 > SWEEP_WORK_CAP:",
+        "if rows * states**2 > SWEEP_WORK_CAP:",
+        # the parser test only: the run test would start the sweep the cap refuses
+        ("tests/test_config_cli.py::test_parse_sweep_work_bound_is_inclusive",),
+    ),
 )
 
 

@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from zenobell import bell, cli, gates, selftest, trajectories
 from zenobell.dynamics import SystemSpec
 from zenobell.cli import _run_bell_landscape, main, render_csv
-from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, ConfigError, parse_config
+from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, SWEEP_WORK_CAP, ConfigError, parse_config
 
 import contract
 from oracles import render_csv_by_value, tsirelson_draws_per_row
@@ -781,6 +781,40 @@ def test_cli_trajectory_work_budget_bounds_a_large_space(tmp_path, capsys, monke
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "needs 1000000 steps (at most 82644 allowed)" in err
     assert not (tmp_path / "trajectories.csv").exists()
+
+
+def _list(count: int, start: float) -> str:
+    return ", ".join(repr(start * (k + 1)) for k in range(count))
+
+
+_SWEEPS_AT_THE_CAPS = {
+    # 10^6 rows at n_max = 32: ~1.6 h and ~1 h of work, and GB of final states
+    "prepare_pair": f"scenario = prepare_pair\nomega_minus_values = {_list(1000, 0.01)}\nT_values = {_list(1000, 1.0)}\n",
+    "cnot": f"scenario = cnot\nomega_values = {_list(250_000, 1e-4)}\ninput = all\n",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_SWEEPS_AT_THE_CAPS))
+def test_cli_sweep_work_budget_exits_1_quickly(tmp_path, capsys, scenario):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"g = 1\nkappa = 1\ngamma = 0.001\nn_max = 32\n{_SWEEPS_AT_THE_CAPS[scenario]}")
+    start = time.perf_counter()
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"asks for {ROWS_CAP} rows on {132 if scenario == 'prepare_pair' else 297} states" in err
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
+def test_parse_sweep_work_bound_is_inclusive():
+    # 4347 rows x 132^3 states is the most the 132-state pair may ask for
+    assert 4347 * 132**3 <= SWEEP_WORK_CAP < 4348 * 132**3
+    pair = "scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0\nn_max = 32\n"
+    cfg = parse_config(pair + f"omega_minus_values = 0.01, 0.02, 0.03\nT_values = {_list(1449, 1.0)}\n")
+    assert len(cfg.physics["omega_values"]) * len(cfg.physics["t_values"]) == 4347
+    with pytest.raises(ConfigError, match="omega_minus x T asks for 4348 rows on 132 states"):
+        parse_config(pair + f"omega_minus_values = 0.01, 0.02, 0.03, 0.04\nT_values = {_list(1087, 1.0)}\n")
 
 
 @pytest.mark.parametrize("g", ["1e-300", "1e200"])

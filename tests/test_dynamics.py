@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from zenobell import dynamics
+from zenobell import bell, dfs, dynamics, gates
 from zenobell.dynamics import (
     DrivenHamiltonian,
     NumericalError,
@@ -630,3 +630,23 @@ def test_check_final_states_names_the_first_unsound_point():
     for rows, message in cases:
         with pytest.raises(dynamics.NumericalError, match=message):
             dynamics.check_final_states(rows, point)
+
+
+# The records that only hold fields (and derive values from them): each is a
+# NamedTuple, so a caller can unpack it in this field order.
+RECORDS = {
+    bell.AnalyzerSettings: ("theta1", "theta1p", "theta2", "theta2p"),
+    bell.BellResult: ("correlations", "b_s", "violated"),
+    bell.MerminResult: ("value", "classical_bound", "quantum_bound", "n_qubits"),
+    dfs.SubspaceBasis: ("layout", "vectors", "projector"),
+    dfs.EffectiveHamiltonian: ("operator", "in_basis", "basis"),
+    dynamics.RegimeReport: ("ratios", "in_regime"),
+    dynamics.DrivenHamiltonian: ("layout", "keys", "h0", "raising"),
+    gates.RunRecord: ("final_state", "p0", "fidelity", "alpha", "duration", "regime"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_plain_records_are_named_tuples(record):
+    assert issubclass(record, tuple)
+    assert record._fields == RECORDS[record]
