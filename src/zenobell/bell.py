@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, StateVector, norms
+from .hilbert import SIGMA_X, SIGMA_Y, StateVector, check_normalized
 from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
 
 __all__ = [
@@ -118,14 +118,6 @@ def sigma_theta(theta) -> np.ndarray:
     return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
-def _check_normalized(amplitudes) -> None:
-    """Raise ValueError unless the state, or every row of a stack of them, has norm 1 within 1e-9."""
-    norm = np.ravel(norms(amplitudes))
-    off = np.abs(norm - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"state must be normalized, got norm {float(norm[off][0])}")
-
-
 def _qubit_label(state: StateVector, index: int) -> str:
     factors = state.layout.factors
     if not 0 <= index < len(factors):
@@ -143,7 +135,7 @@ def _pair_matrices(state: StateVector, i: int, j: int) -> np.ndarray:
     full-space matrix.  The state must be normalized and i, j two
     distinct qubits.
     """
-    _check_normalized(state.amplitudes)
+    check_normalized(state.amplitudes)
     if i == j:
         raise ValueError(f"a pair needs two distinct qubits, got i = j = {i}")
     _qubit_label(state, i)
@@ -257,7 +249,7 @@ def mermin_n(state: StateVector) -> MerminResult:
     ``tests/oracles.py::mermin_operator``.  For N = 3 the value is
     |<XXX> - <YYX> - <YXY> - <XYY>|.
     """
-    _check_normalized(state.amplitudes)
+    check_normalized(state.amplitudes)
     dims = state.layout.dims
     n = len(dims)
     if n < 3 or any(d != 2 for d in dims):
@@ -382,7 +374,7 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     # the landscape states of every omega at once, each the (1, 2, 2) pair
     # matrices that _pair_matrices gives its landscape_state
     amps = entangled_pair_amplitudes([pair_target_alpha(1.0, om_t) for om_t in omega_t_grid.tolist()])
-    _check_normalized(amps)
+    check_normalized(amps)
     m = amps.reshape(-1, 1, 2, 2)
     n_v, n_rows = len(v), len(m) * len(v)
     rng = np.random.default_rng(seed)

@@ -206,18 +206,17 @@ def _parse_prepare_pair(table: dict) -> dict:
         "omega_values": _nonzero(_values(table, "omega_minus"), "omega_minus"),
     }
     _check_damping(physics)
-    raw_t = table.pop("T", "auto")
-    if "T_values" in table:
-        if raw_t != "auto":
-            raise ConfigError("give either 'T' or 'T_values', not both")
-        physics["t_values"] = _nonnegative(_float_list("T_values", table.pop("T_values")), "T_values")
-    elif raw_t == "auto":
+    if table.get("T") == "auto":
+        del table["T"]
+    t_key = "T_values" if "T_values" in table else "T"
+    physics["t_values"] = _values(table, "T", required=False)
+    if physics["t_values"] is not None:
+        _nonnegative(physics["t_values"], t_key)
+    else:
         # maximal-entanglement pulse length pi/|omega|, one per omega value
         omegas = physics["omega_values"]
         _finite_default_duration(omegas, "omega_minus", pair_duration)
         physics["t_values"] = [pair_duration(omegas[0])] if len(omegas) == 1 else None
-    else:
-        physics["t_values"] = _nonnegative([_float("T", raw_t)], "T")
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
     _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, states=4 * (physics["n_max"] + 1))
     return physics

@@ -540,8 +540,8 @@ def _block_states(
     return out
 
 
-def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
-    """Check a stack of conditional final states, one row of amplitudes each.
+def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> np.ndarray:
+    """Check a stack of conditional final states, one row of amplitudes each, and return their norms ||psi||.
 
     Raises :class:`NumericalError` naming ``point(j)`` for the first row j
     that is not finite, has no norm left (p0 = ||psi||^2 = 0) or has p0
@@ -549,8 +549,9 @@ def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
     """
     rows = np.asarray(rows, dtype=complex)
     finite = np.isfinite(rows.view(float)).all(axis=1)
-    with np.errstate(over="ignore"):
-        p0 = (rows.real**2 + rows.imag**2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = norms(rows)
+        p0 = norm**2
     bad = ~(finite & (p0 > 0) & (p0 <= 1.0 + 1e-9))
     if bad.any():
         j = int(np.argmax(bad))
@@ -559,18 +560,20 @@ def check_final_states(rows: np.ndarray, point: Callable[[int], str]) -> None:
         if p0[j] == 0:
             raise NumericalError(f"p0 = 0 at {point(j)}: the conditional state has no norm left")
         raise NumericalError(f"p0 = {p0[j]} > 1 at {point(j)}: the evolution is numerically unsound")
+    return norm
 
 
 def no_photon_probability(h: OperatorMatrix, psi0: StateVector, t: float) -> float:
-    """Probability of zero emissions in (0, t): ||exp(-i H t) psi0||^2."""
-    return evolve_no_jump(h, psi0, t).norm() ** 2
+    """Probability of zero emissions in (0, t): :func:`no_photon_probabilities` at the one time t."""
+    return float(no_photon_probabilities(h, psi0, [t])[0])
 
 
 def no_photon_probabilities(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) -> np.ndarray:
-    """:func:`no_photon_probability` at each t of ``times``, bit for bit, from one kernel call.
+    """||exp(-i H t) psi0||^2 at each t of ``times`` from one kernel call.
 
-    Raises :class:`NumericalError` naming the first t whose state is not
-    finite, as :func:`evolve_no_jump` does for its one t.
+    Each value is ``norms(rows) ** 2``, a correctly rounded square.  Raises
+    :class:`NumericalError` naming the first t whose state is not finite,
+    as :func:`evolve_no_jump` does for its one t.
     """
     return norms(_no_jump_rows(h, psi0, times)) ** 2
 

@@ -35,7 +35,7 @@ from .dynamics import (
     zeno_timescale,
     _systems,
 )
-from .hilbert import OperatorMatrix, StateVector, basis_state, compose, fidelities, norms, state_from_amplitudes
+from .hilbert import OperatorMatrix, StateVector, basis_state, check_normalized, compose, fidelities, state_from_amplitudes
 from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
 
 __all__ = [
@@ -172,15 +172,13 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     durations = np.array([duration for _, duration in runs], dtype=float)
     systems = np.repeat(np.arange(len(specs)), len(points))
     finals = no_jump_states(family, drives, durations, [psi0.amplitudes], systems)[:, 0]
-    check_final_states(
+    norm = check_final_states(
         finals, lambda j: f"{_system_name(specs, systems[j])}omega_minus={runs[j][0]:.9g}, T={runs[j][1]:.9g}"
     )
 
     targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in runs], layout)
-    norm = norms(finals)
-    p0 = np.float_power(norm, 2.0)  # ||psi||^2 as StateVector.norm() ** 2 gives it
     achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
-    return SweepResult(finals, p0, fidelities(finals, targets), achieved, durations)
+    return SweepResult(finals, norm**2, fidelities(finals, targets), achieved, durations)
 
 
 def _system_name(specs, s: int) -> str:
@@ -295,8 +293,7 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
         input_state = qubit_state(specs[0], given) if is_label else given
         if input_state.layout != layout:
             raise ValueError("input state does not live on the spec layout")
-        if abs(input_state.norm() - 1.0) > 1e-9:
-            raise ValueError("input state must be normalized")
+        check_normalized(input_state.amplitudes, "input state")
         in_amps = qubit_amplitudes(input_state)
         if abs(np.linalg.norm(in_amps) - 1.0) > 1e-9:
             raise ValueError("input must be supported on the qubit states with the cavity empty")
@@ -309,10 +306,10 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     systems = np.repeat(np.arange(len(specs)), len(omegas))
     finals = no_jump_states(family, drives, durations, in_states, systems)
     n_in, d = len(inputs), layout.total_dim
-    check_final_states(
+    norm = check_final_states(
         finals.reshape(-1, d),
         lambda j: f"{_system_name(specs, systems[j // n_in])}omega={runs[j // n_in]:.9g}, input={names[j % n_in]}",
     )
     # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
     fid = fidelities(finals, np.array(targets).reshape(n_in, d))
-    return SweepResult(finals, np.float_power(norms(finals), 2.0), fid, None, durations)
+    return SweepResult(finals, norm.reshape(finals.shape[:-1]) ** 2, fid, None, durations)

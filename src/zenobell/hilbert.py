@@ -28,6 +28,7 @@ __all__ = [
     "embed",
     "ladder",
     "norms",
+    "check_normalized",
     "fidelity",
     "fidelities",
     "basis_state",
@@ -175,10 +176,11 @@ def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
     return _embedded(local.tobytes(), target_label, layout)
 
 
-# One system needs at most seven distinct embeds (a two-level pair with
-# its jump operators).  The bound keeps a process that visits many layouts
-# from holding them all: 32 entries of the largest layout a config allows
-# (Lambda atoms, n_max = 32: 297 x 297) take 45 MB.
+# One system needs at most ten distinct embeds (a Lambda pair with its
+# lasers and jump operators; a two-level pair needs seven).  The bound
+# keeps a process that visits many layouts from holding them all: 32
+# entries of the largest layout a config allows (Lambda atoms,
+# n_max = 32: 297 x 297) take 45 MB.
 @functools.lru_cache(maxsize=32)
 def _embedded(local_bytes: bytes, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
     dim = layout.dim_of(target_label)
@@ -215,6 +217,14 @@ def norms(rows) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
+def check_normalized(rows, what: str = "state") -> None:
+    """Raise ValueError naming ``what`` unless every row of ``rows`` (or the one vector) has norm 1 within 1e-9."""
+    norm = norms(rows)
+    off = np.abs(norm - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"{what} must be normalized, got norm {float(norm[off].flat[0])}")
+
+
 def fidelities(rows, targets) -> np.ndarray:
     """|<target|psi>|^2 / <psi|psi> for every row psi of a stack of amplitude vectors.
 
@@ -227,10 +237,7 @@ def fidelities(rows, targets) -> np.ndarray:
     modulus and square are ``hypot`` and ``pow`` as for a scalar).
     """
     rows, targets = np.asarray(rows, dtype=complex), np.asarray(targets, dtype=complex)
-    target_norms = norms(targets)
-    off = np.abs(target_norms - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"target must be normalized, got norm {float(target_norms[off].flat[0])}")
+    check_normalized(targets, "target")
     n2 = np.vecdot(rows, rows).real
     if (n2 <= 0.0).any():
         raise ValueError("zero-norm state has no fidelity")

@@ -15,13 +15,11 @@ defined beside the damping of the conditional Hamiltonian they match.
 
 Randomness is one stream per batch: trajectory i takes draw i of
 ``np.random.default_rng(seed)``, so a batch is bit-for-bit reproducible
-for a fixed (seed, n_traj, dt), and a chunk of trajectories can
-regenerate its own draws with ``bit_generator.advance``.  ``seed`` is
-anything ``default_rng`` accepts, a ``Generator`` included, which is used
-and advanced in place: the ``trajectories`` scenario passes one
-``default_rng(SeedSequence(s))`` per run at seed s to its rows in turn,
-so runs at different seeds share no draws and a row's draws depend on
-the rows before it.
+for a fixed (seed, n_traj, dt).  ``seed`` is anything ``default_rng``
+accepts, a ``Generator`` included, which is used and advanced in place:
+the ``trajectories`` scenario passes one ``default_rng(SeedSequence(s))``
+per run at seed s to its rows in turn, so runs at different seeds share
+no draws and a row's draws depend on the rows before it.
 Because every trajectory starts from the same state and the pre-jump
 conditional state is deterministic, the shared no-jump trajectory is
 propagated once and the first jump is sampled by inversion: trajectory i
@@ -60,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, StateVector
+from .hilbert import OperatorMatrix, StateVector, check_normalized
 
 __all__ = [
     "TrajectoryBatch",
@@ -200,8 +198,7 @@ def run_trajectories(
     rng = np.random.default_rng(seed)  # rejects a negative seed before any work
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    if abs(psi0.norm() - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
+    check_normalized(psi0.amplitudes, "psi0")
 
     h = h_cond.entries
     ls = [op.entries for op in jump_ops]

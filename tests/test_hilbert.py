@@ -1,9 +1,12 @@
 import collections
+import re
 
 import numpy as np
 import pytest
 
-from zenobell import cli, hilbert
+from zenobell import bell, cli, hilbert
+from zenobell.dynamics import SystemSpec, decay_operators, h_cond
+from zenobell.gates import cnot_pulse, qubit_state
 from zenobell.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -19,6 +22,8 @@ from zenobell.hilbert import (
     norms,
     state_from_amplitudes,
 )
+from zenobell.states import antisymmetric_pair, ghz_state
+from zenobell.trajectories import run_trajectories
 
 from oracles import apply, embed_by_index, run_record_scores
 
@@ -218,6 +223,35 @@ def test_stacked_fidelity_guards():
         fidelities(rows, [target, 0.5 * target])
     with pytest.raises(ValueError, match="zero-norm state has no fidelity"):
         fidelities(np.vstack([rows, np.zeros(4)]), target)
+
+
+_CAVITY = SystemSpec(n_atoms=0, kappa=1.0, n_max=2)
+_LAMBDA = SystemSpec(atom_levels=3)
+_PAIR = antisymmetric_pair()
+
+
+# each caller of check_normalized, with the state it takes and the name its message gives that state
+@pytest.mark.parametrize(
+    "what, state, call",
+    [
+        ("state", _PAIR, lambda psi: bell.correlation(psi, 0, 1, 0.0, 0.0)),
+        ("state", ghz_state(3), bell.mermin_n),
+        ("state", _PAIR, lambda psi: bell.sample_correlation(psi, 0, 1, 0.0, 0.0, 100, 1)),
+        ("target", _PAIR, lambda psi: fidelity(antisymmetric_pair(), psi)),
+        ("input state", qubit_state(_LAMBDA, "10"), lambda psi: cnot_pulse(_LAMBDA, 0.02, psi)),
+        (
+            "psi0",
+            basis_state(_CAVITY.layout(), (1,)),
+            lambda psi: run_trajectories(h_cond(_CAVITY), decay_operators(_CAVITY), psi, 1.0, 10, seed=1),
+        ),
+    ],
+    ids=["correlation", "mermin_n", "sample_correlation", "fidelity", "cnot_pulse", "run_trajectories"],
+)
+def test_a_state_off_unit_norm_by_1e_8_is_refused_by_name(what, state, call):
+    call(state)  # the state itself is accepted
+    off = StateVector(state.layout, (1.0 + 1e-8) * state.amplitudes)
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be normalized, got norm {off.norm()}")):
+        call(off)
 
 
 def test_containers_immutable():
