@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .dynamics import cnot_drive
+from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
@@ -117,10 +117,14 @@ N_MAX_CAP = 32
 ROWS_CAP = 10**6
 # Most rows x d^3 a prepare_pair or cnot sweep may ask for on the d states of two atoms and the
 # cavity, as a row's propagator costs ~d^3: 10^6 rows on the 12-state pair, 4,347 on the 132-state one.
+# Measured on a 2-core x86-64 host: a 20,000-row prepare_pair run on the 12-state pair takes
+# 0.6-0.7 s, import included, and a row on the 132-state pair ~3.5 ms.
 SWEEP_WORK_CAP = 10**10
 # Most shots per sampled correlation, the same budget as the trajectory
 # count of a trajectories row.  A correlation is one binomial draw at any
-# shot count, so the cap bounds no work or memory; it only bounds the input.
+# shot count; the cap keeps the count one that a draw accepts: numpy's
+# Generator.binomial raises OverflowError at 2^63 shots, which would end a
+# run in a traceback.
 SHOTS_CAP = 10**7
 
 
@@ -131,47 +135,27 @@ def _n_max(table: dict) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """``count`` values ``lo + k step``, listed only when iterated.
-
-    Its length is known before any value exists, so the row count of a
-    run is checked before a grid is built.
-    """
-
-    lo: float
-    step: float
-    count: int
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        if self.count == 1:
-            return iter([self.lo])
-        return (self.lo + k * self.step for k in range(self.count))
-
-    @property
-    def last(self) -> float:
-        """The last value iteration gives; the values run monotonically from ``lo`` to it."""
-        return self.lo + (self.count - 1) * self.step
-
-
-def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> _Grid:
+def _grid(table: dict, name: str, lo: float, hi: float, count: int) -> list[float]:
+    """``count`` values ``lo + k step`` from ``name_min`` to ``name_max``, monotonic between the two ends."""
     lo = _float(name + "_min", table.pop(name + "_min", repr(lo)))
     hi = _float(name + "_max", table.pop(name + "_max", repr(hi)))
     count = _int(name + "_count", table.pop(name + "_count", str(count)))
     if not 1 <= count <= ROWS_CAP:
         raise ConfigError(f"{name}_count must lie in [1, {ROWS_CAP}], got {count}")
-    grid = _Grid(lo, (hi - lo) / (count - 1) if count > 1 else 0.0, count)
-    if not math.isfinite(grid.last):  # infinite too when the step overflows; the two ends bound the values
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    values = [lo + k * step for k in range(count)]
+    if not math.isfinite(values[-1]):  # infinite too when the step overflows; the two ends bound the values
         raise ConfigError(f"{name}_min = {lo!r} to {name}_max = {hi!r} in {count} points overflows to non-finite ones")
-    return grid
+    return values
 
 
-def _check_rows(what: str, rows: int, states: int = 0) -> None:
+def _check_rows(what: str, rows: int, sweep: SystemSpec | None = None) -> None:
+    """Refuse over ROWS_CAP rows, and over SWEEP_WORK_CAP for a sweep on the layout of ``sweep``."""
     if rows > ROWS_CAP:
         raise ConfigError(f"{what} asks for {rows} rows; a run may write at most {ROWS_CAP}")
+    states = 0 if sweep is None else sweep.layout().total_dim
     if rows * states**3 > SWEEP_WORK_CAP:
         raise ConfigError(f"{what} asks for {rows} rows on {states} states, over {SWEEP_WORK_CAP:.0e} rows x states^3")
 
@@ -197,15 +181,21 @@ def _finite_default_duration(values: list[float], key: str, duration: Callable[[
             raise ConfigError(f"key {key!r} = {v!r} is too small: its default duration is not finite")
 
 
-def _parse_prepare_pair(table: dict) -> dict:
+def _two_atom_sweep(table: dict, omega_key: str) -> dict:
+    """The physics a prepare_pair or cnot sweep shares: the rates, ``n_max`` and the nonzero ``omega_key`` values."""
     physics = {
         "g": _coupling(table),
         "kappa": _rate(table, "kappa"),
         "gamma": _rate(table, "gamma"),
         "n_max": _n_max(table),
-        "omega_values": _nonzero(_values(table, "omega_minus"), "omega_minus"),
+        "omega_values": _nonzero(_values(table, omega_key), omega_key),
     }
     _check_damping(physics)
+    return physics
+
+
+def _parse_prepare_pair(table: dict) -> dict:
+    physics = _two_atom_sweep(table, "omega_minus")
     if table.get("T") == "auto":
         del table["T"]
     t_key = "T_values" if "T_values" in table else "T"
@@ -218,25 +208,18 @@ def _parse_prepare_pair(table: dict) -> dict:
         _finite_default_duration(omegas, "omega_minus", pair_duration)
         physics["t_values"] = [pair_duration(omegas[0])] if len(omegas) == 1 else None
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
-    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, states=4 * (physics["n_max"] + 1))
+    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, SystemSpec(atom_levels=2, n_max=physics["n_max"]))
     return physics
 
 
 def _parse_cnot(table: dict) -> dict:
-    physics = {
-        "g": _coupling(table),
-        "kappa": _rate(table, "kappa"),
-        "gamma": _rate(table, "gamma"),
-        "n_max": _n_max(table),
-        "omega_values": _nonzero(_values(table, "omega"), "omega"),
-    }
-    _check_damping(physics)
+    physics = _two_atom_sweep(table, "omega")
     label = table.pop("input", "all")
     if label not in (*QUBIT_LABELS, "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
     rows = len(physics["omega_values"]) * (4 if label == "all" else 1)
-    _check_rows("omega x input", rows, states=9 * (physics["n_max"] + 1))
+    _check_rows("omega x input", rows, SystemSpec(atom_levels=3, n_max=physics["n_max"]))
     # the pulse length is part of the gate protocol, cnot_duration(omega): there is no 'T' key
     _finite_default_duration(physics["omega_values"], "omega", cnot_duration)
     for v in physics["omega_values"]:
@@ -245,12 +228,13 @@ def _parse_cnot(table: dict) -> dict:
     return physics
 
 
-def _transit_axis(table: dict, name: str, g: float) -> list[float] | _Grid:
+def _transit_axis(table: dict, name: str, g: float) -> list[float]:
     """A ``g t`` axis whose transit times ``value / g`` are >= 0 and finite; a grid is checked at its two ends."""
     key = name + "_values" if name + "_values" in table else name
-    axis = _values(table, name, required=False) or _grid(table, name, 0.0, math.pi, 51)
-    if isinstance(axis, _Grid):
-        ends = [(name + "_min", axis.lo), (name + "_max", axis.last)]
+    axis = _values(table, name, required=False)
+    if axis is None:
+        axis = _grid(table, name, 0.0, math.pi, 51)
+        ends = [(name + "_min", axis[0]), (name + "_max", axis[-1])]
     else:
         ends = [(key, v) for v in axis]
     for key, v in ends:
@@ -264,7 +248,7 @@ def _parse_pbg(table: dict) -> dict:
     gt1 = _transit_axis(table, "gt1", physics["g"])
     gt2 = _transit_axis(table, "gt2", physics["g"])
     _check_rows("gt1 x gt2", len(gt1) * len(gt2))
-    physics["gt1_values"], physics["gt2_values"] = list(gt1), list(gt2)
+    physics["gt1_values"], physics["gt2_values"] = gt1, gt2
     physics["loss"] = _nonnegative([_float("loss", table.pop("loss", "0"))], "loss")[0]
     return physics
 
@@ -273,7 +257,7 @@ def _parse_bell_landscape(table: dict) -> dict:
     omega_t = _grid(table, "omega_t", 0.0, 2.0 * math.pi, 101)
     vartheta = _grid(table, "vartheta", 0.0, math.pi, 101)
     _check_rows("omega_t_count x vartheta_count", len(omega_t) * len(vartheta))
-    physics = {"omega_t_values": list(omega_t), "vartheta_values": list(vartheta)}
+    physics = {"omega_t_values": omega_t, "vartheta_values": vartheta}
     eps = _float("readout_error", table.pop("readout_error", "0"))
     if not 0.0 <= eps < 0.5:
         raise ConfigError(f"key 'readout_error' must lie in [0, 0.5), got {eps}")

@@ -280,8 +280,6 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     a final state is not finite or has no norm left.
     """
     specs, omegas, inputs = _systems(spec), list(omegas), list(inputs)
-    if any(omega == 0 for omega in omegas):
-        raise ValueError("omega must be nonzero")
     if any(s.atom_levels != 3 for s in specs):
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
     family = DrivenHamiltonian.of(specs, cnot_drive(1.0))

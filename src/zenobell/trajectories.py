@@ -91,10 +91,13 @@ class TrajectoryBatch:
 
 
 _BLOCK = 256  # steps per block of the survival chain
-_MAX_STEPS = 10**7  # bounds the survival array (80 MB)
-# bounds the chain's run time: a step costs ~n^2 for n states, so a row
-# may take n_steps * n^2 up to the step limit of the 12-state pair
-_MAX_WORK = _MAX_STEPS * 12**2
+_MAX_STEPS = 2 * 10**6  # bounds the survival array (16 MB) and the chain's run time
+# bounds the run time above 26 states: a row takes at most this many
+# steps x n^2 on n states.  A step, measured on 2*10^4-step chains on a
+# 2-core x86-64 host, costs 0.38 us at 2 states, 0.71 us at 11, 0.66 us
+# at 12, 2.78 us at 36 and 13.98 us at 132, so the slowest row the two
+# limits admit takes ~3.1 s (36 states), and ~1.4 s on 12 states or fewer
+_MAX_WORK = 10**7 * 12**2
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
 _HISTOGRAM_BINS = 50
 _MIN_STEPS = 2 * _HISTOGRAM_BINS  # every first-jump histogram bin spans two or more steps

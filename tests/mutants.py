@@ -28,12 +28,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# Warnings fail the run (runs do not warn), with one narrow exception: the
-# hypothesis report hook raises a third-party DeprecationWarning from
-# mypy_extensions on a failing example, which under -W error alone ends the
-# run in INTERNALERROR (exit 3) with no FAILED lines.  CI's Tier-1 step
-# passes the same flags.
-PYTEST_WARNING_FLAGS = ("-W", "error", "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 class Mutant(NamedTuple):
@@ -205,8 +199,9 @@ def survivors(mutant: Mutant) -> list[str]:
         path = source(mutant, src)
         path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        # pythonpath from pyproject.toml would put the unmutated src first
-        pytest = [sys.executable, "-m", "pytest", "-q", "-rA", *PYTEST_WARNING_FLAGS, "-p", "no:cacheprovider"]
+        # pythonpath from pyproject.toml would put the unmutated src first; its
+        # warning policy, that any warning fails a test, holds as in every run
+        pytest = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider"]
         run = subprocess.run(
             [*pytest, "-o", f"pythonpath={src}", *mutant.tests], cwd=ROOT, env=env, capture_output=True, text=True
         )

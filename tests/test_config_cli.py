@@ -763,8 +763,8 @@ def test_cli_trajectory_step_budget_exits_1_quickly(tmp_path, capsys):
 
 
 def test_cli_trajectory_work_budget_bounds_a_large_space(tmp_path, capsys, monkeypatch):
-    # at n_max = 32 the pair has 132 states, and a chain step costs ~n^2:
-    # 10^6 steps there is over the 12-state pair's work at 10^7 steps
+    # at n_max = 32 the pair has 132 states, and the work limit counts
+    # steps x n^2: 10^6 steps there is over 10^7 steps on 12 states
     def no_chain(*args):
         raise AssertionError("the chain was built")
 
@@ -1307,6 +1307,8 @@ def _run_configs(draw):
 @example(f"scenario = prepare_pair\n{_PAIR}omega_minus_values = 0.02\nT_values = 10, -2\n")
 @example("scenario = pbg\nloss = 1e300\ngt1_min = 1e308\ngt1_count = 3\ngt2_count = 1\n")
 @example(f"scenario = cnot\n{_PAIR}omega_values = 1.5e308\n")
+# 9,424,778 chain steps on 12 states: a run of ~6 s while 10^7 steps were allowed
+@example("scenario = trajectories\nsystem = pair\ng = 0.001\nkappa = 0\ngamma = 0.001\nomega_minus = 1e-9\n")
 def test_cli_run_keeps_the_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as out:
         cfg = Path(out) / "run.cfg"
