@@ -17,8 +17,9 @@ import warnings
 
 import numpy as np
 
-from zenobell import SystemSpec, pair_target_alpha, prepare_pair
-from zenobell.gates import prepare_pair_sweep
+from zenobell.dynamics import SystemSpec
+from zenobell.gates import prepare_pair, prepare_pair_sweep
+from zenobell.states import pair_target_alpha
 
 OMEGA = 0.02  # antisymmetric Rabi frequency, units of g
 

@@ -12,16 +12,16 @@ import math
 
 import numpy as np
 
-from zenobell import (
+from zenobell.dfs import effective_hamiltonian, find_dfs
+from zenobell.dynamics import (
     SystemSpec,
+    cnot_drive,
     decay_operators,
-    effective_hamiltonian,
-    find_dfs,
     h_cond_lambda,
     h_cond_two_level,
+    pair_drive,
     zeno_timescale,
 )
-from zenobell.dynamics import cnot_drive, pair_drive
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 

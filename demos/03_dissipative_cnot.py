@@ -9,8 +9,8 @@ put: a CNOT with atom 1 as control.
 
 import numpy as np
 
-from zenobell import SystemSpec, cnot_ideal, cnot_pulse, qubit_state
-from zenobell.gates import QUBIT_LABELS, cnot_pulse_sweep, qubit_amplitudes
+from zenobell.dynamics import SystemSpec
+from zenobell.gates import QUBIT_LABELS, cnot_ideal, cnot_pulse, cnot_pulse_sweep, qubit_amplitudes, qubit_state
 from zenobell.hilbert import StateVector
 
 OMEGA = 0.02

@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from zenobell import TransitPlan, jc_amplitudes, pbg_final_state, pbg_optimal_times
 from zenobell.hilbert import fidelity
-from zenobell.pbg import bell_target, pbg_layout
+from zenobell.pbg import TransitPlan, bell_target, jc_amplitudes, pbg_final_state, pbg_layout, pbg_optimal_times
 
 print("vacuum-Rabi exchange amplitudes (c_e, c_g) of the bound state:")
 for gt in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):

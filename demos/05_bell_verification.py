@@ -13,17 +13,9 @@ combination, which reaches 4 against a classical bound of 2.
 
 import math
 
-from zenobell import (
-    basis_state,
-    bs_landscape,
-    bs_reduced,
-    entangled_pair_state,
-    ghz_state,
-    mermin_n,
-    qubit_layout,
-    sample_correlation,
-)
-from zenobell.states import antisymmetric_pair
+from zenobell.bell import bs_landscape, bs_reduced, mermin_n, sample_correlation
+from zenobell.hilbert import basis_state
+from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
 print("reduced Bell value of the full-pulse state vs analyzer angle:")
 psi = antisymmetric_pair()

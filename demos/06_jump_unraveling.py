@@ -11,17 +11,10 @@ import math
 
 import numpy as np
 
-from zenobell import (
-    SystemSpec,
-    basis_state,
-    decay_operators,
-    h_cond_two_level,
-    no_photon_probability,
-    run_trajectories,
-)
-from zenobell.dynamics import h_cond, pair_drive
+from zenobell.dynamics import SystemSpec, decay_operators, h_cond, h_cond_two_level, no_photon_probability, pair_drive
 from zenobell.gates import pair_duration
-from zenobell.trajectories import first_jump_histogram
+from zenobell.hilbert import basis_state
+from zenobell.trajectories import first_jump_histogram, run_trajectories
 
 print("=== pure cavity decay from a one-photon state ===")
 cavity = SystemSpec(n_atoms=0, kappa=1.0, n_max=2)  # no atoms: H = -i kappa b^dag b

@@ -51,7 +51,7 @@ from .dynamics import (
 )
 from .hilbert import basis_state, fidelities
 
-__all__ = ["main", "run_scenario", "render_csv", "NumericalError"]
+__all__ = ["main", "run_scenario", "render_csv"]
 
 
 # Rows formatted a block at a time, so the cells held at once stay few.

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
+from .trajectories import _MAX_TRAJ
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -295,6 +296,8 @@ def _parse_trajectories(table: dict) -> dict:
     n_traj = _int("n_traj", table.pop("n_traj", "2000"))
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj}")
+    if n_traj > _MAX_TRAJ:
+        raise ConfigError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
     physics["n_traj"] = n_traj
     t_end_key = "t_end_values" if "t_end_values" in table else "t_end"
     physics["t_end_values"] = _values(table, "t_end", required=False)

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import zeno_timescale  # re-exported; the regime rules live in dynamics
 from .hilbert import HilbertLayout, OperatorMatrix, StateVector, state_from_amplitudes
 from .states import entangled_pair_state
 
@@ -29,7 +28,6 @@ __all__ = [
     "EffectiveHamiltonian",
     "find_dfs",
     "effective_hamiltonian",
-    "zeno_timescale",
     "subspace_from_vectors",
     "pair_dfs_vectors",
     "lambda_dfs_vectors",

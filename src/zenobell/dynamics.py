@@ -249,8 +249,10 @@ class DrivenHamiltonian(NamedTuple):
         Point j is on system ``systems[j]`` (default: every point on
         system 0).  The rows and columns are the ascending basis indices
         ``states`` (default: all d); each entry equals that of the full
-        matrix.  Each laser's term is evaluated in two buffers allocated
-        once per call, and added to the stack in place.
+        matrix.  Each laser's term is evaluated and added only on the
+        entries where its S or S^dag is nonzero; elsewhere, at a finite
+        Rabi frequency, it is a zero, which leaves the sum's bytes as they
+        are (H0 holds no -0.0 part).
         """
         for drive in drives:
             if set(drive) != set(self.keys):
@@ -260,15 +262,12 @@ class DrivenHamiltonian(NamedTuple):
         rows, cols = np.ix_(states, states)
         # each point's H0_s, and then its drive terms, as rows of m * m entries
         h = np.take(self.h0[:, rows, cols].reshape(len(self.h0), -1), systems, axis=0)
-        # one term and its partner, evaluated in place: H += 0.5 (w S + conj(w) S^dag)
-        term, partner = np.empty_like(h), np.empty_like(h)
+        # H += 0.5 (w S + conj(w) S^dag) on the entries the laser reaches
         for key, s_plus in zip(self.keys, self.raising):
             w = np.array([complex(drive[key]) for drive in drives])[:, None]
-            np.multiply(w, s_plus[rows, cols].reshape(-1), out=term)
-            np.multiply(np.conj(w), s_plus.conj().T[rows, cols].reshape(-1), out=partner)
-            term += partner
-            np.multiply(0.5, term, out=term)
-            h += term
+            up, down = s_plus[rows, cols].reshape(-1), s_plus.conj().T[rows, cols].reshape(-1)
+            reached = np.flatnonzero((up != 0) | (down != 0))
+            h[:, reached] += 0.5 * (w * up[reached] + np.conj(w) * down[reached])
         return h.reshape(len(drives), len(states), len(states))
 
     def _point_systems(self, systems, n: int) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "SweepResult",
     "prepare_pair",
     "prepare_pair_sweep",
-    "pair_target_alpha",
     "sqr",
     "cnot_ideal",
     "cnot_pulse",

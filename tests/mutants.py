@@ -179,6 +179,24 @@ MUTANTS = (
         # the parser test only: the run test would start the sweep the cap refuses
         ("tests/test_config_cli.py::test_parse_sweep_work_bound_is_inclusive",),
     ),
+    Mutant(
+        "n_traj over the trajectory cap parses",
+        "config.py",
+        "    if n_traj > _MAX_TRAJ:\n"
+        '        raise ConfigError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")\n',
+        "",
+        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_n_traj_cap]",),
+    ),
+    Mutant(
+        "laser terms skip the S^dag entries",
+        "dynamics.py",
+        "reached = np.flatnonzero((up != 0) | (down != 0))",
+        "reached = np.flatnonzero(up != 0)",
+        (
+            "tests/test_dynamics.py::test_stack_equals_the_dense_drive_sum_byte_for_byte",
+            "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[fig4]",
+        ),
+    ),
 )
 
 

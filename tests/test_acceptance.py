@@ -47,11 +47,11 @@ from zenobell.dynamics import (
     h_cond_two_level,
     no_photon_probability,
 )
-from zenobell.gates import QUBIT_LABELS, cnot_duration, cnot_pulse, pair_target_alpha, prepare_pair, qubit_state
+from zenobell.gates import QUBIT_LABELS, cnot_duration, cnot_pulse, prepare_pair, qubit_state
 from zenobell.hilbert import basis_state, compose, fidelity, ladder, state_from_amplitudes, OperatorMatrix
 from zenobell.pbg import TransitPlan, bell_target, jc_amplitudes, pbg_final_state
 from zenobell.selftest import run_selftest
-from zenobell.states import entangled_pair_state, ghz_state, qubit_layout
+from zenobell.states import entangled_pair_state, ghz_state, pair_target_alpha, qubit_layout
 from zenobell.trajectories import run_trajectories
 
 from oracles import damped_cnot_amplitudes, damped_pair_amplitudes, integrate_schrodinger

@@ -695,9 +695,10 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     import zenobell.cli as cli_mod
+    from zenobell.dynamics import NumericalError
 
     def explode(cfg):
-        raise cli_mod.NumericalError("norm blew up")
+        raise NumericalError("norm blew up")
 
     monkeypatch.setitem(cli_mod._RUNNERS, "mermin", explode)
     cfg = tmp_path / "m.cfg"
@@ -1031,9 +1032,11 @@ def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):
         ("scenario = pbg\ngt1_min = 0.1\ngt1_max = 0\ngt1_count = 12\n", "key 'gt1_max' must be >= 0, got -1.38"),
         ("scenario = pbg\ng = 1e-150\ngt1 = 1e200\n", "key 'gt1' = 1e+200 is too large"),
         ("scenario = pbg\ng = 1e-150\ngt2_max = 1e200\ngt2_count = 3\n", "key 'gt2_max' = 1e+200 is too large"),
+        ("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_traj = 100000000\n",
+         "n_traj = 100000000 trajectories exceeds the limit of 10000000"),
     ],
     ids=["traj_omega_list", "traj_omega_and_list", "cnot_T", "pbg_negative_list", "pbg_negative_grid_start",
-         "pbg_grid_end_rounds_negative", "pbg_overflowing_transit", "pbg_overflowing_grid_end"],
+         "pbg_grid_end_rounds_negative", "pbg_overflowing_transit", "pbg_overflowing_grid_end", "traj_n_traj_cap"],
 )
 def test_parse_config_rejects_what_a_run_would_drop_or_fail_on(tmp_path, capsys, body, named):
     with pytest.raises(ConfigError) as raised:

@@ -1,6 +1,8 @@
-"""The demos, which are the callers of ``zenobell.__all__``, and the export lists themselves."""
+"""The demos, which import each public name from its defining module, the export lists and the import graph."""
 
 import importlib
+import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -46,11 +48,37 @@ def test_demo_list_is_complete():
 
 
 def test_every_exported_name_resolves():
-    modules = [zenobell] + [
-        importlib.import_module(f"zenobell.{info.name}") for info in pkgutil.iter_modules(zenobell.__path__)
-    ]
+    modules = [importlib.import_module(f"zenobell.{info.name}") for info in pkgutil.iter_modules(zenobell.__path__)]
     for module in modules:
         names = module.__all__
         assert len(set(names)) == len(names), f"{module.__name__}.__all__ repeats a name"
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names what it does not define: {missing}"
+        # one import path per name: a module exports only what it defines
+        defined = [v for v in map(module.__dict__.get, names) if inspect.isfunction(v) or inspect.isclass(v)]
+        borrowed = [v.__name__ for v in defined if v.__module__ != module.__name__]
+        assert not borrowed, f"{module.__name__}.__all__ re-exports {borrowed}"
+    # the root defines no public name; its attributes are the submodules once they are imported
+    assert not hasattr(zenobell, "__all__")
+    public = [name for name, value in vars(zenobell).items() if not (name.startswith("_") or inspect.ismodule(value))]
+    assert not public, public
+
+
+def test_import_graph():
+    """``import zenobell`` loads nothing else, and the CLI loads only the modules its commands run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'zenobell'))\n"
+        "import zenobell\n"
+        "root = loaded()\n"
+        "import zenobell.cli\n"
+        "print(json.dumps([root, loaded()]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    root, cli = json.loads(out.stdout)
+    assert root == ["zenobell"]
+    assert "zenobell.cli" in cli
+    assert "zenobell.dfs" not in cli
+    assert "zenobell.selftest" not in cli

@@ -9,9 +9,15 @@ from zenobell.dfs import (
     lambda_dfs_vectors,
     pair_dfs_vectors,
     subspace_from_vectors,
+)
+from zenobell.dynamics import (
+    SystemSpec,
+    decay_operators,
+    evolve_no_jump,
+    h_cond_lambda,
+    h_cond_two_level,
     zeno_timescale,
 )
-from zenobell.dynamics import SystemSpec, decay_operators, evolve_no_jump, h_cond_lambda, h_cond_two_level
 from zenobell.hilbert import OperatorMatrix, basis_state, fidelity, identity, state_from_amplitudes
 
 SQRT2 = math.sqrt(2.0)

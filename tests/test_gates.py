@@ -11,7 +11,6 @@ from zenobell.dfs import (
     lambda_dfs_vectors,
     pair_dfs_vectors,
     subspace_from_vectors,
-    zeno_timescale,
 )
 from zenobell import dynamics
 from zenobell.dynamics import (
@@ -24,6 +23,7 @@ from zenobell.dynamics import (
     h_cond_two_level,
     no_photon_probability,
     pair_drive,
+    zeno_timescale,
 )
 from zenobell.gates import (
     QUBIT_LABELS,
@@ -32,7 +32,6 @@ from zenobell.gates import (
     cnot_pulse,
     cnot_pulse_sweep,
     pair_duration,
-    pair_target_alpha,
     prepare_pair,
     prepare_pair_sweep,
     qubit_amplitudes,
@@ -40,7 +39,7 @@ from zenobell.gates import (
     sqr,
 )
 from zenobell.hilbert import basis_state, fidelity, state_from_amplitudes
-from zenobell.states import entangled_pair_amplitudes, entangled_pair_state, qubit_layout
+from zenobell.states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha, qubit_layout
 
 from oracles import (
     damped_cnot_amplitudes,
