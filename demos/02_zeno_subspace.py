@@ -37,8 +37,7 @@ for k, v in enumerate(dfs.vectors):
     print(f"  vector {k}: {support}")
 
 omega = 0.02
-driven = spec.with_rabi(pair_drive(omega))
-eff = effective_hamiltonian(h_cond_two_level(driven), dfs)
+eff = effective_hamiltonian(h_cond_two_level(spec, pair_drive(omega)), dfs)
 print("projected Hamiltonian in that basis (units of g):")
 print(eff.in_basis.real)
 
@@ -47,8 +46,7 @@ print("=== two Lambda atoms under the CNOT drive ===")
 lspec = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
 ldfs = find_dfs(h_cond_lambda(lspec), decay_operators(lspec))
 print(f"subspace dimension: {ldfs.dim}")
-ldriven = lspec.with_rabi(cnot_drive(omega))
-leff = effective_hamiltonian(h_cond_lambda(ldriven), ldfs)
+leff = effective_hamiltonian(h_cond_lambda(lspec, cnot_drive(omega)), ldfs)
 print("projected Hamiltonian, basis |00>, |01>, |10>, |11>, (|12>-|21>)/sqrt2:")
 print(leff.in_basis.real)
 print()

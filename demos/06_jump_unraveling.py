@@ -28,15 +28,8 @@ for t in (0.25, 0.5, 1.0, 1.5):
 print()
 print("=== entangling pulse, success probability ===")
 omega = 0.02
-spec = SystemSpec(
-    atom_levels=2,
-    g=1.0,
-    kappa=1.0,
-    gamma=0.001,
-    rabi=pair_drive(omega),
-    n_max=2,
-)
-hp = h_cond_two_level(spec)
+spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=0.001, n_max=2)
+hp = h_cond_two_level(spec, pair_drive(omega))
 psi0 = basis_state(hp.layout, (0, 0, 0))
 t_end = pair_duration(omega)
 batch = run_trajectories(hp, decay_operators(spec), psi0, t_end, 10_000, seed=100)

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import SIGMA_X, SIGMA_Y, StateVector, check_normalized
-from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
+from .states import pair_target_amplitudes, qubit_layout
 
 __all__ = [
     "AnalyzerSettings",
@@ -346,8 +346,8 @@ def sample_correlation(
 
 
 def landscape_state(omega_t: float) -> StateVector:
-    """The pulse-family state at pulse area ``omega_t``, the pulse of a unit positive Rabi frequency."""
-    return entangled_pair_state(pair_target_alpha(1.0, omega_t))
+    """The one-row, two-qubit :func:`~zenobell.states.pair_target_amplitudes` of a unit pulse of area ``omega_t``."""
+    return StateVector(qubit_layout(2), pair_target_amplitudes([1.0], [omega_t])[0])
 
 
 # Rows whose outcome probabilities are stacked in one call.  The stack
@@ -373,7 +373,7 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
     # the landscape states of every omega at once, each the (1, 2, 2) pair
     # matrices that _pair_matrices gives its landscape_state
-    amps = entangled_pair_amplitudes([pair_target_alpha(1.0, om_t) for om_t in omega_t_grid.tolist()])
+    amps = pair_target_amplitudes([1.0] * len(omega_t_grid), omega_t_grid.tolist())
     check_normalized(amps)
     m = amps.reshape(-1, 1, 2, 2)
     n_v, n_rows = len(v), len(m) * len(v)

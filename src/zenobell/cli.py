@@ -242,12 +242,12 @@ def _run_trajectories(cfg: ScenarioConfig):
     if p["system"] == "pair":
         om = p["omega_minus"]
         spec = SystemSpec(atom_levels=2, n_atoms=2, g=p["g"], kappa=p["kappa"], gamma=p["gamma"], n_max=p["n_max"])
-        spec = spec.with_rabi(pair_drive(om))
-        occupation, default_t, summary = (0, 0, 0), gates.pair_duration(om), _regime_lines(spec, [om])
+        drive, occupation, default_t = pair_drive(om), (0, 0, 0), gates.pair_duration(om)
+        summary = _regime_lines(spec, [om])
     else:  # cavity_decay: the bare leaky cavity from one photon
         spec = SystemSpec(n_atoms=0, kappa=p["kappa"], n_max=p["n_max"])
-        occupation, default_t, summary = (1,), gates.cavity_decay_duration(p["kappa"]), []
-    h, jump_ops, psi0 = h_cond(spec), decay_operators(spec), basis_state(spec.layout(), occupation)
+        drive, occupation, default_t, summary = {}, (1,), gates.cavity_decay_duration(p["kappa"]), []
+    h, jump_ops, psi0 = h_cond(spec, drive), decay_operators(spec), basis_state(spec.layout(), occupation)
 
     t_values = p["t_end_values"] or [default_t]
     rng = _run_stream(cfg.seed)

@@ -18,9 +18,11 @@ state is the probability that no photon has been emitted.  Its
 anti-Hermitian part is -(i/2) sum_k L_k^dag L_k for the jump operators
 of :func:`decay_operators` (Plenio and Knight, RMP 70, 101 (1998)):
 amplitudes damp at Gamma and kappa, intensities at 2 Gamma and 2 kappa,
-so the operators carry sqrt(2 Gamma) and sqrt(2 kappa).  :func:`h_cond`
-assembles H0, the part without lasers; :meth:`DrivenHamiltonian.stack`
-adds every laser term.  A spec with no atoms is the bare leaky cavity,
+so the operators carry sqrt(2 Gamma) and sqrt(2 kappa).  Lasers enter
+only through a drive {(atom, transition): Rabi frequency}, never a
+:class:`SystemSpec`: :func:`h_cond` assembles H0, the part without
+lasers, and :meth:`DrivenHamiltonian.stack` adds every laser term of a
+drive.  A spec with no atoms is the bare leaky cavity,
 H = -i kappa b^dag b with the one jump operator sqrt(2 kappa) b.
 
 Two-level atoms use levels 0 (ground) and 1 (excited, cavity-coupled via
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +69,6 @@ __all__ = [
     "no_photon_probabilities",
     "check_regime",
     "zeno_timescale",
-    "cavity_annihilation",
     "decay_operators",
 ]
 
@@ -86,18 +87,14 @@ class NumericalError(RuntimeError):
     """Norm blow-up or other numeric inconsistency during a run."""
 
 
-def _valid_transitions(levels: int) -> frozenset:
-    return frozenset({"0-1"}) if levels == 2 else frozenset({"0-2", "1-2"})
-
-
 @dataclass(frozen=True)
 class SystemSpec:
-    """Declarative description of the atoms-in-cavity system.
+    """Declarative description of the atoms-in-cavity system, without lasers.
 
-    ``rabi`` maps (atom index, transition label) to a complex Rabi
-    frequency; atom indices are 1-based, so a spec with no atoms (the
-    bare leaky cavity) has no lasers.  ``n_max`` is the largest Fock
-    state kept in the cavity truncation.
+    Lasers enter only through a drive passed to :func:`h_cond` or
+    :meth:`DrivenHamiltonian.stack`.  Atom indices are 1-based, so a spec
+    with no atoms (the bare leaky cavity) takes no laser.  ``n_max`` is
+    the largest Fock state kept in the cavity truncation.
     """
 
     atom_levels: int = 2
@@ -105,7 +102,6 @@ class SystemSpec:
     g: float = 1.0
     kappa: float = 1.0
     gamma: float = 0.0
-    rabi: Mapping = field(default_factory=dict)
     n_max: int = 2
 
     def __post_init__(self):
@@ -118,28 +114,11 @@ class SystemSpec:
                 raise ValueError(f"{name} must be finite and {'>' if name == 'g' else '>='} 0, got {value}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        valid = _valid_transitions(self.atom_levels)
-        clean = {}
-        for (atom, trans), omega in dict(self.rabi).items():
-            if not 1 <= int(atom) <= self.n_atoms:
-                raise ValueError(f"rabi entry for unknown atom {atom}")
-            if trans not in valid:
-                raise ValueError(
-                    f"transition {trans!r} invalid for {self.atom_levels}-level atoms "
-                    f"(expected one of {sorted(valid)})"
-                )
-            clean[(int(atom), str(trans))] = w = complex(omega)
-            if not np.isfinite(w):
-                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
-        object.__setattr__(self, "rabi", clean)
 
     def layout(self) -> HilbertLayout:
         factors = [(f"atom{i}", self.atom_levels) for i in range(1, self.n_atoms + 1)]
         factors.append(("cav", self.n_max + 1))
         return compose(factors)
-
-    def with_rabi(self, rabi: Mapping) -> "SystemSpec":
-        return replace(self, rabi=rabi)
 
 
 class RegimeReport(NamedTuple):
@@ -157,7 +136,7 @@ def _transition_op(levels: int, trans: str) -> np.ndarray:
     return op
 
 
-def cavity_annihilation(layout: HilbertLayout) -> OperatorMatrix:
+def _cavity_annihilation(layout: HilbertLayout) -> OperatorMatrix:
     """The cavity annihilation operator embedded in the full space."""
     return embed(ladder(layout.dim_of("cav")), "cav", layout)
 
@@ -216,23 +195,28 @@ class DrivenHamiltonian(NamedTuple):
         """H0 of each system of ``specs`` and the drive operators of the lasers ``keys``.
 
         ``specs`` is one :class:`SystemSpec` or a sequence of specs on one
-        layout, with any number of atoms; system s is ``specs[s]``.  H0_s
-        is the conditional Hamiltonian with the lasers off: :func:`h_cond`
-        of the spec without its ``rabi``, taken through
-        :func:`h_cond_two_level` or :func:`h_cond_lambda` for the two-atom
-        schemes they check.  The conditional Hamiltonian of a spec with
-        lasers is the one-point :meth:`stack` of this family.
+        layout, with any number of atoms; system s is ``specs[s]``.  Lasers
+        enter only through drives on ``keys``, (atom, transition) pairs
+        checked here.  H0_s, the Hamiltonian with the lasers off, is
+        :func:`h_cond` of spec s itself, through :func:`h_cond_two_level`
+        or :func:`h_cond_lambda` for the two-atom schemes they check.
+        ``h_cond(spec, drive)`` is the one-point :meth:`stack` of a family.
         """
         keys, specs = tuple(keys), _systems(specs)
         if not specs:
             raise ValueError("a family needs at least one system")
-        layout = specs[0].layout()
+        first, layout = specs[0], specs[0].layout()
         if any(spec.layout() != layout for spec in specs[1:]):
             raise ValueError("the systems of a family must share one layout")
-        specs[0].with_rabi(dict.fromkeys(keys, 0.0))  # validates the atoms and transitions
-        checked = h_cond if specs[0].n_atoms != 2 else h_cond_two_level if specs[0].atom_levels == 2 else h_cond_lambda
-        raising = tuple(_frozen(_raising_op(specs[0], layout, atom, trans)) for atom, trans in keys)
-        h0 = _frozen(np.stack([checked(spec.with_rabi({})).entries for spec in specs]))
+        levels, valid = first.atom_levels, ["0-1"] if first.atom_levels == 2 else ["0-2", "1-2"]
+        for atom, trans in keys:
+            if not 1 <= int(atom) <= first.n_atoms:
+                raise ValueError(f"rabi entry for unknown atom {atom}")
+            if trans not in valid:
+                raise ValueError(f"transition {trans!r} invalid for {levels}-level atoms (expected one of {valid})")
+        checked = h_cond if first.n_atoms != 2 else h_cond_two_level if first.atom_levels == 2 else h_cond_lambda
+        raising = tuple(_frozen(_raising_op(first, layout, atom, trans)) for atom, trans in keys)
+        h0 = _frozen(np.stack([checked(spec).entries for spec in specs]))
         return cls(layout, keys, h0, raising)
 
     @property
@@ -335,24 +319,28 @@ def _raising_op(spec: SystemSpec, layout: HilbertLayout, atom: int, trans: str) 
     return embed(_transition_op(spec.atom_levels, trans), f"atom{atom}", layout).entries
 
 
-def h_cond(spec: SystemSpec) -> OperatorMatrix:
-    """Conditional Hamiltonian of ``spec``, with any number of atoms.
+def h_cond(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMatrix:
+    """Conditional Hamiltonian of ``spec``, with any number of atoms, under the lasers ``drive``.
 
-    Without lasers it is H0: the cavity coupling plus the Gamma and kappa
-    damping, so a spec with no atoms gives -i kappa b^dag b.  A spec with
-    lasers gets the one-point :meth:`DrivenHamiltonian.stack`
-    of :meth:`DrivenHamiltonian.of`, which takes H0 from here.
+    Lasers enter only through ``drive``, {(atom, transition): finite Rabi
+    frequency} with 1-based atoms.  Without one it is H0: the cavity
+    coupling plus the Gamma and kappa damping, so a spec with no atoms
+    gives -i kappa b^dag b.  With one it is the one-point
+    :meth:`DrivenHamiltonian.stack` of :meth:`DrivenHamiltonian.of`,
+    which checks the keys and takes H0 from here.
     """
-    if spec.rabi:
-        family = DrivenHamiltonian.of(spec, spec.rabi)
-        return OperatorMatrix(family.layout, family.stack([spec.rabi])[0])
+    if drive:
+        for (atom, trans), omega in drive.items():
+            if not np.isfinite(w := complex(omega)):
+                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
+        family = DrivenHamiltonian.of(spec, drive)
+        return OperatorMatrix(family.layout, family.stack([drive])[0])
     layout = spec.layout()
     cavity_transition, excited = ("0-1", 1) if spec.atom_levels == 2 else ("1-2", 2)
-    b_full = cavity_annihilation(layout).entries
+    b_full = _cavity_annihilation(layout).entries
     h0 = np.zeros((layout.total_dim,) * 2, dtype=complex)
 
-    proj_exc = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
-    proj_exc[excited, excited] = 1.0
+    proj_exc = _transition_op(spec.atom_levels, f"{excited}-{excited}")
     for i in range(1, spec.n_atoms + 1):
         # antisymmetric cavity coupling: i g (b s+ - b^dag s-)
         coupling = b_full @ _raising_op(spec, layout, i, cavity_transition)
@@ -373,43 +361,42 @@ def decay_operators(spec: SystemSpec) -> list[OperatorMatrix]:
     layout = spec.layout()
     ops: list[OperatorMatrix] = []
     if spec.kappa > 0:
-        ops.append(OperatorMatrix(layout, math.sqrt(2.0 * spec.kappa) * cavity_annihilation(layout).entries))
+        ops.append(OperatorMatrix(layout, math.sqrt(2.0 * spec.kappa) * _cavity_annihilation(layout).entries))
     if spec.gamma > 0:
         excited = spec.atom_levels - 1
         grounds = [0] if spec.atom_levels == 2 else [0, 1]
         rate = 2.0 * spec.gamma / len(grounds)
         for i in range(1, spec.n_atoms + 1):
             for low in grounds:
-                lower = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
-                lower[low, excited] = math.sqrt(rate)
+                lower = math.sqrt(rate) * _transition_op(spec.atom_levels, f"{low}-{excited}").T
                 ops.append(embed(lower, f"atom{i}", layout))
     return ops
 
 
-def h_cond_two_level(spec: SystemSpec) -> OperatorMatrix:
+def h_cond_two_level(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMatrix:
     """Conditional Hamiltonian for two two-level atoms in the leaky cavity.
 
     Both atoms couple to the cavity mode on their 0-1 transition with
-    strength g; lasers enter through ``spec.rabi``; the anti-Hermitian
-    part (-i Gamma on the excited levels, -i kappa b^dag b) is negative
-    semidefinite.
+    strength g; lasers enter only through ``drive`` (the entangling pulse
+    is :func:`pair_drive`); the anti-Hermitian part (-i Gamma on the
+    excited levels, -i kappa b^dag b) is negative semidefinite.
     """
     if spec.atom_levels != 2 or spec.n_atoms != 2:
         raise ValueError("two-level scheme needs exactly two 2-level atoms")
-    return h_cond(spec)
+    return h_cond(spec, drive)
 
 
-def h_cond_lambda(spec: SystemSpec) -> OperatorMatrix:
+def h_cond_lambda(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMatrix:
     """Conditional Hamiltonian for two Lambda atoms in the leaky cavity.
 
-    The cavity couples each atom's 1-2 transition; lasers drive whatever
-    ``spec.rabi`` prescribes (for the dissipative CNOT: atom 1 on "1-2"
-    and atom 2 on "0-2", both with Rabi frequency sqrt(2)*Omega); level 2
-    decays at Gamma.
+    The cavity couples each atom's 1-2 transition; lasers enter only
+    through ``drive`` (for the dissipative CNOT, :func:`cnot_drive`: atom 1
+    on "1-2" and atom 2 on "0-2", both with Rabi frequency sqrt(2)*Omega);
+    level 2 decays at Gamma.
     """
     if spec.atom_levels != 3 or spec.n_atoms != 2:
         raise ValueError("Lambda scheme needs exactly two 3-level atoms")
-    return h_cond(spec)
+    return h_cond(spec, drive)
 
 
 def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:

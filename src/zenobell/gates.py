@@ -36,7 +36,7 @@ from .dynamics import (
     _systems,
 )
 from .hilbert import OperatorMatrix, StateVector, basis_state, check_normalized, compose, fidelities, state_from_amplitudes
-from .states import entangled_pair_amplitudes, entangled_pair_state, pair_target_alpha
+from .states import entangled_pair_state, pair_target_amplitudes
 
 __all__ = [
     "RunRecord",
@@ -135,8 +135,8 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     ``duration`` under the full two-level conditional Hamiltonian;
     out-of-regime parameters and a pulse shorter than 10x
     :func:`~zenobell.dynamics.zeno_timescale` produce a warning, not an error.
-    The fidelity target is :func:`~zenobell.states.entangled_pair_state`
-    at the ideal alpha (:func:`~zenobell.states.pair_target_alpha`); the achieved alpha is
+    The fidelity target is the state the pulse ideally gives
+    (:func:`~zenobell.states.pair_target_amplitudes`); the achieved alpha is
     the overlap of the renormalized final state with |a> (cavity empty).
     """
     return _first_record(spec, omega_minus, prepare_pair_sweep(spec, [(omega_minus, duration)]))
@@ -175,7 +175,7 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
         finals, lambda j: f"{_system_name(specs, systems[j])}omega_minus={runs[j][0]:.9g}, T={runs[j][1]:.9g}"
     )
 
-    targets = entangled_pair_amplitudes([pair_target_alpha(om, duration) for om, duration in runs], layout)
+    targets = pair_target_amplitudes([om for om, _ in runs], [duration for _, duration in runs], layout)
     achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
     return SweepResult(finals, norm**2, fidelities(finals, targets), achieved, durations)
 

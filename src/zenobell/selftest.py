@@ -40,6 +40,7 @@ from .dynamics import (
 )
 from .gates import pair_duration
 from .hilbert import StateVector, basis_state, norms
+from .states import qubit_layout
 
 __all__ = ["run_selftest"]
 
@@ -55,7 +56,7 @@ _DIGESTS = {
 
 
 def _pair_spec(gamma: float, n_max: int = 2) -> SystemSpec:
-    return SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gamma, rabi=pair_drive(_OMEGA), n_max=n_max)
+    return SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=gamma, n_max=n_max)
 
 
 def _digests_differ(renderings: dict[str, str]) -> str:
@@ -107,7 +108,7 @@ def _check_tsirelson() -> tuple[bool, str]:
     worst = int(np.argmax(np.abs(b_s)))
     biggest = abs(float(b_s[worst]))
     # the one-state public path must score the worst state the same way
-    state = StateVector(bell.landscape_state(0.0).layout, amps[worst])
+    state = StateVector(qubit_layout(2), amps[worst])
     t1, t1p, t2, t2p = angles[worst]
     # B_S = E(t1, t2) - E(t1, t2') + E(t1', t2) + E(t1', t2')
     terms = ((1, t1, t2), (-1, t1, t2p), (1, t1p, t2), (1, t1p, t2p))
@@ -119,7 +120,7 @@ def _check_tsirelson() -> tuple[bool, str]:
 
 
 def _check_fock_convergence() -> tuple[bool, str]:
-    hs = [h_cond_two_level(_pair_spec(0.001, n_max=n_max)) for n_max in (2, 3)]
+    hs = [h_cond_two_level(_pair_spec(0.001, n_max=n_max), pair_drive(_OMEGA)) for n_max in (2, 3)]
     p2, p3 = (no_photon_probability(h, basis_state(h.layout, (0, 0, 0)), pair_duration(_OMEGA)) for h in hs)
     diff = abs(p2 - p3)
     return diff < 1e-6, f"|P0(n_max=2) - P0(n_max=3)| = {diff:.2e}"

@@ -3,8 +3,9 @@
 :func:`entangled_pair_state` is the one builder of the pulse family
 alpha |a> + sqrt(1 - |alpha|^2) |00>, on two qubits or on a full
 atoms-and-mode layout; the gates, the analytic decoherence-free basis and
-the Bell scoring all take their pair states from it, and the alpha a
-pulse gives from :func:`pair_target_alpha`.
+the Bell scoring all take their pair states from it, the alpha a pulse
+gives from :func:`pair_target_alpha`, and the state a pulse ideally
+gives from :func:`pair_target_amplitudes`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "entangled_pair_state",
     "entangled_pair_amplitudes",
     "pair_target_alpha",
+    "pair_target_amplitudes",
     "ghz_state",
 ]
 
@@ -76,6 +78,12 @@ def entangled_pair_amplitudes(alphas, layout: HilbertLayout | None = None) -> np
     amps[:, layout.basis_index((0, 1, *others))] += -alphas * s
     amps[:, layout.basis_index((0, 0, *others))] += np.sqrt(np.maximum(ground, 0.0))
     return amps
+
+
+def pair_target_amplitudes(omegas, durations, layout: HilbertLayout | None = None) -> np.ndarray:
+    """:func:`entangled_pair_amplitudes` at the :func:`pair_target_alpha` of each pulse (omegas[j], durations[j])."""
+    alphas = [pair_target_alpha(om, duration) for om, duration in zip(omegas, durations, strict=True)]
+    return entangled_pair_amplitudes(alphas, layout)
 
 
 def ghz_state(n: int = 3, phase: float = 0.0) -> StateVector:

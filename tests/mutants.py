@@ -197,6 +197,29 @@ MUTANTS = (
             "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[fig4]",
         ),
     ),
+    Mutant(
+        "a family takes a laser on an atom it does not have",
+        "dynamics.py",
+        "            if not 1 <= int(atom) <= first.n_atoms:\n"
+        '                raise ValueError(f"rabi entry for unknown atom {atom}")\n',
+        "",
+        (
+            "tests/test_dynamics.py::test_spec_validation",
+            "tests/test_dynamics.py::test_atom_count_validation",
+        ),
+    ),
+    Mutant(
+        "h_cond takes a non-finite Rabi frequency",
+        "dynamics.py",
+        "        for (atom, trans), omega in drive.items():\n"
+        "            if not np.isfinite(w := complex(omega)):\n"
+        '                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")\n',
+        "",
+        (
+            "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[rabi_nan]",
+            "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[rabi_imag_inf]",
+        ),
+    ),
 )
 
 

@@ -58,11 +58,11 @@ def embed_by_index(local: np.ndarray, axis: int, dims) -> np.ndarray:
     return out
 
 
-def conditional_hamiltonian(spec) -> np.ndarray:
-    """The conditional Hamiltonian of ``spec`` summed term by term for its one drive.
+def conditional_hamiltonian(spec, drive) -> np.ndarray:
+    """The conditional Hamiltonian of ``spec`` under ``drive``, summed term by term.
 
     Terms are added in the order cavity coupling and Gamma per atom, then
-    each laser of ``spec.rabi``, then kappa, with every operator embedded
+    each laser of ``drive``, then kappa, with every operator embedded
     by index arithmetic; the package instead adds the lasers to a
     precomputed rest, for a whole stack of drives at once.
     """
@@ -87,8 +87,9 @@ def conditional_hamiltonian(spec) -> np.ndarray:
         coupling = b_full @ embed_by_index(raising(cavity_transition), axis, dims)
         h += 1j * spec.g * (coupling - coupling.conj().T)
         h += -1j * spec.gamma * embed_by_index(proj_exc, axis, dims)
-    for (atom, trans), omega in spec.rabi.items():
+    for (atom, trans), omega in drive.items():
         s_plus = embed_by_index(raising(trans), atom - 1, dims)
+        omega = complex(omega)
         h += 0.5 * (omega * s_plus + np.conj(omega) * s_plus.conj().T)
     h += -1j * spec.kappa * (b_full.conj().T @ b_full)
     return h

@@ -171,8 +171,8 @@ def test_criterion_4_pair_preparation_stated_point():
     drive = {(1, "0-1"): OMEGA / SQRT2, (2, "0-1"): -OMEGA / SQRT2}
     psi0 = basis_state(rec.final_state.layout, (0, 0, 0))
     prop = max(
-        propagation_error(h_cond_two_level(pair_spec(STATED_GAMMA).with_rabi(drive)), psi0, duration, rec.final_state),
-        propagation_error(h_cond_two_level(pair_spec(0.0).with_rabi(drive)), psi0, duration, leak.final_state),
+        propagation_error(h_cond_two_level(pair_spec(STATED_GAMMA), drive), psi0, duration, rec.final_state),
+        propagation_error(h_cond_two_level(pair_spec(0.0), drive), psi0, duration, leak.final_state),
     )
     ok = (
         not rec.regime.in_regime
@@ -235,7 +235,7 @@ def test_criterion_5_cnot_stated_point():
     duration = cnot_duration(OMEGA)
     layout = spec.layout()
     drive = {(1, "1-2"): SQRT2 * OMEGA, (2, "0-2"): SQRT2 * OMEGA}
-    h, h0 = h_cond_lambda(spec.with_rabi(drive)), h_cond_lambda(spec0.with_rabi(drive))
+    h, h0 = h_cond_lambda(spec, drive), h_cond_lambda(spec0, drive)
     fids, gaps, prop = {}, {}, 0.0
     for label in QUBIT_LABELS:
         rec, leak, psi0 = recs[label], leaks[label], qubit_state(spec, label)
@@ -276,8 +276,7 @@ def test_criterion_5_cnot_stated_point():
 
 def test_criterion_5_cnot_effective_hamiltonian_rabi():
     start = time.perf_counter()
-    spec = lambda_spec(0.0).with_rabi({(1, "1-2"): SQRT2 * OMEGA, (2, "0-2"): SQRT2 * OMEGA})
-    h = h_cond_lambda(spec)
+    h = h_cond_lambda(lambda_spec(0.0), {(1, "1-2"): SQRT2 * OMEGA, (2, "0-2"): SQRT2 * OMEGA})
     layout = h.layout
     eff = effective_hamiltonian(h, subspace_from_vectors(layout, lambda_dfs_vectors(layout)))
     out = evolve_no_jump(eff.operator, basis_state(layout, (1, 0, 0)), cnot_duration(OMEGA))
@@ -309,8 +308,7 @@ def test_criterion_5_cnot_regime_compliant():
 def test_criterion_6_effective_hamiltonian_extraction():
     # two-level scheme
     om = OMEGA
-    spec2 = pair_spec(0.0).with_rabi({(1, "0-1"): om / SQRT2, (2, "0-1"): -om / SQRT2})
-    h2 = h_cond_two_level(spec2)
+    h2 = h_cond_two_level(pair_spec(0.0), {(1, "0-1"): om / SQRT2, (2, "0-1"): -om / SQRT2})
     layout2 = h2.layout
     v00, va = pair_dfs_vectors(layout2)
     eff2 = effective_hamiltonian(h2, subspace_from_vectors(layout2, [v00, va]))
@@ -319,8 +317,7 @@ def test_criterion_6_effective_hamiltonian_extraction():
     dev2 = float(np.max(np.abs(eff2.operator.entries - expected2)))
 
     # Lambda scheme
-    spec3 = lambda_spec(0.0).with_rabi({(1, "1-2"): SQRT2 * om, (2, "0-2"): SQRT2 * om})
-    h3 = h_cond_lambda(spec3)
+    h3 = h_cond_lambda(lambda_spec(0.0), {(1, "1-2"): SQRT2 * om, (2, "0-2"): SQRT2 * om})
     layout3 = h3.layout
     vecs = lambda_dfs_vectors(layout3)
     eff3 = effective_hamiltonian(h3, subspace_from_vectors(layout3, vecs))
@@ -386,8 +383,8 @@ def test_criterion_7_band_gap_scheme():
 def test_criterion_8_trajectory_oracle():
     start = time.perf_counter()
     # pair preparation at the stated criterion-4 point
-    spec = pair_spec(STATED_GAMMA).with_rabi({(1, "0-1"): OMEGA / SQRT2, (2, "0-1"): -OMEGA / SQRT2})
-    h = h_cond_two_level(spec)
+    spec = pair_spec(STATED_GAMMA)
+    h = h_cond_two_level(spec, {(1, "0-1"): OMEGA / SQRT2, (2, "0-1"): -OMEGA / SQRT2})
     psi0 = basis_state(h.layout, (0, 0, 0))
     t_pair = math.pi / OMEGA
     batch_pair = run_trajectories(h, decay_operators(spec), psi0, t_pair, 10_000, seed=2026)

@@ -116,10 +116,7 @@ def test_find_dfs_deterministic_ordering():
 
 def test_effective_hamiltonian_two_level_pulse():
     omega_minus = 0.02
-    spec = bare_pair_spec().with_rabi(
-        {(1, "0-1"): omega_minus / SQRT2, (2, "0-1"): -omega_minus / SQRT2}
-    )
-    h = h_cond_two_level(spec)
+    h = h_cond_two_level(bare_pair_spec(), {(1, "0-1"): omega_minus / SQRT2, (2, "0-1"): -omega_minus / SQRT2})
     layout = h.layout
     v00, va = pair_dfs_vectors(layout)
     eff = effective_hamiltonian(h, subspace_from_vectors(layout, [v00, va]))
@@ -133,8 +130,7 @@ def test_effective_hamiltonian_two_level_pulse():
 
 def test_effective_hamiltonian_lambda_cnot():
     omega = 0.02
-    spec = bare_lambda_spec().with_rabi({(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega})
-    h = h_cond_lambda(spec)
+    h = h_cond_lambda(bare_lambda_spec(), {(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega})
     layout = h.layout
     vectors = lambda_dfs_vectors(layout)
     eff = effective_hamiltonian(h, subspace_from_vectors(layout, vectors))
@@ -158,19 +154,12 @@ def test_effective_hamiltonian_of_zero_is_zero():
 def test_effective_dynamics_matches_full_dynamics_in_regime():
     # pulse on |00>: full conditional evolution vs the projected one
     omega_minus = 0.02
-    spec = SystemSpec(
-        atom_levels=2,
-        g=1.0,
-        kappa=1.0,
-        gamma=0.0002,
-        rabi={(1, "0-1"): omega_minus / SQRT2, (2, "0-1"): -omega_minus / SQRT2},
-        n_max=2,
-    )
-    h = h_cond_two_level(spec)
+    drive = {(1, "0-1"): omega_minus / SQRT2, (2, "0-1"): -omega_minus / SQRT2}
+    spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=0.0002, n_max=2)
+    h = h_cond_two_level(spec, drive)
     layout = h.layout
     dfs = subspace_from_vectors(layout, pair_dfs_vectors(layout))
-    bare = bare_pair_spec().with_rabi(spec.rabi)
-    eff = effective_hamiltonian(h_cond_two_level(bare), dfs)
+    eff = effective_hamiltonian(h_cond_two_level(bare_pair_spec(), drive), dfs)
     psi0 = basis_state(layout, (0, 0, 0))
     T = math.pi / omega_minus
     full = evolve_no_jump(h, psi0, T)
@@ -179,18 +168,12 @@ def test_effective_dynamics_matches_full_dynamics_in_regime():
 
     # CNOT drive on |10>
     omega = 0.02
-    lspec = SystemSpec(
-        atom_levels=3,
-        g=1.0,
-        kappa=1.0,
-        gamma=0.0002,
-        rabi={(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega},
-        n_max=2,
-    )
-    lh = h_cond_lambda(lspec)
+    ldrive = {(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega}
+    lspec = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=0.0002, n_max=2)
+    lh = h_cond_lambda(lspec, ldrive)
     llayout = lh.layout
     ldfs = subspace_from_vectors(llayout, lambda_dfs_vectors(llayout))
-    leff = effective_hamiltonian(h_cond_lambda(bare_lambda_spec().with_rabi(lspec.rabi)), ldfs)
+    leff = effective_hamiltonian(h_cond_lambda(bare_lambda_spec(), ldrive), ldfs)
     psi10 = basis_state(llayout, (1, 0, 0))
     T2 = SQRT2 * math.pi / omega
     assert fidelity(evolve_no_jump(lh, psi10, T2), evolve_no_jump(leff.operator, psi10, T2).normalized()) >= 0.99

@@ -31,28 +31,28 @@ from oracles import conditional_hamiltonian, dense_drive_stack, embed_by_index, 
 SQRT2 = math.sqrt(2.0)
 
 
-def pair_spec(gamma, omega, g=1.0, kappa=1.0, n_max=2):
-    return SystemSpec(
-        atom_levels=2,
-        n_atoms=2,
-        g=g,
-        kappa=kappa,
-        gamma=gamma,
-        rabi={(1, "0-1"): omega / SQRT2, (2, "0-1"): -omega / SQRT2},
-        n_max=n_max,
-    )
+def pair_spec(gamma, g=1.0, kappa=1.0, n_max=2):
+    return SystemSpec(atom_levels=2, n_atoms=2, g=g, kappa=kappa, gamma=gamma, n_max=n_max)
 
 
-def lambda_spec(gamma, omega, g=1.0, kappa=1.0, n_max=2):
-    return SystemSpec(
-        atom_levels=3,
-        n_atoms=2,
-        g=g,
-        kappa=kappa,
-        gamma=gamma,
-        rabi={(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega},
-        n_max=n_max,
-    )
+def pair_lasers(omega):
+    return {(1, "0-1"): omega / SQRT2, (2, "0-1"): -omega / SQRT2}
+
+
+def lambda_spec(gamma, g=1.0, kappa=1.0, n_max=2):
+    return SystemSpec(atom_levels=3, n_atoms=2, g=g, kappa=kappa, gamma=gamma, n_max=n_max)
+
+
+def lambda_lasers(omega):
+    return {(1, "1-2"): SQRT2 * omega, (2, "0-2"): SQRT2 * omega}
+
+
+def family_of(spec, drive):
+    return DrivenHamiltonian.of(spec, list(drive))
+
+
+# a drive enters through h_cond(spec, drive) or DrivenHamiltonian.of(spec, keys), and both check its keys
+LASER_ENTRIES = (h_cond, family_of)
 
 
 def antisym_state(layout):
@@ -72,34 +72,36 @@ def test_spec_validation():
         SystemSpec(gamma=-0.1)
     with pytest.raises(ValueError):
         SystemSpec(n_max=0)
-    with pytest.raises(ValueError):
-        SystemSpec(atom_levels=2, rabi={(1, "0-2"): 0.1})
-    with pytest.raises(ValueError):
-        SystemSpec(atom_levels=3, rabi={(1, "0-1"): 0.1})
-    with pytest.raises(ValueError):
-        SystemSpec(atom_levels=2, rabi={(3, "0-1"): 0.1})
+    for enter in LASER_ENTRIES:
+        with pytest.raises(ValueError, match=r"transition '0-2' invalid for 2-level atoms \(expected one of \['0-1'\]"):
+            enter(SystemSpec(atom_levels=2), {(1, "0-2"): 0.1})
+        with pytest.raises(ValueError, match="transition '0-1' invalid for 3-level atoms"):
+            enter(SystemSpec(atom_levels=3), {(1, "0-1"): 0.1})
+        with pytest.raises(ValueError, match="rabi entry for unknown atom 3"):
+            enter(SystemSpec(atom_levels=2), {(3, "0-1"): 0.1})
 
 
 @pytest.mark.parametrize(
-    "fields, named",
+    "fields, drive, named",
     [
-        ({"g": math.inf}, "g must be finite"),
-        ({"kappa": math.nan}, "kappa must be finite"),
-        ({"gamma": math.inf}, "gamma must be finite"),
-        ({"rabi": {(1, "0-1"): complex(math.nan, 0.0)}}, "rabi entry for atom 1, '0-1' must be finite"),
-        ({"rabi": {(2, "0-1"): complex(0.0, math.inf)}}, "rabi entry for atom 2, '0-1' must be finite"),
+        ({"g": math.inf}, {}, "g must be finite"),
+        ({"kappa": math.nan}, {}, "kappa must be finite"),
+        ({"gamma": math.inf}, {}, "gamma must be finite"),
+        ({}, {(1, "0-1"): complex(math.nan, 0.0)}, "rabi entry for atom 1, '0-1' must be finite"),
+        ({}, {(2, "0-1"): complex(0.0, math.inf)}, "rabi entry for atom 2, '0-1' must be finite"),
     ],
     ids=["g_inf", "kappa_nan", "gamma_inf", "rabi_nan", "rabi_imag_inf"],
 )
-def test_spec_rejects_non_finite_rates(fields, named):
-    # a spec is where a rate enters; accepted, a nan kappa fails only late, as a run's non-finite final state
+def test_spec_rejects_non_finite_rates(fields, drive, named):
+    # a spec is where a rate enters and h_cond where a Rabi frequency does; accepted, a nan kappa fails
+    # only late, as a run's non-finite final state
     with pytest.raises(ValueError, match=named):
-        SystemSpec(**fields)
+        h_cond(SystemSpec(**fields), drive)
 
 
 def test_layout_shape():
-    assert pair_spec(0, 0.02).layout().dims == (2, 2, 3)
-    assert lambda_spec(0, 0.02).layout().dims == (3, 3, 3)
+    assert pair_spec(0).layout().dims == (2, 2, 3)
+    assert lambda_spec(0).layout().dims == (3, 3, 3)
     assert SystemSpec(n_atoms=0, n_max=4).layout().dims == (5,)
 
 
@@ -124,8 +126,9 @@ def test_atom_count_validation():
     with pytest.raises(ValueError, match="n_atoms must be >= 0, got -1"):
         SystemSpec(n_atoms=-1)
     # atom indices run over 1..n_atoms: a spec without atoms takes no laser
-    with pytest.raises(ValueError, match="unknown atom 1"):
-        SystemSpec(n_atoms=0, rabi={(1, "0-1"): 0.1})
+    for enter in LASER_ENTRIES:
+        with pytest.raises(ValueError, match="unknown atom 1"):
+            enter(SystemSpec(n_atoms=0), {(1, "0-1"): 0.1})
     # the checked entry points still take exactly two atoms
     with pytest.raises(ValueError, match="exactly two 2-level atoms"):
         h_cond_two_level(SystemSpec(atom_levels=2, n_atoms=0))
@@ -145,16 +148,16 @@ def test_atom_count_validation():
 def test_driven_h_cond_on_any_number_of_atoms_is_h0_plus_the_laser_terms(levels, rabi):
     # one atom or three: H = H0 + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, laser by laser
     n_atoms = max(atom for atom, _ in rabi)
-    spec = SystemSpec(atom_levels=levels, n_atoms=n_atoms, g=0.8, kappa=0.6, gamma=0.01, n_max=2, rabi=rabi)
+    spec = SystemSpec(atom_levels=levels, n_atoms=n_atoms, g=0.8, kappa=0.6, gamma=0.01, n_max=2)
     dims = spec.layout().dims
-    expected = h_cond(spec.with_rabi({})).entries
+    expected = h_cond(spec).entries
     for (atom, trans), w in rabi.items():
         low, up = (int(x) for x in trans.split("-"))
         local = np.zeros((levels, levels), dtype=complex)
         local[up, low] = 1.0
         s_plus = embed_by_index(local, atom - 1, dims)
         expected = expected + 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
-    h = h_cond(spec)
+    h = h_cond(spec, rabi)
     assert h.layout == spec.layout()
     assert np.array_equal(h.entries, expected)
 
@@ -195,20 +198,20 @@ def test_two_level_single_excitation_block_matches_hand_construction():
 def test_anti_hermitian_part_negative_semidefinite():
     rng = np.random.default_rng(2)
     for _ in range(5):
-        spec = pair_spec(rng.uniform(0, 0.2), rng.uniform(0.01, 0.5), kappa=rng.uniform(0, 2))
-        h = h_cond_two_level(spec).entries
+        gamma, omega, kappa = rng.uniform(0, 0.2), rng.uniform(0.01, 0.5), rng.uniform(0, 2)
+        h = h_cond_two_level(pair_spec(gamma, kappa=kappa), pair_lasers(omega)).entries
         anti = (h - h.conj().T) / 2j  # Hermitian; must be <= 0
         assert np.max(np.linalg.eigvalsh(anti)) <= 1e-12
-    h = h_cond_lambda(lambda_spec(0.05, 0.1)).entries
+    h = h_cond_lambda(lambda_spec(0.05), lambda_lasers(0.1)).entries
     anti = (h - h.conj().T) / 2j
     assert np.max(np.linalg.eigvalsh(anti)) <= 1e-12
 
 
 def test_two_level_requires_right_shape():
     with pytest.raises(ValueError):
-        h_cond_two_level(lambda_spec(0, 0.02))
+        h_cond_two_level(lambda_spec(0), lambda_lasers(0.02))
     with pytest.raises(ValueError):
-        h_cond_lambda(pair_spec(0, 0.02))
+        h_cond_lambda(pair_spec(0), pair_lasers(0.02))
 
 
 # --------------------------------------------------------- Lambda Hamiltonian
@@ -232,7 +235,7 @@ def test_lambda_decay_free_states_are_annihilated():
 def test_lambda_coupling_signs():
     spec = SystemSpec(atom_levels=3, g=1.0, kappa=0.0, gamma=0.0, n_max=2)
     h = h_cond_lambda(spec).entries
-    layout = lambda_spec(0, 0).layout()
+    layout = lambda_spec(0).layout()
     # -i g b^dag |1><2| : |12>|0> -> -i g |11>|1>
     col = layout.basis_index((1, 2, 0))
     row = layout.basis_index((1, 1, 1))
@@ -283,17 +286,17 @@ def test_evolve_errors():
 
 def test_no_photon_probabilities_are_the_one_time_values_bit_for_bit():
     # the trajectories scenario's p0_det column: one kernel call for all rows
-    pair = pair_spec(0.001, 0.02)
+    pair = pair_spec(0.001)
     cavity = SystemSpec(n_atoms=0, kappa=1.0, n_max=4)
-    for spec, occupation, times in (
-        (pair, (0, 0, 0), [math.pi / 0.02, 0.0, 20.0, math.pi / 0.02]),
+    for spec, drive, occupation, times in (
+        (pair, pair_lasers(0.02), (0, 0, 0), [math.pi / 0.02, 0.0, 20.0, math.pi / 0.02]),
         # the last three are times where libm pow(||psi||, 2) and ||psi|| * ||psi|| differ in the last bit
-        (cavity, (1,), [0.25, 0.5, 1.0, 2.0, 0.0, 0.733, 1.6039999999999999, 2.9659999999999997]),
+        (cavity, {}, (1,), [0.25, 0.5, 1.0, 2.0, 0.0, 0.733, 1.6039999999999999, 2.9659999999999997]),
     ):
-        h, psi = h_cond(spec), basis_state(spec.layout(), occupation)
+        h, psi = h_cond(spec, drive), basis_state(spec.layout(), occupation)
         assert no_photon_probabilities(h, psi, times).tolist() == [no_photon_probability(h, psi, t) for t in times]
     # the first time whose state overflows is named, as evolve_no_jump names its one time
-    h = h_cond(pair_spec(1e200, 0.02))
+    h = h_cond(pair_spec(1e200), pair_lasers(0.02))
     psi = basis_state(h.layout, (0, 0, 0))
     with pytest.raises(NumericalError, match=r"not finite at t = 157\.079633$"):
         no_photon_probabilities(h, psi, [0.0, math.pi / 0.02, 2 * math.pi / 0.02])
@@ -304,8 +307,8 @@ def test_no_photon_probabilities_are_the_one_time_values_bit_for_bit():
 def test_regime_compliant_pulse_reaches_antisymmetric_state():
     # Gamma/|Omega| = 0.01: the no-jump branch lands on the maximally
     # entangled target with high conditional fidelity and P0 >= 0.9.
-    spec = pair_spec(0.0002, 0.02)
-    h = h_cond_two_level(spec)
+    spec = pair_spec(0.0002)
+    h = h_cond_two_level(spec, pair_lasers(0.02))
     psi0 = basis_state(h.layout, (0, 0, 0))
     T = math.pi / 0.02
     final = evolve_no_jump(h, psi0, T)
@@ -317,8 +320,8 @@ def test_out_of_regime_pulse_degrades_as_integrator_predicts():
     # At Gamma/|Omega| = 0.5 the strong-driving condition fails: the
     # independently integrated dynamics puts P0 near 0.39 and the
     # conditional fidelity near 0.67.
-    spec = pair_spec(0.01, 0.02)
-    h = h_cond_two_level(spec)
+    spec = pair_spec(0.01)
+    h = h_cond_two_level(spec, pair_lasers(0.02))
     psi0 = basis_state(h.layout, (0, 0, 0))
     T = math.pi / 0.02
     final = evolve_no_jump(h, psi0, T)
@@ -332,16 +335,16 @@ def test_out_of_regime_pulse_degrades_as_integrator_predicts():
 
 
 def test_hermitian_hamiltonian_conserves_norm():
-    spec = pair_spec(0.0, 0.05, kappa=0.0)
-    h = h_cond_two_level(spec)
+    spec = pair_spec(0.0, kappa=0.0)
+    h = h_cond_two_level(spec, pair_lasers(0.05))
     psi0 = basis_state(h.layout, (0, 0, 0))
     for t in (1.0, 37.0, 100.0):
         assert no_photon_probability(h, psi0, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_monotonic_and_p0_in_range():
-    spec = pair_spec(0.01, 0.04)
-    h = h_cond_two_level(spec)
+    spec = pair_spec(0.01)
+    h = h_cond_two_level(spec, pair_lasers(0.04))
     psi0 = basis_state(h.layout, (0, 0, 0))
     previous = 1.0 + 1e-12
     for t in np.linspace(0.0, 160.0, 33):
@@ -355,8 +358,8 @@ def test_norm_monotonic_and_p0_in_range():
 def test_expm_agrees_with_step_halving_integrator():
     rng = np.random.default_rng(8)
     for _ in range(3):
-        spec = pair_spec(rng.uniform(0, 0.05), rng.uniform(0.02, 0.2), kappa=rng.uniform(0.5, 1.5))
-        h = h_cond_two_level(spec)
+        gamma, omega, kappa = rng.uniform(0, 0.05), rng.uniform(0.02, 0.2), rng.uniform(0.5, 1.5)
+        h = h_cond_two_level(pair_spec(gamma, kappa=kappa), pair_lasers(omega))
         psi0 = basis_state(h.layout, (0, 0, 0))
         t = rng.uniform(5.0, 25.0)
         fast = evolve_no_jump(h, psi0, t).amplitudes
@@ -368,8 +371,8 @@ def test_fock_truncation_converged():
     T = math.pi / 0.02
     values = []
     for n_max in (2, 3):
-        spec = pair_spec(0.001, 0.02, n_max=n_max)
-        h = h_cond_two_level(spec)
+        spec = pair_spec(0.001, n_max=n_max)
+        h = h_cond_two_level(spec, pair_lasers(0.02))
         values.append(no_photon_probability(h, basis_state(h.layout, (0, 0, 0)), T))
     assert abs(values[0] - values[1]) < 1e-6
 
@@ -405,9 +408,8 @@ def test_stacked_hamiltonians_equal_single_point_assembly(levels, n_max):
     stack = DrivenHamiltonian.of(spec, drives[0]).stack(drives)
     assert stack.shape == (len(drives), spec.layout().total_dim, spec.layout().total_dim)
     for h, drive in zip(stack, drives):
-        run_spec = spec.with_rabi(drive)
-        assert np.array_equal(h, h_cond(run_spec).entries)
-        assert np.array_equal(h, conditional_hamiltonian(run_spec))
+        assert np.array_equal(h, h_cond(spec, drive).entries)
+        assert np.array_equal(h, conditional_hamiltonian(spec, drive))
 
 
 # Real and imaginary parts of drive amplitudes: signed zeros, both signs,
@@ -490,7 +492,7 @@ def test_stacked_propagators_equal_evolve_no_jump(monkeypatch):
     times = [100.0, 0.0, 0.25, 2000.0]
     psi0 = basis_state(spec.layout(), (1, 0, 0))
     family = DrivenHamiltonian.of(spec, drives[0])
-    expected = [evolve_no_jump(h_cond_lambda(spec.with_rabi(d)), psi0, t).amplitudes for d, t in zip(drives, times)]
+    expected = [evolve_no_jump(h_cond_lambda(spec, d), psi0, t).amplitudes for d, t in zip(drives, times)]
     exponentiated, expm = [], dynamics.expm
     monkeypatch.setattr(dynamics, "expm", lambda a: exponentiated.append(a.shape[0]) or expm(a))
     for budget in (2**23, 1, 2 * 16 * spec.layout().total_dim ** 2):
@@ -589,7 +591,7 @@ def test_zero_time_rows_are_the_inputs():
 
 
 def test_cnot_record_does_not_depend_on_the_other_inputs():
-    spec = lambda_spec(0.01, 0.0, n_max=3)
+    spec = lambda_spec(0.01, n_max=3)
     labels = ["00", "01", "10", "11"]
     superposition = state_from_amplitudes(spec.layout(), {(0, 0, 0): 0.6, (1, 0, 0): 0.8j})
     omegas = [0.005, 0.02, 0.3]
@@ -602,13 +604,13 @@ def test_cnot_record_does_not_depend_on_the_other_inputs():
 
 
 def test_driven_family_takes_h0_from_the_undriven_conditional_hamiltonian(monkeypatch):
-    spec = SystemSpec(atom_levels=3, n_atoms=2, g=0.8, kappa=0.6, gamma=0.01, n_max=2, rabi=cnot_drive(0.3))
+    spec = SystemSpec(atom_levels=3, n_atoms=2, g=0.8, kappa=0.6, gamma=0.01, n_max=2)
     calls = []
     original = dynamics.h_cond_lambda
     monkeypatch.setattr(dynamics, "h_cond_lambda", lambda s: calls.append(s) or original(s))
     family = DrivenHamiltonian.of(spec, cnot_drive(0.1))
-    assert [s.rabi for s in calls] == [{}]
-    assert np.array_equal(family.h0, original(spec.with_rabi({})).entries[None])
+    assert len(calls) == 1 and calls[0] is spec
+    assert np.array_equal(family.h0, original(spec).entries[None])
     assert family.keys == tuple(cnot_drive(0.1))
 
 

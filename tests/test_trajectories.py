@@ -36,15 +36,8 @@ def cavity_decay_setup(kappa=1.0, n_max=2):
 
 
 def pair_setup(gamma=0.01, omega=0.02):
-    spec = SystemSpec(
-        atom_levels=2,
-        g=1.0,
-        kappa=1.0,
-        gamma=gamma,
-        rabi={(1, "0-1"): omega / SQRT2, (2, "0-1"): -omega / SQRT2},
-        n_max=2,
-    )
-    h = h_cond_two_level(spec)
+    spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=gamma, n_max=2)
+    h = h_cond_two_level(spec, {(1, "0-1"): omega / SQRT2, (2, "0-1"): -omega / SQRT2})
     return spec, h, decay_operators(spec), basis_state(h.layout, (0, 0, 0))
 
 
@@ -226,14 +219,10 @@ def test_trajectory_i_takes_draw_i_of_the_batch_stream():
 
 
 def _chain_systems():
-    pair_spec = SystemSpec(
-        atom_levels=2, g=1.0, kappa=1.0, gamma=0.05, rabi={(1, "0-1"): 0.4 / SQRT2, (2, "0-1"): -0.4 / SQRT2}, n_max=2
-    )
-    pair_h = h_cond_two_level(pair_spec)
-    lam_spec = SystemSpec(
-        atom_levels=3, g=1.0, kappa=0.7, gamma=0.05, rabi={(1, "1-2"): 0.3 * SQRT2, (2, "0-2"): 0.3 * SQRT2}, n_max=2
-    )
-    lam_h = h_cond_lambda(lam_spec)
+    pair_spec = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=0.05, n_max=2)
+    pair_h = h_cond_two_level(pair_spec, {(1, "0-1"): 0.4 / SQRT2, (2, "0-1"): -0.4 / SQRT2})
+    lam_spec = SystemSpec(atom_levels=3, g=1.0, kappa=0.7, gamma=0.05, n_max=2)
+    lam_h = h_cond_lambda(lam_spec, {(1, "1-2"): 0.3 * SQRT2, (2, "0-2"): 0.3 * SQRT2})
     cav_h, cav_jump, cav_psi0 = cavity_decay_setup(kappa=1.0)
     herm_layout = compose([("q", 3)])
     herm = np.array([[0.2, 0.3 - 0.1j, 0.0], [0.3 + 0.1j, -0.4, 0.5], [0.0, 0.5, 0.1]])
@@ -276,13 +265,13 @@ def test_survival_chain_spans_several_blocks_on_a_large_space():
 def test_survival_chain_lands_on_the_exact_no_photon_probability():
     # the jumps benchmark's pair row, and the Lambda |10> input at the CNOT
     # duration, at the default dt
-    pair = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=1e-3, rabi=pair_drive(0.02), n_max=2)
-    lam = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=1e-3, rabi=cnot_drive(0.02), n_max=2)
-    for spec, h_cond, occupation, t_end in (
-        (pair, h_cond_two_level, (0, 0, 0), math.pi / 0.02),
-        (lam, h_cond_lambda, (1, 0, 0), cnot_duration(0.02)),
+    pair = SystemSpec(atom_levels=2, g=1.0, kappa=1.0, gamma=1e-3, n_max=2)
+    lam = SystemSpec(atom_levels=3, g=1.0, kappa=1.0, gamma=1e-3, n_max=2)
+    for spec, h_cond, drive, occupation, t_end in (
+        (pair, h_cond_two_level, pair_drive(0.02), (0, 0, 0), math.pi / 0.02),
+        (lam, h_cond_lambda, cnot_drive(0.02), (1, 0, 0), cnot_duration(0.02)),
     ):
-        h = h_cond(spec)
+        h = h_cond(spec, drive)
         ls = [op.entries for op in decay_operators(spec)]
         psi0 = basis_state(h.layout, occupation)
         n_steps = math.ceil(t_end / _max_stable_dt(h.entries, ls))
@@ -311,10 +300,8 @@ _rabi = st.floats(-0.5, 0.5).filter(lambda x: abs(x) > 1e-3)
     seed=st.integers(0, 2**32),
 )
 def test_survival_and_conditional_norm_never_increase(omega1, omega2, kappa, gamma, t_end, seed):
-    spec = SystemSpec(
-        atom_levels=2, g=1.0, kappa=kappa, gamma=gamma, rabi={(1, "0-1"): omega1, (2, "0-1"): omega2}, n_max=2
-    )
-    h = h_cond_two_level(spec)
+    spec = SystemSpec(atom_levels=2, g=1.0, kappa=kappa, gamma=gamma, n_max=2)
+    h = h_cond_two_level(spec, {(1, "0-1"): omega1, (2, "0-1"): omega2})
     jump = decay_operators(spec)
     psi0 = basis_state(h.layout, (0, 0, 0))
     ls = [op.entries for op in jump]
