@@ -340,7 +340,8 @@ def h_cond(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMatrix:
     b_full = _cavity_annihilation(layout).entries
     h0 = np.zeros((layout.total_dim,) * 2, dtype=complex)
 
-    proj_exc = _transition_op(spec.atom_levels, f"{excited}-{excited}")
+    proj_exc = np.zeros((spec.atom_levels, spec.atom_levels), dtype=complex)
+    proj_exc[excited, excited] = 1.0
     for i in range(1, spec.n_atoms + 1):
         # antisymmetric cavity coupling: i g (b s+ - b^dag s-)
         coupling = b_full @ _raising_op(spec, layout, i, cavity_transition)

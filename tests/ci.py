@@ -6,11 +6,15 @@
 
 The workflow installs the package and then runs this script with its job
 id, so a local run and CI run one list of steps.  Every step runs from
-the repository root with ``src`` on ``PYTHONPATH``, so a checkout runs it
-without an install.  Each step is printed by name; a job stops at its
-first failing step, names it and exits with that step's code.  The
-``numpy-only`` job makes sense on an install without the ``test`` extra;
-on one with scipy it runs the same steps.
+the repository root with ``src`` on ``PYTHONPATH``.  The selftest runs
+``zenobell selftest --quiet`` through the installed console script, so
+CI checks the ``zenobell`` entry point of ``pyproject.toml``; under CI
+(``CI`` set, as GitHub Actions sets it) a missing script fails the step.
+Elsewhere, in a checkout without an install, it runs the same ``main``
+as ``python -m zenobell.cli``.  Each step is printed by name; a job stops
+at its first failing step, names it and exits with that step's code.
+The ``numpy-only`` job makes sense on an install without the ``test``
+extra; on one with scipy it runs the same steps.
 
 ``cpu-matrix`` is no workflow job: it runs ``tests/contract.py``, the
 selftest and ``tests/test_expm.py`` in six cells.  In each cell
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -33,7 +38,16 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTHON = sys.executable
-SELFTEST = (PYTHON, "-m", "zenobell.cli", "selftest", "--quiet")
+
+
+def selftest_command() -> tuple[str, ...]:
+    """The installed ``zenobell`` script's selftest; ``python -m zenobell.cli`` outside CI without an install."""
+    if shutil.which("zenobell") or os.environ.get("CI"):
+        return ("zenobell", "selftest", "--quiet")
+    return (PYTHON, "-m", "zenobell.cli", "selftest", "--quiet")
+
+
+SELFTEST = selftest_command()
 DEMOS = tuple((PYTHON, "-W", "error", f"demos/{demo.name}") for demo in sorted(ROOT.glob("demos/*.py")))
 
 
@@ -44,6 +58,12 @@ class Step(NamedTuple):
     quiet: bool = False  # drop the commands' stdout
 
 
+SELFTEST_STEP = Step("Selftest", (SELFTEST,))
+# tests/contract.py, one function per check (also run by the Tier-1 suite),
+# ending with the four figure and four scenario tables of the benchmark
+# workloads against bench/reference byte for byte
+CONTRACT_STEP = Step("Command-line contract", ((PYTHON, "tests/contract.py"),))
+
 JOBS = {
     "tests": (
         # any warning fails the suite: the filterwarnings policy of pyproject.toml
@@ -52,26 +72,23 @@ JOBS = {
         # of src, must fail the tests named for it
         Step("Mutants", ((PYTHON, "tests/mutants.py"),)),
         Step("Benchmark tests", ((PYTHON, "-m", "pytest", "bench"),)),
-        Step("Selftest", (SELFTEST,)),
+        SELFTEST_STEP,
     ),
     "numpy-only": (
-        Step("Selftest", (SELFTEST,)),
+        SELFTEST_STEP,
         # the pinned digests are of rendered text, which must not depend on
         # the BLAS kernel that computed the floats
         Step("Selftest on a second BLAS kernel", (SELFTEST,), {"OPENBLAS_CORETYPE": "Prescott"}),
         # each demo imports each name from its defining module, runs on numpy
         # alone, and fails on a warning
         Step("Demos", DEMOS, quiet=True),
-        # tests/contract.py, one function per check (also run by the Tier-1
-        # suite), ending with the four figure and four scenario tables of the
-        # benchmark workloads against bench/reference byte for byte
-        Step("Command-line contract", ((PYTHON, "tests/contract.py"),)),
+        CONTRACT_STEP,
     ),
 }
 
 CPU_MATRIX_STEPS = (
-    Step("Command-line contract", ((PYTHON, "tests/contract.py"),)),
-    Step("Selftest", (SELFTEST,)),
+    CONTRACT_STEP,
+    SELFTEST_STEP,
     Step("expm tests", ((PYTHON, "-m", "pytest", "-q", "tests/test_expm.py"),)),
 )
 # (NPY_DISABLE_CPU_FEATURES, OPENBLAS_CORETYPE) of each cell; "" leaves the variable unset
@@ -87,7 +104,11 @@ def run_step(step: Step, label: str, base_env: dict) -> int:
         if step.quiet:
             print(f"   {command[-1]}", flush=True)
         stdout = subprocess.DEVNULL if step.quiet else None
-        code = subprocess.run(command, cwd=ROOT, env=env, stdout=stdout).returncode
+        try:
+            code = subprocess.run(command, cwd=ROOT, env=env, stdout=stdout).returncode
+        except FileNotFoundError:
+            print(f"   command not found: {command[0]}", flush=True)
+            code = 127
         if code:
             return code
     print(f"== {label}: {step.name} passed [{time.perf_counter() - start:.1f} s]", flush=True)
@@ -134,6 +155,8 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0] not in jobs:
         print(f"usage: python tests/ci.py {{{','.join(jobs)}}}", file=sys.stderr)
         return 2
+    if SELFTEST[0] != "zenobell":
+        print("== no zenobell console script on PATH: the selftest runs python -m zenobell.cli", flush=True)
     return run_cpu_matrix() if argv[0] == "cpu-matrix" else run_job(argv[0])
 
 

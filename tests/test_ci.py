@@ -34,3 +34,15 @@ def test_a_job_stops_at_its_first_failing_step_and_exits_with_its_code(monkeypat
     out = capsys.readouterr().out
     assert "== tests: first passed" in out and "third" not in out
     assert out.endswith("== tests: FAILED at step 'second' (exit 3)\n")
+
+
+def test_under_ci_the_selftest_runs_the_console_script_and_fails_without_one(monkeypatch, capsys):
+    monkeypatch.setenv("CI", "true")
+    monkeypatch.setattr(ci.shutil, "which", lambda name: None)
+    command = ci.selftest_command()
+    assert command == ("zenobell", "selftest", "--quiet")
+    monkeypatch.setenv("PATH", "")
+    monkeypatch.setitem(ci.JOBS, "tests", (ci.Step("Selftest", (command,)),))
+    assert ci.main(["tests"]) == 127
+    out = capsys.readouterr().out
+    assert out.endswith("command not found: zenobell\n== tests: FAILED at step 'Selftest' (exit 127)\n")

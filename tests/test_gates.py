@@ -444,7 +444,7 @@ def test_pair_target_rows_are_the_rows_of_the_pulse_alphas():
         assert pair_target_amplitudes(omegas, durations, layout).tobytes() == expected.tobytes()
 
 
-_UNSIGNED_00 = pytest.mark.xfail(strict=True, reason="unsigned |00⟩ amplitude, ROADMAP item 1")
+_UNSIGNED_00 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="unsigned |00⟩ amplitude, ROADMAP item 1")
 
 
 @pytest.mark.parametrize(
