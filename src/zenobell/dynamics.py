@@ -560,9 +560,17 @@ def no_photon_probabilities(h: OperatorMatrix, psi0: StateVector, times: Sequenc
 
     Each value is ``norms(rows) ** 2``, a correctly rounded square.  Raises
     :class:`NumericalError` naming the first t whose state is not finite,
-    as :func:`evolve_no_jump` does for its one t.
+    as :func:`evolve_no_jump` does for its one t, or whose p0 is above 1,
+    which no-jump evolution, as it only loses norm, cannot reach.  A p0
+    of 0 is a valid answer here: a long enough run loses all its norm.
     """
-    return norms(_no_jump_rows(h, psi0, times)) ** 2
+    with np.errstate(over="ignore"):
+        p0 = norms(_no_jump_rows(h, psi0, times)) ** 2
+    above = p0 > 1.0 + 1e-9
+    if above.any():
+        j = int(np.argmax(above))
+        raise NumericalError(f"p0 = {p0[j]} > 1 at t = {times[j]:.9g}: the evolution is numerically unsound")
+    return p0
 
 
 def check_regime(spec: SystemSpec, omega_eff: float) -> RegimeReport:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expm import expm
-from .hilbert import HilbertLayout, StateVector, compose, fidelity, state_from_amplitudes
+from .hilbert import HilbertLayout, StateVector, compose, state_from_amplitudes
 
 __all__ = [
     "TransitPlan",
@@ -138,12 +138,8 @@ def pbg_optimal_times(g: float) -> TransitPlan:
     """Interaction times g*t1 = pi/4, g*t2 = pi/2 giving the Bell state.
 
     t2 empties the photon branch (c_e(t2) = 0) and t1 balances the two
-    atomic branches (|c_e(t1)| = 1/sqrt(2)).  The returned plan is
-    self-checked against the Bell-state fidelity.
+    atomic branches (|c_e(t1)| = 1/sqrt(2)).
     """
     if not g > 0:
         raise ValueError("g must be positive")
-    plan = TransitPlan(g=g, t1=math.pi / (4.0 * g), t2=math.pi / (2.0 * g))
-    if fidelity(pbg_final_state(plan), bell_target()) < 1.0 - 1e-10:
-        raise AssertionError("optimal transit plan failed its Bell-fidelity self-check")
-    return plan
+    return TransitPlan(g=g, t1=math.pi / (4.0 * g), t2=math.pi / (2.0 * g))

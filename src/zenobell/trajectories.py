@@ -103,10 +103,6 @@ _HISTOGRAM_BINS = 50
 _MIN_STEPS = 2 * _HISTOGRAM_BINS  # every first-jump histogram bin spans two or more steps
 
 
-def _max_stable_dt(h: np.ndarray, jump_ops: list[np.ndarray]) -> float:
-    return _rate_terms(h, jump_ops)[0]
-
-
 def _rate_terms(h: np.ndarray, jump_ops) -> tuple[float, np.ndarray]:
     """The largest stable dt and sum_k L_k^dag L_k of the complex H and jump operators."""
     return _rate_terms_of(len(h), *(np.ascontiguousarray(op, dtype=complex).tobytes() for op in (h, *jump_ops)))
@@ -128,17 +124,17 @@ def _rate_terms_of(n: int, h: bytes, *jump_ops: bytes) -> tuple[float, np.ndarra
     return (1.0 if scale <= 0 else 1.0 / scale), decay
 
 
-def _survival_chain(h: np.ndarray, ls, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+def _survival_chain(h: np.ndarray, decay: np.ndarray, psi0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
     """No-jump survival exp(-int_0^{m dt} r(t) dt) for m = 0 ... n_steps.
 
     The chain of the module docstring: two half steps of A per step and
-    Simpson's rule over each step's three rates.  Each block of up to
+    Simpson's rule over each step's three rates, each taken with
+    ``decay`` = sum_k L_k^dag L_k (:func:`_rate_terms`).  Each block of up to
     ``_BLOCK`` steps starts from the renormalized state at its start and
     fills its (2m + 1, n) states A^j psi by doubling with the transposed
     squares (A^(2^i))^T, which are formed once per chain.
     """
     n = psi0.size
-    decay = _rate_terms(h, ls)[1]
     block_len = max(1, min(_BLOCK, n_steps))
     eye = np.eye(n)
     z = -0.5j * dt * h
@@ -204,8 +200,7 @@ def run_trajectories(
     check_normalized(psi0.amplitudes, "psi0")
 
     h = h_cond.entries
-    ls = [op.entries for op in jump_ops]
-    dt_max = _max_stable_dt(h, ls)
+    dt_max, decay = _rate_terms(h, [op.entries for op in jump_ops])
     if dt is None:
         if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
             raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
@@ -223,7 +218,7 @@ def run_trajectories(
     n_steps = math.ceil(steps)
     if n_steps:
         dt = t_end / n_steps
-        survival = _survival_chain(h, ls, psi0.amplitudes, dt, n_steps)
+        survival = _survival_chain(h, decay, psi0.amplitudes, dt, n_steps)
     else:
         survival = np.ones(1)
 

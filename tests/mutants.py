@@ -220,6 +220,17 @@ MUTANTS = (
             "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[rabi_imag_inf]",
         ),
     ),
+    Mutant(
+        "p0 above 1 passes as a no-photon probability",
+        "dynamics.py",
+        "    above = p0 > 1.0 + 1e-9\n"
+        "    if above.any():\n"
+        "        j = int(np.argmax(above))\n"
+        '        raise NumericalError(f"p0 = {p0[j]} > 1 at t = {times[j]:.9g}: '
+        'the evolution is numerically unsound")\n',
+        "",
+        ("tests/test_dynamics.py::test_no_photon_probabilities_refuse_a_norm_gain_by_its_time",),
+    ),
 )
 
 

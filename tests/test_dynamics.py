@@ -304,6 +304,16 @@ def test_no_photon_probabilities_are_the_one_time_values_bit_for_bit():
         no_photon_probabilities(h, psi, [1.0, -1.0])
 
 
+def test_no_photon_probabilities_refuse_a_norm_gain_by_its_time():
+    # a gain term, +0.5 on |0>, makes ||psi||^2 = e^t: no no-jump evolution
+    # reaches p0 > 1, so the first such t is named
+    layout = compose([("q", 2)])
+    h, psi = OperatorMatrix(layout, [[0.5j, 0], [0, 0]]), basis_state(layout, (0,))
+    assert no_photon_probabilities(h, psi, [0.0]).tolist() == [1.0]
+    with pytest.raises(NumericalError, match=r"^p0 = 2\.718281828[0-9]* > 1 at t = 1: "):
+        no_photon_probabilities(h, psi, [0.0, 1.0])
+
+
 def test_regime_compliant_pulse_reaches_antisymmetric_state():
     # Gamma/|Omega| = 0.01: the no-jump branch lands on the maximally
     # entangled target with high conditional fidelity and P0 >= 0.9.

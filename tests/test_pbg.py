@@ -80,10 +80,13 @@ def test_final_state_full_first_transfer():
     assert psi.amplitudes[layout.basis_index((0, 1, 0))] == pytest.approx(-cg2, abs=1e-12)
 
 
-def test_optimal_times_produce_plus_bell_state():
-    plan = pbg_optimal_times(2.0)
-    assert plan.t1 == pytest.approx(math.pi / 8)
-    assert plan.t2 == pytest.approx(math.pi / 4)
+# the ends of the g that parse_config accepts, where g**2 neither underflows
+# nor overflows, and values between them
+@pytest.mark.parametrize("g", [1e-150, 1e-3, 1.0, 2.0, 1e150])
+def test_optimal_times_produce_plus_bell_state(g):
+    plan = pbg_optimal_times(g)
+    assert plan.t1 == pytest.approx(math.pi / (4 * g))
+    assert plan.t2 == pytest.approx(math.pi / (2 * g))
     psi = pbg_final_state(plan)
     assert fidelity(psi, bell_target()) >= 1.0 - 1e-10
     # the relative sign between the two branches is +1, not just up to phase

@@ -20,7 +20,7 @@ from zenobell.gates import cnot_duration
 from zenobell.hilbert import OperatorMatrix, basis_state, compose
 from zenobell.trajectories import (
     _BLOCK,
-    _max_stable_dt,
+    _rate_terms,
     _survival_chain,
     first_jump_histogram,
     run_trajectories,
@@ -238,9 +238,9 @@ def _chain_systems():
 def test_survival_chain_matches_per_step_euler_loop(system):
     h, jump, psi0 = _chain_systems()[system]
     ls = [op.entries for op in jump]
-    dt = _max_stable_dt(h.entries, ls)
+    dt, decay = _rate_terms(h.entries, ls)
     for n_steps in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37):
-        chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+        chain = _survival_chain(h.entries, decay, psi0.amplitudes, dt, n_steps)
         oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
         assert chain.shape == (n_steps + 1,)
         np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
@@ -254,9 +254,9 @@ def test_survival_chain_spans_several_blocks_on_a_large_space():
     h, jump, psi0 = cavity_decay_setup(kappa=0.01, n_max=199)
     psi0 = type(psi0)(psi0.layout, np.ones(200) / math.sqrt(200.0))
     ls = [op.entries for op in jump]
-    dt = _max_stable_dt(h.entries, ls)
+    dt, decay = _rate_terms(h.entries, ls)
     n_steps = 2 * _BLOCK + 37
-    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
+    chain = _survival_chain(h.entries, decay, psi0.amplitudes, dt, n_steps)
     oracle = fourth_order_survival_chain(h.entries, ls, psi0.amplitudes, dt, n_steps)
     np.testing.assert_allclose(chain, oracle, rtol=1e-12, atol=0)
     assert oracle[-1] < 0.99
@@ -272,10 +272,10 @@ def test_survival_chain_lands_on_the_exact_no_photon_probability():
         (lam, h_cond_lambda, cnot_drive(0.02), (1, 0, 0), cnot_duration(0.02)),
     ):
         h = h_cond(spec, drive)
-        ls = [op.entries for op in decay_operators(spec)]
+        dt, decay = _rate_terms(h.entries, [op.entries for op in decay_operators(spec)])
         psi0 = basis_state(h.layout, occupation)
-        n_steps = math.ceil(t_end / _max_stable_dt(h.entries, ls))
-        chain = _survival_chain(h.entries, ls, psi0.amplitudes, t_end / n_steps, n_steps)
+        n_steps = math.ceil(t_end / dt)
+        chain = _survival_chain(h.entries, decay, psi0.amplitudes, t_end / n_steps, n_steps)
         assert abs(chain[-1] - no_photon_probability(h, psi0, t_end)) <= 1e-7
 
 
@@ -304,9 +304,8 @@ def test_survival_and_conditional_norm_never_increase(omega1, omega2, kappa, gam
     h = h_cond_two_level(spec, {(1, "0-1"): omega1, (2, "0-1"): omega2})
     jump = decay_operators(spec)
     psi0 = basis_state(h.layout, (0, 0, 0))
-    ls = [op.entries for op in jump]
-    dt = _max_stable_dt(h.entries, ls)
-    chain = _survival_chain(h.entries, ls, psi0.amplitudes, dt, math.ceil(t_end / dt))
+    dt, decay = _rate_terms(h.entries, [op.entries for op in jump])
+    chain = _survival_chain(h.entries, decay, psi0.amplitudes, dt, math.ceil(t_end / dt))
     assert chain[0] == 1.0
     assert np.all(np.diff(chain) <= 0.0)
     assert chain[-1] > 0.0
