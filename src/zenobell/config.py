@@ -19,7 +19,6 @@ from .trajectories import _MAX_TRAJ
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
-SCENARIOS = ("prepare_pair", "cnot", "pbg", "bell_landscape", "mermin", "trajectories")
 _SECTIONS = {"run", "physics", "sampling", "output"}
 
 
@@ -95,18 +94,22 @@ def _check_damping(physics: dict) -> None:
             raise ConfigError(f"key {key!r} = {physics[key]!r} is too large: 2 * {key} * max(n_max, 2) overflows")
 
 
-def _values(table: dict, key: str, *, required: bool = True, default=None) -> list[float] | None:
-    """Accept either a scalar ``key`` or a comma list ``key_values``."""
+def _values(table: dict, key: str, *, required: bool = True, default=None, check=None) -> list[float] | None:
+    """Accept either a scalar ``key`` or a comma list ``key_values``; ``check(values, spelling)`` names the one given."""
     list_key = key + "_values"
     if key in table and list_key in table:
         raise ConfigError(f"give either {key!r} or {list_key!r}, not both")
     if key in table:
-        return [_float(key, table.pop(key))]
-    if list_key in table:
-        return _float_list(list_key, table.pop(list_key))
-    if required:
+        values, spelling = [_float(key, table.pop(key))], key
+    elif list_key in table:
+        values, spelling = _float_list(list_key, table.pop(list_key)), list_key
+    elif required:
         raise ConfigError(f"missing required key {key!r}")
-    return default
+    else:
+        return default
+    if check is not None:
+        check(values, spelling)
+    return values
 
 
 # Largest cavity truncation a config may ask for.  Convergence in the Fock
@@ -199,11 +202,8 @@ def _parse_prepare_pair(table: dict) -> dict:
     physics = _two_atom_sweep(table, "omega_minus")
     if table.get("T") == "auto":
         del table["T"]
-    t_key = "T_values" if "T_values" in table else "T"
-    physics["t_values"] = _values(table, "T", required=False)
-    if physics["t_values"] is not None:
-        _nonnegative(physics["t_values"], t_key)
-    else:
+    physics["t_values"] = _values(table, "T", required=False, check=_nonnegative)
+    if physics["t_values"] is None:
         # maximal-entanglement pulse length pi/|omega|, one per omega value
         omegas = physics["omega_values"]
         _finite_default_duration(omegas, "omega_minus", pair_duration)
@@ -231,16 +231,17 @@ def _parse_cnot(table: dict) -> dict:
 
 def _transit_axis(table: dict, name: str, g: float) -> list[float]:
     """A ``g t`` axis whose transit times ``value / g`` are >= 0 and finite; a grid is checked at its two ends."""
-    key = name + "_values" if name + "_values" in table else name
-    axis = _values(table, name, required=False)
+
+    def check(values: list[float], key: str) -> None:
+        for v in values:
+            if not math.isfinite(_nonnegative([v], key)[0] / g):
+                raise ConfigError(f"key {key!r} = {v!r} is too large: the transit time {key} / g overflows")
+
+    axis = _values(table, name, required=False, check=check)
     if axis is None:
         axis = _grid(table, name, 0.0, math.pi, 51)
-        ends = [(name + "_min", axis[0]), (name + "_max", axis[-1])]
-    else:
-        ends = [(key, v) for v in axis]
-    for key, v in ends:
-        if not math.isfinite(_nonnegative([v], key)[0] / g):
-            raise ConfigError(f"key {key!r} = {v!r} is too large: the transit time {key} / g overflows")
+        check(axis[:1], name + "_min")
+        check(axis[-1:], name + "_max")
     return axis
 
 
@@ -299,13 +300,10 @@ def _parse_trajectories(table: dict) -> dict:
     if n_traj > _MAX_TRAJ:
         raise ConfigError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
     physics["n_traj"] = n_traj
-    t_end_key = "t_end_values" if "t_end_values" in table else "t_end"
-    physics["t_end_values"] = _values(table, "t_end", required=False)
-    if physics["t_end_values"] is not None:
-        _nonnegative(physics["t_end_values"], t_end_key)
-    elif system == "pair":
+    physics["t_end_values"] = _values(table, "t_end", required=False, check=_nonnegative)
+    if physics["t_end_values"] is None and system == "pair":
         _finite_default_duration([physics["omega_minus"]], "omega_minus", pair_duration)
-    else:
+    elif physics["t_end_values"] is None:
         _finite_default_duration([physics["kappa"]], "kappa", cavity_decay_duration)
     _check_rows("t_end", len(physics["t_end_values"] or ()))
     physics["dt"] = _rate(table, "dt", positive=True) if "dt" in table else None
@@ -320,6 +318,7 @@ _PARSERS = {
     "mermin": _parse_mermin,
     "trajectories": _parse_trajectories,
 }
+SCENARIOS = tuple(_PARSERS)
 
 
 def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:

@@ -104,17 +104,12 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 
 def subspace_from_vectors(layout: HilbertLayout, vectors) -> SubspaceBasis:
     """Wrap an orthonormal list of states (checked) into a SubspaceBasis."""
-    vecs = tuple(vectors)
-    if vecs:
-        b = np.column_stack([v.amplitudes for v in vecs])
-        gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(len(vecs)))) > 1e-10:
-            raise ValueError("vectors are not orthonormal")
-        proj = b @ b.conj().T
-    else:
-        proj = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    proj = 0.5 * (proj + proj.conj().T)
-    return SubspaceBasis(layout, vecs, OperatorMatrix(layout, proj))
+    basis = SubspaceBasis(layout, tuple(vectors), None)
+    b = basis.matrix()
+    if np.abs(b.conj().T @ b - np.eye(basis.dim)).max(initial=0.0) > 1e-10:
+        raise ValueError("vectors are not orthonormal")
+    proj = b @ b.conj().T
+    return basis._replace(projector=OperatorMatrix(layout, 0.5 * (proj + proj.conj().T)))
 
 
 def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
@@ -130,7 +125,6 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
     if not decay_ops:
         raise ValueError("need at least one decay operator")
     layout = h_interaction.layout
-    d = layout.total_dim
     rows = []
     for op in decay_ops:
         if op.layout != layout:
@@ -140,7 +134,7 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
         if scale > 0:
             rows.append(m / scale)
     if not rows:  # all decay operators vanish
-        basis = np.eye(d, dtype=complex)
+        basis = np.eye(layout.total_dim, dtype=complex)
     else:
         basis = _null_space(np.vstack(rows))
     h = h_interaction.entries
@@ -156,11 +150,8 @@ def find_dfs(h_interaction: OperatorMatrix, decay_ops) -> SubspaceBasis:
             if keep.shape[1] == basis.shape[1]:
                 break
             basis = basis @ keep
-    rank = basis.shape[1]
     proj = basis @ basis.conj().T
-    proj = 0.5 * (proj + proj.conj().T)
-    vectors = _canonical_basis(proj, rank, layout)
-    return SubspaceBasis(layout, tuple(vectors), OperatorMatrix(layout, proj))
+    return subspace_from_vectors(layout, _canonical_basis(0.5 * (proj + proj.conj().T), basis.shape[1], layout))
 
 
 def effective_hamiltonian(h_cond: OperatorMatrix, dfs: SubspaceBasis) -> EffectiveHamiltonian:

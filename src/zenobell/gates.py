@@ -156,27 +156,45 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     left.
     """
     specs, points = _systems(spec), list(points)
-    # the lasers of pair_drive do not depend on omega_minus
-    family = DrivenHamiltonian.of(specs, pair_drive(1.0))
-    layout = family.layout
-    psi0 = basis_state(layout, (0, 0, 0))
+
+    def start(layout):
+        targets = lambda: pair_target_amplitudes([om for om, _ in points], [t for _, t in points], layout)[:, None]
+        return [basis_state(layout, (0, 0, 0)).amplitudes], targets
+
+    name = lambda om, t, _: f"omega_minus={om:.9g}, T={t:.9g}"
+    durations, finals, norm, fid = _sweep(specs, pair_drive, points, start, name)
+    finals, norm = finals[:, 0], norm[:, 0]
+    achieved = np.vecdot(entangled_pair_state(1.0, specs[0].layout()).amplitudes, finals) / norm
+    return SweepResult(finals, norm**2, fid[:, 0], achieved, durations)
+
+
+def _sweep(specs, drive, points, start, name) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run every (omega, duration) of ``points`` on each spec in turn from each input; check and score the runs.
+
+    Run r = s * len(points) + j is ``drive(omega)`` of point j on
+    ``specs[s]``; the lasers of ``drive`` do not depend on omega.
+    ``start(layout)`` gives the M input rows and a function giving their
+    targets, which broadcast against (points, M, d).  Each stage runs after
+    the checks of the one before, as in each sweep alone: the specs and
+    lasers, ``start``, reading ``points`` (which may be an iterator),
+    propagation, :func:`check_final_states` (naming input m of run r
+    ``name(omega, duration, m)``, after ``system s, `` with several specs)
+    and the targets.
+    """
+    family = DrivenHamiltonian.of(specs, drive(1.0))
+    inputs, targets = start(family.layout)
+    points = list(points)
     runs = points * len(specs)
-    drives = [pair_drive(om) for om, _ in runs]
-    durations = np.array([duration for _, duration in runs], dtype=float)
     systems = np.repeat(np.arange(len(specs)), len(points))
-    finals = no_jump_states(family, drives, durations, [psi0.amplitudes], systems)[:, 0]
+    durations = np.array([duration for _, duration in runs], dtype=float)
+    finals = no_jump_states(family, [drive(omega) for omega, _ in runs], durations, inputs, systems)
+    n_in, d = finals.shape[1:]
     norm = check_final_states(
-        finals, lambda j: f"{_system_name(specs, systems[j])}omega_minus={runs[j][0]:.9g}, T={runs[j][1]:.9g}"
-    )
-
-    targets = pair_target_amplitudes([om for om, _ in runs], [duration for _, duration in runs], layout)
-    achieved = np.vecdot(entangled_pair_state(1.0, layout).amplitudes, finals) / norm
-    return SweepResult(finals, norm**2, fidelities(finals, targets), achieved, durations)
-
-
-def _system_name(specs, s: int) -> str:
-    """The prefix that names system s in a failure message: none when a sweep has one system."""
-    return "" if len(specs) == 1 else f"system {s}, "
+        finals.reshape(-1, d),
+        lambda j: ("" if len(specs) == 1 else f"system {systems[j // n_in]}, ") + name(*runs[j // n_in], j % n_in),
+    ).reshape(finals.shape[:-1])
+    fid = fidelities(finals.reshape(len(specs), len(points), n_in, d), targets()).reshape(norm.shape)
+    return durations, finals, norm, fid
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -275,32 +293,23 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     specs, omegas, inputs = _systems(spec), list(omegas), list(inputs)
     if any(s.atom_levels != 3 for s in specs):
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
-    family = DrivenHamiltonian.of(specs, cnot_drive(1.0))
-    layout = family.layout
-    names, in_states, targets = [], [], []
-    for m, given in enumerate(inputs):
-        is_label = isinstance(given, str)
-        names.append(given if is_label else f"#{m}")
-        input_state = qubit_state(specs[0], given) if is_label else given
-        if input_state.layout != layout:
-            raise ValueError("input state does not live on the spec layout")
-        check_normalized(input_state.amplitudes, "input state")
-        in_amps = qubit_amplitudes(input_state)
-        # a unit input with unit qubit part has no amplitude outside the qubit states
-        check_normalized(in_amps, "input state's qubit part (cavity empty)")
-        in_states.append(input_state.amplitudes)
-        targets.append(qubit_state(specs[0], cnot_ideal().entries @ in_amps).amplitudes)
+    names = [given if isinstance(given, str) else f"#{m}" for m, given in enumerate(inputs)]
 
-    runs = omegas * len(specs)
-    durations = np.array([cnot_duration(omega) for omega in runs], dtype=float)
-    drives = [cnot_drive(omega) for omega in runs]
-    systems = np.repeat(np.arange(len(specs)), len(omegas))
-    finals = no_jump_states(family, drives, durations, in_states, systems)
-    n_in, d = len(inputs), layout.total_dim
-    norm = check_final_states(
-        finals.reshape(-1, d),
-        lambda j: f"{_system_name(specs, systems[j // n_in])}omega={runs[j // n_in]:.9g}, input={names[j % n_in]}",
-    )
-    # the (inputs, d) targets broadcast over the (omegas, inputs, d) final states
-    fid = fidelities(finals, np.array(targets).reshape(n_in, d))
-    return SweepResult(finals, norm.reshape(finals.shape[:-1]) ** 2, fid, None, durations)
+    def start(layout):
+        in_states, targets = [], []
+        for given in inputs:
+            input_state = qubit_state(specs[0], given) if isinstance(given, str) else given
+            if input_state.layout != layout:
+                raise ValueError("input state does not live on the spec layout")
+            check_normalized(input_state.amplitudes, "input state")
+            in_amps = qubit_amplitudes(input_state)
+            # a unit input with unit qubit part has no amplitude outside the qubit states
+            check_normalized(in_amps, "input state's qubit part (cavity empty)")
+            in_states.append(input_state.amplitudes)
+            targets.append(qubit_state(specs[0], cnot_ideal().entries @ in_amps).amplitudes)
+        return in_states, lambda: np.array(targets).reshape(len(inputs), layout.total_dim)
+
+    points = ((omega, cnot_duration(omega)) for omega in omegas)
+    name = lambda omega, _, m: f"omega={omega:.9g}, input={names[m]}"
+    durations, finals, norm, fid = _sweep(specs, cnot_drive, points, start, name)
+    return SweepResult(finals, norm**2, fid, None, durations)

@@ -47,6 +47,7 @@ MUTANTS = (
         (
             "tests/test_trajectories.py::test_jump_rates_match_anti_hermitian_part",
             "tests/test_dynamics.py::test_atom_free_spec_is_the_hand_built_leaky_cavity",
+            "tests/test_trajectories.py::test_jump_chain_converges_on_p0_det_on_random_systems",
         ),
     ),
     Mutant(
@@ -230,6 +231,23 @@ MUTANTS = (
         'the evolution is numerically unsound")\n',
         "",
         ("tests/test_dynamics.py::test_no_photon_probabilities_refuse_a_norm_gain_by_its_time",),
+    ),
+    Mutant(
+        "a sweep names the system after the failing one",
+        "gates.py",
+        'f"system {systems[j // n_in]}, "',
+        'f"system {systems[j // n_in] + 1}, "',
+        ("tests/test_gates.py::test_sweep_over_several_systems_names_the_failing_system",),
+    ),
+    Mutant(
+        "a list of values is checked under the scalar key",
+        "config.py",
+        "values, spelling = _float_list(list_key, table.pop(list_key)), list_key",
+        "values, spelling = _float_list(list_key, table.pop(list_key)), key",
+        (
+            "tests/test_config_cli.py::test_cli_unusable_durations_are_config_errors[negative_T_values]",
+            "tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[pbg_negative_list]",
+        ),
     ),
 )
 

@@ -17,9 +17,10 @@ from zenobell.dynamics import (
 )
 from zenobell import trajectories
 from zenobell.gates import cnot_duration
-from zenobell.hilbert import OperatorMatrix, basis_state, compose
+from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose
 from zenobell.trajectories import (
     _BLOCK,
+    _MIN_STEPS,
     _rate_terms,
     _survival_chain,
     first_jump_histogram,
@@ -320,3 +321,47 @@ def test_survival_and_conditional_norm_never_increase(omega1, omega2, kappa, gam
     p0 = norms[-1]
     sigma = max(math.sqrt(p0 * (1.0 - p0) / n_traj), 1.0 / n_traj)
     assert abs(batch.p0_estimate - p0) <= 6.0 * sigma
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _random_systems(draw):
+    """A spec of 0-3 atoms, random rates, a random subset of its lasers, a random unit start state and t_end."""
+    spec = SystemSpec(
+        atom_levels=draw(st.sampled_from((2, 3))),
+        n_atoms=draw(st.integers(0, 3)),
+        g=draw(_log_uniform(0.1, 3.0)),
+        kappa=draw(_log_uniform(0.01, 3.0)),
+        gamma=draw(st.one_of(st.just(0.0), _log_uniform(1e-4, 1.0))),
+        n_max=draw(st.integers(1, 3)),
+    )
+    transitions = ["0-1"] if spec.atom_levels == 2 else ["0-2", "1-2"]
+    keys = [(atom, trans) for atom in range(1, spec.n_atoms + 1) for trans in transitions]
+    lasers = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    part = st.floats(-1.0, 1.0)
+    drive = {key: complex(draw(part), draw(part)) for key in lasers}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    d = spec.layout().total_dim
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return spec, drive, psi0 / np.linalg.norm(psi0), draw(st.floats(0.1, 30.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_random_systems())
+def test_jump_chain_converges_on_p0_det_on_random_systems(system):
+    # the fourth-order chain and the Pade expm are independent routes to the
+    # no-jump probability: where the chain's gap to p0_det at n steps is
+    # above a floor, two halvings of the step shrink it at least 4-fold (a
+    # fourth-order chain gives about 16^2; 2,000 random systems gave 5.3 at
+    # least).  A jump rate that disagrees with H leaves a gap that does not shrink.
+    spec, drive, psi0, t_end = system
+    h = h_cond(spec, drive)
+    dt_max, decay = _rate_terms(h.entries, [op.entries for op in decay_operators(spec)])
+    n = max(_MIN_STEPS, math.ceil(t_end / dt_max))
+    p0_det = no_photon_probability(h, StateVector(h.layout, psi0), t_end)
+    gap, gap_4n = (abs(_survival_chain(h.entries, decay, psi0, t_end / m, m)[-1] - p0_det) for m in (n, 4 * n))
+    if gap > 1e-8:
+        assert gap_4n <= gap / 4.0
