@@ -238,21 +238,28 @@ class DrivenHamiltonian(NamedTuple):
         Rabi frequency, it is a zero, which leaves the sum's bytes as they
         are (H0 holds no -0.0 part).
         """
-        for drive in drives:
-            if set(drive) != set(self.keys):
-                raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
+        rabi = self._rabi(drives)
         systems = self._point_systems(systems, len(drives))
         states = np.arange(self.layout.total_dim) if states is None else np.asarray(states)
         rows, cols = np.ix_(states, states)
         # each point's H0_s, and then its drive terms, as rows of m * m entries
         h = np.take(self.h0[:, rows, cols].reshape(len(self.h0), -1), systems, axis=0)
         # H += 0.5 (w S + conj(w) S^dag) on the entries the laser reaches
-        for key, s_plus in zip(self.keys, self.raising):
-            w = np.array([complex(drive[key]) for drive in drives])[:, None]
+        for w, s_plus in zip(rabi.T[:, :, None], self.raising):
             up, down = s_plus[rows, cols].reshape(-1), s_plus.conj().T[rows, cols].reshape(-1)
             reached = np.flatnonzero((up != 0) | (down != 0))
             h[:, reached] += 0.5 * (w * up[reached] + np.conj(w) * down[reached])
         return h.reshape(len(drives), len(states), len(states))
+
+    def _rabi(self, drives: Sequence[Mapping]) -> np.ndarray:
+        """The (n, lasers) Rabi frequencies of n drives, checked: each names the lasers ``keys``, at finite values."""
+        if wrong := [sorted(drive) for drive in drives if drive.keys() != set(self.keys)]:
+            raise ValueError(f"drive keys {wrong[0]} differ from the assembled lasers {sorted(self.keys)}")
+        rabi = np.array([complex(drive[key]) for drive in drives for key in self.keys], dtype=complex)
+        if not (finite := np.isfinite(rabi)).all():
+            (atom, trans), w = self.keys[np.argmin(finite) % len(self.keys)], rabi[~finite][0]
+            raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
+        return rabi.reshape(len(drives), len(self.keys))
 
     def _point_systems(self, systems, n: int) -> np.ndarray:
         """The system index of each of n points: ``systems`` checked, or all 0 when it is None."""
@@ -326,13 +333,10 @@ def h_cond(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMatrix:
     frequency} with 1-based atoms.  Without one it is H0: the cavity
     coupling plus the Gamma and kappa damping, so a spec with no atoms
     gives -i kappa b^dag b.  With one it is the one-point
-    :meth:`DrivenHamiltonian.stack` of :meth:`DrivenHamiltonian.of`,
-    which checks the keys and takes H0 from here.
+    :meth:`DrivenHamiltonian.stack` of :meth:`DrivenHamiltonian.of`;
+    ``of`` checks the keys and takes H0 from here, ``stack`` the drive.
     """
     if drive:
-        for (atom, trans), omega in drive.items():
-            if not np.isfinite(w := complex(omega)):
-                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
         family = DrivenHamiltonian.of(spec, drive)
         return OperatorMatrix(family.layout, family.stack([drive])[0])
     layout = spec.layout()
@@ -403,14 +407,11 @@ def h_cond_lambda(spec: SystemSpec, drive: Mapping | None = None) -> OperatorMat
 def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi0>: the unnormalized no-emission conditional state.
 
-    Goes through :func:`no_jump_states` with ``h`` as a family without
-    lasers: only the connected components of the sparsity pattern of ``h``
-    that ``psi0`` touches are exponentiated, each as a real block under a
-    quarter-turn gauge when that makes it exactly real and as a complex
-    block otherwise.  The exponential is the dense scaling-and-squaring
-    Pade one; the test suite checks it against an adaptive step-halving
-    integrator.  At t = 0 nothing is exponentiated.  Raises
-    :class:`NumericalError` if the exponential overflows (a huge H t).
+    One :func:`no_jump_states` point with ``h`` as a family without
+    lasers, which exponentiates only the components ``psi0`` touches, and
+    nothing at t = 0, by the dense scaling-and-squaring Pade exponential
+    (checked in the test suite against an adaptive step-halving
+    integrator).  Raises :class:`NumericalError` if it overflows (a huge H t).
     """
     return StateVector(psi0.layout, _no_jump_rows(h, psi0, [t])[0])
 
@@ -420,15 +421,11 @@ def _no_jump_rows(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) 
 
     Raises :class:`NumericalError` naming the first t whose row is not finite.
     """
-    for t in times:
-        if t < 0:
-            raise ValueError(f"evolution time must be >= 0, got {t}")
     if h.layout != psi0.layout:
         raise ValueError("Hamiltonian and state live on different layouts")
     family = DrivenHamiltonian(h.layout, (), h.entries[None], ())
     rows = no_jump_states(family, [{}] * len(times), times, [psi0.amplitudes])[:, 0]
-    finite = np.isfinite(rows.view(float)).all(axis=1)
-    if not finite.all():
+    if not (finite := np.isfinite(rows.view(float)).all(axis=1)).all():
         raise NumericalError(f"exp(-i H t) |psi0> not finite at t = {times[int(np.argmin(finite))]:.9g}")
     return rows
 
@@ -447,22 +444,25 @@ def no_jump_states(
     float64 block when the quarter-turn gauge of its spanning tree makes
     it exactly real, and as the complex block otherwise (for example
     under complex Rabi frequencies of unequal phases).  A component an
-    input does not touch stays exactly 0 in its final state, and a point
-    with time 0 gives the inputs themselves without its Hamiltonian being
-    exponentiated.  Each block is applied to each input as its own
-    mat-vec, so every final state depends only on its own point and input.
+    input does not touch stays exactly 0 in its final state.  A point at
+    time 0 keeps its inputs unexponentiated, but its drive is checked as
+    in :meth:`DrivenHamiltonian.stack`; times are checked here (>= 0).
+    Each block is applied to each input as its own mat-vec, so every
+    final state depends only on its own point and input.
     """
     if len(drives) != len(times):
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
     systems = family._point_systems(systems, len(drives))
-    if any(t < 0 for t in times):
-        raise ValueError(f"evolution times must be >= 0, got {min(times)}")
-    d = family.layout.total_dim
-    inputs = np.asarray(inputs, dtype=complex).reshape(-1, d)
-    finals = np.zeros((len(drives), len(inputs), d), dtype=complex)
-    finals[[j for j, t in enumerate(times) if t == 0]] = inputs
-    moving = [j for j, t in enumerate(times) if t != 0]
+    if refused := [t for t in times if not t >= 0]:
+        raise ValueError(f"evolution time must be >= 0, got {refused[0]}")
+    inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
     support = inputs.any(axis=0)
+    # points at time 0, or all when no input has support, keep their inputs: stack never checks their drives
+    moving = [j for j, t in enumerate(times) if t != 0] if support.any() else []
+    still = [j for j, t in enumerate(times) if t == 0 or not moving]
+    family._rabi([drives[j] for j in still])
+    finals = np.zeros((len(drives), *inputs.shape), dtype=complex)
+    finals[still] = inputs
     for component in family.components:
         states = component.states
         if not (moving and support[states].any()):

@@ -220,9 +220,9 @@ def norms(rows) -> np.ndarray:
 def check_normalized(rows, what: str = "state") -> None:
     """Raise ValueError naming ``what`` unless every row of ``rows`` (or the one vector) has norm 1 within 1e-9."""
     norm = norms(rows)
-    off = np.abs(norm - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"{what} must be normalized, got norm {float(norm[off].flat[0])}")
+    within = np.abs(norm - 1.0) <= 1e-9
+    if not within.all():
+        raise ValueError(f"{what} must be normalized, got norm {float(norm[~within].flat[0])}")
 
 
 def fidelities(rows, targets) -> np.ndarray:

@@ -195,7 +195,7 @@ def run_trajectories(
     if n_traj > _MAX_TRAJ:
         raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
     rng = np.random.default_rng(seed)  # rejects a negative seed before any work
-    if t_end < 0:
+    if not t_end >= 0:
         raise ValueError("t_end must be >= 0")
     check_normalized(psi0.amplitudes, "psi0")
 
@@ -205,7 +205,7 @@ def run_trajectories(
         if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
             raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
         dt = dt_max
-    elif dt <= 0:
+    elif not dt > 0:
         raise ValueError("dt must be positive")
     elif dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")

@@ -12,8 +12,8 @@ applies the mutant there, runs its tests against the copy and prints one
 line.  It exits 1 if a mutant no longer applies, or
 survives: a named test passes, or the run fails without failing one.
 ``test_mutants.py`` checks in the Tier-1 suite only that every old text
-occurs exactly once, which costs no test run.  The package never imports
-this module.
+occurs exactly once and that every named test is defined, which costs no
+test run.  The package never imports this module.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ MUTANTS = (
     Mutant(
         "time-0 rows dropped",
         "dynamics.py",
-        "    finals[[j for j, t in enumerate(times) if t == 0]] = inputs\n",
+        "    finals[still] = inputs\n",
         "",
         (
             "tests/test_dynamics.py::test_zero_time_rows_are_the_inputs",
@@ -168,9 +168,16 @@ MUTANTS = (
     Mutant(
         "unit-norm tolerance 1e-7",
         "hilbert.py",
-        "off = np.abs(norm - 1.0) > 1e-9",
-        "off = np.abs(norm - 1.0) > 1e-7",
+        "within = np.abs(norm - 1.0) <= 1e-9",
+        "within = np.abs(norm - 1.0) <= 1e-7",
         ("tests/test_hilbert.py::test_a_state_off_unit_norm_by_1e_8_is_refused_by_name",),
+    ),
+    Mutant(
+        "a nan norm passes as unit",
+        "hilbert.py",
+        "within = np.abs(norm - 1.0) <= 1e-9",
+        "within = ~(np.abs(norm - 1.0) > 1e-9)",
+        ("tests/test_hilbert.py::test_a_nan_norm_is_refused",),
     ),
     Mutant(
         "sweep work counted as rows x d^2",
@@ -212,9 +219,9 @@ MUTANTS = (
     Mutant(
         "h_cond takes a non-finite Rabi frequency",
         "dynamics.py",
-        "        for (atom, trans), omega in drive.items():\n"
-        "            if not np.isfinite(w := complex(omega)):\n"
-        '                raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")\n',
+        "        if not (finite := np.isfinite(rabi)).all():\n"
+        "            (atom, trans), w = self.keys[np.argmin(finite) % len(self.keys)], rabi[~finite][0]\n"
+        '            raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")\n',
         "",
         (
             "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[rabi_nan]",
@@ -248,6 +255,23 @@ MUTANTS = (
             "tests/test_config_cli.py::test_cli_unusable_durations_are_config_errors[negative_T_values]",
             "tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[pbg_negative_list]",
         ),
+    ),
+    Mutant(
+        "zero-time points skip the drive check",
+        "dynamics.py",
+        "    family._rabi([drives[j] for j in still])\n",
+        "",
+        (
+            "tests/test_dynamics.py::test_every_point_drive_is_checked_time_0_included",
+            "tests/test_gates.py::test_a_non_finite_omega_is_refused_at_zero_duration",
+        ),
+    ),
+    Mutant(
+        "a nan t_end runs as t_end = 0",
+        "trajectories.py",
+        "    if not t_end >= 0:\n",
+        "    if t_end < 0:\n",
+        ("tests/test_trajectories.py::test_a_nan_time_is_refused[t_end]",),
     ),
 )
 

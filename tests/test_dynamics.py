@@ -513,7 +513,7 @@ def test_stacked_propagators_equal_evolve_no_jump(monkeypatch):
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
         assert sum(exponentiated) == 3  # the zero-length point is not exponentiated
-    with pytest.raises(ValueError, match="times must be >= 0"):
+    with pytest.raises(ValueError, match=r"evolution time must be >= 0, got -1\.0$"):
         no_jump_states(family, drives[:1], [-1.0], [psi0.amplitudes])
 
 
@@ -598,6 +598,33 @@ def test_zero_time_rows_are_the_inputs():
     inputs = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
     finals = no_jump_states(family, [cnot_drive(0.02)] * 3, [0.0, 50.0, 0.0], inputs)
     assert finals[0].tobytes() == finals[2].tobytes() == inputs.tobytes()
+
+
+def test_every_point_drive_is_checked_time_0_included():
+    # a point the kernel does not propagate keeps its inputs, and so p0 = 1:
+    # its drive must still be refused, as stack refuses a propagated one
+    family = _family(3, 2, 0.01)
+    psi0 = basis_state(family.layout, (1, 0, 0)).amplitudes
+    with pytest.raises(ValueError, match="drive keys"):
+        no_jump_states(family, [cnot_drive(0.02), {(1, "1-2"): 0.02}], [1.0, 0.0], [psi0])
+    with pytest.raises(ValueError, match=r"rabi entry for atom 1, '1-2' must be finite, got \(nan\+0j\)$"):
+        no_jump_states(family, [cnot_drive(0.02), cnot_drive(math.nan)], [1.0, 0.0], [psi0])
+    # with no input support no point is propagated, and none escapes the check
+    with pytest.raises(ValueError, match=r"rabi entry for atom 2, '0-2' must be finite, got \(inf\+0j\)$"):
+        no_jump_states(family, [{(1, "1-2"): 0.02, (2, "0-2"): math.inf}], [1.0], [np.zeros_like(psi0)])
+
+
+@pytest.mark.parametrize(
+    "times, named", [([1, -2, -1], "-2"), ([0, -1, -2], "-1"), ([1, math.nan], "nan")], ids=["negative", "first", "nan"]
+)
+def test_the_kernel_refuses_the_first_time_that_is_not_at_least_0(times, named):
+    spec, drive = lambda_spec(0.01), cnot_drive(0.02)
+    psi0 = basis_state(spec.layout(), (1, 0, 0))
+    refused = rf"^evolution time must be >= 0, got {named}$"
+    with pytest.raises(ValueError, match=refused):
+        no_jump_states(DrivenHamiltonian.of(spec, drive), [drive] * len(times), times, [psi0.amplitudes])
+    with pytest.raises(ValueError, match=refused):
+        no_photon_probabilities(h_cond(spec, drive), psi0, times)
 
 
 def test_cnot_record_does_not_depend_on_the_other_inputs():

@@ -629,3 +629,11 @@ def test_zero_duration_point_is_the_input_even_when_h_overflows():
         run = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
     assert run.final_states[0].tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
     assert (run.p0[0], run.fidelity[0], run.alpha[0]) == (1.0, 1.0, 0.0)
+
+
+def test_a_non_finite_omega_is_refused_at_zero_duration():
+    # cnot_duration(inf) is 0: the point is not propagated, but its drive is still checked
+    with pytest.raises(ValueError, match=r"rabi entry for atom 1, '1-2' must be finite, got \(inf\+0j\)$"):
+        cnot_pulse_sweep(lambda_spec(0.001), [math.inf], ["10"])
+    with pytest.raises(ValueError, match=r"rabi entry for atom 1, '0-1' must be finite"):
+        prepare_pair_sweep(pair_spec(0.001), [(math.inf, 0.0)])

@@ -254,6 +254,14 @@ def test_a_state_off_unit_norm_by_1e_8_is_refused_by_name(what, state, call):
         call(off)
 
 
+def test_a_nan_norm_is_refused():
+    # abs(nan - 1) > 1e-9 is False: the check must read "not within 1e-9"
+    with pytest.raises(ValueError, match="^state must be normalized, got norm nan$"):
+        hilbert.check_normalized([np.nan, 0])
+    with pytest.raises(ValueError, match="^target must be normalized, got norm nan$"):
+        fidelities([1, 0], [np.nan, 0])
+
+
 def test_containers_immutable():
     layout = compose([("q1", 2)])
     psi = basis_state(layout, (0,))

@@ -1,9 +1,11 @@
 """The mutant registry (``mutants.py``) still applies to the source as it is.
 
 Whether each mutant is killed is the registry script's job, run as its own
-CI step; this only checks that every old text occurs exactly once, and that
-the warning policy of ``pyproject.toml``, which every pytest run of the
-repository reads, reports a failing hypothesis test and a warning as failures.
+CI step; this only checks that every old text occurs exactly once, that
+every test a mutant names is defined in its file (a renamed test fails
+here, without a mutant run), and that the warning policy of
+``pyproject.toml``, which every pytest run of the repository reads,
+reports a failing hypothesis test and a warning as failures.
 """
 
 import subprocess
@@ -17,6 +19,14 @@ import mutants
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
 def test_mutant_applies_exactly_once(mutant):
     assert mutants.occurrences(mutant) == 1, (mutant.file, mutant.old)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
+def test_mutant_names_tests_that_exist(mutant):
+    for test in mutant.tests:
+        path, _, name = test.partition("::")
+        file = mutants.ROOT / path
+        assert file.is_file() and f"def {name.split('[')[0]}(" in file.read_text(), test
 
 
 def test_a_failing_hypothesis_test_fails_the_run_under_the_warning_flags(tmp_path):

@@ -152,6 +152,18 @@ def test_validation_errors():
         run_trajectories(h, jump, unnormalized, 1.0, 10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt, refused",
+    [(math.nan, None, "t_end must be >= 0"), (1.0, math.nan, "dt must be positive")],
+    ids=["t_end", "dt"],
+)
+def test_a_nan_time_is_refused(t_end, dt, refused):
+    # a nan t_end would run as t_end = 0, with p0 = 1; a nan dt would fail counting its steps
+    h, jump, psi0 = cavity_decay_setup()
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        run_trajectories(h, jump, psi0, t_end, 100, 0, dt=dt)
+
+
 def test_sampler_matches_explicit_bernoulli_chain():
     # independent oracle: simulate the per-step chain literally, with
     # its own RNG, and compare the no-jump fraction and jump-time CDF
