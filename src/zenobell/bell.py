@@ -278,10 +278,15 @@ def _outcome_probabilities(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
     p = exp(-i theta), outcome (s, t) has amplitude
     (m00 + s p_i m10 + t p_j (m01 + s p_i m11)) / 2 on each pair matrix,
     and its probability sums |amplitude|^2 over the r matrices:
-    elementwise arithmetic, no matmul.
+    elementwise arithmetic, no matmul.  Every score and sample reads its
+    angles here, so this is where a non-finite angle is refused.
     """
-    p_i = np.exp(-1j * np.asarray(theta_i, dtype=float))[..., None]
-    p_j = np.exp(-1j * np.asarray(theta_j, dtype=float))[..., None]
+    theta_i, theta_j = np.asarray(theta_i, dtype=float), np.asarray(theta_j, dtype=float)
+    angles = np.concatenate((theta_i, theta_j), axis=None)
+    if not (finite := np.isfinite(angles)).all():
+        raise ValueError(f"analyzer angle must be finite, got {angles[~finite][0]}")
+    p_i = np.exp(-1j * theta_i)[..., None]
+    p_j = np.exp(-1j * theta_j)[..., None]
     m00, m01, p_m10, p_m11 = m[..., 0, 0], m[..., 0, 1], p_i * m[..., 1, 0], p_i * m[..., 1, 1]
     rows = (m00 + p_m10, m00 - p_m10)
     cols = (p_j * (m01 + p_m11), p_j * (m01 - p_m11))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
@@ -26,13 +25,16 @@ class ConfigError(ValueError):
     """Invalid or incomplete scenario configuration."""
 
 
-@dataclass
 class ScenarioConfig:
-    scenario: str
-    physics: dict = field(default_factory=dict)
-    seed: int | None = None
-    shots: int | None = None
-    out: str | None = None
+    """A parsed scenario; ``seed`` may be set after parsing."""
+
+    __slots__ = ("scenario", "physics", "seed", "shots", "out")
+
+    def __init__(
+        self, scenario: str, physics: dict | None = None, seed: int | None = None, shots: int | None = None, out: str | None = None
+    ):
+        self.scenario, self.physics = scenario, {} if physics is None else physics
+        self.seed, self.shots, self.out = seed, shots, out
 
 
 def _float(key: str, raw: str) -> float:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ from .hilbert import (
     HilbertLayout,
     OperatorMatrix,
     StateVector,
+    _Record,
     _frozen,
     compose,
     embed,
@@ -87,8 +87,7 @@ class NumericalError(RuntimeError):
     """Norm blow-up or other numeric inconsistency during a run."""
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Record):
     """Declarative description of the atoms-in-cavity system, without lasers.
 
     Lasers enter only through a drive passed to :func:`h_cond` or
@@ -97,23 +96,21 @@ class SystemSpec:
     the largest Fock state kept in the cavity truncation.
     """
 
-    atom_levels: int = 2
-    n_atoms: int = 2
-    g: float = 1.0
-    kappa: float = 1.0
-    gamma: float = 0.0
-    n_max: int = 2
+    __slots__ = ("atom_levels", "n_atoms", "g", "kappa", "gamma", "n_max")
 
-    def __post_init__(self):
-        if self.atom_levels not in (2, 3):
-            raise ValueError(f"atom_levels must be 2 or 3, got {self.atom_levels}")
-        if self.n_atoms < 0:
-            raise ValueError(f"n_atoms must be >= 0, got {self.n_atoms}")
-        for name, value in (("g", self.g), ("kappa", self.kappa), ("gamma", self.gamma)):
+    def __init__(
+        self, atom_levels: int = 2, n_atoms: int = 2, g: float = 1.0, kappa: float = 1.0, gamma: float = 0.0, n_max: int = 2
+    ):
+        if atom_levels not in (2, 3):
+            raise ValueError(f"atom_levels must be 2 or 3, got {atom_levels}")
+        if n_atoms < 0:
+            raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
+        for name, value in (("g", g), ("kappa", kappa), ("gamma", gamma)):
             if not (math.isfinite(value) and (value > 0 if name == "g" else value >= 0)):
                 raise ValueError(f"{name} must be finite and {'>' if name == 'g' else '>='} 0, got {value}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        self._set(atom_levels, n_atoms, g, kappa, gamma, n_max)
 
     def layout(self) -> HilbertLayout:
         factors = [(f"atom{i}", self.atom_levels) for i in range(1, self.n_atoms + 1)]

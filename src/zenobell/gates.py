@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +34,9 @@ from .dynamics import (
     zeno_timescale,
     _systems,
 )
-from .hilbert import OperatorMatrix, StateVector, basis_state, check_normalized, compose, fidelities, state_from_amplitudes
+from .hilbert import (
+    OperatorMatrix, StateVector, _frozen, basis_state, check_normalized, compose, fidelities, state_from_amplitudes
+)
 from .states import entangled_pair_state, pair_target_amplitudes
 
 __all__ = [
@@ -74,8 +75,7 @@ class RunRecord(NamedTuple):
         return math.inf if self.p0 == 0 else 1.0 / self.p0
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Outcome of a pulse sweep as read-only columns, one entry per run.
 
     The runs are indexed by point for :func:`prepare_pair_sweep` and by
@@ -96,11 +96,6 @@ class SweepResult:
     fidelity: np.ndarray
     alpha: np.ndarray | None
     duration: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.final_states, self.p0, self.fidelity, self.alpha, self.duration):
-            if column is not None:
-                column.setflags(write=False)
 
 
 def _first_record(spec: SystemSpec, omega: complex, run: SweepResult) -> RunRecord:
@@ -165,7 +160,7 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     durations, finals, norm, fid = _sweep(specs, pair_drive, points, start, name)
     finals, norm = finals[:, 0], norm[:, 0]
     achieved = np.vecdot(entangled_pair_state(1.0, specs[0].layout()).amplitudes, finals) / norm
-    return SweepResult(finals, norm**2, fid[:, 0], achieved, durations)
+    return SweepResult(*map(_frozen, (finals, norm**2, fid[:, 0], achieved, durations)))
 
 
 def _sweep(specs, drive, points, start, name) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -312,4 +307,4 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     points = ((omega, cnot_duration(omega)) for omega in omegas)
     name = lambda omega, _, m: f"omega={omega:.9g}, input={names[m]}"
     durations, finals, norm, fid = _sweep(specs, cnot_drive, points, start, name)
-    return SweepResult(finals, norm**2, fid, None, durations)
+    return SweepResult(*map(_frozen, (finals, norm**2, fid)), None, _frozen(durations))

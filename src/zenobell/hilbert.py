@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
 
 import numpy as np
 
@@ -52,21 +52,55 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HilbertLayout:
-    """Ordered list of (label, dimension) factors of a product space."""
+class _Record:
+    """Base of the package's frozen records: the fields are ``__slots__``, set once by the constructor.
 
-    factors: tuple[tuple[str, int], ...]
-    total_dim: int = field(init=False)
+    Two records of one type are equal, and hash equal, when their first
+    ``_compared`` fields are (all of them by default); the repr shows the
+    same fields.  Assigning to or deleting a field raises AttributeError.
+    """
 
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
+    __slots__ = ()
+    _compared: int | None = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # one C-level getter of the compared fields, as a tuple: a record has two or more
+        cls._key = staticmethod(operator.attrgetter(*cls.__slots__[: cls._compared]))
+
+    def _set(self, *values) -> None:
+        """Set every field, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._key(self)))})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class HilbertLayout(_Record):
+    """Ordered list of (label, dimension) factors of a product space, and its total dimension."""
+
+    __slots__ = ("factors", "total_dim")
+
+    def __init__(self, factors: tuple[tuple[str, int], ...]):
+        labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate factor labels in {labels}")
-        for lab, dim in self.factors:
+        for lab, dim in factors:
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has dimension {dim} < 1")
-        object.__setattr__(self, "total_dim", math.prod(d for _, d in self.factors))
+        self._set(factors, math.prod(d for _, d in factors))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -111,22 +145,18 @@ def compose(factors) -> HilbertLayout:
     return HilbertLayout(tuple((str(lab), int(dim)) for lab, dim in factors))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Record):
     """Complex amplitude vector over a layout; normalization not required."""
 
-    layout: HilbertLayout
-    amplitudes: np.ndarray
+    __slots__ = ("layout", "amplitudes")
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (self.layout.total_dim,):
-            raise ValueError(
-                f"amplitude length {amps.size} != layout dimension {self.layout.total_dim}"
-            )
+    def __init__(self, layout: HilbertLayout, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        if amps.shape != (layout.total_dim,):
+            raise ValueError(f"amplitude length {amps.size} != layout dimension {layout.total_dim}")
         if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        self._set(layout, _frozen(amps))
 
     def norm(self) -> float:
         return float(norms(self.amplitudes))
@@ -138,19 +168,17 @@ class StateVector:
         return StateVector(self.layout, self.amplitudes / n)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_Record):
     """Dense complex matrix on a layout; may be non-Hermitian."""
 
-    layout: HilbertLayout
-    entries: np.ndarray
+    __slots__ = ("layout", "entries")
 
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        d = self.layout.total_dim
+    def __init__(self, layout: HilbertLayout, entries: np.ndarray):
+        m = np.array(entries, dtype=complex)
+        d = layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        object.__setattr__(self, "entries", _frozen(m))
+        self._set(layout, _frozen(m))
 
 
 def identity(layout: HilbertLayout) -> OperatorMatrix:

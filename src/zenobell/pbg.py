@@ -17,12 +17,11 @@ state (|e g> + |g e>)/sqrt(2) at the optimal times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._expm import expm
-from .hilbert import HilbertLayout, StateVector, compose, state_from_amplitudes
+from .hilbert import HilbertLayout, StateVector, _Record, compose, state_from_amplitudes
 
 __all__ = [
     "TransitPlan",
@@ -35,19 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransitPlan:
+class TransitPlan(_Record):
     """Coupling strength and the two atom-defect interaction times."""
 
-    g: float
-    t1: float
-    t2: float
+    __slots__ = ("g", "t1", "t2")
 
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        _check_time("t1", self.t1)
-        _check_time("t2", self.t2)
+    def __init__(self, g: float, t1: float, t2: float):
+        if not g > 0:
+            raise ValueError(f"g must be positive, got {g}")
+        _check_time("t1", t1)
+        _check_time("t2", t2)
+        self._set(g, t1, t2)
 
 
 def _check_time(name: str, t: float) -> None:

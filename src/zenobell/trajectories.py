@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, StateVector, check_normalized
+from .hilbert import OperatorMatrix, StateVector, _Record, check_normalized
 
 __all__ = [
     "TrajectoryBatch",
@@ -67,18 +66,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Result of one Monte-Carlo batch."""
+class TrajectoryBatch(_Record):
+    """Result of one Monte-Carlo batch; equal, and shown, by its six scalars.
 
-    n_traj: int
-    seed: object  # as passed to run_trajectories
-    t_end: float
-    dt: float
-    p0_estimate: float
-    p0_stderr: float
-    survival: np.ndarray = field(compare=False, repr=False)  # S at steps 0 ... n_steps
-    draws: np.ndarray = field(compare=False, repr=False)  # the uniform draw of each trajectory
+    ``seed`` is as passed to :func:`run_trajectories`; ``survival`` is S at
+    steps 0 ... n_steps and ``draws`` the uniform draw of each trajectory.
+    """
+
+    __slots__ = ("n_traj", "seed", "t_end", "dt", "p0_estimate", "p0_stderr", "survival", "draws")
+    _compared = 6
+
+    def __init__(self, n_traj: int, seed, t_end: float, dt: float, p0_estimate: float, p0_stderr: float, survival, draws):
+        self._set(n_traj, seed, t_end, dt, p0_estimate, p0_stderr, survival, draws)
 
     @property
     def p0_chain(self) -> float:
@@ -190,6 +189,8 @@ def run_trajectories(
     for op in jump_ops:
         if op.layout != h_cond.layout:
             raise ValueError("jump operator layout mismatch")
+    if not isinstance(n_traj, (int, np.integer)):  # rng.random takes only an integer count
+        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if n_traj > _MAX_TRAJ:

@@ -273,6 +273,31 @@ MUTANTS = (
         "    if t_end < 0:\n",
         ("tests/test_trajectories.py::test_a_nan_time_is_refused[t_end]",),
     ),
+    Mutant(
+        "a non-finite analyzer angle is scored",
+        "bell.py",
+        "    if not (finite := np.isfinite(angles)).all():\n"
+        '        raise ValueError(f"analyzer angle must be finite, got {angles[~finite][0]}")\n',
+        "",
+        ("tests/test_bell.py::test_a_non_finite_analyzer_angle_is_refused_on_every_path",),
+    ),
+    Mutant(
+        "a non-integer n_traj reaches the draw",
+        "trajectories.py",
+        "    if not isinstance(n_traj, (int, np.integer)):",
+        "    if False:",
+        ("tests/test_trajectories.py::test_a_non_integer_n_traj_is_refused_before_any_draw",),
+    ),
+    Mutant(
+        "value records compare by identity",
+        "hilbert.py",
+        "cls._key = staticmethod(operator.attrgetter(*cls.__slots__[: cls._compared]))",
+        "cls._key = staticmethod(id)",
+        (
+            "tests/test_hilbert.py::test_value_records_compare_and_hash_by_their_fields",
+            "tests/test_hilbert.py::test_embed_results_are_read_only_and_memoized_by_value",
+        ),
+    ),
 )
 
 

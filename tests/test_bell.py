@@ -688,6 +688,23 @@ def test_sample_correlation_never_raises_on_valid_input(amps, norm_error, t_i, t
     assert 0.0 <= err <= 1.0
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_analyzer_angle_is_refused_on_every_path(angle):
+    # correlation returned nan, bs_value a nan B_S that read as not violated,
+    # and sample_correlation failed inside numpy's binomial draw
+    psi = antisymmetric_pair()
+    paths = [
+        lambda: correlation(psi, 0, 1, angle, 0.0),
+        lambda: correlation(psi, 0, 1, 0.0, angle),
+        lambda: bs_value(psi, AnalyzerSettings(math.pi / 4, angle, 0.0, math.pi / 2)),
+        lambda: sample_correlation(psi, 0, 1, angle, 0.0, 100, 0),
+        lambda: sample_correlation(psi, 0, 1, 0.0, angle, 100, 0, readout_error=0.1),
+    ]
+    for path in paths:
+        with pytest.raises(ValueError, match=f"^analyzer angle must be finite, got {angle}$"):
+            path()
+
+
 def test_mermin_n_accurate_near_cancellation():
     # a GHZ phase just short of pi/4 makes <M_6> nearly cancel; the closed
     # form must still match the exact value for the stored amplitudes

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -477,7 +476,7 @@ def test_family_of_several_systems_stacks_each_points_own_h0(levels):
         with pytest.raises(ValueError, match="one index below 3 per point"):
             family.stack(drives, systems=bad)
     with pytest.raises(ValueError, match="share one layout"):
-        DrivenHamiltonian.of([specs[0], dataclasses.replace(specs[0], n_max=3)], keys)
+        DrivenHamiltonian.of([specs[0], SystemSpec(atom_levels=levels, n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3)], keys)
 
 
 def test_drive_constructors():

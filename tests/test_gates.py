@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -380,7 +379,7 @@ def test_prepare_pair_sweep_equals_single_point_records(gamma):
     assert run.p0.shape == run.fidelity.shape == run.alpha.shape == run.duration.shape == (len(PAIR_POINTS),)
     assert _read_only(run)
     # a sweep is its five columns and nothing else
-    assert [f.name for f in dataclasses.fields(run)] == ["final_states", "p0", "fidelity", "alpha", "duration"]
+    assert list(run._fields) == ["final_states", "p0", "fidelity", "alpha", "duration"]
     for i, (om, t) in enumerate(PAIR_POINTS):
         _same_row(spec, run, (i,), om, _quietly(lambda: prepare_pair(spec, om, t)))
         # the per-point route: assemble H for this drive, one expm

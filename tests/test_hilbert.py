@@ -6,11 +6,12 @@ import pytest
 
 from zenobell import bell, cli, hilbert
 from zenobell.dynamics import SystemSpec, decay_operators, h_cond
-from zenobell.gates import cnot_pulse, qubit_state
+from zenobell.gates import SweepResult, cnot_pulse, qubit_state
 from zenobell.hilbert import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    HilbertLayout,
     OperatorMatrix,
     StateVector,
     basis_state,
@@ -22,8 +23,9 @@ from zenobell.hilbert import (
     norms,
     state_from_amplitudes,
 )
+from zenobell.pbg import TransitPlan
 from zenobell.states import antisymmetric_pair, ghz_state
-from zenobell.trajectories import run_trajectories
+from zenobell.trajectories import TrajectoryBatch, run_trajectories
 
 from oracles import apply, embed_by_index, run_record_scores
 
@@ -118,6 +120,7 @@ def test_embed_results_are_read_only_and_memoized_by_value():
     with pytest.raises(ValueError):
         first.entries[0, 0] = 1.0
     assert embed(local.copy(), "a", layout) is first
+    assert embed(local, "a", compose([("a", 2), ("b", 3)])) is first  # keyed by the layout's value
     local[1, 0] = 5.0  # the caller's array changes after the call
     assert np.array_equal(embed(local, "a", layout).entries, embed_by_index(local, 0, layout.dims))
     assert np.array_equal(first.entries, embed_by_index(np.array([[0, 1], [2, 0]]), 0, layout.dims))
@@ -270,6 +273,48 @@ def test_containers_immutable():
     op = OperatorMatrix(layout, SIGMA_X)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 1.0
+
+
+def test_records_are_frozen():
+    spec = SystemSpec(atom_levels=3)
+    layout = spec.layout()
+    column = np.zeros(1)
+    records = [
+        (layout, "factors"),
+        (basis_state(layout, (0, 0, 0)), "amplitudes"),
+        (OperatorMatrix(layout, np.eye(layout.total_dim)), "entries"),
+        (spec, "kappa"),
+        (TransitPlan(1.0, 0.5, 0.25), "t1"),
+        (SweepResult(column, column, column, None, column), "p0"),
+        (TrajectoryBatch(2, 7, 1.0, 0.01, 0.5, 0.35, np.ones(101), np.array([0.25, 0.75])), "p0_estimate"),
+    ]
+    for record, field in records:
+        value = getattr(record, field)
+        for change in (lambda: setattr(record, field, value), lambda: delattr(record, field)):
+            with pytest.raises(AttributeError):
+                change()
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) is value
+
+
+VALUE_RECORDS = {
+    # a record type, its fields and, per field, a value that differs
+    "HilbertLayout": (HilbertLayout, [(("atom1", 2), ("cav", 3))], [(("atom1", 2), ("cav", 4))]),
+    "SystemSpec": (SystemSpec, [3, 2, 1.0, 1.0, 0.01, 2], [2, 1, 0.5, 0.0, 0.02, 3]),
+    "TransitPlan": (TransitPlan, [1.0, 0.5, 0.25], [2.0, 0.25, 0.5]),
+}
+
+
+@pytest.mark.parametrize("record, fields, others", VALUE_RECORDS.values(), ids=VALUE_RECORDS)
+def test_value_records_compare_and_hash_by_their_fields(record, fields, others):
+    a, b = record(*fields), record(*[tuple(list(v)) if isinstance(v, tuple) else v for v in fields])
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a in {b} and repr(a) == repr(b)
+    for k, other in enumerate(others):
+        changed = record(*fields[:k], other, *fields[k + 1 :])
+        assert changed != a and not changed == a
+    assert a != fields and a != "a string"
 
 
 def test_state_from_amplitudes_accumulates():

@@ -164,6 +164,17 @@ def test_a_nan_time_is_refused(t_end, dt, refused):
         run_trajectories(h, jump, psi0, t_end, 100, 0, dt=dt)
 
 
+@pytest.mark.parametrize("n_traj", [math.nan, 2.5, 100.0, "100"], ids=["nan", "fraction", "float", "str"])
+def test_a_non_integer_n_traj_is_refused_before_any_draw(n_traj):
+    # it reached rng.random, which failed with numpy's TypeError
+    h, jump, psi0 = cavity_decay_setup()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^n_traj must be an integer, got {n_traj!r}$"):
+        run_trajectories(h, jump, psi0, 1.0, n_traj, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sampler_matches_explicit_bernoulli_chain():
     # independent oracle: simulate the per-step chain literally, with
     # its own RNG, and compare the no-jump fraction and jump-time CDF
