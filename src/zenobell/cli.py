@@ -2,9 +2,9 @@
 
 Subcommands:
 
-    zenobell run CONFIG [--out DIR] [--seed N] [--quiet]
-    zenobell figure {fig2,fig4,fig5,islands} [--out DIR] [--quiet]
-    zenobell selftest [--quiet]
+    zenobell run [-h] [--out DIR] [--seed N] [--quiet] [config_path]
+    zenobell figure [-h] [--out DIR] [--quiet] {fig2,fig4,fig5,islands}
+    zenobell selftest [-h] [--quiet]
 
 Sweeps run batched on one thread: the Hamiltonians of a sweep are
 assembled once, one H0 per system, its points, each naming its system,
@@ -28,10 +28,9 @@ it is.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -332,54 +331,137 @@ def run_figure(which: str, out_dir: str = ".", quiet: bool = False) -> Path:
     return path
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a config error (exit 1), not argparse's exit 2."""
+# The command line, one entry per command: its flags, each with the metavar
+# and type of its value (None for a switch), then its positional argument:
+# name (None for none), choices (None for any text) and whether it is
+# required.  Parsing, usage errors and --help all read this table.
+_NO_POSITIONAL = (None, None, False)
+_COMMANDS = {
+    "run": ({"--out": ("DIR", str), "--seed": ("N", int), "--quiet": None}, ("config_path", None, False)),
+    "figure": ({"--out": ("DIR", str), "--quiet": None}, ("name", ("fig2", "fig4", "fig5", "islands"), True)),
+    "selftest": ({"--quiet": None}, _NO_POSITIONAL),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ConfigError(f"{self.prog}: {message}")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-@functools.cache  # one parser per process: parse_args neither mutates it nor shares its Namespace
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zenobell", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_flag(arg: str, flags) -> bool:
+    """Whether ``arg`` is read as a flag, by argparse's rule.
 
-    p_run = sub.add_parser("run", help="run a scenario from a config file")
-    p_run.add_argument("config_path", nargs="?", help="path to the config file")
-    p_run.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, metavar="N", help="override the config seed")
-    p_run.add_argument("--quiet", action="store_true")
+    It is one of ``flags``, alone or as ``flag=value``, or it starts with
+    "-" and is not "-", a negative number or text with a space: so
+    "--seed -1" reads -1, and "--out '-my dir'" that directory.
+    """
+    if arg.partition("=")[0] in flags:
+        return True
+    return arg.startswith("-") and arg != "-" and " " not in arg and not _NEGATIVE_NUMBER.fullmatch(arg)
 
-    p_fig = sub.add_parser("figure", help="reproduce a figure data table with baked-in defaults")
-    p_fig.add_argument("name", choices=("fig2", "fig4", "fig5", "islands"))
-    p_fig.add_argument("--out", default=".", metavar="DIR")
-    p_fig.add_argument("--quiet", action="store_true")
 
-    p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--quiet", action="store_true")
-    return parser
+def _usage(command: str | None) -> str:
+    """The usage line of ``command``, or of ``zenobell`` itself."""
+    if command is None:
+        return f"usage: zenobell [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    flags, (name, choices, required) = _COMMANDS[command]
+    words = [f"[{flag} {spec[0]}]" if spec else f"[{flag}]" for flag, spec in flags.items()]
+    if name is not None:
+        shown = f"{{{','.join(choices)}}}" if choices else name
+        words.append(shown if required else f"[{shown}]")
+    return f"usage: zenobell {command} [-h] {' '.join(words)}\n"
+
+
+def _help(command: str | None) -> str:
+    """What ``-h`` writes: the usage line of ``command``; at the top level, each command's usage line too."""
+    if command is not None:
+        return _usage(command)
+    lines = "".join(f"  {_usage(name)[len('usage: '):]}" for name in _COMMANDS)
+    return f"{_usage(None)}\n{__doc__.splitlines()[0]}\n\ncommands:\n{lines}"
+
+
+def _usage_error(command: str | None, message: str) -> ConfigError:
+    """Write the usage line to stderr; the config error (exit 1) that names the parser and ``message``."""
+    sys.stderr.write(_usage(command))
+    return ConfigError(f"zenobell{' ' + command if command else ''}: {message}")
+
+
+def _invalid_choice(name: str, value: str, choices) -> str:
+    return f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _parse_argv(argv):
+    """``(command, operand, flags)`` from ``argv``, or None once ``-h``/``--help`` has written the help.
+
+    ``flags`` maps each flag given to its value, True for a switch; a
+    repeated flag keeps its last value.  A flag's value follows it or an
+    ``=``; every argument after ``--`` is positional.  A usage error writes
+    the usage line and raises ConfigError, with argparse's message.
+    """
+    command, operand, given, extras = None, None, {}, []
+    flags, (name, choices, required), only_positionals = {}, _NO_POSITIONAL, False
+    args = iter(argv)
+    for arg in args:
+        if only_positionals or not _is_flag(arg, flags):
+            if command is None:
+                if arg not in _COMMANDS:
+                    raise _usage_error(None, _invalid_choice("command", arg, _COMMANDS))
+                command, (flags, (name, choices, required)) = arg, _COMMANDS[arg]
+            elif name is None or operand is not None:
+                extras.append(arg)
+            elif choices is not None and arg not in choices:
+                raise _usage_error(command, _invalid_choice(name, arg, choices))
+            else:
+                operand = arg
+        elif arg == "--":
+            only_positionals = True
+        elif arg in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        elif (flag := arg.partition("=")[0]) not in flags:
+            extras.append(arg)
+        elif flags[flag] is None:
+            if flag != arg:
+                raise _usage_error(command, f"argument {flag}: ignored explicit argument {arg[len(flag) + 1 :]!r}")
+            given[flag] = True
+        else:
+            value = arg[len(flag) + 1 :] if flag != arg else next(args, None)
+            if value is None or (flag == arg and _is_flag(value, flags)):
+                raise _usage_error(command, f"argument {flag}: expected one argument")
+            kind = flags[flag][1]
+            try:
+                given[flag] = kind(value)
+            except ValueError:
+                raise _usage_error(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+    if command is None:
+        raise _usage_error(None, "the following arguments are required: command")
+    if operand is None and required:
+        raise _usage_error(command, f"the following arguments are required: {name}")
+    if extras:
+        raise _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return command, operand, given
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "run":
-            if not args.config_path:
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:  # the help was asked for and written
+            return 0
+        command, operand, flags = parsed
+        out, quiet = flags.get("--out", "."), flags.get("--quiet", False)
+        if command == "run":
+            if not operand:
                 raise ConfigError("no config file given")
             try:
-                text = Path(args.config_path).read_text()
+                text = Path(operand).read_text()
             except OSError as exc:
                 sys.stderr.write(f"error: cannot read config: {exc}\n")
                 return 3
-            run_scenario(parse_config(text, seed=args.seed), out_dir=args.out, quiet=args.quiet)
+            run_scenario(parse_config(text, seed=flags.get("--seed")), out_dir=out, quiet=quiet)
             return 0
-        if args.command == "figure":
-            run_figure(args.name, out_dir=args.out, quiet=args.quiet)
+        if command == "figure":
+            run_figure(operand, out_dir=out, quiet=quiet)
             return 0
         from .selftest import run_selftest
 
-        return 0 if run_selftest(quiet=args.quiet) else 2
+        return 0 if run_selftest(quiet=quiet) else 2
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

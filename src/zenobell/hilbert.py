@@ -57,7 +57,9 @@ class _Record:
 
     Two records of one type are equal, and hash equal, when their first
     ``_compared`` fields are (all of them by default); the repr shows the
-    same fields.  Assigning to or deleting a field raises AttributeError.
+    same fields.  The two array records, ``StateVector`` and
+    ``OperatorMatrix``, compare by ``_equal_arrays`` instead and are
+    unhashable.  Assigning to or deleting a field raises AttributeError.
     """
 
     __slots__ = ()
@@ -86,6 +88,14 @@ class _Record:
         raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
 
     __delattr__ = __setattr__
+
+
+def _equal_arrays(self, other):
+    """``==`` of an array record: the same layout, and arrays that hold the same values."""
+    if type(other) is not type(self):
+        return NotImplemented
+    (layout, values), (other_layout, other_values) = self._key(self), other._key(other)
+    return layout == other_layout and np.array_equal(values, other_values)
 
 
 class HilbertLayout(_Record):
@@ -146,9 +156,15 @@ def compose(factors) -> HilbertLayout:
 
 
 class StateVector(_Record):
-    """Complex amplitude vector over a layout; normalization not required."""
+    """Complex amplitude vector over a layout; normalization not required.
+
+    Two states are equal when their layouts and amplitudes are.  A state
+    is unhashable, as its amplitude array is.
+    """
 
     __slots__ = ("layout", "amplitudes")
+    __eq__ = _equal_arrays
+    __hash__ = None
 
     def __init__(self, layout: HilbertLayout, amplitudes: np.ndarray):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -169,9 +185,15 @@ class StateVector(_Record):
 
 
 class OperatorMatrix(_Record):
-    """Dense complex matrix on a layout; may be non-Hermitian."""
+    """Dense complex matrix on a layout; may be non-Hermitian.
+
+    Two operators are equal when their layouts and entries are.  An
+    operator is unhashable, as its entry array is.
+    """
 
     __slots__ = ("layout", "entries")
+    __eq__ = _equal_arrays
+    __hash__ = None
 
     def __init__(self, layout: HilbertLayout, entries: np.ndarray):
         m = np.array(entries, dtype=complex)

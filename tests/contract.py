@@ -145,6 +145,22 @@ def check_selftest_lines(work: Path) -> None:
     _require("selftest passed" in result.stdout.splitlines(), f"no line 'selftest passed' in:\n{result.stdout}")
 
 
+def check_help_and_bare_call(work: Path) -> None:
+    """``zenobell --help`` writes the usage to stdout and exits 0; a bare ``zenobell`` is a usage error, exit 1."""
+    result = zenobell_cli("--help")
+    _exit(result, 0)
+    _require(result.stdout.startswith("usage: zenobell "), f"no usage line on stdout: {result.stdout!r}")
+    _require(result.stderr == "", f"stderr not empty: {result.stderr!r}")
+    bare = zenobell_cli()
+    _exit(bare, 1)
+    lines = bare.stderr.splitlines()
+    _require(
+        len(lines) == 2 and lines[0].startswith("usage: zenobell ") and lines[1].startswith("config error: "),
+        f"stderr is not a usage line and one config error line: {bare.stderr!r}",
+    )
+    _require(bare.stdout == "", f"stdout not empty: {bare.stdout!r}")
+
+
 def _reference_table_differs(work: Path, name: str) -> bool:
     """Run the benchmark's own job for table ``name``, full size, and compare its table with ``bench/reference``.
 
@@ -182,6 +198,7 @@ CHECKS = (
     check_zero_length_trajectory_row,
     check_step_budget_is_one_config_error_line,
     check_selftest_lines,
+    check_help_and_bare_call,
 )
 
 

@@ -84,11 +84,28 @@ MUTANTS = (
     Mutant(
         "--seed applied after parsing",
         "cli.py",
-        "run_scenario(parse_config(text, seed=args.seed), out_dir=args.out, quiet=args.quiet)",
+        'run_scenario(parse_config(text, seed=flags.get("--seed")), out_dir=out, quiet=quiet)',
         "cfg = parse_config(text)\n"
-        "            cfg.seed = cfg.seed if args.seed is None else args.seed\n"
-        "            run_scenario(cfg, out_dir=args.out, quiet=args.quiet)",
+        '            cfg.seed = cfg.seed if flags.get("--seed") is None else flags["--seed"]\n'
+        "            run_scenario(cfg, out_dir=out, quiet=quiet)",
         ("tests/test_config_cli.py::test_cli_seed_flag_supplies_the_seed_a_sampled_landscape_needs",),
+    ),
+    Mutant(
+        "an unknown flag is dropped silently",
+        "cli.py",
+        "            extras.append(arg)\n        elif flags[flag] is None:",
+        "            pass\n        elif flags[flag] is None:",
+        (
+            "tests/test_config_cli.py::test_cli_usage_errors_exit_1[unknown_flag]",
+            "tests/test_config_cli.py::test_cli_usage_errors_exit_1[every_extra_in_order]",
+        ),
+    ),
+    Mutant(
+        "a flag's missing value is taken from the next flag",
+        "cli.py",
+        "if value is None or (flag == arg and _is_flag(value, flags)):",
+        "if value is None:",
+        ("tests/test_config_cli.py::test_cli_usage_errors_exit_1[out_before_a_flag]",),
     ),
     Mutant(
         "pbg loss unchecked",
@@ -287,6 +304,13 @@ MUTANTS = (
         "    if not isinstance(n_traj, (int, np.integer)):",
         "    if False:",
         ("tests/test_trajectories.py::test_a_non_integer_n_traj_is_refused_before_any_draw",),
+    ),
+    Mutant(
+        "states compare by layout alone",
+        "hilbert.py",
+        "return layout == other_layout and np.array_equal(values, other_values)",
+        "return layout == other_layout",
+        ("tests/test_hilbert.py::test_array_records_compare_by_layout_and_values_and_are_unhashable",),
     ),
     Mutant(
         "value records compare by identity",

@@ -973,26 +973,118 @@ def test_cli_trajectory_overflow_exits_2_and_names_the_time(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_USAGE = "usage: zenobell [-h] {run,figure,selftest} ...\n"
+_RUN_USAGE = "usage: zenobell run [-h] [--out DIR] [--seed N] [--quiet] [config_path]\n"
+_FIGURE_USAGE = "usage: zenobell figure [-h] [--out DIR] [--quiet] {fig2,fig4,fig5,islands}\n"
+_FIGURES = "(choose from 'fig2', 'fig4', 'fig5', 'islands')"
+
+
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, usage, message",
     [
-        (["run", "x.cfg", "--bogus"], "unrecognized arguments: --bogus"),
-        (["figure", "fig9"], "invalid choice: 'fig9'"),
-        (["run", "x.cfg", "--threads", "4"], "unrecognized arguments: --threads 4"),
-        (["run", "--config", "x.cfg"], "unrecognized arguments: --config"),
+        (["run", "x.cfg", "--bogus"], _USAGE, "zenobell: unrecognized arguments: --bogus"),
+        (["figure", "fig9"], _FIGURE_USAGE, f"zenobell figure: argument name: invalid choice: 'fig9' {_FIGURES}"),
+        (["run", "x.cfg", "--threads", "4"], _USAGE, "zenobell: unrecognized arguments: --threads 4"),
+        (["run", "--config", "x.cfg"], _USAGE, "zenobell: unrecognized arguments: --config"),
+        ([], _USAGE, "zenobell: the following arguments are required: command"),
+        (["bogus"], _USAGE,
+         "zenobell: argument command: invalid choice: 'bogus' (choose from 'run', 'figure', 'selftest')"),
+        (["run", "a", "b"], _USAGE, "zenobell: unrecognized arguments: b"),
+        (["run", "a", "b", "--zz", "c", "--threads=4"], _USAGE,
+         "zenobell: unrecognized arguments: b --zz c --threads=4"),
+        (["--bogus", "run", "x.cfg"], _USAGE, "zenobell: unrecognized arguments: --bogus"),
+        (["selftest", "--out", "d"], _USAGE, "zenobell: unrecognized arguments: --out d"),
+        (["run", "--seed", "x", "a.cfg"], _RUN_USAGE, "zenobell run: argument --seed: invalid int value: 'x'"),
+        (["run", "--seed=x", "a.cfg"], _RUN_USAGE, "zenobell run: argument --seed: invalid int value: 'x'"),
+        (["run", "--out"], _RUN_USAGE, "zenobell run: argument --out: expected one argument"),
+        (["run", "--out", "--quiet", "x.cfg"], _RUN_USAGE, "zenobell run: argument --out: expected one argument"),
+        (["run", "x.cfg", "--seed"], _RUN_USAGE, "zenobell run: argument --seed: expected one argument"),
+        (["run", "--quiet=1", "x.cfg"], _RUN_USAGE, "zenobell run: argument --quiet: ignored explicit argument '1'"),
+        (["figure", "--out", "d"], _FIGURE_USAGE, "zenobell figure: the following arguments are required: name"),
+        (["figure", "fig9", "--bogus"], _FIGURE_USAGE,
+         f"zenobell figure: argument name: invalid choice: 'fig9' {_FIGURES}"),
+        (["run"], "", "no config file given"),
+        (["run", "--quiet", ""], "", "no config file given"),
     ],
-    ids=["unknown_flag", "unknown_figure", "threads", "config_flag"],
+    ids=["unknown_flag", "unknown_figure", "threads", "config_flag", "no_arguments", "unknown_command",
+         "extra_positional", "every_extra_in_order", "flag_before_command", "flag_of_another_command", "bad_seed",
+         "bad_seed_after_equals", "out_without_value", "out_before_a_flag", "seed_at_the_end", "switch_with_value",
+         "figure_without_name", "invalid_choice_before_extras", "run_without_config", "run_with_empty_config"],
 )
-def test_cli_usage_errors_exit_1(capsys, argv, named):
+def test_cli_usage_errors_exit_1(capsys, argv, usage, message):
+    # a usage error writes the usage line, then one config error line, in
+    # the words argparse used when it parsed the command line
     assert run_cli(argv) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and named in err
-    assert "Traceback" not in err
+    assert capsys.readouterr() == ("", f"{usage}config error: {message}\n")
+
+
+_COMMAND_FLAGS = {None: ("-h", "--out", "--seed", "--quiet"), "run": ("-h", "--out", "--seed", "--quiet"),
+                  "figure": ("-h", "--out", "--quiet"), "selftest": ("-h", "--quiet")}
+
+
+@pytest.mark.parametrize("command", _COMMAND_FLAGS)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help_writes_usage_to_stdout_and_returns_0(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [flag] if command is None else [command, flag]
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: zenobell {command or '[-h]'} ")
+    assert all(name in out for name in _COMMAND_FLAGS[command]), out
+    # help is asked for after other arguments too, and nothing runs
+    if command is not None:
+        assert run_cli([command, "fig2", "--quiet", flag]) == 0
+        assert capsys.readouterr() == (out, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_module_docstring_lists_each_command_usage(capsys):
+    block = cli.__doc__.split("Subcommands:\n\n")[1].split("\n\n")[0]
+    lines = [line.strip() for line in block.splitlines()]
+    assert len(lines) == 3
+    for command, line in zip(("run", "figure", "selftest"), lines):
+        assert run_cli([command, "--help"]) == 0
+        assert capsys.readouterr().out == f"usage: {line}\n"
+
+
+def test_cli_flag_spellings_and_orders_give_one_run(tmp_path, capsys):
+    cfg = tmp_path / "bell.cfg"
+    cfg.write_text(_SAMPLED_NO_SEED)
+    forms = {
+        "after": ["run", cfg, "--out", tmp_path / "after", "--seed", 5, "--quiet"],
+        "equals": ["run", f"--out={tmp_path / 'equals'}", "--seed=5", "--quiet", cfg],
+        "before": ["run", "--quiet", "--seed", 5, "--out", tmp_path / "before", cfg],
+        "repeated": ["run", "--seed", 9, cfg, "--out", tmp_path / "junk", "--seed=5", "--out", tmp_path / "repeated",
+                     "--quiet"],
+        "dashdash": ["run", "--out", tmp_path / "dashdash", "--seed", 5, "--quiet", "--", cfg],
+    }
+    for argv in forms.values():
+        assert run_cli(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "junk").exists()
+    assert "seed = 5\n" in (tmp_path / "after" / "bell_landscape_summary.txt").read_text()
+    for name in ("bell_landscape.csv", "bell_landscape_summary.txt"):
+        first = (tmp_path / "after" / name).read_bytes()
+        assert all((tmp_path / form / name).read_bytes() == first for form in forms)
+
+
+@pytest.mark.parametrize(
+    "argv, extras",
+    [
+        (["run", "x.cfg", "--qu"], "--qu"),
+        (["run", "--se", "3", "x.cfg"], "--se x.cfg"),  # 3 is the config path
+        (["run", "x.cfg", "--he"], "--he"),
+    ],
+)
+def test_cli_abbreviated_flags_are_unrecognized(capsys, argv, extras):
+    # argparse took a unique prefix of a flag (--qu for --quiet); only a whole flag is one
+    assert run_cli(argv) == 1
+    assert capsys.readouterr() == ("", f"{_USAGE}config error: zenobell: unrecognized arguments: {extras}\n")
 
 
 def test_cli_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
-    # main builds its parser once per process; each call must still parse
-    # afresh, with no flag or error carried over from the call before
+    # every call parses its own argv, with no flag or error carried over
+    # from the call before
     assert run_cli(["figure", "nope"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: zenobell figure") and "invalid choice: 'nope'" in err

@@ -143,9 +143,9 @@ def test_overflowing_powers_give_non_finite_slices():
             assert np.isfinite(u).all()
 
 
-# one run of each scenario, every figure, the selftest and every demo, in
-# one interpreter; then the scipy and dataclasses modules it loaded, which
-# must be none
+# one run of each scenario, every figure, the selftest, the help and every
+# demo, in one interpreter; then the scipy, dataclasses and argparse
+# modules it loaded, which must be none
 USER_PATHS = r"""
 import contextlib, io, runpy, sys
 from pathlib import Path
@@ -166,16 +166,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     for name in ("fig2", "fig4", "fig5", "islands"):
         assert zenobell.cli.main(["figure", name, "--quiet"]) == 0, name
     assert zenobell.cli.main(["selftest", "--quiet"]) == 0
+    assert zenobell.cli.main(["--help"]) == 0
     for demo in sorted(Path(sys.argv[1]).glob("*.py")):
         runpy.run_path(str(demo), run_name="__main__")
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "dataclasses")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "dataclasses", "argparse")))
 """
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # the numpy-only CI job runs without scipy; this checks its claim where
     # scipy is installed too.  The records are plain classes: building them
-    # with dataclasses generated code at import, in every process
+    # with dataclasses generated code at import, in every process; and the
+    # command line is read without argparse, which cost ~2.6 ms a process
+    # to import and build
     src = str(Path(zenobell.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = [sys.executable, "-c", USER_PATHS, str(Path(__file__).resolve().parents[1] / "demos")]

@@ -19,6 +19,7 @@ from zenobell.hilbert import (
     embed,
     fidelities,
     fidelity,
+    identity,
     ladder,
     norms,
     state_from_amplitudes,
@@ -315,6 +316,23 @@ def test_value_records_compare_and_hash_by_their_fields(record, fields, others):
         changed = record(*fields[:k], other, *fields[k + 1 :])
         assert changed != a and not changed == a
     assert a != fields and a != "a string"
+
+
+def test_array_records_compare_by_layout_and_values_and_are_unhashable():
+    layout = compose([("q1", 2), ("q2", 2)])
+    other_layout = compose([("a", 2), ("b", 2)])
+    states = [basis_state(layout, (0, 1)), basis_state(layout, (1, 0))]
+    operators = [identity(layout), OperatorMatrix(layout, np.diag([1, 1, 1, -1]))]
+    for (a, b), make, field in ((states, StateVector, "amplitudes"), (operators, OperatorMatrix, "entries")):
+        same = make(layout, getattr(a, field).copy())
+        assert a == same and not a != same and a is not same
+        assert a != b and not a == b
+        assert a in [b, same] and a not in [b] and [a, b].index(b) == 1
+        assert a != make(other_layout, getattr(a, field))  # equal values on another layout
+        assert a != (layout, getattr(a, field)) and a != "a string"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+        assert repr(a) == f"{make.__name__}(layout={layout!r}, {field}={getattr(a, field)!r})"
 
 
 def test_state_from_amplitudes_accumulates():
