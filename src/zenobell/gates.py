@@ -151,45 +151,39 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     left.
     """
     specs, points = _systems(spec), list(points)
-
-    def start(layout):
-        targets = lambda: pair_target_amplitudes([om for om, _ in points], [t for _, t in points], layout)[:, None]
-        return [basis_state(layout, (0, 0, 0)).amplitudes], targets
-
+    family = DrivenHamiltonian.of(specs, pair_drive(1.0))
+    ground = basis_state(family.layout, (0, 0, 0)).amplitudes
     name = lambda om, t, _: f"omega_minus={om:.9g}, T={t:.9g}"
-    durations, finals, norm, fid = _sweep(specs, pair_drive, points, start, name)
+    durations, finals, norm = _sweep(family, pair_drive, points, [ground], name)
+    targets = pair_target_amplitudes([om for om, _ in points], [t for _, t in points], family.layout)
+    fid = fidelities(finals.reshape(len(specs), *targets.shape), targets).reshape(-1)
     finals, norm = finals[:, 0], norm[:, 0]
-    achieved = np.vecdot(entangled_pair_state(1.0, specs[0].layout()).amplitudes, finals) / norm
-    return SweepResult(*map(_frozen, (finals, norm**2, fid[:, 0], achieved, durations)))
+    achieved = np.vecdot(entangled_pair_state(1.0, family.layout).amplitudes, finals) / norm
+    return SweepResult(*map(_frozen, (finals, norm**2, fid, achieved, durations)))
 
 
-def _sweep(specs, drive, points, start, name) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run every (omega, duration) of ``points`` on each spec in turn from each input; check and score the runs.
+def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Propagate every (omega, duration) of ``points`` on each system of ``family`` from each input; check the runs.
 
-    Run r = s * len(points) + j is ``drive(omega)`` of point j on
-    ``specs[s]``; the lasers of ``drive`` do not depend on omega.
-    ``start(layout)`` gives the M input rows and a function giving their
-    targets, which broadcast against (points, M, d).  Each stage runs after
-    the checks of the one before, as in each sweep alone: the specs and
-    lasers, ``start``, reading ``points`` (which may be an iterator),
-    propagation, :func:`check_final_states` (naming input m of run r
-    ``name(omega, duration, m)``, after ``system s, `` with several specs)
-    and the targets.
+    Run r = s * len(points) + j is ``drive(omega)`` of point j on system
+    s; ``inputs`` holds M amplitude rows.  Returns the run durations, the
+    (runs, M, d) final states of :func:`no_jump_states` and their norms
+    from :func:`check_final_states`, which names input m of run r
+    ``name(omega, duration, m)``, after ``system s, `` with several
+    systems.  Each sweep builds its family and inputs before this step
+    and scores its own targets after it.
     """
-    family = DrivenHamiltonian.of(specs, drive(1.0))
-    inputs, targets = start(family.layout)
-    points = list(points)
-    runs = points * len(specs)
-    systems = np.repeat(np.arange(len(specs)), len(points))
+    n_systems = len(family.h0)
+    runs = points * n_systems
+    systems = np.repeat(np.arange(n_systems), len(points))
     durations = np.array([duration for _, duration in runs], dtype=float)
     finals = no_jump_states(family, [drive(omega) for omega, _ in runs], durations, inputs, systems)
     n_in, d = finals.shape[1:]
     norm = check_final_states(
         finals.reshape(-1, d),
-        lambda j: ("" if len(specs) == 1 else f"system {systems[j // n_in]}, ") + name(*runs[j // n_in], j % n_in),
+        lambda j: ("" if n_systems == 1 else f"system {systems[j // n_in]}, ") + name(*runs[j // n_in], j % n_in),
     ).reshape(finals.shape[:-1])
-    fid = fidelities(finals.reshape(len(specs), len(points), n_in, d), targets()).reshape(norm.shape)
-    return durations, finals, norm, fid
+    return durations, finals, norm
 
 
 def sqr(xi: float, phi: float) -> OperatorMatrix:
@@ -288,23 +282,22 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     specs, omegas, inputs = _systems(spec), list(omegas), list(inputs)
     if any(s.atom_levels != 3 for s in specs):
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
+    family = DrivenHamiltonian.of(specs, cnot_drive(1.0))
+    in_states, targets = [], []
+    for given in inputs:
+        input_state = qubit_state(specs[0], given) if isinstance(given, str) else given
+        if input_state.layout != family.layout:
+            raise ValueError("input state does not live on the spec layout")
+        check_normalized(input_state.amplitudes, "input state")
+        in_amps = qubit_amplitudes(input_state)
+        # a unit input with unit qubit part has no amplitude outside the qubit states
+        check_normalized(in_amps, "input state's qubit part (cavity empty)")
+        in_states.append(input_state.amplitudes)
+        targets.append(qubit_state(specs[0], cnot_ideal().entries @ in_amps).amplitudes)
+    points = [(omega, cnot_duration(omega)) for omega in omegas]
     names = [given if isinstance(given, str) else f"#{m}" for m, given in enumerate(inputs)]
-
-    def start(layout):
-        in_states, targets = [], []
-        for given in inputs:
-            input_state = qubit_state(specs[0], given) if isinstance(given, str) else given
-            if input_state.layout != layout:
-                raise ValueError("input state does not live on the spec layout")
-            check_normalized(input_state.amplitudes, "input state")
-            in_amps = qubit_amplitudes(input_state)
-            # a unit input with unit qubit part has no amplitude outside the qubit states
-            check_normalized(in_amps, "input state's qubit part (cavity empty)")
-            in_states.append(input_state.amplitudes)
-            targets.append(qubit_state(specs[0], cnot_ideal().entries @ in_amps).amplitudes)
-        return in_states, lambda: np.array(targets).reshape(len(inputs), layout.total_dim)
-
-    points = ((omega, cnot_duration(omega)) for omega in omegas)
     name = lambda omega, _, m: f"omega={omega:.9g}, input={names[m]}"
-    durations, finals, norm, fid = _sweep(specs, cnot_drive, points, start, name)
+    durations, finals, norm = _sweep(family, cnot_drive, points, in_states, name)
+    targets = np.reshape(targets, (len(inputs), family.layout.total_dim))
+    fid = fidelities(finals.reshape(len(specs), len(points), *targets.shape), targets).reshape(norm.shape)
     return SweepResult(*map(_frozen, (finals, norm**2, fid)), None, _frozen(durations))

@@ -233,15 +233,11 @@ def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
 # n_max = 32: 297 x 297) take 45 MB.
 @functools.lru_cache(maxsize=32)
 def _embedded(local_bytes: bytes, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
-    dim = layout.dim_of(target_label)
-    return _build_embed(np.frombuffer(local_bytes, dtype=complex).reshape(dim, dim), target_label, layout)
-
-
-def _build_embed(local: np.ndarray, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
     axis = layout.axis_of(target_label)
     full = np.ones((1, 1), dtype=complex)
     for k, (_, d) in enumerate(layout.factors):
-        full = np.kron(full, local if k == axis else np.eye(d, dtype=complex))
+        local = np.frombuffer(local_bytes, dtype=complex).reshape(d, d) if k == axis else np.eye(d, dtype=complex)
+        full = np.kron(full, local)
     return OperatorMatrix(layout, full)
 
 

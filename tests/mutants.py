@@ -264,6 +264,17 @@ MUTANTS = (
         ("tests/test_gates.py::test_sweep_over_several_systems_names_the_failing_system",),
     ),
     Mutant(
+        "the pair sweep scores its points against the targets in reversed order",
+        "gates.py",
+        "fidelities(finals.reshape(len(specs), *targets.shape), targets)",
+        "fidelities(finals.reshape(len(specs), *targets.shape), targets[::-1])",
+        (
+            "tests/test_gates.py::test_prepare_pair_sweep_equals_single_point_records",
+            "tests/test_gates.py::test_sweep_records_score_as_the_one_state_formulas",
+            "tests/test_config_cli.py::test_cli_table_is_its_benchmark_reference_byte_for_byte[prepare_pair]",
+        ),
+    ),
+    Mutant(
         "a list of values is checked under the scalar key",
         "config.py",
         "values, spelling = _float_list(list_key, table.pop(list_key)), list_key",

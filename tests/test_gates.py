@@ -37,7 +37,7 @@ from zenobell.gates import (
     qubit_state,
     sqr,
 )
-from zenobell.hilbert import basis_state, fidelity, state_from_amplitudes
+from zenobell.hilbert import StateVector, basis_state, fidelity, state_from_amplitudes
 from zenobell.states import (
     entangled_pair_amplitudes,
     entangled_pair_state,
@@ -636,3 +636,146 @@ def test_a_non_finite_omega_is_refused_at_zero_duration():
         cnot_pulse_sweep(lambda_spec(0.001), [math.inf], ["10"])
     with pytest.raises(ValueError, match=r"rabi entry for atom 1, '0-1' must be finite"):
         prepare_pair_sweep(pair_spec(0.001), [(math.inf, 0.0)])
+
+
+_PAIR, _LAMBDA = pair_spec(0.001), lambda_spec(0.001)
+_UNIT_10 = qubit_state(_LAMBDA, "10").amplitudes
+
+# each bad sweep input, with the exception its first failing check raises:
+# the specs and lasers, then the inputs (and CNOT targets), the points, the
+# propagation, the final-state check and last the pair targets
+_REFUSALS = {
+    "pair_no_specs": (lambda: prepare_pair_sweep([], [(OMEGA, 1.0)]), ValueError, "a family needs at least one system"),
+    "cnot_no_specs": (lambda: cnot_pulse_sweep([], [OMEGA], ["10"]), ValueError, "a family needs at least one system"),
+    "pair_1_atom": (
+        lambda: prepare_pair_sweep(SystemSpec(n_atoms=1), [(OMEGA, 1.0)]),
+        ValueError,
+        "rabi entry for unknown atom 2",
+    ),
+    "pair_3_atoms": (
+        lambda: prepare_pair_sweep(SystemSpec(n_atoms=3), [(OMEGA, 1.0)]),
+        ValueError,
+        "need one level per factor",
+    ),
+    "cnot_1_atom": (
+        lambda: cnot_pulse_sweep(SystemSpec(3, 1), [OMEGA], ["10"]),
+        ValueError,
+        "rabi entry for unknown atom 2",
+    ),
+    "cnot_3_atoms": (lambda: cnot_pulse_sweep(SystemSpec(3, 3), [OMEGA], ["10"]), ValueError, "need one level per factor"),
+    "pair_lambda_spec": (
+        lambda: prepare_pair_sweep(_LAMBDA, [(OMEGA, 1.0)]),
+        ValueError,
+        "transition '0-1' invalid for 3-level atoms (expected one of ['0-2', '1-2'])",
+    ),
+    "cnot_two_level_spec": (
+        lambda: cnot_pulse_sweep(_PAIR, [OMEGA], ["10"]), ValueError, "the CNOT pulse needs Lambda (3-level) atoms"
+    ),
+    "pair_two_layouts": (
+        lambda: prepare_pair_sweep([_PAIR, SystemSpec(n_max=3)], [(OMEGA, 1.0)]),
+        ValueError,
+        "the systems of a family must share one layout",
+    ),
+    "cnot_two_layouts": (
+        lambda: cnot_pulse_sweep([_LAMBDA, SystemSpec(3, n_max=3)], [OMEGA], ["10"]),
+        ValueError,
+        "the systems of a family must share one layout",
+    ),
+    "pair_omega_0_T_negative": (
+        lambda: prepare_pair_sweep(_PAIR, [(0.0, -1.0)]), ValueError, "evolution time must be >= 0, got -1.0"
+    ),
+    "pair_omega_0_T_inf": (
+        lambda: prepare_pair_sweep(_PAIR, [(0.0, math.inf)]),
+        NumericalError,
+        "final-state amplitudes not finite at omega_minus=0, T=inf",
+    ),
+    "pair_omega_0_T_1": (lambda: prepare_pair_sweep(_PAIR, [(0.0, 1.0)]), ValueError, "omega_minus must be nonzero"),
+    "pair_T_negative": (
+        lambda: prepare_pair_sweep(_PAIR, [(OMEGA, -1.0)]),
+        ValueError,
+        "evolution time must be >= 0, got -1.0",
+    ),
+    "pair_T_nan": (
+        lambda: prepare_pair_sweep(_PAIR, [(OMEGA, math.nan)]),
+        ValueError,
+        "evolution time must be >= 0, got nan",
+    ),
+    "pair_omega_str": (
+        lambda: prepare_pair_sweep(_PAIR, [("x", 1.0)]),
+        ValueError,
+        "complex() arg is a malformed string",
+    ),
+    "pair_T_str": (
+        lambda: prepare_pair_sweep(_PAIR, [(OMEGA, "x")]),
+        ValueError,
+        "could not convert string to float: 'x'",
+    ),
+    "pair_no_norm_left": (
+        lambda: prepare_pair_sweep(_PAIR, [(OMEGA, 100.0), (OMEGA, 1e15)]),
+        NumericalError,
+        "p0 = 0 at omega_minus=0.02, T=1e+15: the conditional state has no norm left",
+    ),
+    "pair_omega_inf_T_0": (
+        lambda: prepare_pair_sweep(_PAIR, [(math.inf, 0.0)]),
+        ValueError,
+        "rabi entry for atom 1, '0-1' must be finite, got (inf+nanj)",
+    ),
+    "cnot_omega_0": (lambda: cnot_pulse_sweep(_LAMBDA, [0.0], ["10"]), ValueError, "omega must be nonzero"),
+    "cnot_omega_str": (
+        lambda: cnot_pulse_sweep(_LAMBDA, ["x"], ["10"]),
+        TypeError,
+        "bad operand type for abs(): 'str'",
+    ),
+    "cnot_label_12": (lambda: cnot_pulse_sweep(_LAMBDA, [OMEGA], ["12"]), ValueError, "unknown qubit label '12'"),
+    "cnot_unnormalized_input": (
+        lambda: cnot_pulse_sweep(_LAMBDA, [OMEGA], [StateVector(_LAMBDA.layout(), 2 * _UNIT_10)]),
+        ValueError,
+        "input state must be normalized, got norm 2.0",
+    ),
+    "cnot_input_on_wrong_layout": (
+        lambda: cnot_pulse_sweep(_LAMBDA, [OMEGA], [qubit_state(SystemSpec(3, n_max=3), "10")]),
+        ValueError,
+        "input state does not live on the spec layout",
+    ),
+    "cnot_input_without_qubit_part": (
+        lambda: cnot_pulse_sweep(_LAMBDA, [OMEGA], [basis_state(_LAMBDA.layout(), (2, 0, 0))]),
+        ValueError,
+        "input state's qubit part (cavity empty) must be normalized, got norm 0.0",
+    ),
+    "cnot_omega_0_and_bad_label": (
+        lambda: cnot_pulse_sweep(_LAMBDA, [0.0], ["10", "12"]), ValueError, "unknown qubit label '12'"
+    ),
+    "pair_second_system_overflows": (
+        lambda: prepare_pair_sweep([_PAIR, SystemSpec(kappa=1e200)], [(OMEGA, 100.0)]),
+        NumericalError,
+        "final-state amplitudes not finite at system 1, omega_minus=0.02, T=100",
+    ),
+    "cnot_second_system_overflows": (
+        lambda: cnot_pulse_sweep([_LAMBDA, SystemSpec(3, kappa=1e200)], [OMEGA], ["10"]),
+        NumericalError,
+        "final-state amplitudes not finite at system 1, omega=0.02, input=10",
+    ),
+    "pair_lazy_points": (
+        lambda: prepare_pair_sweep(_PAIR, ((OMEGA, t) for t in (1.0, -1.0))),
+        ValueError,
+        "evolution time must be >= 0, got -1.0",
+    ),
+    "cnot_lazy_omegas": (
+        lambda: cnot_pulse_sweep(_LAMBDA, (omega for omega in (OMEGA, 0.0)), ["10"]),
+        ValueError,
+        "omega must be nonzero",
+    ),
+    "cnot_lazy_inputs": (
+        lambda: cnot_pulse_sweep(_LAMBDA, [OMEGA], (label for label in ("10", "12"))),
+        ValueError,
+        "unknown qubit label '12'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_sweep_refusals_keep_their_order_and_messages(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
