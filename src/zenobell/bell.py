@@ -1,7 +1,7 @@
 """Bell-type and Mermin-type correlation tests for prepared states.
 
 Analyzer settings are angles in the equatorial plane of the Bloch
-sphere: sigma_theta = cos(theta) sigma_x + sin(theta) sigma_y.  The spin
+sphere: sigma(theta) = cos(theta) sigma_x + sin(theta) sigma_y.  The spin
 (correlation-function) Bell combination
 
     B_S = E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')
@@ -20,7 +20,7 @@ only on |0...0><1...1| and its conjugate, so the value is read off two
 amplitudes in closed form; no scoring call builds a full-space matrix.
 
 One measurement model serves exact and sampled scores.  The readout is
-a projective measurement in the sigma_theta eigenbasis (rotate, then
+a projective measurement in the sigma(theta) eigenbasis (rotate, then
 read the computational basis), and ``_outcome_probabilities`` gives the
 probabilities of its four outcomes for the pair matrices of a stack of
 states (the amplitudes reshaped so that the two scored qubits are the
@@ -54,14 +54,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, StateVector, check_normalized
+from .hilbert import StateVector, check_normalized
 from .states import pair_target_amplitudes, qubit_layout
 
 __all__ = [
     "AnalyzerSettings",
     "BellResult",
     "MerminResult",
-    "sigma_theta",
     "correlation",
     "bs_value",
     "bs_reduced",
@@ -107,15 +106,6 @@ class MerminResult(NamedTuple):
     classical_bound: float
     quantum_bound: float
     n_qubits: int
-
-
-def sigma_theta(theta) -> np.ndarray:
-    """cos(theta) sigma_x + sin(theta) sigma_y; Hermitian, eigenvalues +-1.
-
-    An array of angles gives the stack of these matrices, one per angle.
-    """
-    theta = np.asarray(theta, dtype=float)[..., None, None]
-    return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
 def _qubit_label(state: StateVector, index: int) -> str:
@@ -175,7 +165,7 @@ def _bs_scores(m: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
 
 
 def correlation(state: StateVector, i: int, j: int, theta_i: float, theta_j: float) -> float:
-    """E(theta_i, theta_j) = <sigma_theta_i^(i) sigma_theta_j^(j)>, matrix-free."""
+    """E(theta_i, theta_j) = <sigma(theta_i)^(i) sigma(theta_j)^(j)>, matrix-free."""
     return float(_correlations(_pair_matrices(state, i, j)[None], [theta_i], [theta_j])[0, 0])
 
 
@@ -270,7 +260,7 @@ def mermin_n(state: StateVector) -> MerminResult:
 
 
 def _outcome_probabilities(m: np.ndarray, theta_i, theta_j) -> np.ndarray:
-    """Probabilities of the sigma_theta outcomes (+,+), (+,-), (-,+), (-,-) on a pair, in closed form.
+    """Probabilities of the sigma(theta) outcomes (+,+), (+,-), (-,+), (-,-) on a pair, in closed form.
 
     ``m`` is (..., r, 2, 2): the pair matrices of one state, or a stack
     of states.  The angles broadcast against ``m.shape[:-3]``, and the
@@ -319,7 +309,7 @@ def sample_correlation(
 ) -> tuple[float, float]:
     """Finite-shot estimate of E(theta_i, theta_j) with noisy readout.
 
-    Each shot projects both qubits onto the sigma_theta eigenbasis and
+    Each shot projects both qubits onto the sigma(theta) eigenbasis and
     multiplies the two +-1 outcomes; each recorded outcome is flipped
     independently with probability ``readout_error``, so the estimator
     converges to (1 - 2 eps)^2 E.  Returns (estimate, stderr) with

@@ -146,7 +146,9 @@ def pair_drive(omega_minus: complex) -> dict:
     """
     om = complex(omega_minus)
     s2 = math.sqrt(2.0)
-    return {(1, "0-1"): om / s2, (2, "0-1"): -om / s2}
+    # part by part: complex division by a real would make inf + 0j into inf + nanj
+    w = complex(om.real / s2, om.imag / s2)
+    return {(1, "0-1"): w, (2, "0-1"): -w}
 
 
 def cnot_drive(omega: complex) -> dict:

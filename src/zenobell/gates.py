@@ -1,4 +1,4 @@
-"""Entangling-pulse, single-qubit-rotation and dissipative-CNOT protocols.
+"""Entangling-pulse and dissipative-CNOT protocols.
 
 Each cavity protocol is a single square laser pulse applied while the
 atoms sit in the cavity.  The run is scored conditionally on no photon
@@ -14,7 +14,6 @@ A sweep returns plain columns; a run's regime is computed where it is reported.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from typing import NamedTuple
@@ -44,7 +43,6 @@ __all__ = [
     "SweepResult",
     "prepare_pair",
     "prepare_pair_sweep",
-    "sqr",
     "cnot_ideal",
     "cnot_pulse",
     "cnot_pulse_sweep",
@@ -184,22 +182,6 @@ def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name) -> tupl
         lambda j: ("" if n_systems == 1 else f"system {systems[j // n_in]}, ") + name(*runs[j // n_in], j % n_in),
     ).reshape(finals.shape[:-1])
     return durations, finals, norm
-
-
-def sqr(xi: float, phi: float) -> OperatorMatrix:
-    """Single-qubit rotation cos(xi) - i sin(xi) (e^{i phi}|0><1| + h.c.).
-
-    Applied outside the cavity, so it is modeled as the exact unitary
-    with no dissipation.
-    """
-    u = np.array(
-        [
-            [math.cos(xi), -1j * math.sin(xi) * cmath.exp(1j * phi)],
-            [-1j * math.sin(xi) * cmath.exp(-1j * phi), math.cos(xi)],
-        ],
-        dtype=complex,
-    )
-    return OperatorMatrix(compose([("qubit", 2)]), u)
 
 
 def cnot_ideal() -> OperatorMatrix:

@@ -33,18 +33,7 @@ __all__ = [
     "fidelities",
     "basis_state",
     "state_from_amplitudes",
-    "identity",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
 ]
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_X.setflags(write=False)
-SIGMA_Y.setflags(write=False)
-SIGMA_Z.setflags(write=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -111,10 +100,6 @@ class HilbertLayout(_Record):
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has dimension {dim} < 1")
         self._set(factors, math.prod(d for _, d in factors))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -203,12 +188,8 @@ class OperatorMatrix(_Record):
         self._set(layout, _frozen(m))
 
 
-def identity(layout: HilbertLayout) -> OperatorMatrix:
-    return OperatorMatrix(layout, np.eye(layout.total_dim, dtype=complex))
-
-
 def embed(local_op, target_label: str, layout: HilbertLayout) -> OperatorMatrix:
-    """Lift a single-factor operator to the full space (identity elsewhere).
+    """Lift a single-factor operator to the full space (the unit operator elsewhere).
 
     The placement follows the fixed row-major basis order, so for a
     two-qubit layout ``embed(op, "atom2", L)`` equals ``kron(I, op)``.

@@ -79,15 +79,6 @@ class TrajectoryBatch(_Record):
     def __init__(self, n_traj: int, seed, t_end: float, dt: float, p0_estimate: float, p0_stderr: float, survival, draws):
         self._set(n_traj, seed, t_end, dt, p0_estimate, p0_stderr, survival, draws)
 
-    @property
-    def p0_chain(self) -> float:
-        """The chain's no-jump survival S(t_end), the deterministic half of the estimate.
-
-        ``p0_estimate`` is the fraction of draws below it, so only this
-        value carries what the jump operators say about the damping of H.
-        """
-        return float(self.survival[-1])
-
 
 _BLOCK = 256  # steps per block of the survival chain
 _MAX_STEPS = 2 * 10**6  # bounds the survival array (16 MB) and the chain's run time

@@ -213,6 +213,22 @@ MUTANTS = (
         ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_n_traj_cap]",),
     ),
     Mutant(
+        "a readout error of 0.5 or more is sampled",
+        "config.py",
+        "    if not 0.0 <= eps < 0.5:\n"
+        "        raise ConfigError(f\"key 'readout_error' must lie in [0, 0.5), got {eps}\")\n",
+        "",
+        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[bell_readout_error_0_7]",),
+    ),
+    Mutant(
+        "an unknown Mermin state scores the zeros state",
+        "config.py",
+        '    if state not in ("ghz", "zeros"):\n'
+        "        raise ConfigError(f\"key 'state' must be ghz or zeros, got {state!r}\")\n",
+        "",
+        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[mermin_state_w]",),
+    ),
+    Mutant(
         "laser terms skip the S^dag entries",
         "dynamics.py",
         "reached = np.flatnonzero((up != 0) | (down != 0))",

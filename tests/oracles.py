@@ -16,6 +16,11 @@ stacked dot products, the jump sampler's no-jump survival by RK4
 half steps one at a time instead of a stack of polynomial powers, and
 the selftest's random states by three draws per state with the
 distributions' own location and scale instead of two calls into one row.
+
+It also holds the test-side algebra of the spin analyzers: the Pauli
+matrices ``SIGMA_X``, ``SIGMA_Y`` and ``SIGMA_Z`` and the analyzer
+observable ``sigma_theta``, from which the dense checks of the package's
+matrix-free Bell scores are built.
 """
 
 from __future__ import annotations
@@ -26,6 +31,22 @@ import math
 import numpy as np
 
 from zenobell.hilbert import OperatorMatrix, StateVector
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_X.setflags(write=False)
+SIGMA_Y.setflags(write=False)
+SIGMA_Z.setflags(write=False)
+
+
+def sigma_theta(theta) -> np.ndarray:
+    """cos(theta) sigma_x + sin(theta) sigma_y; Hermitian, eigenvalues +-1.
+
+    An array of angles gives the stack of these matrices, one per angle.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
 def embed_by_index(local: np.ndarray, axis: int, dims) -> np.ndarray:
@@ -198,11 +219,9 @@ def pair_correlation_vdot(amplitudes: np.ndarray, dims, i: int, j: int, theta_i:
     built from ``math`` trigonometry; ``zenobell.bell`` scores stacks of
     states and angle pairs in one batched product instead.
     """
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
     def sigma(theta):
-        return math.cos(theta) * x + math.sin(theta) * y
+        return math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Y
 
     psi = np.asarray(amplitudes).reshape(tuple(dims))
     m = np.moveaxis(psi, (i, j), (-2, -1)).reshape(-1, 2, 2)

@@ -22,19 +22,21 @@ from zenobell.bell import (
     landscape_state,
     mermin_n,
     sample_correlation,
-    sigma_theta,
 )
 from zenobell.config import SHOTS_CAP
 from zenobell.dynamics import SystemSpec
-from zenobell.hilbert import SIGMA_X, SIGMA_Y, StateVector, basis_state, embed
+from zenobell.hilbert import StateVector, basis_state, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
 from oracles import (
+    SIGMA_X,
+    SIGMA_Y,
     lhv_spin_bell_max,
     mermin_operator,
     pair_correlation_vdot,
     pauli_string_expectation,
     per_shot_odd_count,
+    sigma_theta,
 )
 
 
@@ -498,7 +500,7 @@ def _dense_probabilities(psi, i, j, theta_i, theta_j):
     for index, theta in ((i, theta_i), (j, theta_j)):
         plus = np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2.0)
         p_plus = np.outer(plus, plus.conj())
-        label = layout.labels[index]
+        label = layout.factors[index][0]
         projectors.append([embed(p, label, layout).entries for p in (p_plus, np.eye(2) - p_plus)])
     return np.array(
         [
@@ -524,8 +526,8 @@ def test_local_operators_match_dense_embed(layout, i, j):
     for _ in range(10):
         psi = _random_state(layout, rng)
         t_i, t_j = rng.uniform(0, 2 * math.pi, size=2)
-        op_i = embed(sigma_theta(t_i), layout.labels[i], layout).entries
-        op_j = embed(sigma_theta(t_j), layout.labels[j], layout).entries
+        op_i = embed(sigma_theta(t_i), layout.factors[i][0], layout).entries
+        op_j = embed(sigma_theta(t_j), layout.factors[j][0], layout).entries
         dense = np.vdot(psi.amplitudes, op_i @ (op_j @ psi.amplitudes)).real
         assert abs(correlation(psi, i, j, t_i, t_j) - dense) <= 1e-12
         probs = _outcome_probabilities(_pair_matrices(psi, i, j), t_i, t_j)

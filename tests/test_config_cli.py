@@ -495,7 +495,7 @@ def test_every_benchmark_trajectory_row_lands_its_chain_on_p0_det(monkeypatch):
         assert [batch.t_end for batch in batches] == list(t_values)
         for batch, det, mc in zip(batches, p0_det, p0_mc):
             assert batch.p0_estimate == mc
-            assert abs(batch.p0_chain - det) <= 1e-9, (job.name, batch.t_end)
+            assert abs(float(batch.survival[-1]) - det) <= 1e-9, (job.name, batch.t_end)
 
 
 @pytest.mark.parametrize("name", ["bell_landscape_sampled", "trajectories_cavity"])
@@ -1126,9 +1126,15 @@ def test_cli_pbg_negative_transit_time_is_a_config_error(tmp_path, capsys):
         ("scenario = pbg\ng = 1e-150\ngt2_max = 1e200\ngt2_count = 3\n", "key 'gt2_max' = 1e+200 is too large"),
         ("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_traj = 100000000\n",
          "n_traj = 100000000 trajectories exceeds the limit of 10000000"),
+        # a sampled landscape at this error would write its CSV and exit 0
+        ("scenario = bell_landscape\nshots = 100\nseed = 1\nreadout_error = 0.7\n",
+         "key 'readout_error' must lie in [0, 0.5)"),
+        # a Mermin run would score the zeros state
+        ("scenario = mermin\nstate = w\n", "key 'state' must be ghz or zeros"),
     ],
     ids=["traj_omega_list", "traj_omega_and_list", "cnot_T", "pbg_negative_list", "pbg_negative_grid_start",
-         "pbg_grid_end_rounds_negative", "pbg_overflowing_transit", "pbg_overflowing_grid_end", "traj_n_traj_cap"],
+         "pbg_grid_end_rounds_negative", "pbg_overflowing_transit", "pbg_overflowing_grid_end", "traj_n_traj_cap",
+         "bell_readout_error_0_7", "mermin_state_w"],
 )
 def test_parse_config_rejects_what_a_run_would_drop_or_fail_on(tmp_path, capsys, body, named):
     with pytest.raises(ConfigError) as raised:

@@ -18,7 +18,7 @@ from zenobell.dynamics import (
     h_cond_two_level,
     zeno_timescale,
 )
-from zenobell.hilbert import OperatorMatrix, basis_state, fidelity, identity, state_from_amplitudes
+from zenobell.hilbert import OperatorMatrix, basis_state, fidelity, state_from_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,7 +54,7 @@ def test_find_dfs_lambda_scheme():
 def test_find_dfs_identity_decay_gives_empty_subspace():
     spec = bare_pair_spec()
     h = h_cond_two_level(spec)
-    dfs = find_dfs(h, [identity(h.layout)])
+    dfs = find_dfs(h, [OperatorMatrix(h.layout, np.eye(h.layout.total_dim))])
     assert dfs.dim == 0
     assert np.max(np.abs(dfs.projector.entries)) == 0.0
 

@@ -7,9 +7,6 @@ from zenobell import bell, cli, hilbert
 from zenobell.dynamics import SystemSpec, decay_operators, h_cond
 from zenobell.gates import SweepResult, cnot_pulse, qubit_state
 from zenobell.hilbert import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     HilbertLayout,
     OperatorMatrix,
     StateVector,
@@ -18,7 +15,6 @@ from zenobell.hilbert import (
     embed,
     fidelities,
     fidelity,
-    identity,
     ladder,
     norms,
     state_from_amplitudes,
@@ -27,7 +23,7 @@ from zenobell.pbg import TransitPlan
 from zenobell.states import antisymmetric_pair, ghz_state
 from zenobell.trajectories import TrajectoryBatch, run_trajectories
 
-from oracles import apply, embed_by_index, run_record_scores
+from oracles import SIGMA_X, SIGMA_Y, SIGMA_Z, apply, embed_by_index, run_record_scores
 
 
 def test_compose_two_qubits_basis_order():
@@ -315,7 +311,7 @@ def test_array_records_compare_by_layout_and_values_and_are_unhashable():
     layout = compose([("q1", 2), ("q2", 2)])
     other_layout = compose([("a", 2), ("b", 2)])
     states = [basis_state(layout, (0, 1)), basis_state(layout, (1, 0))]
-    operators = [identity(layout), OperatorMatrix(layout, np.diag([1, 1, 1, -1]))]
+    operators = [OperatorMatrix(layout, np.eye(layout.total_dim)), OperatorMatrix(layout, np.diag([1, 1, 1, -1]))]
     for (a, b), make, field in ((states, StateVector, "amplitudes"), (operators, OperatorMatrix, "entries")):
         same = make(layout, getattr(a, field).copy())
         assert a == same and not a != same and a is not same
