@@ -170,11 +170,14 @@ def correlation(state: StateVector, i: int, j: int, theta_i: float, theta_j: flo
 
 
 def bs_value(state: StateVector, settings: AnalyzerSettings, i: int = 0, j: int = 1) -> BellResult:
-    """The four-correlation spin Bell combination; violated iff |B_S| > 2."""
+    """The four-correlation spin Bell combination; violated iff |B_S| > 2.
+
+    B_S is not clipped: a state the norm check accepts, of norm up to
+    1 + 1e-9, scores up to about 2 sqrt(2) (1 + 2e-9), just above the
+    Tsirelson bound, which the selftest checks.
+    """
     e, b_s = _bs_scores(_pair_matrices(state, i, j)[None], settings)
     b_s = float(b_s[0])
-    if abs(b_s) > TSIRELSON_BOUND + 1e-9:
-        raise AssertionError(f"|B_S| = {abs(b_s)} exceeds the quantum bound; numerics are off")
     corr = dict(zip(_BS_TERMS, e[0].tolist()))
     return BellResult(correlations=corr, b_s=b_s, violated=abs(b_s) > CLASSICAL_BOUND)
 

@@ -166,8 +166,8 @@ class DrivenHamiltonian(NamedTuple):
     H_s(w) = H0_s + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2, where H0_s
     (``h0[s]``) holds the cavity coupling and the damping, and S_k raises
     the driven transition ``keys[k]`` = (atom, transition label).  The
-    H0_s and the S_k are assembled once; each point of a :meth:`stack`
-    names its system.
+    H0_s and the S_k are assembled once; a :meth:`stack` of n drives is
+    the grid of the systems x the drives, system-major.
 
     No H_s(w) couples basis states in different connected components of
     the joint sparsity pattern of every H0_s, the S_k and the S_k^dag, so
@@ -226,29 +226,29 @@ class DrivenHamiltonian(NamedTuple):
             pattern |= (s_plus != 0) | (s_plus.T != 0)
         return _components(pattern.tobytes(), self.layout.total_dim)
 
-    def stack(self, drives: Sequence[Mapping], states=None, systems=None) -> np.ndarray:
-        """(n, m, m) array of H_s(drive) for each mapping {key: Rabi frequency} in ``drives``.
+    def stack(self, drives: Sequence[Mapping], states=None) -> np.ndarray:
+        """(S * n, m, m) array of H_s(drive) for each of S systems and each {key: Rabi frequency} in ``drives``.
 
-        Point j is on system ``systems[j]`` (default: every point on
-        system 0).  The rows and columns are the ascending basis indices
-        ``states`` (default: all d); each entry equals that of the full
-        matrix.  Each laser's term is evaluated and added only on the
-        entries where its S or S^dag is nonzero; elsewhere, at a finite
-        Rabi frequency, it is a zero, which leaves the sum's bytes as they
-        are (H0 holds no -0.0 part).
+        Slice s * n + j is drive j on system s, system-major.  The rows and
+        columns are the ascending basis indices ``states`` (default: all
+        d); each entry equals that of the full matrix.  Each laser's term
+        is evaluated once per drive and added to every system's H0, only
+        on the entries where its S or S^dag is nonzero; elsewhere, at a
+        finite Rabi frequency, it is a zero, which leaves the sum's bytes
+        as they are (H0 holds no -0.0 part).
         """
         rabi = self._rabi(drives)
-        systems = self._point_systems(systems, len(drives))
         states = np.arange(self.layout.total_dim) if states is None else np.asarray(states)
         rows, cols = np.ix_(states, states)
-        # each point's H0_s, and then its drive terms, as rows of m * m entries
-        h = np.take(self.h0[:, rows, cols].reshape(len(self.h0), -1), systems, axis=0)
+        # every system's H0 once per drive, and then the drive terms, as rows of m * m entries
+        h0 = self.h0[:, rows, cols].reshape(len(self.h0), 1, -1)
+        h = np.broadcast_to(h0, (len(self.h0), len(drives), h0.shape[-1])).copy()
         # H += 0.5 (w S + conj(w) S^dag) on the entries the laser reaches
         for w, s_plus in zip(rabi.T[:, :, None], self.raising):
             up, down = s_plus[rows, cols].reshape(-1), s_plus.conj().T[rows, cols].reshape(-1)
             reached = np.flatnonzero((up != 0) | (down != 0))
-            h[:, reached] += 0.5 * (w * up[reached] + np.conj(w) * down[reached])
-        return h.reshape(len(drives), len(states), len(states))
+            h[:, :, reached] += 0.5 * (w * up[reached] + np.conj(w) * down[reached])
+        return h.reshape(-1, len(states), len(states))
 
     def _rabi(self, drives: Sequence[Mapping]) -> np.ndarray:
         """The (n, lasers) Rabi frequencies of n drives, checked: each names the lasers ``keys``, at finite values."""
@@ -259,13 +259,6 @@ class DrivenHamiltonian(NamedTuple):
             (atom, trans), w = self.keys[np.argmin(finite) % len(self.keys)], rabi[~finite][0]
             raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
         return rabi.reshape(len(drives), len(self.keys))
-
-    def _point_systems(self, systems, n: int) -> np.ndarray:
-        """The system index of each of n points: ``systems`` checked, or all 0 when it is None."""
-        systems = np.zeros(n, dtype=np.intp) if systems is None else np.asarray(systems, dtype=np.intp)
-        if systems.shape != (n,) or ((systems < 0) | (systems >= len(self.h0))).any():
-            raise ValueError(f"systems must give one index below {len(self.h0)} per point")
-        return systems
 
 
 def _systems(specs) -> tuple[SystemSpec, ...]:
@@ -429,29 +422,27 @@ def _no_jump_rows(h: OperatorMatrix, psi0: StateVector, times: Sequence[float]) 
     return rows
 
 
-def no_jump_states(
-    family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float], inputs, systems=None
-) -> np.ndarray:
-    """exp(-i H_s(drives[j]) times[j]) |inputs[m]> for each point j and input m: an (n, M, d) array.
+def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: Sequence[float], inputs) -> np.ndarray:
+    """exp(-i H_s(drives[j]) times[j]) |inputs[m]> for each system s, point j and input m: an (S * n, M, d) array.
 
-    Point j is on system s = ``systems[j]`` of the family (default: every
-    point on system 0).  ``inputs`` holds M amplitude rows of length d.
+    Run s * n + j is point j on system s of the family's S systems,
+    system-major.  ``inputs`` holds M amplitude rows of length d.
     exp(-i H t) is block-diagonal over ``family.components``; only the
     components some input touches are exponentiated, each in stacked
-    ``expm`` calls of at most ``_EXPM_BYTES`` of blocks, so memory does
-    not grow with the grid.  Each slice of a block is exponentiated as a
-    float64 block when the quarter-turn gauge of its spanning tree makes
-    it exactly real, and as the complex block otherwise (for example
-    under complex Rabi frequencies of unequal phases).  A component an
-    input does not touch stays exactly 0 in its final state.  A point at
-    time 0 keeps its inputs unexponentiated, but its drive is checked as
+    ``expm`` calls of at most ``_EXPM_BYTES`` of blocks (a chunk of
+    points holds S blocks each), so memory does not grow with the grid.
+    Each slice of a block is exponentiated as a float64 block when the
+    quarter-turn gauge of its spanning tree makes it exactly real, and as
+    the complex block otherwise (for example under complex Rabi
+    frequencies of unequal phases).  A component an input does not touch
+    stays exactly 0 in its final state.  A point at time 0 keeps its
+    inputs unexponentiated on every system, but its drive is checked as
     in :meth:`DrivenHamiltonian.stack`; times are checked here (>= 0).
     Each block is applied to each input as its own mat-vec, so every
-    final state depends only on its own point and input.
+    final state depends only on its own system, point and input.
     """
     if len(drives) != len(times):
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
-    systems = family._point_systems(systems, len(drives))
     if refused := [t for t in times if not t >= 0]:
         raise ValueError(f"evolution time must be >= 0, got {refused[0]}")
     inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
@@ -460,34 +451,34 @@ def no_jump_states(
     moving = [j for j, t in enumerate(times) if t != 0] if support.any() else []
     still = [j for j, t in enumerate(times) if t == 0 or not moving]
     family._rabi([drives[j] for j in still])
-    finals = np.zeros((len(drives), *inputs.shape), dtype=complex)
-    finals[still] = inputs
+    n_systems = len(family.h0)
+    finals = np.zeros((n_systems, len(drives), *inputs.shape), dtype=complex)
+    finals[:, still] = inputs
     for component in family.components:
         states = component.states
         if not (moving and support[states].any()):
             continue
         touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
-        chunk = max(1, _EXPM_BYTES // (16 * len(states) ** 2))
+        chunk = max(1, _EXPM_BYTES // (16 * n_systems * len(states) ** 2))
         for start in range(0, len(moving), chunk):
             part = moving[start : start + chunk]
             rows = np.array(part)[:, None, None]
-            points = [drives[j] for j in part], [times[j] for j in part], systems[part]
-            finals[rows, touched, states] = _block_states(family, component, *points, inputs[touched, states])
-    return finals
+            points = [drives[j] for j in part], [times[j] for j in part]
+            blocks = _block_states(family, component, *points, inputs[touched, states])
+            finals[:, rows, touched, states] = blocks.reshape(n_systems, len(part), *blocks.shape[1:])
+    return finals.reshape(-1, *inputs.shape)
 
 
-def _block_states(
-    family: DrivenHamiltonian, component: Component, drives, times, systems, inputs: np.ndarray
-) -> np.ndarray:
-    """exp(-i H_s t) inputs[m] on ``component`` for each point (drive, t, s) and each input m: an (n, M, m) array.
+def _block_states(family: DrivenHamiltonian, component: Component, drives, times, inputs: np.ndarray) -> np.ndarray:
+    """exp(-i H_s t) inputs[m] on ``component`` for each system s, point (drive, t) and input m: an (S * n, M, m) array.
 
     A slice is exponentiated in float64 when its quarter-turn gauge makes
     it exactly real, else as it is.  -i H t is formed in the buffer of
     the Hamiltonian stack, and the complex stacks are freed before the
     exponential, which then holds the largest working set.
     """
-    a = family.stack(drives, component.states, systems)
-    t = np.array(times, dtype=float)[:, None, None]
+    a = family.stack(drives, component.states)
+    t = np.tile(np.array(times, dtype=float), len(family.h0))[:, None, None]
     # a = -i H t, as (-1j * H) * t; an overflowing H t comes back
     # non-finite, which the callers' finiteness checks report as a
     # numeric failure

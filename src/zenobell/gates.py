@@ -163,8 +163,10 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
 def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate every (omega, duration) of ``points`` on each system of ``family`` from each input; check the runs.
 
-    Run r = s * len(points) + j is ``drive(omega)`` of point j on system
-    s; ``inputs`` holds M amplitude rows.  Returns the run durations, the
+    The runs are the family's systems x the points, system-major: run
+    r = s * len(points) + j is ``drive(omega)`` of point j on system s,
+    and each point's drive and duration are passed to the kernel once.
+    ``inputs`` holds M amplitude rows.  Returns the run durations, the
     (runs, M, d) final states of :func:`no_jump_states` and their norms
     from :func:`check_final_states`, which names input m of run r
     ``name(omega, duration, m)``, after ``system s, `` with several
@@ -172,16 +174,15 @@ def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name) -> tupl
     and scores its own targets after it.
     """
     n_systems = len(family.h0)
-    runs = points * n_systems
-    systems = np.repeat(np.arange(n_systems), len(points))
-    durations = np.array([duration for _, duration in runs], dtype=float)
-    finals = no_jump_states(family, [drive(omega) for omega, _ in runs], durations, inputs, systems)
+    durations = np.array([duration for _, duration in points], dtype=float)
+    finals = no_jump_states(family, [drive(omega) for omega, _ in points], durations, inputs)
     n_in, d = finals.shape[1:]
     norm = check_final_states(
         finals.reshape(-1, d),
-        lambda j: ("" if n_systems == 1 else f"system {systems[j // n_in]}, ") + name(*runs[j // n_in], j % n_in),
+        lambda j: ("" if n_systems == 1 else f"system {j // n_in // len(points)}, ")
+        + name(*points[j // n_in % len(points)], j % n_in),
     ).reshape(finals.shape[:-1])
-    return durations, finals, norm
+    return np.tile(durations, n_systems), finals, norm
 
 
 def cnot_ideal() -> OperatorMatrix:

@@ -149,7 +149,7 @@ MUTANTS = (
     Mutant(
         "time-0 rows dropped",
         "dynamics.py",
-        "    finals[still] = inputs\n",
+        "    finals[:, still] = inputs\n",
         "",
         (
             "tests/test_dynamics.py::test_zero_time_rows_are_the_inputs",
@@ -275,9 +275,20 @@ MUTANTS = (
     Mutant(
         "a sweep names the system after the failing one",
         "gates.py",
-        'f"system {systems[j // n_in]}, "',
-        'f"system {systems[j // n_in] + 1}, "',
+        'f"system {j // n_in // len(points)}, "',
+        'f"system {j // n_in // len(points) + 1}, "',
         ("tests/test_gates.py::test_sweep_over_several_systems_names_the_failing_system",),
+    ),
+    Mutant(
+        "drive terms reach system 0 only",
+        "dynamics.py",
+        "h[:, :, reached]",
+        "h[:1, :, reached]",
+        (
+            "tests/test_dynamics.py::test_family_of_several_systems_stacks_each_points_own_h0",
+            "tests/test_gates.py::test_sweep_over_several_systems_equals_one_sweep_per_system",
+            "tests/test_config_cli.py::test_figure_is_one_kernel_call_equal_to_one_sweep_per_gamma",
+        ),
     ),
     Mutant(
         "the pair sweep scores its points against the targets in reversed order",

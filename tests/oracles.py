@@ -116,14 +116,15 @@ def conditional_hamiltonian(spec, drive) -> np.ndarray:
     return h
 
 
-def dense_drive_stack(family, drives, systems=None) -> np.ndarray:
-    """H0_s + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 for each drive, every term a dense (n, d, d) array.
+def dense_drive_stack(family, drives) -> np.ndarray:
+    """H0_s + sum_k (w_k S_k + conj(w_k) S_k^dag) / 2 for each system s and drive: a dense (S * n, d, d) array.
 
-    Drive j is on system ``systems[j]`` of the family (default: system 0).
+    Every term is a dense array; slice s * n + j is drive j on system s,
+    system-major.
     """
-    h = family.h0[np.zeros(len(drives), dtype=int) if systems is None else systems]
+    h = np.repeat(family.h0, len(drives), axis=0)
     for key, s_plus in zip(family.keys, family.raising):
-        w = np.array([complex(drive[key]) for drive in drives])[:, None, None]
+        w = np.tile([complex(drive[key]) for drive in drives], len(family.h0))[:, None, None]
         h += 0.5 * (w * s_plus + np.conj(w) * s_plus.conj().T)
     return h
 

@@ -25,7 +25,7 @@ from zenobell.bell import (
 )
 from zenobell.config import SHOTS_CAP
 from zenobell.dynamics import SystemSpec
-from zenobell.hilbert import StateVector, basis_state, embed
+from zenobell.hilbert import StateVector, basis_state, check_normalized, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
 from oracles import (
@@ -117,6 +117,18 @@ def test_bs_value_violation_boundary():
     alpha = (1.0 / math.sqrt(2.0)) ** 0.5  # |alpha|^2 = 1/sqrt(2)
     result = bs_value(entangled_pair_state(alpha), AnalyzerSettings.from_single_angle(math.pi / 4))
     assert abs(result.b_s) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_bs_value_scores_a_state_the_norm_check_accepts_above_the_bound():
+    # norm 1 + 9e-10 passes check_normalized; its maximum, 2 sqrt(2) times
+    # the squared norm, lies above the Tsirelson bound and is returned as is
+    singlet = antisymmetric_pair()
+    psi = StateVector(singlet.layout, singlet.amplitudes * (1 + 0.9e-9))
+    check_normalized(psi.amplitudes)
+    result = bs_value(psi, AnalyzerSettings.from_single_angle(math.pi / 4))
+    assert abs(result.b_s) > TSIRELSON_BOUND + 1e-9
+    assert abs(result.b_s) == pytest.approx(TSIRELSON_BOUND * (1 + 0.9e-9) ** 2, abs=1e-12)
+    assert result.violated
 
 
 def test_bs_value_has_four_correlations():

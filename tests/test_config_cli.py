@@ -449,12 +449,14 @@ def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
 @pytest.mark.parametrize("which", ["fig2", "fig4", "fig5"])
 def test_figure_is_one_kernel_call_equal_to_one_sweep_per_gamma(monkeypatch, which):
     # the three Gamma curves of a figure come from one no_jump_states call of
-    # 75 points, and each column equals, byte for byte, that of one sweep per
-    # Gamma (alpha_re is an exact signed zero in every fig2 row)
+    # the 25 omegas' drives on the three systems, and each column equals,
+    # byte for byte, that of one sweep per Gamma (alpha_re is an exact
+    # signed zero in every fig2 row)
     calls, kernel = [], gates.no_jump_states
-    monkeypatch.setattr(gates, "no_jump_states", lambda *args: calls.append(len(args[1])) or kernel(*args))
+    record = lambda family, drives, *rest: calls.append((len(drives), len(family.h0))) or kernel(family, drives, *rest)
+    monkeypatch.setattr(gates, "no_jump_states", record)
     header, columns = cli._figure_columns(which)
-    assert calls == [len(cli._FIGURE_GAMMAS) * len(cli._FIGURE_OMEGAS)]
+    assert calls == [(len(cli._FIGURE_OMEGAS), len(cli._FIGURE_GAMMAS))]
 
     monkeypatch.setattr(gates, "no_jump_states", kernel)
     runs = []

@@ -450,8 +450,9 @@ def test_stack_equals_the_dense_drive_sum_byte_for_byte(levels, n_max, kappa):
 @pytest.mark.parametrize("levels", [2, 3])
 def test_family_of_several_systems_stacks_each_points_own_h0(levels):
     # systems on one layout that differ in their damping (and g): H0_s is
-    # the undriven conditional Hamiltonian of spec s, and a point on system
-    # s gets H_s(w) byte for byte, the one-system stack of spec s
+    # the undriven conditional Hamiltonian of spec s, and the stack is the
+    # systems x the drives, system-major: slices s * n to (s + 1) * n are,
+    # byte for byte, the one-system stack of spec s
     specs = [
         SystemSpec(atom_levels=levels, n_atoms=2, g=g, kappa=kappa, gamma=gamma, n_max=2)
         for g, kappa, gamma in ((1.0, 1.0, 0.0), (1.0, 0.0, 0.01), (0.8, 0.6, 0.1))
@@ -463,18 +464,15 @@ def test_family_of_several_systems_stacks_each_points_own_h0(levels):
         assert h0.tobytes() == h_cond(spec).entries.tobytes()
     rng = np.random.default_rng(levels)
     drives = [{k: complex(*rng.choice(AMPLITUDE_PARTS, 2).tolist()) for k in keys} for _ in range(30)]
-    systems = rng.integers(0, len(specs), len(drives))
-    dense = dense_drive_stack(family, drives, systems)
-    assert family.stack(drives, systems=systems).tobytes() == dense.tobytes()
+    dense = dense_drive_stack(family, drives)
+    alone = [DrivenHamiltonian.of(spec, keys) for spec in specs]
+    parts = np.concatenate([f.stack(drives) for f in alone])
+    assert family.stack(drives).tobytes() == dense.tobytes() == parts.tobytes()
     for component in family.components:
         rows, cols = np.ix_(component.states, component.states)
-        assert family.stack(drives, component.states, systems).tobytes() == dense[:, rows, cols].tobytes()
-    for s, spec in enumerate(specs):
-        alone = DrivenHamiltonian.of(spec, keys).stack([d for d, k in zip(drives, systems) if k == s])
-        assert alone.tobytes() == dense[systems == s].tobytes()
-    for bad in ([0] * (len(drives) - 1), [len(specs)] * len(drives), [-1] * len(drives)):
-        with pytest.raises(ValueError, match="one index below 3 per point"):
-            family.stack(drives, systems=bad)
+        parts = np.concatenate([f.stack(drives, component.states) for f in alone])
+        assert family.stack(drives, component.states).tobytes() == dense[:, rows, cols].tobytes()
+        assert parts.tobytes() == dense[:, rows, cols].tobytes()
     with pytest.raises(ValueError, match="share one layout"):
         DrivenHamiltonian.of([specs[0], SystemSpec(atom_levels=levels, n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3)], keys)
 
