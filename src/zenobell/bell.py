@@ -67,9 +67,11 @@ __all__ = [
     "bs_landscape",
     "Landscape",
     "mermin_n",
+    "check_shots",
     "sample_correlation",
     "TSIRELSON_BOUND",
     "CLASSICAL_BOUND",
+    "SHOTS_CAP",
 ]
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -300,6 +302,29 @@ def _odd_parity_probability(probs: np.ndarray, readout_error: float) -> np.ndarr
     return np.clip(p * (1.0 - q) + (1.0 - p) * q, 0.0, 1.0)
 
 
+# Most shots per sampled correlation, the same budget as the trajectory
+# count of a trajectories row.  A correlation is one binomial draw at any
+# shot count; the cap keeps the count one that a draw accepts: numpy's
+# Generator.binomial raises OverflowError at 2^63 shots, which would end a
+# run in a traceback.
+SHOTS_CAP = 10**7
+
+
+def check_shots(shots) -> None:
+    """Raise ValueError naming ``shots`` unless it is an integer shot count in [1, ``SHOTS_CAP``].
+
+    A bool is no count.  ``sample_correlation`` and ``_sampled_landscape``
+    check their count here before any draw, and ``config.parse_config``
+    checks the ``shots`` key here.
+    """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > SHOTS_CAP:
+        raise ValueError(f"shots = {shots} exceeds the limit of {SHOTS_CAP} per correlation")
+
+
 def sample_correlation(
     state: StateVector,
     i: int,
@@ -317,7 +342,8 @@ def sample_correlation(
     independently with probability ``readout_error``, so the estimator
     converges to (1 - 2 eps)^2 E.  Returns (estimate, stderr) with
     stderr the sample standard deviation over sqrt(shots) (zero for a
-    single shot).  Deterministic for a fixed seed.
+    single shot).  Deterministic for a fixed seed.  ``shots`` is checked
+    by :func:`check_shots` before the first draw.
 
     A shot has odd recorded parity with probability
     p' = p (1 - q) + (1 - p) q, where p = P(+,-) + P(-,+) comes from the
@@ -329,8 +355,7 @@ def sample_correlation(
     ``SeedSequence``, or a ``Generator``, which is used and advanced in
     place, so several calls can take their draws in turn from one stream.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     if not 0.0 <= readout_error < 0.5:
         raise ValueError("readout_error must lie in [0, 0.5)")
 
@@ -368,6 +393,7 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     two ``sample_correlation`` calls that continue the stream where row
     k - 1 left it, whatever the block size.
     """
+    check_shots(shots)
     omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
     # the landscape states of every omega at once, each the (1, 2, 2) pair
     # matrices that _pair_matrices gives its landscape_state

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+from .bell import check_shots
 from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
-from .trajectories import _MAX_TRAJ
+from .trajectories import check_n_traj
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -52,6 +53,16 @@ def _int(key: str, raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"unparsable integer for key {key!r}: {raw!r}") from None
+
+
+def _count(key: str, raw: str, check: Callable[[int], None]) -> int:
+    """``raw`` as an integer count that ``check``, the rule of the module that draws it, accepts; a refusal keeps its text."""
+    count = _int(key, raw)
+    try:
+        check(count)
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+    return count
 
 
 def _float_list(key: str, raw: str) -> list[float]:
@@ -126,12 +137,6 @@ ROWS_CAP = 10**6
 # Measured on a 2-core x86-64 host: a 20,000-row prepare_pair run on the 12-state pair takes
 # 0.6-0.7 s, import included, and a row on the 132-state pair ~3.5 ms.
 SWEEP_WORK_CAP = 10**10
-# Most shots per sampled correlation, the same budget as the trajectory
-# count of a trajectories row.  A correlation is one binomial draw at any
-# shot count; the cap keeps the count one that a draw accepts: numpy's
-# Generator.binomial raises OverflowError at 2^63 shots, which would end a
-# run in a traceback.
-SHOTS_CAP = 10**7
 
 
 def _n_max(table: dict) -> int:
@@ -296,12 +301,7 @@ def _parse_trajectories(table: dict) -> dict:
             raise ConfigError("unknown key 'omega_minus_values': a trajectories run takes one 'omega_minus'")
         physics["omega_minus"] = _nonzero([_float("omega_minus", _require(table, "omega_minus"))], "omega_minus")[0]
     _check_damping(physics)
-    n_traj = _int("n_traj", table.pop("n_traj", "2000"))
-    if n_traj < 1:
-        raise ConfigError(f"n_traj must be >= 1, got {n_traj}")
-    if n_traj > _MAX_TRAJ:
-        raise ConfigError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
-    physics["n_traj"] = n_traj
+    physics["n_traj"] = _count("n_traj", table.pop("n_traj", "2000"), check_n_traj)
     physics["t_end_values"] = _values(table, "t_end", required=False, check=_nonnegative)
     if physics["t_end_values"] is None and system == "pair":
         _finite_default_duration([physics["omega_minus"]], "omega_minus", pair_duration)
@@ -362,11 +362,7 @@ def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
     if "shots" in table:
         if scenario != "bell_landscape":
             raise ConfigError("key 'shots' only applies to the bell_landscape scenario")
-        shots = _int("shots", table.pop("shots"))
-        if shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {shots}")
-        if shots > SHOTS_CAP:
-            raise ConfigError(f"shots = {shots} exceeds the limit of {SHOTS_CAP} per correlation")
+        shots = _count("shots", table.pop("shots"), check_shots)
 
     physics = _PARSERS[scenario](table)
     if table:

@@ -61,6 +61,7 @@ from .hilbert import OperatorMatrix, StateVector, _Record, check_normalized
 
 __all__ = [
     "TrajectoryBatch",
+    "check_n_traj",
     "run_trajectories",
     "first_jump_histogram",
 ]
@@ -91,6 +92,20 @@ _MAX_WORK = 10**7 * 12**2
 _MAX_TRAJ = 10**7  # bounds the draw array (80 MB)
 _HISTOGRAM_BINS = 50
 _MIN_STEPS = 2 * _HISTOGRAM_BINS  # every first-jump histogram bin spans two or more steps
+
+
+def check_n_traj(n_traj) -> None:
+    """Raise ValueError naming ``n_traj`` unless it is an integer count of trajectories in [1, 10^7].
+
+    A bool is no count.  ``run_trajectories`` checks its count here before
+    any draw, and ``config.parse_config`` checks the ``n_traj`` key here.
+    """
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):  # rng.random takes only an integer count
+        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if n_traj > _MAX_TRAJ:
+        raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
 
 
 def _rate_terms(h: np.ndarray, jump_ops) -> tuple[float, np.ndarray]:
@@ -180,12 +195,7 @@ def run_trajectories(
     for op in jump_ops:
         if op.layout != h_cond.layout:
             raise ValueError("jump operator layout mismatch")
-    if not isinstance(n_traj, (int, np.integer)):  # rng.random takes only an integer count
-        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    if n_traj > _MAX_TRAJ:
-        raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
+    check_n_traj(n_traj)
     rng = np.random.default_rng(seed)  # rejects a negative seed before any work
     if not t_end >= 0:
         raise ValueError("t_end must be >= 0")

@@ -206,11 +206,14 @@ MUTANTS = (
     ),
     Mutant(
         "n_traj over the trajectory cap parses",
-        "config.py",
+        "trajectories.py",
         "    if n_traj > _MAX_TRAJ:\n"
-        '        raise ConfigError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")\n',
+        '        raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")\n',
         "",
-        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_n_traj_cap]",),
+        (
+            "tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_n_traj_cap]",
+            "tests/test_trajectories.py::test_an_n_traj_out_of_range_is_refused_before_any_draw[cap_plus_1]",
+        ),
     ),
     Mutant(
         "a readout error of 0.5 or more is sampled",
@@ -339,9 +342,64 @@ MUTANTS = (
     Mutant(
         "a non-integer n_traj reaches the draw",
         "trajectories.py",
-        "    if not isinstance(n_traj, (int, np.integer)):",
+        "    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):",
         "    if False:",
         ("tests/test_trajectories.py::test_a_non_integer_n_traj_is_refused_before_any_draw",),
+    ),
+    Mutant(
+        "a bool n_traj is a count",
+        "trajectories.py",
+        "isinstance(n_traj, bool) or ",
+        "",
+        ("tests/test_trajectories.py::test_a_non_integer_n_traj_is_refused_before_any_draw[bool]",),
+    ),
+    Mutant(
+        "a bool shots is a count",
+        "bell.py",
+        "isinstance(shots, bool) or ",
+        "",
+        ("tests/test_bell.py::test_a_bad_shot_count_is_refused_before_any_draw[bool]",),
+    ),
+    Mutant(
+        "shots over the cap reach the draw",
+        "bell.py",
+        "    if shots > SHOTS_CAP:\n"
+        '        raise ValueError(f"shots = {shots} exceeds the limit of {SHOTS_CAP} per correlation")\n',
+        "",
+        (
+            "tests/test_bell.py::test_a_bad_shot_count_is_refused_before_any_draw[cap_plus_1]",
+            "tests/test_config_cli.py::test_cli_unbounded_landscape_exits_1_quickly[shots]",
+        ),
+    ),
+    Mutant(
+        "diagonal slices take the Pade path",
+        "_expm.py",
+        "diagonal = np.count_nonzero(a, axis=(1, 2)) == np.count_nonzero(np.diagonal(a, axis1=1, axis2=2), axis=1)",
+        "diagonal = np.zeros(len(a), dtype=bool)",
+        (
+            "tests/test_expm.py::test_matrix_equals_its_slice_of_a_stack_bit_for_bit",
+            "tests/test_expm.py::test_real_matrix_equals_its_slice_of_a_stack_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "one squaring round too few",
+        "_expm.py",
+        "np.arange(s.max(initial=0))",
+        "np.arange(s.max(initial=0) - 1)",
+        (
+            "tests/test_expm.py::test_stack_agrees_with_scipy_over_the_scaling_range",
+            "tests/test_expm.py::test_real_stack_agrees_with_scipy_over_the_scaling_range",
+        ),
+    ),
+    Mutant(
+        "A^6 scaled by 2^-4s at degree 13",
+        "_expm.py",
+        "a6 *= np.ldexp(1.0, -6 * scale)",
+        "a6 *= np.ldexp(1.0, -4 * scale)",
+        (
+            "tests/test_expm.py::test_stack_agrees_with_scipy_over_the_scaling_range",
+            "tests/test_dynamics.py::test_expm_agrees_with_step_halving_integrator",
+        ),
     ),
     Mutant(
         "states compare by layout alone",

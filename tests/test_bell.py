@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zenobell.bell import (
+    SHOTS_CAP,
     AnalyzerSettings,
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
@@ -15,6 +16,7 @@ from zenobell.bell import (
     _odd_parity_probability,
     _outcome_probabilities,
     _pair_matrices,
+    _sampled_landscape,
     bs_landscape,
     bs_reduced,
     bs_value,
@@ -23,7 +25,6 @@ from zenobell.bell import (
     mermin_n,
     sample_correlation,
 )
-from zenobell.config import SHOTS_CAP
 from zenobell.dynamics import SystemSpec
 from zenobell.hilbert import StateVector, basis_state, check_normalized, embed
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
@@ -717,6 +718,35 @@ def test_a_non_finite_analyzer_angle_is_refused_on_every_path(angle):
     for path in paths:
         with pytest.raises(ValueError, match=f"^analyzer angle must be finite, got {angle}$"):
             path()
+
+
+_BAD_SHOTS = {
+    # 2 binomial trials over a 2.5-shot denominator gave (0.2, 0.8)
+    "fraction": (2.5, "shots must be an integer, got 2.5"),
+    # scored 1 shot
+    "bool": (True, "shots must be an integer, got True"),
+    "str": ("10", "shots must be an integer, got '10'"),
+    # numpy's binomial raised OverflowError
+    "2**63": (2**63, "shots = 9223372036854775808 exceeds the limit of 10000000 per correlation"),
+    "cap_plus_1": (SHOTS_CAP + 1, "shots = 10000001 exceeds the limit of 10000000 per correlation"),
+    "0": (0, "shots must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("shots, message", _BAD_SHOTS.values(), ids=_BAD_SHOTS.keys())
+def test_a_bad_shot_count_is_refused_before_any_draw(shots, message):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    paths = [
+        lambda: sample_correlation(landscape_state(1.0), 0, 1, 0.0, 0.0, shots, seed=rng),
+        lambda: _sampled_landscape([1.0], [0.3], shots, rng, 0.0),
+    ]
+    for path in paths:
+        with pytest.raises(ValueError) as refused:
+            path()
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == message
+    assert rng.bit_generator.state == state
 
 
 def test_mermin_n_accurate_near_cancellation():

@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from zenobell import bell, cli, gates, selftest, trajectories
 from zenobell.dynamics import SystemSpec
 from zenobell.cli import _run_bell_landscape, main, render_csv
-from zenobell.config import ROWS_CAP, SCENARIOS, SHOTS_CAP, SWEEP_WORK_CAP, ConfigError, parse_config
+from zenobell.config import ROWS_CAP, SCENARIOS, SWEEP_WORK_CAP, ConfigError, parse_config
 
 import contract
 from oracles import render_csv_by_value, tsirelson_draws_per_row
@@ -104,7 +104,7 @@ def test_parse_grid_and_shot_bounds_are_inclusive():
     assert len(cfg.physics["omega_t_values"]) * len(cfg.physics["vartheta_values"]) == ROWS_CAP
     with pytest.raises(ConfigError, match=f"omega_t_count x vartheta_count asks for {ROWS_CAP + side} rows"):
         parse_config(f"scenario = bell_landscape\nomega_t_count = {side + 1}\nvartheta_count = {side}\n")
-    assert parse_config(f"scenario = bell_landscape\nshots = {SHOTS_CAP}\nseed = 1\n").shots == SHOTS_CAP
+    assert parse_config(f"scenario = bell_landscape\nshots = {bell.SHOTS_CAP}\nseed = 1\n").shots == bell.SHOTS_CAP
     with pytest.raises(ConfigError, match="gt1 x gt2"):
         parse_config(f"scenario = pbg\ngt1_count = {ROWS_CAP}\ngt2_values = 0.1, 0.2\n")
 

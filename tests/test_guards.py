@@ -2,9 +2,10 @@
 
 With a guard removed, its input passes silently (a negative qubit index
 scores the last qubit, a config ``out =`` parses) or fails later with
-another error (zero shots divide by zero; ``n_traj = 0`` is refused by
-``run_trajectories`` without its ``, got 0``), so each case pins the
-exception type and the whole message.
+another error (zero shots divide by zero), so each case pins the
+exception type and the whole message.  The config cases of ``n_traj``
+and ``shots`` pin the text of the check that owns each count,
+``trajectories.check_n_traj`` and ``bell.check_shots``.
 """
 
 import math
@@ -132,7 +133,7 @@ _GUARDS = {
     "sample_correlation_0_shots": (
         lambda: sample_correlation(_SINGLET, 0, 1, 0.1, 0.2, shots=0, seed=0),
         ValueError,
-        "shots must be >= 1",
+        "shots must be >= 1, got 0",
     ),
     "pbg_optimal_times_g_0": (lambda: pbg_optimal_times(0), ValueError, "g must be positive"),
 }

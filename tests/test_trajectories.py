@@ -164,14 +164,34 @@ def test_a_nan_time_is_refused(t_end, dt, refused):
         run_trajectories(h, jump, psi0, t_end, 100, 0, dt=dt)
 
 
-@pytest.mark.parametrize("n_traj", [math.nan, 2.5, 100.0, "100"], ids=["nan", "fraction", "float", "str"])
+@pytest.mark.parametrize("n_traj", [math.nan, 2.5, 100.0, "100", True], ids=["nan", "fraction", "float", "str", "bool"])
 def test_a_non_integer_n_traj_is_refused_before_any_draw(n_traj):
-    # it reached rng.random, which failed with numpy's TypeError
+    # it reached rng.random, which failed with numpy's TypeError; True ran
+    # the whole survival chain before that draw failed
     h, jump, psi0 = cavity_decay_setup()
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"^n_traj must be an integer, got {n_traj!r}$"):
         run_trajectories(h, jump, psi0, 1.0, n_traj, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "n_traj, message",
+    [
+        (0, "n_traj must be >= 1, got 0"),
+        (np.int64(-3), "n_traj must be >= 1, got -3"),
+        (10**7 + 1, "n_traj = 10000001 trajectories exceeds the limit of 10000000"),
+    ],
+    ids=["0", "negative", "cap_plus_1"],
+)
+def test_an_n_traj_out_of_range_is_refused_before_any_draw(n_traj, message):
+    h, jump, psi0 = cavity_decay_setup()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as refused:
+        run_trajectories(h, jump, psi0, 1.0, n_traj, rng)
+    assert str(refused.value) == message
     assert rng.bit_generator.state == state
 
 
