@@ -68,6 +68,7 @@ __all__ = [
     "Landscape",
     "mermin_n",
     "check_shots",
+    "check_readout_error",
     "sample_correlation",
     "TSIRELSON_BOUND",
     "CLASSICAL_BOUND",
@@ -325,6 +326,17 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots = {shots} exceeds the limit of {SHOTS_CAP} per correlation")
 
 
+def check_readout_error(readout_error) -> None:
+    """Raise ValueError unless the readout flip probability ``readout_error`` lies in [0, 0.5).
+
+    At 0.5 every recorded outcome is a coin toss.  ``sample_correlation``
+    and ``_sampled_landscape`` check it here once per call, before any
+    draw, and ``config.parse_config`` checks the ``readout_error`` key here.
+    """
+    if not 0.0 <= readout_error < 0.5:
+        raise ValueError(f"readout_error must lie in [0, 0.5), got {readout_error}")
+
+
 def sample_correlation(
     state: StateVector,
     i: int,
@@ -342,8 +354,9 @@ def sample_correlation(
     independently with probability ``readout_error``, so the estimator
     converges to (1 - 2 eps)^2 E.  Returns (estimate, stderr) with
     stderr the sample standard deviation over sqrt(shots) (zero for a
-    single shot).  Deterministic for a fixed seed.  ``shots`` is checked
-    by :func:`check_shots` before the first draw.
+    single shot).  Deterministic for a fixed seed.  ``shots`` and
+    ``readout_error`` are checked by :func:`check_shots` and
+    :func:`check_readout_error` before the first draw.
 
     A shot has odd recorded parity with probability
     p' = p (1 - q) + (1 - p) q, where p = P(+,-) + P(-,+) comes from the
@@ -356,8 +369,7 @@ def sample_correlation(
     place, so several calls can take their draws in turn from one stream.
     """
     check_shots(shots)
-    if not 0.0 <= readout_error < 0.5:
-        raise ValueError("readout_error must lie in [0, 0.5)")
+    check_readout_error(readout_error)
 
     probs = _outcome_probabilities(_pair_matrices(state, i, j), theta_i, theta_j)
     n_odd = int(np.random.default_rng(seed).binomial(shots, _odd_parity_probability(probs, readout_error)))
@@ -394,6 +406,7 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     k - 1 left it, whatever the block size.
     """
     check_shots(shots)
+    check_readout_error(readout_error)
     omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
     # the landscape states of every omega at once, each the (1, 2, 2) pair
     # matrices that _pair_matrices gives its landscape_state

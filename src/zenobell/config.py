@@ -5,6 +5,15 @@ headers (sections are grouping only; keys live in one flat, case
 sensitive namespace), ``#`` starts a comment.  Unknown keys, unknown
 sections and malformed numbers are hard errors so that a typo in a
 physics parameter cannot silently fall back to a default.
+
+The parser keeps what is its own: the text syntax, the key names and
+their ``_values`` spellings, and the caps that bound a run (``ROWS_CAP``,
+``SWEEP_WORK_CAP``, ``N_MAX_CAP``).  A physical rule belongs to the module
+that uses the value: ``SystemSpec`` for the rates and ``n_max``,
+``gates`` for the omegas and default durations, ``pbg`` for ``g`` and
+``loss`` of a band-gap run, ``bell`` for ``shots`` and ``readout_error``,
+``trajectories`` for ``n_traj``.  The parser calls that check and reports
+its refusal as a ConfigError with the same text.
 """
 
 from __future__ import annotations
@@ -12,9 +21,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .bell import check_shots
+from .bell import check_readout_error, check_shots
 from .dynamics import SystemSpec, cnot_drive
-from .gates import QUBIT_LABELS, cavity_decay_duration, cnot_duration, pair_duration
+from .gates import QUBIT_LABELS, cavity_decay_duration, check_omega, cnot_duration, pair_duration
+from .pbg import check_coupling, check_loss
 from .trajectories import check_n_traj
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
@@ -55,14 +65,12 @@ def _int(key: str, raw: str) -> int:
         raise ConfigError(f"unparsable integer for key {key!r}: {raw!r}") from None
 
 
-def _count(key: str, raw: str, check: Callable[[int], None]) -> int:
-    """``raw`` as an integer count that ``check``, the rule of the module that draws it, accepts; a refusal keeps its text."""
-    count = _int(key, raw)
+def _owned(check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, a rule of the module that uses the values; a refusal keeps its text."""
     try:
-        check(count)
+        return check(*args, **kwargs)
     except ValueError as error:
         raise ConfigError(str(error)) from None
-    return count
 
 
 def _float_list(key: str, raw: str) -> list[float]:
@@ -78,35 +86,6 @@ def _require(table: dict, key: str) -> str:
     return table.pop(key)
 
 
-def _rate(table: dict, key: str, positive: bool = False) -> float:
-    value = _float(key, _require(table, key))
-    if positive and not value > 0:
-        raise ConfigError(f"key {key!r} must be > 0, got {value}")
-    if not positive and value < 0:
-        raise ConfigError(f"key {key!r} must be >= 0, got {value}")
-    return value
-
-
-def _coupling(table: dict) -> float:
-    """Atom-cavity coupling ``g``; its square enters the regime ratio g^2/kappa."""
-    g = _rate(table, "g", positive=True)
-    if not 0.0 < g * g < math.inf:
-        raise ConfigError(f"key 'g' = {g} is out of range: g**2 underflows or overflows")
-    return g
-
-
-def _check_damping(physics: dict) -> None:
-    """Reject a ``kappa`` or ``gamma`` whose conditional Hamiltonian or jump operators would not be finite.
-
-    H0 holds -i kappa n for n <= n_max photons and -i Gamma per excited
-    atom (two atoms at most), and each jump operator squares to 2 rate
-    times such a term, so every entry is finite when 2 rate max(n_max, 2) is.
-    """
-    for key in ("kappa", "gamma"):
-        if key in physics and not math.isfinite(2.0 * physics[key] * max(physics["n_max"], 2)):
-            raise ConfigError(f"key {key!r} = {physics[key]!r} is too large: 2 * {key} * max(n_max, 2) overflows")
-
-
 def _values(table: dict, key: str, *, required: bool = True, default=None, check=None) -> list[float] | None:
     """Accept either a scalar ``key`` or a comma list ``key_values``; ``check(values, spelling)`` names the one given."""
     list_key = key + "_values"
@@ -117,7 +96,7 @@ def _values(table: dict, key: str, *, required: bool = True, default=None, check
     elif list_key in table:
         values, spelling = _float_list(list_key, table.pop(list_key)), list_key
     elif required:
-        raise ConfigError(f"missing required key {key!r}")
+        _require(table, key)
     else:
         return default
     if check is not None:
@@ -140,8 +119,9 @@ SWEEP_WORK_CAP = 10**10
 
 
 def _n_max(table: dict) -> int:
+    """``n_max`` up to N_MAX_CAP; ``SystemSpec`` owns its lower bound."""
     n = _int("n_max", table.pop("n_max", "2"))
-    if not 1 <= n <= N_MAX_CAP:
+    if n > N_MAX_CAP:
         raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n}")
     return n
 
@@ -171,13 +151,6 @@ def _check_rows(what: str, rows: int, sweep: SystemSpec | None = None) -> None:
         raise ConfigError(f"{what} asks for {rows} rows on {states} states, over {SWEEP_WORK_CAP:.0e} rows x states^3")
 
 
-def _nonzero(values: list[float], key: str) -> list[float]:
-    for v in values:
-        if v == 0:
-            raise ConfigError(f"key {key!r} must be nonzero")
-    return values
-
-
 def _nonnegative(values: list[float], key: str) -> list[float]:
     for v in values:
         if v < 0:
@@ -185,52 +158,42 @@ def _nonnegative(values: list[float], key: str) -> list[float]:
     return values
 
 
-def _finite_default_duration(values: list[float], key: str, duration: Callable[[float], float]) -> None:
-    """A duration left to its default is ``duration(value)``; it must be finite."""
-    for v in values:
-        if not math.isfinite(duration(v)):
-            raise ConfigError(f"key {key!r} = {v!r} is too small: its default duration is not finite")
-
-
-def _two_atom_sweep(table: dict, omega_key: str) -> dict:
-    """The physics a prepare_pair or cnot sweep shares: the rates, ``n_max`` and the nonzero ``omega_key`` values."""
-    physics = {
-        "g": _coupling(table),
-        "kappa": _rate(table, "kappa"),
-        "gamma": _rate(table, "gamma"),
-        "n_max": _n_max(table),
-        "omega_values": _nonzero(_values(table, omega_key), omega_key),
-    }
-    _check_damping(physics)
-    return physics
+def _two_atom_sweep(table: dict, omega_key: str, atom_levels: int) -> tuple[dict, SystemSpec]:
+    """The rates, ``n_max`` and ``omega_key`` values that a prepare_pair or cnot sweep shares, and the sweep's spec."""
+    physics = {key: _float(key, _require(table, key)) for key in ("g", "kappa", "gamma")}
+    physics["n_max"] = _n_max(table)
+    spec = _owned(SystemSpec, atom_levels, 2, **physics)
+    physics["omega_values"] = _values(table, omega_key)
+    for omega in physics["omega_values"]:
+        _owned(check_omega, omega_key, omega)
+    return physics, spec
 
 
 def _parse_prepare_pair(table: dict) -> dict:
-    physics = _two_atom_sweep(table, "omega_minus")
+    physics, spec = _two_atom_sweep(table, "omega_minus", 2)
     if table.get("T") == "auto":
         del table["T"]
     physics["t_values"] = _values(table, "T", required=False, check=_nonnegative)
     if physics["t_values"] is None:
         # maximal-entanglement pulse length pi/|omega|, one per omega value
-        omegas = physics["omega_values"]
-        _finite_default_duration(omegas, "omega_minus", pair_duration)
-        physics["t_values"] = [pair_duration(omegas[0])] if len(omegas) == 1 else None
+        durations = [_owned(pair_duration, omega) for omega in physics["omega_values"]]
+        physics["t_values"] = durations if len(durations) == 1 else None
     t_count = 1 if physics["t_values"] is None else len(physics["t_values"])  # None: one auto T per omega
-    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, SystemSpec(atom_levels=2, n_max=physics["n_max"]))
+    _check_rows("omega_minus x T", len(physics["omega_values"]) * t_count, spec)
     return physics
 
 
 def _parse_cnot(table: dict) -> dict:
-    physics = _two_atom_sweep(table, "omega")
+    physics, spec = _two_atom_sweep(table, "omega", 3)
     label = table.pop("input", "all")
     if label not in (*QUBIT_LABELS, "all"):
         raise ConfigError(f"key 'input' must be 00, 01, 10, 11 or all, got {label!r}")
     physics["input"] = label
     rows = len(physics["omega_values"]) * (4 if label == "all" else 1)
-    _check_rows("omega x input", rows, SystemSpec(atom_levels=3, n_max=physics["n_max"]))
-    # the pulse length is part of the gate protocol, cnot_duration(omega): there is no 'T' key
-    _finite_default_duration(physics["omega_values"], "omega", cnot_duration)
+    _check_rows("omega x input", rows, spec)
     for v in physics["omega_values"]:
+        # the pulse length is part of the gate protocol, cnot_duration(omega): there is no 'T' key
+        _owned(cnot_duration, v)
         if not all(math.isfinite(abs(w)) for w in cnot_drive(v).values()):
             raise ConfigError(f"key 'omega' = {v!r} is too large: the drive sqrt(2) * omega overflows")
     return physics
@@ -253,12 +216,14 @@ def _transit_axis(table: dict, name: str, g: float) -> list[float]:
 
 
 def _parse_pbg(table: dict) -> dict:
-    physics = {"g": _coupling(table) if "g" in table else 1.0}
+    physics = {"g": _float("g", table.pop("g", "1"))}
+    _owned(check_coupling, physics["g"])
     gt1 = _transit_axis(table, "gt1", physics["g"])
     gt2 = _transit_axis(table, "gt2", physics["g"])
     _check_rows("gt1 x gt2", len(gt1) * len(gt2))
     physics["gt1_values"], physics["gt2_values"] = gt1, gt2
-    physics["loss"] = _nonnegative([_float("loss", table.pop("loss", "0"))], "loss")[0]
+    physics["loss"] = _float("loss", table.pop("loss", "0"))
+    _owned(check_loss, physics["loss"])
     return physics
 
 
@@ -266,12 +231,9 @@ def _parse_bell_landscape(table: dict) -> dict:
     omega_t = _grid(table, "omega_t", 0.0, 2.0 * math.pi, 101)
     vartheta = _grid(table, "vartheta", 0.0, math.pi, 101)
     _check_rows("omega_t_count x vartheta_count", len(omega_t) * len(vartheta))
-    physics = {"omega_t_values": omega_t, "vartheta_values": vartheta}
-    eps = _float("readout_error", table.pop("readout_error", "0"))
-    if not 0.0 <= eps < 0.5:
-        raise ConfigError(f"key 'readout_error' must lie in [0, 0.5), got {eps}")
-    physics["readout_error"] = eps
-    return physics
+    readout_error = _float("readout_error", table.pop("readout_error", "0"))
+    _owned(check_readout_error, readout_error)
+    return {"omega_t_values": omega_t, "vartheta_values": vartheta, "readout_error": readout_error}
 
 
 def _parse_mermin(table: dict) -> dict:
@@ -293,22 +255,27 @@ def _parse_trajectories(table: dict) -> dict:
     system = _require(table, "system")
     if system not in ("pair", "cavity_decay"):
         raise ConfigError(f"key 'system' must be pair or cavity_decay, got {system!r}")
-    physics = {"system": system, "kappa": _rate(table, "kappa"), "n_max": _n_max(table)}
+    physics = {"system": system, "kappa": _float("kappa", _require(table, "kappa")), "n_max": _n_max(table)}
     if system == "pair":
-        physics["g"] = _coupling(table)
-        physics["gamma"] = _rate(table, "gamma")
+        physics["g"], physics["gamma"] = (_float(key, _require(table, key)) for key in ("g", "gamma"))
+        _owned(SystemSpec, g=physics["g"], kappa=physics["kappa"], gamma=physics["gamma"], n_max=physics["n_max"])
         if "omega_minus_values" in table:
             raise ConfigError("unknown key 'omega_minus_values': a trajectories run takes one 'omega_minus'")
-        physics["omega_minus"] = _nonzero([_float("omega_minus", _require(table, "omega_minus"))], "omega_minus")[0]
-    _check_damping(physics)
-    physics["n_traj"] = _count("n_traj", table.pop("n_traj", "2000"), check_n_traj)
+        physics["omega_minus"] = _float("omega_minus", _require(table, "omega_minus"))
+        _owned(check_omega, "omega_minus", physics["omega_minus"])
+    else:  # the bare leaky cavity
+        _owned(SystemSpec, n_atoms=0, kappa=physics["kappa"], n_max=physics["n_max"])
+    physics["n_traj"] = _int("n_traj", table.pop("n_traj", "2000"))
+    _owned(check_n_traj, physics["n_traj"])
     physics["t_end_values"] = _values(table, "t_end", required=False, check=_nonnegative)
     if physics["t_end_values"] is None and system == "pair":
-        _finite_default_duration([physics["omega_minus"]], "omega_minus", pair_duration)
+        _owned(pair_duration, physics["omega_minus"])
     elif physics["t_end_values"] is None:
-        _finite_default_duration([physics["kappa"]], "kappa", cavity_decay_duration)
+        _owned(cavity_decay_duration, physics["kappa"])
     _check_rows("t_end", len(physics["t_end_values"] or ()))
-    physics["dt"] = _rate(table, "dt", positive=True) if "dt" in table else None
+    physics["dt"] = _float("dt", table.pop("dt")) if "dt" in table else None
+    if physics["dt"] is not None and not physics["dt"] > 0:
+        raise ConfigError(f"key 'dt' must be > 0, got {physics['dt']}")
     return physics
 
 
@@ -362,7 +329,8 @@ def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
     if "shots" in table:
         if scenario != "bell_landscape":
             raise ConfigError("key 'shots' only applies to the bell_landscape scenario")
-        shots = _count("shots", table.pop("shots"), check_shots)
+        shots = _int("shots", table.pop("shots"))
+        _owned(check_shots, shots)
 
     physics = _PARSERS[scenario](table)
     if table:

@@ -93,7 +93,11 @@ class SystemSpec(_Record):
     Lasers enter only through a drive passed to :func:`h_cond` or
     :meth:`DrivenHamiltonian.stack`.  Atom indices are 1-based, so a spec
     with no atoms (the bare leaky cavity) takes no laser.  ``n_max`` is
-    the largest Fock state kept in the cavity truncation.
+    the largest Fock state kept in the cavity truncation.  The constructor
+    refuses, with a ValueError naming the field, a ``g`` that is not
+    positive or whose square over- or underflows, a negative ``kappa`` or
+    ``gamma`` or one for which 2 rate max(n_max, n_atoms, 2) overflows, and
+    ``n_max < 1``; ``config.parse_config`` checks a run's rates here.
     """
 
     __slots__ = ("atom_levels", "n_atoms", "g", "kappa", "gamma", "n_max")
@@ -105,9 +109,16 @@ class SystemSpec(_Record):
             raise ValueError(f"atom_levels must be 2 or 3, got {atom_levels}")
         if n_atoms < 0:
             raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
-        for name, value in (("g", g), ("kappa", kappa), ("gamma", gamma)):
-            if not (math.isfinite(value) and (value > 0 if name == "g" else value >= 0)):
-                raise ValueError(f"{name} must be finite and {'>' if name == 'g' else '>='} 0, got {value}")
+        # the regime ratio omega kappa / g^2 and the Zeno time kappa / g^2 divide by g^2
+        if not (g > 0 and 0.0 < g * g < math.inf):
+            raise ValueError(f"g must be > 0 with g**2 finite and nonzero, got {g}")
+        # H0 holds -i kappa n for n <= n_max photons and -i Gamma per excited
+        # atom, and each jump operator squares to 2 rate times such a term, so
+        # every entry is finite when 2 rate max(n_max, n_atoms) is; the factor
+        # of at least 2 bounds a cavity with fewer atoms as the two-atom schemes
+        for name, rate in (("kappa", kappa), ("gamma", gamma)):
+            if not (rate >= 0 and math.isfinite(2.0 * rate * max(n_max, n_atoms, 2))):
+                raise ValueError(f"{name} must be >= 0 with 2 * {name} * max(n_max, n_atoms, 2) finite, got {rate}")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self._set(atom_levels, n_atoms, g, kappa, gamma, n_max)

@@ -49,6 +49,7 @@ __all__ = [
     "cnot_duration",
     "pair_duration",
     "cavity_decay_duration",
+    "check_omega",
     "qubit_state",
     "qubit_amplitudes",
 ]
@@ -143,13 +144,16 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     turn, and row s * len(points) + j is point j on ``spec[s]``.  The
     Hamiltonians are assembled once and all pulses are propagated by
     stacked matrix exponentials in one kernel call; each row equals the
-    single-point record of its spec and point.  Raises
+    single-point record of its spec and point.  A zero omega_minus is
+    refused by :func:`check_omega` before any propagation.  Raises
     :class:`NumericalError` naming the point (and, with several specs,
     its spec's index) where the final state is not finite or has no norm
     left.
     """
     specs, points = _systems(spec), list(points)
     family = DrivenHamiltonian.of(specs, pair_drive(1.0))
+    for omega_minus, _ in points:
+        check_omega("omega_minus", omega_minus)
     ground = basis_state(family.layout, (0, 0, 0)).amplitudes
     name = lambda om, t, _: f"omega_minus={om:.9g}, T={t:.9g}"
     durations, finals, norm = _sweep(family, pair_drive, points, [ground], name)
@@ -194,23 +198,38 @@ def cnot_ideal() -> OperatorMatrix:
     return OperatorMatrix(layout, u)
 
 
+def check_omega(name: str, omega) -> None:
+    """Raise ValueError unless the Rabi frequency ``omega`` of the pulse key ``name`` is nonzero.
+
+    The pulse lengths and :func:`prepare_pair_sweep` check each omega here
+    before any propagation, and ``config.parse_config`` checks the omega keys here.
+    """
+    if omega == 0:
+        raise ValueError(f"{name} must be nonzero")
+
+
+def _default_duration(name: str, value, duration: float) -> float:
+    """``duration``, the default run length at ``value`` of ``name``, refused unless finite."""
+    if not math.isfinite(duration):
+        raise ValueError(f"{name} = {value!r} is too small: its default duration is not finite")
+    return duration
+
+
 def pair_duration(omega_minus: complex) -> float:
     """Pulse length pi / |omega_minus| that prepares the maximally entangled pair."""
-    if omega_minus == 0:
-        raise ValueError("omega_minus must be nonzero")
-    return math.pi / abs(omega_minus)
+    check_omega("omega_minus", omega_minus)
+    return _default_duration("omega_minus", omega_minus, math.pi / abs(omega_minus))
 
 
 def cavity_decay_duration(kappa: float) -> float:
     """Run length 1 / kappa of a cavity-decay check, or 1 when nothing decays (kappa = 0)."""
-    return 1.0 / kappa if kappa > 0 else 1.0
+    return _default_duration("kappa", kappa, 1.0 / kappa) if kappa > 0 else 1.0
 
 
 def cnot_duration(omega: float) -> float:
     """Pulse length sqrt(2) pi / |Omega| that assembles the CNOT."""
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    return math.sqrt(2.0) * math.pi / abs(omega)
+    check_omega("omega", omega)
+    return _default_duration("omega", omega, math.sqrt(2.0) * math.pi / abs(omega))
 
 
 def qubit_state(spec: SystemSpec, amplitudes) -> StateVector:

@@ -31,6 +31,8 @@ __all__ = [
     "pbg_final_states",
     "pbg_optimal_times",
     "bell_target",
+    "check_coupling",
+    "check_loss",
 ]
 
 
@@ -40,11 +42,27 @@ class TransitPlan(_Record):
     __slots__ = ("g", "t1", "t2")
 
     def __init__(self, g: float, t1: float, t2: float):
-        if not g > 0:
-            raise ValueError(f"g must be positive, got {g}")
+        check_coupling(g)
         _check_time("t1", t1)
         _check_time("t2", t2)
         self._set(g, t1, t2)
+
+
+def check_coupling(g: float) -> None:
+    """Raise ValueError unless the vacuum-Rabi coupling ``g`` is positive.
+
+    :class:`TransitPlan`, the exchange amplitudes and
+    :func:`pbg_optimal_times` check ``g`` here, and ``config.parse_config``
+    checks the pbg ``g`` key here.
+    """
+    if not g > 0:
+        raise ValueError(f"g must be positive, got {g}")
+
+
+def check_loss(loss: float) -> None:
+    """Raise ValueError unless the defect-mode amplitude loss rate ``loss`` is >= 0; the config checks its key here."""
+    if not loss >= 0:
+        raise ValueError(f"loss must be >= 0, got {loss}")
 
 
 def _check_time(name: str, t: float) -> None:
@@ -73,10 +91,8 @@ def _exchange_amplitudes(g: float, times: list, loss: float) -> np.ndarray:
     every time: -i H t = [[0, g t], [-g t, -loss t]] is exactly real, so
     it is exponentiated in float64.
     """
-    if not g > 0:
-        raise ValueError(f"g must be positive, got {g}")
-    if not loss >= 0:
-        raise ValueError(f"loss must be >= 0, got {loss}")
+    check_coupling(g)
+    check_loss(loss)
     if loss == 0.0:
         return np.array([(math.cos(g * t), -math.sin(g * t)) for t in times], dtype=complex).reshape(-1, 2)
     exponent = np.array([[0.0, g], [-g, -loss]])
@@ -137,6 +153,5 @@ def pbg_optimal_times(g: float) -> TransitPlan:
     t2 empties the photon branch (c_e(t2) = 0) and t1 balances the two
     atomic branches (|c_e(t1)| = 1/sqrt(2)).
     """
-    if not g > 0:
-        raise ValueError("g must be positive")
+    check_coupling(g)
     return TransitPlan(g=g, t1=math.pi / (4.0 * g), t2=math.pi / (2.0 * g))

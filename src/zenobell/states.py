@@ -41,11 +41,10 @@ def antisymmetric_pair() -> StateVector:
 
 
 def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
-    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2)."""
+    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2); 0 for no pulse (Om = 0)."""
     om = complex(omega_minus)
-    if om == 0:
-        raise ValueError("omega_minus must be nonzero")
-    return -1j * (om / abs(om)) * math.sin(abs(om) * duration / 2.0)
+    modulus = abs(om)
+    return -1j * (om / modulus if modulus else 1.0) * math.sin(modulus * duration / 2.0)
 
 
 def entangled_pair_state(alpha: complex, layout: HilbertLayout | None = None) -> StateVector:

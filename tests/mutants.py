@@ -76,9 +76,8 @@ MUTANTS = (
         '        if "omega_minus_values" in table:\n'
         "            raise ConfigError(\"unknown key 'omega_minus_values': "
         "a trajectories run takes one 'omega_minus'\")\n"
-        '        physics["omega_minus"] = '
-        '_nonzero([_float("omega_minus", _require(table, "omega_minus"))], "omega_minus")[0]\n',
-        '        physics["omega_minus"] = _nonzero(_values(table, "omega_minus"), "omega_minus")[0]\n',
+        '        physics["omega_minus"] = _float("omega_minus", _require(table, "omega_minus"))\n',
+        '        physics["omega_minus"] = _values(table, "omega_minus")[0]\n',
         ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[traj_omega_list]",),
     ),
     Mutant(
@@ -112,16 +111,91 @@ MUTANTS = (
         "pbg.py",
         '    if not loss >= 0:\n        raise ValueError(f"loss must be >= 0, got {loss}")\n',
         "",
-        ("tests/test_pbg.py::test_loss_is_checked_on_every_path",),
+        (
+            "tests/test_pbg.py::test_loss_is_checked_on_every_path",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_pbg_loss_negative]",
+        ),
     ),
     Mutant(
         "SystemSpec accepts a nan kappa",
         "dynamics.py",
-        'if not (math.isfinite(value) and (value > 0 if name == "g" else value >= 0)):',
-        'if value <= 0 if name == "g" else value < 0:',
+        "if not (rate >= 0 and math.isfinite(2.0 * rate * max(n_max, n_atoms, 2))):",
+        "if rate < 0:",
         (
             "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[kappa_nan]",
             "tests/test_dynamics.py::test_spec_rejects_non_finite_rates[gamma_inf]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[system_spec_kappa_1e308]",
+            "tests/test_config_cli.py::test_cli_overflowing_kappa_is_a_config_error",
+        ),
+    ),
+    Mutant(
+        "SystemSpec bounds the rates by n_max alone",
+        "dynamics.py",
+        "math.isfinite(2.0 * rate * max(n_max, n_atoms, 2))",
+        "math.isfinite(2.0 * rate * n_max)",
+        ("tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[system_spec_gamma_over_n_atoms]",),
+    ),
+    Mutant(
+        "SystemSpec drops its g*g test",
+        "dynamics.py",
+        "if not (g > 0 and 0.0 < g * g < math.inf):",
+        "if not (g > 0 and math.isfinite(g)):",
+        (
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[system_spec_g_1e200]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[system_spec_g_1e-200]",
+            "tests/test_config_cli.py::test_cli_degenerate_coupling_is_a_config_error",
+        ),
+    ),
+    Mutant(
+        "a spec keeps no cavity state",
+        "dynamics.py",
+        "        if n_max < 1:\n",
+        "        if n_max < 0:\n",
+        (
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[system_spec_n_max_0]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_n_max_0]",
+        ),
+    ),
+    Mutant(
+        "the pair sweep checks its omegas after the propagation",
+        "gates.py",
+        "    for omega_minus, _ in points:\n        check_omega(\"omega_minus\", omega_minus)\n",
+        "",
+        (
+            "tests/test_gates.py::test_a_zero_omega_is_refused_before_any_propagation",
+            "tests/test_gates.py::test_sweep_refusals_keep_their_order_and_messages[pair_omega_0_T_1]",
+        ),
+    ),
+    Mutant(
+        "a zero omega passes",
+        "gates.py",
+        "    if omega == 0:\n",
+        "    if False:\n",
+        (
+            "tests/test_gates.py::test_pulse_lengths_are_pi_and_sqrt2_pi_over_the_drive",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_omega_minus_0]",
+            "tests/test_gates.py::test_sweep_refusals_keep_their_order_and_messages[cnot_omega_0]",
+        ),
+    ),
+    Mutant(
+        "an infinite default duration passes",
+        "gates.py",
+        "    if not math.isfinite(duration):\n",
+        "    if False:\n",
+        (
+            "tests/test_gates.py::test_pulse_lengths_are_pi_and_sqrt2_pi_over_the_drive",
+            "tests/test_config_cli.py::test_cli_unusable_durations_are_config_errors[subnormal_omega_minus]",
+            "tests/test_config_cli.py::test_cli_unusable_durations_are_config_errors[subnormal_omega]",
+        ),
+    ),
+    Mutant(
+        "the band-gap coupling may be zero",
+        "pbg.py",
+        "    if not g > 0:\n",
+        "    if g < 0:\n",
+        (
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[pbg_optimal_times_g_0]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_pbg_g_0]",
         ),
     ),
     Mutant(
@@ -217,11 +291,34 @@ MUTANTS = (
     ),
     Mutant(
         "a readout error of 0.5 or more is sampled",
-        "config.py",
-        "    if not 0.0 <= eps < 0.5:\n"
-        "        raise ConfigError(f\"key 'readout_error' must lie in [0, 0.5), got {eps}\")\n",
+        "bell.py",
+        "    if not 0.0 <= readout_error < 0.5:\n"
+        '        raise ValueError(f"readout_error must lie in [0, 0.5), got {readout_error}")\n',
         "",
-        ("tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[bell_readout_error_0_7]",),
+        (
+            "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[0.7]",
+            "tests/test_config_cli.py::test_parse_config_rejects_what_a_run_would_drop_or_fail_on[bell_readout_error_0_7]",
+        ),
+    ),
+    Mutant(
+        "a readout error of exactly 0.5 is sampled",
+        "bell.py",
+        "if not 0.0 <= readout_error < 0.5:",
+        "if not 0.0 <= readout_error <= 0.5:",
+        (
+            "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[0.5]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_readout_error_0_5]",
+        ),
+    ),
+    Mutant(
+        "a sampled landscape skips the readout check",
+        "bell.py",
+        "    check_shots(shots)\n    check_readout_error(readout_error)\n    omega_t_grid, v =",
+        "    check_shots(shots)\n    omega_t_grid, v =",
+        (
+            "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[0.7]",
+            "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[-0.2]",
+        ),
     ),
     Mutant(
         "an unknown Mermin state scores the zeros state",

@@ -749,6 +749,32 @@ def test_a_bad_shot_count_is_refused_before_any_draw(shots, message):
     assert rng.bit_generator.state == state
 
 
+# a sampled landscape scored 0.7 as B_S = 0.44 and -0.2 as 1.2; at 0.5 every
+# recorded outcome is a coin toss
+_BAD_READOUT_ERRORS = {
+    "0.7": (0.7, "readout_error must lie in [0, 0.5), got 0.7"),
+    "0.5": (0.5, "readout_error must lie in [0, 0.5), got 0.5"),
+    "-0.2": (-0.2, "readout_error must lie in [0, 0.5), got -0.2"),
+    "nan": (math.nan, "readout_error must lie in [0, 0.5), got nan"),
+}
+
+
+@pytest.mark.parametrize("readout_error, message", _BAD_READOUT_ERRORS.values(), ids=_BAD_READOUT_ERRORS.keys())
+def test_a_bad_readout_error_is_refused_before_any_draw(readout_error, message):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    paths = [
+        lambda: sample_correlation(landscape_state(1.0), 0, 1, 0.0, 0.0, 100, rng, readout_error),
+        lambda: _sampled_landscape([1.0], [0.3], 100, rng, readout_error),
+    ]
+    for path in paths:
+        with pytest.raises(ValueError) as refused:
+            path()
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == message
+    assert rng.bit_generator.state == state
+
+
 def test_mermin_n_accurate_near_cancellation():
     # a GHZ phase just short of pi/4 makes <M_6> nearly cancel; the closed
     # form must still match the exact value for the stored amplitudes

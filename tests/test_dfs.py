@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenobell.bell import mermin_n
 from zenobell.dfs import (
     effective_hamiltonian,
     find_dfs,
@@ -14,11 +15,13 @@ from zenobell.dynamics import (
     SystemSpec,
     decay_operators,
     evolve_no_jump,
+    h_cond,
     h_cond_lambda,
     h_cond_two_level,
     zeno_timescale,
 )
-from zenobell.hilbert import OperatorMatrix, basis_state, fidelity, state_from_amplitudes
+from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, fidelity, state_from_amplitudes
+from zenobell.states import qubit_layout
 
 SQRT2 = math.sqrt(2.0)
 
@@ -194,3 +197,26 @@ def test_zeno_timescale():
     assert zeno_timescale(SystemSpec(atom_levels=2, g=1.0, kappa=0.1)) == pytest.approx(10.0)
     with pytest.raises(ValueError):
         zeno_timescale(SystemSpec(atom_levels=2, g=1.0, kappa=0.0))
+
+
+@pytest.mark.parametrize("n_atoms, split", [(2, [1, 1]), (3, [1, 2]), (4, [1, 3, 2]), (5, [1, 4, 5])])
+def test_n_atom_dfs_is_the_dicke_count_and_holds_no_ghz_weight(n_atoms, split):
+    # the dark states of N atoms on one leaky mode are the Dicke lowest-weight
+    # states (Dicke, Phys. Rev. 93, 99 (1954)): C(N, k) - C(N, k - 1) of them
+    # with k <= N/2 excitations, C(N, floor(N/2)) in all
+    spec = SystemSpec(atom_levels=2, n_atoms=n_atoms, g=1.0, kappa=1.0, gamma=0.0, n_max=1)
+    dfs = find_dfs(h_cond(spec), decay_operators(spec))
+    assert dfs.dim == math.comb(n_atoms, n_atoms // 2) == sum(split)
+    counts = [0] * len(split)
+    for vector in dfs.vectors:
+        amps = vector.amplitudes.reshape((2,) * n_atoms + (2,))
+        assert np.abs(amps[..., 1]).max() <= 1e-12  # no photon
+        atoms = amps[..., 0]
+        excitations = {sum(levels) for levels in zip(*np.nonzero(np.abs(atoms) > 1e-12))}
+        assert len(excitations) == 1  # each basis vector has one excitation number
+        counts[excitations.pop()] += 1
+        # no |1...1> amplitude, so no GHZ weight: mermin_n reads only |0...0> and |1...1>
+        assert abs(atoms[(1,) * n_atoms]) <= 1e-15
+        if n_atoms >= 3:
+            assert mermin_n(StateVector(qubit_layout(n_atoms), atoms.reshape(-1))).value <= 1e-15
+    assert counts == split

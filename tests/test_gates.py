@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from zenobell import gates
 from zenobell.dfs import (
     effective_hamiltonian,
     lambda_dfs_vectors,
@@ -26,6 +27,7 @@ from zenobell.dynamics import (
 )
 from zenobell.gates import (
     QUBIT_LABELS,
+    cavity_decay_duration,
     cnot_duration,
     cnot_ideal,
     cnot_pulse,
@@ -120,13 +122,37 @@ def test_prepare_pair_errors():
 
 
 def test_pulse_lengths_are_pi_and_sqrt2_pi_over_the_drive():
-    for omega in (0.02, -0.05, 0.3, 5e-324, 1e308):
+    for omega in (0.02, -0.05, 0.3, 1e-300, 1e308):
         assert pair_duration(omega) == math.pi / abs(omega)
         assert cnot_duration(omega) == SQRT2 * math.pi / abs(omega)
     assert pair_duration(-0.05 + 0.01j) == math.pi / abs(-0.05 + 0.01j)
-    for length in (pair_duration, cnot_duration):
-        with pytest.raises(ValueError, match="must be nonzero"):
-            length(0.0)
+    # a zero drive has no pulse length, and a subnormal one an infinite length
+    refusals = {
+        (pair_duration, 0.0): "omega_minus must be nonzero",
+        (cnot_duration, 0.0): "omega must be nonzero",
+        (pair_duration, 5e-324): "omega_minus = 5e-324 is too small: its default duration is not finite",
+        (cnot_duration, 5e-324): "omega = 5e-324 is too small: its default duration is not finite",
+        (cavity_decay_duration, 5e-324): "kappa = 5e-324 is too small: its default duration is not finite",
+    }
+    for (length, value), message in refusals.items():
+        with pytest.raises(ValueError) as refused:
+            length(value)
+        assert type(refused.value) is ValueError and str(refused.value) == message
+    assert cavity_decay_duration(0.0) == 1.0 and cavity_decay_duration(4.0) == 0.25
+
+
+def test_a_zero_omega_is_refused_before_any_propagation(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the sweep reached the propagation kernel")
+
+    monkeypatch.setattr(gates, "no_jump_states", kernel)
+    points = [(OMEGA, 1.0)] * 19_999 + [(0.0, 1.0)]
+    with pytest.raises(ValueError) as refused:
+        prepare_pair_sweep(_PAIR, points)
+    assert type(refused.value) is ValueError and str(refused.value) == "omega_minus must be nonzero"
+    # the kernel is reached, and so stubbed, without the zero omega
+    with pytest.raises(AssertionError, match="^the sweep reached the propagation kernel$"):
+        prepare_pair_sweep(_PAIR, points[:-1])
 
 
 def test_prepare_pair_in_regime_reaches_protocol_quality():
@@ -602,12 +628,20 @@ def test_sweep_numeric_failures_name_the_point():
         cnot_pulse_sweep(spec, [OMEGA], [qubit_state(spec, "10"), "00"])
 
 
-def test_zero_duration_point_is_the_input_even_when_h_overflows():
-    # kappa = 1e308 overflows the two-photon diagonal of H; as in
-    # evolve_no_jump, a zero-length pulse must not be exponentiated
-    spec = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1e308, gamma=0.0, n_max=2)
-    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from assembling H
-        run = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
+def test_zero_duration_point_is_the_input_even_when_h_overflows(monkeypatch):
+    # as in evolve_no_jump, a zero-length pulse must not be exponentiated; SystemSpec
+    # refuses a rate that overflows H, so the two-photon diagonal of H0 is set to
+    # -i inf on the assembled family
+    def overflowing(specs, keys):
+        family = of(specs, keys)
+        h0 = family.h0.copy()
+        h0[:, -1, -1] = complex(0.0, -math.inf)
+        return family._replace(h0=h0)
+
+    of = dynamics.DrivenHamiltonian.of
+    monkeypatch.setattr(gates.DrivenHamiltonian, "of", overflowing)
+    spec = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
+    run = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
     assert run.final_states[0].tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
     assert (run.p0[0], run.fidelity[0], run.alpha[0]) == (1.0, 1.0, 0.0)
 
@@ -624,8 +658,8 @@ _PAIR, _LAMBDA = pair_spec(0.001), lambda_spec(0.001)
 _UNIT_10 = qubit_state(_LAMBDA, "10").amplitudes
 
 # each bad sweep input, with the exception its first failing check raises:
-# the specs and lasers, then the inputs (and CNOT targets), the points, the
-# propagation, the final-state check and last the pair targets
+# the specs and lasers, then the pair omegas, the inputs (and CNOT targets),
+# the points, the propagation and last the final-state check
 _REFUSALS = {
     "pair_no_specs": (lambda: prepare_pair_sweep([], [(OMEGA, 1.0)]), ValueError, "a family needs at least one system"),
     "cnot_no_specs": (lambda: cnot_pulse_sweep([], [OMEGA], ["10"]), ValueError, "a family needs at least one system"),
@@ -664,12 +698,10 @@ _REFUSALS = {
         "the systems of a family must share one layout",
     ),
     "pair_omega_0_T_negative": (
-        lambda: prepare_pair_sweep(_PAIR, [(0.0, -1.0)]), ValueError, "evolution time must be >= 0, got -1.0"
+        lambda: prepare_pair_sweep(_PAIR, [(0.0, -1.0)]), ValueError, "omega_minus must be nonzero"
     ),
     "pair_omega_0_T_inf": (
-        lambda: prepare_pair_sweep(_PAIR, [(0.0, math.inf)]),
-        NumericalError,
-        "final-state amplitudes not finite at omega_minus=0, T=inf",
+        lambda: prepare_pair_sweep(_PAIR, [(0.0, math.inf)]), ValueError, "omega_minus must be nonzero"
     ),
     "pair_omega_0_T_1": (lambda: prepare_pair_sweep(_PAIR, [(0.0, 1.0)]), ValueError, "omega_minus must be nonzero"),
     "pair_T_negative": (

@@ -3,16 +3,23 @@
 With a guard removed, its input passes silently (a negative qubit index
 scores the last qubit, a config ``out =`` parses) or fails later with
 another error (zero shots divide by zero), so each case pins the
-exception type and the whole message.  The config cases of ``n_traj``
-and ``shots`` pin the text of the check that owns each count,
-``trajectories.check_n_traj`` and ``bell.check_shots``.
+exception type and the whole message.  A config case pins the text of
+the library check that owns its rule: ``trajectories.check_n_traj`` and
+``bell.check_shots`` for the counts, ``SystemSpec`` for the rates and
+``n_max``, ``gates.check_omega`` for the omegas, ``pbg.check_coupling``
+and ``pbg.check_loss`` for the band-gap run and
+``bell.check_readout_error`` for the readout.
 """
 
+import ast
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenobell
 from zenobell.bell import correlation, sample_correlation
 from zenobell.config import ConfigError, parse_config
 from zenobell.dfs import effective_hamiltonian, find_dfs, subspace_from_vectors
@@ -135,7 +142,51 @@ _GUARDS = {
         ValueError,
         "shots must be >= 1, got 0",
     ),
-    "pbg_optimal_times_g_0": (lambda: pbg_optimal_times(0), ValueError, "g must be positive"),
+    "pbg_optimal_times_g_0": (lambda: pbg_optimal_times(0), ValueError, "g must be positive, got 0"),
+    # check_regime and zeno_timescale raised OverflowError from g**2, and ZeroDivisionError on its underflow
+    "system_spec_g_1e200": (
+        lambda: SystemSpec(g=1e200),
+        ValueError,
+        "g must be > 0 with g**2 finite and nonzero, got 1e+200",
+    ),
+    "system_spec_g_1e-200": (
+        lambda: SystemSpec(g=1e-200),
+        ValueError,
+        "g must be > 0 with g**2 finite and nonzero, got 1e-200",
+    ),
+    # h_cond warned of an overflow and returned a non-finite H
+    "system_spec_kappa_1e308": (
+        lambda: SystemSpec(kappa=1e308),
+        ValueError,
+        "kappa must be >= 0 with 2 * kappa * max(n_max, n_atoms, 2) finite, got 1e+308",
+    ),
+    "system_spec_gamma_over_n_atoms": (
+        lambda: SystemSpec(n_atoms=5, gamma=2e307),
+        ValueError,
+        "gamma must be >= 0 with 2 * gamma * max(n_max, n_atoms, 2) finite, got 2e+307",
+    ),
+    "system_spec_n_max_0": (lambda: SystemSpec(n_max=0), ValueError, "n_max must be >= 1, got 0"),
+    "config_n_max_0": (
+        lambda: parse_config("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 0\n"),
+        ConfigError,
+        "n_max must be >= 1, got 0",
+    ),
+    "config_omega_minus_0": (
+        lambda: parse_config("scenario = prepare_pair\ng = 1\nkappa = 1\ngamma = 0\nomega_minus_values = 0.02, 0\n"),
+        ConfigError,
+        "omega_minus must be nonzero",
+    ),
+    "config_pbg_g_0": (lambda: parse_config("scenario = pbg\ng = 0\n"), ConfigError, "g must be positive, got 0.0"),
+    "config_pbg_loss_negative": (
+        lambda: parse_config("scenario = pbg\nloss = -0.1\n"),
+        ConfigError,
+        "loss must be >= 0, got -0.1",
+    ),
+    "config_readout_error_0_5": (
+        lambda: parse_config("scenario = bell_landscape\nreadout_error = 0.5\n"),
+        ConfigError,
+        "readout_error must lie in [0, 0.5), got 0.5",
+    ),
 }
 
 
@@ -145,3 +196,37 @@ def test_each_guard_refuses_its_input_with_its_message(call, error, message):
         call()
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+# refusal skeletons that two raises may share, each with the reason it may; none today
+_SHARED_SKELETONS: dict[str, str] = {}
+
+
+def _refusal_skeletons() -> dict[str, list[str]]:
+    """Each literal refusal message of src/zenobell, its ``{}`` fields blanked, and where each raise is.
+
+    A literal message is the first argument of the raised call, a str
+    literal or an f-string.
+    """
+    skeletons = collections.defaultdict(list)
+    for path in sorted(Path(zenobell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                text = message.value
+            elif isinstance(message, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in message.values)
+            else:
+                continue
+            skeletons[text].append(f"{path.name}:{node.lineno}")
+    return skeletons
+
+
+def test_each_literal_refusal_message_is_raised_in_one_place():
+    # a case above that matches a whole message then proves that its own guard fired
+    skeletons = _refusal_skeletons()
+    assert len(skeletons) > 100
+    shared = {text: where for text, where in skeletons.items() if len(where) > 1}
+    assert shared.keys() == _SHARED_SKELETONS.keys(), shared
