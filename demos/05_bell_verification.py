@@ -4,16 +4,17 @@ A preparation scheme that works by *not* emitting photons cannot be
 certified by photodetection, so the state must betray itself through
 measured correlations.  For the pulse family
 alpha |a> + sqrt(1-|alpha|^2) |00> the equatorial correlation function
-is E(v, 0) = -|alpha|^2 cos(v); the reduced spin Bell combination
-|3 E(v,0) - E(3v,0)| crosses the classical bound 2 once
-|alpha|^2 > 1/sqrt(2), peaking at 2 sqrt(2) for the full pulse.  GHZ
+is E(v, 0) = -|alpha|^2 cos(v), so ``bs_value`` on the angle chain
+``AnalyzerSettings.from_single_angle(v)`` gives the reduced spin Bell
+combination |3 E(v,0) - E(3v,0)|.  It crosses the classical bound 2
+once |alpha|^2 > 1/sqrt(2), peaking at 2 sqrt(2) for the full pulse.  GHZ
 states are certified the same way through the three-qubit Mermin
 combination, which reaches 4 against a classical bound of 2.
 """
 
 import math
 
-from zenobell.bell import bs_landscape, bs_reduced, mermin_n, sample_correlation
+from zenobell.bell import AnalyzerSettings, bs_landscape, bs_value, mermin_n, sample_correlation
 from zenobell.hilbert import basis_state
 from zenobell.states import antisymmetric_pair, entangled_pair_state, ghz_state, qubit_layout
 
@@ -21,7 +22,7 @@ print("reduced Bell value of the full-pulse state vs analyzer angle:")
 psi = antisymmetric_pair()
 for frac in (0.0, 0.125, 0.25, 0.375, 0.5):
     v = frac * math.pi
-    print(f"  vartheta = {frac:5.3f} pi: |B_S| = {bs_reduced(psi, v):.4f}")
+    print(f"  vartheta = {frac:5.3f} pi: |B_S| = {abs(bs_value(psi, AnalyzerSettings.from_single_angle(v)).b_s):.4f}")
 
 print()
 print("violation islands in the (pulse area, analyzer angle) plane")
@@ -67,4 +68,4 @@ print()
 print("partially entangled pulse states cross the classical bound at |alpha|^2 = 1/sqrt(2):")
 for alpha_sq in (0.5, 1 / math.sqrt(2), 0.85, 1.0):
     state = entangled_pair_state(math.sqrt(alpha_sq))
-    print(f"  |alpha|^2 = {alpha_sq:5.3f}: |B_S| = {bs_reduced(state, math.pi / 4):.4f}")
+    print(f"  |alpha|^2 = {alpha_sq:5.3f}: |B_S| = {abs(bs_value(state, AnalyzerSettings.from_single_angle(math.pi / 4)).b_s):.4f}")

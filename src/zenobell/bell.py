@@ -8,8 +8,9 @@ sphere: sigma(theta) = cos(theta) sigma_x + sin(theta) sigma_y.  The spin
 
 is bounded by 2 for local hidden variables and by 2*sqrt(2) for quantum
 states.  For states whose correlation depends only on the angle
-difference the four settings collapse to a single angle chain and
-B_S = |3 E(v,0) - E(3v,0)|.
+difference, such as the pulse family, the chain of
+``AnalyzerSettings.from_single_angle(v)`` gives
+|B_S| = |3 E(v,0) - E(3v,0)|.
 
 Three-qubit states are scored with the Mermin combination
 |<XXX> - <YYX> - <YXY> - <XYY>| (classical bound 2, GHZ value 4); for
@@ -31,8 +32,7 @@ BLAS library.  An exact
 correlation is the signed sum P(+,+) - P(+,-) - P(-,+) + P(-,-)
 (``_correlations``): by construction the zero-error, infinite-shot limit
 of ``sample_correlation``.  ``correlation`` and ``bs_value`` are its
-one-state case, ``bs_reduced`` scores its 42 angle pairs in one call,
-and the selftest scores 1000 states at once.
+one-state case, and the selftest scores 1000 states at once.
 
 Finite-statistics estimates add an independent symmetric bit-flip error
 per qubit to that readout; the shots are independent, so the count of
@@ -63,7 +63,6 @@ __all__ = [
     "MerminResult",
     "correlation",
     "bs_value",
-    "bs_reduced",
     "bs_landscape",
     "Landscape",
     "mermin_n",
@@ -183,23 +182,6 @@ def bs_value(state: StateVector, settings: AnalyzerSettings, i: int = 0, j: int 
     b_s = float(b_s[0])
     corr = dict(zip(_BS_TERMS, e[0].tolist()))
     return BellResult(correlations=corr, b_s=b_s, violated=abs(b_s) > CLASSICAL_BOUND)
-
-
-def bs_reduced(state: StateVector, vartheta: float, i: int = 0, j: int = 1) -> float:
-    """|3 E(vartheta, 0) - E(3 vartheta, 0)| for difference-dependent states.
-
-    Difference dependence E(a, b) = E(a-b, 0) is asserted numerically on
-    20 deterministic pseudo-random angle pairs before the reduction is
-    trusted; those 40 correlations and the two of the result are one
-    kernel call.
-    """
-    a, b = np.random.default_rng(20211123).uniform(0.0, 2.0 * math.pi, size=(20, 2)).T
-    theta_i = np.concatenate([a, a - b, [vartheta, 3.0 * vartheta]])
-    theta_j = np.concatenate([b, np.zeros(22)])
-    e = _correlations(_pair_matrices(state, i, j)[None], theta_i, theta_j)[0]
-    if np.any(np.abs(e[:20] - e[20:40]) > 1e-10):
-        raise ValueError("correlation of this state does not depend only on the angle difference")
-    return abs(3.0 * float(e[40]) - float(e[41]))
 
 
 class Landscape(NamedTuple):

@@ -49,20 +49,20 @@ class TransitPlan(_Record):
 
 
 def check_coupling(g: float) -> None:
-    """Raise ValueError unless the vacuum-Rabi coupling ``g`` is positive.
+    """Raise ValueError unless the vacuum-Rabi coupling ``g`` is finite and positive.
 
     :class:`TransitPlan`, the exchange amplitudes and
     :func:`pbg_optimal_times` check ``g`` here, and ``config.parse_config``
     checks the pbg ``g`` key here.
     """
-    if not g > 0:
-        raise ValueError(f"g must be positive, got {g}")
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"g must be finite and > 0, got {g}")
 
 
 def check_loss(loss: float) -> None:
-    """Raise ValueError unless the defect-mode amplitude loss rate ``loss`` is >= 0; the config checks its key here."""
-    if not loss >= 0:
-        raise ValueError(f"loss must be >= 0, got {loss}")
+    """Raise ValueError unless the defect-mode amplitude loss rate ``loss`` is finite and >= 0; the config checks its key here."""
+    if not (math.isfinite(loss) and loss >= 0):
+        raise ValueError(f"loss must be finite and >= 0, got {loss}")
 
 
 def _check_time(name: str, t: float) -> None:

@@ -57,6 +57,7 @@ import math
 
 import numpy as np
 
+from .dynamics import NumericalError
 from .hilbert import OperatorMatrix, StateVector, _Record, check_normalized
 
 __all__ = [
@@ -137,7 +138,9 @@ def _survival_chain(h: np.ndarray, decay: np.ndarray, psi0: np.ndarray, dt: floa
     ``decay`` = sum_k L_k^dag L_k (:func:`_rate_terms`).  Each block of up to
     ``_BLOCK`` steps starts from the renormalized state at its start and
     fills its (2m + 1, n) states A^j psi by doubling with the transposed
-    squares (A^(2^i))^T, which are formed once per chain.
+    squares (A^(2^i))^T, which are formed once per chain.  Raises
+    :class:`NumericalError` naming the first time whose jump-rate integral
+    is not finite, as when rates near the float limit overflow their sum.
     """
     n = psi0.size
     block_len = max(1, min(_BLOCK, n_steps))
@@ -166,10 +169,15 @@ def _survival_chain(h: np.ndarray, decay: np.ndarray, psi0: np.ndarray, dt: floa
             states[k : 2 * k] = states[: min(k, size - k)] @ square
         norm2 = np.einsum("kn,kn->k", states.conj(), states).real
         rate = np.einsum("kn,kn->k", states.conj(), states @ decay.T).real / norm2
-        # continues the running sum in the order of one global cumsum
-        exponents = np.cumsum(np.concatenate(([exponent], dt / 6.0 * (rate[:-2:2] + 4.0 * rate[1::2] + rate[2::2]))))
-        survival[start + 1 : start + m + 1] = np.exp(-exponents[1:])
+        # continues the running sum in the order of one global cumsum; a
+        # rate near the float limit overflows it, which the check names
+        with np.errstate(over="ignore"):
+            exponents = np.cumsum(np.concatenate(([exponent], dt / 6.0 * (rate[:-2:2] + 4.0 * rate[1::2] + rate[2::2]))))
         exponent = exponents[-1]
+        if not math.isfinite(exponent):
+            step = start + int(np.argmin(np.isfinite(exponents)))
+            raise NumericalError(f"jump-rate integral not finite at t = {step * dt:.9g}: the survival chain overflows")
+        survival[start + 1 : start + m + 1] = np.exp(-exponents[1:])
         psi = states[-1] / math.sqrt(norm2[-1])
     return survival
 

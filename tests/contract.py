@@ -107,6 +107,15 @@ def check_overflowing_kappa_is_one_config_error_line(work: Path) -> None:
     _one_config_error_line(_run_config(work, "kappa", text), "^config error: ")
 
 
+def check_overflowing_jump_rate_is_one_numeric_failure_line(work: Path) -> None:
+    """kappa = 4e307 passes every rule, but the survival chain's rate sum overflows: exit 2 with one line, no warning."""
+    text = "scenario = trajectories\nsystem = cavity_decay\nkappa = 4e307\nn_max = 1\n"
+    result = _run_config(work, "decay", text)
+    _exit(result, 2)
+    expected = "numeric failure: jump-rate integral not finite at t = 2.5e-310: the survival chain overflows\n"
+    _require(result.stderr == expected, f"stderr {result.stderr!r}, expected {expected!r}")
+
+
 def check_sampled_landscape_same_seed_same_bytes(work: Path) -> None:
     """A sampled landscape: the same seed gives the same CSV, the next seed a different one."""
     text = (
@@ -194,6 +203,7 @@ CHECKS = (
     check_rerun_into_one_directory,
     check_out_of_regime_run_is_quiet,
     check_overflowing_kappa_is_one_config_error_line,
+    check_overflowing_jump_rate_is_one_numeric_failure_line,
     check_sampled_landscape_same_seed_same_bytes,
     check_zero_length_trajectory_row,
     check_step_budget_is_one_config_error_line,

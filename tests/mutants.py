@@ -109,11 +109,21 @@ MUTANTS = (
     Mutant(
         "pbg loss unchecked",
         "pbg.py",
-        '    if not loss >= 0:\n        raise ValueError(f"loss must be >= 0, got {loss}")\n',
+        '    if not (math.isfinite(loss) and loss >= 0):\n        raise ValueError(f"loss must be finite and >= 0, got {loss}")\n',
         "",
         (
             "tests/test_pbg.py::test_loss_is_checked_on_every_path",
             "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_pbg_loss_negative]",
+        ),
+    ),
+    Mutant(
+        "the band-gap loss may be infinite",
+        "pbg.py",
+        "if not (math.isfinite(loss) and loss >= 0):",
+        "if not loss >= 0:",
+        (
+            "tests/test_pbg.py::test_loss_is_checked_on_every_path[inf]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[jc_amplitudes_loss_inf]",
         ),
     ),
     Mutant(
@@ -191,11 +201,32 @@ MUTANTS = (
     Mutant(
         "the band-gap coupling may be zero",
         "pbg.py",
-        "    if not g > 0:\n",
-        "    if g < 0:\n",
+        "if not (math.isfinite(g) and g > 0):",
+        "if not (math.isfinite(g) and g >= 0):",
         (
             "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[pbg_optimal_times_g_0]",
             "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_pbg_g_0]",
+        ),
+    ),
+    Mutant(
+        "the band-gap coupling may be infinite",
+        "pbg.py",
+        "if not (math.isfinite(g) and g > 0):",
+        "if not g > 0:",
+        (
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[pbg_optimal_times_g_inf]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[transit_plan_g_inf]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[jc_amplitudes_g_inf]",
+        ),
+    ),
+    Mutant(
+        "the survival chain overflows silently",
+        "trajectories.py",
+        "        if not math.isfinite(exponent):\n",
+        "        if False:\n",
+        (
+            "tests/test_config_cli.py::test_cli_overflowing_jump_rate_is_one_numeric_failure_line",
+            "tests/test_contract.py::test_contract[check_overflowing_jump_rate_is_one_numeric_failure_line]",
         ),
     ),
     Mutant(

@@ -9,8 +9,10 @@ matrix product the package used before it scored stacks of states, the Mermin op
 recursion instead of the package's closed form, the projected
 decoherence-free-subspace dynamics by closed forms, finite-shot
 readout by simulating every shot instead of drawing the odd-parity
-count from its binomial law, the drive terms of a Hamiltonian stack on
-the full space instead of on the block of states asked for, the
+count from its binomial law, the N-atom weak-pulse target by its closed
+form written level by level instead of from ``states``, the drive
+terms of a Hamiltonian stack on the full space instead of on the block
+of states asked for, the
 scores of a run record one state at a time with ``np.vdot`` instead of
 stacked dot products, the jump sampler's no-jump survival by RK4
 half steps one at a time instead of a stack of polynomial powers, and
@@ -152,6 +154,24 @@ def entangled_pair_by_levels(alpha: complex, layout) -> np.ndarray:
     amps[layout.basis_index((0, 1, *others))] += -alpha * s
     amps[layout.basis_index((0, 0, *others))] += math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
     return amps
+
+
+def single_excitation_pulse(c, area: float, n_max: int) -> np.ndarray:
+    """cos(area/2) |0...0>|0> - i sin(area/2) sum_i c_i |1_i>|0>, written level by level into a zero vector.
+
+    The weak-pulse closed form on N = len(c) two-level atoms and a cavity
+    of ``n_max`` photons, for lasers Omega_- c_i with sum_i c_i = 0 and
+    |c| = 1 at area = |Omega_-| T.  The cos keeps its sign: it is negative
+    for areas in (pi, 3 pi).
+    """
+    c = np.asarray(c, dtype=float)
+    amps = np.zeros((2,) * c.size + (n_max + 1,), dtype=complex)
+    amps[(0,) * (c.size + 1)] = math.cos(area / 2.0)
+    for i, ci in enumerate(c):
+        levels = [0] * (c.size + 1)
+        levels[i] = 1
+        amps[tuple(levels)] = -1j * math.sin(area / 2.0) * ci
+    return amps.reshape(-1)
 
 
 def integrate_schrodinger(h: np.ndarray, psi0: np.ndarray, t: float, local_tol: float = 1e-12) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 import zenobell
-from zenobell.bell import bs_landscape, bs_reduced, bs_value, correlation, mermin_n, AnalyzerSettings
+from zenobell.bell import bs_landscape, bs_value, correlation, mermin_n, AnalyzerSettings
 from zenobell.dfs import (
     effective_hamiltonian,
     find_dfs,

@@ -18,7 +18,6 @@ from zenobell.bell import (
     _pair_matrices,
     _sampled_landscape,
     bs_landscape,
-    bs_reduced,
     bs_value,
     correlation,
     landscape_state,
@@ -153,26 +152,20 @@ def test_classical_deterministic_strategies_respect_bound():
     assert lhv_spin_bell_max() == 2.0
 
 
-# ----------------------------------------------------------------- bs_reduced
+# ------------------------------------------------- bs_value on the angle chain
 
 
-def test_bs_reduced_values():
+def _chain_score(state, vartheta):
+    return abs(bs_value(state, AnalyzerSettings.from_single_angle(vartheta)).b_s)
+
+
+def test_bs_value_angle_chain_values():
     psi = antisymmetric_pair()
-    assert bs_reduced(psi, math.pi / 4) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+    assert _chain_score(psi, math.pi / 4) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
     for alpha in (0.3, 0.8):
         state = entangled_pair_state(alpha)
-        assert bs_reduced(state, 0.0) == pytest.approx(2 * alpha**2, abs=1e-12)
-        assert bs_reduced(state, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bs_reduced_matches_bs_value_chain():
-    rng = np.random.default_rng(5)
-    for alpha in (0.4, 1.0):
-        psi = entangled_pair_state(alpha)
-        for _ in range(5):
-            v = rng.uniform(0, math.pi)
-            chain = AnalyzerSettings.from_single_angle(v)
-            assert bs_reduced(psi, v) == pytest.approx(abs(bs_value(psi, chain).b_s), abs=1e-12)
+        assert _chain_score(state, 0.0) == pytest.approx(2 * alpha**2, abs=1e-12)
+        assert _chain_score(state, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pulse_family_correlation_depends_only_on_difference():
@@ -184,14 +177,6 @@ def test_pulse_family_correlation_depends_only_on_difference():
             assert correlation(psi, 0, 1, t1, t2) == pytest.approx(
                 correlation(psi, 0, 1, t1 - t2, 0.0), abs=1e-10
             )
-
-
-def test_bs_reduced_rejects_asymmetric_states():
-    # (|00> + |11>)/sqrt(2) correlates through the angle sum, not the
-    # difference, so the reduction must refuse it.
-    phi_plus = StateVector(qubit_layout(2), np.array([1, 0, 0, 1]) / math.sqrt(2))
-    with pytest.raises(ValueError):
-        bs_reduced(phi_plus, 0.3)
 
 
 # --------------------------------------------------------------- bs_landscape
@@ -225,7 +210,7 @@ def test_landscape_cross_checked_against_state_route():
         om_t = rng.uniform(0, 2 * math.pi)
         v = rng.uniform(0, math.pi)
         (b,) = bs_landscape([om_t], [v]).b_s
-        assert b == pytest.approx(bs_reduced(landscape_state(om_t), v), abs=1e-10)
+        assert b == pytest.approx(_chain_score(landscape_state(om_t), v), abs=1e-10)
 
 
 def test_landscape_matches_scalar_formula_bitwise():

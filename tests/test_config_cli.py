@@ -876,6 +876,25 @@ def test_cli_overflowing_h_t_is_one_numeric_failure_line(tmp_path, capsys, body)
     assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("kappa = 4e307\nn_max = 1\n", "jump-rate integral not finite at t = 2.5e-310: the survival chain overflows"),
+        ("kappa = 2e307\nn_max = 3\n", "jump-rate integral not finite at t = 5e-310: the survival chain overflows"),
+    ],
+    ids=["kappa_4e307_n_max_1", "kappa_2e307_n_max_3"],
+)
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_cli_overflowing_jump_rate_is_one_numeric_failure_line(tmp_path, capsys, body, message):
+    # kappa passes every rule, but the Simpson sum of the chain's rates
+    # overflows, so p0_mc would read 0 against p0_det = 0.135335283
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("scenario = trajectories\nsystem = cavity_decay\n" + body)
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")  # no numpy warning from the survival chain either
 def test_cli_subnormal_rate_scale_is_one_config_error_line(tmp_path, capsys):
     # 1 / kappa overflows, so there is no default dt to step with

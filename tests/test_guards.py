@@ -25,7 +25,7 @@ from zenobell.config import ConfigError, parse_config
 from zenobell.dfs import effective_hamiltonian, find_dfs, subspace_from_vectors
 from zenobell.dynamics import DrivenHamiltonian, SystemSpec, evolve_no_jump, no_jump_states, pair_drive
 from zenobell.hilbert import OperatorMatrix, StateVector, basis_state, compose, embed, fidelity
-from zenobell.pbg import pbg_optimal_times
+from zenobell.pbg import TransitPlan, jc_amplitudes, pbg_optimal_times
 from zenobell.states import antisymmetric_pair, ghz_state, qubit_layout
 from zenobell.trajectories import run_trajectories
 
@@ -142,7 +142,18 @@ _GUARDS = {
         ValueError,
         "shots must be >= 1, got 0",
     ),
-    "pbg_optimal_times_g_0": (lambda: pbg_optimal_times(0), ValueError, "g must be positive, got 0"),
+    "pbg_optimal_times_g_0": (lambda: pbg_optimal_times(0), ValueError, "g must be finite and > 0, got 0"),
+    # returned TransitPlan(g=inf, t1=0.0, t2=0.0)
+    "pbg_optimal_times_g_inf": (lambda: pbg_optimal_times(math.inf), ValueError, "g must be finite and > 0, got inf"),
+    "transit_plan_g_inf": (lambda: TransitPlan(math.inf, 0.0, 0.0), ValueError, "g must be finite and > 0, got inf"),
+    # raised a bare "math domain error" from cos(g t)
+    "jc_amplitudes_g_inf": (lambda: jc_amplitudes(math.inf, 1.0), ValueError, "g must be finite and > 0, got inf"),
+    # returned (nan, nan)
+    "jc_amplitudes_loss_inf": (
+        lambda: jc_amplitudes(1.0, 1.0, loss=math.inf),
+        ValueError,
+        "loss must be finite and >= 0, got inf",
+    ),
     # check_regime and zeno_timescale raised OverflowError from g**2, and ZeroDivisionError on its underflow
     "system_spec_g_1e200": (
         lambda: SystemSpec(g=1e200),
@@ -176,11 +187,11 @@ _GUARDS = {
         ConfigError,
         "omega_minus must be nonzero",
     ),
-    "config_pbg_g_0": (lambda: parse_config("scenario = pbg\ng = 0\n"), ConfigError, "g must be positive, got 0.0"),
+    "config_pbg_g_0": (lambda: parse_config("scenario = pbg\ng = 0\n"), ConfigError, "g must be finite and > 0, got 0.0"),
     "config_pbg_loss_negative": (
         lambda: parse_config("scenario = pbg\nloss = -0.1\n"),
         ConfigError,
-        "loss must be >= 0, got -0.1",
+        "loss must be finite and >= 0, got -0.1",
     ),
     "config_readout_error_0_5": (
         lambda: parse_config("scenario = bell_landscape\nreadout_error = 0.5\n"),
