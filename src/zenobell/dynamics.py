@@ -248,12 +248,15 @@ class DrivenHamiltonian(NamedTuple):
         finite Rabi frequency, it is a zero, which leaves the sum's bytes
         as they are (H0 holds no -0.0 part).
         """
-        rabi = self._rabi(drives)
         states = np.arange(self.layout.total_dim) if states is None else np.asarray(states)
+        return self._stack(self._rabi(drives), states)
+
+    def _stack(self, rabi: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """:meth:`stack` of the (n, lasers) Rabi frequencies ``rabi``, already checked by :meth:`_rabi`."""
         rows, cols = np.ix_(states, states)
         # every system's H0 once per drive, and then the drive terms, as rows of m * m entries
         h0 = self.h0[:, rows, cols].reshape(len(self.h0), 1, -1)
-        h = np.broadcast_to(h0, (len(self.h0), len(drives), h0.shape[-1])).copy()
+        h = np.broadcast_to(h0, (len(self.h0), len(rabi), h0.shape[-1])).copy()
         # H += 0.5 (w S + conj(w) S^dag) on the entries the laser reaches
         for w, s_plus in zip(rabi.T[:, :, None], self.raising):
             up, down = s_plus[rows, cols].reshape(-1), s_plus.conj().T[rows, cols].reshape(-1)
@@ -447,8 +450,9 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
     the complex block otherwise (for example under complex Rabi
     frequencies of unequal phases).  A component an input does not touch
     stays exactly 0 in its final state.  A point at time 0 keeps its
-    inputs unexponentiated on every system, but its drive is checked as
-    in :meth:`DrivenHamiltonian.stack`; times are checked here (>= 0).
+    inputs unexponentiated on every system.  Every drive, time-0 points
+    included, is checked as in :meth:`DrivenHamiltonian.stack`, and every
+    time here (>= 0), before any exponential.
     Each block is applied to each input as its own mat-vec, so every
     final state depends only on its own system, point and input.
     """
@@ -456,40 +460,39 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
     if refused := [t for t in times if not t >= 0]:
         raise ValueError(f"evolution time must be >= 0, got {refused[0]}")
+    rabi, times = family._rabi(drives), np.array(times, dtype=float)
     inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
     support = inputs.any(axis=0)
-    # points at time 0, or all when no input has support, keep their inputs: stack never checks their drives
-    moving = [j for j, t in enumerate(times) if t != 0] if support.any() else []
-    still = [j for j, t in enumerate(times) if t == 0 or not moving]
-    family._rabi([drives[j] for j in still])
+    # points at time 0, or all when no input has support, keep their inputs
+    still = (times == 0) | ~support.any()
+    moving = np.flatnonzero(~still)
     n_systems = len(family.h0)
     finals = np.zeros((n_systems, len(drives), *inputs.shape), dtype=complex)
     finals[:, still] = inputs
     for component in family.components:
         states = component.states
-        if not (moving and support[states].any()):
+        if not support[states].any():
             continue
         touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
         chunk = max(1, _EXPM_BYTES // (16 * n_systems * len(states) ** 2))
         for start in range(0, len(moving), chunk):
             part = moving[start : start + chunk]
-            rows = np.array(part)[:, None, None]
-            points = [drives[j] for j in part], [times[j] for j in part]
-            blocks = _block_states(family, component, *points, inputs[touched, states])
+            rows = part[:, None, None]
+            blocks = _block_states(family, component, rabi[part], times[part], inputs[touched, states])
             finals[:, rows, touched, states] = blocks.reshape(n_systems, len(part), *blocks.shape[1:])
     return finals.reshape(-1, *inputs.shape)
 
 
-def _block_states(family: DrivenHamiltonian, component: Component, drives, times, inputs: np.ndarray) -> np.ndarray:
-    """exp(-i H_s t) inputs[m] on ``component`` for each system s, point (drive, t) and input m: an (S * n, M, m) array.
+def _block_states(family: DrivenHamiltonian, component: Component, rabi, times, inputs: np.ndarray) -> np.ndarray:
+    """exp(-i H_s t) inputs[m] on ``component`` for each system s, point (Rabi row, t) and input m: an (S * n, M, m) array.
 
     A slice is exponentiated in float64 when its quarter-turn gauge makes
     it exactly real, else as it is.  -i H t is formed in the buffer of
     the Hamiltonian stack, and the complex stacks are freed before the
     exponential, which then holds the largest working set.
     """
-    a = family.stack(drives, component.states)
-    t = np.tile(np.array(times, dtype=float), len(family.h0))[:, None, None]
+    a = family._stack(rabi, component.states)
+    t = np.tile(times, len(family.h0))[:, None, None]
     # a = -i H t, as (-1j * H) * t; an overflowing H t comes back
     # non-finite, which the callers' finiteness checks report as a
     # numeric failure

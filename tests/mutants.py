@@ -5,12 +5,14 @@ there once, the text that replaces it, and the Tier-1 test ids that must
 fail on the changed code: the defect it puts back, and the tests written
 for that defect.  Run from anywhere::
 
-    python tests/mutants.py
+    python tests/mutants.py             # every registered mutant
+    python tests/mutants.py NAME ...    # only the mutants named, in registry order
 
 For each mutant the script copies ``src`` to a temporary directory,
 applies the mutant there, runs its tests against the copy and prints one
 line.  It exits 1 if a mutant no longer applies, or
-survives: a named test passes, or the run fails without failing one.
+survives: a named test passes, or the run fails without failing one; it
+exits 2, running none, if a name is not registered.
 ``test_mutants.py`` checks in the Tier-1 suite only that every old text
 occurs exactly once and that every named test is defined, which costs no
 test run.  The package never imports this module.
@@ -445,8 +447,9 @@ MUTANTS = (
     Mutant(
         "zero-time points skip the drive check",
         "dynamics.py",
-        "    family._rabi([drives[j] for j in still])\n",
-        "",
+        "    rabi, times = family._rabi(drives), np.array(times, dtype=float)\n",
+        "    rabi = family._rabi([dict.fromkeys(family.keys, 0.0) if t == 0 else d for d, t in zip(drives, times)])\n"
+        "    times = np.array(times, dtype=float)\n",
         (
             "tests/test_dynamics.py::test_every_point_drive_is_checked_time_0_included",
             "tests/test_gates.py::test_a_non_finite_omega_is_refused_at_zero_duration",
@@ -520,6 +523,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "slices up to 10 theta_13 left unscaled",
+        "_expm.py",
+        "norm > _THETA_13",
+        "norm > 10 * _THETA_13",
+        (
+            "tests/test_expm.py::test_stack_agrees_with_scipy_over_the_scaling_range",
+            "tests/test_expm.py::test_real_stack_agrees_with_scipy_over_the_scaling_range",
+        ),
+    ),
+    Mutant(
         "A^6 scaled by 2^-4s at degree 13",
         "_expm.py",
         "a6 *= np.ldexp(1.0, -6 * scale)",
@@ -579,9 +592,26 @@ def survivors(mutant: Mutant) -> list[str]:
     return alive
 
 
-def main() -> int:
+def select(names) -> tuple[Mutant, ...]:
+    """The registered mutants called ``names``, in registry order; every mutant when ``names`` is empty.
+
+    Raises KeyError naming the first name that is not registered.
+    """
+    registered = {mutant.name for mutant in MUTANTS}
+    if unknown := [name for name in names if name not in registered]:
+        raise KeyError(unknown[0])
+    return tuple(mutant for mutant in MUTANTS if not names or mutant.name in names)
+
+
+def main(names) -> int:
+    try:
+        chosen = select(names)
+    except KeyError as err:
+        registered = "".join(f"\n  {mutant.name}" for mutant in MUTANTS)
+        print(f"no mutant named {err.args[0]!r}; the registered mutants are:{registered}", file=sys.stderr)
+        return 2
     bad = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         start = time.perf_counter()
         if (count := occurrences(mutant)) != 1:
             line = f"STALE     {mutant.name}: old text occurs {count} times in {mutant.file}"
@@ -591,9 +621,9 @@ def main() -> int:
             line = f"killed    {mutant.name}"
         bad += not line.startswith("killed")
         print(f"{line}  [{time.perf_counter() - start:.1f} s]", flush=True)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

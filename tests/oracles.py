@@ -7,7 +7,8 @@ integrator instead of a matrix exponential, Pauli-string expectations
 by explicit bit manipulation, a two-qubit correlation by the one-state
 matrix product the package used before it scored stacks of states, the Mermin operator by its dense
 recursion instead of the package's closed form, the projected
-decoherence-free-subspace dynamics by closed forms, finite-shot
+decoherence-free-subspace dynamics and the lossy band-gap exchange by
+closed forms, finite-shot
 readout by simulating every shot instead of drawing the odd-parity
 count from its binomial law, the N-atom weak-pulse target by its closed
 form written level by level instead of from ``states``, the drive
@@ -329,6 +330,23 @@ def damped_pair_amplitudes(omega: complex, gamma: float, t: float) -> tuple[comp
     sinc_t = t if w == 0 else cmath.sin(w * t) / w
     damp = math.exp(-gamma * t / 2.0)
     return damp * (cmath.cos(w * t) + 0.5 * gamma * sinc_t), -0.5j * om * damp * sinc_t
+
+
+def lossy_exchange_amplitudes(g: float, loss: float, t: float) -> tuple[float, float]:
+    """Closed-form band-gap exchange from |e, 0> with the defect-mode amplitude damped at ``loss``.
+
+    On (|e 0>, |g 1>) the amplitudes obey c_e' = g c_g and
+    c_g' = -g c_e - loss c_g.  Below critical damping, loss < 2 g, with
+    w = sqrt(g^2 - loss^2 / 4),
+
+        c_e(t) = e^{-loss t/2} (cos(w t) + (loss / (2 w)) sin(w t))
+        c_g(t) = -(g / w) e^{-loss t/2} sin(w t)
+
+    and at loss = 0 they are (cos(g t), -sin(g t)).
+    """
+    w = math.sqrt(g * g - loss * loss / 4.0)
+    damp = math.exp(-loss * t / 2.0)
+    return damp * (math.cos(w * t) + loss / (2.0 * w) * math.sin(w * t)), -g / w * damp * math.sin(w * t)
 
 
 def damped_cnot_amplitudes(omega: float, gamma: float, t: float, start: str) -> tuple[complex, complex, complex]:

@@ -612,6 +612,17 @@ def test_every_point_drive_is_checked_time_0_included():
         no_jump_states(family, [{(1, "1-2"): 0.02, (2, "0-2"): math.inf}], [1.0], [np.zeros_like(psi0)])
 
 
+def test_a_non_finite_drive_is_refused_before_any_exponential(monkeypatch):
+    # chunks of two 12-state points: the inf omega of the last point is
+    # refused before the chunks ahead of it are exponentiated
+    calls = _spy_expm(monkeypatch)
+    monkeypatch.setattr(dynamics, "_EXPM_BYTES", 2 * 16 * 12**2)
+    points = [(0.02, 10.0 * k) for k in range(1, 6)] + [(math.inf, 10.0)]
+    with pytest.raises(ValueError, match=r"^rabi entry for atom 1, '0-1' must be finite, got \(inf\+0j\)$"):
+        gates.prepare_pair_sweep(pair_spec(0.01), points)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "times, named", [([1, -2, -1], "-2"), ([0, -1, -2], "-1"), ([1, math.nan], "nan")], ids=["negative", "first", "nan"]
 )

@@ -17,7 +17,7 @@ import zenobell
 from zenobell import _expm
 from zenobell._expm import expm
 
-# 1-norms from 1e-3 to 1e4: every Pade degree and scaling exponents 0 to 11
+# 1-norms from 1e-3 to 1e4: unscaled slices below theta_13 and scaling exponents 1 to 11 above it
 NORMS = np.logspace(-3, 4, 36)
 
 
@@ -48,9 +48,9 @@ def test_stack_agrees_with_scipy_over_the_scaling_range(d):
     rng = np.random.default_rng(100 + d)
     a = non_normal_stack(d, NORMS, rng)
     norms = np.abs(a).sum(axis=1).max(axis=1)
-    # the stack reaches every degree, the last one both with and without scaling
-    assert set(np.searchsorted(_expm._THETA, norms)) == set(range(len(_expm._DEGREES) + 1))
-    assert np.ceil(np.log2(norms.max() / _expm._THETA[-1])) == 11
+    # the stack has slices on both sides of theta_13, the largest with 11 squarings
+    assert (norms < _expm._THETA_13).any() and (norms > _expm._THETA_13).any()
+    assert np.ceil(np.log2(norms.max() / _expm._THETA_13)) == 11
     got = expm(a)
     assert got.shape == a.shape
     for m, u in zip(a, got):
@@ -86,8 +86,8 @@ def test_real_stack_agrees_with_scipy_over_the_scaling_range(d):
     rng = np.random.default_rng(200 + d)
     a = real_non_normal_stack(d, NORMS, rng)
     norms = np.abs(a).sum(axis=1).max(axis=1)
-    assert set(np.searchsorted(_expm._THETA, norms)) == set(range(len(_expm._DEGREES) + 1))
-    assert np.ceil(np.log2(norms.max() / _expm._THETA[-1])) == 11
+    assert (norms < _expm._THETA_13).any() and (norms > _expm._THETA_13).any()
+    assert np.ceil(np.log2(norms.max() / _expm._THETA_13)) == 11
     got = expm(a)
     assert got.dtype == np.float64 and got.shape == a.shape
     for m, u in zip(a, got):

@@ -16,6 +16,8 @@ from zenobell.pbg import (
     pbg_optimal_times,
 )
 
+from oracles import lossy_exchange_amplitudes
+
 
 def single_excitation_oracle(g, t):
     """Solve the 2x2 exchange block i g (|e0><g1| - |g1><e0|) directly."""
@@ -50,6 +52,17 @@ def test_jc_amplitudes_norm_conserved():
 def test_jc_amplitudes_with_loss_decays():
     ce, cg = jc_amplitudes(1.0, 2.0, loss=0.2)
     assert abs(ce) ** 2 + abs(cg) ** 2 < 1.0
+
+
+@pytest.mark.parametrize("g", [0.7, 1.0, 1.7])
+@pytest.mark.parametrize("loss", [1e-3, 0.01, 0.5, 1.2])
+def test_lossy_jc_amplitudes_match_the_closed_form(g, loss):
+    # the exchange blocks' 1-norms (g + loss) t run from 0 past theta_13: unscaled and scaled slices
+    for t in np.linspace(0.0, 3 * math.pi / g, 61):
+        ce, cg = jc_amplitudes(g, t, loss)
+        want_e, want_g = lossy_exchange_amplitudes(g, loss, t)
+        assert abs(ce - want_e) <= 1e-13 and abs(cg - want_g) <= 1e-13, t
+        assert ce.imag == cg.imag == 0.0
 
 
 def test_jc_amplitudes_validation():
