@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import StateVector, check_normalized
-from .states import pair_target_amplitudes, qubit_layout
+from .states import pair_target_alpha, pair_target_amplitudes, qubit_layout
 
 __all__ = [
     "AnalyzerSettings",
@@ -65,6 +65,7 @@ __all__ = [
     "bs_value",
     "bs_landscape",
     "Landscape",
+    "check_vartheta",
     "mermin_n",
     "check_shots",
     "check_readout_error",
@@ -199,19 +200,37 @@ class Landscape(NamedTuple):
         return cls(np.repeat(omega_t_grid, n_v), np.tile(vartheta_grid, n_om), b_s, b_s > CLASSICAL_BOUND)
 
 
+def check_vartheta(vartheta_grid) -> None:
+    """Raise ValueError naming the first vartheta of ``vartheta_grid`` unless it and 3 vartheta are finite.
+
+    A landscape row scores the angles vartheta and 3 vartheta.
+    ``bs_landscape`` and ``_sampled_landscape`` check their grid here
+    before any draw, and ``config.parse_config`` checks the two ends of the
+    ``vartheta`` grid here.
+    """
+    v = np.asarray(vartheta_grid, dtype=float).ravel()
+    with np.errstate(over="ignore"):  # 3 vartheta overflows to inf, which the check names
+        bad = ~np.isfinite(3.0 * v)
+    if bad.any():
+        raise ValueError(f"vartheta and 3 * vartheta must be finite, got vartheta = {float(v[bad][0])!r}")
+
+
 def bs_landscape(omega_t_grid, vartheta_grid) -> Landscape:
     """Bell-violation landscape over pulse area |Omega| T and analyzer angle.
 
-    For each grid point the pulse family gives |alpha| = |sin(|Omega|T/2)|,
+    For each grid point the pulse family gives the alpha of
+    :func:`~zenobell.states.pair_target_alpha`, |alpha| = |sin(|Omega|T/2)|,
     the closed-form correlation E(v, 0) = -|alpha|^2 cos(v) and the reduced
     combination B_S = |3 E(v, 0) - E(3v, 0)| = |alpha|^2 |3 cos(v) - cos(3v)|.
-    The sines and cosines are taken once per grid value and B_S of every
-    point is one outer product.
+    The alphas and cosines are taken once per grid value and B_S of every
+    point is one outer product.  ``vartheta_grid`` is checked by
+    :func:`check_vartheta`.
     """
     omega_t_grid, vartheta_grid = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
     if not omega_t_grid.size or not vartheta_grid.size:
         raise ValueError("grids must be nonempty")
-    alpha_sq = np.array([math.sin(om_t / 2.0) ** 2 for om_t in omega_t_grid.tolist()])[:, None]
+    check_vartheta(vartheta_grid)
+    alpha_sq = np.array([abs(pair_target_alpha(1.0, om_t)) ** 2 for om_t in omega_t_grid.tolist()])[:, None]
     cos_v = np.array([math.cos(v) for v in vartheta_grid.tolist()])
     cos_3v = np.array([math.cos(3.0 * v) for v in vartheta_grid.tolist()])
     return Landscape.of_grid(omega_t_grid, vartheta_grid, np.abs(3.0 * (-alpha_sq * cos_v) - (-alpha_sq * cos_3v)))
@@ -385,8 +404,10 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     in row order (vartheta varying fastest).  An array draw takes the
     same numbers from the stream as scalar draws in turn, so row k equals
     two ``sample_correlation`` calls that continue the stream where row
-    k - 1 left it, whatever the block size.
+    k - 1 left it, whatever the block size.  ``vartheta_grid`` is checked by
+    :func:`check_vartheta` before the first draw.
     """
+    check_vartheta(vartheta_grid)
     check_shots(shots)
     check_readout_error(readout_error)
     omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)

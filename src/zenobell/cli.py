@@ -244,13 +244,16 @@ def _run_trajectories(cfg: ScenarioConfig):
 
     t_values = p["t_end_values"] or [default_t()]  # a default length only where it is the run's: it may not be finite
     rng = _run_stream(cfg.seed)
+    # a propagation that overflows is a numeric failure even where the chain's plan is refused too
     p0_det = no_photon_probabilities(h, psi0, t_values).tolist()
+    try:
+        for t_end in t_values:  # every row's chain is planned before any row runs
+            trajectories.step_plan(h, jump_ops, t_end, p["dt"])
+    except ValueError as exc:  # an unstable dt, no default dt or too many steps, from the config
+        raise ConfigError(str(exc)) from exc
     p0_mc, stderr = [], []
     for t_end, det in zip(t_values, p0_det):
-        try:
-            batch = trajectories.run_trajectories(h, jump_ops, psi0, t_end, p["n_traj"], rng, dt=p["dt"])
-        except ValueError as exc:  # bad dt, or no default dt, from the config
-            raise ConfigError(str(exc)) from exc
+        batch = trajectories.run_trajectories(h, jump_ops, psi0, t_end, p["n_traj"], rng, dt=p["dt"])
         p0_mc.append(batch.p0_estimate)
         stderr.append(batch.p0_stderr)
         summary.append(

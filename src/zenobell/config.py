@@ -11,17 +11,18 @@ their ``_values`` spellings, and the caps that bound a run (``ROWS_CAP``,
 ``SWEEP_WORK_CAP``, ``N_MAX_CAP``).  A physical rule belongs to the module
 that uses the value: ``SystemSpec`` for the rates and ``n_max``,
 ``gates`` for the omegas and default durations, ``pbg`` for ``g`` and
-``loss`` of a band-gap run, ``bell`` for ``shots`` and ``readout_error``,
-``trajectories`` for ``n_traj``.  The parser calls that check and reports
-its refusal as a ConfigError with the same text.
+``loss`` of a band-gap run, ``bell`` for ``shots``, ``readout_error`` and
+``vartheta``, ``trajectories`` for ``n_traj``.  The parser calls that
+check and reports its refusal as a ConfigError with the same text.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 
-from .bell import check_readout_error, check_shots
+from .bell import check_readout_error, check_shots, check_vartheta
 from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, check_omega, cnot_duration, pair_duration
 from .pbg import check_coupling, check_loss
@@ -230,6 +231,7 @@ def _parse_pbg(table: dict) -> dict:
 def _parse_bell_landscape(table: dict) -> dict:
     omega_t = _grid(table, "omega_t", 0.0, 2.0 * math.pi, 101)
     vartheta = _grid(table, "vartheta", 0.0, math.pi, 101)
+    _owned(check_vartheta, [vartheta[0], vartheta[-1]])  # the grid is monotonic: its two ends bound it
     _check_rows("omega_t_count x vartheta_count", len(omega_t) * len(vartheta))
     readout_error = _float("readout_error", table.pop("readout_error", "0"))
     _owned(check_readout_error, readout_error)
@@ -293,7 +295,8 @@ SCENARIOS = tuple(_PARSERS)
 def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario configuration; all errors name keys.
 
-    A ``seed`` given here (``zenobell run --seed``) replaces the ``seed`` key, under that key's rules.
+    A ``seed`` given here (``zenobell run --seed``) replaces the ``seed`` key, under that key's rules: an
+    integer, not a bool, and >= 0.
     """
     table: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -323,8 +326,11 @@ def parse_config(text: str, seed: int | None = None) -> ScenarioConfig:
     out = table.pop("out", None)
     file_seed = _int("seed", table.pop("seed")) if "seed" in table else None
     seed = file_seed if seed is None else seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if seed is not None:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):  # as check_shots refuses a count
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
     shots = None
     if "shots" in table:
         if scenario != "bell_landscape":

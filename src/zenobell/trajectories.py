@@ -63,6 +63,7 @@ from .hilbert import OperatorMatrix, StateVector, _Record, check_normalized
 __all__ = [
     "TrajectoryBatch",
     "check_n_traj",
+    "step_plan",
     "run_trajectories",
     "first_jump_histogram",
 ]
@@ -182,6 +183,42 @@ def _survival_chain(h: np.ndarray, decay: np.ndarray, psi0: np.ndarray, dt: floa
     return survival
 
 
+def step_plan(h_cond: OperatorMatrix, jump_ops, t_end: float, dt: float | None = None) -> tuple[float, int]:
+    """``(dt, n_steps)`` of the survival chain to ``t_end``; ValueError names the rule a chain would break.
+
+    ``dt`` defaults to 1 divided by the largest rate in the problem and is
+    rejected if larger.  A chain that moves takes at least ``_MIN_STEPS``
+    (100) steps of t_end / n_steps, and at most ``_MAX_STEPS`` and
+    ``_MAX_WORK`` / n^2 on n states.  ``run_trajectories`` plans its chain
+    here, and the ``trajectories`` scenario plans every row here before its
+    first row runs.
+    """
+    dt_max, _ = _rate_terms(h_cond.entries, [op.entries for op in jump_ops])
+    return _plan(dt_max, len(h_cond.entries), t_end, dt)
+
+
+def _plan(dt_max: float, n: int, t_end: float, dt: float | None) -> tuple[float, int]:
+    """:func:`step_plan` on n states whose largest stable dt is ``dt_max``."""
+    if not t_end >= 0:
+        raise ValueError("t_end must be >= 0")
+    if dt is None:
+        if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
+            raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
+        dt = dt_max
+    elif not dt > 0:
+        raise ValueError("dt must be positive")
+    elif dt > dt_max * (1.0 + 1e-9):
+        raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
+
+    steps = max(t_end / dt, _MIN_STEPS) if t_end > 0 else 0
+    max_steps = min(_MAX_STEPS, _MAX_WORK // n**2)
+    if steps > max_steps:
+        count = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} steps (at most {max_steps} allowed)")
+    n_steps = math.ceil(steps)
+    return (t_end / n_steps if n_steps else dt), n_steps
+
+
 def run_trajectories(
     h_cond: OperatorMatrix,
     jump_ops,
@@ -193,9 +230,8 @@ def run_trajectories(
 ) -> TrajectoryBatch:
     """Estimate the no-jump probability at ``t_end`` from ``n_traj`` runs.
 
-    ``dt`` defaults to 1 divided by the largest rate in the problem and is
-    rejected if larger; a chain that moves takes at least ``_MIN_STEPS``
-    (100) steps.  The standard error is the binomial one.
+    The chain's ``dt`` and step count are :func:`step_plan`'s.  The
+    standard error is the binomial one.
     """
     jump_ops = list(jump_ops)
     if psi0.layout != h_cond.layout:
@@ -205,29 +241,11 @@ def run_trajectories(
             raise ValueError("jump operator layout mismatch")
     check_n_traj(n_traj)
     rng = np.random.default_rng(seed)  # rejects a negative seed before any work
-    if not t_end >= 0:
-        raise ValueError("t_end must be >= 0")
     check_normalized(psi0.amplitudes, "psi0")
-
     h = h_cond.entries
     dt_max, decay = _rate_terms(h, [op.entries for op in jump_ops])
-    if dt is None:
-        if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
-            raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
-        dt = dt_max
-    elif not dt > 0:
-        raise ValueError("dt must be positive")
-    elif dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
-
-    steps = max(t_end / dt, _MIN_STEPS) if t_end > 0 else 0
-    max_steps = min(_MAX_STEPS, _MAX_WORK // psi0.amplitudes.size**2)
-    if steps > max_steps:
-        count = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValueError(f"t_end = {t_end:.9g} at dt = {dt:.3g} needs {count} steps (at most {max_steps} allowed)")
-    n_steps = math.ceil(steps)
+    dt, n_steps = _plan(dt_max, len(h), t_end, dt)
     if n_steps:
-        dt = t_end / n_steps
         survival = _survival_chain(h, decay, psi0.amplitudes, dt, n_steps)
     else:
         survival = np.ones(1)

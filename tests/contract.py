@@ -150,7 +150,7 @@ def check_selftest_lines(work: Path) -> None:
     """The selftest passes, and its largest |B_S| of the 1000 seeded states pins numpy's random stream."""
     result = zenobell_cli("selftest")
     _exit(result, 0)
-    _require("max |B_S| = 2.496165214" in result.stdout, f"no 'max |B_S| = 2.496165214' in:\n{result.stdout}")
+    _require("max |B_S| = 2.199777586" in result.stdout, f"no 'max |B_S| = 2.199777586' in:\n{result.stdout}")
     _require("selftest passed" in result.stdout.splitlines(), f"no line 'selftest passed' in:\n{result.stdout}")
 
 

@@ -559,6 +559,35 @@ MUTANTS = (
             "tests/test_hilbert.py::test_embed_results_are_read_only_and_memoized_by_value",
         ),
     ),
+    Mutant(
+        "landscape vartheta whose triple overflows accepted",
+        "bell.py",
+        "    if bad.any():\n        raise ValueError(f\"vartheta and 3 * vartheta must be finite",
+        "    if False:\n        raise ValueError(f\"vartheta and 3 * vartheta must be finite",
+        (
+            "tests/test_bell.py::test_a_vartheta_whose_triple_is_not_finite_is_refused_before_any_draw",
+            "tests/test_config_cli.py::test_cli_landscape_whose_3_vartheta_overflows_is_one_config_error_line",
+            "tests/test_config_cli.py::test_cli_float_key_at_extreme_values_keeps_the_exit_code_contract[bell_landscape-vartheta_max]",
+        ),
+    ),
+    Mutant(
+        "trajectory rows planned only as each runs",
+        "cli.py",
+        "        for t_end in t_values:  # every row's chain is planned before any row runs\n"
+        '            trajectories.step_plan(h, jump_ops, t_end, p["dt"])\n',
+        "        pass\n",
+        ("tests/test_config_cli.py::test_cli_trajectory_rows_are_planned_before_any_row_runs",),
+    ),
+    Mutant(
+        "bool and fractional seeds accepted",
+        "config.py",
+        "        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):",
+        "        if False:",
+        (
+            "tests/test_config_cli.py::test_parse_config_refuses_a_bool_or_non_integer_seed[bool]",
+            "tests/test_config_cli.py::test_parse_config_refuses_a_bool_or_non_integer_seed[fraction]",
+        ),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -703,6 +704,23 @@ def test_a_non_finite_analyzer_angle_is_refused_on_every_path(angle):
     for path in paths:
         with pytest.raises(ValueError, match=f"^analyzer angle must be finite, got {angle}$"):
             path()
+
+
+@pytest.mark.parametrize("vartheta", [1e308, -1e308, math.inf, math.nan])
+def test_a_vartheta_whose_triple_is_not_finite_is_refused_before_any_draw(vartheta):
+    # cos(3 vartheta) raised 'math domain error' in the exact landscape; the
+    # sampled one warned of an overflow before refusing the infinite angle
+    message = "^" + re.escape(f"vartheta and 3 * vartheta must be finite, got vartheta = {vartheta!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        bs_landscape([0.0, 1.0], [0.5, vartheta])
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        _sampled_landscape([0.0, 1.0], [0.5, vartheta], 100, rng, 0.0)
+    assert rng.bit_generator.state == state
+    # the largest vartheta whose triple is finite still scores on both paths
+    edge = float(np.nextafter(np.finfo(float).max / 3.0, 0.0))
+    assert bs_landscape([1.0], [edge]).b_s.shape == _sampled_landscape([1.0], [edge], 100, 0, 0.0).b_s.shape == (1,)
 
 
 _BAD_SHOTS = {

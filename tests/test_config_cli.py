@@ -18,7 +18,7 @@ from zenobell.cli import _run_bell_landscape, main, render_csv
 from zenobell.config import ROWS_CAP, SCENARIOS, SWEEP_WORK_CAP, ConfigError, parse_config
 
 import contract
-from oracles import render_csv_by_value, tsirelson_draws_per_row
+from oracles import render_csv_by_value
 
 EXAMPLE = """\
 scenario = prepare_pair
@@ -786,6 +786,25 @@ def test_cli_trajectory_work_budget_bounds_a_large_space(tmp_path, capsys, monke
     assert not (tmp_path / "trajectories.csv").exists()
 
 
+def test_cli_trajectory_rows_are_planned_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    # the last row's step count was refused only after the first three rows
+    # had run their chains and drawn 10^7 trajectories each
+    chains = []
+    chain = trajectories._survival_chain
+    monkeypatch.setattr(trajectories, "_survival_chain", lambda *args: chains.append(args) or chain(*args))
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text(
+        "scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1\nn_traj = 10000000\n"
+        "t_end_values = 1, 2, 3, 1e12\n"
+    )
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: t_end = 1e+12 at dt = 1 needs 1000000000001 steps (at most 2000000 allowed)\n"
+    )
+    assert chains == []
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 def _list(count: int, start: float) -> str:
     return ", ".join(repr(start * (k + 1)) for k in range(count))
 
@@ -1200,6 +1219,19 @@ def test_parse_config_seed_argument_follows_the_seed_key_rules():
     assert parse_config("scenario = mermin\n").seed is None
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "seed must be an integer, got True"), (1.5, "seed must be an integer, got 1.5")],
+    ids=["bool", "fraction"],
+)
+def test_parse_config_refuses_a_bool_or_non_integer_seed(seed, message):
+    # a bool seed was accepted and summarized as 'seed = True'; 1.5 passed the
+    # parser and was refused by the run stream with numpy's text
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config("scenario = mermin\n", seed=seed)
+    assert parse_config("scenario = mermin\n", seed=np.int64(2)).seed == 2
+
+
 def test_cli_n_max_cap_exits_1_quickly(tmp_path, capsys):
     cfg = tmp_path / "traj.cfg"
     cfg.write_text("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 1000\nt_end = 1\nn_traj = 10\n")
@@ -1250,6 +1282,19 @@ def test_cli_unbounded_landscape_exits_1_quickly(tmp_path, capsys, body, named):
     assert not (tmp_path / "bell_landscape.csv").exists()
 
 
+@pytest.mark.parametrize("vartheta", ["1e308", "-1e308"])
+@pytest.mark.parametrize("sampling", ["", "shots = 2000\nseed = 1\n"], ids=["exact", "sampled"])
+def test_cli_landscape_whose_3_vartheta_overflows_is_one_config_error_line(tmp_path, capsys, vartheta, sampling):
+    # the exact landscape raised 'math domain error' from cos(3 vartheta); the
+    # sampled one warned of an overflow, then refused the infinite angle in a traceback
+    cfg = tmp_path / "bell.cfg"
+    cfg.write_text(f"scenario = bell_landscape\nomega_t_count = 3\nvartheta_count = 3\nvartheta_max = {vartheta}\n{sampling}")
+    assert run_cli(["run", cfg, "--out", tmp_path, "--quiet"]) == 1
+    message = f"vartheta and 3 * vartheta must be finite, got vartheta = {float(vartheta)!r}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "bell_landscape.csv").exists()
+
+
 def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
     # exp(-2 kappa t_end) underflows to 0: no photon-free history survives, and the
     # run reports that as a row rather than a numeric failure
@@ -1263,23 +1308,14 @@ def test_cli_trajectory_zero_p0_det_is_a_valid_row(tmp_path):
 
 
 def test_selftest_tsirelson_detail_is_pinned():
-    assert selftest._check_tsirelson() == (True, "max |B_S| = 2.496165214")
-
-
-def test_selftest_tsirelson_draws_are_the_per_state_stream_bit_for_bit():
-    # two calls per state and one scaling of the angles give the doubles
-    # of normal, normal, uniform(0, 2 pi) per state, in the same order
-    for seed, n in ((7, 1000), (12345, 37)):
-        draws = selftest._tsirelson_draws(seed, n)
-        assert draws.shape == (n, 3, 4)
-        assert np.array_equal(draws.view(np.int64), tsirelson_draws_per_row(seed, n).view(np.int64))
+    assert selftest._check_tsirelson() == (True, "max |B_S| = 2.199777586")
 
 
 def test_selftest_tsirelson_violation_fails_the_check_and_exits_2(monkeypatch, capsys):
     # with the bound lowered below the largest score, the check reports the
     # violation through its own comparison instead of raising
     monkeypatch.setattr(bell, "TSIRELSON_BOUND", 2.0)
-    assert selftest._check_tsirelson() == (False, "max |B_S| = 2.496165214")
+    assert selftest._check_tsirelson() == (False, "max |B_S| = 2.199777586")
     assert main(["selftest", "--quiet"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
@@ -1448,3 +1484,59 @@ def test_cli_run_keeps_the_exit_code_contract(text):
     assert "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == [], text
     assert elapsed < _RUN_BUDGET_S, (text, elapsed)
+
+
+# Every float key of every scenario, one at a time, in a small run of that
+# scenario: (the config's other lines, {key: an ordinary value}).
+_FLOAT_KEYS = {
+    "prepare_pair": ("scenario = prepare_pair", {"g": 1, "kappa": 1, "gamma": 0.001, "omega_minus": 0.02, "T": 50}),
+    "cnot": ("scenario = cnot\ninput = 10", {"g": 1, "kappa": 1, "gamma": 0.001, "omega": 0.05}),
+    "pbg": ("scenario = pbg", {"g": 1, "loss": 0.01, "gt1": 1, "gt2": 1}),
+    "pbg_grid": (
+        "scenario = pbg\ngt1_count = 2\ngt2_count = 2",
+        {"gt1_min": 0, "gt1_max": 1, "gt2_min": 0, "gt2_max": 1},
+    ),
+    "bell_landscape": (
+        "scenario = bell_landscape\nomega_t_count = 3\nvartheta_count = 3",
+        {"readout_error": 0, "omega_t_min": 0, "omega_t_max": 1, "vartheta_min": 0, "vartheta_max": 1},
+    ),
+    "bell_landscape_sampled": (
+        "scenario = bell_landscape\nomega_t_count = 3\nvartheta_count = 3\nshots = 2000\nseed = 1",
+        {"readout_error": 0, "omega_t_min": 0, "omega_t_max": 1, "vartheta_min": 0, "vartheta_max": 1},
+    ),
+    "mermin": ("scenario = mermin", {"ghz_phase": 0}),
+    "trajectories_pair": (
+        "scenario = trajectories\nsystem = pair\nn_traj = 10",
+        {"g": 1, "kappa": 1, "gamma": 0.001, "omega_minus": 0.02, "t_end": 1, "dt": 0.01},
+    ),
+    "trajectories_cavity": (
+        "scenario = trajectories\nsystem = cavity_decay\nn_traj = 10",
+        {"kappa": 1, "t_end": 1, "dt": 0.01},
+    ),
+}
+_EXTREME_VALUES = ("1e308", "-1e308", "1e-308", "5e-324", "1e300", "1e15", "0", "-0.0", "1e154")
+
+
+@pytest.mark.parametrize(
+    "lines, key, ordinary",
+    [(lines, key, keys) for lines, keys in _FLOAT_KEYS.values() for key in keys],
+    ids=[f"{name}-{key}" for name, (_, keys) in _FLOAT_KEYS.items() for key in keys],
+)
+def test_cli_float_key_at_extreme_values_keeps_the_exit_code_contract(tmp_path, lines, key, ordinary):
+    # at 3 vartheta = +-inf both landscapes ended in tracebacks
+    broken = []
+    for value in _EXTREME_VALUES:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "".join(f"\n{k} = {value if k == key else v}" for k, v in ordinary.items()) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(["run", str(cfg), "--out", str(tmp_path), "--quiet"])
+            except Exception as exc:  # an exception escaping main is what the table looks for
+                code = f"{type(exc).__name__}: {exc}"
+        written = err.getvalue().splitlines(keepends=True)
+        one_line = len(written) == 1 and written[0].startswith(("config error: ", "numeric failure: "))
+        if code not in (0, 1, 2) or (written != [] if code == 0 else not one_line) or caught:
+            broken.append((value, code, err.getvalue(), [str(w.message) for w in caught]))
+    assert broken == [], broken
