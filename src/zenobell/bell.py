@@ -215,6 +215,15 @@ def check_vartheta(vartheta_grid) -> None:
         raise ValueError(f"vartheta and 3 * vartheta must be finite, got vartheta = {float(v[bad][0])!r}")
 
 
+def _landscape_grids(omega_t_grid, vartheta_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Both grids of a landscape as float arrays; ValueError unless both are nonempty and :func:`check_vartheta` passes."""
+    omega_t_grid, vartheta_grid = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
+    if not omega_t_grid.size or not vartheta_grid.size:
+        raise ValueError("grids must be nonempty")
+    check_vartheta(vartheta_grid)
+    return omega_t_grid, vartheta_grid
+
+
 def bs_landscape(omega_t_grid, vartheta_grid) -> Landscape:
     """Bell-violation landscape over pulse area |Omega| T and analyzer angle.
 
@@ -223,13 +232,11 @@ def bs_landscape(omega_t_grid, vartheta_grid) -> Landscape:
     the closed-form correlation E(v, 0) = -|alpha|^2 cos(v) and the reduced
     combination B_S = |3 E(v, 0) - E(3v, 0)| = |alpha|^2 |3 cos(v) - cos(3v)|.
     The alphas and cosines are taken once per grid value and B_S of every
-    point is one outer product.  ``vartheta_grid`` is checked by
-    :func:`check_vartheta`.
+    point is one outer product.  Both grids must be nonempty,
+    ``vartheta_grid`` is checked by :func:`check_vartheta` and each pulse
+    area by :func:`~zenobell.states.pair_target_alpha` (finite).
     """
-    omega_t_grid, vartheta_grid = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
-    if not omega_t_grid.size or not vartheta_grid.size:
-        raise ValueError("grids must be nonempty")
-    check_vartheta(vartheta_grid)
+    omega_t_grid, vartheta_grid = _landscape_grids(omega_t_grid, vartheta_grid)
     alpha_sq = np.array([abs(pair_target_alpha(1.0, om_t)) ** 2 for om_t in omega_t_grid.tolist()])[:, None]
     cos_v = np.array([math.cos(v) for v in vartheta_grid.tolist()])
     cos_3v = np.array([math.cos(3.0 * v) for v in vartheta_grid.tolist()])
@@ -404,13 +411,12 @@ def _sampled_landscape(omega_t_grid, vartheta_grid, shots: int, seed, readout_er
     in row order (vartheta varying fastest).  An array draw takes the
     same numbers from the stream as scalar draws in turn, so row k equals
     two ``sample_correlation`` calls that continue the stream where row
-    k - 1 left it, whatever the block size.  ``vartheta_grid`` is checked by
-    :func:`check_vartheta` before the first draw.
+    k - 1 left it, whatever the block size.  The grids and pulse areas are
+    checked as in ``bs_landscape``, before the first draw.
     """
-    check_vartheta(vartheta_grid)
+    omega_t_grid, v = _landscape_grids(omega_t_grid, vartheta_grid)
     check_shots(shots)
     check_readout_error(readout_error)
-    omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)
     # the landscape states of every omega at once, each the (1, 2, 2) pair
     # matrices that _pair_matrices gives its landscape_state
     amps = pair_target_amplitudes([1.0] * len(omega_t_grid), omega_t_grid.tolist())

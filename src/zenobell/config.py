@@ -12,8 +12,9 @@ their ``_values`` spellings, and the caps that bound a run (``ROWS_CAP``,
 that uses the value: ``SystemSpec`` for the rates and ``n_max``,
 ``gates`` for the omegas and default durations, ``pbg`` for ``g`` and
 ``loss`` of a band-gap run, ``bell`` for ``shots``, ``readout_error`` and
-``vartheta``, ``trajectories`` for ``n_traj``.  The parser calls that
-check and reports its refusal as a ConfigError with the same text.
+``vartheta``, ``trajectories`` for ``n_traj`` and ``dt``.  The parser
+calls that check and reports its refusal as a ConfigError with the same
+text.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bell import check_readout_error, check_shots, check_vartheta
 from .dynamics import SystemSpec, cnot_drive
 from .gates import QUBIT_LABELS, cavity_decay_duration, check_omega, cnot_duration, pair_duration
 from .pbg import check_coupling, check_loss
-from .trajectories import check_n_traj
+from .trajectories import check_dt, check_n_traj
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
@@ -276,8 +277,8 @@ def _parse_trajectories(table: dict) -> dict:
         _owned(cavity_decay_duration, physics["kappa"])
     _check_rows("t_end", len(physics["t_end_values"] or ()))
     physics["dt"] = _float("dt", table.pop("dt")) if "dt" in table else None
-    if physics["dt"] is not None and not physics["dt"] > 0:
-        raise ConfigError(f"key 'dt' must be > 0, got {physics['dt']}")
+    if physics["dt"] is not None:
+        _owned(check_dt, physics["dt"])
     return physics
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -94,10 +95,12 @@ class SystemSpec(_Record):
     :meth:`DrivenHamiltonian.stack`.  Atom indices are 1-based, so a spec
     with no atoms (the bare leaky cavity) takes no laser.  ``n_max`` is
     the largest Fock state kept in the cavity truncation.  The constructor
-    refuses, with a ValueError naming the field, a ``g`` that is not
-    positive or whose square over- or underflows, a negative ``kappa`` or
-    ``gamma`` or one for which 2 rate max(n_max, n_atoms, 2) overflows, and
-    ``n_max < 1``; ``config.parse_config`` checks a run's rates here.
+    refuses, with a ValueError naming the field, a count (``atom_levels``,
+    ``n_atoms``, ``n_max``) that is a bool or not an integer, a ``g`` that
+    is not positive or whose square over- or underflows, a negative
+    ``kappa`` or ``gamma`` or one for which 2 rate max(n_max, n_atoms, 2)
+    overflows, and ``n_max < 1``; ``config.parse_config`` checks a run's
+    rates here.
     """
 
     __slots__ = ("atom_levels", "n_atoms", "g", "kappa", "gamma", "n_max")
@@ -105,6 +108,9 @@ class SystemSpec(_Record):
     def __init__(
         self, atom_levels: int = 2, n_atoms: int = 2, g: float = 1.0, kappa: float = 1.0, gamma: float = 0.0, n_max: int = 2
     ):
+        for name, count in (("atom_levels", atom_levels), ("n_atoms", n_atoms), ("n_max", n_max)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):  # the layout counts levels
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if atom_levels not in (2, 3):
             raise ValueError(f"atom_levels must be 2 or 3, got {atom_levels}")
         if n_atoms < 0:
@@ -414,10 +420,10 @@ def evolve_no_jump(h: OperatorMatrix, psi0: StateVector, t: float) -> StateVecto
     """exp(-i H t) |psi0>: the unnormalized no-emission conditional state.
 
     One :func:`no_jump_states` point with ``h`` as a family without
-    lasers, which exponentiates only the components ``psi0`` touches, and
-    nothing at t = 0, by the dense scaling-and-squaring Pade exponential
-    (checked in the test suite against an adaptive step-halving
-    integrator).  Raises :class:`NumericalError` if it overflows (a huge H t).
+    lasers, which exponentiates only the components ``psi0`` touches, by
+    the dense scaling-and-squaring Pade exponential (checked in the test
+    suite against an adaptive step-halving integrator).  Raises
+    :class:`NumericalError` if it is not finite (a huge H t), t = 0 included.
     """
     return StateVector(psi0.layout, _no_jump_rows(h, psi0, [t])[0])
 
@@ -449,10 +455,10 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
     quarter-turn gauge of its spanning tree makes it exactly real, and as
     the complex block otherwise (for example under complex Rabi
     frequencies of unequal phases).  A component an input does not touch
-    stays exactly 0 in its final state.  A point at time 0 keeps its
-    inputs unexponentiated on every system.  Every drive, time-0 points
-    included, is checked as in :meth:`DrivenHamiltonian.stack`, and every
-    time here (>= 0), before any exponential.
+    stays exactly 0 in its final state.  A point at time 0 is exponentiated
+    like any other: its 0 block gives the identity exactly.  Every drive and
+    every time (>= 0) is checked, as :meth:`DrivenHamiltonian.stack` checks
+    a drive, before any exponential.
     Each block is applied to each input as its own mat-vec, so every
     final state depends only on its own system, point and input.
     """
@@ -463,23 +469,18 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
     rabi, times = family._rabi(drives), np.array(times, dtype=float)
     inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
     support = inputs.any(axis=0)
-    # points at time 0, or all when no input has support, keep their inputs
-    still = (times == 0) | ~support.any()
-    moving = np.flatnonzero(~still)
     n_systems = len(family.h0)
     finals = np.zeros((n_systems, len(drives), *inputs.shape), dtype=complex)
-    finals[:, still] = inputs
     for component in family.components:
         states = component.states
         if not support[states].any():
             continue
         touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
         chunk = max(1, _EXPM_BYTES // (16 * n_systems * len(states) ** 2))
-        for start in range(0, len(moving), chunk):
-            part = moving[start : start + chunk]
-            rows = part[:, None, None]
+        for start in range(0, len(drives), chunk):
+            part = slice(start, start + chunk)
             blocks = _block_states(family, component, rabi[part], times[part], inputs[touched, states])
-            finals[:, rows, touched, states] = blocks.reshape(n_systems, len(part), *blocks.shape[1:])
+            finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])
     return finals.reshape(-1, *inputs.shape)
 
 

@@ -41,10 +41,16 @@ def antisymmetric_pair() -> StateVector:
 
 
 def pair_target_alpha(omega_minus: complex, duration: float) -> complex:
-    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2); 0 for no pulse (Om = 0)."""
+    """Ideal entangled-pair amplitude -i (Om/|Om|) sin(|Om| T / 2); 0 for no pulse (Om = 0).
+
+    Raises ValueError naming the pulse area |Om| T unless it is finite.
+    Both Bell landscapes take their alphas here, so this refusal is theirs.
+    """
     om = complex(omega_minus)
     modulus = abs(om)
-    return -1j * (om / modulus if modulus else 1.0) * math.sin(modulus * duration / 2.0)
+    if not math.isfinite(area := modulus * duration):
+        raise ValueError(f"pulse area |omega| T must be finite, got {area}")
+    return -1j * (om / modulus if modulus else 1.0) * math.sin(area / 2.0)
 
 
 def entangled_pair_state(alpha: complex, layout: HilbertLayout | None = None) -> StateVector:

@@ -63,6 +63,7 @@ from .hilbert import OperatorMatrix, StateVector, _Record, check_normalized
 __all__ = [
     "TrajectoryBatch",
     "check_n_traj",
+    "check_dt",
     "step_plan",
     "run_trajectories",
     "first_jump_histogram",
@@ -108,6 +109,16 @@ def check_n_traj(n_traj) -> None:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if n_traj > _MAX_TRAJ:
         raise ValueError(f"n_traj = {n_traj} trajectories exceeds the limit of {_MAX_TRAJ}")
+
+
+def check_dt(dt) -> None:
+    """Raise ValueError naming ``dt`` unless it is a step > 0 (a nan dt is refused).
+
+    ``step_plan`` checks a given dt here, and ``config.parse_config``
+    checks the ``dt`` key here; only the plan knows the stability bound.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
 
 
 def _rate_terms(h: np.ndarray, jump_ops) -> tuple[float, np.ndarray]:
@@ -186,12 +197,12 @@ def _survival_chain(h: np.ndarray, decay: np.ndarray, psi0: np.ndarray, dt: floa
 def step_plan(h_cond: OperatorMatrix, jump_ops, t_end: float, dt: float | None = None) -> tuple[float, int]:
     """``(dt, n_steps)`` of the survival chain to ``t_end``; ValueError names the rule a chain would break.
 
-    ``dt`` defaults to 1 divided by the largest rate in the problem and is
-    rejected if larger.  A chain that moves takes at least ``_MIN_STEPS``
-    (100) steps of t_end / n_steps, and at most ``_MAX_STEPS`` and
-    ``_MAX_WORK`` / n^2 on n states.  ``run_trajectories`` plans its chain
-    here, and the ``trajectories`` scenario plans every row here before its
-    first row runs.
+    ``dt`` defaults to 1 divided by the largest rate in the problem; a given
+    dt must pass :func:`check_dt` and is rejected if larger.  A chain that
+    moves takes at least ``_MIN_STEPS`` (100) steps of t_end / n_steps,
+    and at most ``_MAX_STEPS`` and ``_MAX_WORK`` / n^2 on n states.
+    ``run_trajectories`` plans its chain here, and the ``trajectories``
+    scenario plans every row here before its first row runs.
     """
     dt_max, _ = _rate_terms(h_cond.entries, [op.entries for op in jump_ops])
     return _plan(dt_max, len(h_cond.entries), t_end, dt)
@@ -205,10 +216,10 @@ def _plan(dt_max: float, n: int, t_end: float, dt: float | None) -> tuple[float,
         if not math.isfinite(dt_max):  # 1 / scale overflows on a subnormal rate scale
             raise ValueError("rate scale too small: the default dt = 1 / scale overflows; set dt")
         dt = dt_max
-    elif not dt > 0:
-        raise ValueError("dt must be positive")
-    elif dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
+    else:
+        check_dt(dt)
+        if dt > dt_max * (1.0 + 1e-9):
+            raise ValueError(f"dt = {dt} too large for a stable step (max {dt_max:.3g})")
 
     steps = max(t_end / dt, _MIN_STEPS) if t_end > 0 else 0
     max_steps = min(_MAX_STEPS, _MAX_WORK // n**2)
@@ -245,10 +256,7 @@ def run_trajectories(
     h = h_cond.entries
     dt_max, decay = _rate_terms(h, [op.entries for op in jump_ops])
     dt, n_steps = _plan(dt_max, len(h), t_end, dt)
-    if n_steps:
-        survival = _survival_chain(h, decay, psi0.amplitudes, dt, n_steps)
-    else:
-        survival = np.ones(1)
+    survival = _survival_chain(h, decay, psi0.amplitudes, dt, n_steps)
 
     # trajectory i takes draw i of the batch stream; no jump iff the
     # draw stays below the final survival probability

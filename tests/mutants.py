@@ -254,14 +254,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "time-0 rows dropped",
+        "zero-length rows left at 0",
         "dynamics.py",
-        "    finals[:, still] = inputs\n",
-        "",
+        "finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])",
+        "finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:]) * (times[part] != 0)[:, None, None]",
         (
             "tests/test_dynamics.py::test_zero_time_rows_are_the_inputs",
             "tests/test_gates.py::test_prepare_pair_zero_duration_is_identity",
-            "tests/test_gates.py::test_zero_duration_point_is_the_input_even_when_h_overflows",
         ),
     ),
     Mutant(
@@ -346,8 +345,8 @@ MUTANTS = (
     Mutant(
         "a sampled landscape skips the readout check",
         "bell.py",
-        "    check_shots(shots)\n    check_readout_error(readout_error)\n    omega_t_grid, v =",
-        "    check_shots(shots)\n    omega_t_grid, v =",
+        "    check_shots(shots)\n    check_readout_error(readout_error)\n    # the landscape states",
+        "    check_shots(shots)\n    # the landscape states",
         (
             "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[0.7]",
             "tests/test_bell.py::test_a_bad_readout_error_is_refused_before_any_draw[-0.2]",
@@ -586,6 +585,43 @@ MUTANTS = (
         (
             "tests/test_config_cli.py::test_parse_config_refuses_a_bool_or_non_integer_seed[bool]",
             "tests/test_config_cli.py::test_parse_config_refuses_a_bool_or_non_integer_seed[fraction]",
+        ),
+    ),
+    Mutant(
+        "a non-finite pulse area reaches sin",
+        "states.py",
+        "    if not math.isfinite(area := modulus * duration):\n"
+        '        raise ValueError(f"pulse area |omega| T must be finite, got {area}")\n',
+        "    area = modulus * duration\n",
+        (
+            "tests/test_bell.py::test_a_non_finite_pulse_area_or_empty_grid_is_refused_on_both_landscapes[inf]",
+            "tests/test_bell.py::test_a_non_finite_pulse_area_or_empty_grid_is_refused_on_both_landscapes[minus_inf]",
+            "tests/test_bell.py::test_a_non_finite_pulse_area_or_empty_grid_is_refused_on_both_landscapes[nan]",
+        ),
+    ),
+    Mutant(
+        "the sampled landscape takes an empty grid",
+        "bell.py",
+        "    omega_t_grid, v = _landscape_grids(omega_t_grid, vartheta_grid)\n",
+        "    omega_t_grid, v = np.asarray(omega_t_grid, dtype=float), np.asarray(vartheta_grid, dtype=float)\n"
+        "    check_vartheta(v)\n",
+        ("tests/test_bell.py::test_a_non_finite_pulse_area_or_empty_grid_is_refused_on_both_landscapes[empty]",),
+    ),
+    Mutant(
+        "bool and fractional spec counts accepted",
+        "dynamics.py",
+        "            if isinstance(count, bool) or not isinstance(count, numbers.Integral):",
+        "            if False:",
+        ("tests/test_dynamics.py::test_spec_refuses_a_bool_or_non_integer_count",),
+    ),
+    Mutant(
+        "a dt of 0 is a step",
+        "trajectories.py",
+        '    if not dt > 0:\n        raise ValueError(f"dt must be > 0',
+        '    if dt < 0:\n        raise ValueError(f"dt must be > 0',
+        (
+            "tests/test_trajectories.py::test_a_nan_time_is_refused[dt]",
+            "tests/test_guards.py::test_each_guard_refuses_its_input_with_its_message[config_dt_0]",
         ),
     ),
 )

@@ -723,6 +723,30 @@ def test_a_vartheta_whose_triple_is_not_finite_is_refused_before_any_draw(varthe
     assert bs_landscape([1.0], [edge]).b_s.shape == _sampled_landscape([1.0], [edge], 100, 0, 0.0).b_s.shape == (1,)
 
 
+@pytest.mark.parametrize(
+    "omega_t, refused",
+    [
+        # both paths raised a bare 'math domain error' from math.sin
+        ([0.5, math.inf], "pulse area |omega| T must be finite, got inf"),
+        ([-math.inf], "pulse area |omega| T must be finite, got -inf"),
+        # the exact path scored B_S = nan as not violated
+        ([math.nan, 0.5], "pulse area |omega| T must be finite, got nan"),
+        # the sampled path returned an empty landscape
+        ([], "grids must be nonempty"),
+    ],
+    ids=["inf", "minus_inf", "nan", "empty"],
+)
+def test_a_non_finite_pulse_area_or_empty_grid_is_refused_on_both_landscapes(omega_t, refused):
+    message = "^" + re.escape(refused) + "$"
+    with pytest.raises(ValueError, match=message):
+        bs_landscape(omega_t, [0.5])
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        _sampled_landscape(omega_t, [0.5], 100, rng, 0.0)
+    assert rng.bit_generator.state == state
+
+
 _BAD_SHOTS = {
     # 2 binomial trials over a 2.5-shot denominator gave (0.2, 0.8)
     "fraction": (2.5, "shots must be an integer, got 2.5"),

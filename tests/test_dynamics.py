@@ -99,6 +99,30 @@ def test_spec_rejects_non_finite_rates(fields, drive, named):
     assert str(refused.value) == named
 
 
+_BAD_COUNTS = {
+    # the layout truncated the cavity at int(2.5) = 2 levels while n_max read 1.5
+    "n_max_fraction": ({"n_max": 1.5}, "n_max must be an integer, got 1.5"),
+    "n_max_bool": ({"n_max": True}, "n_max must be an integer, got True"),
+    "n_atoms_bool": ({"n_atoms": True}, "n_atoms must be an integer, got True"),
+    # layout() raised a bare TypeError from range()
+    "n_atoms_fraction": ({"n_atoms": 1.5}, "n_atoms must be an integer, got 1.5"),
+    # accepted, and then h_cond raised a bare TypeError
+    "atom_levels_float": ({"atom_levels": 2.0}, "atom_levels must be an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("fields, named", _BAD_COUNTS.values(), ids=_BAD_COUNTS.keys())
+def test_spec_refuses_a_bool_or_non_integer_count(fields, named):
+    with pytest.raises(ValueError) as refused:
+        SystemSpec(**fields)
+    assert str(refused.value) == named
+
+
+def test_spec_takes_numpy_integer_counts():
+    spec = SystemSpec(atom_levels=np.int64(3), n_atoms=np.int32(2), n_max=np.int64(2))
+    assert spec.layout() == lambda_spec(0).layout()
+
+
 def test_layout_shape():
     assert pair_spec(0).layout().dims == (2, 2, 3)
     assert lambda_spec(0).layout().dims == (3, 3, 3)
@@ -510,7 +534,7 @@ def test_stacked_propagators_equal_evolve_no_jump(monkeypatch):
         assert len(got) == len(drives)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
-        assert sum(exponentiated) == 3  # the zero-length point is not exponentiated
+        assert sum(exponentiated) == 4  # the zero-length point too: its 0 block gives the identity
     with pytest.raises(ValueError, match=r"evolution time must be >= 0, got -1\.0$"):
         no_jump_states(family, drives[:1], [-1.0], [psi0.amplitudes])
 
@@ -598,16 +622,31 @@ def test_zero_time_rows_are_the_inputs():
     assert finals[0].tobytes() == finals[2].tobytes() == inputs.tobytes()
 
 
+def test_time_0_fails_as_any_time_where_the_input_reaches_a_non_finite_entry():
+    # a hand-built H is not checked: at t = 0 it is exponentiated as at any
+    # t, so a non-finite entry the input reaches fails there too, while one
+    # in a component the input does not touch is never exponentiated
+    layout = compose([("q", 2), ("cav", 2)])
+    psi0 = basis_state(layout, (0, 0))
+    reached, apart = np.zeros((2, 4, 4), dtype=complex)
+    reached[0, 1] = reached[1, 0] = apart[0, 1] = apart[1, 0] = 0.5
+    reached[1, 1] = apart[3, 3] = complex(0.0, -math.inf)
+    for t in (0.0, 1.0):
+        with pytest.raises(NumericalError, match=rf"^exp\(-i H t\) \|psi0> not finite at t = {t:.9g}$"):
+            evolve_no_jump(OperatorMatrix(layout, reached), psi0, t)
+    assert evolve_no_jump(OperatorMatrix(layout, apart), psi0, 0.0).amplitudes.tobytes() == psi0.amplitudes.tobytes()
+
+
 def test_every_point_drive_is_checked_time_0_included():
-    # a point the kernel does not propagate keeps its inputs, and so p0 = 1:
-    # its drive must still be refused, as stack refuses a propagated one
+    # a time-0 point is exponentiated like any other, with its drive times 0:
+    # a bad drive there is refused by name, as stack refuses any drive
     family = _family(3, 2, 0.01)
     psi0 = basis_state(family.layout, (1, 0, 0)).amplitudes
     with pytest.raises(ValueError, match="drive keys"):
         no_jump_states(family, [cnot_drive(0.02), {(1, "1-2"): 0.02}], [1.0, 0.0], [psi0])
     with pytest.raises(ValueError, match=r"rabi entry for atom 1, '1-2' must be finite, got \(nan\+0j\)$"):
         no_jump_states(family, [cnot_drive(0.02), cnot_drive(math.nan)], [1.0, 0.0], [psi0])
-    # with no input support no point is propagated, and none escapes the check
+    # with no input support no component is exponentiated, and no drive escapes the check
     with pytest.raises(ValueError, match=r"rabi entry for atom 2, '0-2' must be finite, got \(inf\+0j\)$"):
         no_jump_states(family, [{(1, "1-2"): 0.02, (2, "0-2"): math.inf}], [1.0], [np.zeros_like(psi0)])
 

@@ -628,10 +628,11 @@ def test_sweep_numeric_failures_name_the_point():
         cnot_pulse_sweep(spec, [OMEGA], [qubit_state(spec, "10"), "00"])
 
 
-def test_zero_duration_point_is_the_input_even_when_h_overflows(monkeypatch):
-    # as in evolve_no_jump, a zero-length pulse must not be exponentiated; SystemSpec
-    # refuses a rate that overflows H, so the two-photon diagonal of H0 is set to
-    # -i inf on the assembled family
+def test_zero_duration_point_reaching_a_non_finite_h_is_a_numeric_failure(monkeypatch):
+    # a zero-length pulse is exponentiated like any other, so a non-finite H
+    # that its input reaches fails at T = 0 as at T > 0; SystemSpec refuses a
+    # rate that overflows H, so the two-photon diagonal of H0 is set to -i inf
+    # on the assembled family
     def overflowing(specs, keys):
         family = of(specs, keys)
         h0 = family.h0.copy()
@@ -641,13 +642,14 @@ def test_zero_duration_point_is_the_input_even_when_h_overflows(monkeypatch):
     of = dynamics.DrivenHamiltonian.of
     monkeypatch.setattr(gates.DrivenHamiltonian, "of", overflowing)
     spec = SystemSpec(atom_levels=2, n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
-    run = prepare_pair_sweep(spec, [(OMEGA, 0.0)])
-    assert run.final_states[0].tobytes() == basis_state(spec.layout(), (0, 0, 0)).amplitudes.tobytes()
-    assert (run.p0[0], run.fidelity[0], run.alpha[0]) == (1.0, 1.0, 0.0)
+    for duration in (0.0, 1.0):
+        named = rf"^final-state amplitudes not finite at omega_minus=0.02, T={duration:.9g}$"
+        with pytest.raises(NumericalError, match=named):
+            prepare_pair_sweep(spec, [(OMEGA, duration)])
 
 
 def test_a_non_finite_omega_is_refused_at_zero_duration():
-    # cnot_duration(inf) is 0: the point is not propagated, but its drive is still checked
+    # cnot_duration(inf) is 0: the drive is refused by name before the zero-length point is exponentiated
     with pytest.raises(ValueError, match=r"rabi entry for atom 1, '1-2' must be finite, got \(inf\+0j\)$"):
         cnot_pulse_sweep(lambda_spec(0.001), [math.inf], ["10"])
     with pytest.raises(ValueError, match=r"rabi entry for atom 1, '0-1' must be finite, got \(inf\+0j\)$"):

@@ -5,7 +5,8 @@ scores the last qubit, a config ``out =`` parses) or fails later with
 another error (zero shots divide by zero), so each case pins the
 exception type and the whole message.  A config case pins the text of
 the library check that owns its rule: ``trajectories.check_n_traj`` and
-``bell.check_shots`` for the counts, ``SystemSpec`` for the rates and
+``bell.check_shots`` for the counts, ``trajectories.check_dt`` for the
+step, ``SystemSpec`` for the rates and
 ``n_max``, ``gates.check_omega`` for the omegas, ``pbg.check_coupling``
 and ``pbg.check_loss`` for the band-gap run and
 ``bell.check_readout_error`` for the readout.
@@ -177,6 +178,11 @@ _GUARDS = {
         "gamma must be >= 0 with 2 * gamma * max(n_max, n_atoms, 2) finite, got 2e+307",
     ),
     "system_spec_n_max_0": (lambda: SystemSpec(n_max=0), ValueError, "n_max must be >= 1, got 0"),
+    "config_dt_0": (
+        lambda: parse_config("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\ndt = 0\n"),
+        ConfigError,
+        "dt must be > 0, got 0.0",
+    ),
     "config_n_max_0": (
         lambda: parse_config("scenario = trajectories\nsystem = cavity_decay\nkappa = 1\nn_max = 0\n"),
         ConfigError,

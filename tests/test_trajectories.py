@@ -154,7 +154,7 @@ def test_validation_errors():
 
 @pytest.mark.parametrize(
     "t_end, dt, refused",
-    [(math.nan, None, "t_end must be >= 0"), (1.0, math.nan, "dt must be positive")],
+    [(math.nan, None, "t_end must be >= 0"), (1.0, math.nan, "dt must be > 0, got nan")],
     ids=["t_end", "dt"],
 )
 def test_a_nan_time_is_refused(t_end, dt, refused):
