@@ -9,8 +9,10 @@ put: a CNOT with atom 1 as control.
 
 import numpy as np
 
-from zenobell.dynamics import SystemSpec
-from zenobell.gates import QUBIT_LABELS, cnot_ideal, cnot_pulse, cnot_pulse_sweep, qubit_amplitudes, qubit_state
+from zenobell.dynamics import DrivenHamiltonian, SystemSpec, cnot_drive, no_jump_states
+from zenobell.gates import (
+    QUBIT_LABELS, cnot_duration, cnot_ideal, cnot_pulse, cnot_pulse_sweep, qubit_amplitudes, qubit_state
+)
 from zenobell.hilbert import StateVector
 
 OMEGA = 0.02
@@ -21,9 +23,13 @@ def truth_table(gamma):
     print(f"gamma = {gamma} g")
     print(f"{'input':>6} {'-> dominant':>11} {'p0':>8} {'fidelity':>9}")
     process = np.zeros((4, 4), dtype=complex)
-    # one sweep over the four basis inputs; sweeps do not warn
+    # one sweep over the four basis inputs for p0 and the fidelity (sweeps do
+    # not warn), and the four final states from one kernel call
     run = cnot_pulse_sweep(spec, [OMEGA], QUBIT_LABELS)
-    for col, (label, final, p0, fid) in enumerate(zip(QUBIT_LABELS, run.final_states[0], run.p0[0], run.fidelity[0])):
+    inputs = [qubit_state(spec, label).amplitudes for label in QUBIT_LABELS]
+    drive = cnot_drive(OMEGA)
+    finals = no_jump_states(DrivenHamiltonian.of(spec, drive), [drive], [cnot_duration(OMEGA)], inputs)[0]
+    for col, (label, final, p0, fid) in enumerate(zip(QUBIT_LABELS, finals, run.p0[0], run.fidelity[0])):
         amps = qubit_amplitudes(StateVector(spec.layout(), final).normalized())
         process[:, col] = amps
         dominant = QUBIT_LABELS[int(np.argmax(np.abs(amps)))]

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,12 +74,12 @@ __all__ = [
 ]
 
 REGIME_THRESHOLD = 0.1
-# Largest input one stacked expm call takes.  A chunk holds as many points
-# as fit as complex m-state blocks (16 m^2 bytes each); a chunk gauged to
-# real passes expm half that.  The kernel's working set is about 8x its
-# input: per slice the input, its sorted copy, A^2, A^4, A^6, two work
-# buffers (which end as V - U and V + U with A^2) and the solve's result,
-# so a full complex chunk peaks near 64 MB.
+# Largest input one stacked expm call takes.  A point chunk holds as many
+# points as fit as complex blocks of the largest touched component on every
+# system (16 m^2 bytes each); a chunk gauged to real passes expm half that.
+# The kernel's working set is about 8x its input: per slice the input, its
+# sorted copy, A^2, A^4, A^6, two work buffers (which end as V - U and V + U
+# with A^2) and the solve's result, so a full complex chunk peaks near 64 MB.
 _EXPM_BYTES = 2**23
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
@@ -270,15 +270,25 @@ class DrivenHamiltonian(NamedTuple):
             h[:, :, reached] += 0.5 * (w * up[reached] + np.conj(w) * down[reached])
         return h.reshape(-1, len(states), len(states))
 
-    def _rabi(self, drives: Sequence[Mapping]) -> np.ndarray:
-        """The (n, lasers) Rabi frequencies of n drives, checked: each names the lasers ``keys``, at finite values."""
-        if wrong := [sorted(drive) for drive in drives if drive.keys() != set(self.keys)]:
-            raise ValueError(f"drive keys {wrong[0]} differ from the assembled lasers {sorted(self.keys)}")
-        rabi = np.array([complex(drive[key]) for drive in drives for key in self.keys], dtype=complex)
+    def _rabi(self, drives: Iterable[Mapping]) -> np.ndarray:
+        """The (n, lasers) Rabi frequencies of n drives, checked: each names the lasers ``keys``, at finite values.
+
+        ``drives`` is read once, from any iterable; only the frequencies are kept.
+        """
+        keys, count = set(self.keys), 0
+
+        def values():
+            nonlocal count
+            for count, drive in enumerate(drives, 1):
+                if drive.keys() != keys:
+                    raise ValueError(f"drive keys {sorted(drive)} differ from the assembled lasers {sorted(self.keys)}")
+                yield from (complex(drive[key]) for key in self.keys)
+
+        rabi = np.fromiter(values(), dtype=complex)
         if not (finite := np.isfinite(rabi)).all():
             (atom, trans), w = self.keys[np.argmin(finite) % len(self.keys)], rabi[~finite][0]
             raise ValueError(f"rabi entry for atom {atom}, {trans!r} must be finite, got {w}")
-        return rabi.reshape(len(drives), len(self.keys))
+        return rabi.reshape(count, len(self.keys))
 
 
 def _systems(specs) -> tuple[SystemSpec, ...]:
@@ -446,11 +456,12 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
     """exp(-i H_s(drives[j]) times[j]) |inputs[m]> for each system s, point j and input m: an (S * n, M, d) array.
 
     Run s * n + j is point j on system s of the family's S systems,
-    system-major.  ``inputs`` holds M amplitude rows of length d.
-    exp(-i H t) is block-diagonal over ``family.components``; only the
-    components some input touches are exponentiated, each in stacked
-    ``expm`` calls of at most ``_EXPM_BYTES`` of blocks (a chunk of
-    points holds S blocks each), so memory does not grow with the grid.
+    system-major.  ``inputs`` holds M amplitude rows of length d.  This
+    collects the point chunks of :func:`_no_jump_chunks`, which a sweep
+    reads one at a time.  exp(-i H t) is block-diagonal over
+    ``family.components``; only the components some input touches are
+    exponentiated, one stacked ``expm`` call each per chunk of as many
+    points as fit the largest on every system in ``_EXPM_BYTES``.
     Each slice of a block is exponentiated as a float64 block when the
     quarter-turn gauge of its spanning tree makes it exactly real, and as
     the complex block otherwise (for example under complex Rabi
@@ -464,24 +475,36 @@ def no_jump_states(family: DrivenHamiltonian, drives: Sequence[Mapping], times: 
     """
     if len(drives) != len(times):
         raise ValueError(f"{len(drives)} drives but {len(times)} times")
+    inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
+    finals = np.empty((len(family.h0), len(times), *inputs.shape), dtype=complex)
+    for part, chunk in _no_jump_chunks(family, drives, times, inputs):
+        finals[:, part] = chunk
+    return finals.reshape(-1, *inputs.shape)
+
+
+def _no_jump_chunks(family: DrivenHamiltonian, drives: Iterable[Mapping], times: Sequence[float], inputs) -> Iterator:
+    """Yield (part, finals) for each point chunk of :func:`no_jump_states`, in order, once every point is checked.
+
+    ``part`` slices the chunk's points and ``finals`` holds their (S,
+    len(part), M, d) final states.  ``drives``, one per time, is read once.
+    """
     if refused := [t for t in times if not t >= 0]:
         raise ValueError(f"evolution time must be >= 0, got {refused[0]}")
-    rabi, times = family._rabi(drives), np.array(times, dtype=float)
+    rabi, times = family._rabi(drives), np.asarray(times, dtype=float)
     inputs = np.asarray(inputs, dtype=complex).reshape(-1, family.layout.total_dim)
-    support = inputs.any(axis=0)
+    reached = [(c, np.flatnonzero(inputs[:, c.states].any(axis=1))[:, None]) for c in family.components]
+    reached = [(component, touched) for component, touched in reached if touched.size]
     n_systems = len(family.h0)
-    finals = np.zeros((n_systems, len(drives), *inputs.shape), dtype=complex)
-    for component in family.components:
-        states = component.states
-        if not support[states].any():
-            continue
-        touched = np.flatnonzero(inputs[:, states].any(axis=1))[:, None]
-        chunk = max(1, _EXPM_BYTES // (16 * n_systems * len(states) ** 2))
-        for start in range(0, len(drives), chunk):
-            part = slice(start, start + chunk)
+    largest = max((len(component.states) for component, _ in reached), default=1)
+    chunk = max(1, _EXPM_BYTES // (16 * n_systems * largest**2))
+    for start in range(0, len(times), chunk):
+        part = slice(start, start + chunk)
+        finals = np.zeros((n_systems, len(times[part]), *inputs.shape), dtype=complex)
+        for component, touched in reached:
+            states = component.states
             blocks = _block_states(family, component, rabi[part], times[part], inputs[touched, states])
-            finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])
-    return finals.reshape(-1, *inputs.shape)
+            finals[:, :, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])
+        yield part, finals
 
 
 def _block_states(family: DrivenHamiltonian, component: Component, rabi, times, inputs: np.ndarray) -> np.ndarray:

@@ -28,9 +28,9 @@ from .dynamics import (
     check_regime,
     check_final_states,
     cnot_drive,
-    no_jump_states,
     pair_drive,
     zeno_timescale,
+    _no_jump_chunks,
     _systems,
 )
 from .hilbert import (
@@ -78,46 +78,47 @@ class SweepResult(NamedTuple):
     """Outcome of a pulse sweep as read-only columns, one entry per run.
 
     The runs are indexed by point for :func:`prepare_pair_sweep` and by
-    (omega, input) for :func:`cnot_pulse_sweep`: ``final_states`` has
-    shape (points, d) or (omegas, inputs, d), and ``p0`` and ``fidelity``
-    share its leading shape.  A sweep over several systems lists the
-    points (or omegas) of each system in turn, system-major.  ``alpha`` is
-    the achieved entangled-pair amplitude per point, and ``None`` for the
-    CNOT.  ``duration`` is per point for the pair and per omega for the
-    CNOT.  Sweeps do not warn: an omega's regime is
-    :func:`~zenobell.dynamics.check_regime` of ``spec`` and ``|omega|``,
-    and a run's pulse is short for Zeno suppression when
-    ``duration < 10 * zeno_timescale(spec)``.
+    (omega, input) for :func:`cnot_pulse_sweep`: ``p0`` and ``fidelity``
+    have shape (points,) or (omegas, inputs).  A sweep over several
+    systems lists the points (or omegas) of each system in turn,
+    system-major.  ``alpha`` is the achieved entangled-pair amplitude per
+    point, and ``None`` for the CNOT.  ``duration`` is per point for the
+    pair and per omega for the CNOT.  A sweep keeps no final state: each
+    chunk of runs is checked and scored as the kernel yields it, and only
+    its scores are kept; the one-point :func:`prepare_pair` and
+    :func:`cnot_pulse` return theirs in a :class:`RunRecord`.  Sweeps do
+    not warn: an omega's regime is :func:`~zenobell.dynamics.check_regime`
+    of ``spec`` and ``|omega|``, and a run's pulse is short for Zeno
+    suppression when ``duration < 10 * zeno_timescale(spec)``.
     """
 
-    final_states: np.ndarray
     p0: np.ndarray
     fidelity: np.ndarray
     alpha: np.ndarray | None
     duration: np.ndarray
 
 
-def _first_record(spec: SystemSpec, omega: complex, run: SweepResult) -> RunRecord:
-    """The one run of a one-point sweep at ``omega`` as a :class:`RunRecord`.
+def _first_record(spec: SystemSpec, omega: complex, chunks) -> RunRecord:
+    """The one run of the one scored chunk ``chunks`` of a one-point sweep at ``omega`` as a :class:`RunRecord`.
 
     Warns, from the caller's caller, when the run is outside the
     strong-coupling regime or its pulse is too short for Zeno suppression.
     """
-    first = (0,) * run.p0.ndim
-    alpha = None if run.alpha is None else complex(run.alpha[first])
-    state = StateVector(spec.layout(), run.final_states[first])
+    [(_, final, p0, fidelity, alpha, duration)] = chunks
     regime = check_regime(spec, abs(complex(omega)))
     if failed := ", ".join(f"{name} = {r:g}" for name, r in regime.ratios.items() if not r < REGIME_THRESHOLD):
         warnings.warn(
             f"parameters outside the strong-coupling regime: {failed} (each ratio must be < {REGIME_THRESHOLD:g})",
             stacklevel=3,
         )
-    if spec.kappa > 0 and run.duration[0] < 10.0 * zeno_timescale(spec):
+    if spec.kappa > 0 and duration.item() < 10.0 * zeno_timescale(spec):
         warnings.warn(
             "pulse shorter than 10x the environment-measurement timescale; Zeno suppression of leakage may be poor",
             stacklevel=3,
         )
-    return RunRecord(state, float(run.p0[first]), float(run.fidelity[first]), alpha, float(run.duration[0]), regime)
+    alpha = None if alpha is None else alpha.item()
+    state = StateVector(spec.layout(), final.reshape(-1))
+    return RunRecord(state, p0.item(), fidelity.item(), alpha, duration.item(), regime)
 
 
 def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> RunRecord:
@@ -133,7 +134,7 @@ def prepare_pair(spec: SystemSpec, omega_minus: complex, duration: float) -> Run
     (:func:`~zenobell.states.pair_target_amplitudes`); the achieved alpha is
     the overlap of the renormalized final state with |a> (cavity empty).
     """
-    return _first_record(spec, omega_minus, prepare_pair_sweep(spec, [(omega_minus, duration)]))
+    return _first_record(spec, omega_minus, _pair_chunks(_systems(spec), [(omega_minus, duration)]))
 
 
 def prepare_pair_sweep(spec, points) -> SweepResult:
@@ -142,51 +143,54 @@ def prepare_pair_sweep(spec, points) -> SweepResult:
     ``spec`` is one :class:`SystemSpec` or a sequence of specs on one
     layout (say, one per Gamma); then every point runs on each spec in
     turn, and row s * len(points) + j is point j on ``spec[s]``.  The
-    Hamiltonians are assembled once and all pulses are propagated by
-    stacked matrix exponentials in one kernel call; each row equals the
-    single-point record of its spec and point.  A zero omega_minus is
-    refused by :func:`check_omega` before any propagation.  Raises
-    :class:`NumericalError` naming the point (and, with several specs,
-    its spec's index) where the final state is not finite or has no norm
-    left.
+    Hamiltonians are assembled once and the pulses are propagated by
+    stacked matrix exponentials in one pass of point chunks; each row
+    equals the single-point record of its spec and point.  A zero
+    omega_minus is refused by :func:`check_omega` before any propagation.
+    Raises :class:`NumericalError` naming the point (and, with several
+    specs, its spec's index) where the final state is not finite or has no
+    norm left.
     """
     specs, points = _systems(spec), list(points)
+    p0, fid, alpha, duration = (np.empty((len(specs), len(points)), dtype) for dtype in (float, float, complex, float))
+    for part, _, *scores in _pair_chunks(specs, points):
+        p0[:, part], fid[:, part], alpha[:, part], duration[:, part] = scores
+    return SweepResult(*(_frozen(column.reshape(-1)) for column in (p0, fid, alpha, duration)))
+
+
+def _pair_chunks(specs: tuple, points: list):
+    """Yield (part, finals, p0, fidelity, alpha, durations) for each checked chunk of ``points`` on ``specs``."""
     family = DrivenHamiltonian.of(specs, pair_drive(1.0))
     for omega_minus, _ in points:
         check_omega("omega_minus", omega_minus)
     ground = basis_state(family.layout, (0, 0, 0)).amplitudes
+    pair = entangled_pair_state(1.0, family.layout).amplitudes
     name = lambda om, t, _: f"omega_minus={om:.9g}, T={t:.9g}"
-    durations, finals, norm = _sweep(family, pair_drive, points, [ground], name)
-    targets = pair_target_amplitudes([om for om, _ in points], [t for _, t in points], family.layout)
-    fid = fidelities(finals.reshape(len(specs), *targets.shape), targets).reshape(-1)
-    finals, norm = finals[:, 0], norm[:, 0]
-    achieved = np.vecdot(entangled_pair_state(1.0, family.layout).amplitudes, finals) / norm
-    return SweepResult(*map(_frozen, (finals, norm**2, fid, achieved, durations)))
+    for part, duration, finals, norm in _sweep(family, pair_drive, points, [ground], name):
+        finals, norm = finals[:, :, 0], norm[:, :, 0]
+        targets = pair_target_amplitudes([om for om, _ in points[part]], duration, family.layout)
+        yield part, finals, norm**2, fidelities(finals, targets), np.vecdot(pair, finals) / norm, duration
 
 
-def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate every (omega, duration) of ``points`` on each system of ``family`` from each input; check the runs.
+def _sweep(family: DrivenHamiltonian, drive, points: list, inputs, name):
+    """Propagate every (omega, duration) of ``points`` on each system of ``family`` from each input, chunk by chunk.
 
-    The runs are the family's systems x the points, system-major: run
-    r = s * len(points) + j is ``drive(omega)`` of point j on system s,
-    and each point's drive and duration are passed to the kernel once.
-    ``inputs`` holds M amplitude rows.  Returns the run durations, the
-    (runs, M, d) final states of :func:`no_jump_states` and their norms
-    from :func:`check_final_states`, which names input m of run r
-    ``name(omega, duration, m)``, after ``system s, `` with several
-    systems.  Each sweep builds its family and inputs before this step
-    and scores its own targets after it.
+    A chunk is (part, durations, finals, norm): its slice of ``points``,
+    their float durations, the kernel's (S, len(part), M, d) final states
+    from the M ``inputs``, and their norms from :func:`check_final_states`,
+    which names input m of point j ``name(omega, duration, m)``, after
+    ``system s, `` with several systems.  Each drive is built as the
+    kernel reads it, so a sweep holds no list of drives, and a chunk's
+    states outlive it only in what its caller keeps.
     """
-    n_systems = len(family.h0)
     durations = np.array([duration for _, duration in points], dtype=float)
-    finals = no_jump_states(family, [drive(omega) for omega, _ in points], durations, inputs)
-    n_in, d = finals.shape[1:]
-    norm = check_final_states(
-        finals.reshape(-1, d),
-        lambda j: ("" if n_systems == 1 else f"system {j // n_in // len(points)}, ")
-        + name(*points[j // n_in % len(points)], j % n_in),
-    ).reshape(finals.shape[:-1])
-    return np.tile(durations, n_systems), finals, norm
+    for part, finals in _no_jump_chunks(family, (drive(omega) for omega, _ in points), durations, inputs):
+        n_systems, count, n_in, d = finals.shape
+        point = lambda j: ("" if n_systems == 1 else f"system {j // n_in // count}, ") + name(
+            *points[part.start + j // n_in % count], j % n_in
+        )
+        norm = check_final_states(finals.reshape(-1, d), point)
+        yield part, durations[part], finals, norm.reshape(finals.shape[:-1])
 
 
 def cnot_ideal() -> OperatorMatrix:
@@ -263,7 +267,7 @@ def cnot_pulse(spec: SystemSpec, omega: float, input_state: StateVector) -> RunR
     parameters and a pulse shorter than 10x
     :func:`~zenobell.dynamics.zeno_timescale` produce a warning, not an error.
     """
-    return _first_record(spec, omega, cnot_pulse_sweep(spec, [omega], [input_state]))
+    return _first_record(spec, omega, _cnot_chunks(_systems(spec), [omega], [input_state]))
 
 
 def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
@@ -274,14 +278,23 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     :class:`SystemSpec` or a sequence of specs on one layout; then every
     omega runs on each spec in turn, and run (s * len(omegas) + i, m) is
     omega i on ``spec[s]``.  Each propagator, from stacked matrix
-    exponentials of the blocks the inputs reach in one
-    :func:`~zenobell.dynamics.no_jump_states` call, is applied to every
-    input; each run equals the single-point record of its spec.  Raises
-    :class:`NumericalError` naming the omega (and, with several specs,
-    its spec's index) and the input (its label, else its position) where
-    a final state is not finite or has no norm left.
+    exponentials of the blocks the inputs reach in one pass of point
+    chunks, is applied to every input; each run equals the single-point
+    record of its spec.  Raises :class:`NumericalError` naming the omega
+    (and, with several specs, its spec's index) and the input (its label,
+    else its position) where a final state is not finite or has no norm
+    left.
     """
     specs, omegas, inputs = _systems(spec), list(omegas), list(inputs)
+    (p0, fid), duration = np.empty((2, len(specs), len(omegas), len(inputs))), np.empty((len(specs), len(omegas)))
+    for part, _, chunk_p0, chunk_fid, _, chunk_duration in _cnot_chunks(specs, omegas, inputs):
+        p0[:, part], fid[:, part], duration[:, part] = chunk_p0, chunk_fid, chunk_duration
+    p0, fid = (_frozen(column.reshape(-1, len(inputs))) for column in (p0, fid))
+    return SweepResult(p0, fid, None, _frozen(duration.reshape(-1)))
+
+
+def _cnot_chunks(specs: tuple, omegas: list, inputs: list):
+    """Yield (part, finals, p0, fidelity, None, durations) for each checked chunk of ``omegas`` x ``inputs`` on ``specs``."""
     if any(s.atom_levels != 3 for s in specs):
         raise ValueError("the CNOT pulse needs Lambda (3-level) atoms")
     family = DrivenHamiltonian.of(specs, cnot_drive(1.0))
@@ -299,7 +312,6 @@ def cnot_pulse_sweep(spec, omegas, inputs) -> SweepResult:
     points = [(omega, cnot_duration(omega)) for omega in omegas]
     names = [given if isinstance(given, str) else f"#{m}" for m, given in enumerate(inputs)]
     name = lambda omega, _, m: f"omega={omega:.9g}, input={names[m]}"
-    durations, finals, norm = _sweep(family, cnot_drive, points, in_states, name)
     targets = np.reshape(targets, (len(inputs), family.layout.total_dim))
-    fid = fidelities(finals.reshape(len(specs), len(points), *targets.shape), targets).reshape(norm.shape)
-    return SweepResult(*map(_frozen, (finals, norm**2, fid)), None, _frozen(durations))
+    for part, duration, finals, norm in _sweep(family, cnot_drive, points, in_states, name):
+        yield part, finals, norm**2, fidelities(finals, targets), None, duration

@@ -25,7 +25,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import zenobell
+# the checkout's src, after every path already given, so that the bare
+# command runs from a source checkout and a runner's own path still wins
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import zenobell  # noqa: E402
 
 # the package's parent directory, so that a source checkout runs without an install
 _SOURCE = str(Path(zenobell.__file__).resolve().parents[1])

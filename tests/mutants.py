@@ -256,8 +256,8 @@ MUTANTS = (
     Mutant(
         "zero-length rows left at 0",
         "dynamics.py",
-        "finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])",
-        "finals[:, part, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:]) * (times[part] != 0)[:, None, None]",
+        "finals[:, :, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:])",
+        "finals[:, :, touched, states] = blocks.reshape(n_systems, -1, *blocks.shape[1:]) * (times[part] != 0)[:, None, None]",
         (
             "tests/test_dynamics.py::test_zero_time_rows_are_the_inputs",
             "tests/test_gates.py::test_prepare_pair_zero_duration_is_identity",
@@ -407,9 +407,33 @@ MUTANTS = (
     Mutant(
         "a sweep names the system after the failing one",
         "gates.py",
-        'f"system {j // n_in // len(points)}, "',
-        'f"system {j // n_in // len(points) + 1}, "',
+        'f"system {j // n_in // count}, "',
+        'f"system {j // n_in // count + 1}, "',
         ("tests/test_gates.py::test_sweep_over_several_systems_names_the_failing_system",),
+    ),
+    Mutant(
+        "sweep drives built as a list before the kernel",
+        "gates.py",
+        "_no_jump_chunks(family, (drive(omega) for omega, _ in points),",
+        "_no_jump_chunks(family, [drive(omega) for omega, _ in points],",
+        ("tests/test_gates.py::test_a_sweep_holds_no_state_of_its_runs_past_their_chunk",),
+    ),
+    Mutant(
+        "a chunk's columns written at offset 0",
+        "gates.py",
+        "    for part, _, *scores in _pair_chunks(specs, points):\n",
+        "    for part, _, *scores in _pair_chunks(specs, points):\n        part = slice(0, len(scores[0][0]))\n",
+        (
+            "tests/test_gates.py::test_tiny_expm_budget_gives_identical_records",
+            "tests/test_gates.py::test_sweep_over_several_systems_equals_one_sweep_per_system",
+        ),
+    ),
+    Mutant(
+        "pair targets from the durations as given",
+        "gates.py",
+        "pair_target_amplitudes([om for om, _ in points[part]], duration, family.layout)",
+        "pair_target_amplitudes([om for om, _ in points[part]], [t for _, t in points[part]], family.layout)",
+        ("tests/test_gates.py::test_a_sweep_scores_each_row_against_the_pulse_it_propagated",),
     ),
     Mutant(
         "drive terms reach system 0 only",
@@ -425,8 +449,8 @@ MUTANTS = (
     Mutant(
         "the pair sweep scores its points against the targets in reversed order",
         "gates.py",
-        "fidelities(finals.reshape(len(specs), *targets.shape), targets)",
-        "fidelities(finals.reshape(len(specs), *targets.shape), targets[::-1])",
+        "fidelities(finals, targets), np.vecdot",
+        "fidelities(finals, targets[::-1]), np.vecdot",
         (
             "tests/test_gates.py::test_prepare_pair_sweep_equals_single_point_records",
             "tests/test_gates.py::test_sweep_records_score_as_the_one_state_formulas",
@@ -446,9 +470,9 @@ MUTANTS = (
     Mutant(
         "zero-time points skip the drive check",
         "dynamics.py",
-        "    rabi, times = family._rabi(drives), np.array(times, dtype=float)\n",
+        "    rabi, times = family._rabi(drives), np.asarray(times, dtype=float)\n",
         "    rabi = family._rabi([dict.fromkeys(family.keys, 0.0) if t == 0 else d for d, t in zip(drives, times)])\n"
-        "    times = np.array(times, dtype=float)\n",
+        "    times = np.asarray(times, dtype=float)\n",
         (
             "tests/test_dynamics.py::test_every_point_drive_is_checked_time_0_included",
             "tests/test_gates.py::test_a_non_finite_omega_is_refused_at_zero_duration",

@@ -448,17 +448,19 @@ def test_cli_table_is_its_benchmark_reference_byte_for_byte(tmp_path, name):
 
 @pytest.mark.parametrize("which", ["fig2", "fig4", "fig5"])
 def test_figure_is_one_kernel_call_equal_to_one_sweep_per_gamma(monkeypatch, which):
-    # the three Gamma curves of a figure come from one no_jump_states call of
+    # the three Gamma curves of a figure come from one kernel pass over
     # the 25 omegas' drives on the three systems, and each column equals,
     # byte for byte, that of one sweep per Gamma (alpha_re is an exact
     # signed zero in every fig2 row)
-    calls, kernel = [], gates.no_jump_states
-    record = lambda family, drives, *rest: calls.append((len(drives), len(family.h0))) or kernel(family, drives, *rest)
-    monkeypatch.setattr(gates, "no_jump_states", record)
+    calls, kernel = [], gates._no_jump_chunks
+    record = lambda family, drives, times, inputs: calls.append((len(times), len(family.h0))) or kernel(
+        family, drives, times, inputs
+    )
+    monkeypatch.setattr(gates, "_no_jump_chunks", record)
     header, columns = cli._figure_columns(which)
     assert calls == [(len(cli._FIGURE_OMEGAS), len(cli._FIGURE_GAMMAS))]
 
-    monkeypatch.setattr(gates, "no_jump_states", kernel)
+    monkeypatch.setattr(gates, "_no_jump_chunks", kernel)
     runs = []
     for gamma in cli._FIGURE_GAMMAS:
         spec = SystemSpec(atom_levels=2 if which == "fig2" else 3, n_atoms=2, g=1.0, kappa=1.0, gamma=gamma, n_max=2)

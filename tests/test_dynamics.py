@@ -680,12 +680,18 @@ def test_cnot_record_does_not_depend_on_the_other_inputs():
     labels = ["00", "01", "10", "11"]
     superposition = state_from_amplitudes(spec.layout(), {(0, 0, 0): 0.6, (1, 0, 0): 0.8j})
     omegas = [0.005, 0.02, 0.3]
+    family, drives = DrivenHamiltonian.of(spec, cnot_drive(1.0)), [cnot_drive(om) for om in omegas]
+    times = [gates.cnot_duration(om) for om in omegas]
+    amplitudes = [gates.qubit_state(spec, label).amplitudes for label in labels] + [superposition.amplitudes]
     together = cnot_pulse_sweep(spec, omegas, labels + [superposition])
+    finals = no_jump_states(family, drives, times, amplitudes)
     for m, given in enumerate(labels + [superposition]):
         for others in ([], labels[::-1]):
             alone = cnot_pulse_sweep(spec, omegas, others + [given])
-            for column in ("final_states", "p0", "fidelity"):
+            for column in ("p0", "fidelity"):
                 assert getattr(together, column)[:, m].tobytes() == getattr(alone, column)[:, -1].tobytes()
+            inputs = [gates.qubit_state(spec, label).amplitudes for label in others] + [amplitudes[m]]
+            assert finals[:, m].tobytes() == no_jump_states(family, drives, times, inputs)[:, -1].tobytes()
 
 
 def test_driven_family_takes_h0_from_the_undriven_conditional_hamiltonian(monkeypatch):

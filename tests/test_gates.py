@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from zenobell.dfs import (
 )
 from zenobell import dynamics
 from zenobell.dynamics import (
+    DrivenHamiltonian,
     NumericalError,
     SystemSpec,
     check_regime,
@@ -21,6 +23,7 @@ from zenobell.dynamics import (
     evolve_no_jump,
     h_cond_lambda,
     h_cond_two_level,
+    no_jump_states,
     no_photon_probability,
     pair_drive,
     zeno_timescale,
@@ -145,7 +148,7 @@ def test_a_zero_omega_is_refused_before_any_propagation(monkeypatch):
     def kernel(*args):
         raise AssertionError("the sweep reached the propagation kernel")
 
-    monkeypatch.setattr(gates, "no_jump_states", kernel)
+    monkeypatch.setattr(gates, "_no_jump_chunks", kernel)
     points = [(OMEGA, 1.0)] * 19_999 + [(0.0, 1.0)]
     with pytest.raises(ValueError) as refused:
         prepare_pair_sweep(_PAIR, points)
@@ -153,6 +156,15 @@ def test_a_zero_omega_is_refused_before_any_propagation(monkeypatch):
     # the kernel is reached, and so stubbed, without the zero omega
     with pytest.raises(AssertionError, match="^the sweep reached the propagation kernel$"):
         prepare_pair_sweep(_PAIR, points[:-1])
+
+
+def test_a_sweep_scores_each_row_against_the_pulse_it_propagated():
+    # a duration is propagated as its float64 value, and its row is scored
+    # against the target of that pulse, not of the duration as given
+    spec = pair_spec(STATED_GAMMA)
+    for given in (np.float32(50.1), "50.1", 50):
+        run, pulse = prepare_pair_sweep(spec, [(OMEGA, given)]), prepare_pair_sweep(spec, [(OMEGA, float(given))])
+        assert [c.tobytes() for c in _columns(run)] == [c.tobytes() for c in _columns(pulse)]
 
 
 def test_prepare_pair_in_regime_reaches_protocol_quality():
@@ -354,7 +366,6 @@ def _same_row(spec, run, index, omega, record):
     """Run ``index`` of a sweep's columns equals the single-point record, bit for bit; its regime is that of |omega|."""
     alpha = None if run.alpha is None else run.alpha[index]
     assert (alpha is None) == (record.alpha is None)
-    assert run.final_states[index].tobytes() == record.final_state.amplitudes.tobytes()
     row = (run.p0[index], run.fidelity[index], alpha, run.duration[index[0]])
     assert _bits(*row) == _bits(record.p0, record.fidelity, record.alpha, record.duration)
     assert record.regime == check_regime(spec, abs(complex(omega)))
@@ -368,7 +379,21 @@ def _quietly(call):
 
 
 def _columns(run):
-    return [run.final_states, run.p0, run.fidelity, run.duration] + ([] if run.alpha is None else [run.alpha])
+    return [run.p0, run.fidelity, run.duration] + ([] if run.alpha is None else [run.alpha])
+
+
+def _pair_finals(specs, points):
+    """The (S * n, d) final states a pair sweep of ``points`` on the systems ``specs`` scores, from one kernel call."""
+    family = DrivenHamiltonian.of(specs, pair_drive(1.0))
+    ground = basis_state(family.layout, (0, 0, 0)).amplitudes
+    return no_jump_states(family, [pair_drive(om) for om, _ in points], [t for _, t in points], [ground])[:, 0]
+
+
+def _cnot_finals(specs, omegas, inputs):
+    """The (S * n, M, d) final states a CNOT sweep of ``omegas`` x ``inputs`` on ``specs`` scores, in one kernel call."""
+    family, first = DrivenHamiltonian.of(specs, cnot_drive(1.0)), dynamics._systems(specs)[0]
+    amplitudes = [(qubit_state(first, m) if isinstance(m, str) else m).amplitudes for m in inputs]
+    return no_jump_states(family, [cnot_drive(om) for om in omegas], [cnot_duration(om) for om in omegas], amplitudes)
 
 
 def _read_only(run):
@@ -383,20 +408,21 @@ def test_prepare_pair_sweep_equals_single_point_records(gamma):
     spec = pair_spec(gamma, n_max=3)
     d = spec.layout().total_dim
     run = prepare_pair_sweep(spec, PAIR_POINTS)
-    assert run.final_states.shape == (len(PAIR_POINTS), d)
     assert run.p0.shape == run.fidelity.shape == run.alpha.shape == run.duration.shape == (len(PAIR_POINTS),)
     assert _read_only(run)
-    # a sweep is its five columns and nothing else
-    assert list(run._fields) == ["final_states", "p0", "fidelity", "alpha", "duration"]
+    # a sweep is its four columns and nothing else: it keeps no final state
+    assert list(run._fields) == ["p0", "fidelity", "alpha", "duration"]
+    finals = _pair_finals(spec, PAIR_POINTS)
+    assert finals.shape == (len(PAIR_POINTS), d)
     for i, (om, t) in enumerate(PAIR_POINTS):
-        _same_row(spec, run, (i,), om, _quietly(lambda: prepare_pair(spec, om, t)))
+        record = _quietly(lambda: prepare_pair(spec, om, t))
+        _same_row(spec, run, (i,), om, record)
         # the per-point route: assemble H for this drive, one expm
         psi0 = basis_state(spec.layout(), (0, 0, 0))
         direct = evolve_no_jump(h_cond_two_level(spec, pair_drive(om)), psi0, t)
-        assert run.final_states[i].tobytes() == direct.amplitudes.tobytes()
+        assert record.final_state.amplitudes.tobytes() == finals[i].tobytes() == direct.amplitudes.tobytes()
 
     empty = prepare_pair_sweep(spec, [])
-    assert empty.final_states.shape == (0, d)
     assert empty.p0.shape == empty.fidelity.shape == empty.alpha.shape == empty.duration.shape == (0,)
     assert _read_only(empty)
 
@@ -417,13 +443,14 @@ def test_sweep_records_score_as_the_one_state_formulas(n_max):
         assert (pair_run.p0.dtype, pair_run.fidelity.dtype, pair_run.alpha.dtype) == (float, float, complex)
         assert (cnot_run.p0.dtype, cnot_run.fidelity.dtype, cnot_run.alpha) == (float, float, None)
         a_vec = entangled_pair_state(1.0, pair.layout()).amplitudes
+        pair_finals, cnot_finals = _pair_finals(pair, points), _cnot_finals(cnot, omegas, QUBIT_LABELS)
         for i, (om, t) in enumerate(points):
             target = entangled_pair_by_levels(pair_target_alpha(om, t), pair.layout())
-            expected = run_record_scores(pair_run.final_states[i], target, a_vec)
+            expected = run_record_scores(pair_finals[i], target, a_vec)
             assert _bits(pair_run.p0[i], pair_run.fidelity[i], pair_run.alpha[i]) == _bits(*expected)
         for i, m in np.ndindex(cnot_run.p0.shape):
             target = qubit_state(cnot, cnot_ideal().entries @ qubit_amplitudes(qubit_state(cnot, QUBIT_LABELS[m])))
-            expected = run_record_scores(cnot_run.final_states[i, m], target.amplitudes)
+            expected = run_record_scores(cnot_finals[i, m], target.amplitudes)
             assert _bits(cnot_run.p0[i, m], cnot_run.fidelity[i, m]) == _bits(*expected)
 
 
@@ -469,18 +496,19 @@ def test_cnot_pulse_sweep_equals_single_point_records():
     omegas = [0.005, 0.02, -0.04, 0.3, 0.02]
     inputs = [qubit_state(spec, lab) for lab in QUBIT_LABELS] + [qubit_state(spec, np.array([0.6, 0, 0.8j, 0]))]
     run = cnot_pulse_sweep(spec, omegas, inputs)
-    assert run.final_states.shape == (len(omegas), len(inputs), d)
     assert run.p0.shape == run.fidelity.shape == (len(omegas), len(inputs))
     assert run.alpha is None and run.duration.shape == (len(omegas),)
     assert _read_only(run)
+    finals = _cnot_finals(spec, omegas, inputs)
+    assert finals.shape == (len(omegas), len(inputs), d)
     for i, omega in enumerate(omegas):
         for m, psi in enumerate(inputs):
-            _same_row(spec, run, (i, m), omega, _quietly(lambda: cnot_pulse(spec, omega, psi)))
+            record = _quietly(lambda: cnot_pulse(spec, omega, psi))
+            _same_row(spec, run, (i, m), omega, record)
             direct = evolve_no_jump(h_cond_lambda(spec, cnot_drive(omega)), psi, cnot_duration(omega))
-            assert run.final_states[i, m].tobytes() == direct.amplitudes.tobytes()
+            assert record.final_state.amplitudes.tobytes() == finals[i, m].tobytes() == direct.amplitudes.tobytes()
 
     empty = cnot_pulse_sweep(spec, [], inputs)
-    assert empty.final_states.shape == (0, len(inputs), d)
     assert empty.p0.shape == empty.fidelity.shape == (0, len(inputs))
     assert empty.alpha is None and empty.duration.shape == (0,)
     assert _read_only(empty)
@@ -504,6 +532,25 @@ def test_cnot_pulse_sweep_makes_one_propagator_per_omega(monkeypatch):
     assert run.p0.shape == (3, 4)
 
 
+def _pair_sweep_peak(rows):
+    """The tracemalloc peak, in bytes, of a pair sweep of ``rows`` omegas evenly spaced in [0.01, 0.05], T = pi / omega."""
+    points = [(om, math.pi / om) for om in np.linspace(0.01, 0.05, rows).tolist()]
+    tracemalloc.start()
+    try:
+        prepare_pair_sweep(pair_spec(IN_REGIME_GAMMA), points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_no_state_of_its_runs_past_their_chunk():
+    # 8k rows fill more than two kernel chunks of the 12-state pair; 16k rows
+    # more may add only their columns, Rabi frequencies and durations
+    # (~0.1 kB a row): no final state, drive or target outlives its chunk
+    _pair_sweep_peak(100)  # the caches of the family and the components
+    assert _pair_sweep_peak(24_000) - _pair_sweep_peak(8_000) <= 3e6
+
+
 def test_tiny_expm_budget_gives_identical_records(monkeypatch):
     spec = pair_spec(IN_REGIME_GAMMA)
     lspec = lambda_spec(IN_REGIME_GAMMA)
@@ -516,11 +563,15 @@ def test_tiny_expm_budget_gives_identical_records(monkeypatch):
     def contents(run):
         return [column.tobytes() for column in _columns(run)]
 
-    default = sweeps()
+    def finals():
+        return _pair_finals(spec, PAIR_POINTS).tobytes(), _cnot_finals(lspec, omegas, inputs).tobytes()
+
+    default, default_finals = sweeps(), finals()
     for chunk in (1, 2):
         monkeypatch.setattr(dynamics, "_EXPM_BYTES", chunk * 16 * lspec.layout().total_dim ** 2)
         for a, b in zip(default, sweeps()):
             assert contents(a) == contents(b)
+        assert finals() == default_finals
 
 
 # Three systems that differ in Gamma, as the figures sweep them; the pair
@@ -529,33 +580,38 @@ SYSTEM_GAMMAS = (0.0, STATED_GAMMA, 0.1)
 SYSTEM_OMEGAS = [0.005, 0.02, -0.05 + 0.03j, 0.3]
 
 
-def _system_sweeps():
-    """(sweep over the three systems, one sweep per system) for the pair and for the CNOT."""
+def _system_sweeps(pair=prepare_pair_sweep, cnot=cnot_pulse_sweep):
+    """(sweep over the three systems, one sweep per system) for the pair and for the CNOT.
+
+    ``pair`` and ``cnot`` take a sweep's arguments; the kernel's final
+    states of each sweep are ``_pair_finals`` and ``_cnot_finals``.
+    """
     pairs, lambdas = [pair_spec(gamma) for gamma in SYSTEM_GAMMAS], [lambda_spec(gamma) for gamma in SYSTEM_GAMMAS]
     inputs = ["10", qubit_state(lambdas[0], np.array([0.6, 0, 0.8j, 0]))]
     return [
-        (prepare_pair_sweep(pairs, PAIR_POINTS), [prepare_pair_sweep(s, PAIR_POINTS) for s in pairs]),
-        (
-            cnot_pulse_sweep(lambdas, SYSTEM_OMEGAS, inputs),
-            [cnot_pulse_sweep(s, SYSTEM_OMEGAS, inputs) for s in lambdas],
-        ),
+        (pair(pairs, PAIR_POINTS), [pair(s, PAIR_POINTS) for s in pairs]),
+        (cnot(lambdas, SYSTEM_OMEGAS, inputs), [cnot(s, SYSTEM_OMEGAS, inputs) for s in lambdas]),
     ]
 
 
 def test_sweep_over_several_systems_equals_one_sweep_per_system(monkeypatch):
     # byte for byte, signed zeros included: the rows of system s are those
     # of a sweep of spec s alone, whatever the chunk budget
-    default = _system_sweeps()
+    default, finals = _system_sweeps(), _system_sweeps(_pair_finals, _cnot_finals)
     for batched, alone in default:
         assert len(batched.duration) == len(SYSTEM_GAMMAS) * len(alone[0].duration)
         assert _read_only(batched)
         for column, parts in zip(_columns(batched), zip(*map(_columns, alone))):
             assert column.tobytes() == np.concatenate(parts).tobytes()
+    for batched, alone in finals:
+        assert batched.tobytes() == np.concatenate(alone).tobytes()
     # chunks of one point, and of two points that may straddle two systems
     for budget in (1, 2 * 16 * 12**2, 2 * 16 * 18**2):
         monkeypatch.setattr(dynamics, "_EXPM_BYTES", budget)
         for (batched, _), (rerun, _) in zip(default, _system_sweeps()):
             assert [c.tobytes() for c in _columns(rerun)] == [c.tobytes() for c in _columns(batched)]
+        for (batched, _), (rerun, _) in zip(finals, _system_sweeps(_pair_finals, _cnot_finals)):
+            assert rerun.tobytes() == batched.tobytes()
 
 
 def test_sweep_over_several_systems_names_the_failing_system():

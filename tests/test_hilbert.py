@@ -275,7 +275,7 @@ def test_records_are_frozen():
         (OperatorMatrix(layout, np.eye(layout.total_dim)), "entries"),
         (spec, "kappa"),
         (TransitPlan(1.0, 0.5, 0.25), "t1"),
-        (SweepResult(column, column, column, None, column), "p0"),
+        (SweepResult(column, column, None, column), "p0"),
         (TrajectoryBatch(2, 7, 1.0, 0.01, 0.5, 0.35, np.ones(101), np.array([0.25, 0.75])), "p0_estimate"),
     ]
     for record, field in records:
